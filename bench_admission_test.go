@@ -1,9 +1,13 @@
-// Admission throughput under concurrency: the optimistic plan-outside-lock
-// pipeline plus WAL group commit against the serialized planned-under-lock
-// baseline, with and without fsync, at several client counts. The fsync
-// grid is where group commit earns its keep — while one leader's fsync is
-// in flight, every other client plans its DP and stages into the next
-// batch, so one device sync amortizes over several admissions.
+// Admission throughput under concurrency: the default pipeline (plan on
+// a snapshot outside the lock, revalidate, commit) against the reference
+// that plans under the lock, over warm and cold plans, with and without
+// fsync, at several client counts. Warm cells repeat one request shape,
+// so every plan is a cache hit and the per-admission snapshot is the
+// larger cost; cold cells give every request a new plan-cache key, so
+// the full DP runs each time and planning outside the lock lets clients
+// overlap it. The fsync cells are where group commit earns its keep —
+// while one leader's fsync is in flight, every other client plans and
+// stages into the next batch.
 package svc_test
 
 import (
@@ -15,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/topology"
 	"repro/internal/wal"
 )
 
@@ -24,22 +29,25 @@ import (
 // mid-load state and every op journals exactly one record.
 func BenchmarkAdmissionThroughput(b *testing.B) {
 	for _, mode := range []string{"locked", "optimistic"} {
-		for _, syncMode := range []string{"fsync", "nosync"} {
-			for _, clients := range []int{1, 2, 8} {
-				// -short: one smoke cell per mode at the contended point.
-				if testing.Short() && (clients != 8 || syncMode != "fsync") {
-					continue
+		for _, plans := range []string{"warm", "cold"} {
+			for _, syncMode := range []string{"fsync", "nosync"} {
+				for _, clients := range []int{1, 2, 8, 32} {
+					// -short: one smoke cell per mode and plan kind at the
+					// contended point.
+					if testing.Short() && (clients != 8 || syncMode != "fsync") {
+						continue
+					}
+					name := fmt.Sprintf("%s/%s/%s/clients=%d", mode, plans, syncMode, clients)
+					b.Run(name, func(b *testing.B) {
+						benchAdmission(b, mode == "locked", plans == "cold", syncMode == "fsync", clients)
+					})
 				}
-				name := fmt.Sprintf("%s/%s/clients=%d", mode, syncMode, clients)
-				b.Run(name, func(b *testing.B) {
-					benchAdmission(b, mode == "locked", syncMode == "fsync", clients)
-				})
 			}
 		}
 	}
 }
 
-func benchAdmission(b *testing.B, locked, fsync bool, clients int) {
+func benchAdmission(b *testing.B, locked, cold, fsync bool, clients int) {
 	var mgrOpts []core.ManagerOption
 	if locked {
 		mgrOpts = append(mgrOpts, core.WithLockedAdmission())
@@ -48,13 +56,16 @@ func benchAdmission(b *testing.B, locked, fsync bool, clients int) {
 	if !fsync {
 		walOpts = append(walOpts, wal.WithNoSync())
 	}
-	mgr, j, err := wal.Recover(b.TempDir(), benchWALTopology(b), 0.05, mgrOpts, walOpts...)
+	topo, err := topology.NewThreeTier(topology.PaperConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr, j, err := wal.Recover(b.TempDir(), topo, 0.05, mgrOpts, walOpts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer j.Close()
 
-	req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
 	var next int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -64,14 +75,24 @@ func benchAdmission(b *testing.B, locked, fsync bool, clients int) {
 		go func() {
 			defer wg.Done()
 			var jobs []core.JobID
-			for atomic.AddInt64(&next, 1) <= int64(b.N) {
-				if len(jobs) >= 4 {
+			for {
+				k := atomic.AddInt64(&next, 1)
+				if k > int64(b.N) {
+					return
+				}
+				if len(jobs) >= 2 {
 					if err := mgr.Release(jobs[0]); err != nil {
 						b.Error(err)
 						return
 					}
 					jobs = jobs[1:]
 					continue
+				}
+				req := core.Homogeneous{N: 49, Demand: stats.Normal{Mu: 100, Sigma: 40}}
+				if cold {
+					// A mean no earlier request used: the plan cache is keyed
+					// by demand and holds a dozen shapes, so this one misses.
+					req.Demand.Mu += float64(k%(1<<20)) / (1 << 16)
 				}
 				a, err := mgr.AllocateHomog(req)
 				if err != nil {

@@ -74,11 +74,10 @@ type config struct {
 	stateDir        string
 	checkpointEvery int
 	noSync          bool
-	admission       string
 	role            string // "primary" (default) or "standby"
 	follow          string // primary base URL, required for a standby
 	shards          int    // 0: unsharded; N: one pod-local shard per aggregation subtree
-	shardMode       string // "strict" (default) or "fast"
+	shardMode       string // "strict" (also "", the default) or "fast"; refused without shards
 }
 
 // daemon is one running svcd instance: manager, optional journal, HTTP
@@ -120,21 +119,14 @@ func newDaemon(cfg config) (*daemon, error) {
 		return nil, fmt.Errorf("unknown policy %q", cfg.policy)
 	}
 	mgrOpts := []core.ManagerOption{policyOpt}
-	batch := false
-	switch cfg.admission {
-	case "", "optimistic": // plan outside the lock, revalidate, commit
-	case "batch": // optimistic + coalesce concurrent requests into batches
-		batch = true
-	case "locked":
-		mgrOpts = append(mgrOpts, core.WithLockedAdmission())
-	default:
-		return nil, fmt.Errorf("unknown admission mode %q", cfg.admission)
-	}
 
 	d := &daemon{serveErr: make(chan error, 1), stopTick: make(chan struct{}), cfg: cfg, follow: cfg.follow}
 	walOpts := []wal.Option{wal.WithSnapshotEvery(cfg.checkpointEvery)}
 	if cfg.noSync {
 		walOpts = append(walOpts, wal.WithNoSync())
+	}
+	if cfg.shardMode != "" && cfg.shards == 0 {
+		return nil, errors.New("-shard-mode requires -shards")
 	}
 	switch cfg.role {
 	case "", "primary":
@@ -144,9 +136,6 @@ func newDaemon(cfg config) (*daemon, error) {
 		if cfg.shards > 0 {
 			if cfg.stateDir == "" {
 				return nil, errors.New("-shards needs -state-dir (each pod keeps its own write-ahead log)")
-			}
-			if batch {
-				return nil, errors.New("-shards is incompatible with -admission batch (the router already groups commits per pod)")
 			}
 			mode, merr := shard.ParseMode(cfg.shardMode)
 			if merr != nil {
@@ -176,9 +165,6 @@ func newDaemon(cfg config) (*daemon, error) {
 			}
 		}
 		d.api = httpapi.NewServer(d.mgr)
-		if batch {
-			d.api.SetBatcher(core.NewBatcher(d.mgr, 0))
-		}
 		if d.journal != nil {
 			d.wireJournal(d.mgr, d.journal)
 		}
@@ -499,11 +485,10 @@ func run(args []string) error {
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "directory for the write-ahead log and snapshots (empty: in-memory only)")
 	fs.IntVar(&cfg.checkpointEvery, "checkpoint-every", 4096, "journal records between snapshots")
 	fs.BoolVar(&cfg.noSync, "no-sync", false, "skip fsync on journal appends (faster, loses tail on power failure)")
-	fs.StringVar(&cfg.admission, "admission", "optimistic", "admission pipeline: optimistic (plan outside the lock) | batch (optimistic + coalesced batch planning) | locked (serialized)")
 	fs.StringVar(&cfg.role, "role", "primary", "primary serves writes; standby follows a primary's WAL and serves reads until promoted")
 	fs.StringVar(&cfg.follow, "follow", "", "primary base URL a standby replicates from (e.g. http://10.0.0.1:8080)")
 	fs.IntVar(&cfg.shards, "shards", 0, "shard the control plane into one ledger+WAL per aggregation subtree; must equal the topology's pod count (0: unsharded)")
-	fs.StringVar(&cfg.shardMode, "shard-mode", "strict", "sharded admission mode: strict (serialized, bit-identical to unsharded) | fast (pod-parallel, no cross-pod placements)")
+	fs.StringVar(&cfg.shardMode, "shard-mode", "", "sharded admission mode, with -shards: strict (default; serialized, bit-identical to unsharded) | fast (pod-parallel, no cross-pod placements)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

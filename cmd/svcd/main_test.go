@@ -19,6 +19,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	if err := run([]string{"-admission", "locked", "-addr", "127.0.0.1:0"}); err == nil {
+		t.Error("-admission accepted: there is one admission pipeline and no flag to pick another")
+	}
+	if err := run([]string{"-shard-mode", "strict", "-addr", "127.0.0.1:0"}); err == nil {
+		t.Error("-shard-mode without -shards accepted")
+	}
 }
 
 func TestLoadTopologyFromFile(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,37 +46,70 @@ func startShardedDaemon(t *testing.T, stateDir, topoPath string) *daemon {
 	return d
 }
 
-// TestShardedDaemonFlagValidation rejects the flag combinations the
-// sharded control plane cannot serve.
+// TestShardedDaemonFlagValidation walks the whole flag surface: every
+// combination of -role, -follow, -state-dir, -shards and -shard-mode the
+// daemon accepts must boot and shut down cleanly, and every combination
+// it cannot serve must be refused by name, never silently ignored.
 func TestShardedDaemonFlagValidation(t *testing.T) {
-	base := config{addr: "127.0.0.1:0", eps: 0.05, policy: "minmax"}
+	pods := shardedTopoPath(t) // two pods
+	const dead = "http://127.0.0.1:1"
+	cases := []struct {
+		name    string
+		cfg     config
+		dir     bool   // give it a -state-dir
+		refused string // fragment of the refusal; "" when the daemon must boot
+	}{
+		{name: "in-memory primary"},
+		{name: "journaled primary", dir: true},
+		{name: "explicit role", cfg: config{role: "primary"}, dir: true},
+		{name: "standby", cfg: config{role: "standby", follow: dead}, dir: true},
+		{name: "shards, default mode", cfg: config{topoPath: pods, shards: 2}, dir: true},
+		{name: "shards, strict", cfg: config{topoPath: pods, shards: 2, shardMode: "strict"}, dir: true},
+		{name: "shards, fast", cfg: config{topoPath: pods, shards: 2, shardMode: "fast"}, dir: true},
 
-	cfg := base
-	cfg.shards = 5
-	if _, err := newDaemon(cfg); err == nil {
-		t.Error("-shards without -state-dir accepted")
+		{name: "unknown policy", cfg: config{policy: "alphabetical"}, refused: "unknown policy"},
+		{name: "unknown role", cfg: config{role: "observer"}, refused: "unknown role"},
+		{name: "follow on a primary", cfg: config{follow: dead}, dir: true, refused: "-follow requires -role standby"},
+		{name: "standby without state-dir", cfg: config{role: "standby", follow: dead}, refused: "-role standby needs"},
+		{name: "standby without follow", cfg: config{role: "standby"}, dir: true, refused: "-role standby needs"},
+		{name: "shard-mode without shards", cfg: config{shardMode: "fast"}, dir: true, refused: "-shard-mode requires -shards"},
+		{name: "default shard-mode named without shards", cfg: config{shardMode: "strict"}, refused: "-shard-mode requires -shards"},
+		{name: "shard-mode on a standby", cfg: config{role: "standby", follow: dead, shardMode: "strict"}, dir: true, refused: "-shard-mode requires -shards"},
+		{name: "shards without state-dir", cfg: config{topoPath: pods, shards: 2}, refused: "-shards needs -state-dir"},
+		{name: "unknown shard mode", cfg: config{topoPath: pods, shards: 2, shardMode: "psychic"}, dir: true, refused: "unknown mode"},
+		{name: "shards on a standby", cfg: config{topoPath: pods, shards: 2, role: "standby", follow: dead}, dir: true, refused: "-shards requires -role primary"},
+		{name: "shards not matching the pod count", cfg: config{shards: 3}, dir: true, refused: "shard count"}, // builtin paper topology has 5 pods
 	}
-	cfg.stateDir = t.TempDir()
-	cfg.shardMode = "psychic"
-	if _, err := newDaemon(cfg); err == nil {
-		t.Error("unknown shard mode accepted")
-	}
-	cfg.shardMode = "strict"
-	cfg.admission = "batch"
-	if _, err := newDaemon(cfg); err == nil {
-		t.Error("-shards with -admission batch accepted")
-	}
-	cfg.admission = ""
-	cfg.role = "standby"
-	cfg.follow = "http://127.0.0.1:1"
-	if _, err := newDaemon(cfg); err == nil {
-		t.Error("-shards with -role standby accepted")
-	}
-	cfg.role = ""
-	cfg.follow = ""
-	cfg.shards = 3 // builtin paper topology has 5 pods
-	if _, err := newDaemon(cfg); err == nil {
-		t.Error("shard count not matching the pod count accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.addr, cfg.eps, cfg.checkpointEvery, cfg.noSync = "127.0.0.1:0", 0.05, 4096, true
+			if cfg.policy == "" {
+				cfg.policy = "minmax"
+			}
+			if tc.dir {
+				cfg.stateDir = t.TempDir()
+			}
+			d, err := newDaemon(cfg)
+			if tc.refused != "" {
+				if err == nil {
+					t.Fatalf("accepted, want a refusal naming %q", tc.refused)
+				}
+				if !strings.Contains(err.Error(), tc.refused) {
+					t.Fatalf("refused with %q, want it to name %q", err, tc.refused)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("newDaemon: %v", err)
+			}
+			d.start()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := d.shutdown(ctx); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		})
 	}
 }
 

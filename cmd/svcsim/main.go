@@ -222,7 +222,7 @@ func runScenario(path string, seed uint64, asJSON bool, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	b, err := scenario.NewSimBackend(plan.Topo, s.Eps, s.Run.Admission)
+	b, err := scenario.NewSimBackend(plan.Topo, s.Eps)
 	if err != nil {
 		return err
 	}

@@ -57,7 +57,6 @@ var MutatorNames = map[string]bool{
 	"Allocate":       true,
 	"AllocateHomog":  true,
 	"AllocateHetero": true,
-	"AllocateBatch":  true,
 	"Release":        true,
 	"FailMachine":    true,
 	"RestoreMachine": true,
@@ -78,9 +77,8 @@ var MutatorNames = map[string]bool{
 // commitWaits are the wal-level operations that block until the record
 // is durable; reaching one transitively marks a callee as a mutator.
 var commitWaits = map[string]bool{
-	"Commit":           true,
-	"StageCommit":      true,
-	"StageCommitBatch": true,
+	"Commit":      true,
+	"StageCommit": true,
 }
 
 func run(pass *analysis.Pass) error {

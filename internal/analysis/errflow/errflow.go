@@ -2,11 +2,11 @@
 // Two rules, applied only to the packages in TargetPaths:
 //
 //  1. The error from a must-check durability call — Commit, StageCommit,
-//     StageCommitBatch, Append (intent log), or (*os.File).Sync — may not
-//     be discarded: not dropped as a bare statement, not assigned to the
-//     blank identifier, not launched behind go/defer. A dropped commit
-//     error silently converts a durable admission into an unlogged one
-//     (INVARIANTS I1/I12).
+//     Append (intent log), or (*os.File).Sync — may not be discarded: not
+//     dropped as a bare statement, not assigned to the blank identifier,
+//     not launched behind go/defer. A dropped commit error silently
+//     converts a durable admission into an unlogged one (INVARIANTS
+//     I1/I12).
 //
 //  2. fmt.Errorf may not flatten an error argument with a non-%w verb:
 //     "%v"/"%s"/"%+v" stringify the chain, so errors.Is no longer sees
@@ -46,10 +46,9 @@ var TargetPaths = map[string]bool{
 // mustCheck are method names whose returned error feeds the durability
 // contract regardless of receiver.
 var mustCheck = map[string]bool{
-	"Commit":           true,
-	"StageCommit":      true,
-	"StageCommitBatch": true,
-	"Append":           true,
+	"Commit":      true,
+	"StageCommit": true,
+	"Append":      true,
 }
 
 func run(pass *analysis.Pass) error {

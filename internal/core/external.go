@@ -22,7 +22,7 @@ func (m *Manager) PlanHomog(req Homogeneous) (Mutation, error) {
 	defer m.mu.Unlock()
 	start := now()
 	p, contribs, err := m.plans.allocateHomog(m.led, req, m.policy, m.scope)
-	m.adm.plan.Observe(since(start))
+	m.adm.Plan.Observe(since(start))
 	if err != nil {
 		return Mutation{}, err
 	}
@@ -37,7 +37,7 @@ func (m *Manager) PlanHetero(req Heterogeneous) (Mutation, error) {
 	defer m.mu.Unlock()
 	start := now()
 	p, contribs, err := m.planHetero(m.led, req)
-	m.adm.plan.Observe(since(start))
+	m.adm.Plan.Observe(since(start))
 	if err != nil {
 		return Mutation{}, err
 	}

@@ -154,18 +154,6 @@ type AsyncJournal interface {
 	StageCommit(Mutation) (wait func() error, err error)
 }
 
-// BatchJournal is an optional AsyncJournal extension for batch
-// admission. StageCommitBatch appends the mutations to the write queue
-// as one contiguous group under a single queue acquisition — all of
-// them land in the same group-commit batch and share one write+fsync,
-// and no concurrently flushing leader can split them across batches.
-// Staging is all-or-nothing: an error vetoes every mutation in the
-// slice. The returned wait covers all of them.
-type BatchJournal interface {
-	AsyncJournal
-	StageCommitBatch(muts []Mutation) (wait func() error, err error)
-}
-
 // SetJournal attaches (or detaches, with nil) the journal observing the
 // manager's commits. Attach only a journal whose log already reflects the
 // manager's current state — typically the one returned by recovery, or a

@@ -45,11 +45,10 @@ type Allocation struct {
 // resulting reservations, and releases them when jobs finish. It is safe
 // for concurrent use.
 //
-// Admission is optimistic by default: the allocation DP plans on a
-// lock-free ledger snapshot and the write lock is taken only to
-// revalidate the links and machines the chosen placement touches and to
-// commit (plan → validate → commit; see optimistic.go, AdmissionStats,
-// and WithLockedAdmission for the serialized mode). Read-only work
+// Admission is optimistic: the allocation DP plans on a lock-free ledger
+// snapshot and the write lock is taken only to revalidate the links and
+// machines the chosen placement touches and to commit (plan → validate →
+// commit; see optimistic.go and AdmissionStats). Read-only work
 // (CanAllocate* dry runs, MaxOccupancy* metrics, Headroom probes) runs
 // against the same versioned ledger snapshot: the lock is held only for
 // the O(links) clone, not the full dynamic program, so dry runs and
@@ -78,11 +77,12 @@ type Manager struct {
 	fstats   failureCounters
 
 	// Admission pipeline: lockedAdmission (immutable after construction)
-	// forces planning under the write lock; adm counts how admissions
-	// traveled through the optimistic pipeline (guarded by mu). See
+	// plans every admission under the write lock; adm counts how
+	// admissions traveled through the pipeline (guarded by mu; its
+	// plan-cache fields stay zero, AdmissionStats fills them in). See
 	// optimistic.go.
 	lockedAdmission bool
-	adm             admissionCounters
+	adm             AdmissionStats
 
 	// Cached read snapshot, rebuilt lazily when version moves. snapMu
 	// only serializes snapshot rebuilds, never the DP work on top.
@@ -128,11 +128,11 @@ type lockedAdmissionOption struct{}
 func (lockedAdmissionOption) apply(m *Manager) { m.lockedAdmission = true }
 
 // WithLockedAdmission makes every allocation plan on the live ledger with
-// the write lock held, serializing admissions — the pre-optimistic
-// behavior. By default the manager plans on a lock-free snapshot and only
-// revalidates and commits under the lock (see AdmissionStats). Placements
-// and rejections are identical either way; locked mode remains as the
-// differential baseline and as an operational escape hatch.
+// the write lock held, serializing admissions: the pipeline's last-resort
+// attempt with no optimistic attempts before it. Placements and
+// rejections are identical either way. It is the reference the
+// differential tests and BenchmarkAdmissionThroughput compare the
+// pipeline against; no binary or scenario selects it.
 func WithLockedAdmission() ManagerOption { return lockedAdmissionOption{} }
 
 // NewManager returns a manager over an empty datacenter with bandwidth
@@ -284,11 +284,7 @@ func (m *Manager) Release(id JobID, opts ...CallOption) error {
 	mut := Mutation{Op: OpRelease, Job: id, IdemKey: co.idemKey}
 	// Stage the journal record and apply under the lock; wait for
 	// durability outside it so concurrent releases and admissions share
-	// one fsync (see stageLocked for the failure contract). Locked
-	// admission mode used to commit synchronously here — holding m.mu
-	// across the journal fsync, which both serialized every concurrent
-	// release behind the disk and starved the group committer of
-	// batch-mates; staging is identical in log order and durability.
+	// one fsync (see stageLocked for the failure contract).
 	wait, err := m.stageLocked(mut)
 	if err != nil {
 		m.mu.Unlock()

@@ -3,31 +3,32 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/metrics"
 )
 
-// Optimistic admission: plan → validate → commit. The min-max DP — the
+// The admission pipeline: plan → validate → commit. The min-max DP — the
 // admission hot path, O(tree) — runs on a lock-free ledger snapshot; the
 // write lock is then taken only to revalidate the links and machines the
 // chosen placement actually touches (the Eq. 4 recheck, O(links in the
 // placement)) and to commit. A plan invalidated by concurrent commits is
-// retried against a fresh snapshot a bounded number of times and then
-// falls back to planning under the lock, so admission never livelocks and
-// rejection semantics match the planned-under-lock path: every rejection
-// is issued against a ledger state no older than the call.
+// retried against a fresh snapshot a bounded number of times; the attempt
+// after those plans on the live ledger with the lock held, so admission
+// never livelocks and every rejection is issued against a ledger state no
+// older than the call.
 
-// maxPlanRetries bounds how many optimistic planning rounds one admission
-// may burn before falling back to planning under the write lock.
+// maxPlanRetries bounds how many planning rounds one admission may run
+// on snapshots before it plans under the write lock.
 const maxPlanRetries = 3
 
-// AdmissionStats counts how admissions traveled through the optimistic
-// pipeline. Fast-path commits validated against the very version they
-// planned on; revalidated commits passed the per-link Eq. 4 recheck after
-// concurrent commits moved the ledger; conflicts are plans the recheck
-// (or a capacity rejection against a stale version) invalidated, each
-// followed by a retry; fallbacks and locked count plans run under the
-// write lock (retry exhaustion, or WithLockedAdmission mode).
+// AdmissionStats counts how admissions traveled through the pipeline.
+// Fast-path commits validated against the very version they planned on;
+// revalidated commits passed the per-link Eq. 4 recheck after concurrent
+// commits moved the ledger; conflicts are plans the recheck (or a
+// capacity rejection against a stale version) invalidated, each followed
+// by a retry; locked counts plans run under the write lock, and
+// fallbacks those of them that followed exhausted retries.
 type AdmissionStats struct {
 	FastPath    int64                  `json:"fastPath"`
 	Revalidated int64                  `json:"revalidated"`
@@ -46,38 +47,12 @@ type AdmissionStats struct {
 	PlanCacheMisses        int64 `json:"planCacheMisses"`
 	PlanCacheInvalidations int64 `json:"planCacheInvalidations"`
 	PlanCacheEvictions     int64 `json:"planCacheEvictions"`
-
-	// Batch is the distribution of batch-planned admission group sizes
-	// (AllocateBatch: Count batches, Sum requests planned in them).
-	Batch metrics.IntSummary `json:"batch"`
-}
-
-// admissionCounters is the manager's mutable form of AdmissionStats
-// (guarded by m.mu).
-type admissionCounters struct {
-	fastPath    int64
-	revalidated int64
-	conflicts   int64
-	retries     int64
-	fallbacks   int64
-	locked      int64
-	plan        metrics.LatencySummary
-	batch       metrics.IntSummary
 }
 
 // AdmissionStats returns a snapshot of the admission pipeline counters.
 func (m *Manager) AdmissionStats() AdmissionStats {
 	m.mu.Lock()
-	out := AdmissionStats{
-		FastPath:    m.adm.fastPath,
-		Revalidated: m.adm.revalidated,
-		Conflicts:   m.adm.conflicts,
-		Retries:     m.adm.retries,
-		Fallbacks:   m.adm.fallbacks,
-		Locked:      m.adm.locked,
-		Plan:        m.adm.plan,
-		Batch:       m.adm.batch,
-	}
+	out := m.adm
 	m.mu.Unlock()
 	pc := m.plans.snapshot()
 	out.PlanCacheHits = pc.Hits
@@ -91,15 +66,16 @@ func (m *Manager) AdmissionStats() AdmissionStats {
 // snapshot — returning the placement and contributions uncommitted.
 type planFunc func(led *Ledger) (Placement, []linkDemand, error)
 
-// allocate is the shared admission driver behind AllocateHomog and
+// allocate is the admission driver behind AllocateHomog and
 // AllocateHetero. mut carries the request (Homog or Hetero set, IdemKey
 // evaluated); the placement and contributions are filled in from the
 // winning plan.
 func (m *Manager) allocate(co callOpts, plan planFunc, mut Mutation, wantVMs int) (*Allocation, error) {
+	optimistic := maxPlanRetries
 	if m.lockedAdmission {
-		return m.allocateUnderLock(co, plan, mut, false)
+		optimistic = 0
 	}
-	if co.idemKey != "" {
+	if optimistic > 0 && co.idemKey != "" {
 		// Resolve a replayed key before paying for a plan. The re-check
 		// under the lock below still guards the race where a concurrent
 		// call commits the same key while this one is planning.
@@ -110,14 +86,44 @@ func (m *Manager) allocate(co callOpts, plan planFunc, mut Mutation, wantVMs int
 			return a, err
 		}
 	}
-	for attempt := 0; attempt < maxPlanRetries; attempt++ {
-		snap, ver := m.snapshotVer()
+	timedPlan := func(led *Ledger) (Placement, []linkDemand, time.Duration, error) {
 		start := now()
-		p, contribs, err := plan(snap)
-		planDur := since(start)
-
-		m.mu.Lock()
-		m.adm.plan.Observe(planDur)
+		p, contribs, err := plan(led)
+		return p, contribs, since(start), err
+	}
+	for attempt := 0; ; attempt++ {
+		// The attempt after the optimistic ones plans on the live ledger
+		// with the lock held: nothing moves under that plan, so it settles
+		// the admission and the loop ends there. Planning and the in-memory
+		// apply are then serialized, but the journal record is still only
+		// STAGED under the lock and the durability wait runs after the
+		// unlock, so such admissions share group-commit fsyncs too.
+		underLock := attempt == optimistic
+		var (
+			p        Placement
+			contribs []linkDemand
+			planDur  time.Duration
+			err      error
+			ver      uint64
+		)
+		if underLock {
+			m.mu.Lock()
+			if a, done, ierr := m.idemAllocLocked(co.idemKey); done {
+				m.mu.Unlock()
+				return a, ierr
+			}
+			ver = m.version
+			p, contribs, planDur, err = timedPlan(m.led)
+		} else {
+			var snap *Ledger
+			snap, ver = m.snapshotVer()
+			p, contribs, planDur, err = timedPlan(snap)
+			m.mu.Lock()
+		}
+		m.adm.Plan.Observe(planDur)
+		// A concurrent call may have committed the key while this one
+		// planned on its snapshot (never under the lock, where the check
+		// above already ran).
 		if a, done, ierr := m.idemAllocLocked(co.idemKey); done {
 			m.mu.Unlock()
 			return a, ierr
@@ -131,26 +137,32 @@ func (m *Manager) allocate(co callOpts, plan planFunc, mut Mutation, wantVMs int
 				m.mu.Unlock()
 				return nil, err
 			}
-			m.adm.conflicts++
-			m.adm.retries++
+			m.adm.Conflicts++
+			m.adm.Retries++
 			m.mu.Unlock()
 			continue
 		}
-		if m.version == ver {
-			m.adm.fastPath++
-		} else {
+		switch {
+		case underLock:
+			if attempt > 0 {
+				m.adm.Fallbacks++
+			}
+			m.adm.Locked++
+		case m.version == ver:
+			m.adm.FastPath++
+		default:
 			// The ledger moved under the plan: recheck only what the
 			// placement touches — free slots on its machines and Eq. 4
 			// (O_L < 1) on its contributing links — against live state.
 			// The contributions themselves depend only on the topology and
 			// the request, never on ledger state, so they remain exact.
 			if verr := ValidatePlacement(m.led, contribs, &p, wantVMs); verr != nil {
-				m.adm.conflicts++
-				m.adm.retries++
+				m.adm.Conflicts++
+				m.adm.Retries++
 				m.mu.Unlock()
 				continue
 			}
-			m.adm.revalidated++
+			m.adm.Revalidated++
 		}
 		mut.Placement = &p
 		mut.Contribs = exportContribs(contribs)
@@ -164,46 +176,6 @@ func (m *Manager) allocate(co callOpts, plan planFunc, mut Mutation, wantVMs int
 		}
 		return a, nil
 	}
-	return m.allocateUnderLock(co, plan, mut, true)
-}
-
-// allocateUnderLock plans on the live ledger with the write lock held —
-// the pre-optimistic admission path, kept as the WithLockedAdmission mode
-// and as the bounded-retry fallback. Planning and the in-memory apply are
-// serialized under the lock, but the journal record is only STAGED there;
-// the durability wait runs after the unlock so concurrent locked
-// admissions still share one group-commit fsync. (Committing
-// synchronously under m.mu — the original behavior — made every
-// locked/fsync admission pay a full private fsync while blocking all
-// other commits behind it.)
-func (m *Manager) allocateUnderLock(co callOpts, plan planFunc, mut Mutation, fallback bool) (*Allocation, error) {
-	m.mu.Lock()
-	if a, done, err := m.idemAllocLocked(co.idemKey); done {
-		m.mu.Unlock()
-		return a, err
-	}
-	start := now()
-	p, contribs, err := plan(m.led)
-	m.adm.plan.Observe(since(start))
-	if err != nil {
-		m.mu.Unlock()
-		return nil, err
-	}
-	if fallback {
-		m.adm.fallbacks++
-	}
-	m.adm.locked++
-	mut.Placement = &p
-	mut.Contribs = exportContribs(contribs)
-	a, wait, err := m.admitStagedLocked(mut)
-	m.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if err := wait(); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // admitStagedLocked assigns the job ID, stages the journal record, and

@@ -224,7 +224,6 @@ func TestOptimisticStormInvariants(t *testing.T) {
 
 	const (
 		allocators   = 4
-		batchers     = 2
 		releasers    = 2
 		opsPerWorker = 60
 	)
@@ -258,44 +257,6 @@ func TestOptimisticStormInvariants(t *testing.T) {
 					continue
 				}
 				pushJob(a.ID)
-			}
-		}(g)
-	}
-
-	// Batch allocators: the same request mix through AllocateBatch, so
-	// batched admissions race single admissions, releases, faults, and
-	// repairs — every commit path invalidates plan-cache entries mid-plan.
-	for g := 0; g < batchers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := stats.NewRand(uint64(3000 + g))
-			for i := 0; i < opsPerWorker/4; i++ {
-				reqs := make([]BatchRequest, 3)
-				for k := range reqs {
-					if (i+k)%2 == 0 {
-						req, err := NewHomogeneous(2+r.IntN(5), stats.Normal{
-							Mu: r.UniformRange(3, 10), Sigma: r.UniformRange(0.5, 3)})
-						if err != nil {
-							t.Errorf("batcher %d: %v", g, err)
-							return
-						}
-						reqs[k] = BatchRequest{Homog: &req}
-					} else {
-						req := randHetero(r, 2+r.IntN(3), 3, 10)
-						reqs[k] = BatchRequest{Hetero: &req}
-					}
-				}
-				for _, res := range m.AllocateBatch(reqs) {
-					if res.Err != nil {
-						if !errors.Is(res.Err, ErrNoCapacity) {
-							t.Errorf("batcher %d: %v", g, res.Err)
-							return
-						}
-						continue
-					}
-					pushJob(res.Alloc.ID)
-				}
 			}
 		}(g)
 	}

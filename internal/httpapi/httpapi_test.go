@@ -4,12 +4,12 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -335,11 +335,55 @@ func TestStatusReportsAdmissionAndWAL(t *testing.T) {
 	}
 }
 
-// TestStatusReportsPlanCacheAndBatch checks the PR 6 admission fields:
-// plan-cache counters move with repeated demand shapes, batch planning
-// surfaces its group sizes, and a batcher-routed server still admits.
-func TestStatusReportsPlanCacheAndBatch(t *testing.T) {
-	client, mgr := newTestService(t)
+// statusKeys is the golden key set of GET /v1/status: every key any
+// section can carry, as dotted paths in wire order. Adding, renaming,
+// or removing a status field must show up as a diff of this list.
+var statusKeys = []string{
+	"machines", "totalSlots", "freeSlots", "runningJobs", "maxOccupancy",
+	"epsilon", "machinesDown", "linksDown", "degradedJobs",
+	"admission.fastPath", "admission.revalidated", "admission.conflicts",
+	"admission.retries", "admission.fallbacks", "admission.locked",
+	"admission.plans", "admission.meanPlanMillis",
+	"admission.planCacheHits", "admission.planCacheMisses",
+	"admission.planCacheInvalidations", "admission.planCacheEvictions",
+	"wal.gen", "wal.appended", "wal.batches", "wal.records", "wal.maxBatch", "wal.meanBatch",
+	"replication.role", "replication.epoch", "replication.gen",
+	"replication.applied_off", "replication.durable_off",
+	"replication.lag_bytes", "replication.lag_records", "replication.version",
+	"sharding.mode", "sharding.shards", "sharding.crossPodJobs",
+	"sharding.pods.shard", "sharding.pods.root", "sharding.pods.jobs",
+	"sharding.pods.freeSlots", "sharding.pods.maxOccupancy",
+}
+
+// TestStatusKeySetGolden pins the status wire shape: handleStatus
+// encodes one Status value, so the type's JSON tags are the wire keys,
+// and they must spell exactly statusKeys.
+func TestStatusKeySetGolden(t *testing.T) {
+	var tags []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct {
+			tags = append(tags, prefix)
+			return
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			walk(strings.TrimPrefix(prefix+"."+name, "."), typ.Field(i).Type)
+		}
+	}
+	walk("", reflect.TypeOf(Status{}))
+	if !reflect.DeepEqual(tags, statusKeys) {
+		t.Errorf("Status JSON tags:\n got %q\nwant %q", tags, statusKeys)
+	}
+}
+
+// TestStatusReportsPlanCache checks that the admission section's
+// plan-cache counters move with repeated demand shapes.
+func TestStatusReportsPlanCache(t *testing.T) {
+	client, _ := newTestService(t)
 	ctx := context.Background()
 
 	// Two identical shapes: the first plan builds the DP table entry, the
@@ -359,49 +403,5 @@ func TestStatusReportsPlanCacheAndBatch(t *testing.T) {
 	}
 	if adm.PlanCacheMisses < 1 || adm.PlanCacheHits < 1 {
 		t.Errorf("plan-cache counters not surfaced: %+v", adm)
-	}
-	if adm.Batches != 0 || adm.BatchedPlans != 0 {
-		t.Errorf("batch counters moved without batch admission: %+v", adm)
-	}
-
-	// One two-item batch through the core API must surface in the wire
-	// status as one group of two.
-	req, err := core.NewHomogeneous(2, stats.Normal{Mu: 100, Sigma: 40})
-	if err != nil {
-		t.Fatalf("NewHomogeneous: %v", err)
-	}
-	for _, res := range mgr.AllocateBatch([]core.BatchRequest{{Homog: &req}, {Homog: &req}}) {
-		if res.Err != nil {
-			t.Fatalf("AllocateBatch: %v", res.Err)
-		}
-	}
-	if st, err = client.Status(ctx); err != nil {
-		t.Fatalf("Status: %v", err)
-	}
-	adm = st.Admission
-	if adm.Batches != 1 || adm.BatchedPlans != 2 || adm.MeanBatch != 2 {
-		t.Errorf("batch counters = %+v, want 1 batch of 2", adm)
-	}
-
-	// A batcher-routed server admits end to end; an idempotency key takes
-	// the single path and still replays correctly.
-	api := NewServer(mgr)
-	api.SetBatcher(core.NewBatcher(mgr, 4))
-	srv := httptest.NewServer(api.Handler())
-	defer srv.Close()
-	bclient := NewClient(srv.URL, srv.Client())
-	if _, err := bclient.Allocate(ctx, AllocationRequest{N: 2, Mu: 100, Sigma: 40}); err != nil {
-		t.Fatalf("batched Allocate: %v", err)
-	}
-	a1, err := bclient.Allocate(ctx, AllocationRequest{N: 2, Mu: 100, Sigma: 40}, WithIdempotencyKey("pr6-key"))
-	if err != nil {
-		t.Fatalf("keyed Allocate: %v", err)
-	}
-	a2, err := bclient.Allocate(ctx, AllocationRequest{N: 2, Mu: 100, Sigma: 40}, WithIdempotencyKey("pr6-key"))
-	if err != nil {
-		t.Fatalf("keyed replay: %v", err)
-	}
-	if a1.ID != a2.ID {
-		t.Errorf("idempotent replay through a batcher server returned job %d, want %d", a2.ID, a1.ID)
 	}
 }

@@ -8,11 +8,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/httpapi"
+	"repro/internal/shard"
 	"repro/internal/topology"
 )
 
 // Backend is the runner seam: the engine drives exactly the same call
-// sequence against an offline in-process manager (SimBackend) and a live
+// sequence against an in-process controller (SimBackend) and a live
 // svcd daemon over HTTP (LiveBackend), so the two must agree on every
 // admission outcome — the differential test asserts precisely that.
 type Backend interface {
@@ -70,70 +71,69 @@ type Stats struct {
 	MaxOccupancy float64
 }
 
-// SimBackend drives a core.Manager in-process: the fast, deterministic
-// offline runner.
+// SimBackend drives a controller in-process, through the same
+// httpapi.Controller seam the daemon serves: the unsharded core.Manager
+// (the fast, deterministic offline runner) or the sharded shard.Router
+// over pod-local WALs. The two differ only in how a failover produces
+// the successor controller.
 type SimBackend struct {
-	mgr     *core.Manager
-	batcher *core.Batcher
-
-	topo      *topology.Topology
-	eps       float64
-	admission string
+	name string
+	ctrl httpapi.Controller
+	// failover retires the current controller and returns its successor.
+	failover func(old httpapi.Controller) (httpapi.Controller, error)
 }
 
-// NewSimBackend builds the offline backend with svcd's admission modes
-// ("" | "optimistic" | "batch" | "locked").
-func NewSimBackend(topo *topology.Topology, eps float64, admission string) (*SimBackend, error) {
-	var opts []core.ManagerOption
-	if admission == "locked" {
-		opts = append(opts, core.WithLockedAdmission())
-	}
-	mgr, err := core.NewManager(topo, eps, opts...)
-	if err != nil {
-		return nil, err
-	}
-	b := &SimBackend{mgr: mgr, topo: topo, eps: eps, admission: admission}
-	if admission == "batch" {
-		b.batcher = core.NewBatcher(mgr, 0)
-	}
-	return b, nil
-}
-
-// Failover models a controller switch offline: the successor is rebuilt
-// from the predecessor's exported state, exactly as a promoted standby
+// NewSimBackend builds the offline backend over an unsharded manager.
+// Its failover models a controller switch: the successor is rebuilt from
+// the predecessor's exported state, exactly as a promoted standby
 // reconstructs it from the replicated WAL. Job IDs, reservations, and
 // the idempotency table all carry over, so admissions after the switch
 // are indistinguishable from a run without one.
-func (b *SimBackend) Failover() error {
-	var opts []core.ManagerOption
-	if b.admission == "locked" {
-		opts = append(opts, core.WithLockedAdmission())
-	}
-	mgr, err := core.NewManagerFromState(b.topo, b.eps, b.mgr.ExportState(), opts...)
+func NewSimBackend(topo *topology.Topology, eps float64) (*SimBackend, error) {
+	mgr, err := core.NewManager(topo, eps)
 	if err != nil {
-		return fmt.Errorf("scenario: sim failover: %w", err)
+		return nil, err
 	}
-	b.mgr = mgr
-	if b.admission == "batch" {
-		b.batcher = core.NewBatcher(mgr, 0)
+	return &SimBackend{name: "sim", ctrl: mgr, failover: func(old httpapi.Controller) (httpapi.Controller, error) {
+		return core.NewManagerFromState(topo, eps, old.ExportState())
+	}}, nil
+}
+
+// NewShardBackend opens a sharded router under dir. Its failover
+// restarts the control plane from its own durable state — close the
+// router, reopen from the same directory, replaying every pod WAL and
+// resolving the cross-pod intent log — rather than switching to a hot
+// standby, so failover scenarios double as recovery soak tests.
+func NewShardBackend(dir string, cfg LocalConfig) (*SimBackend, error) {
+	r, err := openRouter(dir, cfg)
+	if err != nil {
+		return nil, err
 	}
+	return &SimBackend{name: "shard", ctrl: r, failover: func(old httpapi.Controller) (httpapi.Controller, error) {
+		if err := old.(*shard.Router).Close(); err != nil {
+			return nil, err
+		}
+		return openRouter(dir, cfg)
+	}}, nil
+}
+
+// Failover switches to the successor controller. Jobs, reservations,
+// the idempotency table, and (sharded) in-flight cross-pod intents must
+// all survive — the engine's conservation mirror checks exactly that at
+// the next sample.
+func (b *SimBackend) Failover() error {
+	next, err := b.failover(b.ctrl)
+	if err != nil {
+		return fmt.Errorf("scenario: %s failover: %w", b.name, err)
+	}
+	b.ctrl = next
 	return nil
 }
 
-// Manager exposes the backing manager (differential tests compare it to
-// the live daemon's exported state).
-func (b *SimBackend) Manager() *core.Manager { return b.mgr }
-
-func (b *SimBackend) Name() string { return "sim" }
+func (b *SimBackend) Name() string { return b.name }
 
 func (b *SimBackend) Allocate(req core.Homogeneous) (AdmitResult, error) {
-	var alloc *core.Allocation
-	var err error
-	if b.batcher != nil {
-		alloc, err = b.batcher.Allocate(core.BatchRequest{Homog: &req})
-	} else {
-		alloc, err = b.mgr.AllocateHomog(req)
-	}
+	alloc, err := b.ctrl.AllocateHomog(req)
 	if errors.Is(err, core.ErrNoCapacity) {
 		return AdmitResult{}, nil
 	}
@@ -148,28 +148,31 @@ func (b *SimBackend) Allocate(req core.Homogeneous) (AdmitResult, error) {
 }
 
 func (b *SimBackend) Release(id int64) error {
-	return b.mgr.Release(core.JobID(id))
+	return b.ctrl.Release(core.JobID(id))
 }
 
 func (b *SimBackend) Apply(ev Event) error {
 	var err error
 	switch ev.Kind {
 	case EvFailMachine:
-		_, err = b.mgr.FailMachine(ev.Node)
+		_, err = b.ctrl.FailMachine(ev.Node)
 	case EvRestoreMachine:
-		err = b.mgr.RestoreMachine(ev.Node)
+		err = b.ctrl.RestoreMachine(ev.Node)
 	case EvFailLink:
-		_, err = b.mgr.FailLink(ev.Node)
+		_, err = b.ctrl.FailLink(ev.Node)
 	case EvRestoreLink:
-		err = b.mgr.RestoreLink(ev.Node)
+		err = b.ctrl.RestoreLink(ev.Node)
 	default:
 		err = fmt.Errorf("scenario: unknown event kind %v", ev.Kind)
 	}
 	return err
 }
 
+// RepairAll re-places every displaced job. A sharded router skips
+// cross-pod jobs (see shard.ErrCrossPodRepair); they keep their
+// reservations until released or killed.
 func (b *SimBackend) RepairAll() ([]Repair, error) {
-	results, err := b.mgr.RepairAll()
+	results, err := b.ctrl.RepairAll()
 	if err != nil {
 		return nil, err
 	}
@@ -185,17 +188,24 @@ func (b *SimBackend) RepairAll() ([]Repair, error) {
 
 func (b *SimBackend) Stats() (Stats, error) {
 	return Stats{
-		Running:      b.mgr.Running(),
-		FreeSlots:    b.mgr.FreeSlots(),
-		MaxOccupancy: b.mgr.MaxOccupancy(),
+		Running:      b.ctrl.Running(),
+		FreeSlots:    b.ctrl.FreeSlots(),
+		MaxOccupancy: b.ctrl.MaxOccupancy(),
 	}, nil
 }
 
 func (b *SimBackend) State() (*core.ManagerState, error) {
-	return b.mgr.ExportState(), nil
+	return b.ctrl.ExportState(), nil
 }
 
-func (b *SimBackend) Close() error { return nil }
+// Close releases what the controller holds: a router's pod WALs and
+// intent log; an unsharded manager holds nothing.
+func (b *SimBackend) Close() error {
+	if r, ok := b.ctrl.(*shard.Router); ok {
+		return r.Close()
+	}
+	return nil
+}
 
 // LiveBackend drives a running svcd daemon through the HTTP client,
 // exercising the wire protocol, the admission pipeline, the faults and

@@ -21,7 +21,7 @@ func TestDifferentialSimVsLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	sim, err := NewSimBackend(plan1.Topo, s.Eps, s.Run.Admission)
+	sim, err := NewSimBackend(plan1.Topo, s.Eps)
 	if err != nil {
 		t.Fatalf("NewSimBackend: %v", err)
 	}
@@ -36,10 +36,9 @@ func TestDifferentialSimVsLive(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	srv, err := StartLocal(LocalConfig{
-		Topo:      plan2.Topo,
-		Eps:       s.Eps,
-		Admission: s.Run.Admission,
-		StateDir:  t.TempDir(),
+		Topo:     plan2.Topo,
+		Eps:      s.Eps,
+		StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatalf("StartLocal: %v", err)
@@ -60,7 +59,10 @@ func TestDifferentialSimVsLive(t *testing.T) {
 
 	// And the final ledgers must be identical, byte for byte: the live
 	// state crossed the wire as JSON and survived a WAL.
-	simState := sim.Manager().ExportState()
+	simState, err := sim.State()
+	if err != nil {
+		t.Fatalf("sim state: %v", err)
+	}
 	liveState, err := live.State()
 	if err != nil {
 		t.Fatalf("live state: %v", err)
@@ -93,7 +95,7 @@ func TestDifferentialSimVsSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	sim, err := NewSimBackend(plan1.Topo, s.Eps, s.Run.Admission)
+	sim, err := NewSimBackend(plan1.Topo, s.Eps)
 	if err != nil {
 		t.Fatalf("NewSimBackend: %v", err)
 	}
@@ -102,14 +104,17 @@ func TestDifferentialSimVsSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim run: %v", err)
 	}
-	simState := sim.Manager().ExportState()
+	simState, err := sim.State()
+	if err != nil {
+		t.Fatalf("sim state: %v", err)
+	}
 
 	plan2, err := s.Compile()
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	cfg := LocalConfig{Topo: plan2.Topo, Eps: s.Eps, Admission: s.Run.Admission}
-	sb, err := NewShardBackend(t.TempDir(), cfg, s.Run.Shards, s.Run.ShardMode)
+	cfg := LocalConfig{Topo: plan2.Topo, Eps: s.Eps, Shards: s.Run.Shards, ShardMode: s.Run.ShardMode}
+	sb, err := NewShardBackend(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatalf("NewShardBackend: %v", err)
 	}
@@ -140,8 +145,8 @@ func TestDifferentialSimVsSharded(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	srv, err := StartLocal(LocalConfig{
-		Topo: plan3.Topo, Eps: s.Eps, Admission: s.Run.Admission,
-		StateDir: t.TempDir(), Shards: s.Run.Shards, ShardMode: s.Run.ShardMode,
+		Topo: plan3.Topo, Eps: s.Eps, StateDir: t.TempDir(),
+		Shards: s.Run.Shards, ShardMode: s.Run.ShardMode,
 	})
 	if err != nil {
 		t.Fatalf("StartLocal sharded: %v", err)
@@ -166,48 +171,5 @@ func TestDifferentialSimVsSharded(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close local server: %v", err)
-	}
-}
-
-// TestDifferentialBatchAdmission repeats the comparison under the batch
-// admission pipeline, which exercises svcd's group-commit path.
-func TestDifferentialBatchAdmission(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live daemon round-trips in -short mode")
-	}
-	s := decodeTestDoc(t)
-	s.Run.Admission = "batch"
-	s.Chaos = nil // isolate the admission pipeline
-
-	planSim, err := s.Compile()
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	sim, err := NewSimBackend(planSim.Topo, s.Eps, s.Run.Admission)
-	if err != nil {
-		t.Fatalf("NewSimBackend: %v", err)
-	}
-	defer sim.Close()
-	simRep, err := Run(planSim, sim)
-	if err != nil {
-		t.Fatalf("sim run: %v", err)
-	}
-
-	planLive, err := s.Compile()
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	srv, err := StartLocal(LocalConfig{Topo: planLive.Topo, Eps: s.Eps, Admission: "batch"})
-	if err != nil {
-		t.Fatalf("StartLocal: %v", err)
-	}
-	defer srv.Close()
-	liveRep, err := Run(planLive, NewLiveBackend(srv.URL))
-	if err != nil {
-		t.Fatalf("live run: %v", err)
-	}
-	if simRep.Admitted != liveRep.Admitted || simRep.Rejected != liveRep.Rejected {
-		t.Fatalf("batch admission diverges: sim %d/%d, live %d/%d",
-			simRep.Admitted, simRep.Rejected, liveRep.Admitted, liveRep.Rejected)
 	}
 }

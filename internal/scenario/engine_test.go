@@ -13,12 +13,12 @@ func runSim(t *testing.T, s *Scenario) *Report {
 	}
 	var b Backend
 	if s.Run.Shards > 0 {
-		cfg := LocalConfig{Topo: p.Topo, Eps: s.Eps, Admission: s.Run.Admission}
-		b, err = NewShardBackend(t.TempDir(), cfg, s.Run.Shards, s.Run.ShardMode)
+		cfg := LocalConfig{Topo: p.Topo, Eps: s.Eps, Shards: s.Run.Shards, ShardMode: s.Run.ShardMode}
+		b, err = NewShardBackend(t.TempDir(), cfg)
 		if err != nil {
 			t.Fatalf("NewShardBackend: %v", err)
 		}
-	} else if b, err = NewSimBackend(p.Topo, s.Eps, s.Run.Admission); err != nil {
+	} else if b, err = NewSimBackend(p.Topo, s.Eps); err != nil {
 		t.Fatalf("NewSimBackend: %v", err)
 	}
 	defer b.Close()
@@ -81,7 +81,7 @@ func TestEngineReportByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompileSeeded: %v", err)
 	}
-	sb, err := NewSimBackend(p.Topo, s.Eps, "")
+	sb, err := NewSimBackend(p.Topo, s.Eps)
 	if err != nil {
 		t.Fatalf("NewSimBackend: %v", err)
 	}

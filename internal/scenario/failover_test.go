@@ -133,7 +133,7 @@ func TestLivePairFailover(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	pair, err := StartLocalPair(LocalConfig{
-		Topo: p.Topo, Eps: s.Eps, Admission: s.Run.Admission, StateDir: t.TempDir(),
+		Topo: p.Topo, Eps: s.Eps, StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatalf("StartLocalPair: %v", err)

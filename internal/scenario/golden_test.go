@@ -30,7 +30,7 @@ func TestGoldenBaselineReport(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
 		}
-		b, err := NewSimBackend(p.Topo, s.Eps, s.Run.Admission)
+		b, err := NewSimBackend(p.Topo, s.Eps)
 		if err != nil {
 			t.Fatalf("NewSimBackend: %v", err)
 		}

@@ -151,8 +151,6 @@ type DrainSpec struct {
 type RunSpec struct {
 	MaxSeconds  int
 	SampleEvery int
-	// Admission: "" | optimistic | batch | locked (svcd's modes).
-	Admission string
 	// Concurrency > 1 submits same-second arrivals from that many
 	// goroutines (admission-storm scenarios).
 	Concurrency int
@@ -549,7 +547,6 @@ func (d *decoder) runSpec(v any, r *RunSpec) {
 	}
 	d.integer(m, "max_seconds", "run", &r.MaxSeconds)
 	d.integer(m, "sample_every", "run", &r.SampleEvery)
-	d.str(m, "admission", "run", &r.Admission)
 	d.integer(m, "concurrency", "run", &r.Concurrency)
 	d.integer(m, "shards", "run", &r.Shards)
 	d.str(m, "shard_mode", "run", &r.ShardMode)
@@ -690,11 +687,6 @@ func (s *Scenario) validateRun() error {
 	if r.SampleEvery < 0 || r.SampleEvery > maxSeconds {
 		return fmt.Errorf("scenario: run.sample_every %d outside [0, %d]", r.SampleEvery, maxSeconds)
 	}
-	switch r.Admission {
-	case "", "optimistic", "batch", "locked":
-	default:
-		return fmt.Errorf("scenario: run.admission %q not optimistic|batch|locked", r.Admission)
-	}
 	if r.Concurrency < 0 || r.Concurrency > maxConcurrent {
 		return fmt.Errorf("scenario: run.concurrency %d outside [0, %d]", r.Concurrency, maxConcurrent)
 	}
@@ -714,9 +706,6 @@ func (s *Scenario) validateRun() error {
 	}
 	if cfg, err := s.Topology.TopoConfig(); err == nil && r.Shards != cfg.Aggs {
 		return fmt.Errorf("scenario: run.shards %d must equal the topology's %d aggs (one shard per pod)", r.Shards, cfg.Aggs)
-	}
-	if r.Admission == "batch" {
-		return fmt.Errorf("scenario: run.shards is incompatible with run.admission batch")
 	}
 	return nil
 }

@@ -22,8 +22,8 @@
 //     merged (unsharded) view and committed into the owning pods, and the
 //     shadow replays the identical mutation. Placements, rejections, and
 //     per-pod journal contents are bit-identical to an unsharded
-//     WithLockedAdmission manager fed the same request sequence — the
-//     differential baseline and the semantics-preserving default.
+//     manager fed the same request sequence — the differential baseline
+//     and the semantics-preserving default.
 //   - Fast: admissions plan AND commit pod-locally (pod affinity with
 //     round-robin fallback), so independent pods admit concurrently with
 //     no shared lock; requests no single pod can host are rejected. This
@@ -69,10 +69,10 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode parses "strict" or "fast".
+// ParseMode parses "strict" (also the empty string, the default) or "fast".
 func ParseMode(s string) (Mode, error) {
 	switch s {
-	case "strict":
+	case "", "strict":
 		return Strict, nil
 	case "fast":
 		return Fast, nil

@@ -29,10 +29,7 @@ func testTopo(t *testing.T, aggs int) *topology.Topology {
 
 func openStrict(t *testing.T, dir string, tp *topology.Topology, shards int) *Router {
 	t.Helper()
-	r, err := Open(dir, tp, 0.1, shards, Options{
-		Mode:    Strict,
-		MgrOpts: []core.ManagerOption{core.WithLockedAdmission()},
-	})
+	r, err := Open(dir, tp, 0.1, shards, Options{Mode: Strict})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -57,16 +54,18 @@ func heteroReq(t *testing.T, demands ...stats.Normal) core.Heterogeneous {
 	return req
 }
 
-// TestShardedDifferential is the PR's central proof: a strict-mode
-// router over K pods, fed the exact operation sequence an unsharded
-// WithLockedAdmission manager receives, must produce bit-identical
-// state — job IDs, placements, ledger floats, fault overlay, counters,
-// and idempotency bindings.
+// TestShardedDifferential is the sharding proof: a strict-mode router
+// over K pods, fed the exact operation sequence an unsharded manager
+// receives, must produce bit-identical state — job IDs, placements,
+// ledger floats, fault overlay, counters, and idempotency bindings.
+// Both sides run the default admission pipeline; sequential calls on it
+// are pinned bit-identical to planning under the lock by core's
+// TestOptimisticMatchesLockedDifferential.
 func TestShardedDifferential(t *testing.T) {
 	tp := testTopo(t, 3)
 	r := openStrict(t, t.TempDir(), tp, 3)
 	defer r.Close()
-	base, err := core.NewManager(tp, 0.1, core.WithLockedAdmission())
+	base, err := core.NewManager(tp, 0.1)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}

@@ -198,16 +198,9 @@ func (r *Router) LinkLoads() []core.LinkLoad {
 	links := r.topo.Links()
 	out := make([]core.LinkLoad, len(links))
 	for idx, l := range links {
-		out[idx] = perPod[maxInt(r.pods.OfLink(l), 0)][idx]
+		out[idx] = perPod[max(r.pods.OfLink(l), 0)][idx]
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // mergeLatency folds b into a (Last is best-effort: the later-merged
@@ -220,25 +213,6 @@ func mergeLatency(a, b metrics.LatencySummary) metrics.LatencySummary {
 		return b
 	}
 	a.Total += b.Total
-	a.Count += b.Count
-	if b.Min < a.Min {
-		a.Min = b.Min
-	}
-	if b.Max > a.Max {
-		a.Max = b.Max
-	}
-	a.Last = b.Last
-	return a
-}
-
-func mergeInt(a, b metrics.IntSummary) metrics.IntSummary {
-	if b.Count == 0 {
-		return a
-	}
-	if a.Count == 0 {
-		return b
-	}
-	a.Sum += b.Sum
 	a.Count += b.Count
 	if b.Min < a.Min {
 		a.Min = b.Min
@@ -274,7 +248,6 @@ func (r *Router) AdmissionStats() core.AdmissionStats {
 		out.PlanCacheMisses += st.PlanCacheMisses
 		out.PlanCacheInvalidations += st.PlanCacheInvalidations
 		out.PlanCacheEvictions += st.PlanCacheEvictions
-		out.Batch = mergeInt(out.Batch, st.Batch)
 	}
 	return out
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // TestFencedErrorPenetratesBatchWrap pins the error chain through the
-// batch admission path: when a fenced journal vetoes a staged batch,
-// the core.ErrJournal wrapper must keep the wal.ErrFenced sentinel
-// reachable via errors.Is (the wrap uses %w, not %v). Routers and
-// failover logic key off ErrFenced to tell a deposed primary apart
-// from an ordinary planner rejection.
+// staged admission path: when a fenced journal vetoes a record staged
+// into its group-commit batch, the core.ErrJournal wrapper must keep
+// the wal.ErrFenced sentinel reachable via errors.Is (the wrap uses %w,
+// not %v). Routers and failover logic key off ErrFenced to tell a
+// deposed primary apart from an ordinary planner rejection.
 func TestFencedErrorPenetratesBatchWrap(t *testing.T) {
 	dir := t.TempDir()
 	m, j := mustRecover(t, dir)
@@ -22,25 +22,7 @@ func TestFencedErrorPenetratesBatchWrap(t *testing.T) {
 		t.Fatalf("fence: %v", err)
 	}
 
-	h1, h2 := homog(1, 2, 1), homog(1, 3, 1)
-	res := m.AllocateBatch([]core.BatchRequest{{Homog: &h1}, {Homog: &h2}})
-	if len(res) != 2 {
-		t.Fatalf("batch results = %d, want 2", len(res))
-	}
-	for i, r := range res {
-		if r.Err == nil {
-			t.Fatalf("item %d admitted on a fenced journal", i)
-		}
-		if !errors.Is(r.Err, core.ErrJournal) {
-			t.Errorf("item %d error %v does not unwrap to core.ErrJournal", i, r.Err)
-		}
-		if !errors.Is(r.Err, ErrFenced) {
-			t.Errorf("item %d error %v does not unwrap to wal.ErrFenced", i, r.Err)
-		}
-	}
-
-	// The single-item (staged) path must wrap the same way.
 	if _, err := m.AllocateHomog(homog(1, 2, 1)); !errors.Is(err, core.ErrJournal) || !errors.Is(err, ErrFenced) {
-		t.Fatalf("single allocate error %v must unwrap to both core.ErrJournal and wal.ErrFenced", err)
+		t.Fatalf("allocate error %v must unwrap to both core.ErrJournal and wal.ErrFenced", err)
 	}
 }

@@ -571,62 +571,6 @@ func (j *Journal) StageCommit(mut core.Mutation) (func() error, error) {
 	}, nil
 }
 
-// StageCommitBatch implements core.BatchJournal: it stages a contiguous
-// group of mutation frames under a single queue acquisition, so no
-// concurrent leader's flush can split the group across write+fsync
-// batches — the whole group becomes durable atomically with respect to
-// batch boundaries. Encoding happens before any state is touched: an
-// unencodable mutation vetoes the entire group and the log is left
-// exactly as it was. The returned wait has StageCommit's contract,
-// covering every frame in the group.
-func (j *Journal) StageCommitBatch(muts []core.Mutation) (func() error, error) {
-	payloads := make([][]byte, len(muts))
-	for i, mut := range muts {
-		p, err := encodeMutation(mut)
-		if err != nil {
-			return nil, err
-		}
-		payloads[i] = p
-	}
-	if len(payloads) == 0 {
-		return func() error { return nil }, nil
-	}
-	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
-		return nil, err
-	}
-	if j.fenced != 0 {
-		err := fmt.Errorf("%w: epoch %d supersedes %d", ErrFenced, j.fenced, j.epoch)
-		j.mu.Unlock()
-		return nil, err
-	}
-	b := j.batch
-	if b == nil {
-		b = &groupBatch{done: make(chan struct{})}
-		j.batch = b
-	}
-	for _, p := range payloads {
-		b.buf = appendFrame(b.buf, p)
-		b.noteStaged(p)
-		b.n++
-		j.appended++
-	}
-	j.mu.Unlock()
-	return func() error {
-		j.mu.Lock()
-		lead := !b.led
-		b.led = true
-		j.mu.Unlock()
-		if lead {
-			j.flushBatch(b)
-		}
-		<-b.done
-		return b.err
-	}, nil
-}
-
 // flushBatch makes batch b durable if no other leader has already done
 // so. writeMu gives batches the file in creation order: a new batch can
 // only open after its predecessor was detached (below, under writeMu),

@@ -41,6 +41,11 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# bench/ is its own module (repro/bench) compiled against this module's
+# internal packages, so nothing above sees a change that breaks svcbench.
+echo "==> bench module: go vet + go test"
+(cd bench && go vet ./... && go test ./...)
+
 # The storm test under -tags invariants additionally asserts Eq. 4
 # occupancy after every commit and staging-order == log-order in the
 # WAL's group commit (see docs/INVARIANTS.md).
