@@ -5,6 +5,8 @@ package svc_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -61,48 +63,93 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+// recoverMixes are the record populations BenchmarkRecover replays.
+// "basic" is the cheapest record there is: 4-VM jobs that fit one
+// machine, so no contributions. "catalogue" is svcbench's churn — the
+// eight flavours {2,4,8,16} VMs x {N(100,40), N(300,100)} on a half-full
+// datacenter — whose larger jobs span machines and racks and so carry up
+// to a dozen contributions of 17-digit floats each.
+var recoverMixes = []struct {
+	name    string
+	prefill bool
+	reqs    []core.Homogeneous
+}{
+	{name: "basic", reqs: []core.Homogeneous{{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}}},
+	{name: "catalogue", prefill: true, reqs: func() (reqs []core.Homogeneous) {
+		for _, d := range []stats.Normal{{Mu: 100, Sigma: 40}, {Mu: 300, Sigma: 100}} {
+			for _, n := range []int{2, 4, 8, 16} {
+				reqs = append(reqs, core.Homogeneous{N: n, Demand: d})
+			}
+		}
+		return reqs
+	}()},
+}
+
 // BenchmarkRecover measures a cold start from a state directory holding
 // one snapshot-free log of the given record count: scan, decode, and
-// validated replay into a fresh manager.
+// validated replay into a fresh manager. ns/record and B/record (log
+// bytes) are the per-record costs; ns/op is the whole restart.
 func BenchmarkRecover(b *testing.B) {
-	for _, records := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			dir := b.TempDir()
-			topo := benchWALTopology(b)
-			mgr, j, err := wal.Recover(dir, topo, 0.05, nil,
-				wal.WithNoSync(), wal.WithSnapshotEvery(1<<30))
-			if err != nil {
-				b.Fatal(err)
-			}
-			req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
-			for i := 0; i < records/2; i++ {
-				a, err := mgr.AllocateHomog(req)
+	for _, mix := range recoverMixes {
+		for _, records := range []int{100, 1000, 10000} {
+			b.Run(fmt.Sprintf("mix=%s/records=%d", mix.name, records), func(b *testing.B) {
+				dir := b.TempDir()
+				topo := benchWALTopology(b)
+				mgr, j, err := wal.Recover(dir, topo, 0.05, nil,
+					wal.WithNoSync(), wal.WithSnapshotEvery(1<<30))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := mgr.Release(a.ID); err != nil {
+				// Admit the flavours in turn and release oldest-first, so the
+				// log alternates admissions and releases around a steady
+				// population (half the slots with prefill, none without).
+				var live []core.JobID
+				admit := func(i int) {
+					a, err := mgr.AllocateHomog(mix.reqs[i%len(mix.reqs)])
+					if err != nil {
+						b.Fatal(err)
+					}
+					live = append(live, a.ID)
+				}
+				if mix.prefill {
+					for i := 0; mgr.Running()*8 < topo.TotalSlots()/2; i++ {
+						admit(i)
+					}
+				}
+				for i := 0; j.Appended() < records; i++ {
+					admit(i)
+					if err := mgr.Release(live[0]); err != nil {
+						b.Fatal(err)
+					}
+					live = live[1:]
+				}
+				want, appended := mgr.Running(), j.Appended()
+				if err := j.Close(); err != nil {
 					b.Fatal(err)
 				}
-			}
-			if err := j.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m2, j2, err := wal.Recover(dir, topo, 0.05, nil, wal.WithNoSync())
+				info, err := os.Stat(filepath.Join(dir, "wal-1.log"))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if m2.Running() != 0 {
-					b.Fatal("unexpected surviving jobs")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m2, j2, err := wal.Recover(dir, topo, 0.05, nil, wal.WithNoSync())
+					if err != nil {
+						b.Fatal(err)
+					}
+					if m2.Running() != want || j2.Appended() != appended {
+						b.Fatalf("recovered %d jobs from %d records, want %d from %d", m2.Running(), j2.Appended(), want, appended)
+					}
+					b.StopTimer()
+					if err := j2.Close(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
 				}
-				b.StopTimer()
-				if err := j2.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(appended), "ns/record")
+				b.ReportMetric(float64(info.Size())/float64(appended), "B/record")
+			})
+		}
 	}
 }

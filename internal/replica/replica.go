@@ -89,6 +89,12 @@ type Standby struct {
 	lastDurable int64
 	lastRecords int
 
+	// unsupported is sticky: the stream held a record in a format this
+	// binary does not know. The frames behind it are acknowledged writes
+	// the standby cannot have, so it neither follows nor promotes again —
+	// not even once the primary is gone and the lag reads zero.
+	unsupported error
+
 	promoted bool
 	closed   bool
 }
@@ -194,6 +200,10 @@ func (s *Standby) syncOnce(ctx context.Context, wait time.Duration) (bool, error
 		s.mu.Unlock()
 		return false, ErrPromoted
 	}
+	if s.unsupported != nil {
+		s.mu.Unlock()
+		return false, s.unsupported
+	}
 	cur := s.cur
 	s.mu.Unlock()
 
@@ -209,6 +219,9 @@ func (s *Standby) syncOnce(ctx context.Context, wait time.Duration) (bool, error
 		return false, ErrPromoted
 	}
 	if err := s.applyChunkLocked(chunk); err != nil {
+		if errors.Is(err, wal.ErrUnsupportedFormat) {
+			s.unsupported = err
+		}
 		return false, err
 	}
 	s.lastDurable = chunk.Durable
@@ -220,7 +233,9 @@ func (s *Standby) syncOnce(ctx context.Context, wait time.Duration) (bool, error
 }
 
 // Run follows the primary until ctx is done, the standby is promoted or
-// closed, or the journal stream turns out to be corrupt. Transient fetch
+// closed, or the journal stream turns out to be corrupt or written in a
+// record format this binary does not know (a newer primary: upgrade the
+// standby first, see docs/REPLICATION.md). Transient fetch
 // failures (primary down, network) are retried with backoff — a standby
 // outliving its primary is the point.
 func (s *Standby) Run(ctx context.Context) error {
@@ -237,7 +252,7 @@ func (s *Standby) Run(ctx context.Context) error {
 			continue
 		case errors.Is(err, ErrPromoted):
 			return nil
-		case errors.Is(err, wal.ErrCorrupt), errors.Is(err, ErrDiverged):
+		case fatalStream(err):
 			return err
 		}
 		select {
@@ -249,6 +264,14 @@ func (s *Standby) Run(ctx context.Context) error {
 			backoff = maxBackoff
 		}
 	}
+}
+
+// fatalStream reports whether err condemns the stream itself — corrupt,
+// diverged, or carrying records in a format a newer primary wrote — as
+// opposed to a fetch failure worth retrying. Following and promotion
+// both stop on it: skipping such a frame would drop acknowledged writes.
+func fatalStream(err error) bool {
+	return errors.Is(err, wal.ErrCorrupt) || errors.Is(err, ErrDiverged) || errors.Is(err, wal.ErrUnsupportedFormat)
 }
 
 // applyChunkLocked verifies and applies one chunk: CRC-scan the bytes,
@@ -473,7 +496,7 @@ func (s *Standby) Promote(ctx context.Context) (Promotion, error) {
 	// Drain whatever the primary can still serve. A dead primary fails
 	// the fetch; promotion then proceeds against the last known frontier.
 	if _, err := s.syncOnce(ctx, 0); err != nil && !errors.Is(err, ErrPromoted) {
-		if errors.Is(err, wal.ErrCorrupt) || errors.Is(err, ErrDiverged) {
+		if fatalStream(err) {
 			return Promotion{}, err
 		}
 	}

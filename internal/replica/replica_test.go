@@ -1,9 +1,12 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -450,5 +453,84 @@ func TestStandbyRunFollowsLive(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("run loop did not stop after promotion")
+	}
+}
+
+// TestStandbyStopsOnNewerFormat: a frame in a record format this binary
+// does not know (a newer primary wrote it) stops the standby — SyncOnce
+// fails with wal.ErrUnsupportedFormat, Run returns instead of retrying,
+// Promote refuses, and neither the cursor nor the mirror moves. Skipping
+// the frame, or promoting without it, would drop an acknowledged write.
+func TestStandbyStopsOnNewerFormat(t *testing.T) {
+	m, j := mustPrimary(t, t.TempDir())
+	defer j.Close()
+	workload(t, m)
+
+	// Once the standby is at the real frontier, the "primary" serves one
+	// more intact frame whose format tag is from the future.
+	newer := []byte{0x02, 0xde, 0xad}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(newer)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(newer, crc32.MakeTable(crc32.Castagnoli)))
+	frame = append(frame, newer...)
+	var dead bool
+	fetch := func(ctx context.Context, cur wal.Cursor, maxBytes int, wait time.Duration) (wal.TailChunk, error) {
+		if dead {
+			return wal.TailChunk{}, errors.New("primary unreachable")
+		}
+		chunk, err := j.Tail(ctx, cur, maxBytes, 0)
+		if err == nil && !chunk.Reset && len(chunk.Data) == 0 {
+			chunk.Data = frame
+			chunk.Durable += int64(len(frame))
+		}
+		return chunk, err
+	}
+	s, err := New(Config{
+		Dir: t.TempDir(), Topo: testTopo(t), Eps: testEps,
+		Fetch: fetch, NoSync: true,
+		WALOpts: []wal.Option{wal.WithNoSync()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.SyncOnce(context.Background(), 0); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	cur := s.Cursor()
+	mirror, err := os.ReadFile(filepath.Join(s.cfg.Dir, fmt.Sprintf("wal-%d.log", cur.Gen)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = s.SyncOnce(context.Background(), 0)
+	if !errors.Is(err, wal.ErrUnsupportedFormat) || errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("SyncOnce: err = %v, want ErrUnsupportedFormat and not ErrCorrupt", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Run(ctx); !errors.Is(err, wal.ErrUnsupportedFormat) {
+		t.Fatalf("Run: err = %v, want it to stop on ErrUnsupportedFormat", err)
+	}
+	if _, err := s.Promote(context.Background()); !errors.Is(err, wal.ErrUnsupportedFormat) {
+		t.Fatalf("Promote: err = %v, want ErrUnsupportedFormat", err)
+	}
+	// The refusal outlives the primary: with nothing left to fetch the
+	// lag reads zero, but the unreadable frame was acknowledged.
+	dead = true
+	if _, err := s.Promote(context.Background()); !errors.Is(err, wal.ErrUnsupportedFormat) {
+		t.Fatalf("Promote after the primary died: err = %v, want ErrUnsupportedFormat", err)
+	}
+	if s.Cursor() != cur {
+		t.Fatalf("cursor moved past a frame the standby cannot read: %+v -> %+v", cur, s.Cursor())
+	}
+	after, err := os.ReadFile(filepath.Join(s.cfg.Dir, fmt.Sprintf("wal-%d.log", cur.Gen)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mirror, after) {
+		t.Fatal("the mirror took bytes the standby could not replay")
+	}
+	if !reflect.DeepEqual(s.Manager().ExportState(), m.ExportState()) {
+		t.Fatal("the follower's state moved")
 	}
 }

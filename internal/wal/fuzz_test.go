@@ -13,7 +13,8 @@ import (
 // first corrupt record, and leave the manager internally consistent
 // (slot accounting still balances).
 func FuzzWALDecode(f *testing.F) {
-	// Seed with a real log image so the fuzzer starts from valid framing.
+	// Seed with a real log image so the fuzzer starts from valid framing
+	// (binary records; testdata/fuzz/FuzzWALDecode holds legacy JSON logs).
 	seed := []byte(walMagic)
 	muts := []core.Mutation{
 		{Op: core.OpAlloc, Job: 1,
@@ -37,6 +38,24 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte(walMagic))
 	f.Add([]byte("garbage that is not a log"))
 	f.Add(appendFrame([]byte(walMagic), []byte(`{"op":"alloc","job":-1}`)))
+	// A binary record that claims 2^62 contributions in 20 bytes, a frame
+	// a newer format wrote, and an upgraded-in-place image: legacy JSON
+	// frames with binary ones after them in the same file.
+	f.Add(appendFrame([]byte(walMagic), hugeCount()))
+	f.Add(appendFrame(append([]byte(nil), seed...), []byte{0x02, 1, 2, 3}))
+	mixed := []byte(walMagic)
+	for i, mut := range muts {
+		encode := legacyEncodeMutation
+		if i >= 2 {
+			encode = encodeMutation
+		}
+		payload, err := encode(mut)
+		if err != nil {
+			f.Fatal(err)
+		}
+		mixed = appendFrame(mixed, payload)
+	}
+	f.Add(appendEpochFrame(mixed, 4))
 
 	topo := testTopo(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -52,11 +71,14 @@ func FuzzWALDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, fr := range frames {
-			mut, err := decodeMutation(fr.payload)
+			rec, err := decodeRecord(fr.payload)
 			if err != nil {
-				break // first corrupt record ends replay
+				break // first corrupt or unknown-format record ends replay
 			}
-			if err := m.Replay(mut); err != nil {
+			if rec.Kind != KindMutation {
+				continue
+			}
+			if err := m.Replay(rec.Mutation); err != nil {
 				break // semantically invalid: replay stops, no panic
 			}
 		}

@@ -1,0 +1,135 @@
+package wal
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+
+	"repro/internal/core"
+)
+
+// recordOf renders a decoded record in the legacy JSON shape, the one
+// legible form every record has whatever format it was written in.
+func recordOf(rec Record) record {
+	if rec.Kind == KindEpoch {
+		return record{Op: epochOp, Epoch: rec.Epoch}
+	}
+	mut := rec.Mutation
+	out := record{
+		Op:       mut.Op.String(),
+		Job:      int64(mut.Job),
+		Contribs: mut.Contribs,
+		Node:     int(mut.Node),
+		Link:     int(mut.Link),
+		Offline:  mut.Offline,
+		Eps:      mut.EffectiveEps,
+		IdemKey:  mut.IdemKey,
+	}
+	if mut.Homog != nil {
+		h := core.HomogSpecOf(*mut.Homog)
+		out.Homog = &h
+	}
+	if mut.Hetero != nil {
+		out.Hetero = core.HeteroSpecOf(*mut.Hetero)
+	}
+	if mut.Placement != nil {
+		out.Placement = core.ExportPlacement(mut.Placement)
+	}
+	if mut.Op == core.OpRepair {
+		out.Outcome = mut.Outcome.String()
+	}
+	return out
+}
+
+// Inspect writes a legible rendering of a state directory to w: for the
+// newest wal-<gen>.log, and for intents.log when the directory is a
+// sharded router's, the file name (with the log's meta record), one JSON
+// line per frame — {"off":…,"len":…,"format":"json|bin1",…fields…} —
+// and a one-line summary. It opens nothing for writing and truncates
+// nothing; a frame it cannot decode is rendered with its error and the
+// walk goes on.
+func Inspect(w io.Writer, dir string) error {
+	gens := sortedGens(dir)
+	if len(gens) > 0 {
+		if err := inspectFile(w, walPath(dir, gens[len(gens)-1]), walMagic); err != nil {
+			return err
+		}
+	}
+	intents := filepath.Join(dir, "intents.log")
+	if _, err := os.Stat(intents); err == nil {
+		return inspectFile(w, intents, intentMagic)
+	} else if len(gens) == 0 {
+		return fmt.Errorf("wal: no wal-<gen>.log or intents.log in %s", dir)
+	}
+	return nil
+}
+
+func inspectFile(w io.Writer, path, magic string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	frames, clean, scanErr := scanFrames(data, magic)
+	if clean < magicLen {
+		return fmt.Errorf("wal: %s: %w", path, scanErr)
+	}
+	name := filepath.Base(path)
+	if magic == walMagic && len(frames) > 0 {
+		fmt.Fprintf(w, `{"file":%q,"meta":%s}`+"\n", name, frames[0].payload)
+		frames = frames[1:]
+	} else {
+		fmt.Fprintf(w, `{"file":%q}`+"\n", name)
+	}
+	records, epoch := 0, uint64(1)
+	for _, fr := range frames {
+		format := "json"
+		if fr.payload[0] != tagLegacy {
+			format = fmt.Sprintf("bin%d", fr.payload[0])
+		}
+		var body any
+		var err error
+		if magic == intentMagic {
+			var in Intent
+			if in, err = decodeIntent(fr.payload); err == nil {
+				line := intentRecord{Kind: in.Kind.String(), Job: int64(in.Job), Commit: in.Commit, Pods: in.Pods}
+				if in.HasMut {
+					line.Mut, err = json.Marshal(recordOf(Record{Mutation: in.Mut}))
+				}
+				body = line
+			}
+		} else {
+			var rec Record
+			if rec, err = decodeRecord(fr.payload); err == nil {
+				if rec.Kind == KindEpoch && rec.Epoch > epoch {
+					epoch = rec.Epoch
+				}
+				body = recordOf(rec)
+			}
+		}
+		if err != nil {
+			body = struct {
+				Error string `json:"error"`
+			}{err.Error()}
+		} else {
+			records++
+		}
+		fields, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		// Splice the frame's position in front of the record's own fields.
+		fmt.Fprintf(w, `{"off":%d,"len":%d,"format":%q,%s`+"\n",
+			fr.end-headerLen-len(fr.payload), len(fr.payload), format, fields[1:])
+	}
+	summary := fmt.Sprintf("%s: %d records, clean length %d bytes", name, records, clean)
+	if magic == walMagic {
+		summary += fmt.Sprintf(", epoch %d", epoch)
+	}
+	if torn := len(data) - clean; torn > 0 {
+		summary += fmt.Sprintf(", torn tail %d bytes (%v)", torn, scanErr)
+	}
+	_, err = fmt.Fprintln(w, summary)
+	return err
+}

@@ -19,14 +19,17 @@ import (
 // from the pods' own states (see internal/shard).
 //
 // On-disk layout: one intents.log file per router, magic "SVCINT1\n", then
-// the same CRC-framed JSON records the pod WALs use. The file is append-only
-// and never compacted — cross-pod operations are the rare case by design,
-// and resolved intents are skipped during replay.
+// the same CRC-framed records the pod WALs use: a format-1 envelope (below)
+// around the mutation record of record.go, or legacy JSON in files written
+// before format 1. The file is append-only and never compacted — cross-pod
+// operations are the rare case by design, and resolved intents are skipped
+// during replay.
 
 // intentMagic heads intents.log.
 const intentMagic = "SVCINT1\n"
 
-// IntentKind enumerates intent-log records.
+// IntentKind enumerates intent-log records. The values are the kind
+// byte of the format-1 envelope: append new kinds, never renumber.
 type IntentKind int
 
 const (
@@ -59,21 +62,6 @@ func (k IntentKind) String() string {
 	}
 }
 
-var intentKindNames = map[IntentKind]string{
-	IntentBegin:        "begin",
-	IntentDone:         "done",
-	IntentReleaseBegin: "release_begin",
-	IntentReleaseDone:  "release_done",
-}
-
-var intentKindValues = func() map[string]IntentKind {
-	m := make(map[string]IntentKind, len(intentKindNames))
-	for k, name := range intentKindNames {
-		m[name] = k
-	}
-	return m
-}()
-
 // Intent is one intent-log record.
 type Intent struct {
 	Kind IntentKind
@@ -92,7 +80,99 @@ type Intent struct {
 	HasMut bool
 }
 
-// intentRecord is the JSON payload of one intent frame.
+// Format-1 intent envelope, after the shared tag byte: the kind (the
+// IntentKind values above, 1..4), a flags byte, varint job, uvarint pod
+// count and that many varint pods; with intentHasMut set, the rest of
+// the payload is the original mutation as a whole format-1 record, tag
+// included.
+const (
+	intentCommit = 1 << iota
+	intentHasMut
+
+	knownIntentFlags = intentHasMut<<1 - 1
+)
+
+// appendIntent appends in's format-1 payload to buf; on error the
+// returned slice must be discarded.
+func appendIntent(buf []byte, in Intent) ([]byte, error) {
+	if in.Kind < IntentBegin || in.Kind > IntentReleaseDone {
+		return nil, fmt.Errorf("wal: unknown intent kind %d", int(in.Kind))
+	}
+	var flags byte
+	if in.Commit {
+		flags |= intentCommit
+	}
+	if in.HasMut {
+		flags |= intentHasMut
+	}
+	e := encoder{b: append(buf, tagBin1, byte(in.Kind), flags)}
+	e.varint(int64(in.Job))
+	e.uvarint(len(in.Pods))
+	for _, pod := range in.Pods {
+		e.varint(int64(pod))
+	}
+	if in.HasMut {
+		return appendMutation(e.b, in.Mut)
+	}
+	return e.b, nil
+}
+
+// decodeIntent parses one intent frame payload, binary or legacy JSON.
+func decodeIntent(payload []byte) (Intent, error) {
+	if len(payload) == 0 {
+		return Intent{}, fmt.Errorf("%w: empty intent", ErrCorrupt)
+	}
+	switch payload[0] {
+	case tagBin1:
+	case tagLegacy:
+		return decodeLegacyIntent(payload)
+	default:
+		return Intent{}, fmt.Errorf("%w: intent tag 0x%02x", ErrUnsupportedFormat, payload[0])
+	}
+	d := decoder{b: payload[1:]}
+	kind, flags := IntentKind(d.byte()), d.byte()
+	if kind < IntentBegin || kind > IntentReleaseDone {
+		d.fail("unknown intent kind")
+	}
+	if flags&^knownIntentFlags != 0 {
+		d.fail("unknown intent flag")
+	}
+	in := Intent{Kind: kind, Commit: flags&intentCommit != 0, Job: core.JobID(d.varint())}
+	if n := d.length(minVarint); n > 0 {
+		in.Pods = make([]int, n)
+		for i := range in.Pods {
+			in.Pods[i] = d.int()
+		}
+	}
+	hasMut := flags&intentHasMut != 0
+	if !hasMut && len(d.b) != 0 {
+		d.fail("trailing bytes after the intent")
+	}
+	switch {
+	case d.err != nil:
+		return Intent{}, d.err
+	case hasMut:
+		return withMutation(in, d.b)
+	}
+	return in, nil
+}
+
+// withMutation completes a begin intent with the mutation record nested
+// in its envelope.
+func withMutation(in Intent, payload []byte) (Intent, error) {
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return Intent{}, err
+	}
+	if rec.Kind != KindMutation {
+		return Intent{}, fmt.Errorf("%w: intent carries a non-mutation record", ErrCorrupt)
+	}
+	in.Mut, in.HasMut = rec.Mutation, true
+	return in, nil
+}
+
+// intentRecord is the JSON payload of one legacy intent frame; like
+// record, it is read but no longer written.
 type intentRecord struct {
 	Kind   string          `json:"kind"`
 	Job    int64           `json:"job"`
@@ -101,23 +181,14 @@ type intentRecord struct {
 	Mut    json.RawMessage `json:"mut,omitempty"`
 }
 
-func encodeIntent(in Intent) ([]byte, error) {
-	name, ok := intentKindNames[in.Kind]
-	if !ok {
-		return nil, fmt.Errorf("wal: unknown intent kind %d", int(in.Kind))
-	}
-	rec := intentRecord{Kind: name, Job: int64(in.Job), Commit: in.Commit, Pods: in.Pods}
-	if in.HasMut {
-		payload, err := encodeMutation(in.Mut)
-		if err != nil {
-			return nil, err
-		}
-		rec.Mut = payload
-	}
-	return json.Marshal(rec)
+var intentKindValues = map[string]IntentKind{
+	"begin":         IntentBegin,
+	"done":          IntentDone,
+	"release_begin": IntentReleaseBegin,
+	"release_done":  IntentReleaseDone,
 }
 
-func decodeIntent(payload []byte) (Intent, error) {
+func decodeLegacyIntent(payload []byte) (Intent, error) {
 	var rec intentRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return Intent{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
@@ -127,15 +198,10 @@ func decodeIntent(payload []byte) (Intent, error) {
 		return Intent{}, fmt.Errorf("%w: unknown intent kind %q", ErrCorrupt, rec.Kind)
 	}
 	in := Intent{Kind: kind, Job: core.JobID(rec.Job), Commit: rec.Commit, Pods: rec.Pods}
-	if len(rec.Mut) > 0 {
-		mut, err := decodeMutation(rec.Mut)
-		if err != nil {
-			return Intent{}, err
-		}
-		in.Mut = mut
-		in.HasMut = true
+	if len(rec.Mut) == 0 {
+		return in, nil
 	}
-	return in, nil
+	return withMutation(in, rec.Mut)
 }
 
 // IntentLog is the router's append-only cross-pod intent journal.
@@ -244,10 +310,11 @@ func OpenIntentLog(dir string, opts ...IntentOption) (*IntentLog, []Intent, erro
 // rare by construction, so intents pay a plain synchronous fsync rather
 // than joining a group commit.
 func (l *IntentLog) Append(in Intent) error {
-	payload, err := encodeIntent(in)
+	buf, err := appendIntent(beginFrame(nil), in)
 	if err != nil {
 		return err
 	}
+	endFrame(buf, 0)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
@@ -256,7 +323,6 @@ func (l *IntentLog) Append(in Intent) error {
 	if l.f == nil {
 		return errors.New("wal: intent log closed")
 	}
-	buf := appendFrame(nil, payload)
 	if _, werr := l.f.Write(buf); werr != nil {
 		l.err = fmt.Errorf("wal: intent log append: %w", werr)
 		return l.err

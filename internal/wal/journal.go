@@ -245,7 +245,7 @@ func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.Ma
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("wal: read log: %w", err)
 	}
-	frames, clean, _ := scanFrames(data, walMagic)
+	frames, _, _ := scanFrames(data, walMagic)
 	j.meta = want
 	j.meta.Gen = gen
 	if len(frames) == 0 {
@@ -265,28 +265,16 @@ func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.Ma
 	if got != j.meta {
 		return nil, nil, fmt.Errorf("wal: log meta %+v does not match datacenter %+v", got, j.meta)
 	}
-	for _, fr := range frames[1:] {
-		if epoch, ok := decodeEpochRecord(fr.payload); ok {
-			if epoch > j.epoch {
-				j.epoch = epoch
-			}
-			clean = fr.end
-			continue
-		}
-		mut, err := decodeMutation(fr.payload)
-		if err != nil {
-			// Checksummed but semantically unreadable: stop replay here
-			// and truncate, exactly as for a failed CRC.
-			clean = previousEnd(frames, fr)
-			break
-		}
-		if err := m.Replay(mut); err != nil {
-			clean = previousEnd(frames, fr)
-			break
-		}
-		j.appended++
-		clean = fr.end
+	// A record that fails to decode or that the manager refuses ends the
+	// log exactly as a failed CRC does: replay stops and the file is
+	// truncated there. A record in a format this binary does not know is
+	// the one exception — a newer svcd wrote and acknowledged it, so the
+	// file is left byte for byte as it is.
+	applied, clean, err := replay(m, frames, j.raiseEpoch)
+	if errors.Is(err, ErrUnsupportedFormat) {
+		return nil, nil, fmt.Errorf("wal: %s: %w", filepath.Base(path), err)
 	}
+	j.appended = applied
 
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -352,34 +340,45 @@ func (j *Journal) recoverPrevious(topo *topology.Topology, eps float64, want met
 	if got != wantGen {
 		return nil, fmt.Errorf("wal: log meta %+v does not match datacenter %+v", got, wantGen)
 	}
-	for _, fr := range frames[1:] {
-		if epoch, ok := decodeEpochRecord(fr.payload); ok {
-			if epoch > j.epoch {
-				j.epoch = epoch
-			}
-			continue
-		}
-		mut, err := decodeMutation(fr.payload)
-		if err != nil {
-			break
-		}
-		if err := m.Replay(mut); err != nil {
-			break
-		}
+	if _, _, err := replay(m, frames, j.raiseEpoch); errors.Is(err, ErrUnsupportedFormat) {
+		return nil, fmt.Errorf("wal: %s: %w", filepath.Base(walPath(j.dir, gen)), err)
 	}
 	return m, nil
 }
 
-// previousEnd returns the end offset of the frame before fr.
-func previousEnd(frames []frameInfo, fr frameInfo) int {
-	end := magicLen
-	for _, other := range frames {
-		if other.end >= fr.end {
-			break
+// replay applies a scanned log to m: frames[0] is the meta frame, which
+// the caller has already checked, and every later frame is decoded once
+// and either raises the epoch (onEpoch) or goes through the validated
+// Manager.Replay. It stops at the first frame that fails either step and
+// returns how many mutations it applied, the offset just past the last
+// frame it consumed, and the error that stopped it (nil when the whole
+// log replayed).
+func replay(m *core.Manager, frames []frameInfo, onEpoch func(uint64)) (applied, clean int, err error) {
+	clean = frames[0].end
+	for _, fr := range frames[1:] {
+		rec, err := decodeRecord(fr.payload)
+		if err != nil {
+			return applied, clean, err
 		}
-		end = other.end
+		if rec.Kind == KindEpoch {
+			onEpoch(rec.Epoch)
+		} else {
+			if err := m.Replay(rec.Mutation); err != nil {
+				return applied, clean, err
+			}
+			applied++
+		}
+		clean = fr.end
 	}
-	return end
+	return applied, clean, nil
+}
+
+// raiseEpoch is replay's onEpoch during recovery: the journal resumes
+// under the highest epoch its log records.
+func (j *Journal) raiseEpoch(epoch uint64) {
+	if epoch > j.epoch {
+		j.epoch = epoch
+	}
 }
 
 // scanDir returns the highest generation present in dir (0 when none) and
@@ -483,11 +482,7 @@ func (j *Journal) createWAL(m meta, epoch uint64) (*os.File, int64, error) {
 	}
 	buf := appendFrame([]byte(walMagic), payload)
 	if epoch > 1 {
-		ep, err := encodeEpochRecord(epoch)
-		if err != nil {
-			return nil, 0, err
-		}
-		buf = appendFrame(buf, ep)
+		buf = appendEpochFrame(buf, epoch)
 	}
 	path := walPath(j.dir, m.Gen)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -521,8 +516,8 @@ func (j *Journal) Commit(mut core.Mutation) error {
 	return wait()
 }
 
-// StageCommit implements core.AsyncJournal: it encodes the mutation and
-// appends its frame to the open group-commit batch, reserving the
+// StageCommit implements core.AsyncJournal: it encodes the mutation as
+// one frame at the end of the open group-commit batch, reserving the
 // record's position in the log's total order (staging order == the
 // manager's apply order, because staging happens under the manager's
 // write lock). The returned wait function blocks until the frame is
@@ -533,10 +528,6 @@ func (j *Journal) Commit(mut core.Mutation) error {
 // flush too — see groupBatch). A failed flush poisons the journal
 // exactly like a failed Commit.
 func (j *Journal) StageCommit(mut core.Mutation) (func() error, error) {
-	payload, err := encodeMutation(mut)
-	if err != nil {
-		return nil, err
-	}
 	j.mu.Lock()
 	if j.err != nil {
 		err := j.err
@@ -548,13 +539,26 @@ func (j *Journal) StageCommit(mut core.Mutation) (func() error, error) {
 		j.mu.Unlock()
 		return nil, err
 	}
+	// Encode straight into the open batch's buffer; a mutation the codec
+	// refuses leaves the buffer as it was and opens no batch.
 	b := j.batch
+	var buf []byte
+	if b != nil {
+		buf = b.buf
+	}
+	start := len(buf)
+	buf, err := appendMutation(beginFrame(buf), mut)
+	if err != nil {
+		j.mu.Unlock()
+		return nil, err
+	}
+	endFrame(buf, start)
 	if b == nil {
 		b = &groupBatch{done: make(chan struct{})}
 		j.batch = b
 	}
-	b.buf = appendFrame(b.buf, payload)
-	b.noteStaged(payload)
+	b.buf = buf
+	b.noteStaged(buf[start+headerLen:])
 	b.n++
 	j.appended++
 	j.mu.Unlock()
@@ -827,12 +831,9 @@ func (j *Journal) AdvanceEpoch(to uint64) error {
 	f := j.f
 	j.mu.Unlock()
 
-	payload, err := encodeEpochRecord(to)
+	buf := appendEpochFrame(nil, to)
+	_, err := f.Write(buf)
 	if err != nil {
-		return err
-	}
-	buf := appendFrame(nil, payload)
-	if _, err := f.Write(buf); err != nil {
 		err = fmt.Errorf("wal: append epoch: %w", err)
 	} else {
 		err = j.sync(f)
@@ -909,7 +910,9 @@ func (j *Journal) syncDir() {
 	}
 }
 
-// sortedGens is a test helper: the generations present in dir, ascending.
+// sortedGens returns the log generations present in dir, ascending. It
+// only reads the directory (scanDir also sweeps temporary files), which
+// is what Inspect and the tests need.
 func sortedGens(dir string) []uint64 {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -1,17 +1,459 @@
 package wal
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
-// record is the JSON payload of one journaled mutation. The committed
-// placement and per-link contributions are stored verbatim — replay never
-// re-runs the allocation DP, which is what makes recovery bit-identical
-// even where the DP could tie-break differently.
+// This file is the one place that knows what a log record looks like on
+// disk. New records are always written in binary format 1 (layout in the
+// package comment); legacy JSON records — everything written before
+// format 1 existed — are still read, frame by frame, so an old state
+// directory recovers and may carry binary frames after its JSON ones.
+//
+// Either way the committed placement and per-link contributions are
+// stored verbatim — replay never re-runs the allocation DP, which is
+// what makes recovery bit-identical even where the DP could tie-break
+// differently.
+
+// ErrUnsupportedFormat marks an intact frame whose format tag this binary
+// does not know: a newer svcd wrote it. It is deliberately not ErrCorrupt
+// — corruption is truncated away, whereas this frame holds acknowledged
+// writes, so recovery must refuse the file and leave it untouched.
+var ErrUnsupportedFormat = errors.New("wal: record format not supported by this version")
+
+const (
+	// tagBin1 is payload byte 0 of a format-1 record. A JSON object opens
+	// with tagLegacy, which no binary format will ever use as its tag.
+	tagBin1   = 0x01
+	tagLegacy = '{'
+
+	// opEpoch is the op byte of an epoch record; mutation op bytes are the
+	// opCodes below.
+	opEpoch = 0x40
+)
+
+// Mutation flags: which optional sections follow the fixed fields. A set
+// flag promises a non-empty section, so the encoder writes every mutation
+// one way only and empty slices come back as nil, the canonical form exported
+// states are compared in.
+const (
+	flagHomog = 1 << iota
+	flagHetero
+	flagPlacement
+	flagContribs
+	flagOffline
+	flagEps
+	flagIdem
+
+	knownFlags = flagIdem<<1 - 1
+)
+
+// opCodes and outcomeCodes are the on-disk bytes of format 1. They are
+// spelled out rather than cast from core's constants so that reordering
+// an iota in core cannot silently change the meaning of existing logs.
+// Zero is "unknown" in both directions; outcome byte 0 is what every
+// non-repair record carries.
+var (
+	opCodes = [...]byte{
+		core.OpAlloc:          1,
+		core.OpRelease:        2,
+		core.OpFailMachine:    3,
+		core.OpRestoreMachine: 4,
+		core.OpFailLink:       5,
+		core.OpRestoreLink:    6,
+		core.OpSetOffline:     7,
+		core.OpRepair:         8,
+	}
+	codeOps = [...]core.MutationOp{
+		1: core.OpAlloc,
+		2: core.OpRelease,
+		3: core.OpFailMachine,
+		4: core.OpRestoreMachine,
+		5: core.OpFailLink,
+		6: core.OpRestoreLink,
+		7: core.OpSetOffline,
+		8: core.OpRepair,
+	}
+	outcomeCodes = [...]byte{
+		core.RepairNoop:     1,
+		core.RepairMoved:    2,
+		core.RepairDegraded: 3,
+		core.RepairFailed:   4,
+	}
+	codeOutcomes = [...]core.RepairOutcome{
+		1: core.RepairNoop,
+		2: core.RepairMoved,
+		3: core.RepairDegraded,
+		4: core.RepairFailed,
+	}
+)
+
+// Minimum encoded sizes, the divisors that bound a count read from a
+// payload by the bytes actually left before anything is allocated.
+const (
+	minDemand  = 16 // two floats
+	minEntry   = 3  // machine, count, VM count
+	minContrib = 18 // link, det byte, two floats
+	minVarint  = 1  // also one byte of an idempotency key
+)
+
+// encoder appends format-1 fields to b. Non-finite floats are noted, not
+// written around: the caller discards the bytes and vetoes the commit,
+// the same refusal the JSON encoder used to give.
+type encoder struct {
+	b         []byte
+	nonFinite bool
+}
+
+func (e *encoder) uvarint(v int)            { e.b = binary.AppendUvarint(e.b, uint64(v)) }
+func (e *encoder) varint(v int64)           { e.b = binary.AppendVarint(e.b, v) }
+func (e *encoder) bytes(v string)           { e.uvarint(len(v)); e.b = append(e.b, v...) }
+func (e *encoder) bool(v bool)              { e.b = append(e.b, b2u(v)) }
+func (e *encoder) normal(mu, sigma float64) { e.float(mu); e.float(sigma) }
+
+func (e *encoder) float(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		e.nonFinite = true
+	}
+	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
+}
+
+func b2u(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// appendMutation appends mut's format-1 payload to buf. On error buf's
+// contents up to its original length are untouched and the returned
+// slice must be discarded.
+func appendMutation(buf []byte, mut core.Mutation) ([]byte, error) {
+	if int(mut.Op) >= len(opCodes) || opCodes[mut.Op] == 0 {
+		return nil, fmt.Errorf("wal: unknown mutation op %d", int(mut.Op))
+	}
+	var outcome byte
+	if mut.Op == core.OpRepair {
+		if mut.Outcome < 0 || int(mut.Outcome) >= len(outcomeCodes) {
+			return nil, fmt.Errorf("wal: unknown repair outcome %d", int(mut.Outcome))
+		}
+		outcome = outcomeCodes[mut.Outcome]
+	}
+	var flags byte
+	if mut.Homog != nil {
+		flags |= flagHomog
+	}
+	if mut.Hetero != nil && len(mut.Hetero.Demands) > 0 {
+		flags |= flagHetero
+	}
+	if mut.Placement != nil && len(mut.Placement.Entries) > 0 {
+		flags |= flagPlacement
+	}
+	if len(mut.Contribs) > 0 {
+		flags |= flagContribs
+	}
+	if mut.Offline {
+		flags |= flagOffline
+	}
+	if mut.EffectiveEps != 0 {
+		flags |= flagEps
+	}
+	if mut.IdemKey != "" {
+		flags |= flagIdem
+	}
+
+	e := encoder{b: append(buf, tagBin1, opCodes[mut.Op], flags, outcome)}
+	e.varint(int64(mut.Job))
+	e.varint(int64(mut.Node))
+	e.varint(int64(mut.Link))
+	if flags&flagHomog != 0 {
+		e.varint(int64(mut.Homog.N))
+		e.normal(mut.Homog.Demand.Mu, mut.Homog.Demand.Sigma)
+	}
+	if flags&flagHetero != 0 {
+		e.uvarint(len(mut.Hetero.Demands))
+		for _, d := range mut.Hetero.Demands {
+			e.normal(d.Mu, d.Sigma)
+		}
+	}
+	if flags&flagPlacement != 0 {
+		e.uvarint(len(mut.Placement.Entries))
+		for _, pe := range mut.Placement.Entries {
+			e.varint(int64(pe.Machine))
+			e.varint(int64(pe.Count))
+			e.uvarint(len(pe.VMs))
+			for _, vm := range pe.VMs {
+				e.varint(int64(vm))
+			}
+		}
+	}
+	if flags&flagContribs != 0 {
+		e.uvarint(len(mut.Contribs))
+		for _, c := range mut.Contribs {
+			e.varint(int64(c.Link))
+			e.bool(c.Det)
+			e.normal(c.Mu, c.Sigma)
+		}
+	}
+	if flags&flagEps != 0 {
+		e.float(mut.EffectiveEps)
+	}
+	if flags&flagIdem != 0 {
+		e.bytes(mut.IdemKey)
+	}
+	if e.nonFinite {
+		return nil, fmt.Errorf("wal: mutation %v of job %d carries a non-finite float", mut.Op, mut.Job)
+	}
+	return e.b, nil
+}
+
+// appendEpochFrame appends a whole framed epoch record to buf: "every
+// mutation after this point was committed by the primary of this epoch".
+// Epoch records never reach the manager — they carry no state — so the
+// exported ManagerState stays bit-identical with or without them. A log
+// with no epoch record is implicitly epoch 1.
+func appendEpochFrame(buf []byte, epoch uint64) []byte {
+	start := len(buf)
+	buf = binary.AppendUvarint(append(beginFrame(buf), tagBin1, opEpoch), epoch)
+	endFrame(buf, start)
+	return buf
+}
+
+// decodeRecord is the single decode of a non-meta frame payload, called
+// once per frame by every reader. It never panics on malformed input:
+// structural problems surface as ErrCorrupt, an unknown format tag as
+// ErrUnsupportedFormat, and semantic validation against the manager's
+// state happens later in Manager.Replay.
+func decodeRecord(payload []byte) (Record, error) {
+	if len(payload) == 0 {
+		return Record{}, fmt.Errorf("%w: empty record", ErrCorrupt)
+	}
+	switch payload[0] {
+	case tagBin1:
+		return decodeBin1(payload[1:])
+	case tagLegacy:
+		return decodeLegacy(payload)
+	default:
+		return Record{}, fmt.Errorf("%w: record tag 0x%02x", ErrUnsupportedFormat, payload[0])
+	}
+}
+
+// decoder consumes format-1 fields from b. The first malformed field
+// sets err and empties b, so every later read returns zero and the
+// caller checks err once at the end.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrCorrupt, what)
+	}
+	d.b = nil
+}
+
+func (d *decoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail("record ends early")
+		return 0
+	}
+	v := d.b[0]
+	d.b = d.b[1:]
+	return v
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// int reads a varint that must fit the platform's int.
+func (d *decoder) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail("integer out of range")
+		return 0
+	}
+	return int(v)
+}
+
+// length reads the element count of a list whose elements take at least
+// minSize bytes each. It cannot exceed what the remaining bytes could
+// hold, so a corrupt length never sizes an allocation.
+func (d *decoder) length(minSize int) int {
+	v := d.uvarint()
+	if v > uint64(len(d.b)/minSize) {
+		d.fail("length exceeds the record")
+		return 0
+	}
+	return int(v)
+}
+
+// count is length for a flagged section, which is never empty: an empty
+// one is spelled by clearing its flag.
+func (d *decoder) count(minSize int) int {
+	n := d.length(minSize)
+	if n == 0 {
+		d.fail("empty section behind a set flag")
+	}
+	return n
+}
+
+// finish ends a record: nothing may follow its last field, and the first
+// thing that went wrong, if anything did, is the verdict.
+func (d *decoder) finish(rec Record) (Record, error) {
+	if len(d.b) != 0 {
+		d.fail("trailing bytes after the record")
+	}
+	if d.err != nil {
+		return Record{}, d.err
+	}
+	return rec, nil
+}
+
+// check folds a request validator's verdict into the decode error.
+func (d *decoder) check(err error) {
+	if err != nil && d.err == nil {
+		d.err = fmt.Errorf("%w: %w", ErrCorrupt, err)
+		d.b = nil
+	}
+}
+
+func (d *decoder) bool() bool {
+	v := d.byte()
+	if v > 1 {
+		d.fail("bad boolean")
+	}
+	return v == 1
+}
+
+func (d *decoder) float() float64 {
+	if len(d.b) < 8 {
+		d.fail("record ends early")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.fail("non-finite float")
+		return 0
+	}
+	return v
+}
+
+func (d *decoder) normal() stats.Normal {
+	return stats.Normal{Mu: d.float(), Sigma: d.float()}
+}
+
+// decodeBin1 parses a format-1 payload past its tag byte.
+func decodeBin1(b []byte) (Record, error) {
+	d := decoder{b: b}
+	op := d.byte()
+	if op == opEpoch {
+		return d.finish(Record{Kind: KindEpoch, Epoch: d.uvarint()})
+	}
+	if int(op) >= len(codeOps) || codeOps[op] == 0 {
+		d.fail("unknown op")
+		return Record{}, d.err
+	}
+	flags, outcome := d.byte(), d.byte()
+	if flags&^knownFlags != 0 {
+		d.fail("unknown flag")
+	}
+	rec := Record{Kind: KindMutation}
+	mut := &rec.Mutation
+	mut.Op = codeOps[op]
+	switch {
+	case mut.Op != core.OpRepair:
+		if outcome != 0 {
+			d.fail("outcome on a non-repair record")
+		}
+	case int(outcome) >= len(codeOutcomes) || outcome == 0:
+		d.fail("unknown repair outcome")
+	default:
+		mut.Outcome = codeOutcomes[outcome]
+	}
+	mut.Job = core.JobID(d.varint())
+	mut.Node = topology.NodeID(d.int())
+	mut.Link = topology.LinkID(d.int())
+	mut.Offline = flags&flagOffline != 0
+	if flags&flagHomog != 0 {
+		req := core.Homogeneous{N: d.int(), Demand: d.normal()}
+		d.check(req.Validate())
+		mut.Homog = &req
+	}
+	if flags&flagHetero != 0 {
+		req := core.Heterogeneous{Demands: make([]stats.Normal, d.count(minDemand))}
+		for i := range req.Demands {
+			req.Demands[i] = d.normal()
+		}
+		d.check(req.Validate())
+		mut.Hetero = &req
+	}
+	if flags&flagPlacement != 0 {
+		p := core.Placement{Entries: make([]core.PlacementEntry, d.count(minEntry))}
+		for i := range p.Entries {
+			pe := &p.Entries[i]
+			pe.Machine = topology.NodeID(d.int())
+			pe.Count = d.int()
+			if n := d.length(minVarint); n > 0 { // 0: homogeneous, no VM list
+				pe.VMs = make([]int, n)
+				for k := range pe.VMs {
+					pe.VMs[k] = d.int()
+				}
+			}
+		}
+		mut.Placement = &p
+	}
+	if flags&flagContribs != 0 {
+		mut.Contribs = make([]core.Contribution, d.count(minContrib))
+		for i := range mut.Contribs {
+			c := &mut.Contribs[i]
+			c.Link = topology.LinkID(d.int())
+			c.Det = d.bool()
+			c.Mu, c.Sigma = d.float(), d.float()
+		}
+	}
+	if flags&flagEps != 0 {
+		if mut.EffectiveEps = d.float(); mut.EffectiveEps == 0 {
+			d.fail("zero eps behind a set flag")
+		}
+	}
+	if flags&flagIdem != 0 {
+		n := d.count(minVarint)
+		mut.IdemKey = string(d.b[:n])
+		d.b = d.b[n:]
+	}
+	return d.finish(rec)
+}
+
+// record is the JSON payload of one legacy (pre-format-1) log record. It
+// is no longer written; it survives as the legacy reader's target and as
+// the shape svcwal renders every record in, binary ones included.
 type record struct {
 	Op        string              `json:"op"`
 	Job       int64               `json:"job,omitempty"`
@@ -28,110 +470,40 @@ type record struct {
 	Epoch     uint64              `json:"epoch,omitempty"`
 }
 
-// epochOp marks a journal-level fencing record: "every mutation after
-// this point was committed by the primary of epoch N". Epoch records
-// never reach the manager — they carry no state — so the exported
-// ManagerState stays bit-identical with or without them. An unfenced
-// log with no epoch record is implicitly epoch 1, which keeps every
-// pre-replication log byte-compatible.
+// epochOp is the legacy op name of an epoch record.
 const epochOp = "epoch"
 
-// encodeEpochRecord serializes an epoch advance to a frame payload.
-func encodeEpochRecord(epoch uint64) ([]byte, error) {
-	return json.Marshal(record{Op: epochOp, Epoch: epoch})
+var opValues = map[string]core.MutationOp{
+	"alloc":           core.OpAlloc,
+	"release":         core.OpRelease,
+	"fail_machine":    core.OpFailMachine,
+	"restore_machine": core.OpRestoreMachine,
+	"fail_link":       core.OpFailLink,
+	"restore_link":    core.OpRestoreLink,
+	"set_offline":     core.OpSetOffline,
+	"repair":          core.OpRepair,
 }
 
-// decodeEpochRecord reports whether payload is an epoch record, and its
-// epoch when it is. Replay loops check this before decodeMutation.
-func decodeEpochRecord(payload []byte) (uint64, bool) {
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.Op != epochOp {
-		return 0, false
-	}
-	return rec.Epoch, true
+var outcomeValues = map[string]core.RepairOutcome{
+	"noop":     core.RepairNoop,
+	"moved":    core.RepairMoved,
+	"degraded": core.RepairDegraded,
+	"failed":   core.RepairFailed,
 }
 
-var opNames = map[core.MutationOp]string{
-	core.OpAlloc:          "alloc",
-	core.OpRelease:        "release",
-	core.OpFailMachine:    "fail_machine",
-	core.OpRestoreMachine: "restore_machine",
-	core.OpFailLink:       "fail_link",
-	core.OpRestoreLink:    "restore_link",
-	core.OpSetOffline:     "set_offline",
-	core.OpRepair:         "repair",
-}
-
-var opValues = func() map[string]core.MutationOp {
-	m := make(map[string]core.MutationOp, len(opNames))
-	for op, name := range opNames {
-		m[name] = op
-	}
-	return m
-}()
-
-var outcomeNames = map[core.RepairOutcome]string{
-	core.RepairNoop:     "noop",
-	core.RepairMoved:    "moved",
-	core.RepairDegraded: "degraded",
-	core.RepairFailed:   "failed",
-}
-
-var outcomeValues = func() map[string]core.RepairOutcome {
-	m := make(map[string]core.RepairOutcome, len(outcomeNames))
-	for o, name := range outcomeNames {
-		m[name] = o
-	}
-	return m
-}()
-
-// encodeMutation serializes one mutation to a frame payload.
-func encodeMutation(mut core.Mutation) ([]byte, error) {
-	name, ok := opNames[mut.Op]
-	if !ok {
-		return nil, fmt.Errorf("wal: unknown mutation op %d", int(mut.Op))
-	}
-	rec := record{
-		Op:      name,
-		Job:     int64(mut.Job),
-		Node:    int(mut.Node),
-		Link:    int(mut.Link),
-		Offline: mut.Offline,
-		Eps:     mut.EffectiveEps,
-		IdemKey: mut.IdemKey,
-	}
-	if mut.Homog != nil {
-		h := core.HomogSpecOf(*mut.Homog)
-		rec.Homog = &h
-	}
-	if mut.Hetero != nil {
-		rec.Hetero = core.HeteroSpecOf(*mut.Hetero)
-	}
-	if mut.Placement != nil {
-		rec.Placement = core.ExportPlacement(mut.Placement)
-	}
-	rec.Contribs = mut.Contribs
-	if mut.Op == core.OpRepair {
-		oname, ok := outcomeNames[mut.Outcome]
-		if !ok {
-			return nil, fmt.Errorf("wal: unknown repair outcome %d", int(mut.Outcome))
-		}
-		rec.Outcome = oname
-	}
-	return json.Marshal(rec)
-}
-
-// decodeMutation parses one frame payload back into a mutation. It never
-// panics on malformed input: structural problems surface as errors, and
-// semantic validation happens later in Manager.Replay.
-func decodeMutation(payload []byte) (core.Mutation, error) {
+// decodeLegacy parses one legacy JSON payload: one reflective decode,
+// whether it turns out to be an epoch marker or a mutation.
+func decodeLegacy(payload []byte) (Record, error) {
 	var rec record
 	if err := json.Unmarshal(payload, &rec); err != nil {
-		return core.Mutation{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return Record{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	if rec.Op == epochOp {
+		return Record{Kind: KindEpoch, Epoch: rec.Epoch}, nil
 	}
 	op, ok := opValues[rec.Op]
 	if !ok {
-		return core.Mutation{}, fmt.Errorf("%w: unknown op %q", ErrCorrupt, rec.Op)
+		return Record{}, fmt.Errorf("%w: unknown op %q", ErrCorrupt, rec.Op)
 	}
 	mut := core.Mutation{
 		Op:           op,
@@ -146,14 +518,14 @@ func decodeMutation(payload []byte) (core.Mutation, error) {
 	if rec.Homog != nil {
 		req, err := rec.Homog.Request()
 		if err != nil {
-			return core.Mutation{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
+			return Record{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 		mut.Homog = &req
 	}
 	if rec.Hetero != nil {
 		req, err := core.HeteroRequest(rec.Hetero)
 		if err != nil {
-			return core.Mutation{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
+			return Record{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 		mut.Hetero = &req
 	}
@@ -164,9 +536,9 @@ func decodeMutation(payload []byte) (core.Mutation, error) {
 	if op == core.OpRepair {
 		outcome, ok := outcomeValues[rec.Outcome]
 		if !ok {
-			return core.Mutation{}, fmt.Errorf("%w: unknown repair outcome %q", ErrCorrupt, rec.Outcome)
+			return Record{}, fmt.Errorf("%w: unknown repair outcome %q", ErrCorrupt, rec.Outcome)
 		}
 		mut.Outcome = outcome
 	}
-	return mut, nil
+	return Record{Kind: KindMutation, Mutation: mut}, nil
 }

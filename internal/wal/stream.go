@@ -70,17 +70,13 @@ type Record struct {
 	Epoch    uint64        // valid when Kind == KindEpoch
 }
 
-// DecodeRecord parses a non-meta frame payload. Meta frames (the first
-// frame of a log) must be checked with CheckLogMeta instead.
+// DecodeRecord parses a non-meta frame payload, binary or legacy JSON.
+// Meta frames (the first frame of a log) must be checked with
+// CheckLogMeta instead. The error wraps ErrCorrupt for a malformed
+// record and ErrUnsupportedFormat for one a newer version wrote; a
+// follower must stop on either and never skip the frame.
 func DecodeRecord(payload []byte) (Record, error) {
-	if epoch, ok := decodeEpochRecord(payload); ok {
-		return Record{Kind: KindEpoch, Epoch: epoch}, nil
-	}
-	mut, err := decodeMutation(payload)
-	if err != nil {
-		return Record{}, err
-	}
-	return Record{Kind: KindMutation, Mutation: mut}, nil
+	return decodeRecord(payload)
 }
 
 // CheckLogMeta verifies a log's first-frame meta payload against the

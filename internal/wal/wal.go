@@ -13,9 +13,44 @@
 //	                 was created
 //
 // Each frame is [4-byte little-endian length][4-byte CRC32-Castagnoli of
-// the payload][payload JSON]. A torn or bit-flipped tail fails its CRC and
+// the payload][payload]. A torn or bit-flipped tail fails its CRC and
 // replay stops at the last intact record; recovery truncates the file
 // there so the next append continues from a clean point.
+//
+// Two payloads are JSON: the meta record that opens either file, and the
+// snapshot's ManagerState. Each is decoded once per file rather than once
+// per record, and the state is the very type GET /v1/state serves, so
+// there is nothing to gain from a second encoding of it. Every other
+// payload — a log record — starts with a format tag byte and is binary
+// (record.go is the one file that knows the layout):
+//
+//	tag      0x01 = format 1, below. '{' = a legacy JSON record, written
+//	         before format 1 and still read, so old directories recover
+//	         and continue in place. Anything else was written by a newer
+//	         version: ErrUnsupportedFormat, and the file is left alone.
+//	op       1 alloc  2 release  3 fail_machine  4 restore_machine
+//	         5 fail_link  6 restore_link  7 set_offline  8 repair
+//	         0x40 epoch marker — followed only by: uvarint epoch
+//	flags    bit 0 homog  1 hetero  2 placement  3 contribs  4 offline
+//	         5 eps  6 idempotency key; bit 7 clear
+//	outcome  0, or for op repair 1 noop  2 moved  3 degraded  4 failed
+//	varint   job, node, link (zigzag, like every signed integer below)
+//	[homog]      varint N, f64 mu, f64 sigma
+//	[hetero]     uvarint n, n x (f64 mu, f64 sigma)
+//	[placement]  uvarint n, n x (varint machine, varint count,
+//	             uvarint v, v x varint VM index)   v = 0 when homogeneous
+//	[contribs]   uvarint n, n x (varint link, byte det, f64 mu, f64 sigma)
+//	[eps]        f64, non-zero
+//	[key]        uvarint n, n bytes
+//
+// A bracketed section is present only when its flag is set, and is then
+// never empty, so the encoder writes each mutation one way only and empty
+// slices decode to nil — the canonical form exported states are compared in. An
+// f64 is the raw little-endian IEEE-754 bits, bit-exact by construction;
+// NaN and ±Inf are refused by the encoder (the commit is vetoed) and by
+// the decoder. Every length is checked against the bytes that remain
+// before it sizes an allocation. intents.log frames wrap the same
+// mutation record in an envelope of their own (intent.go).
 //
 // A checkpoint writes snap-<gen+1>.tmp, fsyncs, renames it into place
 // (atomic on POSIX), creates wal-<gen+1>.log, and only then deletes the
@@ -49,11 +84,25 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // appendFrame appends one framed payload to buf and returns the result.
 func appendFrame(buf, payload []byte) []byte {
-	var hdr [headerLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = append(beginFrame(buf), payload...)
+	endFrame(buf, start)
+	return buf
+}
+
+// beginFrame reserves a frame header at the end of buf. The caller
+// appends the payload straight after it — no intermediate copy — and
+// then calls endFrame with the length buf had before beginFrame.
+func beginFrame(buf []byte) []byte {
+	return append(buf, make([]byte, headerLen)...)
+}
+
+// endFrame back-patches the header reserved at start with the length and
+// checksum of everything appended since.
+func endFrame(buf []byte, start int) {
+	payload := buf[start+headerLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
 }
 
 // frameInfo is one intact frame: its payload and the byte offset just

@@ -53,4 +53,9 @@ echo "==> go test -race -tags invariants (storm + wal)"
 go test -race -tags invariants -run 'TestOptimisticStormInvariants' ./internal/core/
 go test -race -tags invariants ./internal/wal/
 
+# Recovery smoke: a cold start over both record mixes, and the record
+# codec alone (see bench_wal_test.go, internal/wal/record_test.go).
+echo "==> recovery smoke (BenchmarkRecover, BenchmarkRecordCodec, 3 iterations)"
+go test -run '^$' -bench 'BenchmarkRecover|BenchmarkRecordCodec' -benchtime 3x . ./internal/wal/
+
 echo "OK"
