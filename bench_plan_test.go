@@ -61,6 +61,10 @@ func reportPlanCache(b *testing.B, mgr *core.Manager, before core.AdmissionStats
 //   - homog/cold: the uncached DP on the same tree, the baseline ratio
 //     denominator, reported with the same plans/s metric.
 //   - hetero/warm: the substring DP's steady-state cached pass (N = 16).
+//   - homog/miss, hetero/miss: a key the cache has never seen on every
+//     iteration — svcbench's plan-miss stream in process. The plan runs
+//     cold in a pooled table; allocs/op is the number to watch (N = 49 and
+//     N = 8, the paper population's mean size and its hetero requests).
 func BenchmarkPlanOnly(b *testing.B) {
 	b.Run("homog/warm", func(b *testing.B) {
 		mgr := planBenchManager(b)
@@ -68,7 +72,8 @@ func BenchmarkPlanOnly(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !mgr.CanAllocateHomog(req) {
+		// Two warm-up plans: the cache admits a key on second sight.
+		if !mgr.CanAllocateHomog(req) || !mgr.CanAllocateHomog(req) {
 			b.Fatal("warmup plan rejected on a lightly loaded datacenter")
 		}
 		before := mgr.AdmissionStats()
@@ -93,7 +98,7 @@ func BenchmarkPlanOnly(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !mgr.CanAllocateHomog(req) {
+		if !mgr.CanAllocateHomog(req) || !mgr.CanAllocateHomog(req) {
 			b.Fatal("warmup plan rejected")
 		}
 		before := mgr.AdmissionStats()
@@ -137,13 +142,47 @@ func BenchmarkPlanOnly(b *testing.B) {
 	b.Run("hetero/warm", func(b *testing.B) {
 		mgr := planBenchManager(b)
 		req := benchHeteroRequest(16)
-		if !mgr.CanAllocateHetero(req) {
+		if !mgr.CanAllocateHetero(req) || !mgr.CanAllocateHetero(req) {
 			b.Fatal("warmup plan rejected")
 		}
 		before := mgr.AdmissionStats()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if !mgr.CanAllocateHetero(req) {
+				b.Fatal("plan rejected on a lightly loaded datacenter")
+			}
+		}
+		b.StopTimer()
+		reportPlanCache(b, mgr, before)
+	})
+
+	b.Run("homog/miss", func(b *testing.B) {
+		mgr := planBenchManager(b)
+		before := mgr.AdmissionStats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req, err := core.NewHomogeneous(49, stats.Normal{Mu: 300, Sigma: 100 + float64(i)/float64(b.N)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !mgr.CanAllocateHomog(req) {
+				b.Fatal("plan rejected on a lightly loaded datacenter")
+			}
+		}
+		b.StopTimer()
+		reportPlanCache(b, mgr, before)
+	})
+
+	b.Run("hetero/miss", func(b *testing.B) {
+		mgr := planBenchManager(b)
+		req := benchHeteroRequest(8)
+		before := mgr.AdmissionStats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req.Demands[0].Sigma = 10 + float64(i)/float64(b.N)
 			if !mgr.CanAllocateHetero(req) {
 				b.Fatal("plan rejected on a lightly loaded datacenter")
 			}

@@ -160,7 +160,7 @@ func BenchmarkHomogAllocate(b *testing.B) {
 
 // BenchmarkAllocateHomogSeq pins the DP to the sequential single-worker
 // path on the 1,000-machine tree — the baseline for the parallel variant
-// and for the arena's allocs/op trajectory.
+// and for the DP table's allocs/op trajectory.
 func BenchmarkAllocateHomogSeq(b *testing.B) {
 	led := paperLedger(b)
 	req, err := core.NewHomogeneous(49, stats.Normal{Mu: 300, Sigma: 150})

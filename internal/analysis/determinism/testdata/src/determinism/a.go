@@ -106,12 +106,26 @@ func BadStream(m map[string]int, ch chan string) {
 
 // --- map-order: cache eviction victim selection ---
 
-// negative: FIFO insertion-order eviction — victims come from a slice,
-// never from map iteration order.
+// negative: FIFO insertion-order eviction — the victim is whatever key
+// the fixed-size ring's oldest slot holds, never a map iteration's pick.
 
-func EvictFIFO(cache map[string]int, fifo []string) []string {
-	delete(cache, fifo[0])
-	return fifo[1:]
+type ring struct {
+	slots []string
+	next  int
+}
+
+func (r *ring) push(k string) string {
+	old := r.slots[r.next]
+	r.slots[r.next] = k
+	r.next = (r.next + 1) % len(r.slots)
+	return old
+}
+
+func EvictRing(cache map[string]int, resident *ring, k string) {
+	if oldest := resident.push(k); oldest != "" {
+		delete(cache, oldest)
+	}
+	cache[k] = 0
 }
 
 // positive: collecting eviction victims by ranging the cache map bakes

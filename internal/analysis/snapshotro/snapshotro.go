@@ -42,9 +42,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // SnapshotFuncs are the functions whose results are shared read-only
-// state. cachedRecords is the plan cache's view of its memoized DP
-// tables: selection and reconstruction read it, but every write must go
-// through the fill path so a cached table always equals a cold recompute.
+// state. cachedRecords is the read-only view of a DP table's per-vertex
+// records (core's dpTable, which a plan-cache entry keeps between plans):
+// selection and reconstruction read it, but every write must go through
+// the compute kernels so a cached table always equals a cold recompute.
 var SnapshotFuncs = map[string]bool{
 	"snapshot": true, "snapshotVer": true, "Snapshot": true,
 	"cachedRecords": true,

@@ -135,32 +135,52 @@ func (m *Manager) BadCommit(mut *Mutation) error {
 
 // --- read-only cached DP tables (plan cache) ---
 
+// rec locates one vertex's record in the table's slab.
 type rec struct {
 	ver    uint64
 	filled bool
+	cap    int
+	off    int
 }
 
-type entry struct {
+type table struct {
 	recs []rec
+	slab []float64
 }
 
-func (e *entry) cachedRecords() []rec { return e.recs }
+func (t *table) cachedRecords() []rec { return t.recs }
 
-// negative: the selection scan only reads the cached table.
+// negative: the selection scan only reads the records and, through their
+// offsets, the slab.
 
-func (e *entry) Best() int {
-	recs := e.cachedRecords()
+func (t *table) Best(n int) int {
+	recs := t.cachedRecords()
 	for i := range recs {
-		if recs[i].filled {
+		if recs[i].filled && recs[i].cap >= n && t.slab[recs[i].off+n] < 1 {
 			return i
 		}
 	}
 	return -1
 }
 
-// positive: writing through the cached view bypasses the fill path.
+// negative: the compute kernel writes the table it owns directly.
 
-func (e *entry) BadFill(v int) {
-	recs := e.cachedRecords()
+func (t *table) compute(v int, ver uint64) {
+	r := &t.recs[v]
+	t.slab[r.off] = 0
+	r.ver, r.filled = ver, true
+}
+
+// positive: writing through the cached view bypasses the kernels.
+
+func (t *table) BadFill(v int) {
+	recs := t.cachedRecords()
 	recs[v].filled = true // want `write through shared snapshot recs`
+}
+
+// positive: so does moving a record's cells under a reader.
+
+func (t *table) BadMove(v int) {
+	recs := t.cachedRecords()
+	recs[v].off = 0 // want `write through shared snapshot recs`
 }

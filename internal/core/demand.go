@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -57,51 +56,13 @@ func canonDemand(d stats.Normal) stats.Normal {
 	return d
 }
 
-// crossingKey identifies a homogeneous request's full crossing-demand
-// table: the table depends only on the per-VM demand and the VM count.
-type crossingKey struct {
-	demand stats.Normal
-	n      int
-}
-
-// maxCrossingMemo bounds the memo so a long-running manager serving many
-// distinct demand profiles cannot grow it without limit; on overflow the
-// whole memo is dropped and rebuilt (it is a cache, not state).
-const maxCrossingMemo = 4096
-
-var (
-	crossingMemoMu sync.RWMutex
-	crossingMemo   = make(map[crossingKey][]stats.Normal)
-)
-
-// crossingTableHomog returns the memoized crossing-demand table of a
-// homogeneous request: table[m] is CrossingHomog(demand, m, n). The
-// returned slice is shared and must not be mutated. Headroom probes and
-// repeated identical requests hit the memo and skip recomputing Clark's
-// min-of-normals formulas for every split.
-func crossingTableHomog(demand stats.Normal, n int) []stats.Normal {
-	// Key and table use the same canonical demand: a clamped key over a
-	// raw-valued table would let two demands with equal effective moments
-	// read each other's (different) tables.
-	demand = canonDemand(demand)
-	key := crossingKey{demand: demand, n: n}
-	crossingMemoMu.RLock()
-	table := crossingMemo[key]
-	crossingMemoMu.RUnlock()
-	if table != nil {
-		return table
+// crossingTableHomog appends a homogeneous request's crossing-demand
+// table to dst: entry m is CrossingHomog(demand, m, n), for m in [0, n].
+func crossingTableHomog(dst []stats.Normal, demand stats.Normal, n int) []stats.Normal {
+	for m := 0; m <= n; m++ {
+		dst = append(dst, CrossingHomog(demand, m, n))
 	}
-	table = make([]stats.Normal, n+1)
-	for m := range table {
-		table[m] = CrossingHomog(demand, m, n)
-	}
-	crossingMemoMu.Lock()
-	if len(crossingMemo) >= maxCrossingMemo {
-		clear(crossingMemo)
-	}
-	crossingMemo[key] = table
-	crossingMemoMu.Unlock()
-	return table
+	return dst
 }
 
 // demandPrefix precomputes prefix aggregates over an ordered VM sequence so
@@ -115,17 +76,20 @@ type demandPrefix struct {
 }
 
 func newDemandPrefix(demands []stats.Normal) *demandPrefix {
-	n := len(demands)
-	p := &demandPrefix{
-		mu: make([]float64, n+1),
-		vr: make([]float64, n+1),
-	}
-	for i, d := range demands {
-		p.mu[i+1] = p.mu[i] + d.Mu
-		p.vr[i+1] = p.vr[i] + d.Var()
-	}
-	p.all = p.aggregate(0, n)
+	p := new(demandPrefix)
+	p.reset(demands)
 	return p
+}
+
+// reset rebuilds the aggregates for a new sequence, reusing the slices.
+func (p *demandPrefix) reset(demands []stats.Normal) {
+	p.mu = append(p.mu[:0], 0)
+	p.vr = append(p.vr[:0], 0)
+	for i, d := range demands {
+		p.mu = append(p.mu, p.mu[i]+d.Mu)
+		p.vr = append(p.vr, p.vr[i]+d.Var())
+	}
+	p.all = p.aggregate(0, len(demands))
 }
 
 // aggregate returns the distribution of the summed demand of VMs [a, b).

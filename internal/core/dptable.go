@@ -1,0 +1,143 @@
+package core
+
+import (
+	"repro/internal/topology"
+)
+
+// This file holds the storage both allocation DPs (homog.go, hetero.go)
+// keep their per-vertex records in: one table type, used as pooled
+// scratch by a cold plan and as owned storage by a plan-cache entry.
+//
+// A vertex's record is three rows of equal length — optIn, upOcc, alloc —
+// plus one choice row per child. Row lengths depend only on the topology
+// and the request size, never on ledger state: a subtree can take at most
+// min(N, slots below it) VMs. layout therefore assigns every vertex its
+// offsets into three shared slabs before the DP runs, the kernels write
+// only into their own vertex's cells (so one level's vertices can be
+// computed concurrently with no per-worker state), and a plan on a table
+// whose slabs are large enough allocates nothing.
+
+// dpRec locates one vertex's record in the slabs.
+type dpRec struct {
+	ver    uint64 // SubtreeVersion(v) the record was computed under
+	filled bool   // false until computed, and again after a fault-epoch change
+	cap    int    // largest VM count (homogeneous) or substring length (substring DP) the subtree takes now
+	cells  int    // length of each row: (static bound on cap + 1) x stride
+	off    int    // alloc row starts at bl[off]; optIn at f64[2*off], upOcc right behind it
+	pick   int    // child i's choice row starts at i32[pick+i*cells] (internal vertices)
+}
+
+// dpTable is the slab-backed record table.
+type dpTable struct {
+	recs  []dpRec // indexed by NodeID; only in-scope vertices are laid out
+	f64   []float64
+	i32   []int32
+	bl    []bool
+	stale []topology.NodeID // staleAt's result, reused level to level
+	epoch uint64            // Faults().Epoch() the filled records were computed under
+}
+
+// layout sizes the table for a request of n VMs over the scope's vertices
+// and marks every record unfilled. stride is the number of cells per VM
+// count: 1 for the homogeneous DP, n+1 substring anchors for the substring
+// DP. Slabs are reused when large enough; their contents are not cleared —
+// the kernels write every cell before anything reads it.
+func (t *dpTable) layout(topo *topology.Topology, scope *planScope, n, stride int) {
+	t.recs = grow(t.recs, topo.Len())
+	cells, picks := 0, 0
+	for level := 0; level <= scopeHeight(topo, scope); level++ {
+		for _, v := range scopeAtLevel(topo, scope, level) {
+			node := topo.Node(v)
+			// cap starts at its static bound; compute lowers it to what
+			// the ledger leaves free.
+			bound := node.Slots
+			for _, c := range node.Children {
+				bound += t.recs[c].cap
+			}
+			bound = min(n, bound)
+			t.recs[v] = dpRec{cap: bound, cells: (bound + 1) * stride, off: cells, pick: picks}
+			cells += t.recs[v].cells
+			picks += len(node.Children) * t.recs[v].cells
+		}
+	}
+	t.f64 = grow(t.f64, 2*cells)
+	t.bl = grow(t.bl, cells)
+	t.i32 = grow(t.i32, picks)
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// rows returns r's optIn, upOcc and alloc rows.
+func (t *dpTable) rows(r *dpRec) (optIn, upOcc []float64, alloc []bool) {
+	f := t.f64[2*r.off : 2*(r.off+r.cells)]
+	return f[:r.cells], f[r.cells:], t.bl[r.off : r.off+r.cells]
+}
+
+// choice returns r's choice row for its i-th child.
+func (t *dpTable) choice(r *dpRec, i int) []int32 {
+	return t.i32[r.pick+i*r.cells : r.pick+(i+1)*r.cells]
+}
+
+// cachedRecords returns the record table for read-only use by the
+// selection scan and placement reconstruction. A plan-cache entry's table
+// is snapshot-derived shared state (the snapshotro analyzer tracks this
+// accessor): all writes go through the compute kernels, never through the
+// returned view.
+func (t *dpTable) cachedRecords() []dpRec { return t.recs }
+
+// syncEpoch drops every record when the ledger's fault state is not the
+// one they were computed under: reachability is the one DP input that is
+// not subtree-local, so no subtree version covers it.
+func (t *dpTable) syncEpoch(led *Ledger) {
+	if ep := led.Faults().Epoch(); t.epoch != ep {
+		for i := range t.recs {
+			t.recs[i].filled = false
+		}
+		t.epoch = ep
+	}
+}
+
+// staleAt returns the vertices of one level whose records do not reflect
+// led. A record whose subtree version matches is current together with
+// every record below it: any mutation below v restamps v.
+func (t *dpTable) staleAt(led *Ledger, verts []topology.NodeID) []topology.NodeID {
+	t.stale = t.stale[:0]
+	for _, v := range verts {
+		if r := &t.recs[v]; !r.filled || r.ver != led.SubtreeVersion(v) {
+			t.stale = append(t.stale, v)
+		}
+	}
+	return t.stale
+}
+
+// best scans one level, in topology order, for the subtree that can host
+// the whole request — need VMs, whose optimum sits at optIn[whole] — at
+// the smallest optimum. Ties keep the first vertex, and FirstFeasible
+// keeps the first feasible one whatever its value.
+func (t *dpTable) best(verts []topology.NodeID, need, whole int, policy Policy) topology.NodeID {
+	recs := t.cachedRecords()
+	best, bestVal := topology.None, infeasible
+	for _, v := range verts {
+		rec := &recs[v]
+		if rec.cap < need {
+			continue
+		}
+		optIn, _, _ := t.rows(rec)
+		val := optIn[whole]
+		if val == infeasible {
+			continue
+		}
+		if policy == FirstFeasible && best != topology.None {
+			continue
+		}
+		if val < bestVal || best == topology.None {
+			best, bestVal = v, val
+		}
+	}
+	return best
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -34,20 +35,55 @@ func orderByPercentile(req Heterogeneous) (order []int, sorted []stats.Normal) {
 	return order, sorted
 }
 
-// substrRecord is the per-vertex state of the substring heuristic (paper
-// Section V-B): the allocable VM set restricted to contiguous substrings
-// [a, b) of the percentile-sorted VM sequence, indexed by (length, a).
-// All slices are arena-backed and only valid for one allocation call.
-type substrRecord struct {
-	maxLen int
+// substrTable is the DP table of the substring heuristic (paper Section
+// V-B) for one percentile-sorted demand sequence: the allocable VM sets of
+// homogTable restricted to contiguous substrings [a, a+length) of the
+// sequence. A record's rows are indexed by idx(length, a), length up to
+// the record's cap; choice(i)[idx] is the split point k — child i received
+// [k, b). Permutations of one demand multiset share a table: the caller's
+// order slice maps substring positions back to its request's VM indices.
+type substrTable struct {
+	dpTable
 	n      int
-	optIn  []float64 // min over placements of max in-subtree occupancy
-	upOcc  []float64 // uplink occupancy per substring (non-root only)
-	alloc  []bool
-	choice [][]int32 // choice[i][idx]: split point k — child i received [k, b)
+	policy Policy
+	prefix demandPrefix
+	// crossing[idx(length, a)] is the demand a link carries with the
+	// substring [a, a+length) below it — the same for every vertex, so it
+	// is computed once per table, a length at a time as levels need them
+	// (needCrossing); lengths below crossLens are filled.
+	crossing  []stats.Normal
+	crossLens int
 }
 
-func (r *substrRecord) idx(length, a int) int { return length*(r.n+1) + a }
+var substrTablePool = sync.Pool{New: func() any { return new(substrTable) }}
+
+func (t *substrTable) idx(length, a int) int { return length*(t.n+1) + a }
+
+// reset binds the table to a sorted demand sequence and lays it out over
+// the scope's vertices; every record is stale afterwards.
+func (t *substrTable) reset(topo *topology.Topology, scope *planScope, sorted []stats.Normal, policy Policy) {
+	t.n, t.policy = len(sorted), policy
+	t.prefix.reset(sorted)
+	t.crossing = grow(t.crossing, (t.n+1)*(t.n+1))
+	t.crossLens = 0
+	t.layout(topo, scope, t.n, t.n+1)
+}
+
+// needCrossing extends the crossing table to the substring lengths the
+// given vertices' uplinks can see: up to each one's static cap bound.
+func (t *substrTable) needCrossing(topo *topology.Topology, verts []topology.NodeID) {
+	maxLen := -1
+	for _, v := range verts {
+		if topo.Node(v).Parent != topology.None {
+			maxLen = max(maxLen, t.recs[v].cells/(t.n+1)-1)
+		}
+	}
+	for ; t.crossLens <= maxLen; t.crossLens++ {
+		for a := 0; a+t.crossLens <= t.n; a++ {
+			t.crossing[t.idx(t.crossLens, a)] = t.prefix.crossing(a, a+t.crossLens)
+		}
+	}
+}
 
 // AllocateHeteroSubstring runs the paper's polynomial-time heterogeneous
 // heuristic: VMs are sorted by 95th-percentile demand and allocable VM sets
@@ -68,113 +104,111 @@ func AllocateHeteroSubstringWorkers(led *Ledger, req Heterogeneous, policy Polic
 	return allocateHeteroSubstringScoped(led, req, policy, workers, nil)
 }
 
-// allocateHeteroSubstringScoped is the scope-aware driver behind
+// allocateHeteroSubstringScoped is the scope-aware cold plan behind
 // AllocateHeteroSubstringWorkers; see allocateHomogScoped.
 func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy, workers int, scope *planScope) (Placement, []linkDemand, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
-	topo := led.Topology()
 	order, sorted := orderByPercentile(req)
-	prefix := newDemandPrefix(sorted)
-	n := req.N()
-
-	w := resolveWorkers(workers, topo.Len(), n)
-	scr := getSubstrScratch(w, topo.Len())
-	defer putSubstrScratch(scr)
-	records := scr.records
-
-	for level := 0; level <= scopeHeight(topo, scope); level++ {
-		verts := scopeAtLevel(topo, scope, level)
-		forEachVertex(verts, w, func(slot int, v topology.NodeID) {
-			substrCompute(led, topo, v, n, prefix, records, policy, scr.arenas[slot])
-		})
-		var (
-			best    topology.NodeID = topology.None
-			bestVal                 = infeasible
-		)
-		for _, v := range verts {
-			rec := &records[v]
-			if rec.maxLen < n {
-				continue
-			}
-			full := rec.idx(n, 0)
-			if rec.optIn[full] == infeasible {
-				continue
-			}
-			val := rec.optIn[full]
-			if policy == FirstFeasible && best != topology.None {
-				continue
-			}
-			if val < bestVal || best == topology.None {
-				best, bestVal = v, val
-			}
-		}
-		if best != topology.None {
-			var p Placement
-			substrBuild(topo, records, order, best, 0, n, &p)
-			p.normalize()
-			return p, heteroContributions(topo, req, &p), nil
-		}
-	}
-	return Placement{}, nil, fmt.Errorf("%w: %v", ErrNoCapacity, req)
+	return substrPlanCold(led, req, order, sorted, policy, workers, scope)
 }
 
-// substrCompute fills the substring DP record for vertex v. Like
-// homogCompute it only reads the ledger and the children's finalized
-// records, so one level's vertices can run concurrently.
-func substrCompute(led *Ledger, topo *topology.Topology, v topology.NodeID, n int,
-	prefix *demandPrefix, records []substrRecord, policy Policy, ar *arena) {
+// substrPlanCold plans req, whose VMs in percentile order are order with
+// demands sorted, in a pooled table.
+func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.Normal, policy Policy, workers int, scope *planScope) (Placement, []linkDemand, error) {
+	topo := led.Topology()
+	t := substrTablePool.Get().(*substrTable)
+	defer substrTablePool.Put(t)
+	t.reset(topo, scope, sorted, policy)
+	p, contribs, _, err := t.plan(led, scope, req, order, resolveWorkers(workers, topo.Len(), len(order)))
+	return p, contribs, err
+}
 
+// plan is homogTable.plan for the substring DP. order maps substring
+// positions to req's VM indices.
+func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, order []int, workers int) (Placement, []linkDemand, int, error) {
+	topo := led.Topology()
+	t.syncEpoch(led)
+	recomputed := 0
+	for level := 0; level <= scopeHeight(topo, scope); level++ {
+		verts := scopeAtLevel(topo, scope, level)
+		stale := t.staleAt(led, verts)
+		t.needCrossing(topo, stale)
+		forEachVertex(stale, workers, func(v topology.NodeID) { t.compute(led, topo, v) })
+		recomputed += len(stale)
+		if best := t.best(verts, t.n, t.idx(t.n, 0), t.policy); best != topology.None {
+			var p Placement
+			t.build(topo, order, best, 0, t.n, &p)
+			p.normalize()
+			return p, heteroContributions(topo, req, &p), recomputed, nil
+		}
+	}
+	return Placement{}, nil, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, req)
+}
+
+// compute fills the substring DP record for vertex v. Like
+// homogTable.compute it reads the ledger and the children's records and
+// writes only v's own cells, so one level's vertices can run concurrently.
+func (t *substrTable) compute(led *Ledger, topo *topology.Topology, v topology.NodeID) {
 	node := topo.Node(v)
-	rec := &records[v]
-	*rec = substrRecord{n: n}
+	rec := &t.recs[v]
+	optIn, upOcc, alloc := t.rows(rec)
+	n := t.n
 	if node.IsMachine() {
-		rec.maxLen = min(n, led.FreeSlots(v))
-		rec.optIn = ar.f64.alloc((rec.maxLen + 1) * (n + 1))
 		// A machine can hold any substring short enough to fit its free
 		// slots; VMs sharing a machine use no links.
+		rec.cap = min(n, led.FreeSlots(v))
+		clear(optIn[:(rec.cap+1)*(n+1)])
 	} else {
 		capV := 0
 		for _, c := range node.Children {
-			capV += records[c].maxLen
+			capV += t.recs[c].cap
 		}
-		rec.maxLen = min(n, capV)
-		size := (rec.maxLen + 1) * (n + 1)
-		acc := ar.f64.alloc(size)
-		next := ar.f64.alloc(size)
-		for i := range acc {
-			acc[i] = infeasible
+		rec.cap = min(n, capV)
+		// acc and next ping-pong between v's own float rows, and only the
+		// lengths up to reach are initialised and read, as in
+		// homogTable.compute.
+		acc, next := optIn, upOcc
+		if len(node.Children)%2 == 1 {
+			acc, next = next, acc
 		}
-		for a := 0; a <= n; a++ {
-			acc[rec.idx(0, a)] = 0 // empty substring anchored anywhere
-		}
-		rec.choice = ar.s32.alloc(len(node.Children))
+		clear(acc[:n+1]) // the empty substring, anchored anywhere
 		reach := 0
 		for i, c := range node.Children {
-			child := &records[c]
-			pick := ar.i32.alloc(size)
-			for j := range next {
+			child := &t.recs[c]
+			cOpt, cUp, cAlloc := t.rows(child)
+			grown := min(rec.cap, reach+child.cap)
+			pick := t.choice(rec, i)[:(grown+1)*(n+1)]
+			for j := range pick {
 				next[j] = infeasible
 				pick[j] = -1
 			}
 			for aLen := 0; aLen <= reach; aLen++ {
 				for a := 0; a+aLen <= n; a++ {
-					cur := acc[rec.idx(aLen, a)]
+					cur := acc[t.idx(aLen, a)]
 					if cur == infeasible {
 						continue
 					}
 					k := a + aLen // child i continues the substring at k
-					maxChildLen := min(child.maxLen, min(rec.maxLen-aLen, n-k))
+					maxChildLen := min(child.cap, rec.cap-aLen, n-k)
 					for cl := 0; cl <= maxChildLen; cl++ {
-						cIdx := child.idx(cl, k)
-						if !child.alloc[cIdx] {
+						cIdx := t.idx(cl, k)
+						if !cAlloc[cIdx] {
 							continue
 						}
-						tIdx := rec.idx(aLen+cl, a)
+						tIdx := t.idx(aLen+cl, a)
 						val := 0.0
-						if policy == MinMaxOccupancy {
-							val = math.Max(cur, math.Max(child.optIn[cIdx], child.upOcc[cIdx]))
+						if t.policy == MinMaxOccupancy {
+							// Occupancies are never NaN, so these compares
+							// select exactly what math.Max would.
+							val = cur
+							if cOpt[cIdx] > val {
+								val = cOpt[cIdx]
+							}
+							if cUp[cIdx] > val {
+								val = cUp[cIdx]
+							}
 						} else if next[tIdx] != infeasible {
 							continue
 						}
@@ -186,36 +220,30 @@ func substrCompute(led *Ledger, topo *topology.Topology, v topology.NodeID, n in
 				}
 			}
 			acc, next = next, acc
-			rec.choice[i] = pick
-			reach = min(rec.maxLen, reach+child.maxLen)
+			reach = grown
 		}
-		rec.optIn = acc
 	}
 
-	rec.alloc = ar.bl.alloc(len(rec.optIn))
 	isRoot := node.Parent == topology.None
-	if !isRoot {
-		rec.upOcc = ar.f64.alloc(len(rec.optIn))
-	}
-	for length := 0; length <= rec.maxLen; length++ {
+	for length := 0; length <= rec.cap; length++ {
 		for a := 0; a+length <= n; a++ {
-			i := rec.idx(length, a)
-			if rec.optIn[i] == infeasible {
-				continue
+			i := t.idx(length, a)
+			switch {
+			case optIn[i] == infeasible:
+				alloc[i] = false
+			case isRoot:
+				alloc[i] = true
+			default:
+				upOcc[i] = led.OccupancyWith(v, t.crossing[i])
+				alloc[i] = upOcc[i] < 1
 			}
-			if isRoot {
-				rec.alloc[i] = true
-				continue
-			}
-			rec.upOcc[i] = led.OccupancyWith(v, prefix.crossing(a, a+length))
-			rec.alloc[i] = rec.upOcc[i] < 1
 		}
 	}
+	rec.ver, rec.filled = led.SubtreeVersion(v), true
 }
 
-// substrBuild reconstructs the substring assignment [a, b) at vertex v.
-func substrBuild(topo *topology.Topology, records []substrRecord, order []int,
-	v topology.NodeID, a, b int, p *Placement) {
+// build reconstructs the substring assignment [a, b) at vertex v.
+func (t *substrTable) build(topo *topology.Topology, order []int, v topology.NodeID, a, b int, p *Placement) {
 	if a == b {
 		return
 	}
@@ -228,13 +256,13 @@ func substrBuild(topo *topology.Topology, records []substrRecord, order []int,
 		p.Entries = append(p.Entries, PlacementEntry{Machine: v, Count: b - a, VMs: vms})
 		return
 	}
-	rec := &records[v]
+	rec := &t.cachedRecords()[v]
 	for i := len(node.Children) - 1; i >= 0; i-- {
-		k := int(rec.choice[i][rec.idx(b-a, a)])
+		k := int(t.choice(rec, i)[t.idx(b-a, a)])
 		if k < 0 {
 			panic(fmt.Sprintf("core: no recorded split for child %d of node %d over [%d,%d)", i, v, a, b))
 		}
-		substrBuild(topo, records, order, node.Children[i], k, b, p)
+		t.build(topo, order, node.Children[i], k, b, p)
 		b = k
 	}
 	if b != a {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -45,17 +46,38 @@ func (p Policy) String() string {
 // infeasible marks unreachable DP states.
 var infeasible = math.Inf(1)
 
-// homogRecord is the per-vertex state of Algorithm 1: the allocable VM set
-// (paper Definition 1) with, for each allocable count, the optimal max
-// occupancy of the links strictly inside the subtree and the per-child
-// split choices needed to reconstruct the allocation. All slices are
-// arena-backed and only valid for the duration of one allocation call.
-type homogRecord struct {
-	cap    int       // largest VM count worth considering in this subtree
-	optIn  []float64 // optIn[e]: min over placements of max in-subtree occupancy; infeasible if e not placeable
-	upOcc  []float64 // upOcc[e]: occupancy of this vertex's uplink with e VMs inside (unused for the root)
-	alloc  []bool    // alloc[e]: e is in the allocable VM set (subtree + uplink constraints)
-	choice [][]int32 // choice[i][s]: VMs given to child i when the first i+1 children hold s (internal vertices only)
+// homogTable is the DP table of Algorithm 1 for one request shape. Per
+// vertex it records the allocable VM set (paper Definition 1): for each
+// count e up to the record's cap,
+//
+//   - optIn[e]: the min over placements of e VMs in the subtree of the max
+//     occupancy of the links strictly inside it (infeasible if e cannot be
+//     placed),
+//   - upOcc[e]: the occupancy of the vertex's uplink with e VMs inside,
+//   - alloc[e]: e satisfies the subtree and uplink constraints,
+//   - choice(i)[s]: the VMs given to child i when the first i+1 children
+//     hold s, which is what reconstructs the placement.
+//
+// The same table serves a cold plan (drawn from homogTablePool, every
+// record computed) and a plan-cache entry (kept between plans, only the
+// records whose subtree version moved recomputed), so the two cannot
+// disagree.
+type homogTable struct {
+	dpTable
+	req      Homogeneous // demand canonicalized (canonDemand)
+	policy   Policy
+	crossing []stats.Normal // crossing[m]: demand on a link with m of the N VMs below
+}
+
+var homogTablePool = sync.Pool{New: func() any { return new(homogTable) }}
+
+// reset binds the table to a request shape and lays it out over the
+// scope's vertices; every record is stale afterwards.
+func (t *homogTable) reset(topo *topology.Topology, scope *planScope, req Homogeneous, policy Policy) {
+	req.Demand = canonDemand(req.Demand)
+	t.req, t.policy = req, policy
+	t.crossing = crossingTableHomog(t.crossing[:0], req.Demand, req.N)
+	t.layout(topo, scope, req.N, 1)
 }
 
 // AllocateHomog runs the paper's homogeneous VM allocation over the current
@@ -77,76 +99,65 @@ func AllocateHomogWorkers(led *Ledger, req Homogeneous, policy Policy, workers i
 	return allocateHomogScoped(led, req, policy, workers, nil)
 }
 
-// allocateHomogScoped is the scope-aware driver behind AllocateHomogWorkers:
-// with a non-nil scope the level loop, vertex records and selection scan are
-// confined to the scope's subtree (see planScope), so a pod-local manager
-// never places VMs outside its pod.
+// allocateHomogScoped is the scope-aware cold plan behind
+// AllocateHomogWorkers: with a non-nil scope the level loop, vertex
+// records and selection scan are confined to the scope's subtree (see
+// planScope), so a pod-local manager never places VMs outside its pod. It
+// runs in a pooled table and, once the pool is warm, allocates nothing
+// but the placement it returns.
 func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, workers int, scope *planScope) (Placement, []linkDemand, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
 	topo := led.Topology()
+	t := homogTablePool.Get().(*homogTable)
+	defer homogTablePool.Put(t)
+	t.reset(topo, scope, req, policy)
+	p, contribs, _, err := t.plan(led, scope, resolveWorkers(workers, topo.Len(), req.N))
+	return p, contribs, err
+}
 
-	// Crossing-demand table: crossing[m] is the demand the request places
-	// on a link with m of its N VMs below (symmetric in m <-> N-m).
-	// Memoized across calls — Headroom and repeated identical requests
-	// skip recomputing Clark's formulas entirely.
-	crossing := crossingTableHomog(req.Demand, req.N)
-
-	w := resolveWorkers(workers, topo.Len(), req.N)
-	scr := getHomogScratch(w, topo.Len())
-	defer putHomogScratch(scr)
-	records := scr.records
-
+// plan brings the table up to date with led level by level — recomputing
+// only the records whose subtree version moved since they were filled —
+// and returns the placement in the lowest subtree that hosts the request,
+// with the number of records it recomputed.
+func (t *homogTable) plan(led *Ledger, scope *planScope, workers int) (Placement, []linkDemand, int, error) {
+	topo := led.Topology()
+	t.syncEpoch(led)
+	recomputed := 0
 	for level := 0; level <= scopeHeight(topo, scope); level++ {
 		verts := scopeAtLevel(topo, scope, level)
+		stale := t.staleAt(led, verts)
 		// Fan a level out only when its records carry enough DP work to
 		// amortize the goroutine handoff; small levels (and whole small
 		// trees) run sequentially regardless of the worker count.
-		lw := w
-		if lw > 1 && homogLevelWork(topo, verts, records, req.N) < parallelMinLevelWork {
+		lw := workers
+		if lw > 1 && t.levelWork(topo, stale) < parallelMinLevelWork {
 			lw = 1
 		}
-		forEachVertex(verts, lw, func(slot int, v topology.NodeID) {
-			homogCompute(led, topo, v, req.N, crossing, records, policy, scr.arenas[slot])
-		})
+		forEachVertex(stale, lw, func(v topology.NodeID) { t.compute(led, topo, v) })
+		recomputed += len(stale)
 		// The selection scan stays sequential in topology order so
-		// tie-breaking matches the sequential path exactly.
-		var (
-			best    topology.NodeID = topology.None
-			bestVal                 = infeasible
-		)
-		for _, v := range verts {
-			rec := &records[v]
-			if rec.cap < req.N || rec.optIn[req.N] == infeasible {
-				continue
-			}
-			val := rec.optIn[req.N]
-			if policy == FirstFeasible && best != topology.None {
-				continue // keep the first feasible subtree at this level
-			}
-			if val < bestVal || best == topology.None {
-				best, bestVal = v, val
-			}
-		}
-		if best != topology.None {
+		// tie-breaking does not depend on the worker count.
+		if best := t.best(verts, t.req.N, t.req.N, t.policy); best != topology.None {
 			var p Placement
-			homogBuild(topo, records, best, req.N, &p)
+			t.build(topo, best, t.req.N, &p)
 			p.normalize()
-			return p, homogContributions(topo, req, &p), nil
+			return p, homogContributions(topo, t.req, &p), recomputed, nil
 		}
 	}
-	return Placement{}, nil, fmt.Errorf("%w: %v", ErrNoCapacity, req)
+	return Placement{}, nil, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, t.req)
 }
 
-// homogLevelWork estimates the inner DP iterations homogCompute will
-// spend on one level's vertices: the machine base cases cost their slot
-// scan, and an internal vertex costs the (h, e) pair loops of its child
-// combine — Σ over children of (child cap + 1) × (vertex cap + 1). The
-// children's records are already finalized when a level is visited, so
-// the estimate uses the exact caps the loops will see. The walk itself is
-// O(edges at this level), negligible against the DP it gates.
-func homogLevelWork(topo *topology.Topology, verts []topology.NodeID, records []homogRecord, n int) int {
+// levelWork estimates the inner DP iterations compute will spend on one
+// level's vertices: the machine base cases cost their slot scan, and an
+// internal vertex costs the (h, e) pair loops of its child combine — Σ
+// over children of (child cap + 1) × (vertex cap + 1). The children's
+// records are already finalized when a level is visited, so the estimate
+// uses the exact caps the loops will see. The walk itself is O(edges at
+// this level), negligible against the DP it gates.
+func (t *homogTable) levelWork(topo *topology.Topology, verts []topology.NodeID) int {
+	n := t.req.N
 	work := 0
 	for _, v := range verts {
 		node := topo.Node(v)
@@ -156,115 +167,133 @@ func homogLevelWork(topo *topology.Topology, verts []topology.NodeID, records []
 		}
 		capV := 0
 		for _, c := range node.Children {
-			capV += records[c].cap
+			capV += t.recs[c].cap
 		}
 		capV = min(n, capV)
 		for _, c := range node.Children {
-			work += (min(records[c].cap, capV) + 1) * (capV + 1)
+			work += (min(t.recs[c].cap, capV) + 1) * (capV + 1)
 		}
 	}
 	return work
 }
 
-// homogCompute fills the DP record for vertex v from its children's
-// records (which the level-order traversal has already computed). It only
-// reads the ledger and the children's finalized records, so vertices of
-// one level can be computed concurrently, each worker with its own arena.
-func homogCompute(led *Ledger, topo *topology.Topology, v topology.NodeID, n int,
-	crossing []stats.Normal, records []homogRecord, policy Policy, ar *arena) {
-
+// compute fills the DP record for vertex v from its children's records
+// (which the level-order traversal has already brought up to date). It
+// reads the ledger and the children's records and writes only v's own
+// cells, so vertices of one level can be computed concurrently.
+func (t *homogTable) compute(led *Ledger, topo *topology.Topology, v topology.NodeID) {
 	node := topo.Node(v)
-	rec := &records[v]
-	*rec = homogRecord{}
+	rec := &t.recs[v]
+	optIn, upOcc, alloc := t.rows(rec)
 	if node.IsMachine() {
 		// Leaf base case: any count up to the free slots fits, and VMs on
 		// the same machine use no links, so the in-subtree occupancy is 0.
-		rec.cap = min(n, led.FreeSlots(v))
-		rec.optIn = ar.f64.alloc(rec.cap + 1)
+		rec.cap = min(t.req.N, led.FreeSlots(v))
+		clear(optIn[:rec.cap+1])
 	} else {
 		// Combine children left to right: acc[s] is the optimal value of
-		// placing s VMs in the first i child subtrees, where a child
-		// taking e VMs costs max(child in-subtree optimum, child uplink
-		// occupancy) — Eq. 11 specialized to the incremental tree T_v[i].
-		// acc and next ping-pong between two arena buffers; only the
-		// final one survives as rec.optIn.
+		// placing s VMs in the first i child subtrees — Eq. 11 specialized
+		// to the incremental tree T_v[i]. acc and next ping-pong between
+		// v's own two float rows (upOcc is not needed until the combine is
+		// over), starting on the one that leaves the last result in optIn.
+		// Only sums up to reach exist at any point, so only those cells are
+		// initialised and read; reach ends at rec.cap.
 		capV := 0
 		for _, c := range node.Children {
-			capV += records[c].cap
+			capV += t.recs[c].cap
 		}
-		rec.cap = min(n, capV)
-		acc := ar.f64.alloc(rec.cap + 1)
-		next := ar.f64.alloc(rec.cap + 1)
-		for s := 1; s <= rec.cap; s++ {
-			acc[s] = infeasible
+		rec.cap = min(t.req.N, capV)
+		acc, next := optIn, upOcc
+		if len(node.Children)%2 == 1 {
+			acc, next = next, acc
 		}
-		rec.choice = ar.s32.alloc(len(node.Children))
+		acc[0] = 0
 		reach := 0 // largest sum reachable with the children combined so far
 		for i, c := range node.Children {
-			child := &records[c]
-			pick := ar.i32.alloc(rec.cap + 1)
-			for s := range next {
+			child := &t.recs[c]
+			cOpt, cUp, cAlloc := t.rows(child)
+			grown := min(rec.cap, reach+child.cap)
+			pick := t.choice(rec, i)[:grown+1]
+			for s := range pick {
 				next[s] = infeasible
 				pick[s] = -1
 			}
-			for h := 0; h <= reach; h++ {
-				if acc[h] == infeasible {
-					continue
-				}
-				for e := 0; e <= child.cap && h+e <= rec.cap; e++ {
-					if !child.alloc[e] {
-						continue
-					}
-					switch policy {
-					case MinMaxOccupancy:
-						val := math.Max(acc[h], math.Max(child.optIn[e], child.upOcc[e]))
-						if val < next[h+e] {
-							next[h+e] = val
-							pick[h+e] = int32(e)
-						}
-					case GreedyPack:
-						// e iterates ascending, so overwriting keeps the
-						// largest feasible share in this child.
-						next[h+e] = 0
-						pick[h+e] = int32(e)
-					default: // FirstFeasible keeps the split found first
-						if next[h+e] == infeasible {
-							next[h+e] = 0
-							pick[h+e] = int32(e)
-						}
-					}
-				}
-			}
+			homogCombine(t.policy, acc[:reach+1], next[:grown+1], pick, cOpt, cUp, cAlloc[:child.cap+1])
 			acc, next = next, acc
-			rec.choice[i] = pick
-			reach = min(rec.cap, reach+child.cap)
+			reach = grown
 		}
-		rec.optIn = acc
 	}
 
 	// Uplink occupancy and the allocable VM set (Definition 1). The root
 	// has no uplink; every other vertex must keep its uplink admissible.
-	rec.alloc = ar.bl.alloc(rec.cap + 1)
 	isRoot := node.Parent == topology.None
-	if !isRoot {
-		rec.upOcc = ar.f64.alloc(rec.cap + 1)
-	}
 	for e := 0; e <= rec.cap; e++ {
-		if rec.optIn[e] == infeasible {
+		switch {
+		case optIn[e] == infeasible:
+			alloc[e] = false
+		case isRoot:
+			alloc[e] = true
+		default:
+			upOcc[e] = led.OccupancyWith(v, t.crossing[e])
+			alloc[e] = upOcc[e] < 1
+		}
+	}
+	rec.ver, rec.filled = led.SubtreeVersion(v), true
+}
+
+// homogCombine folds one child into the running combine of its parent:
+// with acc[h] the optimum of h VMs in the children before it, and the
+// child taking e of its allocable counts at cost max(cOpt[e], cUp[e]) —
+// its in-subtree optimum and its uplink — it lowers next[h+e] and records
+// e in pick[h+e]. len(next)-1 is the parent's cap, len(cAlloc)-1 the
+// child's. The policy picks among feasible splits: MinMaxOccupancy the
+// smallest max (first found on ties), GreedyPack the last found,
+// FirstFeasible the first. Occupancies are never NaN, so the compares
+// below select exactly what math.Max would.
+func homogCombine(policy Policy, acc, next []float64, pick []int32, cOpt, cUp []float64, cAlloc []bool) {
+	for h, cur := range acc {
+		if cur == infeasible {
 			continue
 		}
-		if isRoot {
-			rec.alloc[e] = true
-			continue
+		room := min(len(cAlloc), len(next)-h)
+		into, from := next[h:h+room], pick[h:h+room]
+		cOpt, cUp := cOpt[:room], cUp[:room]
+		switch policy {
+		case MinMaxOccupancy:
+			for e, ok := range cAlloc[:room] {
+				if !ok {
+					continue
+				}
+				val := cur
+				if cOpt[e] > val {
+					val = cOpt[e]
+				}
+				if cUp[e] > val {
+					val = cUp[e]
+				}
+				if val < into[e] {
+					into[e], from[e] = val, int32(e)
+				}
+			}
+		case GreedyPack:
+			for e, ok := range cAlloc[:room] {
+				if ok {
+					into[e], from[e] = 0, int32(e)
+				}
+			}
+		default: // FirstFeasible keeps the split found first
+			for e, ok := range cAlloc[:room] {
+				if ok && into[e] == infeasible {
+					into[e], from[e] = 0, int32(e)
+				}
+			}
 		}
-		rec.upOcc[e] = led.OccupancyWith(v, crossing[e])
-		rec.alloc[e] = rec.upOcc[e] < 1
 	}
 }
 
-// homogBuild reconstructs the chosen placement by replaying the recorded
+// build reconstructs the chosen placement by replaying the recorded
 // per-child split choices top-down.
-func homogBuild(topo *topology.Topology, records []homogRecord, v topology.NodeID, s int, p *Placement) {
+func (t *homogTable) build(topo *topology.Topology, v topology.NodeID, s int, p *Placement) {
 	if s == 0 {
 		return
 	}
@@ -273,13 +302,13 @@ func homogBuild(topo *topology.Topology, records []homogRecord, v topology.NodeI
 		p.Entries = append(p.Entries, PlacementEntry{Machine: v, Count: s})
 		return
 	}
-	rec := &records[v]
+	rec := &t.cachedRecords()[v]
 	for i := len(node.Children) - 1; i >= 0; i-- {
-		e := int(rec.choice[i][s])
+		e := int(t.choice(rec, i)[s])
 		if e < 0 {
 			panic(fmt.Sprintf("core: no recorded choice for child %d of node %d at sum %d", i, v, s))
 		}
-		homogBuild(topo, records, node.Children[i], e, p)
+		t.build(topo, node.Children[i], e, p)
 		s -= e
 	}
 	if s != 0 {

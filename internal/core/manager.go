@@ -370,9 +370,16 @@ func (m *Manager) Headroom(req Homogeneous, limit int) (int, error) {
 	if limit <= 0 {
 		limit = scratch.TotalFreeSlots()/req.N + 1
 	}
+	// One table for the whole probe: each commit below restamps only the
+	// paths it touched, so the next plan recomputes just those records.
+	topo := scratch.Topology()
+	t := homogTablePool.Get().(*homogTable)
+	defer homogTablePool.Put(t)
+	t.reset(topo, m.scope, req, m.policy)
+	workers := resolveWorkers(0, topo.Len(), req.N)
 	count := 0
 	for count < limit {
-		p, contribs, err := allocateHomogScoped(scratch, req, m.policy, 0, m.scope)
+		p, contribs, _, err := t.plan(scratch, m.scope, workers)
 		if err != nil {
 			if errors.Is(err, ErrNoCapacity) {
 				break

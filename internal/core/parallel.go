@@ -22,7 +22,7 @@ const (
 	// requests make each vertex record trivially cheap.
 	parallelMinVMs = 4
 	// parallelMinLevelWork gates fan-out per tree level, measured in
-	// estimated inner DP iterations (see homogLevelWork). The paper-scale
+	// estimated inner DP iterations (see homogTable.levelWork). The paper-scale
 	// topology peaks around 250k iterations per level, where measured
 	// fan-out overhead still exceeds the win, so levels below this bound
 	// always run sequentially — even with an explicit worker count.
@@ -50,15 +50,14 @@ func resolveWorkers(requested, nodes, n int) int {
 
 // forEachVertex invokes fn for every vertex, fanning contiguous chunks
 // out to at most `workers` goroutines (the caller's goroutine counts as
-// worker 0). fn must be safe to run concurrently for distinct vertices;
-// the slot argument in [0, workers) lets each worker use its own arena.
-func forEachVertex(vertices []topology.NodeID, workers int, fn func(slot int, v topology.NodeID)) {
+// worker 0). fn must be safe to run concurrently for distinct vertices.
+func forEachVertex(vertices []topology.NodeID, workers int, fn func(v topology.NodeID)) {
 	if workers > len(vertices) {
 		workers = len(vertices)
 	}
 	if workers <= 1 {
 		for _, v := range vertices {
-			fn(0, v)
+			fn(v)
 		}
 		return
 	}
@@ -71,15 +70,15 @@ func forEachVertex(vertices []topology.NodeID, workers int, fn func(slot int, v 
 		}
 		hi := min(lo+chunk, len(vertices))
 		wg.Add(1)
-		go func(slot int, verts []topology.NodeID) {
+		go func(verts []topology.NodeID) {
 			defer wg.Done()
 			for _, v := range verts {
-				fn(slot, v)
+				fn(v)
 			}
-		}(slot, vertices[lo:hi])
+		}(vertices[lo:hi])
 	}
 	for _, v := range vertices[:min(chunk, len(vertices))] {
-		fn(0, v)
+		fn(v)
 	}
 	wg.Wait()
 }

@@ -59,8 +59,8 @@ func TestParallelHomogMatchesSequential(t *testing.T) {
 }
 
 // TestParallelHomogRandomTopologies fuzzes the equivalence across random
-// topologies, background loads and worker counts, exercising scratch
-// arena reuse across calls with different tree shapes.
+// topologies, background loads and worker counts, exercising pooled
+// table reuse across calls with different tree shapes.
 func TestParallelHomogRandomTopologies(t *testing.T) {
 	r := stats.NewRand(31337)
 	compared := 0
@@ -122,12 +122,13 @@ func TestParallelSubstringMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCrossingTableMemo: the memoized table must equal direct
-// CrossingHomog evaluation entry for entry.
-func TestCrossingTableMemo(t *testing.T) {
+// TestCrossingTable: the table must equal direct CrossingHomog evaluation
+// entry for entry, also when it is rebuilt into a buffer it used before.
+func TestCrossingTable(t *testing.T) {
 	d := stats.Normal{Mu: 250, Sigma: 80}
-	for pass := 0; pass < 2; pass++ { // second pass hits the memo
-		table := crossingTableHomog(d, 12)
+	table := crossingTableHomog(nil, stats.Normal{Mu: 1}, 30)
+	for pass := 0; pass < 2; pass++ { // both passes overwrite a used buffer
+		table = crossingTableHomog(table[:0], d, 12)
 		if len(table) != 13 {
 			t.Fatalf("pass %d: table has %d entries, want 13", pass, len(table))
 		}
@@ -288,21 +289,20 @@ func TestManagerSnapshotFreshness(t *testing.T) {
 
 // homogLevelWorks replays the level loop of AllocateHomogWorkers
 // sequentially and returns the per-level work estimates the fan-out gate
-// will see — the records passed to homogLevelWork are in exactly the
-// state the gate inspects them in.
+// will see — the table's records are in exactly the state the gate
+// inspects them in.
 func homogLevelWorks(t testing.TB, led *Ledger, req Homogeneous) []int {
 	t.Helper()
 	topo := led.Topology()
-	crossing := crossingTableHomog(req.Demand, req.N)
-	scr := getHomogScratch(1, topo.Len())
-	defer putHomogScratch(scr)
+	tbl := new(homogTable)
+	tbl.reset(topo, nil, req, MinMaxOccupancy)
 	works := make([]int, 0, topo.Height()+1)
 	for level := 0; level <= topo.Height(); level++ {
 		verts := topo.AtLevel(level)
-		works = append(works, homogLevelWork(topo, verts, scr.records, req.N))
-		forEachVertex(verts, 1, func(slot int, v topology.NodeID) {
-			homogCompute(led, topo, v, req.N, crossing, scr.records, MinMaxOccupancy, scr.arenas[0])
-		})
+		works = append(works, tbl.levelWork(topo, verts))
+		for _, v := range verts {
+			tbl.compute(led, topo, v)
+		}
 	}
 	return works
 }

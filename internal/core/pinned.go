@@ -87,7 +87,7 @@ func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinn
 		return Placement{}, nil, fmt.Errorf("%w: %d pinned VMs exceed request size %d", ErrBadRequest, totalPinned, req.N)
 	}
 
-	crossing := crossingTableHomog(req.Demand, req.N)
+	crossing := crossingTableHomog(nil, req.Demand, req.N)
 	records := make([]pinnedRecord, topo.Len())
 
 	for level := 0; level <= scopeHeight(topo, scope); level++ {
@@ -125,7 +125,7 @@ func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinn
 }
 
 // pinnedCompute fills the DP record for one vertex; the mirror of
-// homogCompute with lower bounds and the optional relaxed uplink check.
+// homogTable.compute with lower bounds and the optional relaxed uplink check.
 func pinnedCompute(led *Ledger, topo *topology.Topology, v topology.NodeID, n int,
 	crossing []stats.Normal, records []pinnedRecord, policy Policy,
 	pinnedInside int, pinned map[topology.NodeID]int, relax bool) {
@@ -165,32 +165,7 @@ func pinnedCompute(led *Ledger, topo *topology.Topology, v topology.NodeID, n in
 				next[s] = infeasible
 				pick[s] = -1
 			}
-			for h := 0; h <= reach; h++ {
-				if acc[h] == infeasible {
-					continue
-				}
-				for e := 0; e <= child.cap && h+e <= rec.cap; e++ {
-					if !child.alloc[e] {
-						continue
-					}
-					switch policy {
-					case MinMaxOccupancy:
-						val := max(acc[h], max(child.optIn[e], child.upOcc[e]))
-						if val < next[h+e] {
-							next[h+e] = val
-							pick[h+e] = int32(e)
-						}
-					case GreedyPack:
-						next[h+e] = 0
-						pick[h+e] = int32(e)
-					default: // FirstFeasible
-						if next[h+e] == infeasible {
-							next[h+e] = 0
-							pick[h+e] = int32(e)
-						}
-					}
-				}
-			}
+			homogCombine(policy, acc[:reach+1], next, pick, child.optIn, child.upOcc, child.alloc)
 			acc, next = next, acc
 			rec.choice[i] = pick
 			reach = min(rec.cap, reach+child.cap)
@@ -218,7 +193,7 @@ func pinnedCompute(led *Ledger, topo *topology.Topology, v topology.NodeID, n in
 	}
 }
 
-// pinnedBuild reconstructs the chosen placement (mirror of homogBuild).
+// pinnedBuild reconstructs the chosen placement (mirror of homogTable.build).
 func pinnedBuild(topo *topology.Topology, records []pinnedRecord, v topology.NodeID, s int, p *Placement) {
 	if s == 0 {
 		return

@@ -135,7 +135,9 @@ func rollback(led *Ledger, p *Placement, contribs []linkDemand) {
 func vmsInsideLink(topo *topology.Topology, p *Placement) map[topology.LinkID]int {
 	inside := make(map[topology.LinkID]int)
 	for _, e := range p.Entries {
-		for _, link := range topo.PathToRoot(e.Machine) {
+		// The uplinks from the machine to the root, walked in place:
+		// PathToRoot would allocate the path for every entry.
+		for link := e.Machine; topo.Node(link).Parent != topology.None; link = topo.Node(link).Parent {
 			inside[link] += e.Count
 		}
 	}
@@ -186,7 +188,7 @@ func heteroContributions(topo *topology.Topology, req Heterogeneous, p *Placemen
 			mu += req.Demands[vm].Mu
 			vr += req.Demands[vm].Var()
 		}
-		for _, link := range topo.PathToRoot(e.Machine) {
+		for link := e.Machine; topo.Node(link).Parent != topology.None; link = topo.Node(link).Parent {
 			a := inside[link]
 			a.mu += mu
 			a.vr += vr

@@ -6,57 +6,216 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
-// TestPlanCacheEquivalenceHomog fuzzes the memoized homogeneous DP
-// against the cold one: across random topologies and random
-// commit/rollback/background-demand/fault/slot interleavings, every
-// cached plan must be bit-identical to a fresh DP run on the same
-// ledger state — same feasibility, same placement entries, same link
-// contributions.
+// cachedShape is one request shape as the equivalence tests drive it:
+// through a plan cache, and through a table nothing has used before — the
+// reference every cached plan must equal bit for bit.
+type cachedShape struct {
+	cached func(c *planCache, led *Ledger) (Placement, []linkDemand, error)
+	fresh  planFunc
+}
+
+func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
+	return cachedShape{
+		cached: func(c *planCache, led *Ledger) (Placement, []linkDemand, error) {
+			return c.allocateHomog(led, req, policy, scope)
+		},
+		fresh: func(led *Ledger) (Placement, []linkDemand, error) {
+			t := new(homogTable)
+			t.reset(led.Topology(), scope, req, policy)
+			p, contribs, _, err := t.plan(led, scope, 1)
+			return p, contribs, err
+		},
+	}
+}
+
+func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape {
+	return cachedShape{
+		cached: func(c *planCache, led *Ledger) (Placement, []linkDemand, error) {
+			return c.allocateHeteroSubstring(led, req, policy, scope)
+		},
+		fresh: func(led *Ledger) (Placement, []linkDemand, error) {
+			order, sorted := orderByPercentile(req)
+			t := new(substrTable)
+			t.reset(led.Topology(), scope, sorted, policy)
+			p, contribs, _, err := t.plan(led, scope, req, order, 1)
+			return p, contribs, err
+		},
+	}
+}
+
+// planBoth plans the shape through the cache and on a fresh table and
+// fails unless the two agree: same feasibility, same placement entries,
+// same link contributions.
+func planBoth(t *testing.T, where string, c *planCache, led *Ledger, s cachedShape) (Placement, []linkDemand, error) {
+	t.Helper()
+	p, contribs, err := s.cached(c, led)
+	fp, fcontribs, ferr := s.fresh(led)
+	if (err == nil) != (ferr == nil) {
+		t.Fatalf("%s: cached err = %v, fresh-table err = %v", where, err, ferr)
+	}
+	if err == nil {
+		if !reflect.DeepEqual(p.Entries, fp.Entries) {
+			t.Fatalf("%s: cached placement %v != fresh-table %v", where, &p, &fp)
+		}
+		if !reflect.DeepEqual(contribs, fcontribs) {
+			t.Fatalf("%s: cached contribs differ from the fresh table's", where)
+		}
+	}
+	return p, contribs, err
+}
+
+// randomScope returns nil or the plan scope of a random switch.
+func randomScope(t *testing.T, r *stats.Rand, tp *topology.Topology) *planScope {
+	t.Helper()
+	if r.IntN(2) == 0 {
+		return nil
+	}
+	level := r.UniformInt(1, tp.Height())
+	verts := tp.AtLevel(level)
+	scope, err := newPlanScope(tp, verts[r.IntN(len(verts))])
+	if err != nil {
+		t.Fatalf("newPlanScope: %v", err)
+	}
+	return scope
+}
+
+var allPolicies = []Policy{MinMaxOccupancy, FirstFeasible, GreedyPack}
+
+// checkCacheLifecycle walks one shape through every state the cache can
+// hold it in — first sight, promoted, hit, evicted, first sight again,
+// re-promoted — with a commit, a release and a fault-epoch change between
+// plans, checking the counters and the fresh-table equivalence at every
+// step. fillers are enough other shapes to push the subject out.
+func checkCacheLifecycle(t *testing.T, led *Ledger, subject cachedShape, fillers []cachedShape) {
+	t.Helper()
+	c := newPlanCache()
+	step := func(where string, wantHits, wantMisses int64) (Placement, []linkDemand) {
+		t.Helper()
+		before := c.snapshot()
+		p, contribs, err := planBoth(t, where, c, led, subject)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		after := c.snapshot()
+		if after.Hits-before.Hits != wantHits || after.Misses-before.Misses != wantMisses {
+			t.Fatalf("%s: counted %d hits %d misses, want %d and %d", where,
+				after.Hits-before.Hits, after.Misses-before.Misses, wantHits, wantMisses)
+		}
+		return p, contribs
+	}
+
+	p, contribs := step("first sight", 0, 1)
+	commit(led, &p, contribs)
+	step("second sight, after a commit", 0, 1)
+	step("hit", 1, 0)
+	if st := c.snapshot(); st.Invalidations != 0 {
+		t.Fatalf("unchanged replan recomputed %d records", st.Invalidations)
+	}
+	rollback(led, &p, contribs)
+	step("hit after a release", 1, 0)
+	if st := c.snapshot(); st.Invalidations == 0 {
+		t.Fatal("a release under a resident entry invalidated nothing")
+	}
+	m := led.Topology().Machines()[0]
+	led.Faults().FailMachine(m)
+	step("hit across a fault epoch", 1, 0)
+	led.Faults().RestoreMachine(m)
+	step("hit after the restore", 1, 0)
+
+	for i, f := range fillers {
+		for sight := 0; sight < 2; sight++ {
+			planBoth(t, "filler", c, led, f)
+		}
+		if st := c.snapshot(); i < len(fillers)-1 && st.Evictions != 0 {
+			t.Fatalf("evicted after %d of %d fillers", i+1, len(fillers))
+		}
+	}
+	if st := c.snapshot(); st.Evictions != 1 {
+		t.Fatalf("after the fillers: %+v, want exactly the subject evicted", st)
+	}
+	p, contribs = step("first sight after eviction", 0, 1)
+	commit(led, &p, contribs)
+	step("re-promoted, after a commit", 0, 1)
+	step("hit on the re-promoted entry", 1, 0)
+	rollback(led, &p, contribs)
+}
+
+// lifecycleLedger returns a fresh ledger over smallThreeTier and, when
+// scoped, the plan scope of its first rack.
+func lifecycleLedger(t *testing.T, scoped bool) (*Ledger, *planScope) {
+	t.Helper()
+	tp := mustTopo(smallThreeTier())
+	led, err := NewLedger(tp, 0.05)
+	if err != nil {
+		t.Fatalf("NewLedger: %v", err)
+	}
+	if !scoped {
+		return led, nil
+	}
+	scope, err := newPlanScope(tp, tp.AtLevel(1)[0])
+	if err != nil {
+		t.Fatalf("newPlanScope: %v", err)
+	}
+	return led, scope
+}
+
+// TestPlanCacheEquivalenceHomog holds the cached homogeneous DP to the
+// cold one. The lifecycle half walks one shape through every cache state
+// for each policy, scoped and unscoped; the fuzz half runs random
+// topologies, scopes and commit/rollback/background-demand/fault/slot
+// interleavings over a pool of repeating shapes plus one-off ones. Every
+// cached plan must be bit-identical to a fresh table's on the same ledger
+// state.
 func TestPlanCacheEquivalenceHomog(t *testing.T) {
+	for _, policy := range allPolicies {
+		for _, scoped := range []bool{false, true} {
+			led, scope := lifecycleLedger(t, scoped)
+			subject := homogShape(Homogeneous{N: 2, Demand: stats.Normal{Mu: 5, Sigma: 2}}, policy, scope)
+			fillers := make([]cachedShape, maxHomogPlanEntries)
+			for i := range fillers {
+				fillers[i] = homogShape(Homogeneous{N: 1, Demand: stats.Normal{Mu: 1 + float64(i), Sigma: 1}}, policy, scope)
+			}
+			checkCacheLifecycle(t, led, subject, fillers)
+		}
+	}
+
 	r := stats.NewRand(4242)
-	hits := 0
+	var total planCacheStats
 	for trial := 0; trial < 40; trial++ {
 		tp := randomTopology(r)
 		led, err := NewLedger(tp, 0.05)
 		if err != nil {
 			t.Fatalf("trial %d: NewLedger: %v", trial, err)
 		}
+		scope := randomScope(t, r, tp)
 		cache := newPlanCache()
-		// A small demand pool keyed repeatedly, so most plans hit warm
-		// entries and exercise the incremental recompute path.
-		demands := make([]stats.Normal, 3)
-		for i := range demands {
-			demands[i] = stats.Normal{Mu: r.UniformRange(1, 12), Sigma: r.UniformRange(0, 5)}
+		randShape := func() cachedShape {
+			req := Homogeneous{
+				N:      r.UniformInt(1, min(6, tp.TotalSlots())),
+				Demand: stats.Normal{Mu: r.UniformRange(1, 12), Sigma: r.UniformRange(0, 5)},
+			}
+			return homogShape(req, allPolicies[r.IntN(len(allPolicies))], scope)
+		}
+		// Two more repeating shapes than the cache holds, so residents
+		// are hit, recomputed, evicted and re-promoted along the way.
+		pool := make([]cachedShape, maxHomogPlanEntries+2)
+		for i := range pool {
+			pool[i] = randShape()
 		}
 		type liveJob struct {
 			p        Placement
 			contribs []linkDemand
 		}
 		var jobs []liveJob
-		for step := 0; step < 40; step++ {
-			policy := MinMaxOccupancy
-			if step%5 == 4 {
-				policy = FirstFeasible
+		for step := 0; step < 120; step++ {
+			shape := pool[r.IntN(len(pool))]
+			if r.IntN(5) == 0 {
+				shape = randShape() // a one-off: planned cold, never resident
 			}
-			req := Homogeneous{
-				N:      r.UniformInt(1, min(6, tp.TotalSlots())),
-				Demand: demands[r.IntN(len(demands))],
-			}
-			p, contribs, err := cache.allocateHomog(led, req, policy, nil)
-			fp, fcontribs, ferr := AllocateHomogWorkers(led, req, policy, 1)
-			if (err == nil) != (ferr == nil) {
-				t.Fatalf("trial %d step %d: cached err = %v, cold err = %v", trial, step, err, ferr)
-			}
-			if err == nil {
-				if !reflect.DeepEqual(p.Entries, fp.Entries) {
-					t.Fatalf("trial %d step %d: cached placement %v != cold %v", trial, step, &p, &fp)
-				}
-				if !reflect.DeepEqual(contribs, fcontribs) {
-					t.Fatalf("trial %d step %d: cached contribs differ from cold", trial, step)
-				}
-			}
+			p, contribs, err := planBoth(t, "fuzz", cache, led, shape)
 			switch r.IntN(6) {
 			case 0: // commit the plan: invalidates the placement's paths
 				if err == nil {
@@ -92,57 +251,59 @@ func TestPlanCacheEquivalenceHomog(t *testing.T) {
 			}
 		}
 		st := cache.snapshot()
-		hits += int(st.Hits)
-		if st.Hits+st.Misses == 0 {
-			t.Fatalf("trial %d: no plans counted", trial)
-		}
+		total.Hits += st.Hits
+		total.Invalidations += st.Invalidations
+		total.Evictions += st.Evictions
 	}
-	if hits == 0 {
-		t.Fatal("the interleavings never produced a cache hit; the test is not exercising reuse")
+	if total.Hits == 0 || total.Invalidations == 0 || total.Evictions == 0 {
+		t.Fatalf("the interleavings did not exercise reuse, recompute and eviction: %+v", total)
 	}
 }
 
 // TestPlanCacheEquivalenceHetero is the heterogeneous-substring twin of
-// the homogeneous equivalence fuzz.
+// the homogeneous equivalence test.
 func TestPlanCacheEquivalenceHetero(t *testing.T) {
+	for _, policy := range allPolicies {
+		for _, scoped := range []bool{false, true} {
+			led, scope := lifecycleLedger(t, scoped)
+			subject := heteroShape(Heterogeneous{Demands: []stats.Normal{{Mu: 5, Sigma: 2}, {Mu: 3, Sigma: 1}}}, policy, scope)
+			fillers := make([]cachedShape, maxHeteroPlanEntries)
+			for i := range fillers {
+				fillers[i] = heteroShape(Heterogeneous{Demands: []stats.Normal{{Mu: 1 + float64(i), Sigma: 1}}}, policy, scope)
+			}
+			checkCacheLifecycle(t, led, subject, fillers)
+		}
+	}
+
 	r := stats.NewRand(5353)
-	hits := 0
+	var total planCacheStats
 	for trial := 0; trial < 30; trial++ {
 		tp := randomTopology(r)
 		led, err := NewLedger(tp, 0.05)
 		if err != nil {
 			t.Fatalf("trial %d: NewLedger: %v", trial, err)
 		}
+		scope := randomScope(t, r, tp)
 		cache := newPlanCache()
-		// A fixed request pool: repeats share percentile-sorted tables.
-		reqs := make([]Heterogeneous, 3)
-		for i := range reqs {
-			reqs[i] = randHetero(r, r.UniformInt(1, min(5, tp.TotalSlots())), 1, 10)
+		randShape := func() cachedShape {
+			req := randHetero(r, r.UniformInt(1, min(5, tp.TotalSlots())), 1, 10)
+			return heteroShape(req, allPolicies[r.IntN(len(allPolicies))], scope)
+		}
+		pool := make([]cachedShape, maxHeteroPlanEntries+2)
+		for i := range pool {
+			pool[i] = randShape()
 		}
 		type liveJob struct {
 			p        Placement
 			contribs []linkDemand
 		}
 		var jobs []liveJob
-		for step := 0; step < 30; step++ {
-			policy := MinMaxOccupancy
-			if step%5 == 4 {
-				policy = FirstFeasible
+		for step := 0; step < 60; step++ {
+			shape := pool[r.IntN(len(pool))]
+			if r.IntN(5) == 0 {
+				shape = randShape()
 			}
-			req := reqs[r.IntN(len(reqs))]
-			p, contribs, err := cache.allocateHeteroSubstring(led, req, policy, nil)
-			fp, fcontribs, ferr := AllocateHeteroSubstringWorkers(led, req, policy, 1)
-			if (err == nil) != (ferr == nil) {
-				t.Fatalf("trial %d step %d: cached err = %v, cold err = %v", trial, step, err, ferr)
-			}
-			if err == nil {
-				if !reflect.DeepEqual(p.Entries, fp.Entries) {
-					t.Fatalf("trial %d step %d: cached placement %v != cold %v", trial, step, &p, &fp)
-				}
-				if !reflect.DeepEqual(contribs, fcontribs) {
-					t.Fatalf("trial %d step %d: cached contribs differ from cold", trial, step)
-				}
-			}
+			p, contribs, err := planBoth(t, "fuzz", cache, led, shape)
 			switch r.IntN(5) {
 			case 0:
 				if err == nil {
@@ -170,17 +331,83 @@ func TestPlanCacheEquivalenceHetero(t *testing.T) {
 			default:
 			}
 		}
-		hits += int(cache.snapshot().Hits)
+		st := cache.snapshot()
+		total.Hits += st.Hits
+		total.Invalidations += st.Invalidations
+		total.Evictions += st.Evictions
 	}
-	if hits == 0 {
-		t.Fatal("the interleavings never produced a cache hit")
+	if total.Hits == 0 || total.Invalidations == 0 || total.Evictions == 0 {
+		t.Fatalf("the interleavings did not exercise reuse, recompute and eviction: %+v", total)
 	}
 }
 
-// TestPlanCacheCounters pins the counter semantics: first plan of a
-// shape is a miss, an unchanged replan is a hit with no invalidations,
-// a commit makes the next hit recompute (invalidations move), and
-// overflowing the FIFO bound evicts.
+// TestPlanTablesIgnoreStaleCells: layout reuses slabs without clearing
+// them, on the promise that the kernels write every cell before anything
+// reads it. Plan on tables whose slabs are poisoned — NaN occupancies,
+// every count allocable, absurd split choices, a wrong crossing table —
+// and require the placements of tables fresh from the allocator.
+func TestPlanTablesIgnoreStaleCells(t *testing.T) {
+	poison := func(d *dpTable) {
+		for i := range d.f64 {
+			d.f64[i] = math.NaN()
+		}
+		for i := range d.bl {
+			d.bl[i] = true
+		}
+		for i := range d.i32 {
+			d.i32[i] = 1 << 20
+		}
+	}
+	r := stats.NewRand(777)
+	for trial := 0; trial < 60; trial++ {
+		tp := randomTopology(r)
+		led, err := NewLedger(tp, 0.05)
+		if err != nil {
+			t.Fatalf("trial %d: NewLedger: %v", trial, err)
+		}
+		scope := randomScope(t, r, tp)
+		policy := allPolicies[r.IntN(len(allPolicies))]
+		// A larger request first, so the poisoned slabs are roomy enough
+		// to be reused as they are.
+		big := Homogeneous{N: tp.TotalSlots(), Demand: stats.Normal{Mu: 1}}
+		req := Homogeneous{N: r.UniformInt(1, min(8, tp.TotalSlots())), Demand: stats.Normal{Mu: r.UniformRange(1, 12), Sigma: r.UniformRange(0, 5)}}
+		ht := new(homogTable)
+		ht.reset(tp, scope, big, policy)
+		poison(&ht.dpTable)
+		for i := range ht.crossing {
+			ht.crossing[i] = stats.Normal{Mu: math.NaN(), Sigma: math.NaN()}
+		}
+		ht.reset(tp, scope, req, policy)
+		p, contribs, _, err := ht.plan(led, scope, 1)
+		fp, fcontribs, ferr := homogShape(req, policy, scope).fresh(led)
+		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
+			t.Fatalf("trial %d: homog plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
+		}
+
+		hbig := randHetero(r, min(8, tp.TotalSlots()), 1, 10)
+		hreq := randHetero(r, r.UniformInt(1, hbig.N()), 1, 10)
+		order, sorted := orderByPercentile(hbig)
+		st := new(substrTable)
+		st.reset(tp, scope, sorted, policy)
+		poison(&st.dpTable)
+		for i := range st.crossing {
+			st.crossing[i] = stats.Normal{Mu: math.NaN(), Sigma: math.NaN()}
+		}
+		order, sorted = orderByPercentile(hreq)
+		st.reset(tp, scope, sorted, policy)
+		p, contribs, _, err = st.plan(led, scope, hreq, order, 1)
+		fp, fcontribs, ferr = heteroShape(hreq, policy, scope).fresh(led)
+		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
+			t.Fatalf("trial %d: hetero plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
+		}
+	}
+}
+
+// TestPlanCacheCounters pins the counter semantics: every plan is one hit
+// or one miss; a shape's first two plans are misses (cold, then building
+// its entry), an unchanged replan after that is a hit with no
+// invalidations, a commit makes the next hit recompute only the touched
+// paths, and overflowing either shelf evicts.
 func TestPlanCacheCounters(t *testing.T) {
 	led, err := NewLedger(mustTopo(smallThreeTier()), 0.05)
 	if err != nil {
@@ -195,6 +422,12 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 	if st := c.snapshot(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("after first plan: %+v, want 1 miss 0 hits", st)
+	}
+	if _, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil); err != nil {
+		t.Fatalf("second plan: %v", err)
+	}
+	if st := c.snapshot(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("after second plan: %+v, want 2 misses 0 hits", st)
 	}
 
 	p2, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil)
@@ -224,24 +457,126 @@ func TestPlanCacheCounters(t *testing.T) {
 			st.Invalidations, led.Topology().Len())
 	}
 
-	for i := 0; i <= maxHomogPlanEntries; i++ {
+	for i := 0; i < maxHomogPlanEntries; i++ {
 		r := Homogeneous{N: 1, Demand: stats.Normal{Mu: 1 + float64(i), Sigma: 1}}
-		if _, _, err := c.allocateHomog(led, r, MinMaxOccupancy, nil); err != nil {
-			t.Fatalf("fill plan %d: %v", i, err)
+		for sight := 0; sight < 2; sight++ {
+			if _, _, err := c.allocateHomog(led, r, MinMaxOccupancy, nil); err != nil {
+				t.Fatalf("fill plan %d: %v", i, err)
+			}
 		}
 	}
-	if st := c.snapshot(); st.Evictions == 0 {
-		t.Fatalf("after overflowing the homog FIFO: %+v, want evictions", st)
+	if st := c.snapshot(); st.Evictions != 1 {
+		t.Fatalf("after overflowing the homog shelf by one: %+v, want 1 eviction", st)
 	}
 
 	for i := 0; i <= maxHeteroPlanEntries; i++ {
 		r := Heterogeneous{Demands: []stats.Normal{{Mu: 1 + float64(i), Sigma: 1}}}
-		if _, _, err := c.allocateHeteroSubstring(led, r, MinMaxOccupancy, nil); err != nil {
-			t.Fatalf("hetero fill plan %d: %v", i, err)
+		for sight := 0; sight < 2; sight++ {
+			if _, _, err := c.allocateHeteroSubstring(led, r, MinMaxOccupancy, nil); err != nil {
+				t.Fatalf("hetero fill plan %d: %v", i, err)
+			}
 		}
 	}
-	if st := c.snapshot(); st.Evictions < 2 {
-		t.Fatalf("after overflowing both FIFOs: %+v, want >= 2 evictions", st)
+	st = c.snapshot()
+	if st.Evictions != 2 {
+		t.Fatalf("after overflowing both shelves by one: %+v, want 2 evictions", st)
+	}
+	if plans := int64(4 + 2*maxHomogPlanEntries + 2*(maxHeteroPlanEntries+1)); st.Hits+st.Misses != plans {
+		t.Fatalf("%d plans counted as %d hits + %d misses", plans, st.Hits, st.Misses)
+	}
+}
+
+// paperManager returns a manager over the paper's datacenter with a few
+// tenants admitted, so plans are not trivially machine-local.
+func paperManager(t *testing.T) *Manager {
+	t.Helper()
+	topo, err := topology.NewThreeTier(topology.PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(topo, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := m.AllocateHomog(Homogeneous{N: 49, Demand: stats.Normal{Mu: 300, Sigma: 150}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// TestPlanCacheMissAllocations is the tripwire on the miss path: a plan of
+// a never-seen key runs in a pooled table and must cost its arithmetic,
+// not a heap object per table cell. Before the slab-backed table, the
+// homogeneous plan below allocated about 4 300 objects (1.4 MB) and the
+// heterogeneous one about as many.
+func TestPlanCacheMissAllocations(t *testing.T) {
+	m := paperManager(t)
+	const maxObjects = 100
+	i := 0
+	homog := func() {
+		i++
+		if !m.CanAllocateHomog(Homogeneous{N: 16, Demand: stats.Normal{Mu: 300, Sigma: 100 + float64(i)/1024}}) {
+			t.Fatal("dry run rejected on a lightly loaded datacenter")
+		}
+	}
+	demands := make([]stats.Normal, 8)
+	for v := range demands {
+		demands[v] = stats.Normal{Mu: float64(100 * (1 + v%5)), Sigma: float64(20 * (1 + v))}
+	}
+	hetero := func() {
+		i++
+		demands[0].Sigma = 20 + float64(i)/1024
+		if !m.CanAllocateHetero(Heterogeneous{Demands: demands}) {
+			t.Fatal("hetero dry run rejected on a lightly loaded datacenter")
+		}
+	}
+	for name, plan := range map[string]func(){"homog N=16": homog, "hetero N=8": hetero} {
+		before := m.AdmissionStats()
+		n := testing.AllocsPerRun(50, plan)
+		t.Logf("%s: %.0f objects per fresh-key plan", name, n)
+		if n >= maxObjects {
+			t.Errorf("%s: a fresh key allocates %.0f objects per plan, want < %d", name, n, maxObjects)
+		}
+		after := m.AdmissionStats()
+		if after.PlanCacheHits != before.PlanCacheHits || after.PlanCacheMisses == before.PlanCacheMisses {
+			t.Errorf("%s: fresh keys counted as hits: before %+v after %+v", name, before, after)
+		}
+	}
+}
+
+// TestPlanCacheScanResistance: one-off shapes must not displace the
+// shapes that repeat. Warm the eight catalogue flavours, then interleave
+// a hundred never-repeated keys with them: all eight stay resident —
+// every catalogue plan keeps hitting and nothing is evicted.
+func TestPlanCacheScanResistance(t *testing.T) {
+	m := paperManager(t)
+	var catalogue []Homogeneous
+	for _, d := range []stats.Normal{{Mu: 100, Sigma: 40}, {Mu: 300, Sigma: 100}} {
+		for _, n := range []int{2, 4, 8, 16} {
+			catalogue = append(catalogue, Homogeneous{N: n, Demand: d})
+		}
+	}
+	for sight := 0; sight < 2; sight++ {
+		for _, req := range catalogue {
+			m.CanAllocateHomog(req)
+		}
+	}
+	before := m.AdmissionStats()
+	for i := 0; i < 100; i++ {
+		m.CanAllocateHomog(Homogeneous{N: 2 + i%40, Demand: stats.Normal{Mu: 200, Sigma: 50 + float64(i)/8}})
+		m.CanAllocateHomog(catalogue[i%len(catalogue)])
+	}
+	after := m.AdmissionStats()
+	if got := after.PlanCacheHits - before.PlanCacheHits; got != 100 {
+		t.Errorf("catalogue plans hit %d times out of 100", got)
+	}
+	if got := after.PlanCacheMisses - before.PlanCacheMisses; got != 100 {
+		t.Errorf("one-off plans missed %d times out of 100", got)
+	}
+	if after.PlanCacheEvictions != 0 {
+		t.Errorf("%d entries evicted by one-off keys", after.PlanCacheEvictions)
 	}
 }
 

@@ -386,9 +386,10 @@ func TestStatusReportsPlanCache(t *testing.T) {
 	client, _ := newTestService(t)
 	ctx := context.Background()
 
-	// Two identical shapes: the first plan builds the DP table entry, the
-	// second reuses it.
-	for i := 0; i < 2; i++ {
+	// Three identical shapes: the first plan runs cold, the second builds
+	// the DP table entry (the cache admits a shape on second sight), the
+	// third reuses it.
+	for i := 0; i < 3; i++ {
 		if _, err := client.Allocate(ctx, AllocationRequest{N: 3, Mu: 100, Sigma: 40}); err != nil {
 			t.Fatalf("Allocate %d: %v", i, err)
 		}

@@ -15,6 +15,14 @@
 #            "PR N:" merge commits on the current branch, so each landed PR
 #            gets the next file automatically)
 # OUT        output file                (default: BENCH_pr${PR}.json)
+# PARENT     a commit to compare the working tree against end to end with
+#            svcbench (bench/run.sh): `-repeat 10` on both sides plus PAIRS
+#            alternating single runs of WORKLOAD. Adds "host", "e2e" and
+#            "layers" to the output. About an hour; off when unset.
+# WORKLOAD   the workload the pairs run      (default: plan-miss)
+# PAIRS      number of alternating pairs     (default: 10)
+# LAYERS     regexp of the per-layer metrics kept in "layers"
+# WORK       scratch directory for the two checkouts (default: mktemp -d)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,6 +71,64 @@ END {
 }' "$raw" > "$OUT"
 
 echo "wrote $OUT"
+
+# End-to-end comparison against PARENT: both sides are copied into clean
+# directories side by side, so neither run sees the other's build cache
+# or state, and svcbench builds what it measures from each copy.
+if [ -n "${PARENT:-}" ]; then
+    WORKLOAD="${WORKLOAD:-plan-miss}"
+    PAIRS="${PAIRS:-10}"
+    LAYERS="${LAYERS:-^(core\\.(mean_plan_ms|admit_self_us|plan_(cold_homog|hetero|warm_homog)_us)|svcd\\.(cpu_us_per_op|rss_peak_mb)|wal\\.|httpapi\\.|trace\\.span_sum_over_e2e)}"
+    work="${WORK:-$(mktemp -d)}"
+    mkdir -p "$work/parent" "$work/change"
+    git archive "$PARENT" | tar -x -C "$work/parent"
+    git ls-files -co --exclude-standard -z | tar -c --null -T - | tar -x -C "$work/change"
+
+    for side in parent change; do
+        echo "==> svcbench -repeat 10 on $side"
+        bash "$work/$side/bench/run.sh" -repeat 10 -out "$work/$side.json" > "$work/$side.log"
+    done
+
+    # Alternating pairs, the side that runs first swapping every pair;
+    # the last stdout line of a run is its result.
+    : > "$work/pairs.jsonl"
+    for i in $(seq 1 "$PAIRS"); do
+        order="parent change"; [ $((i % 2)) -eq 0 ] && order="change parent"
+        for side in $order; do
+            echo "==> pair $i: $WORKLOAD on $side (seed $i)"
+            bash "$work/$side/bench/run.sh" --workload "$WORKLOAD" --seed "$i" --seconds 20 --trace 0 \
+                | tail -n1 > "$work/run.json"
+            jq -c --arg side "$side" --argjson pair "$i" --arg first "${order%% *}" \
+                '{pair: $pair, first: $first, side: $side, correct, attempted, failed} + (.metrics | map_values(.value))' \
+                "$work/run.json" >> "$work/pairs.jsonl"
+        done
+    done
+
+    jq -n --slurpfile bench "$OUT" --slurpfile parent "$work/parent.json" --slurpfile change "$work/change.json" \
+        --slurpfile runs "$work/pairs.jsonl" --arg workload "$WORKLOAD" --arg layers "$LAYERS" \
+        --arg parentRev "$(git rev-parse --short "$PARENT")" --arg changeRev "$(git describe --always --dirty)" '
+        def median: sort | if length % 2 == 1 then .[length/2|floor] else (.[length/2-1] + .[length/2]) / 2 end;
+        def keep: with_entries(.value |= with_entries(select(.key | test($layers))));
+        ($runs | group_by(.pair) | map({pair: .[0].pair, first: .[0].first,
+            parent: (map(select(.side == "parent"))[0] | del(.pair, .first, .side)),
+            change: (map(select(.side == "change"))[0] | del(.pair, .first, .side))})) as $pairs
+        | $bench[0] + {
+            host: $change[0].host,
+            commits: {parent: $parentRev, change: $changeRev},
+            e2e: {
+                repeat10: {seeds: $change[0].seeds, seconds: $change[0].seconds,
+                           parent: $parent[0].e2e, change: $change[0].e2e},
+                pairs: {workload: $workload, runs: $pairs,
+                        ops_s: {parent_median: ($pairs | map(.parent.ops_s) | median),
+                                change_median: ($pairs | map(.change.ops_s) | median),
+                                change_wins: ($pairs | map(select(.change.ops_s > .parent.ops_s)) | length),
+                                of: ($pairs | length)}}
+            },
+            layers: {parent: ($parent[0].layers | keep), change: ($change[0].layers | keep)}
+        }' > "$OUT.tmp"
+    mv "$OUT.tmp" "$OUT"
+    echo "added host, e2e and layers to $OUT (checkouts and logs in $work)"
+fi
 
 # Sharding assertions (skipped when the cells are not in this run):
 #  - parity: the shards=1 router must stay within noise (>= 0.75x) of the
