@@ -1,13 +1,11 @@
-// Admission throughput under concurrency: the default pipeline (plan on
-// a snapshot outside the lock, revalidate, commit) against the reference
-// that plans under the lock, over warm and cold plans, with and without
-// fsync, at several client counts. Warm cells repeat one request shape,
-// so every plan is a cache hit and the per-admission snapshot is the
-// larger cost; cold cells give every request a new plan-cache key, so
-// the full DP runs each time and planning outside the lock lets clients
-// overlap it. The fsync cells are where group commit earns its keep —
-// while one leader's fsync is in flight, every other client plans and
-// stages into the next batch.
+// Admission throughput under concurrency: the one admission path (plan
+// under the manager lock, stage, wait for durability outside it) over
+// warm and cold plans, with and without fsync, at several client counts.
+// Warm cells repeat one request shape, so every plan is a cache hit;
+// cold cells give every request a new plan-cache key, so the full DP
+// runs each time, serialized by the lock. The fsync cells are where
+// group commit earns its keep — while one leader's fsync is in flight,
+// every other client plans and stages into the next batch.
 package svc_test
 
 import (
@@ -28,30 +26,24 @@ import (
 // jobs, then release the oldest, so the ledger stays near a steady
 // mid-load state and every op journals exactly one record.
 func BenchmarkAdmissionThroughput(b *testing.B) {
-	for _, mode := range []string{"locked", "optimistic"} {
-		for _, plans := range []string{"warm", "cold"} {
-			for _, syncMode := range []string{"fsync", "nosync"} {
-				for _, clients := range []int{1, 2, 8, 32} {
-					// -short: one smoke cell per mode and plan kind at the
-					// contended point.
-					if testing.Short() && (clients != 8 || syncMode != "fsync") {
-						continue
-					}
-					name := fmt.Sprintf("%s/%s/%s/clients=%d", mode, plans, syncMode, clients)
-					b.Run(name, func(b *testing.B) {
-						benchAdmission(b, mode == "locked", plans == "cold", syncMode == "fsync", clients)
-					})
+	for _, plans := range []string{"warm", "cold"} {
+		for _, syncMode := range []string{"fsync", "nosync"} {
+			for _, clients := range []int{1, 2, 8, 32} {
+				// -short: one smoke cell per plan kind at the contended
+				// point.
+				if testing.Short() && (clients != 8 || syncMode != "fsync") {
+					continue
 				}
+				name := fmt.Sprintf("%s/%s/clients=%d", plans, syncMode, clients)
+				b.Run(name, func(b *testing.B) {
+					benchAdmission(b, plans == "cold", syncMode == "fsync", clients)
+				})
 			}
 		}
 	}
 }
 
-func benchAdmission(b *testing.B, locked, cold, fsync bool, clients int) {
-	var mgrOpts []core.ManagerOption
-	if locked {
-		mgrOpts = append(mgrOpts, core.WithLockedAdmission())
-	}
+func benchAdmission(b *testing.B, cold, fsync bool, clients int) {
 	walOpts := []wal.Option{wal.WithSnapshotEvery(1 << 30)}
 	if !fsync {
 		walOpts = append(walOpts, wal.WithNoSync())
@@ -60,7 +52,7 @@ func benchAdmission(b *testing.B, locked, cold, fsync bool, clients int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mgr, j, err := wal.Recover(b.TempDir(), topo, 0.05, mgrOpts, walOpts...)
+	mgr, j, err := wal.Recover(b.TempDir(), topo, 0.05, nil, walOpts...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 // flush stream regardless of group commit; with K WALs the streams are
 // independent. "nosync" drops durability entirely and shows the CPU
 // ceiling. BenchmarkShardedBaseline is the matched unsharded control
-// (same one-pod topology, same two clients, optimistic admission) that
+// (same one-pod topology, same two clients, one unsharded manager) that
 // the shards=1 cells must stay within noise of — sharding must be free
 // when there is nothing to shard.
 package svc_test
@@ -160,7 +160,7 @@ func benchSharded(b *testing.B, shards int, syncMode string) {
 
 // BenchmarkShardedBaseline is the unsharded control for the shards=1
 // parity check: the same one-pod topology and two-client workload on a
-// plain optimistic manager over a single WAL. scripts/bench.sh asserts
+// plain unsharded manager over a single WAL. scripts/bench.sh asserts
 // the shards=1 router stays within noise of this — the router's extra
 // routing layer must cost nothing when every admission is pod-local.
 func BenchmarkShardedBaseline(b *testing.B) {

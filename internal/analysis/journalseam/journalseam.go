@@ -1,8 +1,7 @@
 // Package journalseam enforces the write-ahead-log seam: every mutation
 // of durable controller state must flow through core's applyLocked (the
-// single apply path fed by commitLocked/stageLocked), so the journal
-// observes one total order and crash replay reconstructs exactly the
-// live state.
+// single apply path fed by stageLocked), so the journal observes one
+// total order and crash replay reconstructs exactly the live state.
 //
 // Inside repro/internal/core it flags, outside applyLocked and the New*
 // constructors:

@@ -1,7 +1,7 @@
 // Package snapshotro protects the read-only snapshot discipline. The
-// manager publishes cached, shared clones (Manager.snapshot /
-// snapshotVer / exported Snapshot); callers may read them freely but
-// must Clone() before mutating, or every other reader sees the edit.
+// manager publishes cached, shared clones (Manager.snapshot / exported
+// Snapshot); callers may read them freely but must Clone() before
+// mutating, or every other reader sees the edit.
 //
 // Two rules:
 //
@@ -13,9 +13,9 @@
 //     declared with //lint:clone-skip <fields>: <reason>.
 //
 //   - Snapshot mutation: a variable bound to the result of
-//     snapshot()/snapshotVer()/Snapshot() must not be written through
-//     (field or element assignment) or passed to a mutator (UseSlots,
-//     SetOffline, FailMachine, commit, ...). Take a Clone() first —
+//     snapshot()/Snapshot() must not be written through (field or
+//     element assignment) or passed to a mutator (UseSlots, SetOffline,
+//     FailMachine, commit, ...). Take a Clone() first —
 //     snapshot().Clone() is the sanctioned scratch pattern.
 //
 // The sharded router's recovered tables (Router.jobPods, crossMut,
@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 // selection and reconstruction read it, but every write must go through
 // the compute kernels so a cached table always equals a cold recompute.
 var SnapshotFuncs = map[string]bool{
-	"snapshot": true, "snapshotVer": true, "Snapshot": true,
+	"snapshot": true, "Snapshot": true,
 	"cachedRecords": true,
 }
 
@@ -222,7 +222,7 @@ func snapshotVars(pass *analysis.Pass, fn *ast.FuncDecl) map[types.Object]bool {
 			return true
 		}
 		if len(assign.Rhs) == 1 && len(assign.Lhs) >= 1 {
-			// snap := m.snapshot()   or   snap, ver := m.snapshotVer()
+			// snap := m.snapshot()
 			// pods, ok := r.jobPods[id]   or   idem := r.idem
 			if isSnapshotCall(assign.Rhs[0]) || isTableRead(pass, assign.Rhs[0]) {
 				if obj := identObject(pass, assign.Lhs[0]); obj != nil {

@@ -86,8 +86,7 @@ type Manager struct {
 	snap *Ledger
 }
 
-func (m *Manager) snapshot() *Ledger              { return m.snap }
-func (m *Manager) snapshotVer() (*Ledger, uint64) { return m.snap, 1 }
+func (m *Manager) snapshot() *Ledger { return m.snap }
 
 // negative: reading a snapshot is the whole point.
 
@@ -106,7 +105,7 @@ func (m *Manager) Headroom() bool {
 // negative: clone taken from a tracked snapshot is private.
 
 func (m *Manager) Plan(mut *Mutation) error {
-	snap, _ := m.snapshotVer()
+	snap := m.snapshot()
 	scratch := snap.Clone()
 	scratch.used[0] = 9
 	return commit(scratch, mut)
@@ -122,7 +121,7 @@ func (m *Manager) BadWrite() {
 // positive: calling a mutator on the shared snapshot.
 
 func (m *Manager) BadUse() {
-	snap, _ := m.snapshotVer()
+	snap := m.snapshot()
 	snap.UseSlots(0, 1) // want `mutator UseSlots called on shared snapshot snap`
 }
 

@@ -18,31 +18,24 @@ import "repro/internal/stats"
 // the plan (CommitExternal, or Replay on a twin) is the caller's job,
 // and any mutation that lands in between invalidates the plan.
 func (m *Manager) PlanHomog(req Homogeneous) (Mutation, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	start := now()
-	p, contribs, err := m.plans.allocateHomog(m.led, req, m.policy, m.scope)
-	m.adm.Plan.Observe(since(start))
-	if err != nil {
-		return Mutation{}, err
-	}
-	r := req
-	return Mutation{Op: OpAlloc, Homog: &r, Placement: &p, Contribs: exportContribs(contribs)}, nil
+	return m.plan(Mutation{Op: OpAlloc, Homog: &req})
 }
 
 // PlanHetero is PlanHomog for heterogeneous requests, running whichever
 // hetero allocator the manager is configured with.
 func (m *Manager) PlanHetero(req Heterogeneous) (Mutation, error) {
+	h := Heterogeneous{Demands: append([]stats.Normal(nil), req.Demands...)}
+	return m.plan(Mutation{Op: OpAlloc, Hetero: &h})
+}
+
+// plan runs the admission path's plan step (planLocked) and stops there.
+func (m *Manager) plan(mut Mutation) (Mutation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	start := now()
-	p, contribs, err := m.planHetero(m.led, req)
-	m.adm.Plan.Observe(since(start))
-	if err != nil {
+	if err := m.planLocked(&mut); err != nil {
 		return Mutation{}, err
 	}
-	h := Heterogeneous{Demands: append([]stats.Normal(nil), req.Demands...)}
-	return Mutation{Op: OpAlloc, Hetero: &h, Placement: &p, Contribs: exportContribs(contribs)}, nil
+	return mut, nil
 }
 
 // CommitExternal durably commits a mutation that was planned elsewhere.
@@ -59,15 +52,10 @@ func (m *Manager) CommitExternal(mut Mutation) error {
 		m.mu.Unlock()
 		return err
 	}
-	wait, err := m.stageLocked(mut)
-	if err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	if err := m.applyLocked(mut); err != nil {
-		m.mu.Unlock()
-		return err
-	}
+	wait, err := m.commitStagedLocked(mut)
 	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	return wait()
 }

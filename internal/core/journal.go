@@ -11,16 +11,20 @@ import (
 
 // This file is the manager's durability seam. Every state-changing
 // operation — allocation, release, fault injection, repair — is described
-// by a Mutation and flows through one commit path: the operation is
-// planned without touching live state (the DP runs on the live ledger for
-// admissions and on a scratch clone for repairs), the resulting Mutation
-// is offered to the attached Journal, and only then does applyLocked
-// execute it against the ledger. Crash recovery replays journaled
-// Mutations through the very same applyLocked, so a recovered manager is
-// bit-identical to one that executed the operations live.
+// by a Mutation and flows through one commit path (commitStagedLocked):
+// the operation is planned without touching live state (the DP runs on
+// the live ledger for admissions and on a scratch clone for repairs), the
+// resulting Mutation is staged in the attached Journal, and only then
+// does applyLocked execute it against the ledger; the caller waits for
+// the record's durability after releasing the lock. Crash recovery
+// replays journaled Mutations through the very same applyLocked, so a
+// recovered manager is bit-identical to one that executed the operations
+// live.
 
-// ErrJournal reports that the attached journal rejected a mutation; the
-// operation was NOT applied, so in-memory state still matches the log.
+// ErrJournal reports that the attached journal rejected a mutation — the
+// operation was NOT applied, so in-memory state still matches the log —
+// or failed to make an applied one durable, which poisons the journal
+// (see stageLocked for the two cases).
 var ErrJournal = errors.New("core: journal write failed")
 
 // ErrIdemConflict reports that an idempotency key was reused for a
@@ -237,52 +241,28 @@ type idemEntry struct {
 	placement Placement // alloc only
 }
 
-// journalLocked offers the mutation to the attached journal; a veto means
-// the operation must not be applied.
-func (m *Manager) journalLocked(mut Mutation) error {
-	if m.journal == nil {
-		return nil
-	}
-	if err := m.journal.Commit(mut); err != nil {
-		return fmt.Errorf("%w: %w", ErrJournal, err)
-	}
-	return nil
-}
-
-// commitLocked is the synchronous commit path: journal first
-// (write-ahead), then apply, all under the write lock. Every live
-// mutation and every replayed one funnels through applyLocked, so the
-// journal's total order is exactly the apply order. Hot paths that can
-// afford to wait for durability after unlocking use stageLocked instead.
-func (m *Manager) commitLocked(mut Mutation) error {
-	if err := m.journalLocked(mut); err != nil {
-		return err
-	}
-	return m.applyLocked(mut)
-}
-
-// noWait is the durability wait of an unjournaled (or synchronously
-// journaled) commit.
+// noWait is the durability wait of a commit with nothing left to wait
+// for: no journal, a synchronous one, or a replayed idempotency key.
 func noWait() error { return nil }
 
-// stageLocked offers the mutation to the journal without waiting for
-// durability: the returned wait function must be invoked after m.mu is
-// released and reports the durability outcome. With no AsyncJournal
-// attached it degenerates to a synchronous journalLocked and a no-op
-// wait. A staging error vetoes the mutation (nothing was applied); a
-// wait error means the mutation IS applied in memory but its record may
-// not have reached disk — the journal is poisoned at that point, so the
-// manager refuses all further mutations, and a restart recovers the
-// state the log actually holds (exactly as if the process had crashed
-// before the fsync).
+// stageLocked offers the mutation to the journal (write-ahead: before it
+// is applied) without waiting for durability: the returned wait function
+// must be invoked after m.mu is released and reports the durability
+// outcome. A journal that is not an AsyncJournal commits synchronously
+// here and the wait is a no-op. A staging error vetoes the mutation
+// (nothing was applied); a wait error means the mutation IS applied in
+// memory but its record may not have reached disk — the journal is
+// poisoned at that point, so the manager refuses all further mutations,
+// and a restart recovers the state the log actually holds (exactly as if
+// the process had crashed before the fsync).
 func (m *Manager) stageLocked(mut Mutation) (func() error, error) {
 	if m.journal == nil {
 		return noWait, nil
 	}
 	aj, ok := m.journal.(AsyncJournal)
 	if !ok {
-		if err := m.journalLocked(mut); err != nil {
-			return nil, err
+		if err := m.journal.Commit(mut); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrJournal, err)
 		}
 		return noWait, nil
 	}
@@ -296,6 +276,23 @@ func (m *Manager) stageLocked(mut Mutation) (func() error, error) {
 		}
 		return nil
 	}, nil
+}
+
+// commitStagedLocked is the commit every mutator shares: stage the
+// journal record, then apply. Every live mutation and every replayed one
+// funnels through applyLocked, so the journal's total order is exactly
+// the apply order. The caller releases m.mu and then invokes the returned
+// wait, so concurrent commits share one write+fsync and no lock is held
+// across it.
+func (m *Manager) commitStagedLocked(mut Mutation) (func() error, error) {
+	wait, err := m.stageLocked(mut)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.applyLocked(mut); err != nil {
+		return nil, err
+	}
+	return wait, nil
 }
 
 // applyLocked executes one mutation against the ledger and bookkeeping.

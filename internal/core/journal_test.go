@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -237,6 +239,111 @@ func TestNewManagerFromStateRejectsCorruption(t *testing.T) {
 		tc.mod(&st)
 		if _, err := NewManagerFromState(topo, 0.05, &st); err == nil {
 			t.Errorf("%s: corrupt state accepted", tc.name)
+		}
+	}
+}
+
+// parkJournal is an AsyncJournal whose durability waits park on a gate:
+// staging always completes (and is announced on staged), waits return
+// once the gate that was up when they staged is opened.
+type parkJournal struct {
+	fakeJournal
+	mu     sync.Mutex
+	gate   chan struct{}
+	staged chan MutationOp
+}
+
+func newParkJournal() *parkJournal {
+	gate := make(chan struct{})
+	close(gate)
+	// staged only ever holds the few records one test step stages.
+	return &parkJournal{gate: gate, staged: make(chan MutationOp, 64)}
+}
+
+// park makes every later staging's wait block until the returned open
+// function runs.
+func (p *parkJournal) park() (open func()) {
+	gate := make(chan struct{})
+	p.mu.Lock()
+	p.gate = gate
+	p.mu.Unlock()
+	return func() { close(gate) }
+}
+
+func (p *parkJournal) StageCommit(m Mutation) (func() error, error) {
+	p.mu.Lock()
+	gate := p.gate
+	p.mu.Unlock()
+	p.staged <- m.Op
+	return func() error { <-gate; return nil }, nil
+}
+
+func (p *parkJournal) Commit(m Mutation) error {
+	wait, _ := p.StageCommit(m)
+	return wait()
+}
+
+// TestFaultPathReleasesLockBeforeDurability: while a fault, an offline
+// toggle or a repair sweep waits for its record to become durable, the
+// manager lock is free — reads return, dry runs plan, and a second writer
+// gets as far as staging its own record.
+func TestFaultPathReleasesLockBeforeDurability(t *testing.T) {
+	m := newTestManager(t, mediumThreeTier(), 0.05)
+	j := newParkJournal()
+	m.SetJournal(j)
+	req := Homogeneous{N: 2, Demand: stats.Normal{Mu: 5, Sigma: 2}}
+	victim := mustAllocHomog(t, m, req).Placement.Entries[0].Machine
+	spare := m.Topology().Machines()[len(m.Topology().Machines())-1]
+
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { f(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s blocked behind a parked durability wait", what)
+		}
+	}
+	awaitStaged := func(what string, want MutationOp) {
+		t.Helper()
+		within(what, func() {
+			for op := range j.staged {
+				if op == want {
+					return
+				}
+			}
+		})
+	}
+
+	steps := []struct {
+		name string
+		op   MutationOp
+		run  func() error
+	}{
+		{"FailMachine", OpFailMachine, func() error { _, err := m.FailMachine(victim); return err }},
+		{"SetOffline", OpSetOffline, func() error { return m.SetOffline(spare, true) }},
+		{"RepairAll", OpRepair, func() error { _, err := m.RepairAll(); return err }},
+	}
+	for _, step := range steps {
+		open := j.park()
+		errs := make(chan error, 2)
+		go func() { errs <- step.run() }()
+		awaitStaged(step.name+" staging", step.op)
+
+		within("Running during "+step.name, func() { m.Running() })
+		within("CanAllocateHomog during "+step.name, func() { m.CanAllocateHomog(req) })
+		go func() {
+			_, err := m.AllocateHomog(req)
+			errs <- err
+		}()
+		awaitStaged("a second writer's staging during "+step.name, OpAlloc)
+
+		open()
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
 		}
 	}
 }

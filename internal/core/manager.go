@@ -45,14 +45,14 @@ type Allocation struct {
 // resulting reservations, and releases them when jobs finish. It is safe
 // for concurrent use.
 //
-// Admission is optimistic: the allocation DP plans on a lock-free ledger
-// snapshot and the write lock is taken only to revalidate the links and
-// machines the chosen placement touches and to commit (plan → validate →
-// commit; see optimistic.go and AdmissionStats). Read-only work
-// (CanAllocate* dry runs, MaxOccupancy* metrics, Headroom probes) runs
-// against the same versioned ledger snapshot: the lock is held only for
-// the O(links) clone, not the full dynamic program, so dry runs and
-// metrics reads proceed concurrently with admissions. Snapshot reads are
+// Every mutator has one shape: take the write lock, decide on the live
+// ledger (admissions plan there, one request at a time — see
+// admission.go), stage the journal record, apply, unlock, and only then
+// wait for durability, so concurrent callers share a group commit.
+// Read-only work (CanAllocate* dry runs, MaxOccupancy* metrics, Headroom
+// probes) runs on a cached clone of the ledger instead: the lock is held
+// only for the O(links) copy, cut when a reader arrives after a mutation,
+// never for the dynamic program on top of it. Snapshot reads are
 // point-in-time consistent; under concurrent mutation they may lag the
 // live ledger by the mutations that land after the snapshot was cut.
 type Manager struct {
@@ -76,16 +76,14 @@ type Manager struct {
 	degraded map[JobID]float64
 	fstats   failureCounters
 
-	// Admission pipeline: lockedAdmission (immutable after construction)
-	// plans every admission under the write lock; adm counts how
-	// admissions traveled through the pipeline (guarded by mu; its
+	// adm counts admissions and times their plans (guarded by mu; its
 	// plan-cache fields stay zero, AdmissionStats fills them in). See
-	// optimistic.go.
-	lockedAdmission bool
-	adm             AdmissionStats
+	// admission.go.
+	adm AdmissionStats
 
-	// Cached read snapshot, rebuilt lazily when version moves. snapMu
-	// only serializes snapshot rebuilds, never the DP work on top.
+	// Cached read snapshot (guarded by snapMu), rebuilt when a reader
+	// finds version moved. snapMu only serializes readers' rebuilds — a
+	// burst of them queues here, not on mu — never the DP work on top.
 	snapMu  sync.Mutex
 	snap    *Ledger
 	snapVer uint64
@@ -123,18 +121,6 @@ func (o heteroOption) apply(m *Manager) { m.hetero = HeteroAlgorithm(o) }
 // HeteroSubstring).
 func WithHeteroAlgorithm(a HeteroAlgorithm) ManagerOption { return heteroOption(a) }
 
-type lockedAdmissionOption struct{}
-
-func (lockedAdmissionOption) apply(m *Manager) { m.lockedAdmission = true }
-
-// WithLockedAdmission makes every allocation plan on the live ledger with
-// the write lock held, serializing admissions: the pipeline's last-resort
-// attempt with no optimistic attempts before it. Placements and
-// rejections are identical either way. It is the reference the
-// differential tests and BenchmarkAdmissionThroughput compare the
-// pipeline against; no binary or scenario selects it.
-func WithLockedAdmission() ManagerOption { return lockedAdmissionOption{} }
-
 // NewManager returns a manager over an empty datacenter with bandwidth
 // outage risk factor eps.
 func NewManager(topo *topology.Topology, eps float64, opts ...ManagerOption) (*Manager, error) {
@@ -164,22 +150,14 @@ func NewManager(topo *topology.Topology, eps float64, opts ...ManagerOption) (*M
 // instead of allocating again.
 func (m *Manager) AllocateHomog(req Homogeneous, opts ...CallOption) (*Allocation, error) {
 	co := evalCallOpts(opts)
-	r := req
-	plan := func(led *Ledger) (Placement, []linkDemand, error) {
-		return m.plans.allocateHomog(led, req, m.policy, m.scope)
-	}
-	return m.allocate(co, plan, Mutation{Op: OpAlloc, Job: co.jobID, Homog: &r, IdemKey: co.idemKey}, req.N)
+	return m.allocate(Mutation{Op: OpAlloc, Job: co.jobID, Homog: &req, IdemKey: co.idemKey})
 }
 
 // AllocateHetero admits a heterogeneous SVC request using the configured
 // algorithm, committing its reservations.
 func (m *Manager) AllocateHetero(req Heterogeneous, opts ...CallOption) (*Allocation, error) {
 	co := evalCallOpts(opts)
-	r := req
-	plan := func(led *Ledger) (Placement, []linkDemand, error) {
-		return m.planHetero(led, req)
-	}
-	return m.allocate(co, plan, Mutation{Op: OpAlloc, Job: co.jobID, Hetero: &r, IdemKey: co.idemKey}, req.N())
+	return m.allocate(Mutation{Op: OpAlloc, Job: co.jobID, Hetero: &req, IdemKey: co.idemKey})
 }
 
 // planHetero runs the configured heterogeneous allocator against a ledger
@@ -217,33 +195,21 @@ func (m *Manager) idemAllocLocked(key string) (*Allocation, bool, error) {
 }
 
 // snapshot returns a read-only clone of the ledger reflecting every
-// mutation committed before the call. The clone is cached and shared by
+// mutation applied before the call. The clone is cached and shared by
 // concurrent readers until the next mutation invalidates it, so a burst
-// of dry runs costs one O(links) copy, and the write lock is held only
-// for that copy — never for the DP that runs on top of it. Callers must
-// not mutate the returned ledger; mutating probes clone it again.
+// of dry runs costs one O(links) copy, writers never pay for one, and the
+// write lock is held only for that copy — never for the DP that runs on
+// top of it. Callers must not mutate the returned ledger; mutating
+// probes clone it again.
 func (m *Manager) snapshot() *Ledger {
-	led, _ := m.snapshotVer()
-	return led
-}
-
-// snapshotVer is snapshot plus the ledger version the clone reflects —
-// the optimistic admission pipeline plans on the clone and uses the
-// version to detect concurrent commits at validation time.
-func (m *Manager) snapshotVer() (*Ledger, uint64) {
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()
 	m.mu.Lock()
-	if m.snap != nil && m.snapVer == m.version {
-		ver := m.snapVer
-		m.mu.Unlock()
-		return m.snap, ver
+	if m.snap == nil || m.snapVer != m.version {
+		m.snap, m.snapVer = m.led.Clone(), m.version
 	}
-	ver := m.version
-	snap := m.led.Clone()
 	m.mu.Unlock()
-	m.snap, m.snapVer = snap, ver
-	return snap, ver
+	return m.snap
 }
 
 // CanAllocateHomog reports whether a homogeneous request would currently
@@ -281,16 +247,7 @@ func (m *Manager) Release(id JobID, opts ...CallOption) error {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
-	mut := Mutation{Op: OpRelease, Job: id, IdemKey: co.idemKey}
-	// Stage the journal record and apply under the lock; wait for
-	// durability outside it so concurrent releases and admissions share
-	// one fsync (see stageLocked for the failure contract).
-	wait, err := m.stageLocked(mut)
-	if err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	err = m.applyLocked(mut)
+	wait, err := m.commitStagedLocked(Mutation{Op: OpRelease, Job: id, IdemKey: co.idemKey})
 	m.mu.Unlock()
 	if err != nil {
 		return err
@@ -347,8 +304,12 @@ func (m *Manager) Version() uint64 {
 // rejects the mutation.
 func (m *Manager) SetOffline(machine topology.NodeID, offline bool) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.commitLocked(Mutation{Op: OpSetOffline, Node: machine, Offline: offline})
+	wait, err := m.commitStagedLocked(Mutation{Op: OpSetOffline, Node: machine, Offline: offline})
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return wait()
 }
 
 // MaxOccupancy returns the maximum bandwidth occupancy ratio over all

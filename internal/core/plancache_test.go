@@ -14,7 +14,7 @@ import (
 // reference every cached plan must equal bit for bit.
 type cachedShape struct {
 	cached func(c *planCache, led *Ledger) (Placement, []linkDemand, error)
-	fresh  planFunc
+	fresh  func(led *Ledger) (Placement, []linkDemand, error)
 }
 
 func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {

@@ -102,17 +102,30 @@ type FailureStats struct {
 	RepairLatency metrics.LatencySummary `json:"repair_latency"`
 }
 
-// faultLocked journals and applies one fault-overlay mutation. A key
-// that already committed skips the mutation entirely (fault ops are
-// idempotent; the stored binding just marks the request as applied).
-func (m *Manager) faultLocked(mut Mutation, key string) error {
-	if key != "" {
-		if _, ok := m.idem[key]; ok {
-			return nil
+// fault commits one fault-overlay mutation and, for the Fail* calls,
+// reports the jobs displaced once it is applied. A key that already
+// committed skips the mutation entirely (fault ops are idempotent; the
+// stored binding just marks the request as applied).
+func (m *Manager) fault(mut Mutation, opts []CallOption, wantAffected bool) ([]JobID, error) {
+	mut.IdemKey = evalCallOpts(opts).idemKey
+	wait := noWait
+	m.mu.Lock()
+	if _, done := m.idem[mut.IdemKey]; mut.IdemKey == "" || !done {
+		var err error
+		if wait, err = m.commitStagedLocked(mut); err != nil {
+			m.mu.Unlock()
+			return nil, err
 		}
-		mut.IdemKey = key
 	}
-	return m.commitLocked(mut)
+	var affected []JobID
+	if wantAffected {
+		affected = m.affectedLocked()
+	}
+	m.mu.Unlock()
+	if err := wait(); err != nil {
+		return nil, err
+	}
+	return affected, nil
 }
 
 // FailMachine takes a machine down at runtime. VMs on it keep their slot
@@ -122,42 +135,26 @@ func (m *Manager) faultLocked(mut Mutation, key string) error {
 // the datacenter, sorted. It fails only when the attached journal rejects
 // the mutation.
 func (m *Manager) FailMachine(id topology.NodeID, opts ...CallOption) ([]JobID, error) {
-	co := evalCallOpts(opts)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.faultLocked(Mutation{Op: OpFailMachine, Node: id}, co.idemKey); err != nil {
-		return nil, err
-	}
-	return m.affectedLocked(), nil
+	return m.fault(Mutation{Op: OpFailMachine, Node: id}, opts, true)
 }
 
 // RestoreMachine brings a failed machine back into service.
 func (m *Manager) RestoreMachine(id topology.NodeID, opts ...CallOption) error {
-	co := evalCallOpts(opts)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.faultLocked(Mutation{Op: OpRestoreMachine, Node: id}, co.idemKey)
+	_, err := m.fault(Mutation{Op: OpRestoreMachine, Node: id}, opts, false)
+	return err
 }
 
 // FailLink takes a link down at runtime, disconnecting the whole subtree
 // below it. It returns the IDs of the jobs that now have displaced VMs,
 // sorted.
 func (m *Manager) FailLink(id topology.LinkID, opts ...CallOption) ([]JobID, error) {
-	co := evalCallOpts(opts)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.faultLocked(Mutation{Op: OpFailLink, Link: id}, co.idemKey); err != nil {
-		return nil, err
-	}
-	return m.affectedLocked(), nil
+	return m.fault(Mutation{Op: OpFailLink, Link: id}, opts, true)
 }
 
 // RestoreLink brings a failed link back into service.
 func (m *Manager) RestoreLink(id topology.LinkID, opts ...CallOption) error {
-	co := evalCallOpts(opts)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.faultLocked(Mutation{Op: OpRestoreLink, Link: id}, co.idemKey)
+	_, err := m.fault(Mutation{Op: OpRestoreLink, Link: id}, opts, false)
+	return err
 }
 
 // AffectedJobs returns the IDs of admitted jobs with at least one VM on a
@@ -226,51 +223,66 @@ func (m *Manager) EffectiveEps(id JobID) (float64, error) {
 // freed (RepairFailed).
 func (m *Manager) RepairJob(id JobID) (RepairResult, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	a, ok := m.jobs[id]
 	if !ok {
+		m.mu.Unlock()
 		return RepairResult{}, fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
-	start := now()
-	res, err := m.repairLocked(a)
+	res, wait, err := m.repairLocked(a)
+	m.mu.Unlock()
 	if err != nil {
 		return RepairResult{}, err
 	}
-	res.Elapsed = since(start)
-	m.fstats.repairLatency.Observe(res.Elapsed)
+	if err := wait(); err != nil {
+		return RepairResult{}, err
+	}
 	return res, nil
 }
 
 // RepairAll repairs every affected job in ID order and returns one result
-// per job. On a journal failure it returns the repairs that committed
-// before the failure alongside the error.
+// per job. The whole sweep is staged under one hold of the lock and waited
+// for once after it, so its records share a group commit. On a journal
+// failure it returns the repairs applied before the failure alongside the
+// error, after waiting for the records those repairs staged.
 func (m *Manager) RepairAll() ([]RepairResult, error) {
+	var (
+		out   []RepairResult
+		waits []func() error
+		err   error
+	)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []RepairResult
 	for _, id := range m.affectedLocked() {
-		start := now()
-		res, err := m.repairLocked(m.jobs[id])
-		if err != nil {
-			return out, err
+		res, wait, rerr := m.repairLocked(m.jobs[id])
+		if rerr != nil {
+			err = rerr
+			break
 		}
-		res.Elapsed = since(start)
-		m.fstats.repairLatency.Observe(res.Elapsed)
 		out = append(out, res)
+		waits = append(waits, wait)
 	}
-	return out, nil
+	m.mu.Unlock()
+	for _, wait := range waits {
+		if werr := wait(); werr != nil && err == nil {
+			err = werr
+		}
+	}
+	return out, err
 }
 
 // repairLocked restores one job's guarantee. The repair is PLANNED on a
 // scratch clone of the ledger (freeing the job, running the pinned or
 // full DP, pricing the degraded fallback), then the chosen outcome is
-// journaled and executed against the live ledger through the shared
-// apply path — so the journal records the decision before any live state
-// moves, and replaying it is bit-identical.
-func (m *Manager) repairLocked(a *Allocation) (RepairResult, error) {
+// staged in the journal and executed against the live ledger through the
+// shared apply path — so the journal records the decision before any live
+// state moves, and replaying it is bit-identical. The returned wait must
+// be invoked after m.mu is released; Elapsed covers the plan and the
+// apply, not that wait.
+func (m *Manager) repairLocked(a *Allocation) (RepairResult, func() error, error) {
+	start := now()
 	mut, displaced := m.planRepairLocked(a)
-	if err := m.commitLocked(mut); err != nil {
-		return RepairResult{}, err
+	wait, err := m.commitStagedLocked(mut)
+	if err != nil {
+		return RepairResult{}, nil, err
 	}
 	res := RepairResult{Job: a.ID, Outcome: mut.Outcome, MovedVMs: displaced, EffectiveEps: mut.EffectiveEps}
 	switch {
@@ -279,7 +291,9 @@ func (m *Manager) repairLocked(a *Allocation) (RepairResult, error) {
 	case mut.Placement != nil:
 		res.Placement = mut.Placement.Clone()
 	}
-	return res, nil
+	res.Elapsed = since(start)
+	m.fstats.repairLatency.Observe(res.Elapsed)
+	return res, wait, nil
 }
 
 // PlanRepair plans — without committing — the repair of one job: the

@@ -284,9 +284,9 @@ func TestHeadroomEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatusReportsAdmissionAndWAL: /v1/status must surface the optimistic
-// admission pipeline counters, and the WAL section when a provider is
-// installed (absent otherwise, so in-memory daemons don't show a fake log).
+// TestStatusReportsAdmissionAndWAL: /v1/status must surface the admission
+// counters, and the WAL section when a provider is installed (absent
+// otherwise, so in-memory daemons don't show a fake log).
 func TestStatusReportsAdmissionAndWAL(t *testing.T) {
 	client, mgr := newTestService(t)
 	ctx := context.Background()
@@ -301,7 +301,7 @@ func TestStatusReportsAdmissionAndWAL(t *testing.T) {
 	if st.Admission == nil {
 		t.Fatal("status has no admission section")
 	}
-	if st.Admission.FastPath != 0 || st.Admission.Plans != 0 {
+	if st.Admission.Locked != 0 || st.Admission.Plans != 0 {
 		t.Errorf("fresh manager reports admissions: %+v", st.Admission)
 	}
 
@@ -312,7 +312,7 @@ func TestStatusReportsAdmissionAndWAL(t *testing.T) {
 		t.Fatalf("Status: %v", err)
 	}
 	adm := st.Admission
-	if adm == nil || adm.FastPath+adm.Revalidated+adm.Locked != 1 {
+	if adm == nil || adm.Locked != 1 {
 		t.Errorf("admission counters after one admission = %+v", adm)
 	}
 	if adm != nil && (adm.Plans < 1 || adm.MeanPlanMs <= 0) {

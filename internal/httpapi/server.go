@@ -112,17 +112,25 @@ type PodStatus struct {
 	MaxOccupancy float64 `json:"maxOccupancy"`
 }
 
-// AdmissionStatus reports how admissions traveled through the
-// plan/validate/commit pipeline (see core.AdmissionStats).
+// AdmissionStatus reports admissions and the plans behind them (see
+// core.AdmissionStats): Locked counts committed admissions, Plans every
+// plan run. The first five keys belonged to the snapshot-planned pipeline
+// and are pinned in the /v1/status key set until its readers drop them.
 type AdmissionStatus struct {
-	FastPath    int64   `json:"fastPath"`
-	Revalidated int64   `json:"revalidated"`
-	Conflicts   int64   `json:"conflicts"`
-	Retries     int64   `json:"retries"`
-	Fallbacks   int64   `json:"fallbacks"`
-	Locked      int64   `json:"locked"`
-	Plans       int64   `json:"plans"`
-	MeanPlanMs  float64 `json:"meanPlanMillis"`
+	// Deprecated: always 0.
+	FastPath int64 `json:"fastPath"`
+	// Deprecated: always 0.
+	Revalidated int64 `json:"revalidated"`
+	// Deprecated: always 0.
+	Conflicts int64 `json:"conflicts"`
+	// Deprecated: always 0.
+	Retries int64 `json:"retries"`
+	// Deprecated: always 0.
+	Fallbacks int64 `json:"fallbacks"`
+
+	Locked     int64   `json:"locked"`
+	Plans      int64   `json:"plans"`
+	MeanPlanMs float64 `json:"meanPlanMillis"`
 
 	// Plan-cache counters: how admission planning reused memoized DP
 	// tables (see core.AdmissionStats).
@@ -510,14 +518,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		LinksDown:    fstats.LinksDown,
 		DegradedJobs: fstats.DegradedJobs,
 		Admission: &AdmissionStatus{
-			FastPath:    adm.FastPath,
-			Revalidated: adm.Revalidated,
-			Conflicts:   adm.Conflicts,
-			Retries:     adm.Retries,
-			Fallbacks:   adm.Fallbacks,
-			Locked:      adm.Locked,
-			Plans:       adm.Plan.Count,
-			MeanPlanMs:  float64(adm.Plan.Mean()) / 1e6,
+			Locked:     adm.Locked,
+			Plans:      adm.Plan.Count,
+			MeanPlanMs: float64(adm.Plan.Mean()) / 1e6,
 
 			PlanCacheHits:          adm.PlanCacheHits,
 			PlanCacheMisses:        adm.PlanCacheMisses,

@@ -58,9 +58,7 @@ func heteroReq(t *testing.T, demands ...stats.Normal) core.Heterogeneous {
 // over K pods, fed the exact operation sequence an unsharded manager
 // receives, must produce bit-identical state — job IDs, placements,
 // ledger floats, fault overlay, counters, and idempotency bindings.
-// Both sides run the default admission pipeline; sequential calls on it
-// are pinned bit-identical to planning under the lock by core's
-// TestOptimisticMatchesLockedDifferential.
+// Both sides plan through core's one admission path (planLocked).
 func TestShardedDifferential(t *testing.T) {
 	tp := testTopo(t, 3)
 	r := openStrict(t, t.TempDir(), tp, 3)

@@ -224,10 +224,10 @@ func mergeLatency(a, b metrics.LatencySummary) metrics.LatencySummary {
 	return a
 }
 
-// AdmissionStats returns the merged admission pipeline counters. In
-// strict mode planning happens on the shadow, so its stats are the
-// truth, with Locked counting the router's serialized commits; in fast
-// mode the pods plan independently and their counters sum.
+// AdmissionStats returns the merged admission counters. In strict mode
+// planning happens on the shadow, so its stats are the truth, with
+// Locked counting the router's serialized commits; in fast mode the pods
+// plan independently and their counters sum.
 func (r *Router) AdmissionStats() core.AdmissionStats {
 	if r.mode == Strict {
 		st := r.shadow.AdmissionStats()
@@ -237,11 +237,6 @@ func (r *Router) AdmissionStats() core.AdmissionStats {
 	var out core.AdmissionStats
 	for _, m := range r.mgrs {
 		st := m.AdmissionStats()
-		out.FastPath += st.FastPath
-		out.Revalidated += st.Revalidated
-		out.Conflicts += st.Conflicts
-		out.Retries += st.Retries
-		out.Fallbacks += st.Fallbacks
 		out.Locked += st.Locked
 		out.Plan = mergeLatency(out.Plan, st.Plan)
 		out.PlanCacheHits += st.PlanCacheHits

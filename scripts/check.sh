@@ -50,7 +50,7 @@ echo "==> bench module: go vet + go test"
 # occupancy after every commit and staging-order == log-order in the
 # WAL's group commit (see docs/INVARIANTS.md).
 echo "==> go test -race -tags invariants (storm + wal)"
-go test -race -tags invariants -run 'TestOptimisticStormInvariants' ./internal/core/
+go test -race -tags invariants -run 'TestAdmissionStormInvariants' ./internal/core/
 go test -race -tags invariants ./internal/wal/
 
 # Recovery smoke: a cold start over both record mixes, and the record
