@@ -4,12 +4,15 @@
 package svc_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/replica"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/wal"
@@ -85,11 +88,103 @@ var recoverMixes = []struct {
 	}()},
 }
 
+// Shape of the snapshot cells: svcbench's restart-recover directory S,
+// keyed two-VM jobs on the paper's datacenter until the idempotency
+// table holds every binding.
+const (
+	snapJobs     = 1500
+	snapBindings = 50000
+)
+
+// snapshotState recovers an empty directory and loads it with the
+// snapshot cells' state: snapJobs live jobs, snapBindings bindings, all of
+// it still in the log.
+func snapshotState(b *testing.B, dir string) (*topology.Topology, *core.Manager, *wal.Journal) {
+	b.Helper()
+	topo, err := topology.NewThreeTier(topology.PaperConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr, j, err := wal.Recover(dir, topo, 0.05, nil, wal.WithNoSync(), wal.WithSnapshotEvery(1<<30))
+	if err != nil {
+		b.Fatal(err)
+	}
+	demands := []stats.Normal{{Mu: 100, Sigma: 40}, {Mu: 300, Sigma: 100}}
+	var live []core.JobID
+	for i := 0; j.Appended() < snapBindings; i++ {
+		if len(live) == snapJobs {
+			if err := mgr.Release(live[0], core.WithIdemKey(fmt.Sprintf("bench-rel-%08d", i))); err != nil {
+				b.Fatal(err)
+			}
+			live = live[1:]
+		}
+		a, err := mgr.AllocateHomog(core.Homogeneous{N: 2, Demand: demands[i%2]}, core.WithIdemKey(fmt.Sprintf("bench-adm-%08d", i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		live = append(live, a.ID)
+	}
+	return topo, mgr, j
+}
+
 // BenchmarkRecover measures a cold start from a state directory holding
 // one snapshot-free log of the given record count: scan, decode, and
 // validated replay into a fresh manager. ns/record and B/record (log
-// bytes) are the per-record costs; ns/op is the whole restart.
+// bytes) are the per-record costs; ns/op is the whole restart. The
+// snapshot cells hold the same kind of state in a snapshot instead:
+// "checkpoint" is export, encode and write, "load" the cold start from
+// what that wrote, and B/job the file's size.
 func BenchmarkRecover(b *testing.B) {
+	b.Run(fmt.Sprintf("mix=snapshot/jobs=%d/bindings=%d", snapJobs, snapBindings), func(b *testing.B) {
+		dir := b.TempDir()
+		topo, mgr, j := snapshotState(b, dir)
+		defer j.Close()
+		b.Run("checkpoint", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := mgr.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			info, err := os.Stat(filepath.Join(dir, fmt.Sprintf("snap-%d.snap", j.Gen())))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(info.Size())/snapJobs, "B/job")
+		})
+		b.Run("load", func(b *testing.B) {
+			if err := mgr.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			// Recover a copy: the live journal above keeps its own files.
+			copyDir := b.TempDir()
+			for _, name := range []string{fmt.Sprintf("snap-%d.snap", j.Gen()), fmt.Sprintf("wal-%d.log", j.Gen())} {
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(copyDir, name), data, 0o644); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m2, j2, err := wal.Recover(copyDir, topo, 0.05, nil, wal.WithNoSync())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m2.Running() != snapJobs {
+					b.Fatalf("recovered %d jobs, want %d", m2.Running(), snapJobs)
+				}
+				b.StopTimer()
+				if err := j2.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	})
 	for _, mix := range recoverMixes {
 		for _, records := range []int{100, 1000, 10000} {
 			b.Run(fmt.Sprintf("mix=%s/records=%d", mix.name, records), func(b *testing.B) {
@@ -150,6 +245,63 @@ func BenchmarkRecover(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(appended), "ns/record")
 				b.ReportMetric(float64(info.Size())/float64(appended), "B/record")
 			})
+		}
+	}
+}
+
+// BenchmarkPromote measures Standby.Promote on a standby that holds the
+// snapshot cells' state plus a 1 000-record tail and is at the frontier of
+// a primary that no longer answers — the larger part of a failover's
+// outage: recover the mirror, hold it against the followed state, advance
+// the epoch.
+func BenchmarkPromote(b *testing.B) {
+	topo, mgr, j := snapshotState(b, b.TempDir())
+	defer j.Close()
+	if err := mgr.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		a, err := mgr.AllocateHomog(core.Homogeneous{N: 2, Demand: stats.Normal{Mu: 100, Sigma: 40}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := mgr.Release(a.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		primaryUp := true
+		follow := replica.JournalFetcher(j)
+		s, err := replica.New(replica.Config{
+			Dir: b.TempDir(), Topo: topo, Eps: 0.05, NoSync: true,
+			WALOpts: []wal.Option{wal.WithNoSync()},
+			Fetch: func(ctx context.Context, cur wal.Cursor, maxBytes int, wait time.Duration) (wal.TailChunk, error) {
+				if !primaryUp {
+					return wal.TailChunk{}, os.ErrDeadlineExceeded
+				}
+				return follow(ctx, cur, maxBytes, wait)
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for caught := false; !caught; {
+			if caught, err = s.SyncOnce(ctx, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		primaryUp = false
+		b.StartTimer()
+		prom, err := s.Promote(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := prom.Journal.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

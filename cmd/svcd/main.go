@@ -375,20 +375,12 @@ func (d *daemon) promote(ctx context.Context) (httpapi.PromoteResponse, error) {
 		return httpapi.PromoteResponse{}, errors.New("this node is no longer a standby")
 	}
 	// Pause the follow loop first: promotion serializes with sync rounds,
-	// so a parked long poll would otherwise stall the catch-up below for
-	// a full poll horizon.
+	// so a parked long poll would otherwise stall its catch-up for a full
+	// poll horizon.
 	if d.followCancel != nil {
 		d.followCancel()
 		<-d.followDone
 		d.followCancel = nil
-	}
-	// Drain whatever the primary can still serve before the lag check;
-	// each round is one fetch, so a dead primary fails fast.
-	for i := 0; i < 8; i++ {
-		caught, err := s.SyncOnce(ctx, 0)
-		if err != nil || caught {
-			break
-		}
 	}
 	prom, err := s.Promote(ctx)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,6 +43,8 @@ func TestSmoke(t *testing.T) {
 		t.Fatalf("svcwal %s: %v", legacy, err)
 	}
 	for _, want := range []string{
+		`{"file":"snap-2.snap","meta":{"gen":2,"eps":0.05,"nodes":7,"slots":12}}`,
+		"snap-2.snap: format json, 404 bytes, 2 jobs, 1 bindings, 0 machines down, 0 links down\n",
 		`"format":"json","op":"alloc","job":3,"homog":{"n":4,"mu":2}`,
 		`"format":"json","op":"epoch","epoch":3}`,
 		"wal-2.log: 17 records, clean length 1864 bytes, epoch 3\n",
@@ -50,6 +53,13 @@ func TestSmoke(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("legacy output lacks %q:\n%s", want, out.String())
 		}
+	}
+	out.Reset()
+	if err := run([]string{"state", legacy}, &out); err != nil {
+		t.Fatalf("svcwal state %s: %v", legacy, err)
+	}
+	if want := `{"next_id":2,"links":[`; !strings.HasPrefix(out.String(), want) || !strings.Contains(out.String(), `"idem":{"legacy-a":{"op":1,"job":1,`) {
+		t.Errorf("legacy state output does not open with %q or lacks its binding:\n%s", want, out.String())
 	}
 	if after := dirBytes(t, legacy); len(after) != len(before) {
 		t.Fatal("svcwal added or removed files in the directory it inspected")
@@ -74,6 +84,12 @@ func TestSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if a, err = m.AllocateHomog(core.Homogeneous{N: 49, Demand: stats.Normal{Mu: 100, Sigma: 40}}, core.WithIdemKey("k2")); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Release(a.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +97,25 @@ func TestSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
+	if err := run([]string{"state", dir}, &out); err != nil {
+		t.Fatalf("svcwal state %s: %v", dir, err)
+	}
+	var snapshot core.ManagerState
+	if err := json.Unmarshal(out.Bytes(), &snapshot); err != nil || snapshot.NextID != 1 || len(snapshot.Jobs) != 1 || len(snapshot.Idem) != 1 {
+		t.Errorf("svcwal state printed (err %v):\n%s", err, out.String())
+	}
+	out.Reset()
 	if err := run([]string{dir}, &out); err != nil {
 		t.Fatalf("svcwal %s: %v", dir, err)
 	}
 	for _, want := range []string{
-		`"format":"bin1","op":"alloc","job":1,"homog":{"n":49,"mu":100,"sigma":40},"placement":[`,
-		`"idem_key":"k1"}`,
-		`"format":"bin1","op":"release","job":1}`,
-		"wal-1.log: 2 records, clean length ",
+		`{"file":"snap-2.snap","meta":{"gen":2,"eps":0.05,"nodes":1056,"slots":4000}}`,
+		"snap-2.snap: format bin1, ",
+		" bytes, 1 jobs, 1 bindings, 0 machines down, 0 links down\n",
+		`"format":"bin1","op":"alloc","job":2,"homog":{"n":49,"mu":100,"sigma":40},"placement":[`,
+		`"idem_key":"k2"}`,
+		`"format":"bin1","op":"release","job":2}`,
+		"wal-2.log: 2 records, clean length ",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("binary output lacks %q:\n%s", want, out.String())
@@ -100,5 +127,8 @@ func TestSmoke(t *testing.T) {
 	}
 	if err := run([]string{t.TempDir()}, &out); err == nil {
 		t.Fatal("svcwal on a directory with no log must fail")
+	}
+	if err := run([]string{"state", t.TempDir()}, &out); err == nil {
+		t.Fatal("svcwal state on a directory with no snapshot must fail")
 	}
 }

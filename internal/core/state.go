@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -14,11 +15,14 @@ import (
 // admitted jobs with their exact committed contributions, the fault
 // overlay, the fault/repair counters, and the idempotency table.
 //
-// Float64 fields round-trip bit-exactly through encoding/json (Go
-// marshals the shortest representation that parses back to the same
-// bits), so a snapshot restored with NewManagerFromState reproduces the
-// ledger bit-identically. Repair latency telemetry is deliberately not
-// part of the state — it is timing, not state, and resets on restart.
+// A state restored with NewManagerFromState reproduces the ledger
+// bit-identically whichever way it travelled: the journal's snapshots
+// store every float64 as its raw IEEE-754 bits (internal/wal), and
+// GET /v1/state serves it as JSON, where Go marshals the shortest decimal
+// that parses back to the same bits. The struct tags are that JSON form
+// (and the form legacy snapshots are still read in). Repair latency
+// telemetry is deliberately not part of the state — it is timing, not
+// state, and resets on restart.
 type ManagerState struct {
 	NextID       int64                `json:"next_id"`
 	Links        []LinkRecord         `json:"links"`
@@ -101,7 +105,23 @@ type EntryState struct {
 
 // ExportPlacement converts a placement to its wire form.
 func ExportPlacement(p *Placement) []EntryState {
-	out := make([]EntryState, len(p.Entries))
+	return exportPlacementTo(make([]EntryState, len(p.Entries)), p)
+}
+
+// cut returns n elements from the front of *slab, refilling it first
+// when it holds fewer. An idempotency table's tens of thousands of one-
+// and two-entry placements, which live and die together, are cut from
+// shared slabs instead of being allocated one by one.
+func cut[T any](slab *[]T, n int) []T {
+	if n > len(*slab) {
+		*slab = make([]T, max(n, 1024))
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+func exportPlacementTo(out []EntryState, p *Placement) []EntryState {
 	for i, e := range p.Entries {
 		out[i] = EntryState{Machine: int(e.Machine), Count: e.Count}
 		if e.VMs != nil {
@@ -113,7 +133,11 @@ func ExportPlacement(p *Placement) []EntryState {
 
 // ImportPlacement converts a wire placement back to the core form.
 func ImportPlacement(es []EntryState) Placement {
-	p := Placement{Entries: make([]PlacementEntry, len(es))}
+	return importPlacementTo(make([]PlacementEntry, len(es)), es)
+}
+
+func importPlacementTo(entries []PlacementEntry, es []EntryState) Placement {
+	p := Placement{Entries: entries}
 	for i, e := range es {
 		p.Entries[i] = PlacementEntry{Machine: topology.NodeID(e.Machine), Count: e.Count}
 		if e.VMs != nil {
@@ -140,6 +164,75 @@ type IdemState struct {
 	Op        MutationOp   `json:"op"`
 	Job       int64        `json:"job,omitempty"`
 	Placement []EntryState `json:"placement,omitempty"`
+}
+
+// Equal reports whether st and o are the same state: every field equal,
+// floats by their bits (a one-ulp drift or a flipped zero sign is a
+// difference), nil and empty slices and maps alike. Promotion checks the
+// mirror it recovered against the state it followed with it, so it is
+// written out type by type and never reflects; a field added to any of
+// the state types must be added to its equal method too, which
+// TestSnapshotFieldsComplete (internal/wal) enforces.
+func (st *ManagerState) Equal(o *ManagerState) bool {
+	if st.NextID != o.NextID || st.Counters != o.Counters || len(st.Idem) != len(o.Idem) ||
+		!slices.EqualFunc(st.Links, o.Links, LinkRecord.equal) ||
+		!slices.EqualFunc(st.Jobs, o.Jobs, JobState.equal) ||
+		!slices.Equal(st.Used, o.Used) ||
+		!slices.Equal(st.MachinesDown, o.MachinesDown) ||
+		!slices.Equal(st.LinksDown, o.LinksDown) {
+		return false
+	}
+	for k, a := range st.Idem {
+		if b, ok := o.Idem[k]; !ok || !a.equal(b) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// samePtr holds two optional values equal when both are absent or both
+// are present and eq.
+func samePtr[T any](a, b *T, eq func(T, T) bool) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return eq(*a, *b)
+}
+
+func (a LinkRecord) equal(b LinkRecord) bool {
+	return sameBits(a.Det, b.Det) && sameBits(a.SumMu, b.SumMu) && sameBits(a.SumVar, b.SumVar) &&
+		a.Stochastic == b.Stochastic
+}
+
+func (a JobState) equal(b JobState) bool {
+	return a.ID == b.ID &&
+		samePtr(a.Homog, b.Homog, HomogSpec.equal) &&
+		slices.EqualFunc(a.Hetero, b.Hetero, DemandSpec.equal) &&
+		slices.EqualFunc(a.Placement, b.Placement, EntryState.equal) &&
+		slices.EqualFunc(a.Contribs, b.Contribs, Contribution.equal) &&
+		samePtr(a.DegradedEps, b.DegradedEps, sameBits)
+}
+
+func (a HomogSpec) equal(b HomogSpec) bool {
+	return a.N == b.N && sameBits(a.Mu, b.Mu) && sameBits(a.Sigma, b.Sigma)
+}
+
+func (a DemandSpec) equal(b DemandSpec) bool {
+	return sameBits(a.Mu, b.Mu) && sameBits(a.Sigma, b.Sigma)
+}
+
+func (a Contribution) equal(b Contribution) bool {
+	return a.Link == b.Link && a.Det == b.Det && sameBits(a.Mu, b.Mu) && sameBits(a.Sigma, b.Sigma)
+}
+
+func (a EntryState) equal(b EntryState) bool {
+	return a.Machine == b.Machine && a.Count == b.Count && slices.Equal(a.VMs, b.VMs)
+}
+
+func (a IdemState) equal(b IdemState) bool {
+	return a.Op == b.Op && a.Job == b.Job && slices.EqualFunc(a.Placement, b.Placement, EntryState.equal)
 }
 
 // ExportState returns a deep snapshot of the manager's full mutable
@@ -214,10 +307,11 @@ func (m *Manager) exportStateLocked() *ManagerState {
 
 	if len(m.idem) > 0 {
 		st.Idem = make(map[string]IdemState, len(m.idem))
+		var slab []EntryState
 		for k, e := range m.idem {
 			is := IdemState{Op: e.op, Job: int64(e.job)}
 			if e.op == OpAlloc {
-				is.Placement = ExportPlacement(&e.placement)
+				is.Placement = exportPlacementTo(cut(&slab, len(e.placement.Entries)), &e.placement)
 			}
 			st.Idem[k] = is
 		}
@@ -281,6 +375,8 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 		m.led.Faults().FailLink(id)
 	}
 
+	m.jobs = make(map[JobID]*Allocation, len(st.Jobs))
+	m.idem = make(map[string]idemEntry, len(st.Idem))
 	perMachine := make([]int, topo.Len())
 	for _, js := range st.Jobs {
 		id := JobID(js.ID)
@@ -341,10 +437,11 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 	m.fstats.degradedRepairs = st.Counters.DegradedRepairs
 	m.fstats.failedRepairs = st.Counters.FailedRepairs
 
+	var slab []PlacementEntry // bindings are never dropped, so they can share
 	for k, is := range st.Idem {
 		e := idemEntry{op: is.Op, job: JobID(is.Job)}
 		if is.Op == OpAlloc {
-			e.placement = ImportPlacement(is.Placement)
+			e.placement = importPlacementTo(cut(&slab, len(is.Placement)), is.Placement)
 		}
 		m.idem[k] = e
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"time"
 
@@ -409,13 +408,24 @@ func (s *Standby) mirrorResetLocked(chunk wal.TailChunk) error {
 	if err := s.writeFile(s.walPath(chunk.Gen), chunk.Data); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(s.walPath(chunk.Gen), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("replica: reopen mirror: %w", err)
-	}
-	s.mirror = f
+	err := s.openMirrorLocked(wal.Cursor{Gen: chunk.Gen, Off: int64(len(chunk.Data))})
 	s.syncDir()
-	return nil
+	return err
+}
+
+// openMirrorLocked opens the mirror log for append at at, cutting off
+// whatever lies past it: a promotion that failed may have left part of
+// an epoch record behind the last mirrored frame.
+func (s *Standby) openMirrorLocked(at wal.Cursor) error {
+	f, err := os.OpenFile(s.walPath(at.Gen), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		if err = f.Truncate(at.Off); err == nil {
+			s.mirror = f
+			return nil
+		}
+		f.Close()
+	}
+	return fmt.Errorf("replica: reopen mirror: %w", err)
 }
 
 // mirrorAppendLocked appends verified bytes to the current mirror log.
@@ -482,22 +492,29 @@ type Promotion struct {
 	Lag     Lag    // lag at the moment of promotion (always zero bytes)
 }
 
-// Promote turns the standby into a primary. It refuses (ErrLagging)
-// unless the follower has replayed everything the primary made durable —
-// a final best-effort fetch narrows the window when the primary is still
-// reachable. On success the mirror is recovered through the standard
+// maxDrainRounds bounds promotion's catch-up, one fetch a round.
+const maxDrainRounds = 8
+
+// Promote turns the standby into a primary. It drains what the primary
+// can still serve (a dead one fails the first fetch), then refuses
+// (ErrLagging) unless the follower has replayed everything the primary
+// made durable. On success the mirror is recovered through the standard
 // wal.Recover path, the recovered state is checked bit-identical against
 // the followed state, and the fencing epoch is durably advanced past
-// everything seen in the stream. The standby stops following afterwards.
+// everything seen in the stream; the standby stops following. A failed
+// promotion leaves a working standby: the mirror is reopened at the
+// cursor, so the follow loop and a later Promote carry on.
 func (s *Standby) Promote(ctx context.Context) (Promotion, error) {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 
-	// Drain whatever the primary can still serve. A dead primary fails
-	// the fetch; promotion then proceeds against the last known frontier.
-	if _, err := s.syncOnce(ctx, 0); err != nil && !errors.Is(err, ErrPromoted) {
+	for i := 0; i < maxDrainRounds; i++ {
+		caught, err := s.syncOnce(ctx, 0)
 		if fatalStream(err) {
 			return Promotion{}, err
+		}
+		if err != nil || caught {
+			break
 		}
 	}
 
@@ -521,13 +538,23 @@ func (s *Standby) Promote(ctx context.Context) (Promotion, error) {
 		s.mirror.Close()
 		s.mirror = nil
 	}
+	prom, err := s.takeOverLocked()
+	if err != nil && s.cur.Gen > 0 { // still a standby: following needs a mirror
+		err = errors.Join(err, s.openMirrorLocked(s.cur))
+	}
+	return prom, err
+}
+
+// takeOverLocked recovers the sealed mirror, holds it against the
+// followed state, advances the epoch, and only then marks s promoted.
+func (s *Standby) takeOverLocked() (Promotion, error) {
 	mgr, journal, err := wal.Recover(s.cfg.Dir, s.cfg.Topo, s.cfg.Eps, s.cfg.MgrOpts, s.cfg.WALOpts...)
 	if err != nil {
 		return Promotion{}, fmt.Errorf("replica: recover mirror: %w", err)
 	}
-	if !reflect.DeepEqual(mgr.ExportState(), s.mgr.ExportState()) {
+	if !mgr.ExportState().Equal(s.mgr.ExportState()) {
 		journal.Close()
-		return Promotion{}, errors.New("replica: recovered mirror state diverges from followed state")
+		return Promotion{}, fmt.Errorf("%w: the recovered mirror's state differs from the followed state", ErrDiverged)
 	}
 	epoch := s.epoch + 1
 	if je := journal.Epoch(); je >= epoch {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -176,8 +177,8 @@ func TestPromoteRefusesWhileLagging(t *testing.T) {
 	dir := t.TempDir()
 	m, j := mustPrimary(t, dir)
 	defer j.Close()
-	// A log larger than one 64KiB page, so a capped fetch leaves a tail.
-	for i := 0; i < 1500; i++ {
+	// A log of several 64KiB pages, so a capped fetch leaves a tail.
+	for i := 0; i < 4000; i++ {
 		a, err := m.AllocateHomog(homog(1, 1, 0.2))
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +189,9 @@ func TestPromoteRefusesWhileLagging(t *testing.T) {
 	}
 
 	var dead bool
+	var dials int
 	fetch := func(ctx context.Context, cur wal.Cursor, maxBytes int, wait time.Duration) (wal.TailChunk, error) {
+		dials++
 		if dead {
 			return wal.TailChunk{}, errors.New("primary unreachable")
 		}
@@ -211,22 +214,142 @@ func TestPromoteRefusesWhileLagging(t *testing.T) {
 	if lag := s.Lag(); lag.Bytes == 0 {
 		t.Fatal("test setup: standby not lagging")
 	}
-	dead = true
+	dead, dials = true, 0
 	if _, err := s.Promote(context.Background()); !errors.Is(err, ErrLagging) {
 		t.Fatalf("promote while lagging: %v, want ErrLagging", err)
 	}
+	if dials != 1 {
+		t.Fatalf("promotion dialled a dead primary %d times, want once", dials)
+	}
 
-	// Once the primary is reachable again and the tail is drained,
-	// promotion succeeds.
-	dead = false
-	syncToFrontier(t, s)
+	// Once the primary is reachable again, promotion drains the tail
+	// itself, a page a round, and succeeds.
+	dead, dials = false, 0
 	prom, err := s.Promote(context.Background())
 	if err != nil {
-		t.Fatalf("promote at frontier: %v", err)
+		t.Fatalf("promote with the primary back: %v", err)
+	}
+	if dials < 2 {
+		t.Fatalf("test setup: the tail took %d fetches, want several pages", dials)
 	}
 	defer prom.Journal.Close()
 	if !reflect.DeepEqual(prom.Mgr.ExportState(), m.ExportState()) {
 		t.Fatal("promoted state differs from primary")
+	}
+}
+
+// TestPromoteFailureKeepsFollowing: a promotion that fails after the
+// mirror was sealed leaves a standby that still follows. It used to leave
+// one with no mirror open: the next chunk was replayed, failed to append,
+// was fetched again and replayed twice.
+func TestPromoteFailureKeepsFollowing(t *testing.T) {
+	m, j := mustPrimary(t, t.TempDir())
+	defer j.Close()
+	workload(t, m)
+	s := newStandby(t, j)
+	defer s.Close()
+	syncToFrontier(t, s)
+
+	// A log of a generation far ahead, with no snapshot beside it, is a
+	// directory wal.Recover refuses without touching.
+	stray := filepath.Join(s.cfg.Dir, "wal-99.log")
+	if err := os.WriteFile(stray, []byte("SVCWAL1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Promote(context.Background()); err == nil || errors.Is(err, ErrPromoted) {
+		t.Fatalf("promote over a mirror that cannot be recovered: %v, want the recovery's error", err)
+	}
+	if err := os.Remove(stray); err != nil {
+		t.Fatal(err)
+	}
+
+	// Still a standby: new commits arrive, once each, in memory and in
+	// the mirror.
+	for i := 0; i < 3; i++ {
+		if _, err := m.AllocateHomog(homog(1, 1, 0.5), core.WithIdemKey(fmt.Sprintf("after-failure-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if caught, err := s.SyncOnce(context.Background(), 0); err != nil || !caught {
+			t.Fatalf("sync after a failed promotion: caught=%v err=%v", caught, err)
+		}
+	}
+	if !reflect.DeepEqual(s.Manager().ExportState(), m.ExportState()) {
+		t.Fatal("the follower's state differs from the primary's after a failed promotion")
+	}
+	prom, err := s.Promote(context.Background())
+	if err != nil {
+		t.Fatalf("second promotion: %v", err)
+	}
+	defer prom.Journal.Close()
+	if !reflect.DeepEqual(prom.Mgr.ExportState(), m.ExportState()) {
+		t.Fatal("promoted state differs from primary")
+	}
+}
+
+// TestPromoteRefusesDivergedMirror: promotion's cross-check compares the
+// state recovered from the mirror with the followed state field by field
+// and bit by bit. One link's variance off by an ulp, one binding's job id,
+// one placement count — each must refuse with ErrDiverged.
+func TestPromoteRefusesDivergedMirror(t *testing.T) {
+	for name, flip := range map[string]func(*core.ManagerState){
+		"a link's SumVar by one ulp": func(st *core.ManagerState) {
+			for i := range st.Links {
+				if v := &st.Links[i].SumVar; *v > 0 {
+					*v = math.Nextafter(*v, math.Inf(1))
+					return
+				}
+			}
+			panic("test setup: no stochastic load on any link")
+		},
+		"a binding's job id": func(st *core.ManagerState) {
+			is := st.Idem["repl-a"]
+			is.Job++
+			st.Idem["repl-a"] = is
+		},
+		"a placement count": func(st *core.ManagerState) {
+			st.Idem["repl-a"].Placement[0].Count++
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, j := mustPrimary(t, t.TempDir())
+			defer j.Close()
+			workload(t, m)
+			if _, err := m.AllocateHomog(homog(4, 2, 1)); err != nil { // wider than a machine: loads links
+				t.Fatal(err)
+			}
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			s := newStandby(t, j)
+			defer s.Close()
+			syncToFrontier(t, s)
+
+			// Forge the mirror's snapshot: the same generation, the same
+			// datacenter, a valid checksum, one field different.
+			forged := m.ExportState()
+			flip(forged)
+			_, fj := mustPrimary(t, t.TempDir())
+			if err := fj.Checkpoint(forged); err != nil {
+				t.Fatal(err)
+			}
+			if err := fj.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := os.ReadFile(filepath.Join(fj.Dir(), "snap-2.snap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(s.cfg.Dir, "snap-2.snap"), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := s.Promote(context.Background()); !errors.Is(err, ErrDiverged) {
+				t.Fatalf("promote over a mirror with %s changed: %v, want ErrDiverged", name, err)
+			}
+			if !reflect.DeepEqual(s.Manager().ExportState(), m.ExportState()) {
+				t.Fatal("the refusal moved the follower's state")
+			}
+		})
 	}
 }
 
@@ -534,3 +657,59 @@ func TestStandbyStopsOnNewerFormat(t *testing.T) {
 		t.Fatal("the follower's state moved")
 	}
 }
+
+// TestStandbyStopsOnNewerSnapshotFormat: the same refusal for a reset
+// chunk whose snapshot body a newer primary wrote — the standby builds
+// nothing from it, writes nothing to its mirror, and stays refused.
+func TestStandbyStopsOnNewerSnapshotFormat(t *testing.T) {
+	m, j := mustPrimary(t, t.TempDir())
+	defer j.Close()
+	workload(t, m)
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(ctx context.Context, cur wal.Cursor, maxBytes int, wait time.Duration) (wal.TailChunk, error) {
+		chunk, err := j.Tail(ctx, cur, maxBytes, 0)
+		if err != nil || chunk.Snap == nil {
+			return chunk, err
+		}
+		// Re-frame the snapshot's body, the image's second frame, under a
+		// format tag from the future.
+		meta := magicLen + frameHeader + int(binary.LittleEndian.Uint32(chunk.Snap[magicLen:]))
+		body := append([]byte{0x02}, chunk.Snap[meta+frameHeader+1:]...)
+		snap := binary.LittleEndian.AppendUint32(chunk.Snap[:meta:meta], uint32(len(body)))
+		snap = binary.LittleEndian.AppendUint32(snap, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		chunk.Snap = append(snap, body...)
+		return chunk, nil
+	}
+	s, err := New(Config{
+		Dir: t.TempDir(), Topo: testTopo(t), Eps: testEps,
+		Fetch: fetch, NoSync: true,
+		WALOpts: []wal.Option{wal.WithNoSync()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 2; i++ { // the refusal is sticky
+		_, err = s.SyncOnce(context.Background(), 0)
+		if !errors.Is(err, wal.ErrUnsupportedFormat) || errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("SyncOnce: err = %v, want ErrUnsupportedFormat and not ErrCorrupt", err)
+		}
+	}
+	if _, err := s.Promote(context.Background()); !errors.Is(err, wal.ErrUnsupportedFormat) {
+		t.Fatalf("Promote: err = %v, want ErrUnsupportedFormat", err)
+	}
+	if files, err := os.ReadDir(s.cfg.Dir); err != nil || len(files) != 0 {
+		t.Fatalf("the mirror took files from a stream the standby cannot read: %v (err %v)", files, err)
+	}
+	if s.Manager().Running() != 0 || s.Cursor() != (wal.Cursor{}) {
+		t.Fatal("the follower moved")
+	}
+}
+
+// Sizes of the snapshot image's framing (internal/wal).
+const (
+	magicLen    = 8
+	frameHeader = 8
+)

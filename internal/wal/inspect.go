@@ -43,14 +43,19 @@ func recordOf(rec Record) record {
 	return out
 }
 
-// Inspect writes a legible rendering of a state directory to w: for the
-// newest wal-<gen>.log, and for intents.log when the directory is a
-// sharded router's, the file name (with the log's meta record), one JSON
-// line per frame — {"off":…,"len":…,"format":"json|bin1",…fields…} —
-// and a one-line summary. It opens nothing for writing and truncates
-// nothing; a frame it cannot decode is rendered with its error and the
-// walk goes on.
+// Inspect writes a legible rendering of a state directory to w. For the
+// newest snap-<gen>.snap: the file name with its meta record and a
+// one-line summary (WriteState prints the state itself). For the newest
+// wal-<gen>.log, and for intents.log when the directory is a sharded
+// router's: the file name (with the log's meta record), one JSON line
+// per frame — {"off":…,"len":…,"format":"json|bin1",…fields…} — and a
+// one-line summary. It opens nothing for writing and truncates nothing;
+// a frame it cannot decode is rendered with its error and the walk goes on.
 func Inspect(w io.Writer, dir string) error {
+	snap, err := inspectSnapshot(w, dir)
+	if err != nil {
+		return err
+	}
 	gens := sortedGens(dir)
 	if len(gens) > 0 {
 		if err := inspectFile(w, walPath(dir, gens[len(gens)-1]), walMagic); err != nil {
@@ -60,8 +65,8 @@ func Inspect(w io.Writer, dir string) error {
 	intents := filepath.Join(dir, "intents.log")
 	if _, err := os.Stat(intents); err == nil {
 		return inspectFile(w, intents, intentMagic)
-	} else if len(gens) == 0 {
-		return fmt.Errorf("wal: no wal-<gen>.log or intents.log in %s", dir)
+	} else if len(gens) == 0 && !snap {
+		return fmt.Errorf("wal: no snap-<gen>.snap, wal-<gen>.log or intents.log in %s", dir)
 	}
 	return nil
 }
@@ -84,10 +89,6 @@ func inspectFile(w io.Writer, path, magic string) error {
 	}
 	records, epoch := 0, uint64(1)
 	for _, fr := range frames {
-		format := "json"
-		if fr.payload[0] != tagLegacy {
-			format = fmt.Sprintf("bin%d", fr.payload[0])
-		}
 		var body any
 		var err error
 		if magic == intentMagic {
@@ -121,7 +122,7 @@ func inspectFile(w io.Writer, path, magic string) error {
 		}
 		// Splice the frame's position in front of the record's own fields.
 		fmt.Fprintf(w, `{"off":%d,"len":%d,"format":%q,%s`+"\n",
-			fr.end-headerLen-len(fr.payload), len(fr.payload), format, fields[1:])
+			fr.end-headerLen-len(fr.payload), len(fr.payload), formatName(fr.payload[0]), fields[1:])
 	}
 	summary := fmt.Sprintf("%s: %d records, clean length %d bytes", name, records, clean)
 	if magic == walMagic {

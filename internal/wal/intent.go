@@ -107,10 +107,7 @@ func appendIntent(buf []byte, in Intent) ([]byte, error) {
 	}
 	e := encoder{b: append(buf, tagBin1, byte(in.Kind), flags)}
 	e.varint(int64(in.Job))
-	e.uvarint(len(in.Pods))
-	for _, pod := range in.Pods {
-		e.varint(int64(pod))
-	}
+	e.ints(in.Pods)
 	if in.HasMut {
 		return appendMutation(e.b, in.Mut)
 	}
@@ -137,13 +134,7 @@ func decodeIntent(payload []byte) (Intent, error) {
 	if flags&^knownIntentFlags != 0 {
 		d.fail("unknown intent flag")
 	}
-	in := Intent{Kind: kind, Commit: flags&intentCommit != 0, Job: core.JobID(d.varint())}
-	if n := d.length(minVarint); n > 0 {
-		in.Pods = make([]int, n)
-		for i := range in.Pods {
-			in.Pods[i] = d.int()
-		}
-	}
+	in := Intent{Kind: kind, Commit: flags&intentCommit != 0, Job: core.JobID(d.varint()), Pods: d.ints()}
 	hasMut := flags&intentHasMut != 0
 	if !hasMut && len(d.b) != 0 {
 		d.fail("trailing bytes after the intent")

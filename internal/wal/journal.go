@@ -44,9 +44,17 @@ type meta struct {
 	Slots int     `json:"slots"`
 }
 
-// snapshotBody is the second frame of a snapshot file.
-type snapshotBody struct {
-	State *core.ManagerState `json:"state"`
+// check holds a file's meta payload against the datacenter and generation
+// the caller expects; what names the file kind in the error.
+func (want meta) check(payload []byte, what string) error {
+	var got meta
+	if err := json.Unmarshal(payload, &got); err != nil {
+		return fmt.Errorf("wal: %s meta: %w", what, err)
+	}
+	if got != want {
+		return fmt.Errorf("wal: %s meta %+v does not match datacenter %+v", what, got, want)
+	}
+	return nil
 }
 
 // Journal is a crash-durable core.Journal backed by the generation files
@@ -216,26 +224,13 @@ func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.Ma
 	// still complete on disk — a checkpoint deletes it only after the new
 	// files are synced — so rebuild the checkpoint state by recovering
 	// generation gen-1 in full, then replay the orphan log on top.
-	var m *core.Manager
-	orphan := false
-	st, err := readSnapshot(snapPath(dir, gen), want, gen)
-	switch {
-	case err == nil:
-		m, err = core.NewManagerFromState(topo, eps, st, mgrOpts...)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: restore snapshot: %w", err)
-		}
-	case errors.Is(err, os.ErrNotExist) && gen == 1:
-		if m, err = core.NewManager(topo, eps, mgrOpts...); err != nil {
-			return nil, nil, err
-		}
-	case errors.Is(err, os.ErrNotExist):
-		m, err = j.recoverPrevious(topo, eps, want, gen-1, mgrOpts)
-		if err != nil {
+	m, err := restoreBase(dir, topo, eps, want, gen, mgrOpts)
+	orphan := errors.Is(err, os.ErrNotExist)
+	if orphan {
+		if m, err = j.recoverPrevious(topo, eps, want, gen-1, mgrOpts); err != nil {
 			return nil, nil, fmt.Errorf("wal: orphaned generation %d: %w", gen, err)
 		}
-		orphan = true
-	default:
+	} else if err != nil {
 		return nil, nil, err
 	}
 
@@ -258,12 +253,8 @@ func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.Ma
 		m.SetJournal(j)
 		return m, j, nil
 	}
-	var got meta
-	if err := json.Unmarshal(frames[0].payload, &got); err != nil {
-		return nil, nil, fmt.Errorf("wal: log meta: %w", err)
-	}
-	if got != j.meta {
-		return nil, nil, fmt.Errorf("wal: log meta %+v does not match datacenter %+v", got, j.meta)
+	if err := j.meta.check(frames[0].payload, "log"); err != nil {
+		return nil, nil, err
 	}
 	// A record that fails to decode or that the manager refuses ends the
 	// log exactly as a failed CRC does: replay stops and the file is
@@ -306,18 +297,8 @@ func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.Ma
 // only starts deleting a generation after its successor's files are
 // synced, so that state cannot arise from a single crash.
 func (j *Journal) recoverPrevious(topo *topology.Topology, eps float64, want meta, gen uint64, mgrOpts []core.ManagerOption) (*core.Manager, error) {
-	var m *core.Manager
-	st, err := readSnapshot(snapPath(j.dir, gen), want, gen)
-	switch {
-	case err == nil:
-		if m, err = core.NewManagerFromState(topo, eps, st, mgrOpts...); err != nil {
-			return nil, fmt.Errorf("wal: restore snapshot: %w", err)
-		}
-	case errors.Is(err, os.ErrNotExist) && gen == 1:
-		if m, err = core.NewManager(topo, eps, mgrOpts...); err != nil {
-			return nil, err
-		}
-	default:
+	m, err := restoreBase(j.dir, topo, eps, want, gen, mgrOpts)
+	if err != nil {
 		return nil, err
 	}
 	data, err := os.ReadFile(walPath(j.dir, gen))
@@ -331,19 +312,32 @@ func (j *Journal) recoverPrevious(topo *topology.Topology, eps float64, want met
 	if len(frames) == 0 {
 		return m, nil
 	}
-	wantGen := want
-	wantGen.Gen = gen
-	var got meta
-	if err := json.Unmarshal(frames[0].payload, &got); err != nil {
-		return nil, fmt.Errorf("wal: log meta: %w", err)
-	}
-	if got != wantGen {
-		return nil, fmt.Errorf("wal: log meta %+v does not match datacenter %+v", got, wantGen)
+	want.Gen = gen
+	if err := want.check(frames[0].payload, "log"); err != nil {
+		return nil, err
 	}
 	if _, _, err := replay(m, frames, j.raiseEpoch); errors.Is(err, ErrUnsupportedFormat) {
 		return nil, fmt.Errorf("wal: %s: %w", filepath.Base(walPath(j.dir, gen)), err)
 	}
 	return m, nil
+}
+
+// restoreBase rebuilds the manager that generation gen's log replays
+// onto: the generation's snapshot, or an empty manager for generation 1,
+// which has none. Any other generation without one is os.ErrNotExist.
+func restoreBase(dir string, topo *topology.Topology, eps float64, want meta, gen uint64, mgrOpts []core.ManagerOption) (*core.Manager, error) {
+	st, err := readSnapshot(snapPath(dir, gen), want, gen)
+	switch {
+	case err == nil:
+		m, err := core.NewManagerFromState(topo, eps, st, mgrOpts...)
+		if err != nil {
+			return nil, fmt.Errorf("wal: restore snapshot: %w", err)
+		}
+		return m, nil
+	case errors.Is(err, os.ErrNotExist) && gen == 1:
+		return core.NewManager(topo, eps, mgrOpts...)
+	}
+	return nil, err
 }
 
 // replay applies a scanned log to m: frames[0] is the meta frame, which
@@ -393,59 +387,11 @@ func scanDir(dir string) (uint64, error) {
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") {
 			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		var g uint64
-		if _, err := fmt.Sscanf(name, "wal-%d.log", &g); err == nil && name == fmt.Sprintf("wal-%d.log", g) {
-			if g > gen {
-				gen = g
-			}
-			continue
-		}
-		if _, err := fmt.Sscanf(name, "snap-%d.snap", &g); err == nil && name == fmt.Sprintf("snap-%d.snap", g) {
-			if g > gen {
-				gen = g
-			}
+		} else if g, _, ok := genOf(name); ok && g > gen {
+			gen = g
 		}
 	}
 	return gen, nil
-}
-
-// readSnapshot loads and validates one snapshot file.
-func readSnapshot(path string, want meta, gen uint64) (*core.ManagerState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(data, want, gen, filepath.Base(path))
-}
-
-// decodeSnapshot validates a snapshot image (from disk or the
-// replication stream) and returns the state it carries.
-func decodeSnapshot(data []byte, want meta, gen uint64, name string) (*core.ManagerState, error) {
-	frames, _, scanErr := scanFrames(data, snapMagic)
-	if len(frames) < 2 {
-		if scanErr == nil {
-			scanErr = fmt.Errorf("%w: snapshot has %d frames, want 2", ErrCorrupt, len(frames))
-		}
-		return nil, fmt.Errorf("wal: snapshot %s: %w", name, scanErr)
-	}
-	var got meta
-	if err := json.Unmarshal(frames[0].payload, &got); err != nil {
-		return nil, fmt.Errorf("wal: snapshot meta: %w", err)
-	}
-	want.Gen = gen
-	if got != want {
-		return nil, fmt.Errorf("wal: snapshot meta %+v does not match datacenter %+v", got, want)
-	}
-	var body snapshotBody
-	if err := json.Unmarshal(frames[1].payload, &body); err != nil {
-		return nil, fmt.Errorf("wal: snapshot state: %w", err)
-	}
-	if body.State == nil {
-		return nil, fmt.Errorf("wal: snapshot %s has no state", name)
-	}
-	return body.State, nil
 }
 
 // removeStale deletes generation files older than keep; they are fully
@@ -456,18 +402,21 @@ func removeStale(dir string, keep uint64) {
 		return
 	}
 	for _, e := range entries {
-		var g uint64
-		name := e.Name()
-		isWAL, _ := fmt.Sscanf(name, "wal-%d.log", &g)
-		if isWAL != 1 {
-			if n, _ := fmt.Sscanf(name, "snap-%d.snap", &g); n != 1 {
-				continue
-			}
-		}
-		if g < keep {
-			os.Remove(filepath.Join(dir, name))
+		if g, _, ok := genOf(e.Name()); ok && g < keep {
+			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
+}
+
+// genOf parses the name of a generation file: wal-<gen>.log, or
+// snap-<gen>.snap (snap true).
+func genOf(name string) (gen uint64, snap, ok bool) {
+	for _, format := range []string{"wal-%d.log", "snap-%d.snap"} {
+		if _, err := fmt.Sscanf(name, format, &gen); err == nil && name == fmt.Sprintf(format, gen) {
+			return gen, format[0] == 's', true
+		}
+	}
+	return 0, false, false
 }
 
 // createWAL writes a fresh log file for m.Gen — magic, meta frame, and
@@ -693,16 +642,10 @@ func (j *Journal) Checkpoint(st *core.ManagerState) error {
 	next := j.meta
 	next.Gen++
 
-	metaPayload, err := json.Marshal(next)
+	buf, err := encodeSnapshot(next, st)
 	if err != nil {
 		return err
 	}
-	statePayload, err := json.Marshal(snapshotBody{State: st})
-	if err != nil {
-		return err
-	}
-	buf := appendFrame([]byte(snapMagic), metaPayload)
-	buf = appendFrame(buf, statePayload)
 
 	tmp := snapPath(j.dir, next.Gen) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -918,16 +861,11 @@ func sortedGens(dir string) []uint64 {
 	if err != nil {
 		return nil
 	}
-	seen := map[uint64]bool{}
+	var out []uint64
 	for _, e := range entries {
-		var g uint64
-		if _, err := fmt.Sscanf(e.Name(), "wal-%d.log", &g); err == nil {
-			seen[g] = true
+		if g, snap, ok := genOf(e.Name()); ok && !snap {
+			out = append(out, g)
 		}
-	}
-	out := make([]uint64, 0, len(seen))
-	for g := range seen {
-		out = append(out, g)
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
 	return out

@@ -171,12 +171,13 @@ func TestInspect(t *testing.T) {
 		t.Fatalf("Inspect: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	// wal: file line, 18 records, summary; intents: file line, 4, summary.
-	if len(lines) != 1+18+1+1+4+1 {
+	// snap: file line, summary; wal: file line, 18 records, summary;
+	// intents: file line, 4, summary.
+	if len(lines) != 1+1+1+18+1+1+4+1 {
 		t.Fatalf("Inspect printed %d lines:\n%s", len(lines), out.String())
 	}
 	for i, line := range lines {
-		if i == 19 || i == 25 {
+		if i == 1 || i == 21 || i == 27 {
 			continue // the summaries are prose
 		}
 		var fields map[string]any
@@ -185,6 +186,8 @@ func TestInspect(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
+		`{"file":"snap-2.snap","meta":{"gen":2,"eps":0.05,"nodes":7,"slots":12}}`,
+		"snap-2.snap: format json, 404 bytes, 2 jobs, 1 bindings, 0 machines down, 0 links down\n",
 		`{"file":"wal-2.log","meta":{"gen":2,"eps":0.05,"nodes":7,"slots":12}}`,
 		`"format":"json","op":"repair","job":1,"outcome":"failed","eps":1}`,
 		`"format":"json","op":"epoch","epoch":3}`,

@@ -119,6 +119,33 @@ func (e *encoder) bytes(v string)           { e.uvarint(len(v)); e.b = append(e.
 func (e *encoder) bool(v bool)              { e.b = append(e.b, b2u(v)) }
 func (e *encoder) normal(mu, sigma float64) { e.float(mu); e.float(sigma) }
 
+// The sections below are shared by records, intents and snapshot bodies.
+
+// ints writes a counted list of signed integers.
+func (e *encoder) ints(vs []int) {
+	e.uvarint(len(vs))
+	for _, v := range vs {
+		e.varint(int64(v))
+	}
+}
+
+// entry writes one machine's share of a placement (no vms: homogeneous).
+func (e *encoder) entry(machine, count int, vms []int) {
+	e.varint(int64(machine))
+	e.varint(int64(count))
+	e.ints(vms)
+}
+
+// contribs writes a counted list of per-link contributions.
+func (e *encoder) contribs(cs []core.Contribution) {
+	e.uvarint(len(cs))
+	for _, c := range cs {
+		e.varint(int64(c.Link))
+		e.bool(c.Det)
+		e.normal(c.Mu, c.Sigma)
+	}
+}
+
 func (e *encoder) float(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		e.nonFinite = true
@@ -187,21 +214,11 @@ func appendMutation(buf []byte, mut core.Mutation) ([]byte, error) {
 	if flags&flagPlacement != 0 {
 		e.uvarint(len(mut.Placement.Entries))
 		for _, pe := range mut.Placement.Entries {
-			e.varint(int64(pe.Machine))
-			e.varint(int64(pe.Count))
-			e.uvarint(len(pe.VMs))
-			for _, vm := range pe.VMs {
-				e.varint(int64(vm))
-			}
+			e.entry(int(pe.Machine), pe.Count, pe.VMs)
 		}
 	}
 	if flags&flagContribs != 0 {
-		e.uvarint(len(mut.Contribs))
-		for _, c := range mut.Contribs {
-			e.varint(int64(c.Link))
-			e.bool(c.Det)
-			e.normal(c.Mu, c.Sigma)
-		}
+		e.contribs(mut.Contribs)
 	}
 	if flags&flagEps != 0 {
 		e.float(mut.EffectiveEps)
@@ -323,16 +340,21 @@ func (d *decoder) count(minSize int) int {
 	return n
 }
 
-// finish ends a record: nothing may follow its last field, and the first
+// end closes a payload: nothing may follow its last field, and the first
 // thing that went wrong, if anything did, is the verdict.
-func (d *decoder) finish(rec Record) (Record, error) {
+func (d *decoder) end() error {
 	if len(d.b) != 0 {
-		d.fail("trailing bytes after the record")
+		d.fail("trailing bytes after the last field")
 	}
-	if d.err != nil {
-		return Record{}, d.err
+	return d.err
+}
+
+// finish ends a record.
+func (d *decoder) finish(rec Record) (Record, error) {
+	if d.end() != nil {
+		rec = Record{}
 	}
-	return rec, nil
+	return rec, d.err
 }
 
 // check folds a request validator's verdict into the decode error.
@@ -367,6 +389,42 @@ func (d *decoder) float() float64 {
 
 func (d *decoder) normal() stats.Normal {
 	return stats.Normal{Mu: d.float(), Sigma: d.float()}
+}
+
+// ints reads a counted list of signed integers; an empty list is nil.
+func (d *decoder) ints() []int {
+	n := d.length(minVarint)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]int, n)
+	for i := range vs {
+		vs[i] = d.int()
+	}
+	return vs
+}
+
+func (d *decoder) entry() (machine, count int, vms []int) {
+	return d.int(), d.int(), d.ints()
+}
+
+// contribs reads the n contributions behind a count the caller has read.
+func (d *decoder) contribs(n int) []core.Contribution {
+	cs := make([]core.Contribution, n)
+	for i := range cs {
+		c := &cs[i]
+		c.Link = topology.LinkID(d.int())
+		c.Det = d.bool()
+		c.Mu, c.Sigma = d.float(), d.float()
+	}
+	return cs
+}
+
+// key reads the n bytes of an idempotency key.
+func (d *decoder) key(n int) string {
+	k := string(d.b[:n])
+	d.b = d.b[n:]
+	return k
 }
 
 // decodeBin1 parses a format-1 payload past its tag byte.
@@ -417,26 +475,13 @@ func decodeBin1(b []byte) (Record, error) {
 	if flags&flagPlacement != 0 {
 		p := core.Placement{Entries: make([]core.PlacementEntry, d.count(minEntry))}
 		for i := range p.Entries {
-			pe := &p.Entries[i]
-			pe.Machine = topology.NodeID(d.int())
-			pe.Count = d.int()
-			if n := d.length(minVarint); n > 0 { // 0: homogeneous, no VM list
-				pe.VMs = make([]int, n)
-				for k := range pe.VMs {
-					pe.VMs[k] = d.int()
-				}
-			}
+			machine, count, vms := d.entry()
+			p.Entries[i] = core.PlacementEntry{Machine: topology.NodeID(machine), Count: count, VMs: vms}
 		}
 		mut.Placement = &p
 	}
 	if flags&flagContribs != 0 {
-		mut.Contribs = make([]core.Contribution, d.count(minContrib))
-		for i := range mut.Contribs {
-			c := &mut.Contribs[i]
-			c.Link = topology.LinkID(d.int())
-			c.Det = d.bool()
-			c.Mu, c.Sigma = d.float(), d.float()
-		}
+		mut.Contribs = d.contribs(d.count(minContrib))
 	}
 	if flags&flagEps != 0 {
 		if mut.EffectiveEps = d.float(); mut.EffectiveEps == 0 {
@@ -444,9 +489,7 @@ func decodeBin1(b []byte) (Record, error) {
 		}
 	}
 	if flags&flagIdem != 0 {
-		n := d.count(minVarint)
-		mut.IdemKey = string(d.b[:n])
-		d.b = d.b[n:]
+		mut.IdemKey = d.key(d.count(minVarint))
 	}
 	return d.finish(rec)
 }

@@ -674,6 +674,35 @@ func TestCodecAllocs(t *testing.T) {
 			t.Errorf("%v: decode allocates %v times, want at most %d (one per field)", m.Op, n, fields)
 		}
 	}
+
+	// A snapshot's bindings: encoding allocates only the key slice it
+	// sorts, and decoding one string per key — the map is sized once and
+	// the placements are cut from slabs, so nothing else grows with the
+	// table.
+	const bindings = 4096
+	st := goldenState()
+	for i := 0; i < bindings; i++ {
+		is := core.IdemState{Op: core.OpRelease, Job: int64(i)}
+		if i%2 == 0 {
+			is = core.IdemState{Op: core.OpAlloc, Job: int64(i), Placement: []core.EntryState{{Machine: i, Count: 1}, {Machine: i + 1, Count: 1}}}
+		}
+		st.Idem[fmt.Sprintf("tenant-%04d/request-%08d", i%97, i)] = is
+	}
+	body := mustEncodeSnapshot(t, st)
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := appendSnapshot(body[:0], st); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("snapshot encode allocates %v times for %d bindings, want the sorted key slice only", n, bindings)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := decodeSnapshotBody(body); err != nil {
+			t.Fatal(err)
+		}
+	}) / bindings; n > 1.05 {
+		t.Errorf("snapshot decode allocates %.3f times per binding, want at most 1.05 (the key)", n)
+	}
 }
 
 // BenchmarkRecordCodec times the codec alone on the record that dominates

@@ -1,9 +1,6 @@
 package wal
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/topology"
 )
@@ -83,15 +80,7 @@ func DecodeRecord(payload []byte) (Record, error) {
 // expected datacenter and generation, refusing to replay a stream that
 // belongs to a different topology or risk factor.
 func CheckLogMeta(payload []byte, topo *topology.Topology, eps float64, gen uint64) error {
-	var got meta
-	if err := json.Unmarshal(payload, &got); err != nil {
-		return fmt.Errorf("wal: log meta: %w", err)
-	}
-	want := meta{Gen: gen, Eps: eps, Nodes: topo.Len(), Slots: topo.TotalSlots()}
-	if got != want {
-		return fmt.Errorf("wal: log meta %+v does not match datacenter %+v", got, want)
-	}
-	return nil
+	return meta{Gen: gen, Eps: eps, Nodes: topo.Len(), Slots: topo.TotalSlots()}.check(payload, "log")
 }
 
 // DecodeSnapshot parses and validates a snap-<gen>.snap image shipped

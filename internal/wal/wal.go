@@ -17,17 +17,17 @@
 // replay stops at the last intact record; recovery truncates the file
 // there so the next append continues from a clean point.
 //
-// Two payloads are JSON: the meta record that opens either file, and the
-// snapshot's ManagerState. Each is decoded once per file rather than once
-// per record, and the state is the very type GET /v1/state serves, so
-// there is nothing to gain from a second encoding of it. Every other
-// payload — a log record — starts with a format tag byte and is binary
-// (record.go is the one file that knows the layout):
+// One payload is JSON: the ~60-byte meta record that opens either file,
+// decoded once per file. Every other payload — a log record, a snapshot
+// body — starts with a format tag byte and is binary:
 //
-//	tag      0x01 = format 1, below. '{' = a legacy JSON record, written
+//	tag      0x01 = format 1, below. '{' = a legacy JSON payload, written
 //	         before format 1 and still read, so old directories recover
 //	         and continue in place. Anything else was written by a newer
 //	         version: ErrUnsupportedFormat, and the file is left alone.
+//
+// A log record (record.go is the one file that knows the layout):
+//
 //	op       1 alloc  2 release  3 fail_machine  4 restore_machine
 //	         5 fail_link  6 restore_link  7 set_offline  8 repair
 //	         0x40 epoch marker — followed only by: uvarint epoch
@@ -51,6 +51,21 @@
 // the decoder. Every length is checked against the bytes that remain
 // before it sizes an allocation. intents.log frames wrap the same
 // mutation record in an envelope of their own (intent.go).
+//
+// A snapshot body (snapshot.go; legacy: {"state":{...}}) holds the whole
+// state; an entry is a [placement] element, a contribution a [contribs] one:
+//
+//	varint   next job id
+//	links    uvarint n, n x (f64 det, sum_mu, sum_var; varint stochastic)
+//	used     uvarint n, n x varint
+//	jobs     uvarint n, n x (varint id, byte flags: bit 0 homog, 1 hetero,
+//	         2 degraded eps; [homog]; [hetero]; uvarint n, n x entry;
+//	         uvarint n, n x contribution; [f64 eps]), ascending by id
+//	down     uvarint n, n x varint machines; uvarint n, n x varint links
+//	counters 8 x uvarint, in CounterState's field order
+//	bindings uvarint n, n x (uvarint k, k key bytes, byte op, varint job,
+//	         uvarint n, n x entry), ascending by key and refused in any
+//	         other order: equal states give equal bytes
 //
 // A checkpoint writes snap-<gen+1>.tmp, fsyncs, renames it into place
 // (atomic on POSIX), creates wal-<gen+1>.log, and only then deletes the

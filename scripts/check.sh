@@ -53,9 +53,15 @@ echo "==> go test -race -tags invariants (storm + wal)"
 go test -race -tags invariants -run 'TestAdmissionStormInvariants' ./internal/core/
 go test -race -tags invariants ./internal/wal/
 
-# Recovery smoke: a cold start over both record mixes, and the record
-# codec alone (see bench_wal_test.go, internal/wal/record_test.go).
-echo "==> recovery smoke (BenchmarkRecover, BenchmarkRecordCodec, 3 iterations)"
-go test -run '^$' -bench 'BenchmarkRecover|BenchmarkRecordCodec' -benchtime 3x . ./internal/wal/
+# Recovery smoke: a cold start over both record mixes and from a
+# snapshot, a standby's promotion, and the record codec alone (see
+# bench_wal_test.go, internal/wal/record_test.go).
+echo "==> recovery smoke (BenchmarkRecover, BenchmarkPromote, BenchmarkRecordCodec, 3 iterations)"
+go test -run '^$' -bench 'BenchmarkRecover|BenchmarkPromote|BenchmarkRecordCodec' -benchtime 3x . ./internal/wal/
+
+# Fuzz smoke: the decoder a crafted or damaged snapshot reaches first.
+# (CI's fuzz-smoke job runs every target in the tree for 20 s each.)
+echo "==> fuzz smoke (FuzzSnapshotDecode, 10s)"
+go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/wal/
 
 echo "OK"
