@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race bench
+.PHONY: check vet lint build test race bench loc
 
 ## check: full gate — vet, lint, build, race-enabled tests (what CI runs)
 check:
@@ -26,3 +26,8 @@ race:
 ## bench: allocator benchmark suite, writes BENCH_pr1.json
 bench:
 	bash scripts/bench.sh
+
+## loc: non-test Go lines in the control-plane packages (the size table
+## of ROADMAP.md and CHANGES.md)
+loc:
+	bash scripts/loc.sh

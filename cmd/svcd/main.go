@@ -179,7 +179,7 @@ func newDaemon(cfg config) (*daemon, error) {
 			Dir:     cfg.stateDir,
 			Topo:    topo,
 			Eps:     cfg.eps,
-			Fetch:   replica.ClientFetcher(httpapi.NewClient(cfg.follow, nil)),
+			Fetch:   httpapi.NewClient(cfg.follow, nil).WALTail,
 			MgrOpts: mgrOpts,
 			WALOpts: walOpts,
 			NoSync:  cfg.noSync,
@@ -238,7 +238,7 @@ func (d *daemon) wireJournal(mgr *core.Manager, j *wal.Journal) {
 			MeanBatch: gs.MeanBatch,
 		}
 	})
-	d.api.SetWALTail(replica.TailHandler(j))
+	d.api.SetWALTail(j.Tail)
 	d.api.SetFence(j.Fence)
 	d.api.SetReplication(func() *httpapi.ReplicationStatus {
 		cur := j.DurableCursor()

@@ -43,8 +43,8 @@ var DefaultRestrictions = []Restriction{
 	},
 	{
 		Pkg: "repro/internal/core", Recv: "Manager", Method: "Replay",
-		AllowedFrom: []string{"repro/internal/wal", "repro/internal/replica"},
-		Reason:      "applies a raw journal record outside the recovery and replication seams",
+		AllowedFrom: []string{"repro/internal/wal"},
+		Reason:      "applies a raw journal record outside the one replay loop recovery and the standby share",
 	},
 }
 

@@ -28,8 +28,8 @@
 //
 // Cross-package seam entry points — Manager.CommitExternal (the commit
 // half with no planning half, the router's private escape hatch) and
-// Manager.Replay (the raw record applier behind recovery and
-// replication) — are policed through the declarative restriction table
+// Manager.Replay (the raw record applier, called from wal's one replay
+// loop and nowhere else) — are policed through the declarative restriction table
 // in internal/analysis/callgraph (DefaultRestrictions): each entry
 // names the function and the packages allowed to call it, and every
 // call site anywhere else is a finding.

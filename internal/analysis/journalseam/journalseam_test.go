@@ -10,5 +10,5 @@ import (
 func TestJournalseam(t *testing.T) {
 	analysistest.Run(t, "testdata", journalseam.Analyzer,
 		"repro/internal/topology", "repro/internal/core", "repro/internal/shard",
-		"repro/internal/replica", "consumer")
+		"repro/internal/replica", "repro/internal/wal", "consumer")
 }

@@ -44,9 +44,9 @@ func Inject(m *core.Manager, mut core.Mutation) error {
 	return m.CommitExternal(mut) // want `CommitExternal outside internal/shard`
 }
 
-// --- positive: replaying a raw record outside the recovery and
-// replication seams skips planning and journaling both ---
+// --- positive: replaying a raw record outside wal's replay loop skips
+// planning and journaling both ---
 
 func Refeed(m *core.Manager, mut *core.Mutation) error {
-	return m.Replay(mut) // want `Replay outside internal/wal,internal/replica`
+	return m.Replay(mut) // want `Replay outside internal/wal`
 }

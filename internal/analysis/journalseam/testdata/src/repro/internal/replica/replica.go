@@ -1,8 +1,9 @@
 // Package replica exercises the follower rule (invariant I9): a standby
-// applies replicated records only through Manager.Replay — it never
-// journals, and it never pokes the ledger or fault overlay it serves
-// reads from, however tempting the shortcut is while mirroring a stream
-// that was already validated on the primary.
+// hands replicated records to internal/wal, whose replay loop is the one
+// caller of Manager.Replay — it never applies a record itself, never
+// journals, and never pokes the ledger or fault overlay it serves reads
+// from, however tempting the shortcut is while mirroring a stream that
+// was already validated on the primary.
 package replica
 
 import (
@@ -15,10 +16,10 @@ type Standby struct {
 	led *core.Ledger
 }
 
-// --- negative: a fetched record enters through the replay seam ---
+// --- positive: a second replay loop beside wal's ---
 
-func (s *Standby) Apply(mut *core.Mutation) error {
-	return s.mgr.Replay(mut)
+func (s *Standby) badReplay(mut *core.Mutation) error {
+	return s.mgr.Replay(mut) // want `Replay outside internal/wal`
 }
 
 // --- negative: serving reads from the follower manager ---

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 )
 
 // Client talks to a network manager served by Server.
@@ -267,10 +268,10 @@ func (c *Client) Failures(ctx context.Context) (core.FailureStats, error) {
 // WALTail fetches one chunk of the primary's replication log. It is a
 // single attempt against one explicit endpoint — the standby's follow
 // loop owns retry and failover policy, not the client.
-func (c *Client) WALTail(ctx context.Context, q WALTailQuery) (WALChunk, error) {
+func (c *Client) WALTail(ctx context.Context, cur wal.Cursor, maxBytes int, wait time.Duration) (wal.TailChunk, error) {
 	path := fmt.Sprintf("/v1/wal?gen=%d&off=%d&wait_ms=%d&max_bytes=%d",
-		q.Gen, q.Off, q.WaitMs, q.MaxBytes)
-	var chunk WALChunk
+		cur.Gen, cur.Off, wait/time.Millisecond, maxBytes)
+	var chunk wal.TailChunk
 	base, _ := c.currentBase()
 	err, _, _ := c.attempt(ctx, base, http.MethodGet, path, nil, false, "", &chunk, http.StatusOK)
 	return chunk, err

@@ -8,30 +8,15 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/wal"
 )
 
-// WALTailQuery is the parsed form of GET /v1/wal: a resume cursor plus
-// long-poll and size knobs.
-type WALTailQuery struct {
-	Gen      uint64
-	Off      int64
-	WaitMs   int
-	MaxBytes int
-}
-
-// WALChunk is the wire form of one tail response. Snap and Data are
-// raw file bytes (base64 in JSON); their CRCs are re-verified by the
-// standby before any byte is applied or mirrored.
-type WALChunk struct {
-	Gen     uint64 `json:"gen"`
-	From    int64  `json:"from"`
-	Durable int64  `json:"durable"`
-	Records int    `json:"records"`
-	Epoch   uint64 `json:"epoch"`
-	Reset   bool   `json:"reset,omitempty"`
-	Snap    []byte `json:"snap,omitempty"`
-	Data    []byte `json:"data,omitempty"`
-}
+// WALTail is the journal tail seam behind GET /v1/wal — the signature of
+// wal.Journal.Tail, which serves it, and of Client.WALTail, which fetches
+// it: a resume cursor plus size and long-poll knobs in, one chunk out,
+// and that chunk is the response body as it stands.
+type WALTail = func(ctx context.Context, cur wal.Cursor, maxBytes int, wait time.Duration) (wal.TailChunk, error)
 
 // PromoteResponse reports the outcome of POST /v1/promote.
 type PromoteResponse struct {
@@ -66,7 +51,7 @@ const maxTailWait = 20 * time.Second
 
 // SetWALTail installs the journal tail seam serving GET /v1/wal. A nil
 // seam answers 501.
-func (s *Server) SetWALTail(fn func(ctx context.Context, q WALTailQuery) (WALChunk, error)) {
+func (s *Server) SetWALTail(fn WALTail) {
 	if fn == nil {
 		s.tail.Store(nil)
 		return
@@ -108,37 +93,36 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, errors.New("this node does not serve the replication log"))
 		return
 	}
-	var q WALTailQuery
+	var cur wal.Cursor
+	var waitMs, maxBytes int
 	var err error
 	qs := r.URL.Query()
 	if v := qs.Get("gen"); v != "" {
-		if q.Gen, err = strconv.ParseUint(v, 10, 64); err != nil {
+		if cur.Gen, err = strconv.ParseUint(v, 10, 64); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad gen: %w", err))
 			return
 		}
 	}
 	if v := qs.Get("off"); v != "" {
-		if q.Off, err = strconv.ParseInt(v, 10, 64); err != nil {
+		if cur.Off, err = strconv.ParseInt(v, 10, 64); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad off: %w", err))
 			return
 		}
 	}
 	if v := qs.Get("wait_ms"); v != "" {
-		if q.WaitMs, err = strconv.Atoi(v); err != nil || q.WaitMs < 0 {
+		if waitMs, err = strconv.Atoi(v); err != nil || waitMs < 0 {
 			writeError(w, http.StatusBadRequest, errors.New("bad wait_ms"))
 			return
 		}
 	}
 	if v := qs.Get("max_bytes"); v != "" {
-		if q.MaxBytes, err = strconv.Atoi(v); err != nil || q.MaxBytes < 0 {
+		if maxBytes, err = strconv.Atoi(v); err != nil || maxBytes < 0 {
 			writeError(w, http.StatusBadRequest, errors.New("bad max_bytes"))
 			return
 		}
 	}
-	if q.WaitMs > int(maxTailWait/time.Millisecond) {
-		q.WaitMs = int(maxTailWait / time.Millisecond)
-	}
-	chunk, err := (*tail)(r.Context(), q)
+	wait := min(time.Duration(waitMs)*time.Millisecond, maxTailWait)
+	chunk, err := (*tail)(r.Context(), cur, maxBytes, wait)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return

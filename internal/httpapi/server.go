@@ -257,10 +257,11 @@ type Server struct {
 	sharding  atomic.Pointer[func() *ShardingStatus]
 
 	// Replication seams, injected by the daemon (closures keep this
-	// package free of wal/replica dependencies). All four are atomics:
+	// package free of a replica dependency; the tail chunk is wal's own
+	// type). All four are atomics:
 	// promotion installs a journal's seams on a server that is already
 	// taking requests.
-	tail        atomic.Pointer[func(ctx context.Context, q WALTailQuery) (WALChunk, error)]
+	tail        atomic.Pointer[WALTail]
 	promote     atomic.Pointer[func(ctx context.Context) (PromoteResponse, error)]
 	fence       atomic.Pointer[func(epoch uint64) error]
 	replication atomic.Pointer[func() *ReplicationStatus]

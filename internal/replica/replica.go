@@ -1,13 +1,15 @@
 // Package replica runs a hot standby for the network manager: it
-// follows a primary's write-ahead log over a fetch seam, re-verifies
-// every frame's CRC, applies mutations through the same replay path
-// crash recovery uses (so the follower's state is bit-identical to what
-// the primary would recover to), and keeps a byte-identical mirror of
-// the primary's WAL files on its own disk.
+// follows a primary's write-ahead log over a fetch seam and hands every
+// chunk to a wal.Mirror, which re-verifies each frame's CRC, applies the
+// mutations through the replay loop crash recovery runs (so the
+// follower's state is bit-identical to what the primary would recover
+// to), and keeps a byte-identical copy of the primary's WAL files on the
+// standby's disk. What is this package's own is the cursor, the lag, the
+// fetch loop with its backoff, and the promotion protocol.
 //
 // The follower's manager has no journal attached — it never writes the
 // log it is following (invariant I9). All state enters through
-// Manager.Replay. Promotion seals the mirror, recovers a fresh primary
+// wal.Mirror.Apply. Promotion seals the mirror, recovers a fresh primary
 // manager from it with the full wal.Recover path, cross-checks that the
 // recovered state equals the followed state bit for bit, and then
 // durably advances the fencing epoch so the deposed primary's journal
@@ -18,8 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -32,6 +32,11 @@ import (
 // transport seam: an HTTP client in production, a direct journal call in
 // tests and simulations.
 type Fetch func(ctx context.Context, cur wal.Cursor, maxBytes int, wait time.Duration) (wal.TailChunk, error)
+
+// JournalFetcher follows a journal in the same process — the zero-copy
+// seam tests and simulations use. Over HTTP the seam is
+// httpapi.Client.WALTail.
+func JournalFetcher(j *wal.Journal) Fetch { return j.Tail }
 
 // Lag is how far the follower trails the primary's durable frontier, as
 // of the last chunk the primary answered.
@@ -53,7 +58,8 @@ type Config struct {
 	// Fetch pulls log chunks from the primary.
 	Fetch Fetch
 	// MgrOpts configure the follower manager identically to the primary
-	// (policy, admission mode), so replayed mutations validate the same.
+	// (placement policy, heterogeneous algorithm), so replayed mutations
+	// validate the same.
 	MgrOpts []core.ManagerOption
 	// WALOpts are applied to the journal recovered at promotion.
 	WALOpts []wal.Option
@@ -79,14 +85,16 @@ type Standby struct {
 
 	mu         sync.Mutex
 	mgr        *core.Manager
-	mirror     *os.File // wal-<gen>.log in cfg.Dir, open for append
+	mirror     *wal.Mirror // cfg.Dir: the primary's files, byte for byte
 	cur        wal.Cursor
 	epoch      uint64 // highest epoch seen in the stream
 	genRecords int    // mutation records applied in cur.Gen
 
-	// Primary frontier as of the last answered fetch.
-	lastDurable int64
-	lastRecords int
+	// The primary's durable frontier as of the last answered fetch,
+	// recorded before the chunk is applied: a chunk that fails to apply
+	// still says how far ahead the primary is.
+	frontier     wal.Cursor
+	frontRecords int
 
 	// unsupported is sticky: the stream held a record in a format this
 	// binary does not know. The frames behind it are acknowledged writes
@@ -120,9 +128,6 @@ func New(cfg Config) (*Standby, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("replica: config needs a mirror dir")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("replica: create mirror dir: %w", err)
-	}
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 5 * time.Second
 	}
@@ -130,7 +135,11 @@ func New(cfg Config) (*Standby, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Standby{cfg: cfg, mgr: mgr}, nil
+	mirror, err := wal.OpenMirror(cfg.Dir, cfg.Topo, cfg.Eps, cfg.MgrOpts, cfg.NoSync)
+	if err != nil {
+		return nil, err
+	}
+	return &Standby{cfg: cfg, mgr: mgr, mirror: mirror}, nil
 }
 
 // Manager returns the follower manager serving read traffic right now.
@@ -164,19 +173,14 @@ func (s *Standby) Lag() Lag {
 	return s.lagLocked()
 }
 
+// lagLocked measures the cursor against the frontier. A frontier in a
+// generation the cursor has not reached (the reset onto it has not been
+// applied, or failed) counts whole: nothing of that generation is here.
 func (s *Standby) lagLocked() Lag {
-	l := Lag{
-		Records: s.lastRecords - s.genRecords,
-		Bytes:   s.lastDurable - s.cur.Off,
-		Version: s.mgr.Version(),
-	}
-	// A reset that moved to a newer generation makes the stale frontier
-	// meaningless until the next fetch answers; clamp at zero.
-	if l.Records < 0 {
-		l.Records = 0
-	}
-	if l.Bytes < 0 {
-		l.Bytes = 0
+	l := Lag{Records: s.frontRecords, Bytes: s.frontier.Off, Version: s.mgr.Version()}
+	if s.frontier.Gen == s.cur.Gen {
+		l.Records -= s.genRecords
+		l.Bytes -= s.cur.Off
 	}
 	return l
 }
@@ -217,17 +221,14 @@ func (s *Standby) syncOnce(ctx context.Context, wait time.Duration) (bool, error
 		// Closed mid-fetch; the chunk must not touch the sealed mirror.
 		return false, ErrPromoted
 	}
+	s.frontier, s.frontRecords = wal.Cursor{Gen: chunk.Gen, Off: chunk.Durable}, chunk.Records
 	if err := s.applyChunkLocked(chunk); err != nil {
 		if errors.Is(err, wal.ErrUnsupportedFormat) {
 			s.unsupported = err
 		}
 		return false, err
 	}
-	s.lastDurable = chunk.Durable
-	s.lastRecords = chunk.Records
-	if chunk.Epoch > s.epoch {
-		s.epoch = chunk.Epoch
-	}
+	s.raiseEpoch(chunk.Epoch)
 	return s.cur.Gen == chunk.Gen && s.cur.Off >= chunk.Durable, nil
 }
 
@@ -273,214 +274,45 @@ func fatalStream(err error) bool {
 	return errors.Is(err, wal.ErrCorrupt) || errors.Is(err, ErrDiverged) || errors.Is(err, wal.ErrUnsupportedFormat)
 }
 
-// applyChunkLocked verifies and applies one chunk: CRC-scan the bytes,
-// decode every frame, replay mutations into the follower manager, and
-// append the verified bytes to the mirror.
+// applyChunkLocked hands one chunk to the mirror — verify, replay, store
+// — and moves the cursor past it. A reset chunk restarts the stream from
+// a snapshot base: the mirror returns a fresh follower manager, which
+// replaces the old one only once the new base is on disk, so a failed
+// reset keeps serving, and keeps mirrored, the last good state.
 func (s *Standby) applyChunkLocked(chunk wal.TailChunk) error {
-	if chunk.Reset {
-		return s.applyResetLocked(chunk)
+	if !chunk.Reset {
+		if len(chunk.Data) == 0 {
+			return nil // caught up; nothing to apply
+		}
+		if chunk.Gen != s.cur.Gen || chunk.From != s.cur.Off {
+			return fmt.Errorf("replica: continuation at %d/%d does not match cursor %d/%d",
+				chunk.Gen, chunk.From, s.cur.Gen, s.cur.Off)
+		}
 	}
-	if len(chunk.Data) == 0 {
-		return nil // caught up; nothing to apply
+	mgr, applied, err := s.mirror.Apply(s.mgr, chunk, s.raiseEpoch)
+	if errors.Is(err, wal.ErrRefused) {
+		err = fmt.Errorf("%w: %w", ErrDiverged, err)
 	}
-	if chunk.Gen != s.cur.Gen || chunk.From != s.cur.Off {
-		return fmt.Errorf("replica: continuation at %d/%d does not match cursor %d/%d",
-			chunk.Gen, chunk.From, s.cur.Gen, s.cur.Off)
-	}
-	frames, clean, err := wal.ScanStream(chunk.Data)
-	if err != nil || clean != int64(len(chunk.Data)) {
-		return fmt.Errorf("replica: chunk at %d/%d failed verification: %w",
-			chunk.Gen, chunk.From, errors.Join(err, wal.ErrCorrupt))
-	}
-	applied, err := s.replayFrames(frames)
 	if err != nil {
 		return err
 	}
-	if err := s.mirrorAppendLocked(chunk.Data); err != nil {
-		return err
+	if chunk.Reset {
+		s.mgr, s.cur, s.genRecords = mgr, wal.Cursor{Gen: chunk.Gen}, 0
+		if s.cfg.OnReset != nil {
+			s.cfg.OnReset(mgr)
+		}
 	}
 	s.cur.Off += int64(len(chunk.Data))
 	s.genRecords += applied
 	return nil
 }
 
-// applyResetLocked restarts the stream from a snapshot base: a fresh
-// follower manager from the shipped snapshot (or empty for generation
-// 1), the shipped log replayed on top, and the mirror rewritten to the
-// same bytes.
-func (s *Standby) applyResetLocked(chunk wal.TailChunk) error {
-	frames, clean, err := wal.ScanLog(chunk.Data)
-	if err != nil || clean != int64(len(chunk.Data)) {
-		return fmt.Errorf("replica: reset log for gen %d failed verification: %w",
-			chunk.Gen, errors.Join(err, wal.ErrCorrupt))
+// raiseEpoch keeps the highest epoch the stream has shown: the epoch
+// records in the log and the primary's own on every chunk.
+func (s *Standby) raiseEpoch(epoch uint64) {
+	if epoch > s.epoch {
+		s.epoch = epoch
 	}
-	if len(frames) == 0 {
-		return fmt.Errorf("replica: reset log for gen %d has no meta frame", chunk.Gen)
-	}
-	if err := wal.CheckLogMeta(frames[0].Payload, s.cfg.Topo, s.cfg.Eps, chunk.Gen); err != nil {
-		return err
-	}
-
-	var mgr *core.Manager
-	if chunk.Snap != nil {
-		st, err := wal.DecodeSnapshot(chunk.Snap, s.cfg.Topo, s.cfg.Eps, chunk.Gen)
-		if err != nil {
-			return err
-		}
-		if mgr, err = core.NewManagerFromState(s.cfg.Topo, s.cfg.Eps, st, s.cfg.MgrOpts...); err != nil {
-			return err
-		}
-	} else {
-		if chunk.Gen > 1 {
-			return fmt.Errorf("replica: reset for gen %d shipped no snapshot", chunk.Gen)
-		}
-		var err error
-		if mgr, err = core.NewManager(s.cfg.Topo, s.cfg.Eps, s.cfg.MgrOpts...); err != nil {
-			return err
-		}
-	}
-
-	old := s.mgr
-	s.mgr = mgr
-	applied, err := s.replayFrames(frames[1:])
-	if err != nil {
-		s.mgr = old // keep serving the last good state
-		return err
-	}
-
-	if err := s.mirrorResetLocked(chunk); err != nil {
-		s.mgr = old
-		return err
-	}
-	s.cur = wal.Cursor{Gen: chunk.Gen, Off: int64(len(chunk.Data))}
-	s.genRecords = applied
-	if chunk.Epoch > s.epoch {
-		s.epoch = chunk.Epoch
-	}
-	if s.cfg.OnReset != nil {
-		s.cfg.OnReset(s.mgr)
-	}
-	return nil
-}
-
-// replayFrames decodes and applies non-meta frames, returning how many
-// were mutations.
-func (s *Standby) replayFrames(frames []wal.Frame) (int, error) {
-	applied := 0
-	for _, fr := range frames {
-		rec, err := wal.DecodeRecord(fr.Payload)
-		if err != nil {
-			return applied, err
-		}
-		switch rec.Kind {
-		case wal.KindEpoch:
-			if rec.Epoch > s.epoch {
-				s.epoch = rec.Epoch
-			}
-		case wal.KindMutation:
-			if err := s.mgr.Replay(rec.Mutation); err != nil {
-				return applied, fmt.Errorf("%w: %w", ErrDiverged, err)
-			}
-			applied++
-		}
-	}
-	return applied, nil
-}
-
-// mirrorResetLocked replaces the mirror directory's contents with the
-// shipped generation base.
-func (s *Standby) mirrorResetLocked(chunk wal.TailChunk) error {
-	if s.mirror != nil {
-		s.mirror.Close()
-		s.mirror = nil
-	}
-	for _, pat := range []string{"wal-*.log", "snap-*.snap"} {
-		stale, _ := filepath.Glob(filepath.Join(s.cfg.Dir, pat))
-		for _, p := range stale {
-			os.Remove(p)
-		}
-	}
-	if chunk.Snap != nil {
-		if err := s.writeFile(s.snapPath(chunk.Gen), chunk.Snap); err != nil {
-			return err
-		}
-	}
-	if err := s.writeFile(s.walPath(chunk.Gen), chunk.Data); err != nil {
-		return err
-	}
-	err := s.openMirrorLocked(wal.Cursor{Gen: chunk.Gen, Off: int64(len(chunk.Data))})
-	s.syncDir()
-	return err
-}
-
-// openMirrorLocked opens the mirror log for append at at, cutting off
-// whatever lies past it: a promotion that failed may have left part of
-// an epoch record behind the last mirrored frame.
-func (s *Standby) openMirrorLocked(at wal.Cursor) error {
-	f, err := os.OpenFile(s.walPath(at.Gen), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err == nil {
-		if err = f.Truncate(at.Off); err == nil {
-			s.mirror = f
-			return nil
-		}
-		f.Close()
-	}
-	return fmt.Errorf("replica: reopen mirror: %w", err)
-}
-
-// mirrorAppendLocked appends verified bytes to the current mirror log.
-func (s *Standby) mirrorAppendLocked(data []byte) error {
-	if s.mirror == nil {
-		return fmt.Errorf("replica: no mirror open for generation %d", s.cur.Gen)
-	}
-	if _, err := s.mirror.Write(data); err != nil {
-		return fmt.Errorf("replica: mirror append: %w", err)
-	}
-	if !s.cfg.NoSync {
-		if err := s.mirror.Sync(); err != nil {
-			return fmt.Errorf("replica: mirror sync: %w", err)
-		}
-	}
-	return nil
-}
-
-func (s *Standby) writeFile(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("replica: write mirror file: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("replica: write mirror file: %w", err)
-	}
-	if !s.cfg.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("replica: sync mirror file: %w", err)
-		}
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs the mirror directory so newly created files survive a
-// crash (best effort; some filesystems refuse directory fsync).
-func (s *Standby) syncDir() {
-	if s.cfg.NoSync {
-		return
-	}
-	if d, err := os.Open(s.cfg.Dir); err == nil {
-		//lint:ignore errflow directory fsync is best-effort; several filesystems refuse it and the file fsync already covers the contents
-		d.Sync()
-		d.Close()
-	}
-}
-
-func (s *Standby) walPath(gen uint64) string {
-	return filepath.Join(s.cfg.Dir, fmt.Sprintf("wal-%d.log", gen))
-}
-
-func (s *Standby) snapPath(gen uint64) string {
-	return filepath.Join(s.cfg.Dir, fmt.Sprintf("snap-%d.snap", gen))
 }
 
 // Promotion is the outcome of a successful Promote: a journaled primary
@@ -529,18 +361,13 @@ func (s *Standby) Promote(ctx context.Context) (Promotion, error) {
 
 	// Seal the mirror and recover it exactly as a restarted primary
 	// would recover its own directory.
-	if s.mirror != nil {
-		if !s.cfg.NoSync {
-			if err := s.mirror.Sync(); err != nil {
-				return Promotion{}, fmt.Errorf("replica: seal mirror: %w", err)
-			}
-		}
-		s.mirror.Close()
-		s.mirror = nil
+	var prom Promotion
+	err := s.mirror.Seal()
+	if err == nil {
+		prom, err = s.takeOverLocked()
 	}
-	prom, err := s.takeOverLocked()
 	if err != nil && s.cur.Gen > 0 { // still a standby: following needs a mirror
-		err = errors.Join(err, s.openMirrorLocked(s.cur))
+		err = errors.Join(err, s.mirror.Reopen(s.cur))
 	}
 	return prom, err
 }
@@ -578,10 +405,5 @@ func (s *Standby) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.mirror != nil {
-		err := s.mirror.Close()
-		s.mirror = nil
-		return err
-	}
-	return nil
+	return s.mirror.Close()
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -591,10 +592,7 @@ func TestStandbyStopsOnNewerFormat(t *testing.T) {
 
 	// Once the standby is at the real frontier, the "primary" serves one
 	// more intact frame whose format tag is from the future.
-	newer := []byte{0x02, 0xde, 0xad}
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(newer)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(newer, crc32.MakeTable(crc32.Castagnoli)))
-	frame = append(frame, newer...)
+	newer := frame([]byte{0x02, 0xde, 0xad})
 	var dead bool
 	fetch := func(ctx context.Context, cur wal.Cursor, maxBytes int, wait time.Duration) (wal.TailChunk, error) {
 		if dead {
@@ -602,8 +600,8 @@ func TestStandbyStopsOnNewerFormat(t *testing.T) {
 		}
 		chunk, err := j.Tail(ctx, cur, maxBytes, 0)
 		if err == nil && !chunk.Reset && len(chunk.Data) == 0 {
-			chunk.Data = frame
-			chunk.Durable += int64(len(frame))
+			chunk.Data = newer
+			chunk.Durable += int64(len(newer))
 		}
 		return chunk, err
 	}
@@ -713,3 +711,114 @@ const (
 	magicLen    = 8
 	frameHeader = 8
 )
+
+// regularFiles reads every regular file in dir.
+func regularFiles(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+func names(files map[string][]byte) []string {
+	var out []string
+	for name := range files {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestFailedResetKeepsLastGoodBase: a reset whose files cannot be
+// published leaves the mirror holding the generation it held — byte for
+// byte, still recovering to the state the follower serves — where it used
+// to delete that generation first and write the new one in place. And
+// because the old base now survives, the standby must say it lags: the
+// primary answered from a generation the cursor never reached, so
+// promotion is refused (ErrLagging, not a divergence, not a success on
+// stale state) until a reset goes through.
+func TestFailedResetKeepsLastGoodBase(t *testing.T) {
+	ctx := context.Background()
+	m, j := mustPrimary(t, t.TempDir())
+	defer j.Close()
+	workload(t, m)
+	s := newStandby(t, j)
+	defer s.Close()
+	syncToFrontier(t, s)
+	followed := s.Manager().ExportState()
+	before := regularFiles(t, s.cfg.Dir)
+	if len(before) != 1 || before["wal-1.log"] == nil {
+		t.Fatalf("test setup: mirror holds %d files, want wal-1.log alone", len(before))
+	}
+
+	// The primary rotates to generation 2 and moves on; the reset onto it
+	// finds its log's name taken by something a rename cannot replace.
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	workload(t, m)
+	obstacle := filepath.Join(s.cfg.Dir, "wal-2.log")
+	if err := os.MkdirAll(filepath.Join(obstacle, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ { // failing twice is no worse than once
+		if caught, err := s.SyncOnce(ctx, 0); err == nil || caught || fatalStream(err) {
+			t.Fatalf("reset onto an unwritable log: caught=%v err=%v, want a retryable failure", caught, err)
+		}
+		if after := regularFiles(t, s.cfg.Dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("the failed reset changed the mirror's files: now %v", names(after))
+		}
+	}
+	if !s.Manager().ExportState().Equal(followed) || s.Cursor().Gen != 1 {
+		t.Fatal("the failed reset moved the follower")
+	}
+	copyDir := t.TempDir()
+	for name, data := range before {
+		if err := os.WriteFile(filepath.Join(copyDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rm, rj := mustPrimary(t, copyDir)
+	if !rm.ExportState().Equal(followed) {
+		t.Fatal("the mirror no longer recovers to the state the follower serves")
+	}
+	rj.Close()
+
+	if lag := s.Lag(); lag.Bytes <= 0 || lag.Records <= 0 {
+		t.Fatalf("lag %+v behind a generation the standby never reached, want the whole of it", lag)
+	}
+	if _, err := s.Promote(ctx); !errors.Is(err, ErrLagging) {
+		t.Fatalf("promote on the last generation's state: %v, want ErrLagging", err)
+	}
+
+	// With the name free again the next reset heals the standby.
+	if err := os.RemoveAll(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	syncToFrontier(t, s)
+	if lag := s.Lag(); lag.Bytes != 0 || lag.Records != 0 {
+		t.Fatalf("lag after the reset went through: %+v", lag)
+	}
+	if after := regularFiles(t, s.cfg.Dir); len(after) != 2 || after["snap-2.snap"] == nil || after["wal-2.log"] == nil {
+		t.Fatalf("the mirror holds %d files, want generation 2 alone", len(after))
+	}
+	prom, err := s.Promote(ctx)
+	if err != nil {
+		t.Fatalf("promote after the reset went through: %v", err)
+	}
+	defer prom.Journal.Close()
+	if !prom.Mgr.ExportState().Equal(m.ExportState()) {
+		t.Fatal("promoted state differs from the primary's")
+	}
+}

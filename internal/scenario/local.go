@@ -111,7 +111,7 @@ func serveLocal(mgr *core.Manager, journal *wal.Journal) (*LocalServer, error) {
 	ls := &LocalServer{Mgr: mgr, journal: journal, serveErr: make(chan error, 1)}
 	ls.api = httpapi.NewServer(mgr)
 	if journal != nil {
-		ls.api.SetWALTail(replica.TailHandler(journal))
+		ls.api.SetWALTail(journal.Tail)
 		ls.api.SetFence(journal.Fence)
 	}
 	ls.server = &http.Server{Handler: ls.api.Handler()}
@@ -203,7 +203,7 @@ func (lp *LocalPair) startStandby() error {
 		Dir:     filepath.Join(lp.cfg.StateDir, fmt.Sprintf("standby-%d", lp.gen)),
 		Topo:    lp.cfg.Topo,
 		Eps:     lp.cfg.Eps,
-		Fetch:   replica.ClientFetcher(httpapi.NewClient(lp.Primary.URL, nil)),
+		Fetch:   httpapi.NewClient(lp.Primary.URL, nil).WALTail,
 		WALOpts: []wal.Option{wal.WithNoSync()},
 		NoSync:  true,
 	})
@@ -214,22 +214,13 @@ func (lp *LocalPair) startStandby() error {
 	return nil
 }
 
-// Failover switches controllers: drain the primary, replay its durable
-// tail on the standby, promote at the frontier, crash the old primary,
+// Failover switches controllers: drain the primary, promote the standby
+// (Promote itself replays the durable tail first), crash the old primary,
 // serve the promoted manager, and start a fresh standby behind it (so
 // the next failover has somewhere to go). Returns the new primary URL.
 func (lp *LocalPair) Failover() (string, error) {
 	ctx := context.Background()
 	lp.Primary.api.SetDraining(true)
-	for i := 0; i < 64; i++ {
-		caught, err := lp.standby.SyncOnce(ctx, 0)
-		if err != nil {
-			return "", fmt.Errorf("scenario: standby catch-up: %w", err)
-		}
-		if caught {
-			break
-		}
-	}
 	prom, err := lp.standby.Promote(ctx)
 	if err != nil {
 		return "", fmt.Errorf("scenario: promote standby: %w", err)

@@ -61,7 +61,7 @@ func chaosWorkload(t *testing.T, m *core.Manager) {
 // expected manager state after every record prefix: states[k] is the
 // state with the first k mutations applied. A snapshot state (nil for
 // generation 1) seeds the base.
-func referenceStates(t *testing.T, data []byte, base *core.ManagerState) (states []*core.ManagerState, frames []frameInfo) {
+func referenceStates(t *testing.T, data []byte, base *core.ManagerState) (states []*core.ManagerState, frames []Frame) {
 	t.Helper()
 	frames, _, err := scanFrames(data, walMagic)
 	if err != nil {
@@ -77,11 +77,11 @@ func referenceStates(t *testing.T, data []byte, base *core.ManagerState) (states
 	m := newBase()
 	states = append(states, m.ExportState())
 	for i, fr := range frames[1:] { // frames[0] is the meta record
-		mut, err := decodeMutation(fr.payload)
-		if err != nil {
-			t.Fatalf("reference decode record %d: %v", i, err)
+		rec, err := decodeRecord(fr.Payload)
+		if err != nil || rec.Kind != KindMutation {
+			t.Fatalf("reference decode record %d: %+v, %v", i, rec.Kind, err)
 		}
-		if err := m.Replay(mut); err != nil {
+		if err := m.Replay(rec.Mutation); err != nil {
 			t.Fatalf("reference replay record %d: %v", i, err)
 		}
 		states = append(states, m.ExportState())
@@ -144,7 +144,7 @@ func runChaos(t *testing.T, dir string, gen uint64, data []byte, base *core.Mana
 
 	// Crash exactly at every record boundary: state must be the prefix.
 	for k, fr := range frames {
-		m, j := crashRecover(t, dir, gen, data[:fr.end])
+		m, j := crashRecover(t, dir, gen, data[:fr.End])
 		want := states[0]
 		if k > 0 {
 			want = states[k]
@@ -164,8 +164,8 @@ func runChaos(t *testing.T, dir string, gen uint64, data []byte, base *core.Mana
 	// Torn writes: crash at every byte inside each record — mid-header
 	// and mid-payload. The torn record must vanish; the prefix survives.
 	for k := 1; k < len(frames); k++ {
-		start := frames[k-1].end
-		end := frames[k].end
+		start := frames[k-1].End
+		end := frames[k].End
 		// Every offset for short records, sampled interior points plus the
 		// header bytes for longer ones — bounded work, same coverage.
 		cuts := make(map[int]bool)
@@ -195,7 +195,7 @@ func runChaos(t *testing.T, dir string, gen uint64, data []byte, base *core.Mana
 	// Bit flips inside a record's payload: the CRC must catch them and
 	// replay must stop at the record before.
 	for k := 1; k < len(frames); k++ {
-		start := frames[k-1].end
+		start := frames[k-1].End
 		mangled := append([]byte(nil), data...)
 		mangled[start+headerLen] ^= 0x01 // first payload byte
 		m, j := crashRecover(t, dir, gen, mangled)
@@ -251,7 +251,11 @@ func TestChaosAcrossCheckpoint(t *testing.T) {
 	}
 	j.Close()
 
-	base, err := readSnapshot(snapPath(dir, 2), meta{Eps: testEps, Nodes: testTopo(t).Len(), Slots: testTopo(t).TotalSlots()}, 2)
+	snap, err := os.ReadFile(snapPath(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := decodeSnapshot(snap, meta{Gen: 2, Eps: testEps, Nodes: testTopo(t).Len(), Slots: testTopo(t).TotalSlots()}, "snap-2.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +415,7 @@ func TestChaosOrphanedRotationAtEveryBoundary(t *testing.T) {
 		if err := os.WriteFile(walPath(dir, 1), oldLog, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(walPath(dir, 2), data[:fr.end], 0o644); err != nil {
+		if err := os.WriteFile(walPath(dir, 2), data[:fr.End], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		m2, j2, err := Recover(dir, testTopo(t), testEps, nil, WithNoSync())

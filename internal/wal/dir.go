@@ -1,0 +1,182 @@
+package wal
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"time"
+)
+
+// stateDir is a state directory and its flush policy: the one place that
+// names, creates, opens and deletes the files in it. The journal, a
+// standby's mirror and the router's intent log embed it (see the table in
+// the package comment).
+type stateDir struct {
+	dir       string
+	noSync    bool
+	syncDelay time.Duration // simulated device flush (benchmarks only)
+}
+
+func walPath(dir string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("wal-%d.log", gen))
+}
+
+func snapPath(dir string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("snap-%d.snap", gen))
+}
+
+// writeDurably publishes data as the file at path: written to path.tmp,
+// fsynced, renamed into place (atomic on POSIX) and the directory synced.
+// Whatever stops it, path holds either what it held before or all of
+// data; a leftover .tmp is swept by the next scanDir.
+func (d *stateDir) writeDurably(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: create %s: %w", filepath.Base(path), err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = d.sync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("wal: write %s: %w", filepath.Base(path), err)
+	}
+	d.syncDir()
+	return nil
+}
+
+// openLog opens the log at path for appending at size, cutting off
+// whatever lies past it: a torn tail, or what a failed promotion left
+// behind the last mirrored frame.
+func (d *stateDir) openLog(path string, size int64) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		if err = f.Truncate(size); err == nil {
+			return f, nil
+		}
+		f.Close()
+	}
+	return nil, fmt.Errorf("wal: open log: %w", err)
+}
+
+// createWAL publishes a fresh log file for m.Gen — magic, meta frame, and
+// (past epoch 1) the generation's epoch record — and opens it. It returns
+// the file and its size, the caller's new durable frontier. At epoch 1
+// the file is byte-identical to pre-replication logs.
+func (d *stateDir) createWAL(m meta, epoch uint64) (*os.File, int64, error) {
+	payload, err := json.Marshal(m)
+	if err != nil {
+		return nil, 0, err
+	}
+	buf := appendFrame([]byte(walMagic), payload)
+	if epoch > 1 {
+		buf = appendEpochFrame(buf, epoch)
+	}
+	path := walPath(d.dir, m.Gen)
+	if err := d.writeDurably(path, buf); err != nil {
+		return nil, 0, err
+	}
+	f, err := d.openLog(path, int64(len(buf)))
+	return f, int64(len(buf)), err
+}
+
+func (d *stateDir) sync(f *os.File) error {
+	if d.syncDelay > 0 {
+		time.Sleep(d.syncDelay)
+		return nil
+	}
+	if d.noSync {
+		return nil
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	return nil
+}
+
+// syncDir fsyncs the state directory so renames and creates are durable.
+// Best-effort: not every platform supports directory fsync.
+func (d *stateDir) syncDir() {
+	if d.noSync || d.syncDelay > 0 {
+		return
+	}
+	if dir, err := os.Open(d.dir); err == nil {
+		//lint:ignore errflow directory fsync is best-effort; several filesystems refuse it and the file fsync already covers the contents
+		dir.Sync()
+		dir.Close()
+	}
+}
+
+// scanDir returns the highest generation present in dir (0 when none) and
+// removes leftover temporary files from an interrupted checkpoint.
+func scanDir(dir string) (uint64, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, fmt.Errorf("wal: read state dir: %w", err)
+	}
+	var gen uint64
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasSuffix(name, ".tmp") {
+			os.Remove(filepath.Join(dir, name))
+		} else if g, _, ok := genOf(name); ok && g > gen {
+			gen = g
+		}
+	}
+	return gen, nil
+}
+
+// removeStale deletes every generation file but keep's: the older ones
+// keep's snapshot supersedes and, in a mirror whose primary started over,
+// newer ones from the timeline it no longer follows.
+func removeStale(dir string, keep uint64) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if g, _, ok := genOf(e.Name()); ok && g != keep {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
+
+// genOf parses the name of a generation file: wal-<gen>.log, or
+// snap-<gen>.snap (snap true).
+func genOf(name string) (gen uint64, snap, ok bool) {
+	for _, format := range []string{"wal-%d.log", "snap-%d.snap"} {
+		if _, err := fmt.Sscanf(name, format, &gen); err == nil && name == fmt.Sprintf(format, gen) {
+			return gen, format[0] == 's', true
+		}
+	}
+	return 0, false, false
+}
+
+// sortedGens returns the log generations present in dir, ascending. It
+// only reads the directory (scanDir also sweeps temporary files), which
+// is what Inspect and the tests need.
+func sortedGens(dir string) []uint64 {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil
+	}
+	var out []uint64
+	for _, e := range entries {
+		if g, snap, ok := genOf(e.Name()); ok && !snap {
+			out = append(out, g)
+		}
+	}
+	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
+	return out
+}

@@ -28,7 +28,7 @@ func FuzzWALDecode(f *testing.F) {
 		{Op: core.OpSetOffline, Node: 3, Offline: true},
 	}
 	for _, mut := range muts {
-		payload, err := encodeMutation(mut)
+		payload, err := appendMutation(nil, mut)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -45,11 +45,10 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(appendFrame(append([]byte(nil), seed...), []byte{0x02, 1, 2, 3}))
 	mixed := []byte(walMagic)
 	for i, mut := range muts {
-		encode := legacyEncodeMutation
+		payload, err := legacyEncodeMutation(mut)
 		if i >= 2 {
-			encode = encodeMutation
+			payload, err = appendMutation(nil, mut)
 		}
-		payload, err := encode(mut)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -71,7 +70,7 @@ func FuzzWALDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, fr := range frames {
-			rec, err := decodeRecord(fr.payload)
+			rec, err := decodeRecord(fr.Payload)
 			if err != nil {
 				break // first corrupt or unknown-format record ends replay
 			}

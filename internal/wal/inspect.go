@@ -82,7 +82,7 @@ func inspectFile(w io.Writer, path, magic string) error {
 	}
 	name := filepath.Base(path)
 	if magic == walMagic && len(frames) > 0 {
-		fmt.Fprintf(w, `{"file":%q,"meta":%s}`+"\n", name, frames[0].payload)
+		fmt.Fprintf(w, `{"file":%q,"meta":%s}`+"\n", name, frames[0].Payload)
 		frames = frames[1:]
 	} else {
 		fmt.Fprintf(w, `{"file":%q}`+"\n", name)
@@ -93,7 +93,7 @@ func inspectFile(w io.Writer, path, magic string) error {
 		var err error
 		if magic == intentMagic {
 			var in Intent
-			if in, err = decodeIntent(fr.payload); err == nil {
+			if in, err = decodeIntent(fr.Payload); err == nil {
 				line := intentRecord{Kind: in.Kind.String(), Job: int64(in.Job), Commit: in.Commit, Pods: in.Pods}
 				if in.HasMut {
 					line.Mut, err = json.Marshal(recordOf(Record{Mutation: in.Mut}))
@@ -102,7 +102,7 @@ func inspectFile(w io.Writer, path, magic string) error {
 			}
 		} else {
 			var rec Record
-			if rec, err = decodeRecord(fr.payload); err == nil {
+			if rec, err = decodeRecord(fr.Payload); err == nil {
 				if rec.Kind == KindEpoch && rec.Epoch > epoch {
 					epoch = rec.Epoch
 				}
@@ -122,7 +122,7 @@ func inspectFile(w io.Writer, path, magic string) error {
 		}
 		// Splice the frame's position in front of the record's own fields.
 		fmt.Fprintf(w, `{"off":%d,"len":%d,"format":%q,%s`+"\n",
-			fr.end-headerLen-len(fr.payload), len(fr.payload), formatName(fr.payload[0]), fields[1:])
+			fr.End-headerLen-len(fr.Payload), len(fr.Payload), formatName(fr.Payload[0]), fields[1:])
 	}
 	summary := fmt.Sprintf("%s: %d records, clean length %d bytes", name, records, clean)
 	if magic == walMagic {

@@ -197,11 +197,10 @@ func decodeLegacyIntent(payload []byte) (Intent, error) {
 
 // IntentLog is the router's append-only cross-pod intent journal.
 type IntentLog struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	noSync bool
-	err    error // sticky: first append failure poisons the log
+	stateDir
+	mu  sync.Mutex
+	f   *os.File
+	err error // sticky: first append failure poisons the log
 }
 
 // IntentOption configures an IntentLog.
@@ -221,49 +220,23 @@ func OpenIntentLog(dir string, opts ...IntentOption) (*IntentLog, []Intent, erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: intent log: %w", err)
 	}
-	l := &IntentLog{path: filepath.Join(dir, "intents.log")}
+	l := &IntentLog{stateDir: stateDir{dir: dir}}
 	for _, o := range opts {
 		o(l)
 	}
 
-	data, err := os.ReadFile(l.path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		f, cerr := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-		if cerr != nil {
-			return nil, nil, fmt.Errorf("wal: intent log: %w", cerr)
-		}
-		if _, werr := f.Write([]byte(intentMagic)); werr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: intent log: %w", werr)
-		}
-		if serr := l.syncFile(f); serr != nil {
-			f.Close()
-			return nil, nil, serr
-		}
-		l.f = f
-		return l, nil, nil
-	case err != nil:
+	path := filepath.Join(dir, "intents.log")
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("wal: intent log: %w", err)
 	}
-
 	if len(data) < magicLen {
-		// A crash between create and the magic write can leave a short
-		// file; nothing durable can live in it, so start it over.
-		f, cerr := os.OpenFile(l.path, os.O_WRONLY|os.O_TRUNC, 0o644)
-		if cerr != nil {
-			return nil, nil, fmt.Errorf("wal: intent log: %w", cerr)
+		// There is no file yet, or a crash while it was being created left
+		// a short one; nothing durable can live in it, so start it over.
+		data = []byte(intentMagic)
+		if err := l.writeDurably(path, data); err != nil {
+			return nil, nil, err
 		}
-		if _, werr := f.Write([]byte(intentMagic)); werr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: intent log: %w", werr)
-		}
-		if serr := l.syncFile(f); serr != nil {
-			f.Close()
-			return nil, nil, serr
-		}
-		l.f = f
-		return l, nil, nil
 	}
 
 	frames, clean, scanErr := scanFrames(data, intentMagic)
@@ -272,27 +245,15 @@ func OpenIntentLog(dir string, opts ...IntentOption) (*IntentLog, []Intent, erro
 	}
 	intents := make([]Intent, 0, len(frames))
 	for _, fr := range frames {
-		in, derr := decodeIntent(fr.payload)
+		in, derr := decodeIntent(fr.Payload)
 		if derr != nil {
 			return nil, nil, derr
 		}
 		intents = append(intents, in)
 	}
-	f, oerr := os.OpenFile(l.path, os.O_WRONLY, 0o644)
-	if oerr != nil {
-		return nil, nil, fmt.Errorf("wal: intent log: %w", oerr)
+	if l.f, err = l.openLog(path, int64(clean)); err != nil {
+		return nil, nil, err
 	}
-	if clean < len(data) {
-		if terr := f.Truncate(int64(clean)); terr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: intent log: %w", terr)
-		}
-	}
-	if _, serr := f.Seek(int64(clean), 0); serr != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: intent log: %w", serr)
-	}
-	l.f = f
 	return l, intents, nil
 }
 
@@ -318,21 +279,8 @@ func (l *IntentLog) Append(in Intent) error {
 		l.err = fmt.Errorf("wal: intent log append: %w", werr)
 		return l.err
 	}
-	if serr := l.syncFile(l.f); serr != nil {
-		l.err = serr
-		return l.err
-	}
-	return nil
-}
-
-func (l *IntentLog) syncFile(f *os.File) error {
-	if l.noSync {
-		return nil
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: intent log sync: %w", err)
-	}
-	return nil
+	l.err = l.sync(l.f)
+	return l.err
 }
 
 // Close closes the log file. Further appends fail.

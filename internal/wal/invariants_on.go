@@ -37,7 +37,7 @@ func (b *groupBatch) assertOrder() {
 		panic(fmt.Sprintf("invariant violated: batch has %d frames, staged %d", len(frames), len(b.staged)))
 	}
 	for i, fr := range frames {
-		if !bytes.Equal(fr.payload, b.staged[i]) {
+		if !bytes.Equal(fr.Payload, b.staged[i]) {
 			panic(fmt.Sprintf("invariant violated: frame %d differs from its staged payload (log order != staging order)", i))
 		}
 	}

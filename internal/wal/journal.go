@@ -5,17 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/topology"
 )
 
 // defaultSnapshotEvery is how many mutation records accumulate in the
@@ -64,15 +59,13 @@ func (want meta) check(payload []byte, what string) error {
 // the write+fsync itself is group-committed — concurrent waiters share one
 // flush — and runs outside that lock for staged commits.
 type Journal struct {
+	stateDir
 	mu            sync.Mutex
-	dir           string
 	f             *os.File
 	meta          meta
 	appended      int // mutation records in the current log
 	snapshotEvery int
-	noSync        bool
-	syncDelay     time.Duration // simulated device flush (benchmarks only)
-	err           error         // sticky: first append failure poisons the journal
+	err           error // sticky: first append failure poisons the journal
 
 	// Replication state (guarded by mu). epoch is the fencing epoch this
 	// journal commits under (1 when no epoch record exists — every
@@ -169,285 +162,6 @@ func WithSnapshotEvery(n int) Option {
 			j.snapshotEvery = n
 		}
 	}
-}
-
-func walPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%d.log", gen))
-}
-
-func snapPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%d.snap", gen))
-}
-
-// Recover rebuilds a manager from the state directory and returns it with
-// the journal already attached, creating the directory and an empty
-// generation-1 log when nothing is on disk yet. The manager's state is
-// the latest snapshot plus every intact log record after it; a torn or
-// corrupt tail is truncated so appends continue from the last good
-// record. Recovery fails — rather than guessing — when the directory
-// belongs to a different topology or epsilon, or when a snapshot itself
-// is unreadable.
-func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.ManagerOption, opts ...Option) (*core.Manager, *Journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("wal: create state dir: %w", err)
-	}
-	j := &Journal{dir: dir, snapshotEvery: defaultSnapshotEvery, epoch: 1, tailers: make(chan struct{})}
-	for _, o := range opts {
-		o(j)
-	}
-	want := meta{Eps: eps, Nodes: topo.Len(), Slots: topo.TotalSlots()}
-
-	gen, err := scanDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if gen == 0 {
-		// Fresh directory: empty manager, first log generation.
-		m, err := core.NewManager(topo, eps, mgrOpts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		j.meta = want
-		j.meta.Gen = 1
-		if j.f, j.durable, err = j.createWAL(j.meta, j.epoch); err != nil {
-			return nil, nil, err
-		}
-		m.SetJournal(j)
-		return m, j, nil
-	}
-
-	// Restore the snapshot base. Generation 1 legitimately has none; a
-	// later generation without one is an orphaned rotation: the crash (or
-	// a platform where directory fsync is a no-op) hit between the
-	// snapshot's rename and the directory sync, so wal-<gen>.log became
-	// durable but snap-<gen>.snap did not. The previous generation is
-	// still complete on disk — a checkpoint deletes it only after the new
-	// files are synced — so rebuild the checkpoint state by recovering
-	// generation gen-1 in full, then replay the orphan log on top.
-	m, err := restoreBase(dir, topo, eps, want, gen, mgrOpts)
-	orphan := errors.Is(err, os.ErrNotExist)
-	if orphan {
-		if m, err = j.recoverPrevious(topo, eps, want, gen-1, mgrOpts); err != nil {
-			return nil, nil, fmt.Errorf("wal: orphaned generation %d: %w", gen, err)
-		}
-	} else if err != nil {
-		return nil, nil, err
-	}
-
-	// Replay the generation's log tail onto the snapshot base.
-	path := walPath(dir, gen)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("wal: read log: %w", err)
-	}
-	frames, _, _ := scanFrames(data, walMagic)
-	j.meta = want
-	j.meta.Gen = gen
-	if len(frames) == 0 {
-		// The log is missing or torn before its meta frame: the crash hit
-		// between the snapshot rename and the log creation, so the
-		// snapshot alone is the state. Recreate the log from scratch.
-		if j.f, j.durable, err = j.createWAL(j.meta, j.epoch); err != nil {
-			return nil, nil, err
-		}
-		m.SetJournal(j)
-		return m, j, nil
-	}
-	if err := j.meta.check(frames[0].payload, "log"); err != nil {
-		return nil, nil, err
-	}
-	// A record that fails to decode or that the manager refuses ends the
-	// log exactly as a failed CRC does: replay stops and the file is
-	// truncated there. A record in a format this binary does not know is
-	// the one exception — a newer svcd wrote and acknowledged it, so the
-	// file is left byte for byte as it is.
-	applied, clean, err := replay(m, frames, j.raiseEpoch)
-	if errors.Is(err, ErrUnsupportedFormat) {
-		return nil, nil, fmt.Errorf("wal: %s: %w", filepath.Base(path), err)
-	}
-	j.appended = applied
-
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: open log: %w", err)
-	}
-	if err := f.Truncate(int64(clean)); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: seek log end: %w", err)
-	}
-	j.f = f
-	j.durable = int64(clean)
-	if !orphan {
-		// On the orphan path gen-1 is NOT stale: it is the only durable
-		// base for gen's log until a later checkpoint supersedes both.
-		removeStale(dir, gen)
-	}
-	m.SetJournal(j)
-	return m, j, nil
-}
-
-// recoverPrevious rebuilds the checkpoint state an orphaned generation
-// was rotated from: generation gen's snapshot plus every intact record
-// of wal-<gen>.log. Two consecutive incomplete checkpoints (gen > 1 with
-// its own snapshot missing too) are treated as corruption — a checkpoint
-// only starts deleting a generation after its successor's files are
-// synced, so that state cannot arise from a single crash.
-func (j *Journal) recoverPrevious(topo *topology.Topology, eps float64, want meta, gen uint64, mgrOpts []core.ManagerOption) (*core.Manager, error) {
-	m, err := restoreBase(j.dir, topo, eps, want, gen, mgrOpts)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(walPath(j.dir, gen))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return m, nil // snapshot-only generation
-		}
-		return nil, fmt.Errorf("wal: read log: %w", err)
-	}
-	frames, _, _ := scanFrames(data, walMagic)
-	if len(frames) == 0 {
-		return m, nil
-	}
-	want.Gen = gen
-	if err := want.check(frames[0].payload, "log"); err != nil {
-		return nil, err
-	}
-	if _, _, err := replay(m, frames, j.raiseEpoch); errors.Is(err, ErrUnsupportedFormat) {
-		return nil, fmt.Errorf("wal: %s: %w", filepath.Base(walPath(j.dir, gen)), err)
-	}
-	return m, nil
-}
-
-// restoreBase rebuilds the manager that generation gen's log replays
-// onto: the generation's snapshot, or an empty manager for generation 1,
-// which has none. Any other generation without one is os.ErrNotExist.
-func restoreBase(dir string, topo *topology.Topology, eps float64, want meta, gen uint64, mgrOpts []core.ManagerOption) (*core.Manager, error) {
-	st, err := readSnapshot(snapPath(dir, gen), want, gen)
-	switch {
-	case err == nil:
-		m, err := core.NewManagerFromState(topo, eps, st, mgrOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("wal: restore snapshot: %w", err)
-		}
-		return m, nil
-	case errors.Is(err, os.ErrNotExist) && gen == 1:
-		return core.NewManager(topo, eps, mgrOpts...)
-	}
-	return nil, err
-}
-
-// replay applies a scanned log to m: frames[0] is the meta frame, which
-// the caller has already checked, and every later frame is decoded once
-// and either raises the epoch (onEpoch) or goes through the validated
-// Manager.Replay. It stops at the first frame that fails either step and
-// returns how many mutations it applied, the offset just past the last
-// frame it consumed, and the error that stopped it (nil when the whole
-// log replayed).
-func replay(m *core.Manager, frames []frameInfo, onEpoch func(uint64)) (applied, clean int, err error) {
-	clean = frames[0].end
-	for _, fr := range frames[1:] {
-		rec, err := decodeRecord(fr.payload)
-		if err != nil {
-			return applied, clean, err
-		}
-		if rec.Kind == KindEpoch {
-			onEpoch(rec.Epoch)
-		} else {
-			if err := m.Replay(rec.Mutation); err != nil {
-				return applied, clean, err
-			}
-			applied++
-		}
-		clean = fr.end
-	}
-	return applied, clean, nil
-}
-
-// raiseEpoch is replay's onEpoch during recovery: the journal resumes
-// under the highest epoch its log records.
-func (j *Journal) raiseEpoch(epoch uint64) {
-	if epoch > j.epoch {
-		j.epoch = epoch
-	}
-}
-
-// scanDir returns the highest generation present in dir (0 when none) and
-// removes leftover temporary files from an interrupted checkpoint.
-func scanDir(dir string) (uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, fmt.Errorf("wal: read state dir: %w", err)
-	}
-	var gen uint64
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
-		} else if g, _, ok := genOf(name); ok && g > gen {
-			gen = g
-		}
-	}
-	return gen, nil
-}
-
-// removeStale deletes generation files older than keep; they are fully
-// superseded by keep's snapshot.
-func removeStale(dir string, keep uint64) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if g, _, ok := genOf(e.Name()); ok && g < keep {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
-}
-
-// genOf parses the name of a generation file: wal-<gen>.log, or
-// snap-<gen>.snap (snap true).
-func genOf(name string) (gen uint64, snap, ok bool) {
-	for _, format := range []string{"wal-%d.log", "snap-%d.snap"} {
-		if _, err := fmt.Sscanf(name, format, &gen); err == nil && name == fmt.Sprintf(format, gen) {
-			return gen, format[0] == 's', true
-		}
-	}
-	return 0, false, false
-}
-
-// createWAL writes a fresh log file for m.Gen — magic, meta frame, and
-// (past epoch 1) the generation's epoch record — synced to disk before
-// use. It returns the file and its size, the caller's new durable
-// frontier. At epoch 1 the file is byte-identical to pre-replication
-// logs.
-func (j *Journal) createWAL(m meta, epoch uint64) (*os.File, int64, error) {
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return nil, 0, err
-	}
-	buf := appendFrame([]byte(walMagic), payload)
-	if epoch > 1 {
-		buf = appendEpochFrame(buf, epoch)
-	}
-	path := walPath(j.dir, m.Gen)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: create log: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("wal: write log header: %w", err)
-	}
-	if err := j.sync(f); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	j.syncDir()
-	return f, int64(len(buf)), nil
 }
 
 // Commit appends one mutation record, durably unless WithNoSync. An
@@ -647,31 +361,9 @@ func (j *Journal) Checkpoint(st *core.ManagerState) error {
 		return err
 	}
 
-	tmp := snapPath(j.dir, next.Gen) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create snapshot: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-	if err := j.sync(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := j.writeDurably(snapPath(j.dir, next.Gen), buf); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, snapPath(j.dir, next.Gen)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: publish snapshot: %w", err)
-	}
-	j.syncDir()
-
 	nf, size, err := j.createWAL(next, j.epoch)
 	if err != nil {
 		// The new snapshot is already durable; the old log keeps the
@@ -824,49 +516,4 @@ func (j *Journal) Close() error {
 	}
 	j.notifyTailLocked() // long-polling tailers must observe the close
 	return err
-}
-
-func (j *Journal) sync(f *os.File) error {
-	if j.syncDelay > 0 {
-		time.Sleep(j.syncDelay)
-		return nil
-	}
-	if j.noSync {
-		return nil
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs the state directory so renames and creates are durable.
-// Best-effort: not every platform supports directory fsync.
-func (j *Journal) syncDir() {
-	if j.noSync || j.syncDelay > 0 {
-		return
-	}
-	if d, err := os.Open(j.dir); err == nil {
-		//lint:ignore errflow directory fsync is best-effort; several filesystems refuse it and the file fsync already covers the contents
-		d.Sync()
-		d.Close()
-	}
-}
-
-// sortedGens returns the log generations present in dir, ascending. It
-// only reads the directory (scanDir also sweeps temporary files), which
-// is what Inspect and the tests need.
-func sortedGens(dir string) []uint64 {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []uint64
-	for _, e := range entries {
-		if g, snap, ok := genOf(e.Name()); ok && !snap {
-			out = append(out, g)
-		}
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
-	return out
 }

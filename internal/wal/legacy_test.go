@@ -90,7 +90,7 @@ func TestLegacyDirectoryUpgradesInPlace(t *testing.T) {
 	}
 	var tags []byte
 	for _, fr := range frames[1:] {
-		tags = append(tags, fr.payload[0])
+		tags = append(tags, fr.Payload[0])
 	}
 	if want := strings.Repeat("{", 17) + "\x01\x01\x01"; string(tags) != want {
 		t.Fatalf("record tags %q, want 17 legacy records then 3 binary ones", tags)

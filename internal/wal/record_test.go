@@ -57,7 +57,11 @@ func legacyRoundTrip(m core.Mutation) (core.Mutation, error) {
 	if err != nil {
 		return core.Mutation{}, err
 	}
-	return decodeMutation(payload)
+	rec, err := decodeRecord(payload)
+	if err == nil && rec.Kind != KindMutation {
+		err = fmt.Errorf("%w: a mutation came back as record kind %d", ErrCorrupt, rec.Kind)
+	}
+	return rec.Mutation, err
 }
 
 // mutationBuilder turns fuzz bytes into an arbitrary — not necessarily
@@ -171,7 +175,8 @@ func checkRoundTrip(t *testing.T, m core.Mutation) {
 	if !bytes.Equal(enc[:len(prefix)], prefix) {
 		t.Fatal("encoding disturbed the bytes already in the buffer")
 	}
-	got, err := decodeMutation(enc[len(prefix):])
+	rec, err := decodeRecord(enc[len(prefix):])
+	got := rec.Mutation
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("codecs disagree on validity: binary %v, JSON %v\n%+v", err, wantErr, m)
 	}
@@ -181,8 +186,8 @@ func checkRoundTrip(t *testing.T, m core.Mutation) {
 		}
 		return
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("binary round trip differs from the JSON one:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(rec, Record{Mutation: want}) {
+		t.Fatalf("binary round trip differs from the JSON one:\n got %+v\nwant %+v", rec, want)
 	}
 	// One mutation, one encoding: re-encoding what was decoded gives the
 	// same bytes, so logs repeat exactly per seed.
@@ -211,11 +216,11 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		m := rec.Mutation
 		checkRoundTrip(t, m)
-		enc, err := encodeMutation(m)
+		enc, err := appendMutation(nil, m)
 		if err != nil {
 			t.Fatalf("decoded mutation does not re-encode: %v", err)
 		}
-		if got, err := decodeMutation(enc); err != nil || !reflect.DeepEqual(got, m) {
+		if got, err := decodeRecord(enc); err != nil || !reflect.DeepEqual(got, Record{Mutation: m}) {
 			t.Fatalf("round trip is not the identity (err %v):\n got %+v\nwant %+v", err, got, m)
 		}
 	})
@@ -226,11 +231,11 @@ func FuzzRecordRoundTrip(f *testing.F) {
 func TestRecordRoundTripSamples(t *testing.T) {
 	for _, m := range opSamples() {
 		checkRoundTrip(t, m)
-		enc, err := encodeMutation(m)
+		enc, err := appendMutation(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := decodeMutation(enc); err != nil || !reflect.DeepEqual(got, m) {
+		if got, err := decodeRecord(enc); err != nil || !reflect.DeepEqual(got, Record{Mutation: m}) {
 			t.Fatalf("%v: round trip is not the identity (err %v):\n got %+v\nwant %+v", m.Op, err, got, m)
 		}
 	}
@@ -248,21 +253,23 @@ func TestRecordCanonicalForms(t *testing.T) {
 		Outcome:   core.RepairMoved, // meaningless on an alloc: not journaled
 	}
 	checkRoundTrip(t, m)
-	enc, err := encodeMutation(m)
+	enc, err := appendMutation(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeMutation(enc)
-	if err != nil {
-		t.Fatal(err)
+	rec, err := decodeRecord(enc)
+	if err != nil || rec.Kind != KindMutation {
+		t.Fatalf("decode: kind %d, err %v", rec.Kind, err)
 	}
+	got := rec.Mutation
 	if got.Hetero != nil || got.Placement != nil || got.Contribs != nil || got.Outcome != 0 {
 		t.Fatalf("empty sections did not decode to nil: %+v", got)
 	}
 	m.Placement = &core.Placement{Entries: []core.PlacementEntry{{Machine: 2, Count: 1, VMs: []int{}}}}
 	checkRoundTrip(t, m)
-	enc, _ = encodeMutation(m)
-	if got, _ = decodeMutation(enc); got.Placement == nil || got.Placement.Entries[0].VMs != nil {
+	enc, _ = appendMutation(nil, m)
+	rec, _ = decodeRecord(enc)
+	if got = rec.Mutation; got.Placement == nil || got.Placement.Entries[0].VMs != nil {
 		t.Fatalf("empty VM list did not decode to nil: %+v", got.Placement)
 	}
 }
@@ -287,7 +294,7 @@ func TestFormat1Golden(t *testing.T) {
 		[]byte{12, 1}, f64(2), f64(0),
 		[]byte{11}, []byte("tenant-a/42"),
 	)
-	got, err := encodeMutation(alloc)
+	got, err := appendMutation(nil, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +313,7 @@ func TestFormat1Golden(t *testing.T) {
 		[]byte{1, 10, 2, 1, 0}, // 1 entry: machine 5, count 1, 1 VM: index 0
 		f64(0.05),
 	)
-	if got, err = encodeMutation(hetero); err != nil || !bytes.Equal(got, want) {
+	if got, err = appendMutation(nil, hetero); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("repair record drifted from format 1 (err %v):\n got %x\nwant %x", err, got, want)
 	}
 
@@ -336,7 +343,7 @@ func TestEncoderRefusesNonFinite(t *testing.T) {
 			"contrib sigma": {Op: core.OpAlloc, Contribs: []core.Contribution{{Link: 1, Sigma: v}}},
 			"eps":           {Op: core.OpRepair, EffectiveEps: v},
 		} {
-			if _, err := encodeMutation(m); err == nil {
+			if _, err := appendMutation(nil, m); err == nil {
 				t.Errorf("%s = %v: encoded", name, v)
 			}
 			if _, err := legacyEncodeMutation(m); err == nil {
@@ -385,7 +392,7 @@ func TestEncoderRefusesNonFinite(t *testing.T) {
 // TestDecoderRejectsMalformed: every structural defect of a known-tag
 // record is ErrCorrupt — never a panic, never ErrUnsupportedFormat.
 func TestDecoderRejectsMalformed(t *testing.T) {
-	good, err := encodeMutation(opSamples()[1])
+	good, err := appendMutation(nil, opSamples()[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +481,7 @@ func TestDecoderBoundsAllocation(t *testing.T) {
 // frame, then the given payloads.
 func writeLog(t testing.TB, dir string, payloads ...[]byte) string {
 	t.Helper()
-	j := &Journal{dir: dir, noSync: true}
+	j := &stateDir{dir: dir, noSync: true}
 	topo := testTopo(t)
 	f, _, err := j.createWAL(meta{Gen: 1, Eps: testEps, Nodes: topo.Len(), Slots: topo.TotalSlots()}, 1)
 	if err != nil {
@@ -495,7 +502,7 @@ func writeLog(t testing.TB, dir string, payloads ...[]byte) string {
 
 func mustEncode(t testing.TB, m core.Mutation) []byte {
 	t.Helper()
-	payload, err := encodeMutation(m)
+	payload, err := appendMutation(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +562,7 @@ func TestRecoverRefusesNewerFormat(t *testing.T) {
 		// recoverPrevious, which must refuse generation 1's log too.
 		dir := t.TempDir()
 		path := writeLog(t, dir, mustEncode(t, alloc), newer)
-		j := &Journal{dir: dir, noSync: true}
+		j := &stateDir{dir: dir, noSync: true}
 		topo := testTopo(t)
 		f, _, err := j.createWAL(meta{Gen: 2, Eps: testEps, Nodes: topo.Len(), Slots: topo.TotalSlots()}, 1)
 		if err != nil {

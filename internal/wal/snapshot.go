@@ -276,26 +276,17 @@ func splitSnapshot(data []byte, name string) (metaPayload, body []byte, err erro
 		}
 		return nil, nil, fmt.Errorf("wal: snapshot %s: %w", name, scanErr)
 	}
-	return frames[0].payload, frames[1].payload, nil
-}
-
-// readSnapshot loads and validates one snapshot file.
-func readSnapshot(path string, want meta, gen uint64) (*core.ManagerState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(data, want, gen, filepath.Base(path))
+	return frames[0].Payload, frames[1].Payload, nil
 }
 
 // decodeSnapshot validates a snapshot image (from disk or the
-// replication stream) and returns the state it carries.
-func decodeSnapshot(data []byte, want meta, gen uint64, name string) (*core.ManagerState, error) {
+// replication stream) against the generation and datacenter in want and
+// returns the state it carries.
+func decodeSnapshot(data []byte, want meta, name string) (*core.ManagerState, error) {
 	metaPayload, body, err := splitSnapshot(data, name)
 	if err != nil {
 		return nil, err
 	}
-	want.Gen = gen
 	if err := want.check(metaPayload, "snapshot"); err != nil {
 		return nil, err
 	}

@@ -589,7 +589,7 @@ func TestRecoverRefusesNewerSnapshotFormat(t *testing.T) {
 		dir, _ := snapshotDir(t)
 		retagSnapshot(t, snapPath(dir, 2), 0x02)
 		topo := testTopo(t)
-		f, _, err := (&Journal{dir: dir, noSync: true}).createWAL(meta{Gen: 3, Eps: testEps, Nodes: topo.Len(), Slots: topo.TotalSlots()}, 1)
+		f, _, err := (&stateDir{dir: dir, noSync: true}).createWAL(meta{Gen: 3, Eps: testEps, Nodes: topo.Len(), Slots: topo.TotalSlots()}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,9 @@ type Cursor struct {
 	Off int64  `json:"off"`
 }
 
-// TailChunk is one Tail response.
+// TailChunk is one Tail response, and the JSON body of GET /v1/wal as it
+// stands: Snap and Data are raw file bytes (base64 on the wire) whose CRCs
+// the standby re-verifies before a byte is applied or mirrored.
 //
 // A continuation chunk (Reset false) carries Data = the log bytes
 // [From, From+len(Data)) of generation Gen — whole frames, cut at a
@@ -33,14 +35,14 @@ type Cursor struct {
 // bytes verbatim gives the standby a byte-identical mirror of the
 // primary's files.
 type TailChunk struct {
-	Gen     uint64
-	From    int64
-	Data    []byte
-	Snap    []byte
-	Durable int64  // the primary's durable frontier in Gen
-	Records int    // mutation records appended in Gen at the frontier
-	Epoch   uint64 // the primary's fencing epoch
-	Reset   bool
+	Gen     uint64 `json:"gen"`
+	From    int64  `json:"from"`
+	Durable int64  `json:"durable"` // the primary's durable frontier in Gen
+	Records int    `json:"records"` // mutation records appended in Gen at the frontier
+	Epoch   uint64 `json:"epoch"`   // the primary's fencing epoch
+	Reset   bool   `json:"reset,omitempty"`
+	Snap    []byte `json:"snap,omitempty"`
+	Data    []byte `json:"data,omitempty"`
 }
 
 const (
@@ -132,7 +134,7 @@ func (j *Journal) buildChunk(cur Cursor, gen uint64, durable int64, epoch uint64
 		if len(data) > maxBytes {
 			data = data[:maxBytes]
 		}
-		frames, clean, err := scanStream(data)
+		frames, clean, err := scanFramesAt(data, 0)
 		if err != nil && len(frames) == 0 {
 			// The cursor does not sit on a frame boundary (a client with
 			// a fabricated offset): restart it from scratch.

@@ -11,14 +11,31 @@ import (
 	"repro/internal/core"
 )
 
+// replayShipped applies shipped record frames, skipping epoch records.
+func replayShipped(t *testing.T, m *core.Manager, frames []Frame) {
+	t.Helper()
+	for _, fr := range frames {
+		rec, err := decodeRecord(fr.Payload)
+		if err != nil {
+			t.Fatalf("decode shipped record: %v", err)
+		}
+		if rec.Kind == KindEpoch {
+			continue
+		}
+		if err := m.Replay(rec.Mutation); err != nil {
+			t.Fatalf("replay shipped record: %v", err)
+		}
+	}
+}
+
 // applyTailChunk replays one chunk into a follower manager the way a
 // standby would, returning the advanced cursor.
 func applyTailChunk(t *testing.T, m **core.Manager, cur Cursor, chunk TailChunk) Cursor {
 	t.Helper()
 	if chunk.Reset {
 		if chunk.Snap != nil {
-			want := meta{Eps: testEps, Nodes: testTopo(t).Len(), Slots: testTopo(t).TotalSlots()}
-			st, err := decodeSnapshot(chunk.Snap, want, chunk.Gen, "stream")
+			want := meta{Gen: chunk.Gen, Eps: testEps, Nodes: testTopo(t).Len(), Slots: testTopo(t).TotalSlots()}
+			st, err := decodeSnapshot(chunk.Snap, want, "stream")
 			if err != nil {
 				t.Fatalf("decode shipped snapshot: %v", err)
 			}
@@ -38,18 +55,7 @@ func applyTailChunk(t *testing.T, m **core.Manager, cur Cursor, chunk TailChunk)
 		if err != nil || clean != len(chunk.Data) {
 			t.Fatalf("reset chunk not frame-clean: %v (clean %d of %d)", err, clean, len(chunk.Data))
 		}
-		for _, fr := range frames[1:] {
-			if _, ok := decodeEpochRecord(fr.payload); ok {
-				continue
-			}
-			mut, err := decodeMutation(fr.payload)
-			if err != nil {
-				t.Fatalf("decode shipped record: %v", err)
-			}
-			if err := (*m).Replay(mut); err != nil {
-				t.Fatalf("replay shipped record: %v", err)
-			}
-		}
+		replayShipped(t, *m, frames[1:])
 		return Cursor{Gen: chunk.Gen, Off: int64(len(chunk.Data))}
 	}
 	if len(chunk.Data) == 0 {
@@ -62,18 +68,7 @@ func applyTailChunk(t *testing.T, m **core.Manager, cur Cursor, chunk TailChunk)
 	if err != nil || clean != len(chunk.Data) {
 		t.Fatalf("continuation chunk not frame-clean: %v", err)
 	}
-	for _, fr := range frames {
-		if _, ok := decodeEpochRecord(fr.payload); ok {
-			continue
-		}
-		mut, err := decodeMutation(fr.payload)
-		if err != nil {
-			t.Fatalf("decode shipped record: %v", err)
-		}
-		if err := (*m).Replay(mut); err != nil {
-			t.Fatalf("replay shipped record: %v", err)
-		}
-	}
+	replayShipped(t, *m, frames)
 	cur.Off += int64(len(chunk.Data))
 	return cur
 }

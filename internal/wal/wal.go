@@ -67,10 +67,28 @@
 //	         uvarint n, n x entry), ascending by key and refused in any
 //	         other order: equal states give equal bytes
 //
-// A checkpoint writes snap-<gen+1>.tmp, fsyncs, renames it into place
-// (atomic on POSIX), creates wal-<gen+1>.log, and only then deletes the
-// older generation. Every crash point in that sequence leaves either the
-// old generation intact or the new one complete.
+// Who writes which file, through which helper (dir.go has them all, and
+// nothing outside this package touches a file in a state directory):
+//
+//	journal     wal-<gen>.log   created by Recover (fresh or snapshot-only
+//	                            directory) and Checkpoint: createWAL =
+//	                            writeDurably + openLog; extended by commits
+//	                            and AdvanceEpoch: append to the open file,
+//	                            sync; cut at a torn tail by Recover: openLog
+//	checkpoint  snap-<gen>.snap Journal.Checkpoint: writeDurably
+//	mirror      both            Mirror.Apply, reset chunk: writeDurably for
+//	                            each, then openLog; continuation chunk:
+//	                            append, sync; Seal/Reopen around a promotion
+//	router      intents.log     OpenIntentLog: writeDurably + openLog, then
+//	                            IntentLog.Append: append, sync
+//
+// writeDurably writes <name>.tmp, fsyncs, renames it into place (atomic on
+// POSIX) and fsyncs the directory, so a file is either absent, as it was,
+// or complete. A checkpoint and a mirror reset both publish the new
+// generation that way — snapshot first, then log — and only then delete
+// the others (removeStale): every crash point in that sequence leaves
+// either the old generation intact or the new one complete. scanDir
+// sweeps leftover .tmp files at the next Recover.
 package wal
 
 import (
@@ -120,11 +138,11 @@ func endFrame(buf []byte, start int) {
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
 }
 
-// frameInfo is one intact frame: its payload and the byte offset just
-// past it in the file.
-type frameInfo struct {
-	payload []byte
-	end     int
+// Frame is one intact frame: its payload and the byte offset just past
+// it within the scanned region.
+type Frame struct {
+	Payload []byte
+	End     int
 }
 
 // scanFrames walks a log or snapshot image, returning every intact frame
@@ -132,7 +150,7 @@ type frameInfo struct {
 // last intact frame). err is nil when the file ends exactly on a frame
 // boundary, and wraps ErrCorrupt when a torn or corrupt tail was found —
 // the frames before it are still returned.
-func scanFrames(data []byte, magic string) (frames []frameInfo, clean int, err error) {
+func scanFrames(data []byte, magic string) (frames []Frame, clean int, err error) {
 	if len(data) < magicLen || string(data[:magicLen]) != magic {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
@@ -141,7 +159,7 @@ func scanFrames(data []byte, magic string) (frames []frameInfo, clean int, err e
 
 // scanFramesAt is the frame walk itself, starting at off (which must be
 // a frame boundary). Frame end offsets are relative to the start of data.
-func scanFramesAt(data []byte, off int) (frames []frameInfo, clean int, err error) {
+func scanFramesAt(data []byte, off int) (frames []Frame, clean int, err error) {
 	clean = off
 	for off < len(data) {
 		if len(data)-off < headerLen {
@@ -160,7 +178,7 @@ func scanFramesAt(data []byte, off int) (frames []frameInfo, clean int, err erro
 			return frames, clean, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
 		}
 		off += headerLen + n
-		frames = append(frames, frameInfo{payload: payload, end: off})
+		frames = append(frames, Frame{Payload: payload, End: off})
 		clean = off
 	}
 	return frames, clean, nil

@@ -62,7 +62,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("got %d frames, want %d", len(frames), len(payloads))
 	}
 	for i, fr := range frames {
-		if string(fr.payload) != string(payloads[i]) {
+		if string(fr.Payload) != string(payloads[i]) {
 			t.Fatalf("frame %d payload mismatch", i)
 		}
 	}

@@ -64,4 +64,7 @@ go test -run '^$' -bench 'BenchmarkRecover|BenchmarkPromote|BenchmarkRecordCodec
 echo "==> fuzz smoke (FuzzSnapshotDecode, 10s)"
 go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/wal/
 
+echo "==> size (scripts/loc.sh: non-test Go lines)"
+bash scripts/loc.sh
+
 echo "OK"
