@@ -9,8 +9,8 @@ check:
 vet:
 	$(GO) vet ./...
 
-## lint: project invariant analyzers (lockcheck, journalseam,
-## determinism, floatcmp, snapshotro) over the whole module
+## lint: svclint over the whole module — the nine analyzers of
+## internal/analysis/all behind invariants I1-I12 (docs/INVARIANTS.md)
 lint:
 	$(GO) run ./cmd/svclint ./...
 
@@ -23,7 +23,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-## bench: allocator benchmark suite, writes BENCH_pr1.json
+## bench: benchmark suite -> BENCH_pr<N>.json (N from git; see scripts/bench.sh)
 bench:
 	bash scripts/bench.sh
 

@@ -131,7 +131,7 @@ func BenchmarkPlanOnly(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.AllocateHomogWorkers(led, req, core.MinMaxOccupancy, 1); err != nil {
+			if _, _, err := core.AllocateHomog(led, req, core.MinMaxOccupancy); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,7 +9,6 @@ package svc_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -158,9 +157,9 @@ func BenchmarkHomogAllocate(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocateHomogSeq pins the DP to the sequential single-worker
-// path on the 1,000-machine tree — the baseline for the parallel variant
-// and for the DP table's allocs/op trajectory.
+// BenchmarkAllocateHomogSeq is one cold Algorithm 1 plan on the
+// 1,000-machine tree — the DP table's time and allocs/op trajectory. The
+// Seq suffix is kept so the BENCH_pr*.json series stays comparable.
 func BenchmarkAllocateHomogSeq(b *testing.B) {
 	led := paperLedger(b)
 	req, err := core.NewHomogeneous(49, stats.Normal{Mu: 300, Sigma: 150})
@@ -169,50 +168,20 @@ func BenchmarkAllocateHomogSeq(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.AllocateHomogWorkers(led, req, core.MinMaxOccupancy, 1); err != nil {
+		if _, _, err := core.AllocateHomog(led, req, core.MinMaxOccupancy); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkAllocateHomogParallel runs the same allocation with one DP
-// worker per available CPU (level-parallel vertex records). On a
-// single-CPU host it degenerates to the sequential path.
-func BenchmarkAllocateHomogParallel(b *testing.B) {
-	led := paperLedger(b)
-	req, err := core.NewHomogeneous(49, stats.Normal{Mu: 300, Sigma: 150})
-	if err != nil {
-		b.Fatal(err)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.AllocateHomogWorkers(led, req, core.MinMaxOccupancy, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHeteroSubstringSeq / Parallel: the same ablation for the
-// substring heuristic's DP (N = 16 VMs).
+// BenchmarkHeteroSubstringSeq: the same cell for the substring heuristic's
+// DP (N = 16 VMs).
 func BenchmarkHeteroSubstringSeq(b *testing.B) {
 	led := paperLedger(b)
 	req := benchHeteroRequest(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.AllocateHeteroSubstringWorkers(led, req, core.MinMaxOccupancy, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHeteroSubstringParallel(b *testing.B) {
-	led := paperLedger(b)
-	req := benchHeteroRequest(16)
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.AllocateHeteroSubstringWorkers(led, req, core.MinMaxOccupancy, workers); err != nil {
+		if _, _, err := core.AllocateHeteroSubstring(led, req, core.MinMaxOccupancy); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -431,6 +400,42 @@ func BenchmarkFailRepair(b *testing.B) {
 		mgr.RestoreMachine(m)
 	}
 	b.ReportMetric(float64(repaired)/float64(b.N), "repairs/op")
+}
+
+// BenchmarkRepairPlan measures the plan inside one homogeneous repair on
+// its own: Algorithm 1 for N = 49 with the survivors of a one-machine
+// failure pinned, on the partially loaded paper-scale ledger. The strict
+// cell is the pass every repair runs; the relaxed cell is the degraded pass
+// a repair falls back to (here on an instance the strict pass solves, so
+// the two cells differ only by the uplink filter).
+func BenchmarkRepairPlan(b *testing.B) {
+	led := paperLedger(b)
+	req, err := core.NewHomogeneous(49, stats.Normal{Mu: 300, Sigma: 150})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _, err := core.AllocateHomog(led, req, core.MinMaxOccupancy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	led.Faults().FailMachine(p.Entries[0].Machine)
+	pinned := make(map[topology.NodeID]int)
+	for _, e := range p.Entries[1:] {
+		pinned[e.Machine] = e.Count
+	}
+	for _, bc := range []struct {
+		name  string
+		relax bool
+	}{{"strict", false}, {"relaxed", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.AllocateHomogPinned(led, req, core.MinMaxOccupancy, pinned, bc.relax); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkMaxOccupancy measures the Fig. 9 sampling statistic over the

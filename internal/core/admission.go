@@ -77,7 +77,7 @@ func (m *Manager) planLocked(mut *Mutation) error {
 	if mut.Homog != nil {
 		p, contribs, err = m.plans.allocateHomog(m.led, *mut.Homog, m.policy, m.scope)
 	} else {
-		p, contribs, err = m.planHetero(m.led, *mut.Hetero)
+		p, contribs, err = m.planHetero(m.led, *mut.Hetero, false)
 	}
 	m.adm.Plan.Observe(since(start))
 	if err != nil {

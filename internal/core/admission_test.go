@@ -147,7 +147,9 @@ func TestAdmissionTraceReplaysFromJournal(t *testing.T) {
 // -race -tags invariants by scripts/check.sh), then checks ledger
 // invariants: the exported state revalidates, occupancy stays bounded
 // when no repair ran degraded, and releasing everything returns the
-// ledger to empty.
+// ledger to empty. A repair that finds no placement evicts its job
+// (RepairFailed); those are the only jobs allowed to be unknown when the
+// test comes to release them.
 func TestAdmissionStormInvariants(t *testing.T) {
 	m := newTestManager(t, mediumThreeTier(), 0.05)
 	topo := m.Topology()
@@ -156,6 +158,8 @@ func TestAdmissionStormInvariants(t *testing.T) {
 		mu       sync.Mutex
 		live     []JobID
 		admitted int64
+		evicted  = make(map[JobID]bool) // jobs a repair reported RepairFailed
+		unknown  []JobID                // jobs a releaser found already gone
 	)
 	pushJob := func(id JobID) {
 		mu.Lock()
@@ -173,6 +177,16 @@ func TestAdmissionStormInvariants(t *testing.T) {
 		id := live[idx]
 		live = append(live[:idx], live[idx+1:]...)
 		return id, true
+	}
+
+	noteEvictions := func(results []RepairResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, res := range results {
+			if res.Outcome == RepairFailed {
+				evicted[res.Job] = true
+			}
+		}
 	}
 
 	const (
@@ -224,7 +238,12 @@ func TestAdmissionStormInvariants(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if err := m.Release(id); err != nil && !errors.Is(err, ErrUnknownJob) {
+				switch err := m.Release(id); {
+				case errors.Is(err, ErrUnknownJob):
+					mu.Lock()
+					unknown = append(unknown, id)
+					mu.Unlock()
+				case err != nil:
 					t.Errorf("releaser %d: Release(%d): %v", g, id, err)
 					return
 				}
@@ -265,10 +284,12 @@ func TestAdmissionStormInvariants(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 15; i++ {
-			if _, err := m.RepairAll(); err != nil {
+			results, err := m.RepairAll()
+			if err != nil {
 				t.Errorf("RepairAll: %v", err)
 				return
 			}
+			noteEvictions(results)
 		}
 	}()
 
@@ -279,8 +300,15 @@ func TestAdmissionStormInvariants(t *testing.T) {
 
 	// All faults were restored in matched pairs; one final repair pass
 	// re-places anything still displaced from the last fault window.
-	if _, err := m.RepairAll(); err != nil {
+	results, err := m.RepairAll()
+	if err != nil {
 		t.Fatalf("final RepairAll: %v", err)
+	}
+	noteEvictions(results)
+	for _, id := range unknown {
+		if !evicted[id] {
+			t.Fatalf("a releaser found job %d gone, and no repair evicted it", id)
+		}
 	}
 	fs := m.FailureStats()
 	if fs.MachinesDown != 0 || fs.LinksDown != 0 {
@@ -305,20 +333,23 @@ func TestAdmissionStormInvariants(t *testing.T) {
 	// Every successful admission is counted exactly once.
 	adm := m.AdmissionStats()
 	mu.Lock()
-	t.Logf("storm: admitted=%d live=%d stats=%+v degraded=%d",
-		admitted, len(live), adm, fs.DegradedRepairs)
+	t.Logf("storm: admitted=%d live=%d evicted=%d stats=%+v degraded=%d",
+		admitted, len(live), len(evicted), adm, fs.DegradedRepairs)
 	mu.Unlock()
 	if adm.Locked != admitted {
 		t.Errorf("AdmissionStats.Locked = %d, want %d admissions", adm.Locked, admitted)
 	}
 
 	// Releasing every remaining job must return the ledger to empty:
-	// all slots free, zero occupancy everywhere.
-	mu.Lock()
-	rest := append([]JobID(nil), live...)
-	mu.Unlock()
-	for _, id := range rest {
-		if err := m.Release(id); err != nil {
+	// all slots free, zero occupancy everywhere. The jobs a repair evicted
+	// are already gone — exactly those, and no other.
+	for _, id := range live {
+		switch err := m.Release(id); {
+		case evicted[id]:
+			if !errors.Is(err, ErrUnknownJob) {
+				t.Fatalf("final Release(%d) of an evicted job: %v, want ErrUnknownJob", id, err)
+			}
+		case err != nil:
 			t.Fatalf("final Release(%d): %v", id, err)
 		}
 	}

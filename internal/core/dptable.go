@@ -13,9 +13,8 @@ import (
 // and the request size, never on ledger state: a subtree can take at most
 // min(N, slots below it) VMs. layout therefore assigns every vertex its
 // offsets into three shared slabs before the DP runs, the kernels write
-// only into their own vertex's cells (so one level's vertices can be
-// computed concurrently with no per-worker state), and a plan on a table
-// whose slabs are large enough allocates nothing.
+// only into their own vertex's cells, and a plan on a table whose slabs are
+// large enough allocates nothing.
 
 // dpRec locates one vertex's record in the slabs.
 type dpRec struct {

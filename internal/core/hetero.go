@@ -92,42 +92,32 @@ func (t *substrTable) needCrossing(topo *topology.Topology, verts []topology.Nod
 // as the homogeneous algorithm. It returns the placement and contributions
 // without committing them.
 func AllocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy) (Placement, []linkDemand, error) {
-	return AllocateHeteroSubstringWorkers(led, req, policy, 0)
-}
-
-// AllocateHeteroSubstringWorkers is AllocateHeteroSubstring with explicit
-// control over DP parallelism, with the same semantics as
-// AllocateHomogWorkers: 1 forces sequential, > 1 forces that many level
-// workers, <= 0 picks automatically. Both paths produce bit-identical
-// placements.
-func AllocateHeteroSubstringWorkers(led *Ledger, req Heterogeneous, policy Policy, workers int) (Placement, []linkDemand, error) {
-	return allocateHeteroSubstringScoped(led, req, policy, workers, nil)
+	return allocateHeteroSubstringScoped(led, req, policy, nil)
 }
 
 // allocateHeteroSubstringScoped is the scope-aware cold plan behind
-// AllocateHeteroSubstringWorkers; see allocateHomogScoped.
-func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy, workers int, scope *planScope) (Placement, []linkDemand, error) {
+// AllocateHeteroSubstring; see allocateHomogScoped.
+func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy, scope *planScope) (Placement, []linkDemand, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
 	order, sorted := orderByPercentile(req)
-	return substrPlanCold(led, req, order, sorted, policy, workers, scope)
+	return substrPlanCold(led, req, order, sorted, policy, scope)
 }
 
 // substrPlanCold plans req, whose VMs in percentile order are order with
 // demands sorted, in a pooled table.
-func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.Normal, policy Policy, workers int, scope *planScope) (Placement, []linkDemand, error) {
-	topo := led.Topology()
+func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.Normal, policy Policy, scope *planScope) (Placement, []linkDemand, error) {
 	t := substrTablePool.Get().(*substrTable)
 	defer substrTablePool.Put(t)
-	t.reset(topo, scope, sorted, policy)
-	p, contribs, _, err := t.plan(led, scope, req, order, resolveWorkers(workers, topo.Len(), len(order)))
+	t.reset(led.Topology(), scope, sorted, policy)
+	p, contribs, _, err := t.plan(led, scope, req, order)
 	return p, contribs, err
 }
 
 // plan is homogTable.plan for the substring DP. order maps substring
 // positions to req's VM indices.
-func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, order []int, workers int) (Placement, []linkDemand, int, error) {
+func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, order []int) (Placement, []linkDemand, int, error) {
 	topo := led.Topology()
 	t.syncEpoch(led)
 	recomputed := 0
@@ -135,7 +125,9 @@ func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, ord
 		verts := scopeAtLevel(topo, scope, level)
 		stale := t.staleAt(led, verts)
 		t.needCrossing(topo, stale)
-		forEachVertex(stale, workers, func(v topology.NodeID) { t.compute(led, topo, v) })
+		for _, v := range stale {
+			t.compute(led, topo, v)
+		}
 		recomputed += len(stale)
 		if best := t.best(verts, t.n, t.idx(t.n, 0), t.policy); best != topology.None {
 			var p Placement
@@ -149,7 +141,7 @@ func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, ord
 
 // compute fills the substring DP record for vertex v. Like
 // homogTable.compute it reads the ledger and the children's records and
-// writes only v's own cells, so one level's vertices can run concurrently.
+// writes only v's own cells.
 func (t *substrTable) compute(led *Ledger, topo *topology.Topology, v topology.NodeID) {
 	node := topo.Node(v)
 	rec := &t.recs[v]

@@ -59,87 +59,106 @@ var infeasible = math.Inf(1)
 //     hold s, which is what reconstructs the placement.
 //
 // The same table serves a cold plan (drawn from homogTablePool, every
-// record computed) and a plan-cache entry (kept between plans, only the
-// records whose subtree version moved recomputed), so the two cannot
+// record computed), a plan-cache entry (kept between plans, only the
+// records whose subtree version moved recomputed) and a failure repair (a
+// cold plan with the two repair inputs below set), so the three cannot
 // disagree.
 type homogTable struct {
 	dpTable
 	req      Homogeneous // demand canonicalized (canonDemand)
 	policy   Policy
 	crossing []stats.Normal // crossing[m]: demand on a link with m of the N VMs below
+
+	// Repair inputs (AllocateHomogPinned); an admission sets neither.
+	// Surviving VMs are lower bounds: a machine cannot take fewer VMs
+	// than are pinned on it, and the chosen subtree must hold every pin.
+	pins   []int // pins[v]: VMs pinned inside v's subtree; meaningful only while pinned > 0
+	pinned int   // total pinned VMs
+	relax  bool  // degraded pass: an uplink at O_L >= 1 stays allocable
 }
 
 var homogTablePool = sync.Pool{New: func() any { return new(homogTable) }}
 
 // reset binds the table to a request shape and lays it out over the
-// scope's vertices; every record is stale afterwards.
+// scope's vertices; every record is stale afterwards and no repair input
+// survives, so a pooled table carries no lower bound into its next plan.
 func (t *homogTable) reset(topo *topology.Topology, scope *planScope, req Homogeneous, policy Policy) {
 	req.Demand = canonDemand(req.Demand)
 	t.req, t.policy = req, policy
+	t.pinned, t.relax = 0, false
 	t.crossing = crossingTableHomog(t.crossing[:0], req.Demand, req.N)
 	t.layout(topo, scope, req.N, 1)
+}
+
+// pin keeps count of the request's VMs on machine m: every subtree that
+// contains m takes at least that many.
+func (t *homogTable) pin(topo *topology.Topology, m topology.NodeID, count int) {
+	if t.pinned == 0 {
+		t.pins = grow(t.pins, topo.Len())
+		clear(t.pins)
+	}
+	t.pinned += count
+	for v := m; v != topology.None; v = topo.Node(v).Parent {
+		t.pins[v] += count
+	}
+}
+
+// holdingPins narrows one level's selection candidates to the subtree that
+// contains every pinned VM — subtrees of one level are disjoint, so there
+// is at most one. With nothing pinned every vertex qualifies.
+func (t *homogTable) holdingPins(verts []topology.NodeID) []topology.NodeID {
+	if t.pinned == 0 {
+		return verts
+	}
+	for i, v := range verts {
+		if t.pins[v] == t.pinned {
+			return verts[i : i+1]
+		}
+	}
+	return nil
 }
 
 // AllocateHomog runs the paper's homogeneous VM allocation over the current
 // ledger state and returns the placement and its per-link crossing-demand
 // contributions without committing them. It returns ErrNoCapacity when no
-// subtree can host the request. Worker count is chosen automatically; see
-// AllocateHomogWorkers.
+// subtree can host the request.
 func AllocateHomog(led *Ledger, req Homogeneous, policy Policy) (Placement, []linkDemand, error) {
-	return AllocateHomogWorkers(led, req, policy, 0)
+	return allocateHomogScoped(led, req, policy, nil)
 }
 
-// AllocateHomogWorkers is AllocateHomog with explicit control over DP
-// parallelism: workers == 1 forces the sequential path, workers > 1 runs
-// each tree level's vertex records on that many goroutines, and
-// workers <= 0 picks automatically (GOMAXPROCS when the topology and
-// request are large enough to amortize the fan-out). Both paths produce
-// bit-identical placements.
-func AllocateHomogWorkers(led *Ledger, req Homogeneous, policy Policy, workers int) (Placement, []linkDemand, error) {
-	return allocateHomogScoped(led, req, policy, workers, nil)
-}
-
-// allocateHomogScoped is the scope-aware cold plan behind
-// AllocateHomogWorkers: with a non-nil scope the level loop, vertex
-// records and selection scan are confined to the scope's subtree (see
-// planScope), so a pod-local manager never places VMs outside its pod. It
-// runs in a pooled table and, once the pool is warm, allocates nothing
-// but the placement it returns.
-func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, workers int, scope *planScope) (Placement, []linkDemand, error) {
+// allocateHomogScoped is the scope-aware cold plan behind AllocateHomog:
+// with a non-nil scope the level loop, vertex records and selection scan
+// are confined to the scope's subtree (see planScope), so a pod-local
+// manager never places VMs outside its pod. It runs in a pooled table and,
+// once the pool is warm, allocates nothing but the placement it returns.
+func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *planScope) (Placement, []linkDemand, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
-	topo := led.Topology()
 	t := homogTablePool.Get().(*homogTable)
 	defer homogTablePool.Put(t)
-	t.reset(topo, scope, req, policy)
-	p, contribs, _, err := t.plan(led, scope, resolveWorkers(workers, topo.Len(), req.N))
+	t.reset(led.Topology(), scope, req, policy)
+	p, contribs, _, err := t.plan(led, scope)
 	return p, contribs, err
 }
 
 // plan brings the table up to date with led level by level — recomputing
 // only the records whose subtree version moved since they were filled —
 // and returns the placement in the lowest subtree that hosts the request,
-// with the number of records it recomputed.
-func (t *homogTable) plan(led *Ledger, scope *planScope, workers int) (Placement, []linkDemand, int, error) {
+// with the number of records it recomputed. The selection scan runs in
+// topology order, which is what breaks ties between equal subtrees.
+func (t *homogTable) plan(led *Ledger, scope *planScope) (Placement, []linkDemand, int, error) {
 	topo := led.Topology()
 	t.syncEpoch(led)
 	recomputed := 0
 	for level := 0; level <= scopeHeight(topo, scope); level++ {
 		verts := scopeAtLevel(topo, scope, level)
 		stale := t.staleAt(led, verts)
-		// Fan a level out only when its records carry enough DP work to
-		// amortize the goroutine handoff; small levels (and whole small
-		// trees) run sequentially regardless of the worker count.
-		lw := workers
-		if lw > 1 && t.levelWork(topo, stale) < parallelMinLevelWork {
-			lw = 1
+		for _, v := range stale {
+			t.compute(led, topo, v)
 		}
-		forEachVertex(stale, lw, func(v topology.NodeID) { t.compute(led, topo, v) })
 		recomputed += len(stale)
-		// The selection scan stays sequential in topology order so
-		// tie-breaking does not depend on the worker count.
-		if best := t.best(verts, t.req.N, t.req.N, t.policy); best != topology.None {
+		if best := t.best(t.holdingPins(verts), t.req.N, t.req.N, t.policy); best != topology.None {
 			var p Placement
 			t.build(topo, best, t.req.N, &p)
 			p.normalize()
@@ -149,38 +168,10 @@ func (t *homogTable) plan(led *Ledger, scope *planScope, workers int) (Placement
 	return Placement{}, nil, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, t.req)
 }
 
-// levelWork estimates the inner DP iterations compute will spend on one
-// level's vertices: the machine base cases cost their slot scan, and an
-// internal vertex costs the (h, e) pair loops of its child combine — Σ
-// over children of (child cap + 1) × (vertex cap + 1). The children's
-// records are already finalized when a level is visited, so the estimate
-// uses the exact caps the loops will see. The walk itself is O(edges at
-// this level), negligible against the DP it gates.
-func (t *homogTable) levelWork(topo *topology.Topology, verts []topology.NodeID) int {
-	n := t.req.N
-	work := 0
-	for _, v := range verts {
-		node := topo.Node(v)
-		if node.IsMachine() {
-			work += min(n, node.Slots) + 1
-			continue
-		}
-		capV := 0
-		for _, c := range node.Children {
-			capV += t.recs[c].cap
-		}
-		capV = min(n, capV)
-		for _, c := range node.Children {
-			work += (min(t.recs[c].cap, capV) + 1) * (capV + 1)
-		}
-	}
-	return work
-}
-
 // compute fills the DP record for vertex v from its children's records
 // (which the level-order traversal has already brought up to date). It
 // reads the ledger and the children's records and writes only v's own
-// cells, so vertices of one level can be computed concurrently.
+// cells.
 func (t *homogTable) compute(led *Ledger, topo *topology.Topology, v topology.NodeID) {
 	node := topo.Node(v)
 	rec := &t.recs[v]
@@ -188,8 +179,15 @@ func (t *homogTable) compute(led *Ledger, topo *topology.Topology, v topology.No
 	if node.IsMachine() {
 		// Leaf base case: any count up to the free slots fits, and VMs on
 		// the same machine use no links, so the in-subtree occupancy is 0.
+		// A repair's pinned VMs are already counted free (the job was
+		// rolled back), so they only rule out the counts below them.
 		rec.cap = min(t.req.N, led.FreeSlots(v))
 		clear(optIn[:rec.cap+1])
+		if t.pinned > 0 {
+			for e := range optIn[:t.pins[v]] {
+				optIn[e] = infeasible
+			}
+		}
 	} else {
 		// Combine children left to right: acc[s] is the optimal value of
 		// placing s VMs in the first i child subtrees — Eq. 11 specialized
@@ -225,8 +223,10 @@ func (t *homogTable) compute(led *Ledger, topo *topology.Topology, v topology.No
 	}
 
 	// Uplink occupancy and the allocable VM set (Definition 1). The root
-	// has no uplink; every other vertex must keep its uplink admissible.
-	isRoot := node.Parent == topology.None
+	// has no uplink; every other vertex must keep its uplink admissible,
+	// unless the plan is a repair's relaxed pass, where the occupancy only
+	// enters the min-max objective.
+	isRoot, relax := node.Parent == topology.None, t.relax
 	for e := 0; e <= rec.cap; e++ {
 		switch {
 		case optIn[e] == infeasible:
@@ -235,7 +235,7 @@ func (t *homogTable) compute(led *Ledger, topo *topology.Topology, v topology.No
 			alloc[e] = true
 		default:
 			upOcc[e] = led.OccupancyWith(v, t.crossing[e])
-			alloc[e] = upOcc[e] < 1
+			alloc[e] = upOcc[e] < 1 || relax
 		}
 	}
 	rec.ver, rec.filled = led.SubtreeVersion(v), true

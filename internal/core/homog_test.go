@@ -446,3 +446,22 @@ func TestGreedyPackValidUnderLoad(t *testing.T) {
 		commit(led, &p, contribs)
 	}
 }
+
+// TestCrossingTable: the table must equal direct CrossingHomog evaluation
+// entry for entry, also when it is rebuilt into a buffer it used before.
+func TestCrossingTable(t *testing.T) {
+	d := stats.Normal{Mu: 250, Sigma: 80}
+	table := crossingTableHomog(nil, stats.Normal{Mu: 1}, 30)
+	for pass := 0; pass < 2; pass++ { // both passes overwrite a used buffer
+		table = crossingTableHomog(table[:0], d, 12)
+		if len(table) != 13 {
+			t.Fatalf("pass %d: table has %d entries, want 13", pass, len(table))
+		}
+		for m := range table {
+			want := CrossingHomog(d, m, 12)
+			if table[m] != want {
+				t.Fatalf("pass %d: table[%d] = %v, want %v", pass, m, table[m], want)
+			}
+		}
+	}
+}

@@ -162,8 +162,10 @@ func (m *Manager) AllocateHetero(req Heterogeneous, opts ...CallOption) (*Alloca
 
 // planHetero runs the configured heterogeneous allocator against a ledger
 // without committing. Scoped managers always use the substring DP (the
-// only hetero allocator with a scoped variant; see WithPlanSubtree).
-func (m *Manager) planHetero(led *Ledger, req Heterogeneous) (Placement, []linkDemand, error) {
+// only hetero allocator with a scoped variant; see WithPlanSubtree). A
+// repair's scratch ledger plans cold, past the plan cache (see
+// planRepairLocked).
+func (m *Manager) planHetero(led *Ledger, req Heterogeneous, scratch bool) (Placement, []linkDemand, error) {
 	if m.scope == nil {
 		switch m.hetero {
 		case HeteroExact:
@@ -171,6 +173,9 @@ func (m *Manager) planHetero(led *Ledger, req Heterogeneous) (Placement, []linkD
 		case HeteroFirstFit:
 			return AllocateFirstFit(led, req)
 		}
+	}
+	if scratch {
+		return allocateHeteroSubstringScoped(led, req, m.policy, m.scope)
 	}
 	return m.plans.allocateHeteroSubstring(led, req, m.policy, m.scope)
 }
@@ -224,7 +229,7 @@ func (m *Manager) CanAllocateHomog(req Homogeneous) bool {
 // be admitted, without committing anything. It runs on a ledger snapshot,
 // concurrently with admissions.
 func (m *Manager) CanAllocateHetero(req Heterogeneous) bool {
-	_, _, err := m.planHetero(m.snapshot(), req)
+	_, _, err := m.planHetero(m.snapshot(), req, false)
 	return err == nil
 }
 
@@ -333,14 +338,12 @@ func (m *Manager) Headroom(req Homogeneous, limit int) (int, error) {
 	}
 	// One table for the whole probe: each commit below restamps only the
 	// paths it touched, so the next plan recomputes just those records.
-	topo := scratch.Topology()
 	t := homogTablePool.Get().(*homogTable)
 	defer homogTablePool.Put(t)
-	t.reset(topo, m.scope, req, m.policy)
-	workers := resolveWorkers(0, topo.Len(), req.N)
+	t.reset(scratch.Topology(), m.scope, req, m.policy)
 	count := 0
 	for count < limit {
-		p, contribs, _, err := t.plan(scratch, m.scope, workers)
+		p, contribs, _, err := t.plan(scratch, m.scope)
 		if err != nil {
 			if errors.Is(err, ErrNoCapacity) {
 				break

@@ -269,3 +269,149 @@ func TestLedgerClone(t *testing.T) {
 		t.Errorf("clone occupancy = %v, want 0.6", got)
 	}
 }
+
+// TestManagerConcurrentStress hammers one manager with concurrent
+// admissions, releases, dry runs, headroom probes and metrics reads.
+// Run under -race it proves the snapshot machinery keeps read-only work
+// off the write lock without data races; the final drain proves the
+// ledger bookkeeping stayed exact throughout.
+func TestManagerConcurrentStress(t *testing.T) {
+	topo, err := topology.NewThreeTier(topology.ThreeTierConfig{
+		Aggs: 2, ToRsPerAgg: 3, MachinesPerRack: 10, SlotsPerMachine: 4,
+		HostCap: 1000, Oversub: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(topo, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		wg   sync.WaitGroup
+		idMu sync.Mutex
+		live []JobID
+	)
+	// Two allocator goroutines: admit and release with churn.
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			r := stats.NewRand(seed)
+			for i := 0; i < 60; i++ {
+				mu := r.UniformRange(100, 400)
+				req := Homogeneous{N: r.UniformInt(2, 12), Demand: stats.Normal{Mu: mu, Sigma: 0.4 * mu}}
+				if a, err := m.AllocateHomog(req); err == nil {
+					idMu.Lock()
+					live = append(live, a.ID)
+					idMu.Unlock()
+				}
+				if r.Float64() < 0.5 {
+					idMu.Lock()
+					var id JobID
+					if len(live) > 0 {
+						k := r.IntN(len(live))
+						id = live[k]
+						live[k] = live[len(live)-1]
+						live = live[:len(live)-1]
+					}
+					idMu.Unlock()
+					if id != 0 {
+						if err := m.Release(id); err != nil {
+							t.Errorf("Release(%d): %v", id, err)
+							return
+						}
+					}
+				}
+			}
+		}(uint64(1000 + g))
+	}
+	// Dry-run goroutine.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := stats.NewRand(2000)
+		for i := 0; i < 80; i++ {
+			mu := r.UniformRange(100, 400)
+			m.CanAllocateHomog(Homogeneous{N: r.UniformInt(2, 12), Demand: stats.Normal{Mu: mu, Sigma: 0.3 * mu}})
+		}
+	}()
+	// Headroom goroutine.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		req := Homogeneous{N: 6, Demand: stats.Normal{Mu: 200, Sigma: 80}}
+		for i := 0; i < 15; i++ {
+			if _, err := m.Headroom(req, 4); err != nil {
+				t.Errorf("Headroom: %v", err)
+				return
+			}
+		}
+	}()
+	// Metrics goroutine.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 150; i++ {
+			if occ := m.MaxOccupancy(); occ >= 1 {
+				t.Errorf("MaxOccupancy %v >= 1 under concurrent churn", occ)
+				return
+			}
+			m.MaxOccupancyByLevel()
+			m.FreeSlots()
+			m.Running()
+		}
+	}()
+	wg.Wait()
+
+	// Drain and verify the ledger returns exactly to empty.
+	for _, id := range live {
+		if err := m.Release(id); err != nil {
+			t.Fatalf("final Release(%d): %v", id, err)
+		}
+	}
+	if got := m.Running(); got != 0 {
+		t.Fatalf("%d jobs still tracked after drain", got)
+	}
+	if got, want := m.FreeSlots(), topo.TotalSlots(); got != want {
+		t.Fatalf("free slots %d after drain, want %d", got, want)
+	}
+	if occ := m.MaxOccupancy(); occ > 1e-6 {
+		t.Fatalf("max occupancy %v after drain, want ~0", occ)
+	}
+}
+
+// TestManagerSnapshotFreshness: sequential callers must always observe
+// their own mutations — a dry run immediately after an admission sees the
+// admitted load, and after the release sees it gone.
+func TestManagerSnapshotFreshness(t *testing.T) {
+	topo, err := topology.NewThreeTier(topology.ThreeTierConfig{
+		Aggs: 1, ToRsPerAgg: 1, MachinesPerRack: 2, SlotsPerMachine: 2,
+		HostCap: 1000, Oversub: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(topo, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Homogeneous{N: 4, Demand: stats.Normal{Mu: 300, Sigma: 100}}
+	if !m.CanAllocateHomog(req) {
+		t.Fatal("empty datacenter should admit the request")
+	}
+	a, err := m.AllocateHomog(req)
+	if err != nil {
+		t.Fatalf("AllocateHomog: %v", err)
+	}
+	if m.CanAllocateHomog(req) {
+		t.Fatal("full datacenter should reject the dry run (stale snapshot?)")
+	}
+	if err := m.Release(a.ID); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
+	if !m.CanAllocateHomog(req) {
+		t.Fatal("drained datacenter should admit again (stale snapshot?)")
+	}
+}

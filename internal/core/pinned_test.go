@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/stats"
@@ -23,10 +25,22 @@ func smallRandomTopology(r *stats.Rand, maxSlots int) *topology.Topology {
 // request's VMs that keeps at least pinned[m] VMs on each pinned machine,
 // and returns the lexicographic best (enclosing-subtree level, max
 // in-subtree occupancy) — the reference the pinned DP must match. With an
-// empty pinned map it reduces to bruteForceHomog.
-func bruteForcePinned(led *Ledger, req Homogeneous, pinned map[topology.NodeID]int) (level int, value float64, found bool) {
+// empty pinned map it reduces to bruteForceHomog. relax drops the uplink
+// filter O_L < 1, leaving slots, liveness and the pins as the only
+// constraints; a non-nil scope confines the VMs to its machines, so a pin
+// outside it leaves nothing to find.
+func bruteForcePinned(led *Ledger, req Homogeneous, pinned map[topology.NodeID]int, relax bool, scope *planScope) (level int, value float64, found bool) {
 	tp := led.Topology()
-	machines := tp.Machines()
+	machines := scopeAtLevel(tp, scope, 0)
+	inScope := make(map[topology.NodeID]bool, len(machines))
+	for _, m := range machines {
+		inScope[m] = true
+	}
+	for m, c := range pinned {
+		if c > 0 && !inScope[m] {
+			return 0, 0, false
+		}
+	}
 	best := struct {
 		level int
 		value float64
@@ -49,7 +63,11 @@ func bruteForcePinned(led *Ledger, req Homogeneous, pinned map[topology.NodeID]i
 				return
 			}
 			contribs := homogContributions(tp, req, &p)
-			if ValidatePlacement(led, contribs, &p, req.N) != nil {
+			checked := contribs
+			if relax {
+				checked = nil // slots and liveness only
+			}
+			if ValidatePlacement(led, checked, &p, req.N) != nil {
 				return
 			}
 			sub := enclosingSubtree(tp, &p)
@@ -147,25 +165,31 @@ func TestHomogDifferentialRandomTrees(t *testing.T) {
 	}
 }
 
-// TestPinnedDifferentialRandomTrees does the same cross-check for the
-// partial-placement (repair) DP: allocate, fail one machine of the
-// placement, pin the survivors, and compare the strict pinned DP against
-// brute force with the matching lower bounds.
+// TestPinnedDifferentialRandomTrees does the same cross-check for repair
+// plans: allocate, fail one machine of the placement, pin the survivors,
+// and compare Algorithm 1 under those lower bounds against brute force
+// with the matching ones — the strict pass and the relaxed one, over the
+// whole tree and confined to a random switch's subtree the way a
+// WithPlanSubtree manager plans. Every returned placement must keep the
+// pins, avoid the failed machine and stay inside its scope; a pin outside
+// the scope must leave no placement at all.
 func TestPinnedDifferentialRandomTrees(t *testing.T) {
 	cases := []struct {
 		name   string
 		seed   uint64
 		trials int
 		eps    float64
+		maxMu  float64
 	}{
-		{"eps05-streamA", 5005, 50, 0.05},
-		{"eps10-streamB", 6006, 50, 0.10},
+		{"eps05-streamA", 5005, 50, 0.05, 12},
+		{"eps10-streamB", 6006, 50, 0.10, 12},
+		{"eps05-heavy", 8008, 60, 0.05, 30},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			r := stats.NewRand(tc.seed)
-			checked := 0
+			var strict, relaxedOnly, scopedIn, scopedOut int
 			for trial := 0; trial < tc.trials; trial++ {
 				tp := smallRandomTopology(r, 12)
 				led, err := NewLedger(tp, tc.eps)
@@ -179,9 +203,15 @@ func TestPinnedDifferentialRandomTrees(t *testing.T) {
 				}
 				n := r.UniformInt(2, min(8, tp.TotalSlots()))
 				req := Homogeneous{N: n, Demand: stats.Normal{
-					Mu:    r.UniformRange(1, 12),
+					Mu:    r.UniformRange(1, tc.maxMu),
 					Sigma: r.UniformRange(0, 5),
 				}}
+				switches := tp.AtLevel(r.UniformInt(1, tp.Height()))
+				podRoot := switches[r.IntN(len(switches))]
+				pod, err := newPlanScope(tp, podRoot)
+				if err != nil {
+					t.Fatal(err)
+				}
 				p, _, err := AllocateHomog(led, req, MinMaxOccupancy)
 				if err != nil || len(p.Entries) < 2 {
 					continue // need a spread placement to have survivors
@@ -190,44 +220,75 @@ func TestPinnedDifferentialRandomTrees(t *testing.T) {
 				victim := p.Entries[r.UniformInt(0, len(p.Entries)-1)].Machine
 				led.Faults().FailMachine(victim)
 				pinned := make(map[topology.NodeID]int)
+				pinsInPod := true
 				for _, e := range p.Entries {
 					if e.Machine != victim {
 						pinned[e.Machine] = e.Count
+						pinsInPod = pinsInPod && isAncestor(tp, podRoot, e.Machine)
 					}
 				}
 
-				wantLevel, wantVal, wantFound := bruteForcePinned(led, req, pinned)
-				rp, contribs, err := AllocateHomogPinned(led, req, MinMaxOccupancy, pinned, false)
-				if (err == nil) != wantFound {
-					t.Fatalf("trial %d: pinned DP err=%v, brute force found=%v (req %v, pinned %v)",
-						trial, err, wantFound, req, pinned)
-				}
-				led.Faults().RestoreMachine(victim)
-				if err != nil {
-					continue
-				}
-				checked++
-				counts := placementCounts(&rp)
-				for mc, c := range pinned {
-					if counts[mc] < c {
-						t.Fatalf("trial %d: pinned machine %d got %d VMs, want >= %d", trial, mc, counts[mc], c)
+				for _, scope := range []*planScope{nil, pod} {
+					strictFound := false
+					for _, relax := range []bool{false, true} {
+						where := fmt.Sprintf("trial %d (relax %v, scoped %v, req %v, pinned %v)", trial, relax, scope != nil, req, pinned)
+						wantLevel, wantVal, wantFound := bruteForcePinned(led, req, pinned, relax, scope)
+						rp, contribs, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, pinned, relax, scope)
+						if (err == nil) != wantFound {
+							t.Fatalf("%s: pinned DP err=%v, brute force found=%v", where, err, wantFound)
+						}
+						if scope != nil && !pinsInPod && err == nil {
+							t.Fatalf("%s: placed %v with a pin outside the pod", where, &rp)
+						}
+						if err != nil {
+							continue
+						}
+						switch {
+						case !relax:
+							strictFound = true
+							strict++
+						case !strictFound:
+							relaxedOnly++
+						}
+						counts := placementCounts(&rp)
+						for mc, c := range pinned {
+							if counts[mc] < c {
+								t.Fatalf("%s: pinned machine %d got %d VMs, want >= %d", where, mc, counts[mc], c)
+							}
+						}
+						if counts[victim] != 0 {
+							t.Fatalf("%s: pinned DP used the failed machine", where)
+						}
+						sub := enclosingSubtree(tp, &rp)
+						if scope != nil && !isAncestor(tp, podRoot, sub) {
+							t.Fatalf("%s: placement %v leaves the pod rooted at %d", where, &rp, podRoot)
+						}
+						gotLevel := tp.Node(sub).Level
+						gotVal := maxOccInSubtree(led, sub, contribs)
+						if gotLevel != wantLevel {
+							t.Fatalf("%s: pinned DP level %d, brute force %d", where, gotLevel, wantLevel)
+						}
+						if math.Abs(gotVal-wantVal) > 1e-9 {
+							t.Fatalf("%s: pinned DP value %v, brute force %v", where, gotVal, wantVal)
+						}
+					}
+					if scope != nil {
+						if pinsInPod {
+							scopedIn++
+						} else {
+							scopedOut++
+						}
 					}
 				}
-				if counts[victim] != 0 {
-					t.Fatalf("trial %d: pinned DP used the failed machine", trial)
-				}
-				sub := enclosingSubtree(tp, &rp)
-				gotLevel := tp.Node(sub).Level
-				gotVal := maxOccInSubtree(led, sub, contribs)
-				if gotLevel != wantLevel {
-					t.Fatalf("trial %d: pinned DP level %d, brute force %d", trial, gotLevel, wantLevel)
-				}
-				if math.Abs(gotVal-wantVal) > 1e-9 {
-					t.Fatalf("trial %d: pinned DP value %v, brute force %v", trial, gotVal, wantVal)
-				}
+				led.Faults().RestoreMachine(victim)
 			}
-			if checked == 0 {
-				t.Fatal("no trial produced a repairable instance")
+			t.Logf("strict repairs %d, relaxed-only repairs %d, pods holding the pins %d, pods missing one %d",
+				strict, relaxedOnly, scopedIn, scopedOut)
+			if strict == 0 || scopedIn == 0 || scopedOut == 0 {
+				t.Fatal("the generator never produced a strict repair, a pod holding the pins and a pod missing one")
+			}
+			if tc.maxMu > 12 && relaxedOnly == 0 {
+				t.Fatal("no instance needed the relaxed pass; the heavy stream is not heavy enough")
 			}
 		})
 	}
@@ -286,5 +347,52 @@ func TestPinnedRejectsBadPins(t *testing.T) {
 				t.Fatal("expected an error")
 			}
 		})
+	}
+}
+
+// TestRepairPlanAllocBudget is the tripwire on the repair path: a repair's
+// plan runs under the manager lock, once per displaced job of a RepairAll
+// sweep (twice when the strict pass fails), in the same pooled slab table
+// as an admission — so with a warm pool it allocates the placement it
+// returns and little else. The per-vertex record copy it replaced cost
+// about 554 KB and 4 400 objects for this plan.
+func TestRepairPlanAllocBudget(t *testing.T) {
+	const (
+		maxBytes   = 64 << 10
+		maxObjects = 200
+	)
+	led := paperManager(t).Ledger().Clone()
+	req := Homogeneous{N: 49, Demand: stats.Normal{Mu: 300, Sigma: 150}}
+	p, _, err := AllocateHomog(led, req, MinMaxOccupancy)
+	if err != nil || len(p.Entries) < 2 {
+		t.Fatalf("no spread placement to repair: %v (err %v)", &p, err)
+	}
+	led.Faults().FailMachine(p.Entries[0].Machine)
+	pinned := make(map[topology.NodeID]int)
+	for _, e := range p.Entries[1:] {
+		pinned[e.Machine] = e.Count
+	}
+	for _, relax := range []bool{false, true} {
+		plan := func() {
+			if _, _, err := AllocateHomogPinned(led, req, MinMaxOccupancy, pinned, relax); err != nil {
+				t.Fatalf("relax %v: %v", relax, err)
+			}
+		}
+		objects := testing.AllocsPerRun(20, plan)
+		// Bytes of the cheapest plan: the one that found the pool warm
+		// (under -race sync.Pool drops a share of what is put back).
+		bytes := uint64(math.MaxUint64)
+		for i := 0; i < 20; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			plan()
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("relax %v: %.0f objects, %d bytes per plan", relax, objects, bytes)
+		if objects >= maxObjects || bytes >= maxBytes {
+			t.Errorf("relax %v: a repair plan allocates %.0f objects and %d bytes, want < %d and < %d",
+				relax, objects, bytes, maxObjects, maxBytes)
+		}
 	}
 }

@@ -207,7 +207,7 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 	e, hit, victim := c.homog.admit(key, &c.stats)
 	c.mu.Unlock()
 	if e == nil {
-		return allocateHomogScoped(led, req, policy, 1, scope)
+		return allocateHomogScoped(led, req, policy, scope)
 	}
 	victim.retire(&homogTablePool)
 	e.mu.Lock()
@@ -215,11 +215,11 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 		e.table = homogTablePool.Get().(*homogTable)
 		e.table.reset(led.Topology(), scope, req, policy)
 	}
-	p, contribs, recomputed, err := e.table.plan(led, scope, 1)
+	p, contribs, recomputed, err := e.table.plan(led, scope)
 	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
-		fp, _, ferr := allocateHomogScoped(led, req, policy, 1, scope)
+		fp, _, ferr := allocateHomogScoped(led, req, policy, scope)
 		checkCachedPlan("homog", p, err, fp, ferr)
 	}
 	return p, contribs, err
@@ -256,7 +256,7 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 	e, hit, victim := c.hetero.admit(key, &c.stats)
 	c.mu.Unlock()
 	if e == nil {
-		return substrPlanCold(led, req, order, sorted, policy, 1, scope)
+		return substrPlanCold(led, req, order, sorted, policy, scope)
 	}
 	victim.retire(&substrTablePool)
 	e.mu.Lock()
@@ -264,11 +264,11 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 		e.table = substrTablePool.Get().(*substrTable)
 		e.table.reset(led.Topology(), scope, sorted, policy)
 	}
-	p, contribs, recomputed, err := e.table.plan(led, scope, req, order, 1)
+	p, contribs, recomputed, err := e.table.plan(led, scope, req, order)
 	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
-		fp, _, ferr := allocateHeteroSubstringScoped(led, req, policy, 1, scope)
+		fp, _, ferr := allocateHeteroSubstringScoped(led, req, policy, scope)
 		checkCachedPlan("hetero", p, err, fp, ferr)
 	}
 	return p, contribs, err

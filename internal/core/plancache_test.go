@@ -25,7 +25,7 @@ func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 		fresh: func(led *Ledger) (Placement, []linkDemand, error) {
 			t := new(homogTable)
 			t.reset(led.Topology(), scope, req, policy)
-			p, contribs, _, err := t.plan(led, scope, 1)
+			p, contribs, _, err := t.plan(led, scope)
 			return p, contribs, err
 		},
 	}
@@ -40,7 +40,7 @@ func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape
 			order, sorted := orderByPercentile(req)
 			t := new(substrTable)
 			t.reset(led.Topology(), scope, sorted, policy)
-			p, contribs, _, err := t.plan(led, scope, req, order, 1)
+			p, contribs, _, err := t.plan(led, scope, req, order)
 			return p, contribs, err
 		},
 	}
@@ -345,7 +345,9 @@ func TestPlanCacheEquivalenceHetero(t *testing.T) {
 // them, on the promise that the kernels write every cell before anything
 // reads it. Plan on tables whose slabs are poisoned — NaN occupancies,
 // every count allocable, absurd split choices, a wrong crossing table —
-// and require the placements of tables fresh from the allocator.
+// and require the placements of tables fresh from the allocator. The same
+// holds for what a repair leaves in a pooled table: reset drops its pins
+// and its relaxed filter.
 func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 	poison := func(d *dpTable) {
 		for i := range d.f64 {
@@ -377,11 +379,28 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		for i := range ht.crossing {
 			ht.crossing[i] = stats.Normal{Mu: math.NaN(), Sigma: math.NaN()}
 		}
-		ht.reset(tp, scope, req, policy)
-		p, contribs, _, err := ht.plan(led, scope, 1)
-		fp, fcontribs, ferr := homogShape(req, policy, scope).fresh(led)
+		// A repair's plan goes first — one VM pinned to the scope's last
+		// machine, the uplink filter relaxed — and must match the same plan
+		// on a fresh table; the plain plan that follows on the same table
+		// must then see neither the poison nor the repair's inputs.
+		machines := scopeAtLevel(tp, scope, 0)
+		repairPlan := func(t *homogTable) (Placement, []linkDemand, error) {
+			t.reset(tp, scope, req, policy)
+			t.relax = true
+			t.pin(tp, machines[len(machines)-1], 1)
+			p, contribs, _, err := t.plan(led, scope)
+			return p, contribs, err
+		}
+		p, contribs, err := repairPlan(ht)
+		fp, fcontribs, ferr := repairPlan(new(homogTable))
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
-			t.Fatalf("trial %d: homog plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
+			t.Fatalf("trial %d: pinned plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
+		}
+		ht.reset(tp, scope, req, policy)
+		p, contribs, _, err = ht.plan(led, scope)
+		fp, fcontribs, ferr = homogShape(req, policy, scope).fresh(led)
+		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
+			t.Fatalf("trial %d: homog plan on poisoned slabs after a pinned one: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
 		}
 
 		hbig := randHetero(r, min(8, tp.TotalSlots()), 1, 10)
@@ -395,7 +414,7 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		}
 		order, sorted = orderByPercentile(hreq)
 		st.reset(tp, scope, sorted, policy)
-		p, contribs, _, err = st.plan(led, scope, hreq, order, 1)
+		p, contribs, _, err = st.plan(led, scope, hreq, order)
 		fp, fcontribs, ferr = heteroShape(hreq, policy, scope).fresh(led)
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
 			t.Fatalf("trial %d: hetero plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)

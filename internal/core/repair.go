@@ -12,8 +12,7 @@ import (
 // This file is the manager's failure-handling layer: injecting machine and
 // link faults into the live ledger, detecting which admitted jobs lost VMs,
 // and repairing them by re-running the allocation DP with the surviving
-// placement pinned (the partial-placement variant of Algorithm 1 in
-// pinned.go). When no guarantee-preserving repair exists the manager falls
+// placement pinned (Algorithm 1 with lower bounds, see pinned.go). When no guarantee-preserving repair exists the manager falls
 // back to a documented graceful-degradation path: the job is re-placed with
 // the admission condition relaxed and its honest, weakened effective eps is
 // recorded instead of silently violating Eq. 4.
@@ -209,11 +208,12 @@ func (m *Manager) EffectiveEps(id JobID) (float64, error) {
 // placement is identical to the job's current one. Otherwise the job's
 // reservations are rolled back and it is re-placed:
 //
-//   - Homogeneous jobs run the pinned DP (AllocateHomogPinned) so surviving
-//     VMs stay exactly where they are. A strict pass enforces the original
-//     admission condition (RepairMoved); if none exists, a relaxed pass
-//     minimizes — but no longer bounds — occupancy, and the job is marked
-//     degraded with its honest effective eps (RepairDegraded).
+//   - Homogeneous jobs run Algorithm 1 with the survivors pinned
+//     (AllocateHomogPinned), so surviving VMs stay exactly where they are.
+//     A strict pass enforces the original admission condition
+//     (RepairMoved); if none exists, a relaxed pass minimizes — but no
+//     longer bounds — occupancy, and the job is marked degraded with its
+//     honest effective eps (RepairDegraded).
 //   - Heterogeneous jobs are fully re-allocated with the configured
 //     algorithm (the hetero DPs have no pinned variant, so surviving VMs
 //     may move; MovedVMs still reports only the displaced count). Only a
@@ -317,9 +317,10 @@ func (m *Manager) PlanRepair(id JobID) (Mutation, int, error) {
 // clone of the ledger and returns the uncommitted repair mutation plus
 // the displaced VM count. All planning is confined to the manager's plan
 // scope, so a pod-local manager repairs jobs strictly inside its pod.
-// The DPs run directly (not through the plan cache): the scratch ledger
-// diverges from the live one after the rollback, and cache entries keyed
-// by its bumped subtree versions could alias future live versions.
+// The DPs run cold in pooled tables, never as plan-cache entries: the
+// scratch ledger diverges from the live one after the rollback, and cache
+// entries keyed by its bumped subtree versions could alias future live
+// versions.
 func (m *Manager) planRepairLocked(a *Allocation) (Mutation, int) {
 	displaced := m.displacedLocked(a)
 	if displaced == 0 {
@@ -327,7 +328,7 @@ func (m *Manager) planRepairLocked(a *Allocation) (Mutation, int) {
 	}
 
 	// Free the whole job on the scratch ledger first: pinned slots must
-	// be free for the pinned DP, and the relaxed pass must not
+	// be free for the pinned plan, and the relaxed pass must not
 	// double-count the job's own stranded reservations.
 	scratch := m.led.Clone()
 	rollback(scratch, &a.Placement, a.contribs)
@@ -349,20 +350,7 @@ func (m *Manager) planRepairLocked(a *Allocation) (Mutation, int) {
 				Placement: &p, Contribs: exportContribs(contribs), EffectiveEps: effectiveEps(scratch, contribs)}
 		}
 	} else if a.hetero != nil {
-		var (
-			p        Placement
-			contribs []linkDemand
-			err      error
-		)
-		switch {
-		case m.scope == nil && m.hetero == HeteroExact:
-			p, contribs, err = AllocateHeteroExact(scratch, *a.hetero)
-		case m.scope == nil && m.hetero == HeteroFirstFit:
-			p, contribs, err = AllocateFirstFit(scratch, *a.hetero)
-		default:
-			p, contribs, err = allocateHeteroSubstringScoped(scratch, *a.hetero, m.policy, 0, m.scope)
-		}
-		if err == nil {
+		if p, contribs, err := m.planHetero(scratch, *a.hetero, true); err == nil {
 			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairMoved,
 				Placement: &p, Contribs: exportContribs(contribs), EffectiveEps: m.led.Epsilon()}
 		}

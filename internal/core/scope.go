@@ -16,7 +16,6 @@ import (
 // the tree root), which is exactly the paper's Eq. 4 condition on the
 // pod's core uplink.
 type planScope struct {
-	root   topology.NodeID
 	height int // level of the scope root; the level loop stops here
 	// levels[l] is the subset of topo.AtLevel(l) inside the subtree, in
 	// the same relative order, so scoped selection breaks ties exactly
@@ -31,7 +30,6 @@ func newPlanScope(topo *topology.Topology, root topology.NodeID) (*planScope, er
 		return nil, fmt.Errorf("core: plan subtree root %d out of range", root)
 	}
 	s := &planScope{
-		root:   root,
 		height: topo.Node(root).Level,
 		levels: make([][]topology.NodeID, topo.Node(root).Level+1),
 	}
@@ -56,9 +54,6 @@ func newPlanScope(topo *topology.Topology, root topology.NodeID) (*planScope, er
 	}
 	return s, nil
 }
-
-// atLevel returns the in-scope vertices of one level.
-func (s *planScope) atLevel(level int) []topology.NodeID { return s.levels[level] }
 
 // scopeHeight and scopeAtLevel resolve the level iteration of a DP for an
 // optional scope: nil means the whole tree.
@@ -97,12 +92,3 @@ func (o planSubtreeOption) apply(m *Manager) {
 // algorithm regardless of WithHeteroAlgorithm (the exact and first-fit
 // allocators have no scoped variants).
 func WithPlanSubtree(root topology.NodeID) ManagerOption { return planSubtreeOption(root) }
-
-// PlanSubtree returns the manager's plan scope root and true when it was
-// built with WithPlanSubtree, or (topology.None, false) otherwise.
-func (m *Manager) PlanSubtree() (topology.NodeID, bool) {
-	if m.scope == nil {
-		return topology.None, false
-	}
-	return m.scope.root, true
-}

@@ -80,7 +80,7 @@ echo "wrote $OUT"
 if [ -n "${PARENT:-}" ]; then
     WORKLOAD="${WORKLOAD:-plan-miss}"
     PAIRS="${PAIRS:-10}"
-    LAYERS="${LAYERS:-^(core\\.(mean_plan_ms|admit_(self_us|alloc_kb|allocs)|alloc_kb_per_op|plan_(cold_homog|hetero|warm_homog)_us)|svcd\\.(cpu_us_per_op|rss_peak_mb)|wal\\.|httpapi\\.|trace\\.span_sum_over_e2e)}"
+    LAYERS="${LAYERS:-^(core\\.(mean_plan_ms|fail_repair_ms|admit_(self_us|alloc_kb|allocs)|alloc_kb_per_op|plan_(cold_homog|hetero|warm_homog)_us)|svcd\\.(cpu_us_per_op|rss_peak_mb)|wal\\.|httpapi\\.|trace\\.span_sum_over_e2e)}"
     work="${WORK:-$(mktemp -d)}"
     mkdir -p "$work/parent" "$work/change"
     git archive "$PARENT" | tar -x -C "$work/parent"
