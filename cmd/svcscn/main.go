@@ -9,9 +9,10 @@
 //	svcscn run -backend both file.yaml      # both, and require agreement
 //	svcscn run -seed 99 -json file.yaml     # override seed, JSON report
 //
-// With -backend live and no -addr, svcscn starts an in-process daemon
-// with a temporary nosync write-ahead log; -addr points it at an already
-// running svcd instead.
+// With -backend live and no -addr, svcscn starts the daemon svcd runs
+// (internal/daemon) in-process with a temporary nosync write-ahead log —
+// and, for chaos.failovers, a real standby node behind it; -addr points
+// it at an already running svcd instead.
 //
 // Exit status: 0 all runs passed, 1 an assertion failed (or the backends
 // disagreed under -backend both), 2 the run itself broke.
@@ -23,6 +24,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/daemon"
 	"repro/internal/scenario"
 )
 
@@ -175,8 +177,7 @@ func runOne(s *scenario.Scenario, seed uint64, backend, addr string) (*scenario.
 				return nil, err
 			}
 			defer os.RemoveAll(dir)
-			cfg := scenario.LocalConfig{Topo: plan.Topo, Eps: s.Eps, Shards: s.Run.Shards, ShardMode: s.Run.ShardMode}
-			b, err = scenario.NewShardBackend(dir, cfg)
+			b, err = scenario.NewShardBackend(dir, plan.Topo, s.Eps, s.Run.Shards, s.Run.ShardMode)
 			if err != nil {
 				return nil, err
 			}
@@ -194,39 +195,22 @@ func runOne(s *scenario.Scenario, seed uint64, backend, addr string) (*scenario.
 		if failovers && s.Run.Shards > 0 {
 			return nil, fmt.Errorf("sharded failovers crash-recover the router in-process; run them with -backend sim")
 		}
-		base := addr
-		var lb *scenario.LiveBackend
-		if base == "" {
-			dir, err := os.MkdirTemp("", "svcscn-wal-*")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-			cfg := scenario.LocalConfig{
-				Topo: plan.Topo, Eps: s.Eps, StateDir: dir,
-				Shards: s.Run.Shards, ShardMode: s.Run.ShardMode,
-			}
-			if failovers {
-				pair, err := scenario.StartLocalPair(cfg)
-				if err != nil {
-					return nil, err
-				}
-				defer pair.Close()
-				lb = scenario.NewLiveBackend(pair.URL)
-				lb.SetFailover(pair.Failover)
-			} else {
-				srv, err := scenario.StartLocal(cfg)
-				if err != nil {
-					return nil, err
-				}
-				defer srv.Close()
-				base = srv.URL
-			}
+		if addr != "" {
+			b = scenario.NewLiveBackend(addr)
+			break
 		}
-		if lb == nil {
-			lb = scenario.NewLiveBackend(base)
+		dir, err := os.MkdirTemp("", "svcscn-wal-*")
+		if err != nil {
+			return nil, err
 		}
-		b = lb
+		defer os.RemoveAll(dir)
+		b, err = scenario.StartLive(daemon.Config{
+			Topo: plan.Topo, Eps: s.Eps, StateDir: dir,
+			Shards: s.Run.Shards, ShardMode: s.Run.ShardMode,
+		}, failovers)
+		if err != nil {
+			return nil, err
+		}
 	}
 	defer b.Close()
 	return scenario.Run(plan, b)

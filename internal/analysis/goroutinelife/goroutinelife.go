@@ -39,6 +39,7 @@ var TargetPaths = map[string]bool{
 	"repro/internal/replica": true,
 	"repro/internal/shard":   true,
 	"repro/internal/httpapi": true,
+	"repro/internal/daemon":  true,
 }
 
 // maxDepth bounds the callee search from the spawn site; deeper endless

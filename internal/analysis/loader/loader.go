@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 )
 
 // Package is one type-checked source package.
@@ -51,8 +50,9 @@ type listPkg struct {
 type Exports map[string]string
 
 // List runs `go list -export -json -deps patterns...` in dir and returns
-// the packages matched by the patterns (deps excluded) plus the export
-// map covering the full dependency closure.
+// the module's packages in the patterns' dependency closure (DepOnly
+// marks the ones no pattern matched), in go list's order — every package
+// after its dependencies — plus the export map covering the full closure.
 func List(dir string, patterns ...string) ([]listPkg, Exports, error) {
 	args := append([]string{"list", "-e", "-export", "-json", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -76,14 +76,13 @@ func List(dir string, patterns ...string) ([]listPkg, Exports, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.Standard && !p.DepOnly {
+		if !p.Standard {
 			if p.Error != nil {
 				return nil, nil, fmt.Errorf("loader: %s: %s", p.ImportPath, p.Error.Err)
 			}
 			targets = append(targets, p)
 		}
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 	return targets, exports, nil
 }
 
@@ -168,9 +167,13 @@ func CheckFiles(importPath string, fset *token.FileSet, filenames []string, im *
 	}, nil
 }
 
-// Load type-checks every module package matched by the patterns,
-// resolving dependencies through export data. Test files are excluded:
-// svclint polices production code.
+// Load type-checks every module package matched by the patterns, and the
+// module packages they depend on, from source and dependencies first: an
+// import of a module package resolves to its one source-checked form —
+// so a call from one package into another names the callee's own object,
+// and the whole-program call graph has the edge — and the standard
+// library through export data. Only the matched packages are returned.
+// Test files are excluded: svclint polices production code.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	targets, exports, err := List(dir, patterns...)
 	if err != nil {
@@ -191,7 +194,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, pkg)
+		im.Add(pkg.Types)
+		if !t.DepOnly {
+			out = append(out, pkg)
+		}
 	}
 	return out, nil
 }

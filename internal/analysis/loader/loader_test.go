@@ -44,3 +44,25 @@ func TestLoadCorePackage(t *testing.T) {
 		t.Error("topology.Faults not in package scope")
 	}
 }
+
+// TestLoadSharesTypeIdentityAcrossPackages: a module package imports the
+// source-checked form of another — the *types.Package Load returned for
+// it, not a second copy read from export data — whichever way the two
+// import paths sort. The whole-program call graph resolves a
+// cross-package call by the callee's object, so without this every such
+// edge is silently missing.
+func TestLoadSharesTypeIdentityAcrossPackages(t *testing.T) {
+	pkgs, err := Load(repoRoot(t), "./internal/daemon", "./internal/wal", "./internal/core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := map[string]*Package{}
+	for _, p := range pkgs {
+		byPath[p.ImportPath] = p
+	}
+	for _, imp := range byPath["repro/internal/daemon"].Types.Imports() {
+		if src := byPath[imp.Path()]; src != nil && src.Types != imp {
+			t.Errorf("daemon imports a copy of %s, not the package Load checked from source", imp.Path())
+		}
+	}
+}

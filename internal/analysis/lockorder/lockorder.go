@@ -58,6 +58,7 @@ var Analyzer = &analysis.Analyzer{
 // strictly earlier in this list. Classes not listed are cycle-checked
 // only. Var so the analyzer tests can rank fixture classes.
 var Order = []string{
+	"repro/internal/daemon.Daemon.roleMu",
 	"repro/internal/shard.Router.opMu",
 	"repro/internal/shard.Router.tabMu",
 	"repro/internal/replica.Standby.syncMu",

@@ -1,34 +1,57 @@
-package main
+package daemon
 
 import (
 	"context"
+	"net"
 	"net/http"
+	"os"
 	"testing"
 	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/topology"
 )
 
-// startTestDaemon builds and starts an in-process svcd on a random port.
-func startTestDaemon(t *testing.T, stateDir string) *daemon {
+// paperTopo is svcd's builtin datacenter.
+func paperTopo(t *testing.T) *topology.Topology {
 	t.Helper()
-	d, err := newDaemon(config{
-		addr:            "127.0.0.1:0",
-		eps:             0.05,
-		policy:          "minmax",
-		stateDir:        stateDir,
-		checkpointEvery: 4096,
-		noSync:          true,
-	})
+	topo, err := topology.NewThreeTier(topology.PaperConfig())
 	if err != nil {
-		t.Fatalf("newDaemon: %v", err)
+		t.Fatalf("topology: %v", err)
 	}
-	d.start()
+	return topo
+}
+
+// startNode builds and starts a node on a random port, nosync, with
+// svcd's other defaults; cfg.Topo defaults to the paper topology.
+func startNode(t *testing.T, cfg Config) *Daemon {
+	t.Helper()
+	if cfg.Topo == nil {
+		cfg.Topo = paperTopo(t)
+	}
+	cfg.Addr, cfg.Eps, cfg.CheckpointEvery, cfg.NoSync = "127.0.0.1:0", 0.05, 4096, true
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	d.Start()
 	return d
 }
 
-func testClient(d *daemon) *httpapi.Client {
-	return httpapi.NewClient("http://"+d.listener.Addr().String(), nil,
+// startTestDaemon starts an in-process primary on a random port.
+func startTestDaemon(t *testing.T, stateDir string) *Daemon {
+	return startNode(t, Config{StateDir: stateDir})
+}
+
+// shutdown seals d as a SIGTERM would.
+func shutdown(d *Daemon) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return d.Shutdown(ctx)
+}
+
+func testClient(d *Daemon) *httpapi.Client {
+	return httpapi.NewClient(d.URL(), nil,
 		httpapi.WithRetries(2), httpapi.WithBackoff(5*time.Millisecond, 50*time.Millisecond))
 }
 
@@ -51,7 +74,7 @@ func TestDaemonSurvivesCrashRestart(t *testing.T) {
 	if _, err := c1.Allocate(ctx, httpapi.AllocationRequest{N: 2, Mu: 60}); err != nil {
 		t.Fatalf("allocate: %v", err)
 	}
-	mc := int(d1.mgr.Topology().Machines()[0])
+	mc := int(d1.cfg.Topo.Machines()[0])
 	if _, err := c1.Fault(ctx, httpapi.FaultRequest{Machine: &mc}); err != nil {
 		t.Fatalf("fault: %v", err)
 	}
@@ -61,14 +84,11 @@ func TestDaemonSurvivesCrashRestart(t *testing.T) {
 	}
 
 	// Crash: stop serving without drain, checkpoint, or journal close.
-	d1.server.Close()
-	close(d1.stopTick)
+	d1.Crash()
 
 	d2 := startTestDaemon(t, stateDir)
 	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := d2.shutdown(ctx); err != nil {
+		if err := shutdown(d2); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
@@ -117,10 +137,8 @@ func TestDaemonGracefulShutdownSealsState(t *testing.T) {
 	if _, err := c1.Allocate(ctx, httpapi.AllocationRequest{N: 3, Mu: 80, Sigma: 20}); err != nil {
 		t.Fatal(err)
 	}
-	gen := d1.journal.Gen()
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d1.shutdown(sctx); err != nil {
+	gen := d1.logs[0].journal.Gen()
+	if err := shutdown(d1); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// Draining servers refuse mutations before the listener closes; after
@@ -130,13 +148,9 @@ func TestDaemonGracefulShutdownSealsState(t *testing.T) {
 	}
 
 	d2 := startTestDaemon(t, stateDir)
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		d2.shutdown(sctx)
-	}()
-	if d2.journal.Gen() <= gen {
-		t.Errorf("shutdown did not checkpoint: gen %d -> %d", gen, d2.journal.Gen())
+	defer shutdown(d2)
+	if g := d2.logs[0].journal.Gen(); g <= gen {
+		t.Errorf("shutdown did not checkpoint: gen %d -> %d", gen, g)
 	}
 	st, err := testClient(d2).Status(ctx)
 	if err != nil {
@@ -152,7 +166,7 @@ func TestDaemonGracefulShutdownSealsState(t *testing.T) {
 func TestDaemonDrainRefusesWritesDuringShutdown(t *testing.T) {
 	d := startTestDaemon(t, t.TempDir())
 	d.api.SetDraining(true)
-	resp, err := http.Post("http://"+d.listener.Addr().String()+"/v1/allocations",
+	resp, err := http.Post(d.URL()+"/v1/allocations",
 		"application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +175,47 @@ func TestDaemonDrainRefusesWritesDuringShutdown(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining daemon returned %d, want 503", resp.StatusCode)
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d.shutdown(sctx); err != nil {
+	if err := shutdown(d); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestNewClosesWhatItOpenedWhenListenFails: the state directory is
+// opened before the address is bound, so an occupied port must hand back
+// every descriptor — the journal, a router's K pod journals and intent
+// log, a standby's mirror — not just report the error.
+func TestNewClosesWhatItOpenedWhenListenFails(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(fds)
+	}
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"journaled", Config{Topo: paperTopo(t)}},
+		{"shards", Config{Topo: podsTopo(t), Shards: 2}},
+		{"standby", Config{Topo: paperTopo(t), Role: "standby", Follow: "http://127.0.0.1:1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Addr, cfg.Eps, cfg.StateDir, cfg.NoSync = busy.Addr().String(), 0.05, t.TempDir(), true
+			http.DefaultClient.CloseIdleConnections() // earlier tests' keep-alives must not close mid-count
+			before := openFDs()
+			if _, err := New(cfg); err == nil {
+				t.Fatal("New bound an occupied port")
+			}
+			if after := openFDs(); after > before {
+				t.Errorf("New leaked %d descriptors on the listen-failure path", after-before)
+			}
+		})
 	}
 }

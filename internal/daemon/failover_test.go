@@ -1,9 +1,12 @@
-package main
+package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,23 +15,8 @@ import (
 
 // startTestStandby builds and starts an in-process standby following the
 // given primary.
-func startTestStandby(t *testing.T, primary *daemon, stateDir string) *daemon {
-	t.Helper()
-	d, err := newDaemon(config{
-		addr:            "127.0.0.1:0",
-		eps:             0.05,
-		policy:          "minmax",
-		stateDir:        stateDir,
-		checkpointEvery: 4096,
-		noSync:          true,
-		role:            "standby",
-		follow:          "http://" + primary.listener.Addr().String(),
-	})
-	if err != nil {
-		t.Fatalf("newDaemon(standby): %v", err)
-	}
-	d.start()
-	return d
+func startTestStandby(t *testing.T, primary *Daemon, stateDir string) *Daemon {
+	return startNode(t, Config{StateDir: stateDir, Role: "standby", Follow: primary.URL()})
 }
 
 func waitForCatchUp(t *testing.T, c *httpapi.Client, wantVersion uint64) {
@@ -53,17 +41,9 @@ func waitForCatchUp(t *testing.T, c *httpapi.Client, wantVersion uint64) {
 func TestStandbyFollowsAndRefusesWrites(t *testing.T) {
 	ctx := context.Background()
 	p := startTestDaemon(t, t.TempDir())
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		p.shutdown(sctx)
-	}()
+	defer shutdown(p)
 	s := startTestStandby(t, p, t.TempDir())
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.shutdown(sctx)
-	}()
+	defer shutdown(s)
 
 	pc := testClient(p)
 	if _, err := pc.Allocate(ctx, httpapi.AllocationRequest{N: 3, Mu: 80, Sigma: 20}); err != nil {
@@ -77,7 +57,7 @@ func TestStandbyFollowsAndRefusesWrites(t *testing.T) {
 		t.Fatalf("primary reports no replication role: %+v", pst.Replication)
 	}
 
-	sc := httpapi.NewClient("http://"+s.listener.Addr().String(), nil, httpapi.WithRetries(0))
+	sc := httpapi.NewClient(s.URL(), nil, httpapi.WithRetries(0))
 	waitForCatchUp(t, sc, pst.Replication.Version)
 	sst, err := sc.Status(ctx)
 	if err != nil {
@@ -100,20 +80,20 @@ func TestStandbyFollowsAndRefusesWrites(t *testing.T) {
 // TestLoadedFailoverLosesNoAckedAdmission is the loaded end-to-end
 // failover: keyed writers run against a failover-aware client while the
 // primary drains, the standby promotes at the durable tail, and the old
-// primary is killed abruptly. Every allocation a client saw acked must
-// exist on the new primary exactly once — none lost, none doubled.
+// primary is killed abruptly. Every allocation a client saw acked —
+// before the swap or after it — must exist on the new primary exactly
+// once: none lost, none doubled. Meanwhile readers hammer the standby's
+// GET /v1/status across the promotion: the surface is re-pointed in one
+// store, so every answer is wholly a standby's (replication.role
+// "standby", no wal section) or wholly a primary's (role "primary" with
+// wal), never the new manager beside the follower's sections.
 func TestLoadedFailoverLosesNoAckedAdmission(t *testing.T) {
 	ctx := context.Background()
 	p := startTestDaemon(t, t.TempDir())
 	s := startTestStandby(t, p, t.TempDir())
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.shutdown(sctx)
-	}()
+	defer shutdown(s)
 
-	primaryURL := "http://" + p.listener.Addr().String()
-	standbyURL := "http://" + s.listener.Addr().String()
+	primaryURL, standbyURL := p.URL(), s.URL()
 	newFailoverClient := func() *httpapi.Client {
 		return httpapi.NewClient(primaryURL, nil,
 			httpapi.WithEndpoints(standbyURL),
@@ -156,10 +136,55 @@ func TestLoadedFailoverLosesNoAckedAdmission(t *testing.T) {
 		}(w)
 	}
 
+	var asStandby, asPrimary atomic.Int64
+	stopReaders := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stopReaders:
+					return
+				default:
+				}
+				resp, err := http.Get(standbyURL + "/v1/status")
+				if err != nil {
+					t.Errorf("status: %v", err)
+					return
+				}
+				var st struct {
+					WAL         json.RawMessage `json:"wal"`
+					Replication struct {
+						Role string `json:"role"`
+					} `json:"replication"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					t.Errorf("status: %v", err)
+					return
+				case st.Replication.Role == "standby" && st.WAL == nil:
+					asStandby.Add(1)
+				case st.Replication.Role == "primary" && st.WAL != nil:
+					asPrimary.Add(1)
+				default:
+					t.Errorf("status mixes two roles: replication.role %q, wal %s", st.Replication.Role, st.WAL)
+					return
+				}
+			}
+		}()
+	}
+
 	// Failover mid-load: drain the primary (in-flight writes finish and
 	// ack; new ones bounce with a retryable 503), promote the standby at
 	// the primary's durable tail, then kill the primary abruptly.
 	<-half
+	for deadline := time.Now().Add(5 * time.Second); asStandby.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	p.api.SetDraining(true)
 	prom, err := httpapi.NewClient(standbyURL, nil).Promote(ctx)
 	if err != nil {
@@ -171,10 +196,18 @@ func TestLoadedFailoverLosesNoAckedAdmission(t *testing.T) {
 	if prom.Epoch < 2 {
 		t.Fatalf("promotion epoch %d, want >= 2", prom.Epoch)
 	}
-	p.server.Close() // abrupt kill: no drain, no checkpoint, no journal close
-	close(p.stopTick)
+	p.Crash() // abrupt kill: no drain, no checkpoint, no journal close
 
 	wg.Wait()
+	for deadline := time.Now().Add(5 * time.Second); asPrimary.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(stopReaders)
+	readers.Wait()
+	if asStandby.Load() == 0 || asPrimary.Load() == 0 {
+		t.Errorf("readers saw %d standby and %d primary answers, want both sides of the swap",
+			asStandby.Load(), asPrimary.Load())
+	}
 	if t.Failed() {
 		return
 	}
@@ -224,20 +257,14 @@ func TestLoadedFailoverLosesNoAckedAdmission(t *testing.T) {
 func TestShutdownSkipsEmptyCheckpoint(t *testing.T) {
 	stateDir := t.TempDir()
 	d1 := startTestDaemon(t, stateDir)
-	gen := d1.journal.Gen()
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d1.shutdown(sctx); err != nil {
+	gen := d1.logs[0].journal.Gen()
+	if err := shutdown(d1); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 
 	d2 := startTestDaemon(t, stateDir)
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		d2.shutdown(sctx)
-	}()
-	if d2.journal.Gen() != gen {
-		t.Fatalf("empty shutdown rotated gen %d -> %d", gen, d2.journal.Gen())
+	defer shutdown(d2)
+	if g := d2.logs[0].journal.Gen(); g != gen {
+		t.Fatalf("empty shutdown rotated gen %d -> %d", gen, g)
 	}
 }

@@ -127,7 +127,9 @@ func TestDrainingRefusesMutations(t *testing.T) {
 // without reading them in.
 func TestOversizedBodyIs413(t *testing.T) {
 	_, mgr := newTestService(t)
-	srv := httptest.NewServer(NewServer(mgr).Handler())
+	api := NewServer(mgr)
+	api.Swap(Wiring{Controller: mgr, Fence: func(uint64) error { return nil }})
+	srv := httptest.NewServer(api.Handler())
 	t.Cleanup(srv.Close)
 
 	// Valid JSON that only overruns the cap partway through, so the
@@ -145,6 +147,18 @@ func TestOversizedBodyIs413(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+
+	// The fence endpoint shares the decoder: padding that overruns the
+	// cap before the value arrives is a 413 there too, not a 400.
+	pad := `{"epoch":` + strings.Repeat(" ", maxBodyBytes+1024) + `3}`
+	resp, err = http.Post(srv.URL+"/v1/fence", "application/json", strings.NewReader(pad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized fence body status = %d, want 413", resp.StatusCode)
 	}
 }
 

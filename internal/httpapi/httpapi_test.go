@@ -196,6 +196,26 @@ func TestMalformedJSONIs400(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("status = %d, want 400", resp.StatusCode)
 	}
+
+	// POST /v1/fence decodes as strictly as every other body: a field it
+	// does not know is refused before the fence seam is reached.
+	_, mgr := newTestService(t)
+	api := NewServer(mgr)
+	api.Swap(Wiring{Controller: mgr, Fence: func(uint64) error {
+		t.Error("fence seam reached with a malformed body")
+		return nil
+	}})
+	srv := httptest.NewServer(api.Handler())
+	defer srv.Close()
+	fresp, err := http.Post(srv.URL+"/v1/fence", "application/json",
+		strings.NewReader(`{"epoch": 3, "force": true}`))
+	if err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	defer fresp.Body.Close()
+	if fresp.StatusCode != http.StatusBadRequest {
+		t.Errorf("fence with an unknown field: status = %d, want 400", fresp.StatusCode)
+	}
 }
 
 func TestBadLimitIs400(t *testing.T) {
@@ -321,9 +341,9 @@ func TestStatusReportsAdmissionAndWAL(t *testing.T) {
 
 	// A second server over the same manager with a WAL provider installed.
 	api := NewServer(mgr)
-	api.SetWALStatus(func() WALStatus {
+	api.Swap(Wiring{Controller: mgr, WALStatus: func() WALStatus {
 		return WALStatus{Gen: 3, Appended: 7, Batches: 4, Records: 7, MaxBatch: 3, MeanBatch: 1.75}
-	})
+	}})
 	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()
 	st, err = NewClient(srv.URL, srv.Client()).Status(ctx)

@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -49,46 +48,8 @@ type ReplicationStatus struct {
 // server's write timeout so an idle poll answers instead of timing out.
 const maxTailWait = 20 * time.Second
 
-// SetWALTail installs the journal tail seam serving GET /v1/wal. A nil
-// seam answers 501.
-func (s *Server) SetWALTail(fn WALTail) {
-	if fn == nil {
-		s.tail.Store(nil)
-		return
-	}
-	s.tail.Store(&fn)
-}
-
-// SetPromote installs the standby promotion seam behind POST /v1/promote.
-func (s *Server) SetPromote(fn func(ctx context.Context) (PromoteResponse, error)) {
-	if fn == nil {
-		s.promote.Store(nil)
-		return
-	}
-	s.promote.Store(&fn)
-}
-
-// SetFence installs the fencing seam behind POST /v1/fence.
-func (s *Server) SetFence(fn func(epoch uint64) error) {
-	if fn == nil {
-		s.fence.Store(nil)
-		return
-	}
-	s.fence.Store(&fn)
-}
-
-// SetReplication installs the provider for the status report's
-// replication section.
-func (s *Server) SetReplication(fn func() *ReplicationStatus) {
-	if fn == nil {
-		s.replication.Store(nil)
-		return
-	}
-	s.replication.Store(&fn)
-}
-
 func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
-	tail := s.tail.Load()
+	tail := s.wiring.Load().WALTail
 	if tail == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("this node does not serve the replication log"))
 		return
@@ -122,7 +83,7 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	wait := min(time.Duration(waitMs)*time.Millisecond, maxTailWait)
-	chunk, err := (*tail)(r.Context(), cur, maxBytes, wait)
+	chunk, err := tail(r.Context(), cur, maxBytes, wait)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
@@ -131,12 +92,12 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	fn := s.promote.Load()
-	if fn == nil {
+	promote := s.wiring.Load().Promote
+	if promote == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("this node is not a standby"))
 		return
 	}
-	resp, err := (*fn)(r.Context())
+	resp, err := promote(r.Context())
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
@@ -145,17 +106,17 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
-	fn := s.fence.Load()
-	if fn == nil {
+	fence := s.wiring.Load().Fence
+	if fence == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("this node has no journal to fence"))
 		return
 	}
 	var req FenceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad fence request: %w", err))
+	if err := decodeJSON(r, &req); err != nil {
+		writeError(w, decodeStatus(err), err)
 		return
 	}
-	if err := (*fn)(req.Epoch); err != nil {
+	if err := fence(req.Epoch); err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}

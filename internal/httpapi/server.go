@@ -95,7 +95,7 @@ type Status struct {
 }
 
 // ShardingStatus reports the sharded control plane's layout and load.
-// The daemon injects it via SetSharding when running with -shards.
+// The daemon injects it (Wiring.Sharding) when running with -shards.
 type ShardingStatus struct {
 	Mode         string      `json:"mode"`
 	Shards       int         `json:"shards"`
@@ -141,7 +141,7 @@ type AdmissionStatus struct {
 }
 
 // WALStatus reports write-ahead-log activity, including group-commit
-// batching. The daemon injects it via SetWALStatus when journaling is on.
+// batching. The daemon injects it (Wiring.WALStatus) when journaling is on.
 type WALStatus struct {
 	Gen       uint64  `json:"gen"`
 	Appended  int     `json:"appended"`
@@ -243,38 +243,46 @@ type Controller interface {
 	RepairAll() ([]core.RepairResult, error)
 }
 
-// ctrlBox wraps the interface so it fits an atomic.Pointer (which needs
-// one concrete type).
-type ctrlBox struct{ c Controller }
+// Wiring is everything a Server answers from: the controller, the
+// standby gate and the optional seams the daemon injects (closures keep
+// this package free of a wal, shard or replica dependency; the tail chunk
+// is wal's own type). It is one value behind one atomic pointer: a
+// handler loads it once, so a request sees the node wholly before or
+// wholly after a promotion or a standby's stream reset, never a new
+// manager beside the old role's seams.
+type Wiring struct {
+	Controller Controller
+	// Standby refuses writes with 503 (clients rotate to the primary);
+	// reads serve from the follower manager, and the promote/fence
+	// endpoints stay reachable so an operator can effect the failover.
+	Standby bool
+
+	// Sections of /v1/status; a nil provider leaves its key out.
+	WALStatus   func() WALStatus
+	Sharding    func() *ShardingStatus
+	Replication func() *ReplicationStatus
+
+	// Replication endpoints; a nil seam answers 501.
+	WALTail WALTail                                            // GET /v1/wal
+	Fence   func(epoch uint64) error                           // POST /v1/fence
+	Promote func(ctx context.Context) (PromoteResponse, error) // POST /v1/promote
+}
 
 // Server wraps a network manager with the HTTP interface.
 type Server struct {
-	ctrl      atomic.Pointer[ctrlBox]
-	mux       *http.ServeMux
-	draining  atomic.Bool
-	standby   atomic.Bool
-	walStatus atomic.Pointer[func() WALStatus]
-	sharding  atomic.Pointer[func() *ShardingStatus]
-
-	// Replication seams, injected by the daemon (closures keep this
-	// package free of a replica dependency; the tail chunk is wal's own
-	// type). All four are atomics:
-	// promotion installs a journal's seams on a server that is already
-	// taking requests.
-	tail        atomic.Pointer[WALTail]
-	promote     atomic.Pointer[func(ctx context.Context) (PromoteResponse, error)]
-	fence       atomic.Pointer[func(epoch uint64) error]
-	replication atomic.Pointer[func() *ReplicationStatus]
+	wiring   atomic.Pointer[Wiring]
+	mux      *http.ServeMux
+	draining atomic.Bool
 }
 
 // NewServer returns a server over the unsharded manager.
 func NewServer(mgr *core.Manager) *Server { return NewControllerServer(mgr) }
 
 // NewControllerServer returns a server over any Controller — an
-// unsharded manager or a sharded router.
+// unsharded manager or a sharded router — with no seam installed.
 func NewControllerServer(c Controller) *Server {
 	s := &Server{mux: http.NewServeMux()}
-	s.ctrl.Store(&ctrlBox{c: c})
+	s.Swap(Wiring{Controller: c})
 	s.mux.HandleFunc("POST /v1/allocations", s.handleAllocate)
 	s.mux.HandleFunc("DELETE /v1/allocations/{id}", s.handleRelease)
 	s.mux.HandleFunc("POST /v1/dryrun", s.handleDryRun)
@@ -291,51 +299,18 @@ func NewControllerServer(c Controller) *Server {
 	return s
 }
 
-// manager returns the controller serving requests right now. One load
-// per handler: a request observes either the pre- or post-promotion
-// controller, never a mix.
-func (s *Server) manager() Controller { return s.ctrl.Load().c }
+// Swap re-points the server at w in one store — boot-time seams, a
+// standby's stream reset and promotion all go through it. In-flight
+// requests finish against the wiring they loaded.
+func (s *Server) Swap(w Wiring) { s.wiring.Store(&w) }
 
-// SetManager swaps the manager serving requests — promotion replaces a
-// standby's follower manager with the recovered, journaled primary one.
-// In-flight requests finish against the manager they loaded.
-func (s *Server) SetManager(mgr *core.Manager) { s.SetController(mgr) }
-
-// SetController swaps the controller serving requests; see SetManager.
-func (s *Server) SetController(c Controller) { s.ctrl.Store(&ctrlBox{c: c}) }
-
-// SetSharding installs the shard-status provider surfaced under the
-// "sharding" key of /v1/status. A closure keeps this package free of a
-// shard dependency (mirroring SetWALStatus).
-func (s *Server) SetSharding(fn func() *ShardingStatus) {
-	if fn == nil {
-		s.sharding.Store(nil)
-		return
-	}
-	s.sharding.Store(&fn)
-}
-
-// SetWALStatus installs the journal-state provider surfaced under the
-// "wal" key of /v1/status. A closure keeps this package free of a wal
-// dependency.
-func (s *Server) SetWALStatus(fn func() WALStatus) {
-	if fn == nil {
-		s.walStatus.Store(nil)
-		return
-	}
-	s.walStatus.Store(&fn)
-}
+// manager returns the controller serving requests right now.
+func (s *Server) manager() Controller { return s.wiring.Load().Controller }
 
 // SetDraining switches the server in or out of drain mode. While
 // draining, every non-GET request is refused with 503 and a Retry-After
 // hint so clients fail over; reads keep working until shutdown.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// SetStandby switches the server in or out of standby mode: writes are
-// refused with 503 (clients rotate to the primary), reads serve from
-// the follower manager, and the promote/fence endpoints stay reachable
-// so an operator can effect the failover.
-func (s *Server) SetStandby(v bool) { s.standby.Store(v) }
 
 // Handler returns the http.Handler serving the API.
 func (s *Server) Handler() http.Handler {
@@ -346,7 +321,7 @@ func (s *Server) Handler() http.Handler {
 				writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 				return
 			}
-			if s.standby.Load() {
+			if s.wiring.Load().Standby {
 				w.Header().Set("Retry-After", "1")
 				writeError(w, http.StatusServiceUnavailable, errors.New("standby: this node is not the primary"))
 				return
@@ -504,7 +479,8 @@ func (s *Server) handleHeadroom(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	mgr := s.manager()
+	wiring := s.wiring.Load()
+	mgr := wiring.Controller
 	topo := mgr.Topology()
 	fstats := mgr.FailureStats()
 	adm := mgr.AdmissionStats()
@@ -529,15 +505,15 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			PlanCacheEvictions:     adm.PlanCacheEvictions,
 		},
 	}
-	if fn := s.walStatus.Load(); fn != nil {
-		ws := (*fn)()
+	if wiring.WALStatus != nil {
+		ws := wiring.WALStatus()
 		st.WAL = &ws
 	}
-	if fn := s.replication.Load(); fn != nil {
-		st.Replication = (*fn)()
+	if wiring.Replication != nil {
+		st.Replication = wiring.Replication()
 	}
-	if fn := s.sharding.Load(); fn != nil {
-		st.Sharding = (*fn)()
+	if wiring.Sharding != nil {
+		st.Sharding = wiring.Sharding()
 	}
 	writeJSON(w, http.StatusOK, st)
 }

@@ -32,7 +32,7 @@ func TestWALTailWireGolden(t *testing.T) {
 	}
 	defer j.Close()
 	srv := NewServer(mgr)
-	srv.SetWALTail(j.Tail)
+	srv.Swap(Wiring{Controller: mgr, WALTail: j.Tail})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := NewClient(ts.URL, nil)

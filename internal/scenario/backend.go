@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/httpapi"
 	"repro/internal/shard"
 	"repro/internal/topology"
@@ -99,13 +102,22 @@ func NewSimBackend(topo *topology.Topology, eps float64) (*SimBackend, error) {
 	}}, nil
 }
 
-// NewShardBackend opens a sharded router under dir. Its failover
-// restarts the control plane from its own durable state — close the
-// router, reopen from the same directory, replaying every pod WAL and
-// resolving the cross-pod intent log — rather than switching to a hot
-// standby, so failover scenarios double as recovery soak tests.
-func NewShardBackend(dir string, cfg LocalConfig) (*SimBackend, error) {
-	r, err := openRouter(dir, cfg)
+// NewShardBackend opens a sharded router under dir (mode is "" | strict
+// | fast; pod WALs open nosync — scenarios measure the controller, not
+// the disk). Its failover restarts the control plane from its own
+// durable state — close the router, reopen from the same directory,
+// replaying every pod WAL and resolving the cross-pod intent log —
+// rather than switching to a hot standby, so failover scenarios double
+// as recovery soak tests.
+func NewShardBackend(dir string, topo *topology.Topology, eps float64, shards int, mode string) (*SimBackend, error) {
+	m, err := shard.ParseMode(mode)
+	if err != nil {
+		return nil, err
+	}
+	open := func() (httpapi.Controller, error) {
+		return shard.Open(dir, topo, eps, shards, shard.Options{Mode: m, NoSync: true})
+	}
+	r, err := open()
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +125,7 @@ func NewShardBackend(dir string, cfg LocalConfig) (*SimBackend, error) {
 		if err := old.(*shard.Router).Close(); err != nil {
 			return nil, err
 		}
-		return openRouter(dir, cfg)
+		return open()
 	}}, nil
 }
 
@@ -209,14 +221,19 @@ func (b *SimBackend) Close() error {
 
 // LiveBackend drives a running svcd daemon through the HTTP client,
 // exercising the wire protocol, the admission pipeline, the faults and
-// repair endpoints, and (when the daemon journals) the WAL.
+// repair endpoints, and (when the daemon journals) the WAL. The daemon
+// is either somebody else's (NewLiveBackend) or the backend's own
+// (StartLive): internal/daemon nodes, the same assembly svcd runs.
 type LiveBackend struct {
 	client *httpapi.Client
 	ctx    context.Context
 
-	// failover crashes the current primary, promotes its standby, and
-	// returns the new primary's base URL (see LocalPair.Failover).
-	failover func() (string, error)
+	// Owned nodes, nil when the daemon is external. A failover pair lays
+	// out primary/ and standby-N/ beneath cfg.StateDir.
+	cfg      daemon.Config
+	primary  *daemon.Daemon
+	standby  *daemon.Daemon
+	standbys int
 }
 
 // NewLiveBackend wraps an svcd base URL ("http://host:port").
@@ -227,21 +244,86 @@ func NewLiveBackend(base string) *LiveBackend {
 	}
 }
 
-// SetFailover arms the failover seam. The callback must complete the
-// switch — drain, promote, crash — and return the successor's URL; the
-// backend re-points its client there for every subsequent call.
-func (b *LiveBackend) SetFailover(fn func() (string, error)) { b.failover = fn }
-
-func (b *LiveBackend) Failover() error {
-	if b.failover == nil {
-		return errors.New("scenario: live backend has no standby to fail over to")
+// StartLive starts the daemon svcd runs on a loopback port — nosync:
+// scenarios measure the controller, not the disk — and returns a backend
+// that owns it. cfg carries Topo, Eps, StateDir (empty: in memory),
+// Shards and ShardMode. With pair, the node is a journaled primary with
+// a real -role standby node following it, and Failover is what an
+// operator does: promote the standby, crash the old primary.
+func StartLive(cfg daemon.Config, pair bool) (*LiveBackend, error) {
+	cfg.Addr, cfg.NoSync = "127.0.0.1:0", true
+	pcfg := cfg
+	if pair {
+		if cfg.StateDir == "" {
+			return nil, errors.New("scenario: a failover pair needs a state dir (the WAL is the replication stream)")
+		}
+		pcfg.StateDir = filepath.Join(cfg.StateDir, "primary")
 	}
-	url, err := b.failover()
+	primary, err := daemon.New(pcfg)
+	if err != nil {
+		return nil, err
+	}
+	primary.Start()
+	b := NewLiveBackend(primary.URL())
+	b.cfg, b.primary = cfg, primary
+	if pair {
+		if err := b.startStandby(); err != nil {
+			b.Close()
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// startStandby starts a fresh standby node behind the current primary.
+func (b *LiveBackend) startStandby() error {
+	b.standbys++
+	cfg := b.cfg
+	cfg.StateDir = filepath.Join(b.cfg.StateDir, fmt.Sprintf("standby-%d", b.standbys))
+	cfg.Role, cfg.Follow = "standby", b.primary.URL()
+	s, err := daemon.New(cfg)
 	if err != nil {
 		return err
 	}
-	b.client = httpapi.NewClient(url, &http.Client{})
+	s.Start()
+	b.standby = s
 	return nil
+}
+
+// Failover switches controllers the way production does: POST
+// /v1/promote on the standby (it catches up to the primary's durable
+// tail, takes over its mirror and fences the old primary), crash the old
+// primary, re-point the client at the promoted node, and start a fresh
+// standby behind it so the next failover has somewhere to go.
+func (b *LiveBackend) Failover() error {
+	if b.standby == nil {
+		return errors.New("scenario: live backend has no standby to fail over to")
+	}
+	if _, err := httpapi.NewClient(b.standby.URL(), nil).Promote(b.ctx); err != nil {
+		return fmt.Errorf("scenario: promote standby: %w", err)
+	}
+	b.primary.Crash()
+	b.primary, b.standby = b.standby, nil
+	b.client = httpapi.NewClient(b.primary.URL(), &http.Client{})
+	return b.startStandby()
+}
+
+// Close shuts down the nodes the backend owns — the standby first, so
+// its parked long poll does not hold the primary's drain — sealing their
+// state directories as a SIGTERM would.
+func (b *LiveBackend) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var err error
+	for _, d := range []*daemon.Daemon{b.standby, b.primary} {
+		if d != nil {
+			if cerr := d.Shutdown(ctx); cerr != nil && err == nil {
+				err = cerr
+			}
+		}
+	}
+	b.standby, b.primary = nil, nil
+	return err
 }
 
 func (b *LiveBackend) Name() string { return "live" }
@@ -327,5 +409,3 @@ func (b *LiveBackend) State() (*core.ManagerState, error) {
 	}
 	return &st, nil
 }
-
-func (b *LiveBackend) Close() error { return nil }

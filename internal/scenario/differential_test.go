@@ -3,11 +3,13 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/daemon"
 )
 
 // TestDifferentialSimVsLive runs the same compiled plan against the
-// offline manager and against a live in-process svcd (HTTP API over a
-// nosync WAL) and requires the two runs to agree exactly: same admission
+// offline manager and against a live in-process svcd (the internal/daemon
+// node svcd runs: HTTP API over a nosync WAL) and requires the two runs to agree exactly: same admission
 // outcomes, same report, same final exported ledger. The engine issues an
 // identical call sequence to both backends, so any divergence is a bug in
 // the wire layer, the WAL, or the admission pipeline.
@@ -35,15 +37,10 @@ func TestDifferentialSimVsLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	srv, err := StartLocal(LocalConfig{
-		Topo:     plan2.Topo,
-		Eps:      s.Eps,
-		StateDir: t.TempDir(),
-	})
+	live, err := StartLive(daemon.Config{Topo: plan2.Topo, Eps: s.Eps, StateDir: t.TempDir()}, false)
 	if err != nil {
-		t.Fatalf("StartLocal: %v", err)
+		t.Fatalf("StartLive: %v", err)
 	}
-	live := NewLiveBackend(srv.URL)
 	liveRep, err := Run(plan2, live)
 	if err != nil {
 		t.Fatalf("live run: %v", err)
@@ -70,8 +67,8 @@ func TestDifferentialSimVsLive(t *testing.T) {
 	if !reflect.DeepEqual(simState, liveState) {
 		t.Fatalf("ledgers diverge:\nsim:  %+v\nlive: %+v", simState, liveState)
 	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("close local server: %v", err)
+	if err := live.Close(); err != nil {
+		t.Fatalf("shut down the live node: %v", err)
 	}
 }
 
@@ -113,8 +110,7 @@ func TestDifferentialSimVsSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	cfg := LocalConfig{Topo: plan2.Topo, Eps: s.Eps, Shards: s.Run.Shards, ShardMode: s.Run.ShardMode}
-	sb, err := NewShardBackend(t.TempDir(), cfg)
+	sb, err := NewShardBackend(t.TempDir(), plan2.Topo, s.Eps, s.Run.Shards, s.Run.ShardMode)
 	if err != nil {
 		t.Fatalf("NewShardBackend: %v", err)
 	}
@@ -144,14 +140,13 @@ func TestDifferentialSimVsSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	srv, err := StartLocal(LocalConfig{
+	live, err := StartLive(daemon.Config{
 		Topo: plan3.Topo, Eps: s.Eps, StateDir: t.TempDir(),
 		Shards: s.Run.Shards, ShardMode: s.Run.ShardMode,
-	})
+	}, false)
 	if err != nil {
-		t.Fatalf("StartLocal sharded: %v", err)
+		t.Fatalf("StartLive sharded: %v", err)
 	}
-	live := NewLiveBackend(srv.URL)
 	liveRep, err := Run(plan3, live)
 	if err != nil {
 		t.Fatalf("live sharded run: %v", err)
@@ -169,7 +164,7 @@ func TestDifferentialSimVsSharded(t *testing.T) {
 	if !reflect.DeepEqual(simState, liveState) {
 		t.Fatalf("ledgers diverge:\nsim:        %+v\nlive-shard: %+v", simState, liveState)
 	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("close local server: %v", err)
+	if err := live.Close(); err != nil {
+		t.Fatalf("shut down the live node: %v", err)
 	}
 }

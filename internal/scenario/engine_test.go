@@ -13,8 +13,7 @@ func runSim(t *testing.T, s *Scenario) *Report {
 	}
 	var b Backend
 	if s.Run.Shards > 0 {
-		cfg := LocalConfig{Topo: p.Topo, Eps: s.Eps, Shards: s.Run.Shards, ShardMode: s.Run.ShardMode}
-		b, err = NewShardBackend(t.TempDir(), cfg)
+		b, err = NewShardBackend(t.TempDir(), p.Topo, s.Eps, s.Run.Shards, s.Run.ShardMode)
 		if err != nil {
 			t.Fatalf("NewShardBackend: %v", err)
 		}

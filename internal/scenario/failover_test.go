@@ -1,9 +1,17 @@
 package scenario
 
 import (
+	"encoding/json"
+	"net/http"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/daemon"
+	"repro/internal/httpapi"
+	"repro/internal/topology"
 )
 
 const failoverDoc = `
@@ -123,24 +131,21 @@ func TestSimFailoverPreservesState(t *testing.T) {
 }
 
 // TestLivePairFailover: the same plan runs against a real primary +
-// hot-standby pair — every failover is a genuine WAL catch-up, fenced
-// promotion, and abrupt primary crash — and must agree with the offline
-// backend on every outcome.
+// hot-standby pair of svcd nodes — every failover is POST /v1/promote on
+// the standby (a genuine WAL catch-up and fenced promotion) and an abrupt
+// primary crash — and must agree with the offline backend on every
+// outcome.
 func TestLivePairFailover(t *testing.T) {
 	s := decodeFailoverDoc(t)
 	p, err := s.Compile()
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	pair, err := StartLocalPair(LocalConfig{
-		Topo: p.Topo, Eps: s.Eps, StateDir: t.TempDir(),
-	})
+	lb, err := StartLive(daemon.Config{Topo: p.Topo, Eps: s.Eps, StateDir: t.TempDir()}, true)
 	if err != nil {
-		t.Fatalf("StartLocalPair: %v", err)
+		t.Fatalf("StartLive pair: %v", err)
 	}
-	defer pair.Close()
-	lb := NewLiveBackend(pair.URL)
-	lb.SetFailover(pair.Failover)
+	defer lb.Close()
 	live, err := Run(p, lb)
 	if err != nil {
 		t.Fatalf("live run: %v", err)
@@ -166,29 +171,141 @@ func TestEngineRejectsFailoverOnIncapableBackend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	srv, err := StartLocal(LocalConfig{Topo: p.Topo, Eps: s.Eps})
+	lb, err := StartLive(daemon.Config{Topo: p.Topo, Eps: s.Eps}, false)
 	if err != nil {
-		t.Fatalf("StartLocal: %v", err)
+		t.Fatalf("StartLive: %v", err)
 	}
-	defer srv.Close()
-	if _, err := Run(p, NewLiveBackend(srv.URL)); err == nil ||
+	defer lb.Close()
+	if _, err := Run(p, lb); err == nil ||
 		!strings.Contains(err.Error(), "fail over") {
 		t.Fatalf("Run on pairless backend: %v, want failover refusal", err)
 	}
 }
 
-// TestStartLocalPairRequiresStateDir pins the config contract: the WAL
+// TestStartLivePairRequiresStateDir pins the config contract: the WAL
 // is the replication stream, so a memory-only pair is meaningless.
-func TestStartLocalPairRequiresStateDir(t *testing.T) {
+func TestStartLivePairRequiresStateDir(t *testing.T) {
 	s := decodeFailoverDoc(t)
 	p, err := s.Compile()
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if _, err := StartLocalPair(LocalConfig{Topo: p.Topo, Eps: s.Eps}); err == nil {
-		t.Fatal("StartLocalPair without a state dir succeeded")
+	if _, err := StartLive(daemon.Config{Topo: p.Topo, Eps: s.Eps}, true); err == nil {
+		t.Fatal("StartLive pair without a state dir succeeded")
 	}
 	if _, err := os.Stat("primary"); err == nil {
-		t.Fatal("StartLocalPair littered the working directory")
+		t.Fatal("StartLive littered the working directory")
 	}
+}
+
+// statusKeys flattens httpapi.Status's JSON tags into dotted keys, as
+// httpapi's TestStatusKeySetGolden pins them, and reports which are
+// omitempty (a zero counter may leave those out).
+func statusKeys() (optional map[string]bool) {
+	optional = make(map[string]bool)
+	var walk func(prefix string, typ reflect.Type, opt bool)
+	walk = func(prefix string, typ reflect.Type, opt bool) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct {
+			optional[prefix] = opt
+			return
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			name, rest, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			walk(strings.TrimPrefix(prefix+"."+name, "."), typ.Field(i).Type, rest == "omitempty")
+		}
+	}
+	walk("", reflect.TypeOf(httpapi.Status{}), false)
+	return optional
+}
+
+// TestLiveNodesAnswerSvcdStatus is the reason the runner starts
+// internal/daemon nodes: whatever `svcscn -backend live` runs against —
+// plain, sharded, either side of a failover pair — answers GET
+// /v1/status with exactly the sections svcd serves in that role, every
+// pinned key of each and nothing else. A look-alike server that wires no
+// wal, replication or sharding seam fails here.
+func TestLiveNodesAnswerSvcdStatus(t *testing.T) {
+	s := decodeFailoverDoc(t)
+	p, err := s.Compile()
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	pods, err := topology.NewThreeTier(topology.ThreeTierConfig{
+		Aggs: 2, ToRsPerAgg: 1, MachinesPerRack: 2, SlotsPerMachine: 2, HostCap: 1000, Oversub: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := StartLive(daemon.Config{Topo: p.Topo, Eps: s.Eps, StateDir: t.TempDir()}, false)
+	if err != nil {
+		t.Fatalf("StartLive: %v", err)
+	}
+	defer plain.Close()
+	sharded, err := StartLive(daemon.Config{Topo: pods, Eps: s.Eps, StateDir: t.TempDir(), Shards: 2}, false)
+	if err != nil {
+		t.Fatalf("StartLive sharded: %v", err)
+	}
+	defer sharded.Close()
+	pair, err := StartLive(daemon.Config{Topo: p.Topo, Eps: s.Eps, StateDir: t.TempDir()}, true)
+	if err != nil {
+		t.Fatalf("StartLive pair: %v", err)
+	}
+	defer pair.Close()
+
+	optional := statusKeys()
+	check := func(name, url string, sections ...string) {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/status")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := make(map[string]bool)
+		var flatten func(prefix string, v any)
+		flatten = func(prefix string, v any) {
+			switch v := v.(type) {
+			case map[string]any:
+				for k, e := range v {
+					flatten(strings.TrimPrefix(prefix+"."+k, "."), e)
+				}
+			case []any:
+				for _, e := range v {
+					flatten(prefix, e)
+				}
+			default:
+				got[prefix] = true
+			}
+		}
+		flatten("", body)
+		served := func(key string) bool {
+			section, _, nested := strings.Cut(key, ".")
+			return !nested || slices.Contains(sections, section)
+		}
+		for key := range got {
+			if _, pinned := optional[key]; !pinned || !served(key) {
+				t.Errorf("%s: status carries %q, which svcd does not serve in this role", name, key)
+			}
+		}
+		for key, opt := range optional {
+			if served(key) && !opt && !got[key] {
+				t.Errorf("%s: status lacks %q", name, key)
+			}
+		}
+	}
+	check("plain", plain.primary.URL(), "admission", "wal", "replication")
+	check("sharded", sharded.primary.URL(), "admission", "wal", "sharding")
+	check("pair primary", pair.primary.URL(), "admission", "wal", "replication")
+	check("pair standby", pair.standby.URL(), "admission", "replication")
+	if err := pair.Failover(); err != nil {
+		t.Fatalf("Failover: %v", err)
+	}
+	check("promoted standby", pair.primary.URL(), "admission", "wal", "replication")
+	check("fresh standby", pair.standby.URL(), "admission", "replication")
 }
