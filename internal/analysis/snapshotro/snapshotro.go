@@ -1,7 +1,8 @@
 // Package snapshotro protects the read-only snapshot discipline. The
-// manager publishes cached, shared clones (Manager.snapshot / exported
-// Snapshot); callers may read them freely but must Clone() before
-// mutating, or every other reader sees the edit.
+// manager lends readers a shared snapshot ledger for the length of one
+// call (core's view(m, func(*Ledger) T) accessor; elsewhere a
+// snapshot()/Snapshot() result); callers may read it freely but must
+// Clone() before mutating, or every other reader sees the edit.
 //
 // Two rules:
 //
@@ -12,11 +13,15 @@
 //     every admission paid a full rebuild. Deliberate omissions are
 //     declared with //lint:clone-skip <fields>: <reason>.
 //
-//   - Snapshot mutation: a variable bound to the result of
-//     snapshot()/Snapshot() must not be written through (field or
+//   - Snapshot mutation: the ledger parameter of a function literal
+//     handed to view, and a variable bound to the result of
+//     snapshot()/Snapshot(), must not be written through (field or
 //     element assignment) or passed to a mutator (UseSlots, SetOffline,
-//     FailMachine, commit, ...). Take a Clone() first —
-//     snapshot().Clone() is the sanctioned scratch pattern.
+//     FailMachine, commit, ...). Take a Clone() first — led.Clone()
+//     inside the view is the sanctioned scratch pattern. refreshFrom,
+//     the in-place counterpart of Clone, is a mutator like the rest: the
+//     accessor calls it on its own unpinned spare and nobody calls it on
+//     a ledger they were lent (it is unexported, so only core could).
 //
 // The sharded router's recovered tables (Router.jobPods, crossMut,
 // idem in repro/internal/shard) get the snapshot treatment too: values
@@ -51,13 +56,18 @@ var SnapshotFuncs = map[string]bool{
 	"cachedRecords": true,
 }
 
+// ViewFuncs are the scoped accessors: they run the function literal they
+// are handed on a shared snapshot, so that literal's parameter is
+// snapshot-bound for its whole body.
+var ViewFuncs = map[string]bool{"view": true}
+
 // mutators are methods that change ledger, overlay, or slot state; a
 // snapshot must never be their receiver or argument.
 var mutators = map[string]bool{
 	"AddStochastic": true, "RemoveStochastic": true, "AddDet": true,
 	"RemoveDet": true, "UseSlots": true, "ReleaseSlots": true,
 	"SetOffline": true, "FailMachine": true, "RestoreMachine": true,
-	"FailLink": true, "RestoreLink": true,
+	"FailLink": true, "RestoreLink": true, "refreshFrom": true,
 }
 
 // mutatorFuncs are free functions that mutate their first argument.
@@ -213,10 +223,23 @@ func checkSnapshotMutation(pass *analysis.Pass, fn *ast.FuncDecl) {
 }
 
 // snapshotVars collects variables initialised directly from a snapshot
-// accessor (without an intervening Clone()).
+// accessor (without an intervening Clone()), and the parameters of
+// function literals passed to a view accessor.
 func snapshotVars(pass *analysis.Pass, fn *ast.FuncDecl) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && ViewFuncs[calleeName(call)] {
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok {
+					for _, field := range lit.Type.Params.List {
+						for _, name := range field.Names {
+							out[pass.Info.Defs[name]] = true
+						}
+					}
+				}
+			}
+			return true
+		}
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true
@@ -275,16 +298,23 @@ func isRouter(t types.Type) bool {
 
 func isSnapshotCall(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
+	return ok && SnapshotFuncs[calleeName(call)]
+}
+
+// calleeName returns the bare name of the function or method a call
+// names, through an explicit instantiation (view[int](...)) if any.
+func calleeName(call *ast.CallExpr) string {
+	fun := call.Fun
+	if idx, ok := fun.(*ast.IndexExpr); ok {
+		fun = idx.X
 	}
-	switch fun := call.Fun.(type) {
+	switch fun := fun.(type) {
 	case *ast.Ident:
-		return SnapshotFuncs[fun.Name]
+		return fun.Name
 	case *ast.SelectorExpr:
-		return SnapshotFuncs[fun.Sel.Name]
+		return fun.Sel.Name
 	}
-	return false
+	return ""
 }
 
 func checkSnapshotCall(pass *analysis.Pass, call *ast.CallExpr, snaps map[types.Object]bool) {

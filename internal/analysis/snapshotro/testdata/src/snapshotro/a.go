@@ -132,6 +132,70 @@ func (m *Manager) BadCommit(mut *Mutation) error {
 	return commit(snap, mut) // want `shared snapshot snap passed to commit`
 }
 
+// --- the scoped accessor: view lends fn a shared snapshot ---
+
+func (l *Ledger) refreshFrom(src *Ledger) {
+	for k, v := range src.used {
+		l.used[k] = v
+	}
+}
+
+type Node struct {
+	live, cur, spare *Ledger
+}
+
+// negative: the accessor brings its own spare up to date in place.
+
+func view[T any](n *Node, fn func(*Ledger) T) T {
+	n.spare.refreshFrom(n.live)
+	n.cur, n.spare = n.spare, n.cur
+	return fn(n.cur)
+}
+
+// negative: reading the lent ledger is the whole point.
+
+func (n *Node) Occupied(machine int) int {
+	return view(n, func(led *Ledger) int { return led.Used(machine) })
+}
+
+// negative: Clone() inside the view, then mutate the clone freely.
+
+func (n *Node) Probe() bool {
+	return view(n, func(led *Ledger) bool {
+		scratch := led.Clone()
+		scratch.used[1] = 2
+		return scratch.UseSlots(0, 1)
+	})
+}
+
+// positive: writing through the lent ledger.
+
+func (n *Node) BadViewWrite() int {
+	return view(n, func(led *Ledger) int {
+		led.used[0] = 1 // want `write through shared snapshot led`
+		return 0
+	})
+}
+
+// positive: calling a mutator on the lent ledger, also through an
+// explicit instantiation.
+
+func (n *Node) BadViewUse() bool {
+	return view[bool](n, func(led *Ledger) bool {
+		return led.UseSlots(0, 1) // want `mutator UseSlots called on shared snapshot led`
+	})
+}
+
+// positive: the in-place refresh is a mutator — a reader must not
+// overwrite the ledger it was lent.
+
+func (n *Node) BadViewRefresh(other *Ledger) int {
+	return view(n, func(led *Ledger) int {
+		led.refreshFrom(other) // want `mutator refreshFrom called on shared snapshot led`
+		return 0
+	})
+}
+
 // --- read-only cached DP tables (plan cache) ---
 
 // rec locates one vertex's record in the table's slab.

@@ -75,9 +75,9 @@ func (m *Manager) planLocked(mut *Mutation) error {
 	)
 	start := now()
 	if mut.Homog != nil {
-		p, contribs, err = m.plans.allocateHomog(m.led, *mut.Homog, m.policy, m.scope)
+		p, contribs, err = m.plans.allocateHomog(m.led, *mut.Homog, m.policy, m.scope, true)
 	} else {
-		p, contribs, err = m.planHetero(m.led, *mut.Hetero, false)
+		p, contribs, err = m.planHetero(m.led, *mut.Hetero, planAdmit)
 	}
 	m.adm.Plan.Observe(since(start))
 	if err != nil {

@@ -92,32 +92,32 @@ func (t *substrTable) needCrossing(topo *topology.Topology, verts []topology.Nod
 // as the homogeneous algorithm. It returns the placement and contributions
 // without committing them.
 func AllocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy) (Placement, []linkDemand, error) {
-	return allocateHeteroSubstringScoped(led, req, policy, nil)
+	return allocateHeteroSubstringScoped(led, req, policy, nil, true)
 }
 
 // allocateHeteroSubstringScoped is the scope-aware cold plan behind
 // AllocateHeteroSubstring; see allocateHomogScoped.
-func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy, scope *planScope) (Placement, []linkDemand, error) {
+func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
 	order, sorted := orderByPercentile(req)
-	return substrPlanCold(led, req, order, sorted, policy, scope)
+	return substrPlanCold(led, req, order, sorted, policy, scope, place)
 }
 
 // substrPlanCold plans req, whose VMs in percentile order are order with
 // demands sorted, in a pooled table.
-func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.Normal, policy Policy, scope *planScope) (Placement, []linkDemand, error) {
+func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.Normal, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
 	t := substrTablePool.Get().(*substrTable)
 	defer substrTablePool.Put(t)
 	t.reset(led.Topology(), scope, sorted, policy)
-	p, contribs, _, err := t.plan(led, scope, req, order)
+	p, contribs, _, err := t.plan(led, scope, req, order, place)
 	return p, contribs, err
 }
 
 // plan is homogTable.plan for the substring DP. order maps substring
 // positions to req's VM indices.
-func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, order []int) (Placement, []linkDemand, int, error) {
+func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, order []int, place bool) (Placement, []linkDemand, int, error) {
 	topo := led.Topology()
 	t.syncEpoch(led)
 	recomputed := 0
@@ -131,6 +131,9 @@ func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, ord
 		recomputed += len(stale)
 		if best := t.best(verts, t.n, t.idx(t.n, 0), t.policy); best != topology.None {
 			var p Placement
+			if !place {
+				return p, nil, recomputed, nil
+			}
 			t.build(topo, order, best, 0, t.n, &p)
 			p.normalize()
 			return p, heteroContributions(topo, req, &p), recomputed, nil

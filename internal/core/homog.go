@@ -123,22 +123,23 @@ func (t *homogTable) holdingPins(verts []topology.NodeID) []topology.NodeID {
 // contributions without committing them. It returns ErrNoCapacity when no
 // subtree can host the request.
 func AllocateHomog(led *Ledger, req Homogeneous, policy Policy) (Placement, []linkDemand, error) {
-	return allocateHomogScoped(led, req, policy, nil)
+	return allocateHomogScoped(led, req, policy, nil, true)
 }
 
 // allocateHomogScoped is the scope-aware cold plan behind AllocateHomog:
 // with a non-nil scope the level loop, vertex records and selection scan
 // are confined to the scope's subtree (see planScope), so a pod-local
 // manager never places VMs outside its pod. It runs in a pooled table and,
-// once the pool is warm, allocates nothing but the placement it returns.
-func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *planScope) (Placement, []linkDemand, error) {
+// once the pool is warm, allocates nothing but the placement it returns —
+// which a dry run (place unset; see plan) does not ask for.
+func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
 	t := homogTablePool.Get().(*homogTable)
 	defer homogTablePool.Put(t)
 	t.reset(led.Topology(), scope, req, policy)
-	p, contribs, _, err := t.plan(led, scope)
+	p, contribs, _, err := t.plan(led, scope, place)
 	return p, contribs, err
 }
 
@@ -146,8 +147,10 @@ func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *pla
 // only the records whose subtree version moved since they were filled —
 // and returns the placement in the lowest subtree that hosts the request,
 // with the number of records it recomputed. The selection scan runs in
-// topology order, which is what breaks ties between equal subtrees.
-func (t *homogTable) plan(led *Ledger, scope *planScope) (Placement, []linkDemand, int, error) {
+// topology order, which is what breaks ties between equal subtrees. A dry
+// run (place unset) stops at the chosen subtree: it shares every DP line
+// with an admission and differs only in that no placement is built.
+func (t *homogTable) plan(led *Ledger, scope *planScope, place bool) (Placement, []linkDemand, int, error) {
 	topo := led.Topology()
 	t.syncEpoch(led)
 	recomputed := 0
@@ -160,6 +163,9 @@ func (t *homogTable) plan(led *Ledger, scope *planScope) (Placement, []linkDeman
 		recomputed += len(stale)
 		if best := t.best(t.holdingPins(verts), t.req.N, t.req.N, t.policy); best != topology.None {
 			var p Placement
+			if !place {
+				return p, nil, recomputed, nil
+			}
 			t.build(topo, best, t.req.N, &p)
 			p.normalize()
 			return p, homogContributions(topo, t.req, &p), recomputed, nil

@@ -7,3 +7,5 @@ package core
 const invariantsEnabled = false
 
 func (m *Manager) assertOccupancyLocked(mut *Mutation) {}
+
+func (m *Manager) assertRefreshedLocked(led *Ledger) {}

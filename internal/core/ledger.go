@@ -92,6 +92,28 @@ func (l *Ledger) Clone() *Ledger {
 	return c
 }
 
+// refreshFrom makes l, an earlier clone in src's lineage, equal src.Clone()
+// in place. It descends from the root and copies a node's entries only
+// where the subtree versions differ — equal subVer certifies an identical
+// subtree (see subVer) — so it costs the root paths written since and
+// allocates nothing; the fault overlay, which no subtree version covers,
+// is cloned again when its epoch moved.
+func (l *Ledger) refreshFrom(src *Ledger) {
+	if l.faults.Epoch() != src.faults.Epoch() {
+		l.faults = src.faults.Clone()
+	}
+	l.refreshSubtree(src, l.topo.Root())
+}
+
+func (l *Ledger) refreshSubtree(src *Ledger, v topology.NodeID) {
+	if l.subVer[v] != src.subVer[v] {
+		l.links[v], l.used[v], l.subVer[v] = src.links[v], src.used[v], src.subVer[v]
+		for _, c := range l.topo.Node(v).Children {
+			l.refreshSubtree(src, c)
+		}
+	}
+}
+
 // Topology returns the topology the ledger tracks.
 func (l *Ledger) Topology() *topology.Topology { return l.topo }
 

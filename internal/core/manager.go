@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -49,12 +50,13 @@ type Allocation struct {
 // ledger (admissions plan there, one request at a time — see
 // admission.go), stage the journal record, apply, unlock, and only then
 // wait for durability, so concurrent callers share a group commit.
-// Read-only work (CanAllocate* dry runs, MaxOccupancy* metrics, Headroom
-// probes) runs on a cached clone of the ledger instead: the lock is held
-// only for the O(links) copy, cut when a reader arrives after a mutation,
-// never for the dynamic program on top of it. Snapshot reads are
-// point-in-time consistent; under concurrent mutation they may lag the
-// live ledger by the mutations that land after the snapshot was cut.
+// Read-only work (CanAllocate* dry runs, MaxOccupancy*, FreeSlots* and
+// LinkLoads metrics, Headroom probes) runs in view, on one of two snapshot
+// ledgers instead: the lock is held only while the first reader after a
+// mutation copies the paths written since (Ledger.refreshFrom), never for
+// the dynamic program on top of it. Snapshot reads are point-in-time
+// consistent; under concurrent mutation they may lag the live ledger by
+// the mutations that land after the view was taken.
 type Manager struct {
 	mu      sync.Mutex
 	led     *Ledger
@@ -81,12 +83,12 @@ type Manager struct {
 	// admission.go.
 	adm AdmissionStats
 
-	// Cached read snapshot (guarded by snapMu), rebuilt when a reader
-	// finds version moved. snapMu only serializes readers' rebuilds — a
-	// burst of them queues here, not on mu — never the DP work on top.
-	snapMu  sync.Mutex
-	snap    *Ledger
-	snapVer uint64
+	// The read snapshots (guarded by snapMu; see view): new readers pin cur,
+	// the next refresh writes spare. snapMu only serializes readers'
+	// refreshes — a burst queues here, not on mu — never the DP on top.
+	snapMu      sync.Mutex
+	cur, spare  *snapBuf
+	refreshTick uint64 // in-place refreshes, sampled by assertRefreshedLocked
 
 	// plans memoizes per-subtree DP tables across admissions, keyed by
 	// (demand params, N, policy) and validated per vertex against the
@@ -160,12 +162,19 @@ func (m *Manager) AllocateHetero(req Heterogeneous, opts ...CallOption) (*Alloca
 	return m.allocate(Mutation{Op: OpAlloc, Job: co.jobID, Hetero: &req, IdemKey: co.idemKey})
 }
 
+// planMode says what planHetero plans for.
+type planMode int
+
+const (
+	planAdmit   planMode = iota // an admission: through the plan cache
+	planScratch                 // a repair's scratch ledger: cold, past the cache (see planRepairLocked)
+	planDry                     // a dry run: through the cache, no placement built (see homogTable.plan)
+)
+
 // planHetero runs the configured heterogeneous allocator against a ledger
 // without committing. Scoped managers always use the substring DP (the
-// only hetero allocator with a scoped variant; see WithPlanSubtree). A
-// repair's scratch ledger plans cold, past the plan cache (see
-// planRepairLocked).
-func (m *Manager) planHetero(led *Ledger, req Heterogeneous, scratch bool) (Placement, []linkDemand, error) {
+// only hetero allocator with a scoped variant; see WithPlanSubtree).
+func (m *Manager) planHetero(led *Ledger, req Heterogeneous, mode planMode) (Placement, []linkDemand, error) {
 	if m.scope == nil {
 		switch m.hetero {
 		case HeteroExact:
@@ -174,10 +183,10 @@ func (m *Manager) planHetero(led *Ledger, req Heterogeneous, scratch bool) (Plac
 			return AllocateFirstFit(led, req)
 		}
 	}
-	if scratch {
-		return allocateHeteroSubstringScoped(led, req, m.policy, m.scope)
+	if mode == planScratch {
+		return allocateHeteroSubstringScoped(led, req, m.policy, m.scope, true)
 	}
-	return m.plans.allocateHeteroSubstring(led, req, m.policy, m.scope)
+	return m.plans.allocateHeteroSubstring(led, req, m.policy, m.scope, mode != planDry)
 }
 
 // idemAllocLocked resolves an allocate call's idempotency key: done is
@@ -199,38 +208,60 @@ func (m *Manager) idemAllocLocked(key string) (*Allocation, bool, error) {
 	return &Allocation{ID: e.job, Placement: e.placement.Clone()}, true, nil
 }
 
-// snapshot returns a read-only clone of the ledger reflecting every
-// mutation applied before the call. The clone is cached and shared by
-// concurrent readers until the next mutation invalidates it, so a burst
-// of dry runs costs one O(links) copy, writers never pay for one, and the
-// write lock is held only for that copy — never for the DP that runs on
-// top of it. Callers must not mutate the returned ledger; mutating
-// probes clone it again.
-func (m *Manager) snapshot() *Ledger {
+// snapBuf is one of the manager's two read snapshots: a ledger equal to
+// the live one as of manager version ver, and the views reading it now.
+type snapBuf struct {
+	led  *Ledger
+	ver  uint64
+	pins atomic.Int32 // raised under snapMu, lowered without it
+}
+
+// view runs fn on a read-only ledger reflecting every mutation applied
+// before the call; fn must neither mutate it (mutating probes Clone it)
+// nor keep it. Readers share the current snapshot until a mutation; the
+// first reader after one refreshes the spare in place and makes it
+// current, so writers never pay for a reader. A spare some slow reader
+// still holds is left to that reader and replaced by a whole Clone, as
+// are the two a manager starts without.
+func view[T any](m *Manager, fn func(*Ledger) T) T {
 	m.snapMu.Lock()
-	defer m.snapMu.Unlock()
 	m.mu.Lock()
-	if m.snap == nil || m.snapVer != m.version {
-		m.snap, m.snapVer = m.led.Clone(), m.version
+	if m.cur == nil || m.cur.ver != m.version {
+		if sp := m.spare; sp != nil && sp.pins.Load() == 0 {
+			sp.led.refreshFrom(m.led)
+			m.assertRefreshedLocked(sp.led)
+			m.cur, m.spare = sp, m.cur
+		} else {
+			m.cur, m.spare = &snapBuf{led: m.led.Clone()}, m.cur
+		}
+		m.cur.ver = m.version
 	}
 	m.mu.Unlock()
-	return m.snap
+	s := m.cur
+	s.pins.Add(1)
+	m.snapMu.Unlock()
+	defer s.pins.Add(-1)
+	return fn(s.led)
 }
 
 // CanAllocateHomog reports whether a homogeneous request would currently
 // be admitted, without committing anything — a capacity-planning dry run.
 // It runs on a ledger snapshot, concurrently with admissions.
 func (m *Manager) CanAllocateHomog(req Homogeneous) bool {
-	_, _, err := m.plans.allocateHomog(m.snapshot(), req, m.policy, m.scope)
-	return err == nil
+	return view(m, func(led *Ledger) bool {
+		_, _, err := m.plans.allocateHomog(led, req, m.policy, m.scope, false)
+		return err == nil
+	})
 }
 
 // CanAllocateHetero reports whether a heterogeneous request would currently
 // be admitted, without committing anything. It runs on a ledger snapshot,
 // concurrently with admissions.
 func (m *Manager) CanAllocateHetero(req Heterogeneous) bool {
-	_, _, err := m.planHetero(m.snapshot(), req, false)
-	return err == nil
+	return view(m, func(led *Ledger) bool {
+		_, _, err := m.planHetero(led, req, planDry)
+		return err == nil
+	})
 }
 
 // Release frees the slots and reservations of an admitted job. With
@@ -288,12 +319,9 @@ func (m *Manager) Running() int {
 	return len(m.jobs)
 }
 
-// FreeSlots returns the number of unoccupied VM slots.
-func (m *Manager) FreeSlots() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.led.TotalFreeSlots()
-}
+// FreeSlots returns the number of unoccupied VM slots. Like every metric
+// below it reads a ledger snapshot, so scrapes never stall admissions.
+func (m *Manager) FreeSlots() int { return view(m, (*Ledger).TotalFreeSlots) }
 
 // Version returns the count of applied mutations since construction —
 // the committed-version clock replication lag is measured in.
@@ -318,11 +346,8 @@ func (m *Manager) SetOffline(machine topology.NodeID, offline bool) error {
 }
 
 // MaxOccupancy returns the maximum bandwidth occupancy ratio over all
-// links, the paper's Fig. 9 statistic. It reads a ledger snapshot, so
-// metrics scrapes never stall admissions.
-func (m *Manager) MaxOccupancy() float64 {
-	return m.snapshot().MaxOccupancy()
-}
+// links, the paper's Fig. 9 statistic.
+func (m *Manager) MaxOccupancy() float64 { return view(m, (*Ledger).MaxOccupancy) }
 
 // Headroom reports how many more copies of the given homogeneous request
 // the datacenter could admit right now, exploring on a cloned ledger so
@@ -332,7 +357,7 @@ func (m *Manager) Headroom(req Homogeneous, limit int) (int, error) {
 	if err := req.Validate(); err != nil {
 		return 0, err
 	}
-	scratch := m.snapshot().Clone()
+	scratch := view(m, (*Ledger).Clone)
 	if limit <= 0 {
 		limit = scratch.TotalFreeSlots()/req.N + 1
 	}
@@ -343,7 +368,7 @@ func (m *Manager) Headroom(req Homogeneous, limit int) (int, error) {
 	t.reset(scratch.Topology(), m.scope, req, m.policy)
 	count := 0
 	for count < limit {
-		p, contribs, _, err := t.plan(scratch, m.scope)
+		p, contribs, _, err := t.plan(scratch, m.scope, true)
 		if err != nil {
 			if errors.Is(err, ErrNoCapacity) {
 				break
@@ -357,10 +382,8 @@ func (m *Manager) Headroom(req Homogeneous, limit int) (int, error) {
 }
 
 // MaxOccupancyByLevel returns the maximum occupancy per link level
-// (index 0 = host links). It reads a ledger snapshot.
-func (m *Manager) MaxOccupancyByLevel() []float64 {
-	return m.snapshot().MaxOccupancyByLevel()
-}
+// (index 0 = host links).
+func (m *Manager) MaxOccupancyByLevel() []float64 { return view(m, (*Ledger).MaxOccupancyByLevel) }
 
 // Epsilon returns the manager's risk factor.
 func (m *Manager) Epsilon() float64 { return m.led.Epsilon() }
@@ -378,15 +401,13 @@ func (m *Manager) Ledger() *Ledger { return m.led }
 // plane reports, where each pod controller's ledger is authoritative only
 // for its own subtree.
 func (m *Manager) FreeSlotsSubtree(root topology.NodeID) int {
-	topo := m.led.Topology()
-	machines := topo.SubtreeMachines(nil, root)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := 0
-	for _, mc := range machines {
-		total += m.led.FreeSlots(mc)
-	}
-	return total
+	machines := m.led.Topology().SubtreeMachines(nil, root)
+	return view(m, func(led *Ledger) (total int) {
+		for _, mc := range machines {
+			total += led.FreeSlots(mc)
+		}
+		return total
+	})
 }
 
 // LinkLoad is the point-in-time load of one physical link, for status
@@ -399,20 +420,21 @@ type LinkLoad struct {
 	Stochastic int     // stochastic demands sharing the link
 }
 
-// LinkLoads returns the load of every link, in link order. It reads a
-// ledger snapshot, so status scrapes never stall admissions.
+// LinkLoads returns the load of every link, in link order, in a fresh
+// slice the caller owns and may reorder (httpapi's /v1/links does).
 func (m *Manager) LinkLoads() []LinkLoad {
-	led := m.snapshot()
-	topo := led.Topology()
-	out := make([]LinkLoad, 0, len(topo.Links()))
-	for _, l := range topo.Links() {
-		out = append(out, LinkLoad{
-			Link:       l,
-			Capacity:   topo.LinkCap(l),
-			Occupancy:  led.Occupancy(l),
-			DetLoad:    led.DetReserved(l),
-			Stochastic: led.StochasticCount(l),
-		})
-	}
-	return out
+	return view(m, func(led *Ledger) []LinkLoad {
+		topo := led.Topology()
+		out := make([]LinkLoad, 0, len(topo.Links()))
+		for _, l := range topo.Links() {
+			out = append(out, LinkLoad{
+				Link:       l,
+				Capacity:   topo.LinkCap(l),
+				Occupancy:  led.Occupancy(l),
+				DetLoad:    led.DetReserved(l),
+				Stochastic: led.StochasticCount(l),
+			})
+		}
+		return out
+	})
 }

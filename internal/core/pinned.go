@@ -64,6 +64,6 @@ func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinn
 	if t.pinned > req.N {
 		return Placement{}, nil, fmt.Errorf("%w: %d pinned VMs exceed request size %d", ErrBadRequest, t.pinned, req.N)
 	}
-	p, contribs, _, err := t.plan(led, scope)
+	p, contribs, _, err := t.plan(led, scope, true)
 	return p, contribs, err
 }

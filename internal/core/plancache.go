@@ -198,7 +198,8 @@ type homogKey struct {
 // Bit-identical to core's AllocateHomog on the same ledger state. A
 // non-nil scope confines planning to its subtree; entries are per-manager
 // and a manager's scope is immutable, so cached records never mix scopes.
-func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, scope *planScope) (Placement, []linkDemand, error) {
+// A dry run leaves place unset (see homogTable.plan).
+func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
@@ -207,7 +208,7 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 	e, hit, victim := c.homog.admit(key, &c.stats)
 	c.mu.Unlock()
 	if e == nil {
-		return allocateHomogScoped(led, req, policy, scope)
+		return allocateHomogScoped(led, req, policy, scope, place)
 	}
 	victim.retire(&homogTablePool)
 	e.mu.Lock()
@@ -215,11 +216,11 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 		e.table = homogTablePool.Get().(*homogTable)
 		e.table.reset(led.Topology(), scope, req, policy)
 	}
-	p, contribs, recomputed, err := e.table.plan(led, scope)
+	p, contribs, recomputed, err := e.table.plan(led, scope, place)
 	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
-		fp, _, ferr := allocateHomogScoped(led, req, policy, scope)
+		fp, _, ferr := allocateHomogScoped(led, req, policy, scope, place)
 		checkCachedPlan("homog", p, err, fp, ferr)
 	}
 	return p, contribs, err
@@ -243,7 +244,7 @@ func substrCacheKey(sorted []stats.Normal, policy Policy) string {
 // allocateHeteroSubstring plans a heterogeneous request with the cached
 // substring DP, keyed by the percentile-sorted canonical demand sequence.
 // Bit-identical to AllocateHeteroSubstring.
-func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy, scope *planScope) (Placement, []linkDemand, error) {
+func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
@@ -256,7 +257,7 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 	e, hit, victim := c.hetero.admit(key, &c.stats)
 	c.mu.Unlock()
 	if e == nil {
-		return substrPlanCold(led, req, order, sorted, policy, scope)
+		return substrPlanCold(led, req, order, sorted, policy, scope, place)
 	}
 	victim.retire(&substrTablePool)
 	e.mu.Lock()
@@ -264,11 +265,11 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 		e.table = substrTablePool.Get().(*substrTable)
 		e.table.reset(led.Topology(), scope, sorted, policy)
 	}
-	p, contribs, recomputed, err := e.table.plan(led, scope, req, order)
+	p, contribs, recomputed, err := e.table.plan(led, scope, req, order, place)
 	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
-		fp, _, ferr := allocateHeteroSubstringScoped(led, req, policy, scope)
+		fp, _, ferr := allocateHeteroSubstringScoped(led, req, policy, scope, place)
 		checkCachedPlan("hetero", p, err, fp, ferr)
 	}
 	return p, contribs, err
@@ -307,7 +308,8 @@ func (c *planCache) shouldSample() bool {
 
 // checkCachedPlan panics unless the cached plan matches a cold DP run on
 // the same ledger state — the bit-identical contract, spot-checked at
-// runtime under -tags invariants.
+// runtime under -tags invariants. A dry run's cold twin is a dry run too:
+// no placement is built, the verdicts are compared.
 func checkCachedPlan(kind string, cached Placement, cachedErr error, cold Placement, coldErr error) {
 	if (cachedErr == nil) != (coldErr == nil) {
 		panic(fmt.Sprintf("core: invariant violation: cached %s plan feasibility (err=%v) differs from cold DP (err=%v)", kind, cachedErr, coldErr))

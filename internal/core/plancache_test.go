@@ -20,12 +20,12 @@ type cachedShape struct {
 func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 	return cachedShape{
 		cached: func(c *planCache, led *Ledger) (Placement, []linkDemand, error) {
-			return c.allocateHomog(led, req, policy, scope)
+			return c.allocateHomog(led, req, policy, scope, true)
 		},
 		fresh: func(led *Ledger) (Placement, []linkDemand, error) {
 			t := new(homogTable)
 			t.reset(led.Topology(), scope, req, policy)
-			p, contribs, _, err := t.plan(led, scope)
+			p, contribs, _, err := t.plan(led, scope, true)
 			return p, contribs, err
 		},
 	}
@@ -34,13 +34,13 @@ func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape {
 	return cachedShape{
 		cached: func(c *planCache, led *Ledger) (Placement, []linkDemand, error) {
-			return c.allocateHeteroSubstring(led, req, policy, scope)
+			return c.allocateHeteroSubstring(led, req, policy, scope, true)
 		},
 		fresh: func(led *Ledger) (Placement, []linkDemand, error) {
 			order, sorted := orderByPercentile(req)
 			t := new(substrTable)
 			t.reset(led.Topology(), scope, sorted, policy)
-			p, contribs, _, err := t.plan(led, scope, req, order)
+			p, contribs, _, err := t.plan(led, scope, req, order, true)
 			return p, contribs, err
 		},
 	}
@@ -388,7 +388,7 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 			t.reset(tp, scope, req, policy)
 			t.relax = true
 			t.pin(tp, machines[len(machines)-1], 1)
-			p, contribs, _, err := t.plan(led, scope)
+			p, contribs, _, err := t.plan(led, scope, true)
 			return p, contribs, err
 		}
 		p, contribs, err := repairPlan(ht)
@@ -397,7 +397,7 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 			t.Fatalf("trial %d: pinned plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
 		}
 		ht.reset(tp, scope, req, policy)
-		p, contribs, _, err = ht.plan(led, scope)
+		p, contribs, _, err = ht.plan(led, scope, true)
 		fp, fcontribs, ferr = homogShape(req, policy, scope).fresh(led)
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
 			t.Fatalf("trial %d: homog plan on poisoned slabs after a pinned one: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
@@ -414,7 +414,7 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		}
 		order, sorted = orderByPercentile(hreq)
 		st.reset(tp, scope, sorted, policy)
-		p, contribs, _, err = st.plan(led, scope, hreq, order)
+		p, contribs, _, err = st.plan(led, scope, hreq, order, true)
 		fp, fcontribs, ferr = heteroShape(hreq, policy, scope).fresh(led)
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
 			t.Fatalf("trial %d: hetero plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
@@ -435,21 +435,21 @@ func TestPlanCacheCounters(t *testing.T) {
 	c := newPlanCache()
 	req := Homogeneous{N: 2, Demand: stats.Normal{Mu: 5, Sigma: 2}}
 
-	p1, contribs, err := c.allocateHomog(led, req, MinMaxOccupancy, nil)
+	p1, contribs, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true)
 	if err != nil {
 		t.Fatalf("first plan: %v", err)
 	}
 	if st := c.snapshot(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("after first plan: %+v, want 1 miss 0 hits", st)
 	}
-	if _, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil); err != nil {
+	if _, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true); err != nil {
 		t.Fatalf("second plan: %v", err)
 	}
 	if st := c.snapshot(); st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("after second plan: %+v, want 2 misses 0 hits", st)
 	}
 
-	p2, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil)
+	p2, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true)
 	if err != nil {
 		t.Fatalf("replan: %v", err)
 	}
@@ -461,7 +461,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 
 	commit(led, &p1, contribs)
-	if _, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil); err != nil {
+	if _, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true); err != nil {
 		t.Fatalf("post-commit plan: %v", err)
 	}
 	st := c.snapshot()
@@ -479,7 +479,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	for i := 0; i < maxHomogPlanEntries; i++ {
 		r := Homogeneous{N: 1, Demand: stats.Normal{Mu: 1 + float64(i), Sigma: 1}}
 		for sight := 0; sight < 2; sight++ {
-			if _, _, err := c.allocateHomog(led, r, MinMaxOccupancy, nil); err != nil {
+			if _, _, err := c.allocateHomog(led, r, MinMaxOccupancy, nil, true); err != nil {
 				t.Fatalf("fill plan %d: %v", i, err)
 			}
 		}
@@ -491,7 +491,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	for i := 0; i <= maxHeteroPlanEntries; i++ {
 		r := Heterogeneous{Demands: []stats.Normal{{Mu: 1 + float64(i), Sigma: 1}}}
 		for sight := 0; sight < 2; sight++ {
-			if _, _, err := c.allocateHeteroSubstring(led, r, MinMaxOccupancy, nil); err != nil {
+			if _, _, err := c.allocateHeteroSubstring(led, r, MinMaxOccupancy, nil, true); err != nil {
 				t.Fatalf("hetero fill plan %d: %v", i, err)
 			}
 		}

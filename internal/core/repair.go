@@ -350,7 +350,7 @@ func (m *Manager) planRepairLocked(a *Allocation) (Mutation, int) {
 				Placement: &p, Contribs: exportContribs(contribs), EffectiveEps: effectiveEps(scratch, contribs)}
 		}
 	} else if a.hetero != nil {
-		if p, contribs, err := m.planHetero(scratch, *a.hetero, true); err == nil {
+		if p, contribs, err := m.planHetero(scratch, *a.hetero, planScratch); err == nil {
 			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairMoved,
 				Placement: &p, Contribs: exportContribs(contribs), EffectiveEps: m.led.Epsilon()}
 		}

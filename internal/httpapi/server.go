@@ -18,13 +18,14 @@
 package httpapi
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -231,7 +232,7 @@ type Controller interface {
 	MaxOccupancy() float64
 	AdmissionStats() core.AdmissionStats
 	FailureStats() core.FailureStats
-	LinkLoads() []core.LinkLoad
+	LinkLoads() []core.LinkLoad // a fresh slice: the caller owns it and may reorder it
 	ExportState() *core.ManagerState
 
 	FailMachine(id topology.NodeID, opts ...core.CallOption) ([]core.JobID, error)
@@ -649,9 +650,24 @@ func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, mgr.ExportState())
 }
 
+// handleLinks lists links most loaded first; ?limit=N keeps the first N,
+// and a bad limit is refused before anything is read.
 func (s *Server) handleLinks(w http.ResponseWriter, req *http.Request) {
-	mgr := s.manager()
-	loads := mgr.LinkLoads()
+	limit := -1
+	if q := req.URL.Query().Get("limit"); q != "" {
+		n, err := strconv.Atoi(q)
+		if err != nil || n < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", q))
+			return
+		}
+		limit = n
+	}
+	loads := s.manager().LinkLoads()
+	if limit < 0 || limit >= len(loads) {
+		slices.SortFunc(loads, moreLoaded)
+	} else {
+		loads = topLoads(loads, limit)
+	}
 	out := make([]LinkStatus, 0, len(loads))
 	for _, ll := range loads {
 		out = append(out, LinkStatus{
@@ -662,18 +678,32 @@ func (s *Server) handleLinks(w http.ResponseWriter, req *http.Request) {
 			StochasticDemands: ll.Stochastic,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Occupancy > out[j].Occupancy })
-	if limit := req.URL.Query().Get("limit"); limit != "" {
-		n, err := strconv.Atoi(limit)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", limit))
-			return
-		}
-		if n < len(out) {
-			out = out[:n]
-		}
-	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// moreLoaded is the order of /v1/links: occupancy descending, equal
+// occupancies by ascending link id — total, so one state has one answer.
+func moreLoaded(a, b core.LinkLoad) int {
+	return cmp.Or(cmp.Compare(b.Occupancy, a.Occupancy), cmp.Compare(a.Link, b.Link))
+}
+
+// topLoads moves the k first loads under moreLoaded to the front, in
+// order, and returns them: one pass that keeps top the sorted best of the
+// loads seen (it overwrites only those), so nothing is allocated and a
+// load outside the top costs one compare.
+func topLoads(loads []core.LinkLoad, k int) []core.LinkLoad {
+	top := loads[:0]
+	if k == 0 {
+		return top
+	}
+	for _, ll := range loads {
+		if len(top) == k && moreLoaded(ll, top[k-1]) >= 0 {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(top, ll, moreLoaded)
+		top = slices.Insert(top[:min(len(top), k-1)], i, ll)
+	}
+	return top
 }
 
 func decodeJSON(req *http.Request, v any) error {

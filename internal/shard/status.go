@@ -189,7 +189,7 @@ func (r *Router) MaxOccupancy() float64 {
 }
 
 // LinkLoads returns every link's load in link order, each taken from its
-// owner pod's ledger.
+// owner pod's ledger, in a fresh slice the caller owns and may reorder.
 func (r *Router) LinkLoads() []core.LinkLoad {
 	perPod := make([][]core.LinkLoad, len(r.mgrs))
 	for i, m := range r.mgrs {

@@ -46,6 +46,7 @@ type Topology struct {
 	root     NodeID
 	levels   [][]NodeID // levels[l] lists nodes at level l, bottom-up
 	machines []NodeID
+	links    []LinkID // every node but the root, in ID order
 	slots    int
 	maxDeg   int
 }
@@ -59,7 +60,7 @@ func build(nodes []Node) (*Topology, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("%w: no nodes", errTopology)
 	}
-	t := &Topology{nodes: nodes, root: None}
+	t := &Topology{nodes: nodes, root: None, links: make([]LinkID, 0, len(nodes)-1)}
 	for i := range nodes {
 		n := &nodes[i]
 		if n.ID != NodeID(i) {
@@ -71,6 +72,7 @@ func build(nodes []Node) (*Topology, error) {
 			}
 			t.root = n.ID
 		} else {
+			t.links = append(t.links, n.ID)
 			if n.Parent < 0 || int(n.Parent) >= len(nodes) {
 				return nil, fmt.Errorf("%w: node %d has invalid parent %d", errTopology, n.ID, n.Parent)
 			}
@@ -193,16 +195,9 @@ func (t *Topology) AtLevel(level int) []NodeID {
 	return t.levels[level]
 }
 
-// Links returns all LinkIDs (every node except the root).
-func (t *Topology) Links() []LinkID {
-	links := make([]LinkID, 0, len(t.nodes)-1)
-	for i := range t.nodes {
-		if t.nodes[i].Parent != None {
-			links = append(links, NodeID(i))
-		}
-	}
-	return links
-}
+// Links returns all LinkIDs (every node except the root), in ID order. The
+// returned slice is shared; callers must not modify it.
+func (t *Topology) Links() []LinkID { return t.links }
 
 // LinkCap returns the per-direction capacity of link id.
 func (t *Topology) LinkCap(id LinkID) float64 { return t.nodes[id].UpCap }

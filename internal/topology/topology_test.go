@@ -278,3 +278,25 @@ func TestSingleMachineTopology(t *testing.T) {
 		t.Errorf("single machine: height=%d slots=%d links=%d", tp.Height(), tp.TotalSlots(), len(tp.Links()))
 	}
 }
+
+// TestLinksIsShared: Links is built once by the constructor — every
+// non-root node in ID order — and handed out without allocating, under
+// the same "callers must not modify it" contract as Machines.
+func TestLinksIsShared(t *testing.T) {
+	tp, err := NewThreeTier(PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := tp.Links()
+	for i, l := range links {
+		if tp.Node(l).Parent == None || (i > 0 && links[i-1] >= l) {
+			t.Fatalf("links[%d] = %d: want the non-root nodes in ascending ID order", i, l)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { links = tp.Links() }); n != 0 {
+		t.Errorf("Links allocates %v times per call, want 0", n)
+	}
+	if len(links) != tp.Len()-1 {
+		t.Errorf("links = %d, want %d", len(links), tp.Len()-1)
+	}
+}

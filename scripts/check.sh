@@ -54,6 +54,14 @@ echo "==> go test -race -tags invariants (storm x3 + wal)"
 go test -race -tags invariants -run 'TestAdmissionStormInvariants$' -count 3 ./internal/core/
 go test -race -tags invariants ./internal/wal/
 
+# Snapshot reads (INVARIANTS.md I5): the slow-reader stress must find the
+# Clone fallback and no write to a pinned buffer in three interleavings,
+# and the refresh-equals-clone property runs with the accessor's own
+# sampled check compiled in.
+echo "==> snapshot views: -race stress x3, -tags invariants property test"
+go test -race -run 'TestViewSlowReaderStress$' -count 3 ./internal/core/
+go test -tags invariants -run 'TestViewEqualsClone$|FuzzFailRestoreLedger$' ./internal/core/
+
 # Recovery smoke: a cold start over both record mixes and from a
 # snapshot, a standby's promotion, and the record codec alone (see
 # bench_wal_test.go, internal/wal/record_test.go).
