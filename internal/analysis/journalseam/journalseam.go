@@ -7,7 +7,9 @@
 // constructors:
 //
 //   - writes to Manager's journaled fields (led, jobs, version, nextID,
-//     degraded, idem, fstats) — assignments, ++/--, delete();
+//     degraded, idem, counters) — assignments, ++/--, delete(); the
+//     repair timings beside the counters (repairLatency) are telemetry,
+//     reset by a restart, and anyone may write them;
 //   - commit(m.led, ...)/rollback(m.led, ...) on the live ledger
 //     (scratch clones and snapshots are fine);
 //   - mutator method calls rooted at m.led (UseSlots, AddDet,
@@ -64,7 +66,7 @@ var (
 // journaled mutation.
 var journaledFields = map[string]bool{
 	"led": true, "jobs": true, "version": true, "nextID": true,
-	"degraded": true, "idem": true, "fstats": true,
+	"degraded": true, "idem": true, "counters": true,
 }
 
 // ledgerMutators are the *core.Ledger methods that change reservation or

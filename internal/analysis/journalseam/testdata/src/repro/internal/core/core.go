@@ -44,6 +44,9 @@ type Manager struct {
 	jobs    map[JobID]int
 	version uint64
 	nextID  JobID
+
+	counters      struct{ repairs uint64 } // journaled with the state
+	repairLatency int64                    // telemetry, not state
 }
 
 // --- negative: constructors may initialise journaled state directly ---
@@ -65,6 +68,7 @@ func (m *Manager) applyLocked(mut *Mutation) error {
 		return err
 	}
 	m.jobs[mut.Job] = 1
+	m.counters.repairs++
 	m.version++
 	return nil
 }
@@ -95,6 +99,16 @@ func (m *Manager) badBump() {
 
 func (m *Manager) badSwap(led *Ledger) {
 	m.led = led // want `write to Manager\.led outside applyLocked`
+}
+
+func (m *Manager) badCount() {
+	m.counters.repairs++ // want `write to Manager\.counters outside applyLocked`
+}
+
+// --- negative: timings are not journaled ---
+
+func (m *Manager) observeRepair(ns int64) {
+	m.repairLatency += ns
 }
 
 func (m *Manager) badForget(id JobID) {

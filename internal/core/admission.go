@@ -70,7 +70,7 @@ func (m *Manager) AdmissionStats() AdmissionStats {
 func (m *Manager) planLocked(mut *Mutation) error {
 	var (
 		p        Placement
-		contribs []linkDemand
+		contribs []Contribution
 		err      error
 	)
 	start := now()
@@ -83,7 +83,7 @@ func (m *Manager) planLocked(mut *Mutation) error {
 	if err != nil {
 		return err
 	}
-	mut.Placement, mut.Contribs = &p, exportContribs(contribs)
+	mut.Placement, mut.Contribs = &p, contribs
 	return nil
 }
 

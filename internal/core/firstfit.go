@@ -13,7 +13,7 @@ import (
 // next sibling subtree is tried; VMs that would violate an ancestor's
 // uplink are handed back to be placed further right. No occupancy
 // optimization is performed. The returned placement is not committed.
-func AllocateFirstFit(led *Ledger, req Heterogeneous) (Placement, []linkDemand, error) {
+func AllocateFirstFit(led *Ledger, req Heterogeneous) (Placement, []Contribution, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}

@@ -91,36 +91,36 @@ func (t *substrTable) needCrossing(topo *topology.Topology, verts []topology.Nod
 // bottom-up with the same lowest-subtree, min-max-occupancy dynamic program
 // as the homogeneous algorithm. It returns the placement and contributions
 // without committing them.
-func AllocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy) (Placement, []linkDemand, error) {
-	return allocateHeteroSubstringScoped(led, req, policy, nil, true)
+func AllocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy) (Placement, []Contribution, error) {
+	return allocateHeteroSubstringScoped(led, req, policy, nil)
 }
 
 // allocateHeteroSubstringScoped is the scope-aware cold plan behind
 // AllocateHeteroSubstring; see allocateHomogScoped.
-func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
+func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy, scope *planScope) (Placement, []Contribution, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
 	order, sorted := orderByPercentile(req)
-	return substrPlanCold(led, req, order, sorted, policy, scope, place)
+	return substrPlanCold(led, req, order, sorted, policy, scope)
 }
 
 // substrPlanCold plans req, whose VMs in percentile order are order with
 // demands sorted, in a pooled table.
-func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.Normal, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
+func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.Normal, policy Policy, scope *planScope) (Placement, []Contribution, error) {
 	t := substrTablePool.Get().(*substrTable)
 	defer substrTablePool.Put(t)
 	t.reset(led.Topology(), scope, sorted, policy)
-	p, contribs, _, err := t.plan(led, scope, req, order, place)
+	p, contribs, _, err := t.plan(led, scope, req, order)
 	return p, contribs, err
 }
 
-// plan is homogTable.plan for the substring DP. order maps substring
-// positions to req's VM indices.
-func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, order []int, place bool) (Placement, []linkDemand, int, error) {
+// settle is homogTable.settle for the substring DP: the level loop is
+// written out again, not shared behind an interface, which measured 2 %
+// off the admission path (BENCH_pr20.json).
+func (t *substrTable) settle(led *Ledger, scope *planScope) (best topology.NodeID, recomputed int, err error) {
 	topo := led.Topology()
 	t.syncEpoch(led)
-	recomputed := 0
 	for level := 0; level <= scopeHeight(topo, scope); level++ {
 		verts := scopeAtLevel(topo, scope, level)
 		stale := t.staleAt(led, verts)
@@ -130,16 +130,24 @@ func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, ord
 		}
 		recomputed += len(stale)
 		if best := t.best(verts, t.n, t.idx(t.n, 0), t.policy); best != topology.None {
-			var p Placement
-			if !place {
-				return p, nil, recomputed, nil
-			}
-			t.build(topo, order, best, 0, t.n, &p)
-			p.normalize()
-			return p, heteroContributions(topo, req, &p), recomputed, nil
+			return best, recomputed, nil
 		}
 	}
-	return Placement{}, nil, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, req)
+	return topology.None, recomputed, ErrNoCapacity // plan names the request it was for
+}
+
+// plan is settle followed by build for req, a request whose sorted
+// demands are the table's; order maps substring positions to req's VM
+// indices.
+func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, order []int) (Placement, []Contribution, int, error) {
+	best, recomputed, err := t.settle(led, scope)
+	if err != nil {
+		return Placement{}, nil, recomputed, fmt.Errorf("%w: %v", err, req)
+	}
+	var p Placement
+	t.build(led.Topology(), order, best, 0, t.n, &p)
+	p.normalize()
+	return p, heteroContributions(led.Topology(), req, &p), recomputed, nil
 }
 
 // compute fills the substring DP record for vertex v. Like
@@ -277,7 +285,7 @@ type heteroMaskState struct {
 // dynamic program, which maintains every allocable VM subset per subtree.
 // It is only practical for small requests (N <= MaxExactHeteroVMs) and
 // exists as the optimality reference for the substring heuristic.
-func AllocateHeteroExact(led *Ledger, req Heterogeneous) (Placement, []linkDemand, error) {
+func AllocateHeteroExact(led *Ledger, req Heterogeneous) (Placement, []Contribution, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}

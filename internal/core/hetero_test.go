@@ -27,7 +27,7 @@ func randHetero(r *stats.Rand, n int, lo, hi float64) Heterogeneous {
 
 // checkHeteroPlacement verifies a heterogeneous placement covers every VM
 // index exactly once in addition to the generic validity invariants.
-func checkHeteroPlacement(t *testing.T, led *Ledger, req Heterogeneous, p *Placement, contribs []linkDemand) {
+func checkHeteroPlacement(t *testing.T, led *Ledger, req Heterogeneous, p *Placement, contribs []Contribution) {
 	t.Helper()
 	if err := ValidatePlacement(led, contribs, p, req.N()); err != nil {
 		t.Fatalf("invalid placement: %v", err)
@@ -350,7 +350,7 @@ func TestHeteroSubstringOccupancyBeatsFirstFitOnAverage(t *testing.T) {
 			req := randHetero(r, r.UniformInt(2, 6), 1, 6)
 			var (
 				p        Placement
-				contribs []linkDemand
+				contribs []Contribution
 				err      error
 			)
 			if useFF {

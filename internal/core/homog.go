@@ -122,38 +122,35 @@ func (t *homogTable) holdingPins(verts []topology.NodeID) []topology.NodeID {
 // ledger state and returns the placement and its per-link crossing-demand
 // contributions without committing them. It returns ErrNoCapacity when no
 // subtree can host the request.
-func AllocateHomog(led *Ledger, req Homogeneous, policy Policy) (Placement, []linkDemand, error) {
-	return allocateHomogScoped(led, req, policy, nil, true)
+func AllocateHomog(led *Ledger, req Homogeneous, policy Policy) (Placement, []Contribution, error) {
+	return allocateHomogScoped(led, req, policy, nil)
 }
 
 // allocateHomogScoped is the scope-aware cold plan behind AllocateHomog:
 // with a non-nil scope the level loop, vertex records and selection scan
 // are confined to the scope's subtree (see planScope), so a pod-local
 // manager never places VMs outside its pod. It runs in a pooled table and,
-// once the pool is warm, allocates nothing but the placement it returns —
-// which a dry run (place unset; see plan) does not ask for.
-func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
+// once the pool is warm, allocates nothing but the placement it returns.
+func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *planScope) (Placement, []Contribution, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
 	t := homogTablePool.Get().(*homogTable)
 	defer homogTablePool.Put(t)
 	t.reset(led.Topology(), scope, req, policy)
-	p, contribs, _, err := t.plan(led, scope, place)
+	p, contribs, _, err := t.plan(led, scope)
 	return p, contribs, err
 }
 
-// plan brings the table up to date with led level by level — recomputing
+// settle brings the table up to date with led level by level — recomputing
 // only the records whose subtree version moved since they were filled —
-// and returns the placement in the lowest subtree that hosts the request,
-// with the number of records it recomputed. The selection scan runs in
-// topology order, which is what breaks ties between equal subtrees. A dry
-// run (place unset) stops at the chosen subtree: it shares every DP line
-// with an admission and differs only in that no placement is built.
-func (t *homogTable) plan(led *Ledger, scope *planScope, place bool) (Placement, []linkDemand, int, error) {
+// and returns the root of the lowest subtree that hosts the request, with
+// the number of records it recomputed. The selection scan runs in topology
+// order, which is what breaks ties between equal subtrees. A dry run is
+// settle and nothing else: it shares every DP line with an admission.
+func (t *homogTable) settle(led *Ledger, scope *planScope) (best topology.NodeID, recomputed int, err error) {
 	topo := led.Topology()
 	t.syncEpoch(led)
-	recomputed := 0
 	for level := 0; level <= scopeHeight(topo, scope); level++ {
 		verts := scopeAtLevel(topo, scope, level)
 		stale := t.staleAt(led, verts)
@@ -162,16 +159,23 @@ func (t *homogTable) plan(led *Ledger, scope *planScope, place bool) (Placement,
 		}
 		recomputed += len(stale)
 		if best := t.best(t.holdingPins(verts), t.req.N, t.req.N, t.policy); best != topology.None {
-			var p Placement
-			if !place {
-				return p, nil, recomputed, nil
-			}
-			t.build(topo, best, t.req.N, &p)
-			p.normalize()
-			return p, homogContributions(topo, t.req, &p), recomputed, nil
+			return best, recomputed, nil
 		}
 	}
-	return Placement{}, nil, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, t.req)
+	return topology.None, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, t.req)
+}
+
+// plan is settle followed by build: the placement in the subtree settle
+// chose and the contributions a commit of it would charge.
+func (t *homogTable) plan(led *Ledger, scope *planScope) (Placement, []Contribution, int, error) {
+	best, recomputed, err := t.settle(led, scope)
+	if err != nil {
+		return Placement{}, nil, recomputed, err
+	}
+	var p Placement
+	t.build(led.Topology(), best, t.req.N, &p)
+	p.normalize()
+	return p, homogContributions(led.Topology(), t.req, &p), recomputed, nil
 }
 
 // compute fills the DP record for vertex v from its children's records

@@ -76,11 +76,11 @@ func isAncestor(tp *topology.Topology, anc, n topology.NodeID) bool {
 // maxOccInSubtree computes the maximum post-allocation occupancy over the
 // links strictly inside the subtree rooted at sub, mirroring the DP's
 // objective.
-func maxOccInSubtree(led *Ledger, sub topology.NodeID, contribs []linkDemand) float64 {
+func maxOccInSubtree(led *Ledger, sub topology.NodeID, contribs []Contribution) float64 {
 	tp := led.Topology()
-	contrib := make(map[topology.LinkID]linkDemand, len(contribs))
+	contrib := make(map[topology.LinkID]Contribution, len(contribs))
 	for _, c := range contribs {
-		contrib[c.link] = c
+		contrib[c.Link] = c
 	}
 	maxOcc := 0.0
 	var walk func(v topology.NodeID)
@@ -88,10 +88,10 @@ func maxOccInSubtree(led *Ledger, sub topology.NodeID, contribs []linkDemand) fl
 		for _, c := range tp.Node(v).Children {
 			var occ float64
 			if d, ok := contrib[c]; ok {
-				if d.det {
-					occ = led.OccupancyWithDet(c, d.demand.Mu)
+				if d.Det {
+					occ = led.OccupancyWithDet(c, d.Mu)
 				} else {
-					occ = led.OccupancyWith(c, d.demand)
+					occ = led.OccupancyWith(c, d.demand())
 				}
 			} else {
 				occ = led.Occupancy(c)
@@ -191,8 +191,8 @@ func TestHomogLocality(t *testing.T) {
 		t.Errorf("enclosing subtree level = %d, want 1 (one rack)", tp.Node(sub).Level)
 	}
 	for _, c := range contribs {
-		if !isAncestor(tp, sub, c.link) || c.link == sub {
-			t.Errorf("contribution on link %d outside the rack subtree", c.link)
+		if !isAncestor(tp, sub, c.Link) || c.Link == sub {
+			t.Errorf("contribution on link %d outside the rack subtree", c.Link)
 		}
 	}
 }

@@ -75,41 +75,13 @@ func (op MutationOp) String() string {
 	}
 }
 
-// Contribution is the exported form of one per-link crossing-demand
-// contribution, exactly as committed to the ledger. Journaling the
-// committed values (rather than recomputing them on replay) is what makes
-// recovery bit-identical.
-type Contribution struct {
-	Link  topology.LinkID `json:"link"`
-	Mu    float64         `json:"mu,omitempty"`
-	Sigma float64         `json:"sigma,omitempty"`
-	Det   bool            `json:"det,omitempty"`
-}
-
-func exportContribs(cs []linkDemand) []Contribution {
-	// nil for empty keeps exports canonical: a zero-contribution job (one
-	// placed entirely inside a single machine) compares equal before and
-	// after a JSON round trip, where omitempty drops the field.
-	if len(cs) == 0 {
-		return nil
-	}
-	out := make([]Contribution, len(cs))
-	for i, c := range cs {
-		out[i] = Contribution{Link: c.link, Mu: c.demand.Mu, Sigma: c.demand.Sigma, Det: c.det}
-	}
-	return out
-}
-
-func importContribs(cs []Contribution) []linkDemand {
-	out := make([]linkDemand, len(cs))
-	for i, c := range cs {
-		out[i] = linkDemand{link: c.Link, demand: stats.Normal{Mu: c.Mu, Sigma: c.Sigma}, det: c.Det}
-	}
-	return out
-}
-
 // Mutation describes one state-changing commit. Which fields are
-// meaningful depends on Op; see the field comments.
+// meaningful depends on Op; see the field comments. Placement and Contribs
+// are the planners', the jobs' and the exported state's own types, so a
+// plan reaches the journal and the ledger unconverted — but cloned: a
+// Mutation may be shared (the sharded router commits one into a pod and
+// then into its shadow; a journal may keep it), so applyLocked never hands
+// a job the Mutation's own slices.
 type Mutation struct {
 	Op  MutationOp
 	Job JobID // alloc, release, repair
@@ -234,13 +206,6 @@ func ResolveCallOptions(opts ...CallOption) CallMeta {
 	return CallMeta{IdemKey: co.idemKey, Job: co.jobID}
 }
 
-// idemEntry is the durable outcome bound to an idempotency key.
-type idemEntry struct {
-	op        MutationOp
-	job       JobID
-	placement Placement // alloc only
-}
-
 // noWait is the durability wait of a commit with nothing left to wait
 // for: no journal, a synchronous one, or a replayed idempotency key.
 func noWait() error { return nil }
@@ -304,7 +269,7 @@ func (m *Manager) applyLocked(mut Mutation) error {
 		a := &Allocation{
 			ID:        mut.Job,
 			Placement: mut.Placement.Clone(),
-			contribs:  importContribs(mut.Contribs),
+			contribs:  cloneContribs(mut.Contribs),
 		}
 		if mut.Homog != nil {
 			h := *mut.Homog
@@ -335,22 +300,22 @@ func (m *Manager) applyLocked(mut Mutation) error {
 
 	case OpFailMachine:
 		if m.led.Faults().FailMachine(mut.Node) {
-			m.fstats.machineFailures++
+			m.counters.MachineFailures++
 			m.version++
 		}
 	case OpRestoreMachine:
 		if m.led.Faults().RestoreMachine(mut.Node) {
-			m.fstats.machineRestores++
+			m.counters.MachineRestores++
 			m.version++
 		}
 	case OpFailLink:
 		if m.led.Faults().FailLink(mut.Link) {
-			m.fstats.linkFailures++
+			m.counters.LinkFailures++
 			m.version++
 		}
 	case OpRestoreLink:
 		if m.led.Faults().RestoreLink(mut.Link) {
-			m.fstats.linkRestores++
+			m.counters.LinkRestores++
 			m.version++
 		}
 	case OpSetOffline:
@@ -364,26 +329,26 @@ func (m *Manager) applyLocked(mut Mutation) error {
 		}
 		switch mut.Outcome {
 		case RepairNoop:
-			m.fstats.noopRepairs++
+			m.counters.NoopRepairs++
 		case RepairMoved, RepairDegraded:
 			rollback(m.led, &a.Placement, a.contribs)
 			p := mut.Placement.Clone()
-			contribs := importContribs(mut.Contribs)
+			contribs := cloneContribs(mut.Contribs)
 			commit(m.led, &p, contribs)
 			a.Placement, a.contribs = p, contribs
 			if mut.Outcome == RepairDegraded {
 				m.degraded[a.ID] = mut.EffectiveEps
-				m.fstats.degradedRepairs++
+				m.counters.DegradedRepairs++
 			} else {
 				delete(m.degraded, a.ID)
-				m.fstats.movedRepairs++
+				m.counters.MovedRepairs++
 			}
 			m.version += 2
 		case RepairFailed:
 			rollback(m.led, &a.Placement, a.contribs)
 			delete(m.jobs, a.ID)
 			delete(m.degraded, a.ID)
-			m.fstats.failedRepairs++
+			m.counters.FailedRepairs++
 			m.version += 2
 		default:
 			return fmt.Errorf("core: unknown repair outcome %d", int(mut.Outcome))
@@ -394,11 +359,11 @@ func (m *Manager) applyLocked(mut Mutation) error {
 	}
 
 	if mut.IdemKey != "" {
-		e := idemEntry{op: mut.Op, job: mut.Job}
+		is := IdemState{Op: mut.Op, Job: int64(mut.Job)}
 		if mut.Op == OpAlloc {
-			e.placement = mut.Placement.Clone()
+			is.Placement = mut.Placement.Clone().Entries
 		}
-		m.idem[mut.IdemKey] = e
+		m.idem[mut.IdemKey] = is
 	}
 	return nil
 }

@@ -226,7 +226,7 @@ func TestNewManagerFromStateRejectsCorruption(t *testing.T) {
 		{"slot mismatch", func(st *ManagerState) { st.Jobs[0].Placement[0].Count++ }},
 		{"job id beyond next", func(st *ManagerState) { st.Jobs[0].ID = st.NextID + 5 }},
 		{"both request kinds", func(st *ManagerState) {
-			st.Jobs[0].Hetero = []DemandSpec{{Mu: 1}}
+			st.Jobs[0].Hetero = []stats.Normal{{Mu: 1}}
 		}},
 		{"bad fault node", func(st *ManagerState) { st.MachinesDown = []int{0} }},
 	}

@@ -43,7 +43,9 @@ var subVerTick atomic.Uint64
 // linkState is the reservation bookkeeping of one physical link, following
 // the paper's decomposition: deterministic reservations D_L plus the
 // sufficient statistics (sum of means, sum of variances) of the stochastic
-// demands sharing S_L = C_L - D_L.
+// demands sharing S_L = C_L - D_L. cap sits beside the sums, on the line
+// OccupancyWith reads, so this is not the exported LinkRecord: one type
+// would put capacity into the state or widen the Eq. 4 loop's stride.
 type linkState struct {
 	cap        float64
 	det        float64 // D_L

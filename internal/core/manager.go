@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -34,7 +35,7 @@ type Allocation struct {
 	ID        JobID
 	Placement Placement
 
-	contribs []linkDemand
+	contribs []Contribution
 	// The admitted request, kept so failure repair can re-run the
 	// allocation DP for the same demand profile. Exactly one is set.
 	homog  *Homogeneous
@@ -70,13 +71,15 @@ type Manager struct {
 	// mutation, and the idempotency-key table (guarded by mu). Both are
 	// rebuilt by crash recovery (see internal/wal).
 	journal Journal
-	idem    map[string]idemEntry
+	idem    map[string]IdemState
 
 	// Failure/repair state (guarded by mu): jobs running with a weakened
-	// effective eps after a degraded repair, and the fault/repair counters
-	// FailureStats exposes.
-	degraded map[JobID]float64
-	fstats   failureCounters
+	// effective eps after a degraded repair, the journaled fault/repair
+	// counters, and the repair timings, which are telemetry and not state.
+	// FailureStats exposes all three.
+	degraded      map[JobID]float64
+	counters      CounterState
+	repairLatency metrics.LatencySummary
 
 	// adm counts admissions and times their plans (guarded by mu; its
 	// plan-cache fields stay zero, AdmissionStats fills them in). See
@@ -136,7 +139,7 @@ func NewManager(topo *topology.Topology, eps float64, opts ...ManagerOption) (*M
 		hetero:   HeteroSubstring,
 		jobs:     make(map[JobID]*Allocation),
 		degraded: make(map[JobID]float64),
-		idem:     make(map[string]idemEntry),
+		idem:     make(map[string]IdemState),
 		plans:    newPlanCache(),
 	}
 	for _, o := range opts {
@@ -168,13 +171,13 @@ type planMode int
 const (
 	planAdmit   planMode = iota // an admission: through the plan cache
 	planScratch                 // a repair's scratch ledger: cold, past the cache (see planRepairLocked)
-	planDry                     // a dry run: through the cache, no placement built (see homogTable.plan)
+	planDry                     // a dry run: through the cache, no placement built (see homogTable.settle)
 )
 
 // planHetero runs the configured heterogeneous allocator against a ledger
 // without committing. Scoped managers always use the substring DP (the
 // only hetero allocator with a scoped variant; see WithPlanSubtree).
-func (m *Manager) planHetero(led *Ledger, req Heterogeneous, mode planMode) (Placement, []linkDemand, error) {
+func (m *Manager) planHetero(led *Ledger, req Heterogeneous, mode planMode) (Placement, []Contribution, error) {
 	if m.scope == nil {
 		switch m.hetero {
 		case HeteroExact:
@@ -184,7 +187,7 @@ func (m *Manager) planHetero(led *Ledger, req Heterogeneous, mode planMode) (Pla
 		}
 	}
 	if mode == planScratch {
-		return allocateHeteroSubstringScoped(led, req, m.policy, m.scope, true)
+		return allocateHeteroSubstringScoped(led, req, m.policy, m.scope)
 	}
 	return m.plans.allocateHeteroSubstring(led, req, m.policy, m.scope, mode != planDry)
 }
@@ -196,16 +199,14 @@ func (m *Manager) idemAllocLocked(key string) (*Allocation, bool, error) {
 	if key == "" {
 		return nil, false, nil
 	}
-	e, ok := m.idem[key]
+	is, ok := m.idem[key]
 	if !ok {
 		return nil, false, nil
 	}
-	if e.op != OpAlloc {
-		return nil, true, fmt.Errorf("%w: key committed by %v", ErrIdemConflict, e.op)
+	if is.Op != OpAlloc {
+		return nil, true, fmt.Errorf("%w: key committed by %v", ErrIdemConflict, is.Op)
 	}
-	// The replayed Allocation carries the original ID and placement only;
-	// it is a response stub, not the manager's live record.
-	return &Allocation{ID: e.job, Placement: e.placement.Clone()}, true, nil
+	return is.Allocation(), true, nil
 }
 
 // snapBuf is one of the manager's two read snapshots: a ledger equal to
@@ -271,10 +272,10 @@ func (m *Manager) Release(id JobID, opts ...CallOption) error {
 	co := evalCallOpts(opts)
 	m.mu.Lock()
 	if co.idemKey != "" {
-		if e, ok := m.idem[co.idemKey]; ok {
+		if is, ok := m.idem[co.idemKey]; ok {
 			m.mu.Unlock()
-			if e.op != OpRelease || e.job != id {
-				return fmt.Errorf("%w: key committed by %v of job %d", ErrIdemConflict, e.op, e.job)
+			if is.Op != OpRelease || JobID(is.Job) != id {
+				return fmt.Errorf("%w: key committed by %v of job %d", ErrIdemConflict, is.Op, is.Job)
 			}
 			return nil
 		}
@@ -368,7 +369,7 @@ func (m *Manager) Headroom(req Homogeneous, limit int) (int, error) {
 	t.reset(scratch.Topology(), m.scope, req, m.policy)
 	count := 0
 	for count < limit {
-		p, contribs, _, err := t.plan(scratch, m.scope, true)
+		p, contribs, _, err := t.plan(scratch, m.scope)
 		if err != nil {
 			if errors.Is(err, ErrNoCapacity) {
 				break

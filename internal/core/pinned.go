@@ -28,7 +28,7 @@ import (
 // objective limits (but does not bound) the resulting occupancy — the
 // graceful-degradation path, which the manager reports as a weakened
 // effective eps rather than silently violating the guarantee.
-func AllocateHomogPinned(led *Ledger, req Homogeneous, policy Policy, pinned map[topology.NodeID]int, relax bool) (Placement, []linkDemand, error) {
+func AllocateHomogPinned(led *Ledger, req Homogeneous, policy Policy, pinned map[topology.NodeID]int, relax bool) (Placement, []Contribution, error) {
 	return allocateHomogPinnedScoped(led, req, policy, pinned, relax, nil)
 }
 
@@ -37,7 +37,7 @@ func AllocateHomogPinned(led *Ledger, req Homogeneous, policy Policy, pinned map
 // subtree exactly like allocateHomogScoped does for admissions. Always a
 // cold plan in a pooled table, never a plan-cache entry: see
 // planRepairLocked.
-func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinned map[topology.NodeID]int, relax bool, scope *planScope) (Placement, []linkDemand, error) {
+func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinned map[topology.NodeID]int, relax bool, scope *planScope) (Placement, []Contribution, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
@@ -64,6 +64,6 @@ func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinn
 	if t.pinned > req.N {
 		return Placement{}, nil, fmt.Errorf("%w: %d pinned VMs exceed request size %d", ErrBadRequest, t.pinned, req.N)
 	}
-	p, contribs, _, err := t.plan(led, scope, true)
+	p, contribs, _, err := t.plan(led, scope)
 	return p, contribs, err
 }

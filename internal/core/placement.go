@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -18,11 +19,13 @@ type Placement struct {
 // PlacementEntry is the allocation on one machine. For heterogeneous
 // requests VMs lists the indices of the request's VMs placed here and
 // len(VMs) == Count; for homogeneous requests VMs is nil because the VMs
-// are indistinguishable.
+// are indistinguishable. The tags are the entry's form in an exported
+// state and a legacy log record; httpapi's responses key VMs differently
+// and keep an entry type of their own.
 type PlacementEntry struct {
-	Machine topology.NodeID
-	Count   int
-	VMs     []int
+	Machine topology.NodeID `json:"machine"`
+	Count   int             `json:"count"`
+	VMs     []int           `json:"vms,omitempty"`
 }
 
 // TotalVMs returns the number of VMs placed.
@@ -45,16 +48,20 @@ func (p *Placement) Machines() []topology.NodeID {
 
 // Clone returns an independent deep copy of the placement.
 func (p *Placement) Clone() Placement {
-	entries := make([]PlacementEntry, len(p.Entries))
-	copy(entries, p.Entries)
-	for i := range entries {
-		if entries[i].VMs != nil {
-			vms := make([]int, len(entries[i].VMs))
-			copy(vms, entries[i].VMs)
-			entries[i].VMs = vms
+	return Placement{Entries: cloneEntries(make([]PlacementEntry, len(p.Entries)), p.Entries)}
+}
+
+// cloneEntries deep-copies src into dst, which has its length, and
+// returns dst: Clone allocates dst, the idempotency table cuts it from a
+// slab (see cut).
+func cloneEntries(dst, src []PlacementEntry) []PlacementEntry {
+	copy(dst, src)
+	for i := range dst {
+		if dst[i].VMs != nil {
+			dst[i].VMs = slices.Clone(dst[i].VMs)
 		}
 	}
-	return Placement{Entries: entries}
+	return dst
 }
 
 // String implements fmt.Stringer.
@@ -92,39 +99,55 @@ func (p *Placement) normalize() {
 	p.Entries = entries
 }
 
-// linkDemand is one request's crossing-demand contribution to one link,
-// remembered so that Release can undo exactly what Allocate added.
-type linkDemand struct {
-	link   topology.LinkID
-	demand stats.Normal
-	det    bool
+// Contribution is one request's crossing-demand contribution to one link,
+// exactly as committed to the ledger. The planners build it, the Mutation
+// carries it, the job keeps it — so that Release can undo exactly what
+// Allocate added — and the state exports it: journaling the committed
+// values (rather than recomputing them on replay) is what makes recovery
+// bit-identical.
+type Contribution struct {
+	Link  topology.LinkID `json:"link"`
+	Mu    float64         `json:"mu,omitempty"`
+	Sigma float64         `json:"sigma,omitempty"`
+	Det   bool            `json:"det,omitempty"`
+}
+
+func (c Contribution) demand() stats.Normal { return stats.Normal{Mu: c.Mu, Sigma: c.Sigma} }
+
+// cloneContribs gives a job, or an exported state, its own copy of a
+// contribution list — nil for an empty one, which keeps exports canonical:
+// a zero-contribution job (one placed entirely inside a single machine)
+// compares equal before and after a JSON round trip, where omitempty drops
+// the field.
+func cloneContribs(cs []Contribution) []Contribution {
+	return append([]Contribution(nil), cs...)
 }
 
 // commit applies the contributions and slot usage of a placement to the
-// ledger. det selects deterministic (D_L) versus stochastic bookkeeping.
-func commit(led *Ledger, p *Placement, contribs []linkDemand) {
+// ledger. Det selects deterministic (D_L) versus stochastic bookkeeping.
+func commit(led *Ledger, p *Placement, contribs []Contribution) {
 	for _, e := range p.Entries {
 		led.UseSlots(e.Machine, e.Count)
 	}
 	for _, c := range contribs {
-		if c.det {
-			led.AddDet(c.link, c.demand.Mu)
+		if c.Det {
+			led.AddDet(c.Link, c.Mu)
 		} else {
-			led.AddStochastic(c.link, c.demand)
+			led.AddStochastic(c.Link, c.demand())
 		}
 	}
 }
 
 // rollback undoes commit.
-func rollback(led *Ledger, p *Placement, contribs []linkDemand) {
+func rollback(led *Ledger, p *Placement, contribs []Contribution) {
 	for _, e := range p.Entries {
 		led.ReleaseSlots(e.Machine, e.Count)
 	}
 	for _, c := range contribs {
-		if c.det {
-			led.RemoveDet(c.link, c.demand.Mu)
+		if c.Det {
+			led.RemoveDet(c.Link, c.Mu)
 		} else {
-			led.RemoveStochastic(c.link, c.demand)
+			led.RemoveStochastic(c.Link, c.demand())
 		}
 	}
 }
@@ -146,31 +169,31 @@ func vmsInsideLink(topo *topology.Topology, p *Placement) map[topology.LinkID]in
 
 // homogContributions computes the per-link crossing-demand contributions of
 // a homogeneous placement (zero-demand links omitted).
-func homogContributions(topo *topology.Topology, req Homogeneous, p *Placement) []linkDemand {
-	var contribs []linkDemand
+func homogContributions(topo *topology.Topology, req Homogeneous, p *Placement) []Contribution {
+	var contribs []Contribution
 	det := req.Deterministic()
 	for link, m := range vmsInsideLink(topo, p) {
 		d := CrossingHomog(req.Demand, m, req.N)
 		if isZero(d) {
 			continue
 		}
-		contribs = append(contribs, linkDemand{link: link, demand: d, det: det})
+		contribs = append(contribs, Contribution{Link: link, Mu: d.Mu, Sigma: d.Sigma, Det: det})
 	}
-	sortLinkDemands(contribs)
+	sortContribs(contribs)
 	return contribs
 }
 
-// sortLinkDemands orders contributions by link ID. The maps the builders
-// aggregate over iterate in random order; sorting makes the committed
-// mutation — and therefore the journal bytes and every exported state —
-// deterministic for a given placement.
-func sortLinkDemands(cs []linkDemand) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].link < cs[j].link })
+// sortContribs orders contributions by link ID (each link appears at most
+// once per job). The maps the builders aggregate over iterate in random
+// order; sorting makes the committed mutation — and therefore the journal
+// bytes and every exported state — deterministic for a given placement.
+func sortContribs(cs []Contribution) {
+	sort.Slice(cs, func(i, j int) bool { return cs[i].Link < cs[j].Link })
 }
 
 // heteroContributions computes the per-link crossing-demand contributions
 // of a heterogeneous placement.
-func heteroContributions(topo *topology.Topology, req Heterogeneous, p *Placement) []linkDemand {
+func heteroContributions(topo *topology.Topology, req Heterogeneous, p *Placement) []Contribution {
 	// Aggregate the inside-group demand per link.
 	type agg struct {
 		mu, vr float64
@@ -196,7 +219,7 @@ func heteroContributions(topo *topology.Topology, req Heterogeneous, p *Placemen
 			inside[link] = a
 		}
 	}
-	var contribs []linkDemand
+	var contribs []Contribution
 	for link, a := range inside {
 		// Count the split exactly, like CrossingHomog does: a link with
 		// every VM of the group below it carries no crossing traffic.
@@ -219,9 +242,9 @@ func heteroContributions(topo *topology.Topology, req Heterogeneous, p *Placemen
 		if d.Mu < 0 {
 			d.Mu = 0
 		}
-		contribs = append(contribs, linkDemand{link: link, demand: d})
+		contribs = append(contribs, Contribution{Link: link, Mu: d.Mu, Sigma: d.Sigma})
 	}
-	sortLinkDemands(contribs)
+	sortContribs(contribs)
 	return contribs
 }
 
@@ -230,7 +253,7 @@ func heteroContributions(topo *topology.Topology, req Heterogeneous, p *Placemen
 // and the admission condition O_L < 1 on every affected link. It is the
 // invariant checker used by tests and by the paper-facing examples; the
 // allocators must never produce a placement that fails it.
-func ValidatePlacement(led *Ledger, contribs []linkDemand, p *Placement, wantVMs int) error {
+func ValidatePlacement(led *Ledger, contribs []Contribution, p *Placement, wantVMs int) error {
 	if got := p.TotalVMs(); got != wantVMs {
 		return fmt.Errorf("core: placement has %d VMs, want %d", got, wantVMs)
 	}
@@ -255,13 +278,13 @@ func ValidatePlacement(led *Ledger, contribs []linkDemand, p *Placement, wantVMs
 	}
 	for _, c := range contribs {
 		var occ float64
-		if c.det {
-			occ = led.OccupancyWithDet(c.link, c.demand.Mu)
+		if c.Det {
+			occ = led.OccupancyWithDet(c.Link, c.Mu)
 		} else {
-			occ = led.OccupancyWith(c.link, c.demand)
+			occ = led.OccupancyWith(c.Link, c.demand())
 		}
 		if occ >= 1 {
-			return fmt.Errorf("core: link %d would reach occupancy %v >= 1", c.link, occ)
+			return fmt.Errorf("core: link %d would reach occupancy %v >= 1", c.Link, occ)
 		}
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -69,7 +68,7 @@ func TestValidatePlacementLinkViolation(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	m := led.Topology().Machines()[0]
 	p := Placement{Entries: []PlacementEntry{{Machine: m, Count: 1}}}
-	contribs := []linkDemand{{link: m, demand: stats.Normal{Mu: 60}, det: true}} // 60 > 50 cap
+	contribs := []Contribution{{Link: m, Mu: 60, Det: true}} // 60 > 50 cap
 	if err := ValidatePlacement(led, contribs, &p, 1); err == nil {
 		t.Error("link violation accepted")
 	}

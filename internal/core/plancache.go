@@ -198,8 +198,8 @@ type homogKey struct {
 // Bit-identical to core's AllocateHomog on the same ledger state. A
 // non-nil scope confines planning to its subtree; entries are per-manager
 // and a manager's scope is immutable, so cached records never mix scopes.
-// A dry run leaves place unset (see homogTable.plan).
-func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
+// A dry run leaves place unset: the table settles and nothing is built.
+func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, scope *planScope, place bool) (p Placement, contribs []Contribution, err error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
@@ -207,20 +207,31 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 	c.mu.Lock()
 	e, hit, victim := c.homog.admit(key, &c.stats)
 	c.mu.Unlock()
-	if e == nil {
-		return allocateHomogScoped(led, req, policy, scope, place)
-	}
 	victim.retire(&homogTablePool)
-	e.mu.Lock()
-	if e.table == nil {
-		e.table = homogTablePool.Get().(*homogTable)
-		e.table.reset(led.Topology(), scope, req, policy)
+	var t *homogTable
+	if e != nil {
+		e.mu.Lock()
+		t = e.table
 	}
-	p, contribs, recomputed, err := e.table.plan(led, scope, place)
+	if t == nil { // first sight, or an entry's first plan
+		t = homogTablePool.Get().(*homogTable)
+		t.reset(led.Topology(), scope, req, policy)
+	}
+	recomputed := 0
+	if place {
+		p, contribs, recomputed, err = t.plan(led, scope)
+	} else {
+		_, recomputed, err = t.settle(led, scope)
+	}
+	if e == nil {
+		homogTablePool.Put(t)
+		return p, contribs, err
+	}
+	e.table = t
 	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
-		fp, _, ferr := allocateHomogScoped(led, req, policy, scope, place)
+		fp, _, ferr := allocateHomogScoped(led, req, policy, scope)
 		checkCachedPlan("homog", p, err, fp, ferr)
 	}
 	return p, contribs, err
@@ -243,8 +254,8 @@ func substrCacheKey(sorted []stats.Normal, policy Policy) string {
 
 // allocateHeteroSubstring plans a heterogeneous request with the cached
 // substring DP, keyed by the percentile-sorted canonical demand sequence.
-// Bit-identical to AllocateHeteroSubstring.
-func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy, scope *planScope, place bool) (Placement, []linkDemand, error) {
+// Bit-identical to AllocateHeteroSubstring; place as in allocateHomog.
+func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy, scope *planScope, place bool) (p Placement, contribs []Contribution, err error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
@@ -256,20 +267,31 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 	c.mu.Lock()
 	e, hit, victim := c.hetero.admit(key, &c.stats)
 	c.mu.Unlock()
-	if e == nil {
-		return substrPlanCold(led, req, order, sorted, policy, scope, place)
-	}
 	victim.retire(&substrTablePool)
-	e.mu.Lock()
-	if e.table == nil {
-		e.table = substrTablePool.Get().(*substrTable)
-		e.table.reset(led.Topology(), scope, sorted, policy)
+	var t *substrTable
+	if e != nil {
+		e.mu.Lock()
+		t = e.table
 	}
-	p, contribs, recomputed, err := e.table.plan(led, scope, req, order, place)
+	if t == nil {
+		t = substrTablePool.Get().(*substrTable)
+		t.reset(led.Topology(), scope, sorted, policy)
+	}
+	recomputed := 0
+	if place {
+		p, contribs, recomputed, err = t.plan(led, scope, req, order)
+	} else {
+		_, recomputed, err = t.settle(led, scope)
+	}
+	if e == nil {
+		substrTablePool.Put(t)
+		return p, contribs, err
+	}
+	e.table = t
 	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
-		fp, _, ferr := allocateHeteroSubstringScoped(led, req, policy, scope, place)
+		fp, _, ferr := allocateHeteroSubstringScoped(led, req, policy, scope)
 		checkCachedPlan("hetero", p, err, fp, ferr)
 	}
 	return p, contribs, err
@@ -308,13 +330,13 @@ func (c *planCache) shouldSample() bool {
 
 // checkCachedPlan panics unless the cached plan matches a cold DP run on
 // the same ledger state — the bit-identical contract, spot-checked at
-// runtime under -tags invariants. A dry run's cold twin is a dry run too:
-// no placement is built, the verdicts are compared.
+// runtime under -tags invariants. A dry run built no placement (an
+// admitted one has entries): only the verdicts are compared.
 func checkCachedPlan(kind string, cached Placement, cachedErr error, cold Placement, coldErr error) {
 	if (cachedErr == nil) != (coldErr == nil) {
 		panic(fmt.Sprintf("core: invariant violation: cached %s plan feasibility (err=%v) differs from cold DP (err=%v)", kind, cachedErr, coldErr))
 	}
-	if cachedErr != nil {
+	if cachedErr != nil || len(cached.Entries) == 0 {
 		return
 	}
 	if !reflect.DeepEqual(cached.Entries, cold.Entries) {

@@ -13,19 +13,19 @@ import (
 // through a plan cache, and through a table nothing has used before — the
 // reference every cached plan must equal bit for bit.
 type cachedShape struct {
-	cached func(c *planCache, led *Ledger) (Placement, []linkDemand, error)
-	fresh  func(led *Ledger) (Placement, []linkDemand, error)
+	cached func(c *planCache, led *Ledger) (Placement, []Contribution, error)
+	fresh  func(led *Ledger) (Placement, []Contribution, error)
 }
 
 func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 	return cachedShape{
-		cached: func(c *planCache, led *Ledger) (Placement, []linkDemand, error) {
+		cached: func(c *planCache, led *Ledger) (Placement, []Contribution, error) {
 			return c.allocateHomog(led, req, policy, scope, true)
 		},
-		fresh: func(led *Ledger) (Placement, []linkDemand, error) {
+		fresh: func(led *Ledger) (Placement, []Contribution, error) {
 			t := new(homogTable)
 			t.reset(led.Topology(), scope, req, policy)
-			p, contribs, _, err := t.plan(led, scope, true)
+			p, contribs, _, err := t.plan(led, scope)
 			return p, contribs, err
 		},
 	}
@@ -33,14 +33,14 @@ func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 
 func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape {
 	return cachedShape{
-		cached: func(c *planCache, led *Ledger) (Placement, []linkDemand, error) {
+		cached: func(c *planCache, led *Ledger) (Placement, []Contribution, error) {
 			return c.allocateHeteroSubstring(led, req, policy, scope, true)
 		},
-		fresh: func(led *Ledger) (Placement, []linkDemand, error) {
+		fresh: func(led *Ledger) (Placement, []Contribution, error) {
 			order, sorted := orderByPercentile(req)
 			t := new(substrTable)
 			t.reset(led.Topology(), scope, sorted, policy)
-			p, contribs, _, err := t.plan(led, scope, req, order, true)
+			p, contribs, _, err := t.plan(led, scope, req, order)
 			return p, contribs, err
 		},
 	}
@@ -49,7 +49,7 @@ func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape
 // planBoth plans the shape through the cache and on a fresh table and
 // fails unless the two agree: same feasibility, same placement entries,
 // same link contributions.
-func planBoth(t *testing.T, where string, c *planCache, led *Ledger, s cachedShape) (Placement, []linkDemand, error) {
+func planBoth(t *testing.T, where string, c *planCache, led *Ledger, s cachedShape) (Placement, []Contribution, error) {
 	t.Helper()
 	p, contribs, err := s.cached(c, led)
 	fp, fcontribs, ferr := s.fresh(led)
@@ -92,7 +92,7 @@ var allPolicies = []Policy{MinMaxOccupancy, FirstFeasible, GreedyPack}
 func checkCacheLifecycle(t *testing.T, led *Ledger, subject cachedShape, fillers []cachedShape) {
 	t.Helper()
 	c := newPlanCache()
-	step := func(where string, wantHits, wantMisses int64) (Placement, []linkDemand) {
+	step := func(where string, wantHits, wantMisses int64) (Placement, []Contribution) {
 		t.Helper()
 		before := c.snapshot()
 		p, contribs, err := planBoth(t, where, c, led, subject)
@@ -207,7 +207,7 @@ func TestPlanCacheEquivalenceHomog(t *testing.T) {
 		}
 		type liveJob struct {
 			p        Placement
-			contribs []linkDemand
+			contribs []Contribution
 		}
 		var jobs []liveJob
 		for step := 0; step < 120; step++ {
@@ -295,7 +295,7 @@ func TestPlanCacheEquivalenceHetero(t *testing.T) {
 		}
 		type liveJob struct {
 			p        Placement
-			contribs []linkDemand
+			contribs []Contribution
 		}
 		var jobs []liveJob
 		for step := 0; step < 60; step++ {
@@ -384,11 +384,11 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		// on a fresh table; the plain plan that follows on the same table
 		// must then see neither the poison nor the repair's inputs.
 		machines := scopeAtLevel(tp, scope, 0)
-		repairPlan := func(t *homogTable) (Placement, []linkDemand, error) {
+		repairPlan := func(t *homogTable) (Placement, []Contribution, error) {
 			t.reset(tp, scope, req, policy)
 			t.relax = true
 			t.pin(tp, machines[len(machines)-1], 1)
-			p, contribs, _, err := t.plan(led, scope, true)
+			p, contribs, _, err := t.plan(led, scope)
 			return p, contribs, err
 		}
 		p, contribs, err := repairPlan(ht)
@@ -397,7 +397,7 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 			t.Fatalf("trial %d: pinned plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
 		}
 		ht.reset(tp, scope, req, policy)
-		p, contribs, _, err = ht.plan(led, scope, true)
+		p, contribs, _, err = ht.plan(led, scope)
 		fp, fcontribs, ferr = homogShape(req, policy, scope).fresh(led)
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
 			t.Fatalf("trial %d: homog plan on poisoned slabs after a pinned one: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
@@ -414,7 +414,7 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		}
 		order, sorted = orderByPercentile(hreq)
 		st.reset(tp, scope, sorted, policy)
-		p, contribs, _, err = st.plan(led, scope, hreq, order, true)
+		p, contribs, _, err = st.plan(led, scope, hreq, order)
 		fp, fcontribs, ferr = heteroShape(hreq, policy, scope).fresh(led)
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
 			t.Fatalf("trial %d: hetero plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)

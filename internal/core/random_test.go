@@ -112,7 +112,7 @@ func TestHeteroRandomTopologies(t *testing.T) {
 		req := randHetero(r, n, 1, 12)
 		var (
 			p        Placement
-			contribs []linkDemand
+			contribs []Contribution
 		)
 		if trial%2 == 0 {
 			p, contribs, err = AllocateHeteroSubstring(led, req, MinMaxOccupancy)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -16,6 +18,12 @@ import (
 // back to a documented graceful-degradation path: the job is re-placed with
 // the admission condition relaxed and its honest, weakened effective eps is
 // recorded instead of silently violating Eq. 4.
+
+// ErrNotRepairable reports a repair request for a job its controller
+// cannot re-place where it stands: the client's remedy is to release and
+// re-admit, not to retry. The manager itself never returns it; a sharded
+// router wraps it for a job that spans pods.
+var ErrNotRepairable = errors.New("core: job cannot be repaired in place")
 
 // RepairOutcome classifies what RepairJob did to one job.
 type RepairOutcome int
@@ -67,38 +75,43 @@ type RepairResult struct {
 	Elapsed      time.Duration
 }
 
-// failureCounters is the manager's internal fault/repair bookkeeping,
-// guarded by Manager.mu.
-type failureCounters struct {
-	machineFailures uint64
-	machineRestores uint64
-	linkFailures    uint64
-	linkRestores    uint64
-	noopRepairs     uint64
-	movedRepairs    uint64
-	degradedRepairs uint64
-	failedRepairs   uint64
-	repairLatency   metrics.LatencySummary
-}
-
 // FailureStats is a point-in-time snapshot of the manager's fault and
-// repair activity, for the HTTP API and metrics scrapes.
+// repair activity, for the HTTP API and metrics scrapes: the journaled
+// counters, three gauges and the repair timings.
 type FailureStats struct {
-	MachineFailures uint64 `json:"machine_failures"`
-	MachineRestores uint64 `json:"machine_restores"`
-	LinkFailures    uint64 `json:"link_failures"`
-	LinkRestores    uint64 `json:"link_restores"`
-
-	NoopRepairs     uint64 `json:"noop_repairs"`
-	MovedRepairs    uint64 `json:"moved_repairs"`
-	DegradedRepairs uint64 `json:"degraded_repairs"`
-	FailedRepairs   uint64 `json:"failed_repairs"`
+	CounterState
 
 	MachinesDown int `json:"machines_down"`
 	LinksDown    int `json:"links_down"`
 	DegradedJobs int `json:"degraded_jobs"`
 
 	RepairLatency metrics.LatencySummary `json:"repair_latency"`
+}
+
+// printedCounters is CounterState under the tags of GET /v1/failures, which
+// prints the zeros a state leaves out. The field lists must stay identical
+// or the conversion below stops compiling.
+type printedCounters struct {
+	MachineFailures uint64 `json:"machine_failures"`
+	MachineRestores uint64 `json:"machine_restores"`
+	LinkFailures    uint64 `json:"link_failures"`
+	LinkRestores    uint64 `json:"link_restores"`
+	NoopRepairs     uint64 `json:"noop_repairs"`
+	MovedRepairs    uint64 `json:"moved_repairs"`
+	DegradedRepairs uint64 `json:"degraded_repairs"`
+	FailedRepairs   uint64 `json:"failed_repairs"`
+}
+
+// MarshalJSON writes the body of GET /v1/failures: the counters with their
+// zeros, then the rest. encoding/json lets printedCounters' fields replace
+// the same-named ones of rest's embedded CounterState, which sit one level
+// deeper. Decoding needs no twin: both tag sets name the same keys.
+func (s FailureStats) MarshalJSON() ([]byte, error) {
+	type rest FailureStats // without this method
+	return json.Marshal(struct {
+		printedCounters
+		rest
+	}{printedCounters(s.CounterState), rest(s)})
 }
 
 // fault commits one fault-overlay mutation and, for the Fail* calls,
@@ -292,7 +305,7 @@ func (m *Manager) repairLocked(a *Allocation) (RepairResult, func() error, error
 		res.Placement = mut.Placement.Clone()
 	}
 	res.Elapsed = since(start)
-	m.fstats.repairLatency.Observe(res.Elapsed)
+	m.repairLatency.Observe(res.Elapsed)
 	return res, wait, nil
 }
 
@@ -343,16 +356,16 @@ func (m *Manager) planRepairLocked(a *Allocation) (Mutation, int) {
 		}
 		if p, contribs, err := allocateHomogPinnedScoped(scratch, *a.homog, m.policy, pinned, false, m.scope); err == nil {
 			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairMoved,
-				Placement: &p, Contribs: exportContribs(contribs), EffectiveEps: m.led.Epsilon()}
+				Placement: &p, Contribs: contribs, EffectiveEps: m.led.Epsilon()}
 		} else if p, contribs, err := allocateHomogPinnedScoped(scratch, *a.homog, m.policy, pinned, true, m.scope); err == nil {
 			commit(scratch, &p, contribs)
 			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairDegraded,
-				Placement: &p, Contribs: exportContribs(contribs), EffectiveEps: effectiveEps(scratch, contribs)}
+				Placement: &p, Contribs: contribs, EffectiveEps: effectiveEps(scratch, contribs)}
 		}
 	} else if a.hetero != nil {
 		if p, contribs, err := m.planHetero(scratch, *a.hetero, planScratch); err == nil {
 			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairMoved,
-				Placement: &p, Contribs: exportContribs(contribs), EffectiveEps: m.led.Epsilon()}
+				Placement: &p, Contribs: contribs, EffectiveEps: m.led.Epsilon()}
 		}
 	}
 	if mut.Op == 0 {
@@ -375,10 +388,10 @@ func (m *Manager) effectiveEpsLocked(id JobID) float64 {
 // per-link outage probability over the links it touches, floored at the
 // ledger's eps (a degraded job is never reported as safer than the
 // guarantee it bought).
-func effectiveEps(led *Ledger, contribs []linkDemand) float64 {
+func effectiveEps(led *Ledger, contribs []Contribution) float64 {
 	eff := led.Epsilon()
 	for _, c := range contribs {
-		if p := led.LinkOutageProb(c.link); p > eff {
+		if p := led.LinkOutageProb(c.Link); p > eff {
 			eff = p
 		}
 	}
@@ -391,17 +404,10 @@ func (m *Manager) FailureStats() FailureStats {
 	defer m.mu.Unlock()
 	f := m.led.Faults()
 	return FailureStats{
-		MachineFailures: m.fstats.machineFailures,
-		MachineRestores: m.fstats.machineRestores,
-		LinkFailures:    m.fstats.linkFailures,
-		LinkRestores:    m.fstats.linkRestores,
-		NoopRepairs:     m.fstats.noopRepairs,
-		MovedRepairs:    m.fstats.movedRepairs,
-		DegradedRepairs: m.fstats.degradedRepairs,
-		FailedRepairs:   m.fstats.failedRepairs,
-		MachinesDown:    f.MachinesDown(),
-		LinksDown:       f.LinksDown(),
-		DegradedJobs:    len(m.degraded),
-		RepairLatency:   m.fstats.repairLatency,
+		CounterState:  m.counters,
+		MachinesDown:  f.MachinesDown(),
+		LinksDown:     f.LinksDown(),
+		DegradedJobs:  len(m.degraded),
+		RepairLatency: m.repairLatency,
 	}
 }

@@ -23,6 +23,10 @@ import (
 // (and the form legacy snapshots are still read in). Repair latency
 // telemetry is deliberately not part of the state — it is timing, not
 // state, and resets on restart.
+//
+// Placement entries, contributions, per-VM demands, bindings and counters
+// are the types the manager itself keeps them in: export and import clone
+// (the state is a deep snapshot) and never convert.
 type ManagerState struct {
 	NextID       int64                `json:"next_id"`
 	Links        []LinkRecord         `json:"links"`
@@ -35,7 +39,8 @@ type ManagerState struct {
 }
 
 // LinkRecord is one link's reservation bookkeeping (capacity comes from
-// the immutable topology, not the state).
+// the immutable topology, not the state, which is why the ledger's
+// linkState is a type of its own).
 type LinkRecord struct {
 	Det        float64 `json:"det,omitempty"`
 	SumMu      float64 `json:"sum_mu,omitempty"`
@@ -45,17 +50,19 @@ type LinkRecord struct {
 
 // JobState is one admitted job: its request, committed placement, the
 // exact per-link contributions, and the weakened risk factor if a
-// degraded repair applies.
+// degraded repair applies — an Allocation flattened for the wire (ID is
+// the int64 external readers index by, the request a spec).
 type JobState struct {
-	ID          int64          `json:"id"`
-	Homog       *HomogSpec     `json:"homog,omitempty"`
-	Hetero      []DemandSpec   `json:"hetero,omitempty"`
-	Placement   []EntryState   `json:"placement"`
-	Contribs    []Contribution `json:"contribs,omitempty"`
-	DegradedEps *float64       `json:"degraded_eps,omitempty"`
+	ID          int64            `json:"id"`
+	Homog       *HomogSpec       `json:"homog,omitempty"`
+	Hetero      []stats.Normal   `json:"hetero,omitempty"`
+	Placement   []PlacementEntry `json:"placement"`
+	Contribs    []Contribution   `json:"contribs,omitempty"`
+	DegradedEps *float64         `json:"degraded_eps,omitempty"`
 }
 
-// HomogSpec is the wire form of a homogeneous request.
+// HomogSpec is the wire form of a homogeneous request: Homogeneous with
+// its demand flattened into one object beside n.
 type HomogSpec struct {
 	N     int     `json:"n"`
 	Mu    float64 `json:"mu,omitempty"`
@@ -72,42 +79,6 @@ func HomogSpecOf(r Homogeneous) HomogSpec {
 	return HomogSpec{N: r.N, Mu: r.Demand.Mu, Sigma: r.Demand.Sigma}
 }
 
-// DemandSpec is one VM's demand distribution on the wire.
-type DemandSpec struct {
-	Mu    float64 `json:"mu,omitempty"`
-	Sigma float64 `json:"sigma,omitempty"`
-}
-
-// HeteroRequest rebuilds a validated heterogeneous request from per-VM specs.
-func HeteroRequest(ds []DemandSpec) (Heterogeneous, error) {
-	demands := make([]stats.Normal, len(ds))
-	for i, d := range ds {
-		demands[i] = stats.Normal{Mu: d.Mu, Sigma: d.Sigma}
-	}
-	return NewHeterogeneous(demands)
-}
-
-// HeteroSpecOf converts a heterogeneous request to its wire form.
-func HeteroSpecOf(r Heterogeneous) []DemandSpec {
-	ds := make([]DemandSpec, len(r.Demands))
-	for i, d := range r.Demands {
-		ds[i] = DemandSpec{Mu: d.Mu, Sigma: d.Sigma}
-	}
-	return ds
-}
-
-// EntryState is one machine's share of a placement on the wire.
-type EntryState struct {
-	Machine int   `json:"machine"`
-	Count   int   `json:"count"`
-	VMs     []int `json:"vms,omitempty"`
-}
-
-// ExportPlacement converts a placement to its wire form.
-func ExportPlacement(p *Placement) []EntryState {
-	return exportPlacementTo(make([]EntryState, len(p.Entries)), p)
-}
-
 // cut returns n elements from the front of *slab, refilling it first
 // when it holds fewer. An idempotency table's tens of thousands of one-
 // and two-entry placements, which live and die together, are cut from
@@ -121,33 +92,8 @@ func cut[T any](slab *[]T, n int) []T {
 	return out
 }
 
-func exportPlacementTo(out []EntryState, p *Placement) []EntryState {
-	for i, e := range p.Entries {
-		out[i] = EntryState{Machine: int(e.Machine), Count: e.Count}
-		if e.VMs != nil {
-			out[i].VMs = append([]int(nil), e.VMs...)
-		}
-	}
-	return out
-}
-
-// ImportPlacement converts a wire placement back to the core form.
-func ImportPlacement(es []EntryState) Placement {
-	return importPlacementTo(make([]PlacementEntry, len(es)), es)
-}
-
-func importPlacementTo(entries []PlacementEntry, es []EntryState) Placement {
-	p := Placement{Entries: entries}
-	for i, e := range es {
-		p.Entries[i] = PlacementEntry{Machine: topology.NodeID(e.Machine), Count: e.Count}
-		if e.VMs != nil {
-			p.Entries[i].VMs = append([]int(nil), e.VMs...)
-		}
-	}
-	return p
-}
-
-// CounterState is the deterministic part of the fault/repair counters.
+// CounterState is the deterministic part of the fault/repair counters:
+// the manager counts in one, the state carries it, FailureStats embeds it.
 type CounterState struct {
 	MachineFailures uint64 `json:"machine_failures,omitempty"`
 	MachineRestores uint64 `json:"machine_restores,omitempty"`
@@ -159,11 +105,32 @@ type CounterState struct {
 	FailedRepairs   uint64 `json:"failed_repairs,omitempty"`
 }
 
-// IdemState is one idempotency-key binding on the wire.
+// Add returns the field-wise sum of c and o — how the sharded router
+// merges its pods' counters, which count disjoint machines, links and jobs.
+func (c CounterState) Add(o CounterState) CounterState {
+	c.MachineFailures += o.MachineFailures
+	c.MachineRestores += o.MachineRestores
+	c.LinkFailures += o.LinkFailures
+	c.LinkRestores += o.LinkRestores
+	c.NoopRepairs += o.NoopRepairs
+	c.MovedRepairs += o.MovedRepairs
+	c.DegradedRepairs += o.DegradedRepairs
+	c.FailedRepairs += o.FailedRepairs
+	return c
+}
+
+// IdemState is the durable outcome bound to one idempotency key, as the
+// manager's table holds it and as the state carries it.
 type IdemState struct {
-	Op        MutationOp   `json:"op"`
-	Job       int64        `json:"job,omitempty"`
-	Placement []EntryState `json:"placement,omitempty"`
+	Op        MutationOp       `json:"op"`
+	Job       int64            `json:"job,omitempty"`
+	Placement []PlacementEntry `json:"placement,omitempty"` // alloc only
+}
+
+// Allocation is what a replayed alloc key answers with: the original ID
+// and a copy of the placement — a response stub, not a live job record.
+func (is IdemState) Allocation() *Allocation {
+	return &Allocation{ID: JobID(is.Job), Placement: (&Placement{Entries: is.Placement}).Clone()}
 }
 
 // Equal reports whether st and o are the same state: every field equal,
@@ -209,8 +176,8 @@ func (a LinkRecord) equal(b LinkRecord) bool {
 func (a JobState) equal(b JobState) bool {
 	return a.ID == b.ID &&
 		samePtr(a.Homog, b.Homog, HomogSpec.equal) &&
-		slices.EqualFunc(a.Hetero, b.Hetero, DemandSpec.equal) &&
-		slices.EqualFunc(a.Placement, b.Placement, EntryState.equal) &&
+		slices.EqualFunc(a.Hetero, b.Hetero, sameNormal) &&
+		slices.EqualFunc(a.Placement, b.Placement, PlacementEntry.equal) &&
 		slices.EqualFunc(a.Contribs, b.Contribs, Contribution.equal) &&
 		samePtr(a.DegradedEps, b.DegradedEps, sameBits)
 }
@@ -219,7 +186,7 @@ func (a HomogSpec) equal(b HomogSpec) bool {
 	return a.N == b.N && sameBits(a.Mu, b.Mu) && sameBits(a.Sigma, b.Sigma)
 }
 
-func (a DemandSpec) equal(b DemandSpec) bool {
+func sameNormal(a, b stats.Normal) bool {
 	return sameBits(a.Mu, b.Mu) && sameBits(a.Sigma, b.Sigma)
 }
 
@@ -227,12 +194,12 @@ func (a Contribution) equal(b Contribution) bool {
 	return a.Link == b.Link && a.Det == b.Det && sameBits(a.Mu, b.Mu) && sameBits(a.Sigma, b.Sigma)
 }
 
-func (a EntryState) equal(b EntryState) bool {
+func (a PlacementEntry) equal(b PlacementEntry) bool {
 	return a.Machine == b.Machine && a.Count == b.Count && slices.Equal(a.VMs, b.VMs)
 }
 
 func (a IdemState) equal(b IdemState) bool {
-	return a.Op == b.Op && a.Job == b.Job && slices.EqualFunc(a.Placement, b.Placement, EntryState.equal)
+	return a.Op == b.Op && a.Job == b.Job && slices.EqualFunc(a.Placement, b.Placement, PlacementEntry.equal)
 }
 
 // ExportState returns a deep snapshot of the manager's full mutable
@@ -248,19 +215,10 @@ func (m *Manager) ExportState() *ManagerState {
 func (m *Manager) exportStateLocked() *ManagerState {
 	topo := m.led.Topology()
 	st := &ManagerState{
-		NextID: int64(m.nextID),
-		Links:  make([]LinkRecord, len(m.led.links)),
-		Used:   append([]int(nil), m.led.used...),
-		Counters: CounterState{
-			MachineFailures: m.fstats.machineFailures,
-			MachineRestores: m.fstats.machineRestores,
-			LinkFailures:    m.fstats.linkFailures,
-			LinkRestores:    m.fstats.linkRestores,
-			NoopRepairs:     m.fstats.noopRepairs,
-			MovedRepairs:    m.fstats.movedRepairs,
-			DegradedRepairs: m.fstats.degradedRepairs,
-			FailedRepairs:   m.fstats.failedRepairs,
-		},
+		NextID:   int64(m.nextID),
+		Links:    make([]LinkRecord, len(m.led.links)),
+		Used:     append([]int(nil), m.led.used...),
+		Counters: m.counters,
 	}
 	for i, s := range m.led.links {
 		st.Links[i] = LinkRecord{Det: s.det, SumMu: s.sumMu, SumVar: s.sumVar, Stochastic: s.stochastic}
@@ -275,8 +233,8 @@ func (m *Manager) exportStateLocked() *ManagerState {
 		a := m.jobs[id]
 		js := JobState{
 			ID:        int64(id),
-			Placement: ExportPlacement(&a.Placement),
-			Contribs:  exportContribs(a.contribs),
+			Placement: a.Placement.Clone().Entries,
+			Contribs:  cloneContribs(a.contribs),
 		}
 		sortContribs(js.Contribs)
 		if a.homog != nil {
@@ -284,7 +242,7 @@ func (m *Manager) exportStateLocked() *ManagerState {
 			js.Homog = &h
 		}
 		if a.hetero != nil {
-			js.Hetero = HeteroSpecOf(*a.hetero)
+			js.Hetero = slices.Clone(a.hetero.Demands)
 		}
 		if eps, ok := m.degraded[id]; ok {
 			e := eps
@@ -307,22 +265,15 @@ func (m *Manager) exportStateLocked() *ManagerState {
 
 	if len(m.idem) > 0 {
 		st.Idem = make(map[string]IdemState, len(m.idem))
-		var slab []EntryState
-		for k, e := range m.idem {
-			is := IdemState{Op: e.op, Job: int64(e.job)}
-			if e.op == OpAlloc {
-				is.Placement = exportPlacementTo(cut(&slab, len(e.placement.Entries)), &e.placement)
+		var slab []PlacementEntry
+		for k, is := range m.idem {
+			if is.Op == OpAlloc {
+				is.Placement = cloneEntries(cut(&slab, len(is.Placement)), is.Placement)
 			}
 			st.Idem[k] = is
 		}
 	}
 	return st
-}
-
-// sortContribs orders contributions by link so exports compare
-// deterministically (each link appears at most once per job).
-func sortContribs(cs []Contribution) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Link < cs[j].Link })
 }
 
 // NewManagerFromState rebuilds a manager over the topology from a
@@ -376,7 +327,7 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 	}
 
 	m.jobs = make(map[JobID]*Allocation, len(st.Jobs))
-	m.idem = make(map[string]idemEntry, len(st.Idem))
+	m.idem = make(map[string]IdemState, len(st.Idem))
 	perMachine := make([]int, topo.Len())
 	for _, js := range st.Jobs {
 		id := JobID(js.ID)
@@ -386,7 +337,7 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 		if _, ok := m.jobs[id]; ok {
 			return nil, fmt.Errorf("core: duplicate job id %d", js.ID)
 		}
-		a := &Allocation{ID: id, Placement: ImportPlacement(js.Placement), contribs: importContribs(js.Contribs)}
+		a := &Allocation{ID: id, Placement: (&Placement{Entries: js.Placement}).Clone(), contribs: cloneContribs(js.Contribs)}
 		switch {
 		case js.Homog != nil && js.Hetero == nil:
 			req, err := js.Homog.Request()
@@ -395,7 +346,7 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 			}
 			a.homog = &req
 		case js.Hetero != nil && js.Homog == nil:
-			req, err := HeteroRequest(js.Hetero)
+			req, err := NewHeterogeneous(js.Hetero)
 			if err != nil {
 				return nil, fmt.Errorf("core: job %d: %w", js.ID, err)
 			}
@@ -410,8 +361,8 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 			perMachine[e.Machine] += e.Count
 		}
 		for _, c := range a.contribs {
-			if c.link < 0 || int(c.link) >= topo.Len() {
-				return nil, fmt.Errorf("core: job %d contribution on invalid link %d", js.ID, c.link)
+			if c.Link < 0 || int(c.Link) >= topo.Len() {
+				return nil, fmt.Errorf("core: job %d contribution on invalid link %d", js.ID, c.Link)
 			}
 		}
 		if js.DegradedEps != nil {
@@ -428,22 +379,16 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 	}
 
 	m.nextID = JobID(st.NextID)
-	m.fstats.machineFailures = st.Counters.MachineFailures
-	m.fstats.machineRestores = st.Counters.MachineRestores
-	m.fstats.linkFailures = st.Counters.LinkFailures
-	m.fstats.linkRestores = st.Counters.LinkRestores
-	m.fstats.noopRepairs = st.Counters.NoopRepairs
-	m.fstats.movedRepairs = st.Counters.MovedRepairs
-	m.fstats.degradedRepairs = st.Counters.DegradedRepairs
-	m.fstats.failedRepairs = st.Counters.FailedRepairs
+	m.counters = st.Counters
 
 	var slab []PlacementEntry // bindings are never dropped, so they can share
 	for k, is := range st.Idem {
-		e := idemEntry{op: is.Op, job: JobID(is.Job)}
 		if is.Op == OpAlloc {
-			e.placement = importPlacementTo(cut(&slab, len(is.Placement)), is.Placement)
+			is.Placement = cloneEntries(cut(&slab, len(is.Placement)), is.Placement)
+		} else {
+			is.Placement = nil
 		}
-		m.idem[k] = e
+		m.idem[k] = is
 	}
 	return m, nil
 }

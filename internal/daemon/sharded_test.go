@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -109,6 +110,14 @@ func TestShardedDaemonServesAndRecovers(t *testing.T) {
 	}
 	if replay.ID != cross.ID {
 		t.Errorf("replay returned job %d, want %d", replay.ID, cross.ID)
+	}
+
+	// A cross-pod job cannot be repaired in place: the client's error (409,
+	// with the reason), not the server's.
+	var apiErr *httpapi.APIError
+	if _, err := c2.Repair(ctx, cross.ID); !errors.As(err, &apiErr) || apiErr.StatusCode != 409 ||
+		!strings.Contains(apiErr.Message, "spans pods") {
+		t.Errorf("repair of the cross-pod job = %v, want 409 naming the pods it spans", err)
 	}
 
 	// Releasing the cross-pod job frees both pods' sub-frames.

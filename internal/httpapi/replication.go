@@ -113,7 +113,7 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 	}
 	var req FenceRequest
 	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, decodeStatus(err), err)
+		writeError(w, statusOf(err), err)
 		return
 	}
 	if err := fence(req.Epoch); err != nil {

@@ -13,7 +13,8 @@
 //	GET    /v1/status             datacenter-wide counters
 //	GET    /v1/links              per-link reservation state, most loaded first
 //	POST   /v1/faults             fail or restore a machine or link
-//	POST   /v1/repairs            re-place displaced jobs (one or all)
+//	POST   /v1/repairs            re-place displaced jobs (one or all); 409
+//	                              for a job that cannot be repaired in place
 //	GET    /v1/failures           fault and repair counters
 package httpapi
 
@@ -71,7 +72,9 @@ type AllocationResponse struct {
 	Placement []PlacementEntry `json:"placement"`
 }
 
-// PlacementEntry is one machine's share of a placement.
+// PlacementEntry is one machine's share of a placement in a response. It is
+// not core.PlacementEntry: this API has always keyed the VM list vmIndices,
+// where the exported state says vms.
 type PlacementEntry struct {
 	Machine int   `json:"machine"`
 	Count   int   `json:"count"`
@@ -373,7 +376,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, req *http.Request) {
 	mgr := s.manager()
 	var wire AllocationRequest
 	if err := decodeJSON(req, &wire); err != nil {
-		writeError(w, decodeStatus(err), err)
+		writeError(w, statusOf(err), err)
 		return
 	}
 	homog, hetero, err := wire.build()
@@ -388,21 +391,8 @@ func (s *Server) handleAllocate(w http.ResponseWriter, req *http.Request) {
 	} else {
 		alloc, err = mgr.AllocateHetero(*hetero, core.WithIdemKey(key))
 	}
-	switch {
-	case errors.Is(err, core.ErrNoCapacity):
-		writeError(w, http.StatusConflict, err)
-		return
-	case errors.Is(err, core.ErrBadRequest):
-		writeError(w, http.StatusBadRequest, err)
-		return
-	case errors.Is(err, core.ErrIdemConflict):
-		writeError(w, http.StatusConflict, err)
-		return
-	case errors.Is(err, core.ErrJournal):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	if err != nil {
+		writeError(w, statusOf(err), err)
 		return
 	}
 	resp := AllocationResponse{ID: int64(alloc.ID), VMs: alloc.Placement.TotalVMs()}
@@ -423,16 +413,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, req *http.Request) {
 	}
 	key := req.Header.Get(IdempotencyHeader)
 	if err := mgr.Release(core.JobID(id), core.WithIdemKey(key)); err != nil {
-		switch {
-		case errors.Is(err, core.ErrUnknownJob):
-			writeError(w, http.StatusNotFound, err)
-		case errors.Is(err, core.ErrIdemConflict):
-			writeError(w, http.StatusConflict, err)
-		case errors.Is(err, core.ErrJournal):
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, http.StatusInternalServerError, err)
-		}
+		writeError(w, statusOf(err), err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -442,7 +423,7 @@ func (s *Server) handleDryRun(w http.ResponseWriter, req *http.Request) {
 	mgr := s.manager()
 	var wire AllocationRequest
 	if err := decodeJSON(req, &wire); err != nil {
-		writeError(w, decodeStatus(err), err)
+		writeError(w, statusOf(err), err)
 		return
 	}
 	homog, hetero, err := wire.build()
@@ -463,7 +444,7 @@ func (s *Server) handleHeadroom(w http.ResponseWriter, req *http.Request) {
 	mgr := s.manager()
 	var wire HeadroomRequest
 	if err := decodeJSON(req, &wire); err != nil {
-		writeError(w, decodeStatus(err), err)
+		writeError(w, statusOf(err), err)
 		return
 	}
 	hreq, err := core.NewHomogeneous(wire.N, stats.Normal{Mu: wire.Mu, Sigma: wire.Sigma})
@@ -473,7 +454,7 @@ func (s *Server) handleHeadroom(w http.ResponseWriter, req *http.Request) {
 	}
 	fits, err := mgr.Headroom(hreq, wire.Limit)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		writeError(w, statusOf(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, HeadroomResponse{Fits: fits})
@@ -523,7 +504,7 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 	mgr := s.manager()
 	var wire FaultRequest
 	if err := decodeJSON(req, &wire); err != nil {
-		writeError(w, decodeStatus(err), err)
+		writeError(w, statusOf(err), err)
 		return
 	}
 	if (wire.Machine == nil) == (wire.Link == nil) {
@@ -561,11 +542,7 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, core.ErrJournal) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, statusOf(err), err)
 		return
 	}
 	if wire.Restore {
@@ -599,21 +576,13 @@ func (s *Server) handleRepair(w http.ResponseWriter, req *http.Request) {
 	mgr := s.manager()
 	var wire RepairRequest
 	if err := decodeJSON(req, &wire); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, decodeStatus(err), err)
+		writeError(w, statusOf(err), err)
 		return
 	}
 	if wire.Job != nil {
 		res, err := mgr.RepairJob(core.JobID(*wire.Job))
-		if errors.Is(err, core.ErrUnknownJob) {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		if errors.Is(err, core.ErrJournal) {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			writeError(w, statusOf(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, []RepairResult{wireRepair(res)})
@@ -621,11 +590,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, req *http.Request) {
 	}
 	results, err := mgr.RepairAll()
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, core.ErrJournal) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, statusOf(err), err)
 		return
 	}
 	out := make([]RepairResult, 0, len(results))
@@ -714,21 +679,38 @@ func decodeJSON(req *http.Request, v any) error {
 		if errors.As(err, &tooBig) {
 			return errTooLarge
 		}
-		return fmt.Errorf("decode request: %w", err)
+		return fmt.Errorf("%w: %w", errBadBody, err)
 	}
 	return nil
 }
 
-// errTooLarge marks a request body over maxBodyBytes; handlers surface it
-// as 413 rather than a generic 400.
-var errTooLarge = errors.New("request body too large")
+var (
+	// errTooLarge marks a request body over maxBodyBytes: 413 rather than
+	// a generic 400.
+	errTooLarge = errors.New("request body too large")
+	// errBadBody marks a request body that does not decode.
+	errBadBody = errors.New("decode request")
+)
 
-// decodeStatus maps a decodeJSON error to its HTTP status.
-func decodeStatus(err error) int {
-	if errors.Is(err, errTooLarge) {
+// statusOf is the one mapping from an error — a controller's or
+// decodeJSON's — to the status it is answered with. Controllers report
+// through core's sentinels (a sharded router wraps them too; this package
+// may not import it), and what matches none of them is the server's fault.
+func statusOf(err error) int {
+	switch {
+	case errors.Is(err, core.ErrNoCapacity), errors.Is(err, core.ErrIdemConflict), errors.Is(err, core.ErrNotRepairable):
+		return http.StatusConflict
+	case errors.Is(err, core.ErrBadRequest), errors.Is(err, errBadBody):
+		return http.StatusBadRequest
+	case errors.Is(err, core.ErrUnknownJob):
+		return http.StatusNotFound
+	case errors.Is(err, core.ErrJournal):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, errTooLarge):
 		return http.StatusRequestEntityTooLarge
+	default:
+		return http.StatusInternalServerError
 	}
-	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -36,6 +36,21 @@ func (s *LatencySummary) Observe(d time.Duration) {
 	s.Last = d
 }
 
+// Merge folds o, a summary of other observations, into s. Last is best
+// effort: a non-empty o's wins, summaries carry no timestamps.
+func (s *LatencySummary) Merge(o LatencySummary) {
+	if o.Count == 0 {
+		return
+	}
+	if s.Count == 0 || o.Min < s.Min {
+		s.Min = o.Min
+	}
+	s.Max = max(s.Max, o.Max)
+	s.Count += o.Count
+	s.Total += o.Total
+	s.Last = o.Last
+}
+
 // Mean returns the average observed latency (0 with no observations).
 func (s *LatencySummary) Mean() time.Duration {
 	if s.Count == 0 {

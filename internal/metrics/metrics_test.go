@@ -3,6 +3,7 @@ package metrics
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -170,5 +171,35 @@ func TestIntSummary(t *testing.T) {
 	}
 	if got := s.String(); got != "n=5 mean=2.80 min=1 max=5 last=5" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestLatencySummaryMerge: merging two summaries gives what observing
+// both streams into one would (Last aside, which takes the merged-in
+// summary's), and an empty summary on either side changes nothing.
+func TestLatencySummaryMerge(t *testing.T) {
+	var a, b, both LatencySummary
+	for _, d := range []time.Duration{5, 9, 3} {
+		a.Observe(d)
+		both.Observe(d)
+	}
+	for _, d := range []time.Duration{2, 7} {
+		b.Observe(d)
+		both.Observe(d)
+	}
+	got := a
+	got.Merge(b)
+	if got != both {
+		t.Errorf("merged = %+v, want %+v", got, both)
+	}
+	got = a
+	got.Merge(LatencySummary{})
+	if got != a {
+		t.Errorf("merging an empty summary changed %+v to %+v", a, got)
+	}
+	got = LatencySummary{}
+	got.Merge(b)
+	if got != b {
+		t.Errorf("merging into an empty summary = %+v, want %+v", got, b)
 	}
 }

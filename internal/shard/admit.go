@@ -115,7 +115,7 @@ func (r *Router) replayIdemAlloc(key string) (*core.Allocation, bool, error) {
 	if is.Op != core.OpAlloc {
 		return nil, true, fmt.Errorf("%w: key committed by %v", core.ErrIdemConflict, is.Op)
 	}
-	return &core.Allocation{ID: core.JobID(is.Job), Placement: core.ImportPlacement(is.Placement)}, true, nil
+	return is.Allocation(), true, nil
 }
 
 // replayIdemRelease resolves a release call's idempotency key, mirroring
@@ -168,7 +168,7 @@ func (r *Router) commitStrict(mut core.Mutation, key string) (*core.Allocation, 
 	if key != "" {
 		r.idem[key] = core.IdemState{
 			Op: core.OpAlloc, Job: int64(mut.Job),
-			Placement: core.ExportPlacement(mut.Placement),
+			Placement: mut.Placement.Clone().Entries,
 		}
 	}
 	r.tabMu.Unlock()
@@ -342,7 +342,7 @@ func (r *Router) fastAllocate(key string, alloc func(m *core.Manager, opts []cor
 			if is.Op != core.OpAlloc {
 				return nil, fmt.Errorf("%w: key committed by %v", core.ErrIdemConflict, is.Op)
 			}
-			return &core.Allocation{ID: core.JobID(is.Job), Placement: core.ImportPlacement(is.Placement)}, nil
+			return is.Allocation(), nil
 		}
 		if other, ok := r.claims[key]; ok {
 			r.tabMu.Unlock()
@@ -389,7 +389,7 @@ func (r *Router) fastDispatch(key string, alloc func(m *core.Manager, opts []cor
 			if key != "" {
 				r.idem[key] = core.IdemState{
 					Op: core.OpAlloc, Job: int64(a.ID),
-					Placement: core.ExportPlacement(&a.Placement),
+					Placement: a.Placement.Clone().Entries,
 				}
 			}
 			r.tabMu.Unlock()

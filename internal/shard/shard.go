@@ -87,8 +87,10 @@ var ErrShardCount = errors.New("shard: shard count must equal the number of aggr
 
 // ErrCrossPodRepair reports a repair request for a job placed across
 // pods. Repair planning is pod-scoped (a pod only moves VMs it owns), so
-// cross-pod jobs are not repairable; release and re-admit instead.
-var ErrCrossPodRepair = errors.New("shard: cross-pod jobs cannot be repaired")
+// cross-pod jobs are not repairable; release and re-admit instead. It is
+// the client's error, not the server's: httpapi answers 409 by the core
+// sentinel it wraps.
+var ErrCrossPodRepair = fmt.Errorf("%w: shard: a repair is planned inside one pod", core.ErrNotRepairable)
 
 // Options configures Open.
 type Options struct {
@@ -315,7 +317,7 @@ func (r *Router) recordCrossAlloc(mut core.Mutation) {
 	if mut.IdemKey != "" {
 		r.idem[mut.IdemKey] = core.IdemState{
 			Op: core.OpAlloc, Job: int64(mut.Job),
-			Placement: core.ExportPlacement(mut.Placement),
+			Placement: mut.Placement.Clone().Entries,
 		}
 	}
 }

@@ -3,10 +3,10 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -67,20 +67,13 @@ func (r *Router) MergedState() *core.ManagerState {
 		for _, l := range ps.LinksDown {
 			linksDown[l] = true
 		}
-		st.Counters.MachineFailures += ps.Counters.MachineFailures
-		st.Counters.MachineRestores += ps.Counters.MachineRestores
-		st.Counters.LinkFailures += ps.Counters.LinkFailures
-		st.Counters.LinkRestores += ps.Counters.LinkRestores
-		st.Counters.NoopRepairs += ps.Counters.NoopRepairs
-		st.Counters.MovedRepairs += ps.Counters.MovedRepairs
-		st.Counters.DegradedRepairs += ps.Counters.DegradedRepairs
-		st.Counters.FailedRepairs += ps.Counters.FailedRepairs
+		st.Counters = st.Counters.Add(ps.Counters)
 	}
 
 	for _, mut := range cross {
 		js := core.JobState{
 			ID:        int64(mut.Job),
-			Placement: core.ExportPlacement(mut.Placement),
+			Placement: mut.Placement.Clone().Entries,
 			Contribs:  append([]core.Contribution(nil), mut.Contribs...),
 		}
 		sort.Slice(js.Contribs, func(a, b int) bool { return js.Contribs[a].Link < js.Contribs[b].Link })
@@ -89,7 +82,7 @@ func (r *Router) MergedState() *core.ManagerState {
 			js.Homog = &h
 		}
 		if mut.Hetero != nil {
-			js.Hetero = core.HeteroSpecOf(*mut.Hetero)
+			js.Hetero = slices.Clone(mut.Hetero.Demands)
 		}
 		// Cross-pod jobs are never degraded: degradation only comes from
 		// repairs, and repairs are pod-scoped (ErrCrossPodRepair).
@@ -203,27 +196,6 @@ func (r *Router) LinkLoads() []core.LinkLoad {
 	return out
 }
 
-// mergeLatency folds b into a (Last is best-effort: the later-merged
-// non-empty summary wins; summaries carry no timestamps).
-func mergeLatency(a, b metrics.LatencySummary) metrics.LatencySummary {
-	if b.Count == 0 {
-		return a
-	}
-	if a.Count == 0 {
-		return b
-	}
-	a.Total += b.Total
-	a.Count += b.Count
-	if b.Min < a.Min {
-		a.Min = b.Min
-	}
-	if b.Max > a.Max {
-		a.Max = b.Max
-	}
-	a.Last = b.Last
-	return a
-}
-
 // AdmissionStats returns the merged admission counters. In strict mode
 // planning happens on the shadow, so its stats are the truth, with
 // Locked counting the router's serialized commits; in fast mode the pods
@@ -238,7 +210,7 @@ func (r *Router) AdmissionStats() core.AdmissionStats {
 	for _, m := range r.mgrs {
 		st := m.AdmissionStats()
 		out.Locked += st.Locked
-		out.Plan = mergeLatency(out.Plan, st.Plan)
+		out.Plan.Merge(st.Plan)
 		out.PlanCacheHits += st.PlanCacheHits
 		out.PlanCacheMisses += st.PlanCacheMisses
 		out.PlanCacheInvalidations += st.PlanCacheInvalidations
@@ -253,18 +225,11 @@ func (r *Router) FailureStats() core.FailureStats {
 	var out core.FailureStats
 	for _, m := range r.mgrs {
 		st := m.FailureStats()
-		out.MachineFailures += st.MachineFailures
-		out.MachineRestores += st.MachineRestores
-		out.LinkFailures += st.LinkFailures
-		out.LinkRestores += st.LinkRestores
-		out.NoopRepairs += st.NoopRepairs
-		out.MovedRepairs += st.MovedRepairs
-		out.DegradedRepairs += st.DegradedRepairs
-		out.FailedRepairs += st.FailedRepairs
+		out.CounterState = out.CounterState.Add(st.CounterState)
 		out.MachinesDown += st.MachinesDown
 		out.LinksDown += st.LinksDown
 		out.DegradedJobs += st.DegradedJobs
-		out.RepairLatency = mergeLatency(out.RepairLatency, st.RepairLatency)
+		out.RepairLatency.Merge(st.RepairLatency)
 	}
 	return out
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ratelimit"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -276,15 +275,15 @@ func (e *engine) buildFlows(spec JobSpec, vmMachine []topology.NodeID) []*jobFlo
 		if spec.Hetero != nil {
 			cap = math.Inf(1) // stochastic hetero abstractions are not rate limited
 		}
-		limiter := ratelimit.Unlimited()
+		limiter := Unlimited()
 		if !math.IsInf(cap, 1) {
 			var err error
-			limiter, err = ratelimit.New(cap, cap*e.cfg.BurstSeconds)
+			limiter, err = NewTokenBucket(cap, cap*e.cfg.BurstSeconds)
 			if err != nil {
 				// cap > 0 by construction (ClampProfile keeps mu >= 0 and
 				// the abstractions return positive reservations), so this
 				// is unreachable; fall back to an unlimited flow.
-				limiter = ratelimit.Unlimited()
+				limiter = Unlimited()
 			}
 		}
 		f := &jobFlow{

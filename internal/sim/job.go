@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/ratelimit"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -170,9 +169,9 @@ func (s JobSpec) Validate() error {
 // jobFlow is one task-to-task flow at runtime.
 type jobFlow struct {
 	sf        solverFlow
-	remaining float64                // Mbits left to transfer
-	demand    stats.Dist             // the source task's ground-truth rate distribution
-	limiter   *ratelimit.TokenBucket // hypervisor rate limiter for the source VM
+	remaining float64      // Mbits left to transfer
+	demand    stats.Dist   // the source task's ground-truth rate distribution
+	limiter   *TokenBucket // hypervisor rate limiter for the source VM
 	done      bool
 }
 

@@ -1,14 +1,15 @@
-// Package ratelimit implements the hypervisor-side enforcement component of
-// the paper's network sharing framework (Section III-C): deterministic
-// virtual cluster reservations are enforced by rate limiting each VM so it
-// "does not exceed the bandwidth specified in the virtual topology".
+package sim
+
+// This file is the hypervisor-side enforcement component of the paper's
+// network sharing framework (Section III-C): deterministic virtual cluster
+// reservations are enforced by rate limiting each VM so it "does not exceed
+// the bandwidth specified in the virtual topology".
 //
 // The limiter is a token bucket: a sustained rate with an optional burst
 // allowance. With zero burst it degenerates to a hard per-interval cap,
 // which is the paper's model; a positive burst lets a VM briefly exceed its
 // reservation using credit accumulated while idle, a common relaxation in
 // real hypervisor rate limiters.
-package ratelimit
 
 import (
 	"fmt"
@@ -16,7 +17,7 @@ import (
 )
 
 // TokenBucket enforces a sustained rate (Mbps) with a burst allowance (Mb).
-// The zero value is unusable; construct with New. TokenBucket is not safe
+// The zero value is unusable; construct with NewTokenBucket. TokenBucket is not safe
 // for concurrent use; the simulator drives each bucket from one goroutine.
 type TokenBucket struct {
 	rate   float64
@@ -24,15 +25,15 @@ type TokenBucket struct {
 	tokens float64
 }
 
-// New returns a token bucket enforcing the given sustained rate with the
+// NewTokenBucket returns a token bucket enforcing the given sustained rate with the
 // given burst depth. rate must be positive (use Unlimited for no limit);
 // burst must be non-negative. The bucket starts full.
-func New(rate, burst float64) (*TokenBucket, error) {
+func NewTokenBucket(rate, burst float64) (*TokenBucket, error) {
 	if rate <= 0 || math.IsNaN(rate) {
-		return nil, fmt.Errorf("ratelimit: rate must be positive, got %v", rate)
+		return nil, fmt.Errorf("sim: token bucket rate must be positive, got %v", rate)
 	}
 	if burst < 0 || math.IsNaN(burst) {
-		return nil, fmt.Errorf("ratelimit: burst must be non-negative, got %v", burst)
+		return nil, fmt.Errorf("sim: token bucket burst must be non-negative, got %v", burst)
 	}
 	return &TokenBucket{rate: rate, burst: burst, tokens: burst}, nil
 }

@@ -1,4 +1,4 @@
-package ratelimit
+package sim
 
 import (
 	"math"
@@ -7,22 +7,22 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 10); err == nil {
+	if _, err := NewTokenBucket(0, 10); err == nil {
 		t.Error("rate 0 accepted")
 	}
-	if _, err := New(-5, 10); err == nil {
+	if _, err := NewTokenBucket(-5, 10); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if _, err := New(100, -1); err == nil {
+	if _, err := NewTokenBucket(100, -1); err == nil {
 		t.Error("negative burst accepted")
 	}
-	if _, err := New(math.NaN(), 0); err == nil {
+	if _, err := NewTokenBucket(math.NaN(), 0); err == nil {
 		t.Error("NaN rate accepted")
 	}
 }
 
 func TestHardCapWithoutBurst(t *testing.T) {
-	b, err := New(100, 0)
+	b, err := NewTokenBucket(100, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -41,7 +41,7 @@ func TestHardCapWithoutBurst(t *testing.T) {
 }
 
 func TestBurstBanksIdleCredit(t *testing.T) {
-	b, err := New(100, 50)
+	b, err := NewTokenBucket(100, 50)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestUnlimited(t *testing.T) {
 }
 
 func TestOverconsumeClampsAtEmpty(t *testing.T) {
-	b, err := New(100, 20)
+	b, err := NewTokenBucket(100, 20)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestLongRunAverageRespectsRate(t *testing.T) {
 		rate := float64(rateRaw) + 1
 		burst := float64(burstRaw)
 		n := int(steps)%50 + 10
-		b, err := New(rate, burst)
+		b, err := NewTokenBucket(rate, burst)
 		if err != nil {
 			return false
 		}
@@ -113,7 +113,7 @@ func TestLongRunAverageRespectsRate(t *testing.T) {
 }
 
 func TestRateAccessor(t *testing.T) {
-	b, err := New(123, 7)
+	b, err := NewTokenBucket(123, 7)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -104,9 +104,11 @@ func acklam(p float64) float64 {
 // Normal is a normal distribution parameterized by its mean and standard
 // deviation. Sigma == 0 denotes the degenerate (point-mass) distribution,
 // which the SVC model uses to express deterministic bandwidth demands.
+// The tags are a per-VM demand's form in an exported manager state and in
+// a legacy log record (core.JobState.Hetero).
 type Normal struct {
-	Mu    float64
-	Sigma float64
+	Mu    float64 `json:"mu,omitempty"`
+	Sigma float64 `json:"sigma,omitempty"`
 }
 
 // Var returns the variance of the distribution.

@@ -32,10 +32,10 @@ func recordOf(rec Record) record {
 		out.Homog = &h
 	}
 	if mut.Hetero != nil {
-		out.Hetero = core.HeteroSpecOf(*mut.Hetero)
+		out.Hetero = mut.Hetero.Demands
 	}
 	if mut.Placement != nil {
-		out.Placement = core.ExportPlacement(mut.Placement)
+		out.Placement = mut.Placement.Entries
 	}
 	if mut.Op == core.OpRepair {
 		out.Outcome = mut.Outcome.String()

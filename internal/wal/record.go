@@ -129,11 +129,15 @@ func (e *encoder) ints(vs []int) {
 	}
 }
 
-// entry writes one machine's share of a placement (no vms: homogeneous).
-func (e *encoder) entry(machine, count int, vms []int) {
-	e.varint(int64(machine))
-	e.varint(int64(count))
-	e.ints(vms)
+// entries writes a counted list of placement entries, one machine's share
+// each (no vms: homogeneous).
+func (e *encoder) entries(es []core.PlacementEntry) {
+	e.uvarint(len(es))
+	for _, en := range es {
+		e.varint(int64(en.Machine))
+		e.varint(int64(en.Count))
+		e.ints(en.VMs)
+	}
 }
 
 // contribs writes a counted list of per-link contributions.
@@ -212,10 +216,7 @@ func appendMutation(buf []byte, mut core.Mutation) ([]byte, error) {
 		}
 	}
 	if flags&flagPlacement != 0 {
-		e.uvarint(len(mut.Placement.Entries))
-		for _, pe := range mut.Placement.Entries {
-			e.entry(int(pe.Machine), pe.Count, pe.VMs)
-		}
+		e.entries(mut.Placement.Entries)
 	}
 	if flags&flagContribs != 0 {
 		e.contribs(mut.Contribs)
@@ -404,8 +405,8 @@ func (d *decoder) ints() []int {
 	return vs
 }
 
-func (d *decoder) entry() (machine, count int, vms []int) {
-	return d.int(), d.int(), d.ints()
+func (d *decoder) entry() core.PlacementEntry {
+	return core.PlacementEntry{Machine: topology.NodeID(d.int()), Count: d.int(), VMs: d.ints()}
 }
 
 // contribs reads the n contributions behind a count the caller has read.
@@ -475,8 +476,7 @@ func decodeBin1(b []byte) (Record, error) {
 	if flags&flagPlacement != 0 {
 		p := core.Placement{Entries: make([]core.PlacementEntry, d.count(minEntry))}
 		for i := range p.Entries {
-			machine, count, vms := d.entry()
-			p.Entries[i] = core.PlacementEntry{Machine: topology.NodeID(machine), Count: count, VMs: vms}
+			p.Entries[i] = d.entry()
 		}
 		mut.Placement = &p
 	}
@@ -498,19 +498,19 @@ func decodeBin1(b []byte) (Record, error) {
 // is no longer written; it survives as the legacy reader's target and as
 // the shape svcwal renders every record in, binary ones included.
 type record struct {
-	Op        string              `json:"op"`
-	Job       int64               `json:"job,omitempty"`
-	Homog     *core.HomogSpec     `json:"homog,omitempty"`
-	Hetero    []core.DemandSpec   `json:"hetero,omitempty"`
-	Placement []core.EntryState   `json:"placement,omitempty"`
-	Contribs  []core.Contribution `json:"contribs,omitempty"`
-	Node      int                 `json:"node,omitempty"`
-	Link      int                 `json:"link,omitempty"`
-	Offline   bool                `json:"offline,omitempty"`
-	Outcome   string              `json:"outcome,omitempty"`
-	Eps       float64             `json:"eps,omitempty"`
-	IdemKey   string              `json:"idem_key,omitempty"`
-	Epoch     uint64              `json:"epoch,omitempty"`
+	Op        string                `json:"op"`
+	Job       int64                 `json:"job,omitempty"`
+	Homog     *core.HomogSpec       `json:"homog,omitempty"`
+	Hetero    []stats.Normal        `json:"hetero,omitempty"`
+	Placement []core.PlacementEntry `json:"placement,omitempty"`
+	Contribs  []core.Contribution   `json:"contribs,omitempty"`
+	Node      int                   `json:"node,omitempty"`
+	Link      int                   `json:"link,omitempty"`
+	Offline   bool                  `json:"offline,omitempty"`
+	Outcome   string                `json:"outcome,omitempty"`
+	Eps       float64               `json:"eps,omitempty"`
+	IdemKey   string                `json:"idem_key,omitempty"`
+	Epoch     uint64                `json:"epoch,omitempty"`
 }
 
 // epochOp is the legacy op name of an epoch record.
@@ -566,15 +566,14 @@ func decodeLegacy(payload []byte) (Record, error) {
 		mut.Homog = &req
 	}
 	if rec.Hetero != nil {
-		req, err := core.HeteroRequest(rec.Hetero)
+		req, err := core.NewHeterogeneous(rec.Hetero)
 		if err != nil {
 			return Record{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 		mut.Hetero = &req
 	}
 	if rec.Placement != nil {
-		p := core.ImportPlacement(rec.Placement)
-		mut.Placement = &p
+		mut.Placement = &core.Placement{Entries: rec.Placement}
 	}
 	if op == core.OpRepair {
 		outcome, ok := outcomeValues[rec.Outcome]

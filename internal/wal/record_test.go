@@ -691,7 +691,7 @@ func TestCodecAllocs(t *testing.T) {
 	for i := 0; i < bindings; i++ {
 		is := core.IdemState{Op: core.OpRelease, Job: int64(i)}
 		if i%2 == 0 {
-			is = core.IdemState{Op: core.OpAlloc, Job: int64(i), Placement: []core.EntryState{{Machine: i, Count: 1}, {Machine: i + 1, Count: 1}}}
+			is = core.IdemState{Op: core.OpAlloc, Job: int64(i), Placement: []core.PlacementEntry{{Machine: topology.NodeID(i), Count: 1}, {Machine: topology.NodeID(i + 1), Count: 1}}}
 		}
 		st.Idem[fmt.Sprintf("tenant-%04d/request-%08d", i%97, i)] = is
 	}

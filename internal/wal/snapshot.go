@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // This file is the one place that knows what a snapshot looks like on
@@ -43,13 +44,6 @@ func counterFields(c *core.CounterState) [8]*uint64 {
 	return [...]*uint64{
 		&c.MachineFailures, &c.MachineRestores, &c.LinkFailures, &c.LinkRestores,
 		&c.NoopRepairs, &c.MovedRepairs, &c.DegradedRepairs, &c.FailedRepairs,
-	}
-}
-
-func (e *encoder) entries(es []core.EntryState) {
-	e.uvarint(len(es))
-	for _, en := range es {
-		e.entry(en.Machine, en.Count, en.VMs)
 	}
 }
 
@@ -161,21 +155,21 @@ const entrySlab = 512
 // snapDecoder is a decoder with the slab its placements are cut from.
 type snapDecoder struct {
 	decoder
-	slab []core.EntryState
+	slab []core.PlacementEntry
 }
 
-func (d *snapDecoder) entries() []core.EntryState {
+func (d *snapDecoder) entries() []core.PlacementEntry {
 	n := d.length(minEntry)
 	if n == 0 {
 		return nil
 	}
 	if n > len(d.slab) {
-		d.slab = make([]core.EntryState, max(n, min(entrySlab, len(d.b)/minEntry)))
+		d.slab = make([]core.PlacementEntry, max(n, min(entrySlab, len(d.b)/minEntry)))
 	}
 	es := d.slab[:n:n]
 	d.slab = d.slab[n:]
 	for i := range es {
-		es[i].Machine, es[i].Count, es[i].VMs = d.entry()
+		es[i] = d.entry()
 	}
 	return es
 }
@@ -204,9 +198,9 @@ func decodeSnapshotBin1(b []byte) (*core.ManagerState, error) {
 			js.Homog = &core.HomogSpec{N: d.int(), Mu: d.float(), Sigma: d.float()}
 		}
 		if flags&jobHetero != 0 {
-			js.Hetero = make([]core.DemandSpec, d.count(minDemand))
+			js.Hetero = make([]stats.Normal, d.count(minDemand))
 			for k := range js.Hetero {
-				js.Hetero[k] = core.DemandSpec(d.normal())
+				js.Hetero[k] = d.normal()
 			}
 		}
 		js.Placement = d.entries()

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // goldenState is a small state with every section of a format-1 snapshot
@@ -30,10 +31,10 @@ func goldenState() *core.ManagerState {
 		Used:   []int{0, 4},
 		Jobs: []core.JobState{
 			{ID: 1, Homog: &core.HomogSpec{N: 4, Mu: 1.3, Sigma: 0.7},
-				Placement: []core.EntryState{{Machine: 2, Count: 1}, {Machine: 6, Count: 3}},
+				Placement: []core.PlacementEntry{{Machine: 2, Count: 1}, {Machine: 6, Count: 3}},
 				Contribs:  []core.Contribution{{Link: 1, Mu: 1.25, Sigma: 0.5}, {Link: 6, Mu: 2, Det: true}}},
-			{ID: 3, Hetero: []core.DemandSpec{{Mu: 3, Sigma: 1}},
-				Placement:   []core.EntryState{{Machine: 5, Count: 1, VMs: []int{0}}},
+			{ID: 3, Hetero: []stats.Normal{{Mu: 3, Sigma: 1}},
+				Placement:   []core.PlacementEntry{{Machine: 5, Count: 1, VMs: []int{0}}},
 				DegradedEps: &eps},
 		},
 		MachinesDown: []int{4},
@@ -42,7 +43,7 @@ func goldenState() *core.ManagerState {
 			NoopRepairs: 5, MovedRepairs: 6, DegradedRepairs: 7, FailedRepairs: 300},
 		Idem: map[string]core.IdemState{
 			"b":   {Op: core.OpRelease, Job: 2},
-			"a/1": {Op: core.OpAlloc, Job: 1, Placement: []core.EntryState{{Machine: 2, Count: 1}, {Machine: 6, Count: 3}}},
+			"a/1": {Op: core.OpAlloc, Job: 1, Placement: []core.PlacementEntry{{Machine: 2, Count: 1}, {Machine: 6, Count: 3}}},
 			"c":   {Op: core.OpFailMachine},
 		},
 	}
@@ -219,8 +220,10 @@ func mutateLeaf(v reflect.Value, path string, target int, n *int) string {
 }
 
 // TestSnapshotFieldsComplete reflects over core.ManagerState and everything
-// it holds (JobState, IdemState, CounterState, LinkRecord, ...), sets every
-// field, and then changes one thing at a time. The binary round trip must
+// it holds (LinkRecord, JobState with its HomogSpec, stats.Normal demands,
+// core.PlacementEntry and core.Contribution lists, CounterState, IdemState
+// — the types the manager itself keeps these in, so there is one family to
+// police), sets every field, and then changes one thing at a time. The binary round trip must
 // reproduce each variant exactly and in different bytes, and the typed
 // equality promotion relies on must tell each from the original — so a
 // field added to the state later cannot be silently dropped by the codec
