@@ -41,6 +41,7 @@ var TargetPaths = map[string]bool{
 	"repro/internal/stats":    true,
 	"repro/internal/sim":      true,
 	"repro/internal/scenario": true,
+	"repro/internal/shard":    true,
 }
 
 func run(pass *analysis.Pass) error {

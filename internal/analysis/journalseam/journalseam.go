@@ -7,9 +7,10 @@
 // constructors:
 //
 //   - writes to Manager's journaled fields (led, jobs, version, nextID,
-//     degraded, idem, counters) — assignments, ++/--, delete(); the
-//     repair timings beside the counters (repairLatency) are telemetry,
-//     reset by a restart, and anyone may write them;
+//     degraded, idem, counters) — assignments, ++/--, delete(), and the
+//     idempotency table's one writing method, Bind; the repair timings
+//     beside the counters (repairLatency) are telemetry, reset by a
+//     restart, and anyone may write them;
 //   - commit(m.led, ...)/rollback(m.led, ...) on the live ledger
 //     (scratch clones and snapshots are fine);
 //   - mutator method calls rooted at m.led (UseSlots, AddDet,
@@ -25,8 +26,9 @@
 // (jobPods, crossMut, idem) are rebuilt from the pod WALs plus the
 // intent log on every reopen, so a write outside the functions that
 // mirror journaled commits silently diverges the live maps from what
-// recovery will reconstruct; such writes are flagged outside the shard
-// seam functions.
+// recovery will reconstruct; such writes (idem.Bind included) are flagged
+// outside the shard seam functions: admitted, released and faulted, each
+// mirroring one settled commit, and rebuildTables.
 //
 // Cross-package seam entry points — Manager.CommitExternal (the commit
 // half with no planning half, the router's private escape hatch) and
@@ -99,14 +101,13 @@ var routerTables = map[string]bool{
 }
 
 // shardSeamFunc lists the Router methods allowed to write the recovered
-// tables: the strict and fast commit paths, release, the fault/repair
-// appliers, the cross-pod intent bookkeeping, and recovery itself (plus
-// constructors, as in core).
+// tables: the three that mirror a settled admission, release or fault —
+// shared by the live paths of both modes, foldIntents and resolveInDoubt —
+// and recovery's rebuildTables (plus constructors, as in core; Open is
+// one, and initialises the maps).
 func shardSeamFunc(name string) bool {
 	switch name {
-	case "Release", "commitStrict", "fastDispatch", "fastRelease",
-		"fault", "repairOne", "recordCrossAlloc", "recordCrossRelease",
-		"rebuildTables", "resolveInDoubt", "Open":
+	case "admitted", "released", "faulted", "rebuildTables", "Open":
 		return true
 	}
 	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new")
@@ -178,8 +179,13 @@ func checkCoreCall(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	// Mutator methods rooted at m.led: m.led.UseSlots(...),
-	// m.led.Faults().FailMachine(...).
+	// m.led.Faults().FailMachine(...) — and m.idem.Bind(...).
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if sel.Sel.Name == "Bind" {
+			if field, ok := managerFieldWrite(pass, sel.X); ok {
+				pass.Reportf(call.Pos(), "Bind on Manager.%s outside applyLocked bypasses the journal seam", field)
+			}
+		}
 		if !ledgerMutators[sel.Sel.Name] && !faultMutators[sel.Sel.Name] {
 			return
 		}
@@ -308,6 +314,11 @@ func checkShardFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 			if id, ok := v.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(v.Args) > 0 {
 				if field, ok := routerTableWrite(pass, v.Args[0]); ok {
 					pass.Reportf(v.Pos(), "%s of Router.%s outside the shard commit seam diverges the recovered tables", id.Name, field)
+				}
+			}
+			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Bind" {
+				if field, ok := routerTableWrite(pass, sel.X); ok {
+					pass.Reportf(v.Pos(), "Bind on Router.%s outside the shard commit seam diverges the recovered tables", field)
 				}
 			}
 		}

@@ -12,7 +12,16 @@ type JobID int
 
 type Mutation struct {
 	Job JobID
+	Key string
 }
+
+// IdemTable mirrors the real one: a named map whose Bind is its one
+// writing method.
+type IdemTable map[string]JobID
+
+func (t IdemTable) Bind(mut Mutation) { t[mut.Key] = mut.Job }
+
+func (t IdemTable) Replay(key string) (JobID, bool) { id, ok := t[key]; return id, ok }
 
 type Ledger struct {
 	used map[int]int
@@ -44,6 +53,7 @@ type Manager struct {
 	jobs    map[JobID]int
 	version uint64
 	nextID  JobID
+	idem    IdemTable
 
 	counters      struct{ repairs uint64 } // journaled with the state
 	repairLatency int64                    // telemetry, not state
@@ -70,6 +80,7 @@ func (m *Manager) applyLocked(mut *Mutation) error {
 	m.jobs[mut.Job] = 1
 	m.counters.repairs++
 	m.version++
+	m.idem.Bind(*mut)
 	return nil
 }
 
@@ -109,6 +120,12 @@ func (m *Manager) badCount() {
 
 func (m *Manager) observeRepair(ns int64) {
 	m.repairLatency += ns
+}
+
+func (m *Manager) badBind(mut Mutation) {
+	if _, bound := m.idem.Replay(mut.Key); !bound { // reading the table is fine
+		m.idem.Bind(mut) // want `Bind on Manager\.idem outside applyLocked`
+	}
 }
 
 func (m *Manager) badForget(id JobID) {

@@ -9,7 +9,7 @@ type Router struct {
 	mgrs     []*core.Manager
 	jobPods  map[core.JobID][]int
 	crossMut map[core.JobID]core.Mutation
-	idem     map[string]bool
+	idem     core.IdemTable
 }
 
 // --- negative: constructors may initialise the tables directly ---
@@ -18,43 +18,49 @@ func NewRouter() *Router {
 	return &Router{
 		jobPods:  map[core.JobID][]int{},
 		crossMut: map[core.JobID]core.Mutation{},
-		idem:     map[string]bool{},
+		idem:     core.IdemTable{},
 	}
 }
 
-// --- negative: the strict commit path records the owning pods ---
+// --- negative: the three writers that mirror a settled commit ---
 
-func (r *Router) commitStrict(mut core.Mutation) error {
-	if err := r.mgrs[0].CommitExternal(mut); err != nil {
-		return err
+func (r *Router) admitted(mut core.Mutation, pods []int) {
+	r.jobPods[mut.Job] = pods
+	if len(pods) > 1 {
+		r.crossMut[mut.Job] = mut
 	}
-	r.jobPods[mut.Job] = []int{0}
-	return nil
+	r.idem.Bind(mut)
 }
 
-// --- negative: cross-pod bookkeeping mirrors the intent log ---
+func (r *Router) released(mut core.Mutation) {
+	delete(r.jobPods, mut.Job)
+	delete(r.crossMut, mut.Job)
+	r.idem.Bind(mut)
+}
 
-func (r *Router) recordCrossAlloc(mut core.Mutation) {
-	r.crossMut[mut.Job] = mut
-	r.jobPods[mut.Job] = []int{0, 1}
+func (r *Router) faulted(mut core.Mutation) {
+	r.idem.Bind(mut)
 }
 
 // --- negative: recovery rebuilds the tables from the pod WALs ---
 
 func (r *Router) rebuildTables(jobs []core.JobID) {
+	clear(r.jobPods)
 	for _, id := range jobs {
 		r.jobPods[id] = append(r.jobPods[id], 0)
 	}
 }
 
-// --- negative: release retires every table entry through the seam ---
+// --- negative: the live paths commit and then call a writer ---
 
-func (r *Router) Release(id core.JobID) error {
-	if err := r.mgrs[0].Release(id); err != nil {
+func (r *Router) Release(mut core.Mutation) error {
+	if _, bound := r.idem.Replay(mut.Key); bound {
+		return nil
+	}
+	if err := r.mgrs[0].Release(mut.Job); err != nil {
 		return err
 	}
-	delete(r.jobPods, id)
-	delete(r.crossMut, id)
+	r.released(mut)
 	return nil
 }
 
@@ -70,7 +76,20 @@ func (r *Router) CrossPodJobs() int {
 	return n
 }
 
-// --- positive: table writes outside the commit seam ---
+// --- positive: table writes outside the writer set, the parent's
+// commit paths included ---
+
+func (r *Router) commitStrict(mut core.Mutation) error {
+	if err := r.mgrs[0].CommitExternal(mut); err != nil {
+		return err
+	}
+	r.jobPods[mut.Job] = []int{0} // want `write to Router\.jobPods outside the shard commit seam`
+	return nil
+}
+
+func (r *Router) fault(mut core.Mutation) {
+	r.idem.Bind(mut) // want `Bind on Router\.idem outside the shard commit seam`
+}
 
 func (r *Router) statusScrub(id core.JobID) {
 	delete(r.jobPods, id) // want `delete of Router\.jobPods outside the shard commit seam`
@@ -81,7 +100,7 @@ func (r *Router) adoptJob(mut core.Mutation) {
 }
 
 func (r *Router) forgetKey(key string) {
-	r.idem[key] = false // want `write to Router\.idem outside the shard commit seam`
+	r.idem[key] = 0 // want `write to Router\.idem outside the shard commit seam`
 }
 
 func (r *Router) resetTables() {

@@ -73,7 +73,7 @@ func (m *Manager) planLocked(mut *Mutation) error {
 		contribs []Contribution
 		err      error
 	)
-	start := now()
+	start := Now()
 	if mut.Homog != nil {
 		p, contribs, err = m.plans.allocateHomog(m.led, *mut.Homog, m.policy, m.scope, true)
 	} else {
@@ -111,8 +111,10 @@ func (m *Manager) allocate(mut Mutation) (*Allocation, error) {
 // into nextID, so sequential and external assignment never collide on a
 // manager that sees both.
 func (m *Manager) admitLocked(mut Mutation) (*Allocation, func() error, error) {
-	if a, done, err := m.idemAllocLocked(mut.IdemKey); done {
-		return a, noWait, err
+	if is, bound, err := m.idem.Replay(mut.IdemKey, OpAlloc, 0); err != nil {
+		return nil, nil, err
+	} else if bound {
+		return is.Allocation(), noWait, nil
 	}
 	if err := m.planLocked(&mut); err != nil {
 		return nil, nil, err

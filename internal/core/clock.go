@@ -10,8 +10,9 @@ import "time"
 // mutation ran, only on its order in the log.
 var nowFunc = time.Now
 
-// now reads the injected clock.
-func now() time.Time { return nowFunc() }
+// Now reads the injected clock — exported for the sharded router, whose
+// repairs are timed outside any one manager.
+func Now() time.Time { return nowFunc() }
 
 // since measures elapsed time against the injected clock (time.Since
 // would consult the wall clock regardless of nowFunc).

@@ -46,11 +46,11 @@ func TestClockSeamFakesRepairLatency(t *testing.T) {
 func TestClockSeamRestores(t *testing.T) {
 	fixed := time.Unix(42, 0)
 	restore := SetClockForTesting(func() time.Time { return fixed })
-	if !now().Equal(fixed) {
+	if !Now().Equal(fixed) {
 		t.Fatal("fake clock not installed")
 	}
 	restore()
-	if now().Equal(fixed) {
+	if Now().Equal(fixed) {
 		t.Fatal("restore did not reinstate the real clock")
 	}
 }

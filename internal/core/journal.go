@@ -358,13 +358,7 @@ func (m *Manager) applyLocked(mut Mutation) error {
 		return fmt.Errorf("core: unknown mutation op %d", int(mut.Op))
 	}
 
-	if mut.IdemKey != "" {
-		is := IdemState{Op: mut.Op, Job: int64(mut.Job)}
-		if mut.Op == OpAlloc {
-			is.Placement = mut.Placement.Clone().Entries
-		}
-		m.idem[mut.IdemKey] = is
-	}
+	m.idem.Bind(mut)
 	return nil
 }
 

@@ -71,7 +71,7 @@ type Manager struct {
 	// mutation, and the idempotency-key table (guarded by mu). Both are
 	// rebuilt by crash recovery (see internal/wal).
 	journal Journal
-	idem    map[string]IdemState
+	idem    IdemTable
 
 	// Failure/repair state (guarded by mu): jobs running with a weakened
 	// effective eps after a degraded repair, the journaled fault/repair
@@ -139,7 +139,7 @@ func NewManager(topo *topology.Topology, eps float64, opts ...ManagerOption) (*M
 		hetero:   HeteroSubstring,
 		jobs:     make(map[JobID]*Allocation),
 		degraded: make(map[JobID]float64),
-		idem:     make(map[string]IdemState),
+		idem:     make(IdemTable),
 		plans:    newPlanCache(),
 	}
 	for _, o := range opts {
@@ -190,23 +190,6 @@ func (m *Manager) planHetero(led *Ledger, req Heterogeneous, mode planMode) (Pla
 		return allocateHeteroSubstringScoped(led, req, m.policy, m.scope)
 	}
 	return m.plans.allocateHeteroSubstring(led, req, m.policy, m.scope, mode != planDry)
-}
-
-// idemAllocLocked resolves an allocate call's idempotency key: done is
-// true when the key already committed and the stored outcome (or a
-// conflict error) must be returned without allocating.
-func (m *Manager) idemAllocLocked(key string) (*Allocation, bool, error) {
-	if key == "" {
-		return nil, false, nil
-	}
-	is, ok := m.idem[key]
-	if !ok {
-		return nil, false, nil
-	}
-	if is.Op != OpAlloc {
-		return nil, true, fmt.Errorf("%w: key committed by %v", ErrIdemConflict, is.Op)
-	}
-	return is.Allocation(), true, nil
 }
 
 // snapBuf is one of the manager's two read snapshots: a ledger equal to
@@ -271,14 +254,9 @@ func (m *Manager) CanAllocateHetero(req Heterogeneous) bool {
 func (m *Manager) Release(id JobID, opts ...CallOption) error {
 	co := evalCallOpts(opts)
 	m.mu.Lock()
-	if co.idemKey != "" {
-		if is, ok := m.idem[co.idemKey]; ok {
-			m.mu.Unlock()
-			if is.Op != OpRelease || JobID(is.Job) != id {
-				return fmt.Errorf("%w: key committed by %v of job %d", ErrIdemConflict, is.Op, is.Job)
-			}
-			return nil
-		}
+	if _, bound, err := m.idem.Replay(co.idemKey, OpRelease, id); bound {
+		m.mu.Unlock()
+		return err
 	}
 	if _, ok := m.jobs[id]; !ok {
 		m.mu.Unlock()

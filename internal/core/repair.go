@@ -115,19 +115,20 @@ func (s FailureStats) MarshalJSON() ([]byte, error) {
 }
 
 // fault commits one fault-overlay mutation and, for the Fail* calls,
-// reports the jobs displaced once it is applied. A key that already
+// reports the jobs displaced once it is applied. A key the same op already
 // committed skips the mutation entirely (fault ops are idempotent; the
 // stored binding just marks the request as applied).
 func (m *Manager) fault(mut Mutation, opts []CallOption, wantAffected bool) ([]JobID, error) {
 	mut.IdemKey = evalCallOpts(opts).idemKey
 	wait := noWait
 	m.mu.Lock()
-	if _, done := m.idem[mut.IdemKey]; mut.IdemKey == "" || !done {
-		var err error
-		if wait, err = m.commitStagedLocked(mut); err != nil {
-			m.mu.Unlock()
-			return nil, err
-		}
+	_, bound, err := m.idem.Replay(mut.IdemKey, mut.Op, 0)
+	if err == nil && !bound {
+		wait, err = m.commitStagedLocked(mut)
+	}
+	if err != nil {
+		m.mu.Unlock()
+		return nil, err
 	}
 	var affected []JobID
 	if wantAffected {
@@ -291,7 +292,7 @@ func (m *Manager) RepairAll() ([]RepairResult, error) {
 // be invoked after m.mu is released; Elapsed covers the plan and the
 // apply, not that wait.
 func (m *Manager) repairLocked(a *Allocation) (RepairResult, func() error, error) {
-	start := now()
+	start := Now()
 	mut, displaced := m.planRepairLocked(a)
 	wait, err := m.commitStagedLocked(mut)
 	if err != nil {

@@ -28,14 +28,14 @@ import (
 // are the types the manager itself keeps them in: export and import clone
 // (the state is a deep snapshot) and never convert.
 type ManagerState struct {
-	NextID       int64                `json:"next_id"`
-	Links        []LinkRecord         `json:"links"`
-	Used         []int                `json:"used"`
-	Jobs         []JobState           `json:"jobs,omitempty"`
-	MachinesDown []int                `json:"machines_down,omitempty"`
-	LinksDown    []int                `json:"links_down,omitempty"`
-	Counters     CounterState         `json:"counters"`
-	Idem         map[string]IdemState `json:"idem,omitempty"`
+	NextID       int64        `json:"next_id"`
+	Links        []LinkRecord `json:"links"`
+	Used         []int        `json:"used"`
+	Jobs         []JobState   `json:"jobs,omitempty"`
+	MachinesDown []int        `json:"machines_down,omitempty"`
+	LinksDown    []int        `json:"links_down,omitempty"`
+	Counters     CounterState `json:"counters"`
+	Idem         IdemTable    `json:"idem,omitempty"`
 }
 
 // LinkRecord is one link's reservation bookkeeping (capacity comes from
@@ -131,6 +131,44 @@ type IdemState struct {
 // and a copy of the placement — a response stub, not a live job record.
 func (is IdemState) Allocation() *Allocation {
 	return &Allocation{ID: JobID(is.Job), Placement: (&Placement{Entries: is.Placement}).Clone()}
+}
+
+// IdemTable is the idempotency contract: the bindings of a manager, of the
+// sharded router (the union of its pods' plus the cross-pod ones) and of an
+// exported state, and the only place that says what a repeated key answers.
+type IdemTable map[string]IdemState
+
+// Replay answers a call of op (on job, which only a release compares)
+// made under key. Unbound, or no key: bound is false and the call
+// executes. Bound by the same op: the stored outcome, to be answered
+// without executing — for a fault op whatever its target, since a binding
+// stores the op and not the machine or link. Bound by anything else:
+// ErrIdemConflict.
+func (t IdemTable) Replay(key string, op MutationOp, job JobID) (is IdemState, bound bool, err error) {
+	if key != "" {
+		is, bound = t[key]
+	}
+	if bound && (is.Op != op || op == OpRelease && JobID(is.Job) != job) {
+		if is.Job == 0 { // a fault op
+			return IdemState{}, true, fmt.Errorf("%w: key committed by %v", ErrIdemConflict, is.Op)
+		}
+		return IdemState{}, true, fmt.Errorf("%w: key committed by %v of job %d", ErrIdemConflict, is.Op, is.Job)
+	}
+	return is, bound, nil
+}
+
+// Bind stores the outcome of a committed mutation under its key, if it
+// carries one: the op, the job, and for an admission a copy of the
+// placement a replay answers with.
+func (t IdemTable) Bind(mut Mutation) {
+	if mut.IdemKey == "" {
+		return
+	}
+	is := IdemState{Op: mut.Op, Job: int64(mut.Job)}
+	if mut.Op == OpAlloc {
+		is.Placement = mut.Placement.Clone().Entries
+	}
+	t[mut.IdemKey] = is
 }
 
 // Equal reports whether st and o are the same state: every field equal,
@@ -264,7 +302,7 @@ func (m *Manager) exportStateLocked() *ManagerState {
 	}
 
 	if len(m.idem) > 0 {
-		st.Idem = make(map[string]IdemState, len(m.idem))
+		st.Idem = make(IdemTable, len(m.idem))
 		var slab []PlacementEntry
 		for k, is := range m.idem {
 			if is.Op == OpAlloc {
@@ -327,7 +365,7 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 	}
 
 	m.jobs = make(map[JobID]*Allocation, len(st.Jobs))
-	m.idem = make(map[string]IdemState, len(st.Idem))
+	m.idem = make(IdemTable, len(st.Idem))
 	perMachine := make([]int, topo.Len())
 	for _, js := range st.Jobs {
 		id := JobID(js.ID)

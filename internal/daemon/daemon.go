@@ -220,13 +220,7 @@ func (d *Daemon) primaryWiring(ctrl httpapi.Controller) httpapi.Wiring {
 				CrossPodJobs: r.CrossPodJobs(),
 			}
 			for _, st := range r.ShardStatuses() {
-				ss.Pods = append(ss.Pods, httpapi.PodStatus{
-					Shard:        st.Shard,
-					Root:         st.Root,
-					Jobs:         st.Jobs,
-					FreeSlots:    st.FreeSlots,
-					MaxOccupancy: st.MaxOccupancy,
-				})
+				ss.Pods = append(ss.Pods, httpapi.PodStatus(st))
 			}
 			return ss
 		}

@@ -133,3 +133,49 @@ func TestShardedDaemonServesAndRecovers(t *testing.T) {
 			final.RunningJobs, final.FreeSlots, final.Sharding.CrossPodJobs)
 	}
 }
+
+// TestShardedFaultUnderForeignKeyConflicts: on a -shards node in either
+// -shard-mode, POST /v1/faults under a key an allocation committed — or a
+// restore under the key of its fail — answers 409 and applies nothing,
+// before and after a crash restart (the router's table is rebuilt from
+// the pod WALs).
+func TestShardedFaultUnderForeignKeyConflicts(t *testing.T) {
+	for _, mode := range []string{"strict", "fast"} {
+		stateDir := t.TempDir()
+		ctx := context.Background()
+		cfg := Config{Topo: podsTopo(t), StateDir: stateDir, Shards: 2, ShardMode: mode}
+		d := startNode(t, cfg)
+		c := testClient(d)
+		if _, err := c.Allocate(ctx, httpapi.AllocationRequest{N: 2, Mu: 20}, httpapi.WithIdempotencyKey("alloc-1")); err != nil {
+			t.Fatalf("%s: allocate: %v", mode, err)
+		}
+		mc := int(cfg.Topo.Machines()[0])
+		if _, err := c.Fault(ctx, httpapi.FaultRequest{Machine: &mc}, httpapi.WithIdempotencyKey("fail-1")); err != nil {
+			t.Fatalf("%s: fault: %v", mode, err)
+		}
+		for _, restarted := range []bool{false, true} {
+			if restarted {
+				d.Crash()
+				d = startNode(t, cfg)
+				c = testClient(d)
+			}
+			var apiErr *httpapi.APIError
+			if _, err := c.Fault(ctx, httpapi.FaultRequest{Machine: &mc}, httpapi.WithIdempotencyKey("alloc-1")); !errors.As(err, &apiErr) || apiErr.StatusCode != 409 {
+				t.Errorf("%s (restarted %v): fault under an allocation's key = %v, want 409", mode, restarted, err)
+			}
+			if _, err := c.Fault(ctx, httpapi.FaultRequest{Machine: &mc, Restore: true}, httpapi.WithIdempotencyKey("fail-1")); !errors.As(err, &apiErr) || apiErr.StatusCode != 409 {
+				t.Errorf("%s (restarted %v): restore under its fail's key = %v, want 409", mode, restarted, err)
+			}
+			st, err := c.Failures(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.MachineFailures != 1 || st.MachineRestores != 0 || st.MachinesDown != 1 {
+				t.Errorf("%s (restarted %v): refused calls were applied: %+v", mode, restarted, st)
+			}
+		}
+		if err := shutdown(d); err != nil {
+			t.Errorf("%s: shutdown: %v", mode, err)
+		}
+	}
+}

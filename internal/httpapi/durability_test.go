@@ -44,6 +44,44 @@ func TestIdempotencyKeyReplaysAllocation(t *testing.T) {
 	}
 }
 
+// TestFaultUnderForeignKeyConflicts: POST /v1/faults under a key another
+// op committed is refused with 409 and applies nothing — the key of an
+// allocation, and the key of the fail carried by its restore (both were
+// answered 200 and skipped before core.IdemTable). The same fault op on a
+// different machine still replays: a binding stores the op, not the target.
+func TestFaultUnderForeignKeyConflicts(t *testing.T) {
+	client, mgr := newTestService(t)
+	ctx := context.Background()
+	if _, err := client.Allocate(ctx, AllocationRequest{N: 2, Mu: 50}, WithIdempotencyKey("alloc-1")); err != nil {
+		t.Fatal(err)
+	}
+	mc, other := int(mgr.Topology().Machines()[0]), int(mgr.Topology().Machines()[1])
+	conflict := func(step string, err error) {
+		t.Helper()
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict {
+			t.Errorf("%s = %v, want 409", step, err)
+		}
+	}
+	_, err := client.Fault(ctx, FaultRequest{Machine: &mc}, WithIdempotencyKey("alloc-1"))
+	conflict("fault under an allocation's key", err)
+	if _, err := client.Fault(ctx, FaultRequest{Machine: &mc}, WithIdempotencyKey("fail-1")); err != nil {
+		t.Fatalf("fault: %v", err)
+	}
+	_, err = client.Fault(ctx, FaultRequest{Machine: &mc, Restore: true}, WithIdempotencyKey("fail-1"))
+	conflict("restore under its fail's key", err)
+	if _, err := client.Fault(ctx, FaultRequest{Machine: &other}, WithIdempotencyKey("fail-1")); err != nil {
+		t.Fatalf("same op, other machine: %v", err)
+	}
+	st, err := client.Failures(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MachineFailures != 1 || st.MachineRestores != 0 || st.MachinesDown != 1 {
+		t.Errorf("after two refused calls and one replay: %+v, want one failure, no restore, one machine down", st)
+	}
+}
+
 // TestIdempotencyKeyOnReleaseAndFault: keyed release repeats succeed;
 // keyed fault repeats do not double-count.
 func TestIdempotencyKeyOnReleaseAndFault(t *testing.T) {

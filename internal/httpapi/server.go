@@ -16,6 +16,19 @@
 //	POST   /v1/repairs            re-place displaced jobs (one or all); 409
 //	                              for a job that cannot be repaired in place
 //	GET    /v1/failures           fault and repair counters
+//
+// Idempotency-Key: the three mutating endpoints (allocate, release,
+// fault) accept the header, and core.IdemTable decides what a repeated
+// key answers, the same on svcd and on svcd -shards K in either mode. A
+// key nothing committed executes. A key the same operation committed —
+// for a release, of the same job — replays the original outcome (201 with
+// the original placement, 204, 200) without executing. A key any other
+// operation committed is refused with 409: an allocation's key on a
+// release or a fault, a fail's key on its restore. The one reuse that
+// still replays is the same fault operation on a different machine or
+// link: a binding stores the operation and the job, not the target
+// (storing it would change snapshot and /v1/state bytes), so it is
+// answered 200 and the second target is left as it was.
 package httpapi
 
 import (

@@ -13,138 +13,186 @@ import (
 )
 
 // AllocateHomog admits a homogeneous request through the sharded control
-// plane. Strict mode plans on the shadow (bit-identical to the unsharded
-// manager) and commits into the owning pod or pods; fast mode plans and
-// commits pod-locally.
+// plane; see admit.
 func (r *Router) AllocateHomog(req core.Homogeneous, opts ...core.CallOption) (*core.Allocation, error) {
-	co := core.ResolveCallOptions(opts...)
-	if r.mode == Fast {
-		return r.fastAllocate(co.IdemKey, func(m *core.Manager, callOpts []core.CallOption) (*core.Allocation, error) {
-			return m.AllocateHomog(req, callOpts...)
-		})
-	}
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	if a, done, err := r.replayIdemAlloc(co.IdemKey); done {
-		return a, err
-	}
-	mut, err := r.shadow.PlanHomog(req)
-	if err != nil {
-		return nil, err
-	}
-	return r.commitStrict(mut, co.IdemKey)
+	return r.admit(core.Mutation{Op: core.OpAlloc, Homog: &req}, opts)
 }
 
 // AllocateHetero admits a heterogeneous request through the sharded
-// control plane.
+// control plane; see admit.
 func (r *Router) AllocateHetero(req core.Heterogeneous, opts ...core.CallOption) (*core.Allocation, error) {
-	co := core.ResolveCallOptions(opts...)
-	if r.mode == Fast {
-		return r.fastAllocate(co.IdemKey, func(m *core.Manager, callOpts []core.CallOption) (*core.Allocation, error) {
-			return m.AllocateHetero(req, callOpts...)
-		})
-	}
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	if a, done, err := r.replayIdemAlloc(co.IdemKey); done {
-		return a, err
-	}
-	mut, err := r.shadow.PlanHetero(req)
-	if err != nil {
-		return nil, err
-	}
-	return r.commitStrict(mut, co.IdemKey)
+	return r.admit(core.Mutation{Op: core.OpAlloc, Hetero: &req}, opts)
 }
 
-// Release frees an admitted job on every pod holding its state.
-func (r *Router) Release(id core.JobID, opts ...core.CallOption) error {
-	co := core.ResolveCallOptions(opts...)
-	if r.mode == Fast {
-		return r.fastRelease(id, co.IdemKey)
+// admit is the admission driver of both entry points and both modes. req
+// carries the request the way core's own driver takes it: the op and one
+// of Homog/Hetero. Replaying a bound key and mirroring the outcome into
+// the router's books are shared; the admission in between is the one step
+// the modes do differently (commitStrict, fastDispatch), and claims are
+// fast mode's alone: under opMu no two strict admissions are in flight.
+//
+// A fast-mode racer that loses the claim receives the first caller's
+// settled outcome — including its error. The unsharded manager would
+// re-plan after a failed keyed attempt; fast mode trades that retry for
+// never blocking admissions on a sibling pod's planning (see
+// docs/SHARDING.md).
+func (r *Router) admit(req core.Mutation, opts []core.CallOption) (*core.Allocation, error) {
+	req.IdemKey = core.ResolveCallOptions(opts...).IdemKey
+	if r.mode == Strict {
+		r.opMu.Lock()
+		defer r.opMu.Unlock()
 	}
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	if done, err := r.replayIdemRelease(co.IdemKey, id); done {
-		return err
+	var (
+		is          core.IdemState
+		bound       bool
+		err         error
+		mine, other *claim
+	)
+	if req.IdemKey != "" {
+		// One hold of tabMu for the table and the claim: a racer must find
+		// the key either bound or claimed, or duplicate keys admit twice.
+		// An unkeyed admission has nothing to ask and does not queue here.
+		r.tabMu.Lock()
+		is, bound, err = r.idem.Replay(req.IdemKey, core.OpAlloc, 0)
+		if !bound && r.mode == Fast {
+			if other = r.claims[req.IdemKey]; other == nil {
+				mine = &claim{done: make(chan struct{})}
+				r.claims[req.IdemKey] = mine
+			}
+		}
+		r.tabMu.Unlock()
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case bound:
+		return is.Allocation(), nil
+	case other != nil:
+		<-other.done
+		if other.err != nil {
+			return nil, other.err
+		}
+		return &core.Allocation{ID: other.res.ID, Placement: other.res.Placement.Clone()}, nil
+	}
+	var a *core.Allocation
+	if r.mode == Strict {
+		a, err = r.commitStrict(req)
+	} else {
+		a, err = r.fastDispatch(req)
+	}
+	if mine != nil {
+		mine.res, mine.err = a, err
+		r.tabMu.Lock()
+		delete(r.claims, req.IdemKey)
+		r.tabMu.Unlock()
+		close(mine.done)
+	}
+	return a, err
+}
+
+// Release frees an admitted job on every pod holding its state — one
+// path for both modes, which differ only in taking opMu and replaying
+// into the shadow.
+func (r *Router) Release(id core.JobID, opts ...core.CallOption) error {
+	mut := core.Mutation{Op: core.OpRelease, Job: id, IdemKey: core.ResolveCallOptions(opts...).IdemKey}
+	if r.mode == Strict {
+		r.opMu.Lock()
+		defer r.opMu.Unlock()
 	}
 	r.tabMu.Lock()
+	_, bound, err := r.idem.Replay(mut.IdemKey, core.OpRelease, id)
 	pods, ok := r.jobPods[id]
 	r.tabMu.Unlock()
+	if bound {
+		return err
+	}
 	if !ok {
 		return fmt.Errorf("%w: %d", core.ErrUnknownJob, id)
 	}
-	mut := core.Mutation{Op: core.OpRelease, Job: id, IdemKey: co.IdemKey}
 	if len(pods) == 1 {
-		// The full mutation — idempotency key included — goes to the
-		// owning pod, so the key's durable home is that pod's WAL exactly
-		// as in the unsharded manager.
-		if err := r.mgrs[pods[0]].CommitExternal(mut); err != nil {
-			return err
-		}
-	} else if err := r.releaseCrossPod(mut, pods); err != nil {
+		// The owning pod journals the full mutation — idempotency key
+		// included — so the key's durable home is that pod's WAL exactly
+		// as in the unsharded manager. Manager.Release and not
+		// CommitExternal: fast-mode racers under one key get here
+		// together, and the pod's own table answers the loser as the
+		// unsharded manager would (nil, not ErrUnknownJob).
+		err = r.mgrs[pods[0]].Release(id, core.WithIdemKey(mut.IdemKey))
+	} else {
+		err = r.releaseCrossPod(mut, pods)
+	}
+	if err != nil {
 		return err
 	}
-	if err := r.shadow.CommitExternal(mut); err != nil {
-		return fmt.Errorf("shard: shadow diverged on release of job %d: %w", id, err)
+	if r.mode == Strict {
+		if err := r.shadow.CommitExternal(mut); err != nil {
+			return fmt.Errorf("shard: shadow diverged on release of job %d: %w", id, err)
+		}
 	}
-	r.tabMu.Lock()
-	delete(r.jobPods, id)
-	delete(r.crossMut, id)
-	if co.IdemKey != "" {
-		r.idem[co.IdemKey] = core.IdemState{Op: core.OpRelease, Job: int64(id)}
-	}
-	r.tabMu.Unlock()
+	r.released(mut)
 	r.assertConsistent()
 	return nil
 }
 
-// replayIdemAlloc resolves an allocate call's idempotency key against the
-// router table, mirroring the unsharded manager's replay contract: a key
-// committed by an alloc replays its placement stub, a key committed by
-// any other op conflicts.
-func (r *Router) replayIdemAlloc(key string) (*core.Allocation, bool, error) {
-	if key == "" {
-		return nil, false, nil
-	}
+// The router's books — jobPods, crossMut, idem — have four writers: the
+// three below, each mirroring one settled commit whether it settled live,
+// in the replayed intent log (foldIntents) or in doubt (resolveInDoubt),
+// and rebuildTables, which derives the rest from the recovered pods.
+
+// admitted mirrors one committed admission: where the job lives, the
+// original un-partitioned mutation if that is more than one pod, and the
+// binding of its key (for a cross-pod job the router's table is the only
+// one holding it: its durable home is the intent log, not any pod WAL).
+func (r *Router) admitted(mut core.Mutation, pods []int) {
 	r.tabMu.Lock()
-	is, ok := r.idem[key]
-	r.tabMu.Unlock()
-	if !ok {
-		return nil, false, nil
+	defer r.tabMu.Unlock()
+	r.jobPods[mut.Job] = pods
+	if len(pods) > 1 {
+		r.crossMut[mut.Job] = mut
 	}
-	if is.Op != core.OpAlloc {
-		return nil, true, fmt.Errorf("%w: key committed by %v", core.ErrIdemConflict, is.Op)
-	}
-	return is.Allocation(), true, nil
+	r.idem.Bind(mut)
 }
 
-// replayIdemRelease resolves a release call's idempotency key, mirroring
-// the unsharded Release contract.
-func (r *Router) replayIdemRelease(key string, id core.JobID) (bool, error) {
-	if key == "" {
-		return false, nil
-	}
+// released mirrors one mutation that took a job out: a release, or the
+// repair that found no placement and evicted it.
+func (r *Router) released(mut core.Mutation) {
 	r.tabMu.Lock()
-	is, ok := r.idem[key]
-	r.tabMu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	if is.Op != core.OpRelease || core.JobID(is.Job) != id {
-		return true, fmt.Errorf("%w: key committed by %v of job %d", core.ErrIdemConflict, is.Op, is.Job)
-	}
-	return true, nil
+	defer r.tabMu.Unlock()
+	delete(r.jobPods, mut.Job)
+	delete(r.crossMut, mut.Job)
+	r.idem.Bind(mut)
 }
 
-// commitStrict drives one shadow-planned admission to durability: assign
-// the next job ID, commit into the owning pod (or two-phase across
-// pods), replay the identical mutation into the shadow, then publish the
-// routing-table entries. The shadow and the ID high-water mark advance
-// only after the pod commit succeeded, so a rejected or failed commit
-// leaves the merged view untouched.
-func (r *Router) commitStrict(mut core.Mutation, key string) (*core.Allocation, error) {
+// faulted mirrors one committed fault op, which moves no job: its key.
+func (r *Router) faulted(mut core.Mutation) {
+	r.tabMu.Lock()
+	defer r.tabMu.Unlock()
+	r.idem.Bind(mut)
+}
+
+// commitStrict is strict mode's admission: plan on the shadow — the
+// merged view, so the placement is the unsharded manager's — assign the
+// next job ID, commit the plan into the owning pod (or two-phase across
+// pods) through CommitExternal, which opMu makes safe by keeping every
+// other mutation out between plan and commit, replay the identical
+// mutation into the shadow, then publish the routing-table entries. The
+// shadow and the ID high-water mark advance only after the pod commit
+// succeeded, so a rejected or failed commit leaves the merged view
+// untouched.
+func (r *Router) commitStrict(req core.Mutation) (*core.Allocation, error) {
+	var (
+		mut core.Mutation
+		err error
+	)
+	if req.Homog != nil {
+		mut, err = r.shadow.PlanHomog(*req.Homog)
+	} else {
+		mut, err = r.shadow.PlanHetero(*req.Hetero)
+	}
+	if err != nil {
+		return nil, err
+	}
 	mut.Job = core.JobID(r.nextID.Load() + 1)
-	mut.IdemKey = key
+	mut.IdemKey = req.IdemKey
 	pods := r.podsOfPlacement(mut.Placement)
 	if len(pods) == 1 {
 		if err := r.mgrs[pods[0]].CommitExternal(mut); err != nil {
@@ -160,18 +208,7 @@ func (r *Router) commitStrict(mut core.Mutation, key string) (*core.Allocation, 
 	}
 	r.nextID.Store(int64(mut.Job))
 	r.strict.Add(1)
-	r.tabMu.Lock()
-	r.jobPods[mut.Job] = pods
-	if len(pods) > 1 {
-		r.crossMut[mut.Job] = mut
-	}
-	if key != "" {
-		r.idem[key] = core.IdemState{
-			Op: core.OpAlloc, Job: int64(mut.Job),
-			Placement: mut.Placement.Clone().Entries,
-		}
-	}
-	r.tabMu.Unlock()
+	r.admitted(mut, pods)
 	r.assertConsistent()
 	return &core.Allocation{ID: mut.Job, Placement: mut.Placement.Clone()}, nil
 }
@@ -324,75 +361,33 @@ func partitionAlloc(ps *topology.PodSet, mut core.Mutation, pods []int) ([]core.
 	return subs, nil
 }
 
-// fastAllocate is the fast-mode admission driver: router-level
-// idempotency arbitration (so duplicate keys racing into different pods
-// collapse to one job), then pod-local plan-and-commit with affinity
-// plus round-robin fallback.
-//
-// A racer that loses the claim receives the first caller's settled
-// outcome — including its error. The unsharded manager would re-plan
-// after a failed keyed attempt; fast mode trades that retry for never
-// blocking admissions on a sibling pod's planning (see docs/SHARDING.md).
-func (r *Router) fastAllocate(key string, alloc func(m *core.Manager, opts []core.CallOption) (*core.Allocation, error)) (*core.Allocation, error) {
-	var c *claim
-	if key != "" {
-		r.tabMu.Lock()
-		if is, ok := r.idem[key]; ok {
-			r.tabMu.Unlock()
-			if is.Op != core.OpAlloc {
-				return nil, fmt.Errorf("%w: key committed by %v", core.ErrIdemConflict, is.Op)
-			}
-			return is.Allocation(), nil
-		}
-		if other, ok := r.claims[key]; ok {
-			r.tabMu.Unlock()
-			<-other.done
-			if other.err != nil {
-				return nil, other.err
-			}
-			return &core.Allocation{ID: other.res.ID, Placement: other.res.Placement.Clone()}, nil
-		}
-		c = &claim{done: make(chan struct{})}
-		r.claims[key] = c
-		r.tabMu.Unlock()
-	}
-	a, err := r.fastDispatch(key, alloc)
-	if c != nil {
-		c.res, c.err = a, err
-		r.tabMu.Lock()
-		delete(r.claims, key)
-		r.tabMu.Unlock()
-		close(c.done)
-	}
-	return a, err
-}
-
-// fastDispatch tries the affinity pod first, then every other pod in
-// round-robin order. Only capacity rejections fall through to the next
-// pod; any other error is terminal. Job IDs come off the shared atomic
-// counter, so a rejected admission burns its ID — pod managers max-merge
-// external IDs, which keeps gaps harmless.
-func (r *Router) fastDispatch(key string, alloc func(m *core.Manager, opts []core.CallOption) (*core.Allocation, error)) (*core.Allocation, error) {
+// fastDispatch is fast mode's admission: the affinity pod first, then
+// every other pod in round-robin order, each planning AND committing
+// inside one hold of its own lock (Manager.Allocate*) — with no opMu, a
+// PlanHomog followed by CommitExternal would open a window in which a
+// sibling admission lands and Eq. 4 is not re-checked. Only capacity
+// rejections fall through to the next pod; any other error is terminal.
+// Job IDs come off the shared atomic counter, so a rejected admission
+// burns its ID — pod managers max-merge external IDs, which keeps gaps
+// harmless.
+func (r *Router) fastDispatch(req core.Mutation) (*core.Allocation, error) {
 	id := core.JobID(r.nextID.Add(1))
-	opts := []core.CallOption{core.WithJobID(id)}
-	if key != "" {
-		opts = append(opts, core.WithIdemKey(key))
-	}
-	start := r.affinity(key)
+	opts := []core.CallOption{core.WithJobID(id), core.WithIdemKey(req.IdemKey)}
+	start := r.affinity(req.IdemKey)
 	var lastErr error
 	for i := 0; i < len(r.mgrs); i++ {
 		pod := (start + i) % len(r.mgrs)
-		a, err := alloc(r.mgrs[pod], opts)
+		var (
+			a   *core.Allocation
+			err error
+		)
+		if req.Homog != nil {
+			a, err = r.mgrs[pod].AllocateHomog(*req.Homog, opts...)
+		} else {
+			a, err = r.mgrs[pod].AllocateHetero(*req.Hetero, opts...)
+		}
 		if err == nil {
-			r.tabMu.Lock()
-			r.jobPods[a.ID] = []int{pod}
-			if key != "" {
-				r.idem[key] = core.IdemState{
-					Op: core.OpAlloc, Job: int64(a.ID),
-					Placement: a.Placement.Clone().Entries,
-				}
-			}
-			r.tabMu.Unlock()
+			r.admitted(core.Mutation{Op: core.OpAlloc, Job: a.ID, Placement: &a.Placement, IdemKey: req.IdemKey}, []int{pod})
 			return a, nil
 		}
 		lastErr = err
@@ -413,37 +408,4 @@ func (r *Router) affinity(key string) int {
 		return int(h.Sum32() % uint32(len(r.mgrs)))
 	}
 	return int((r.rr.Add(1) - 1) % int64(len(r.mgrs)))
-}
-
-// fastRelease releases a pod-local job in fast mode.
-func (r *Router) fastRelease(id core.JobID, key string) error {
-	r.tabMu.Lock()
-	if key != "" {
-		if is, ok := r.idem[key]; ok {
-			r.tabMu.Unlock()
-			if is.Op != core.OpRelease || core.JobID(is.Job) != id {
-				return fmt.Errorf("%w: key committed by %v of job %d", core.ErrIdemConflict, is.Op, is.Job)
-			}
-			return nil
-		}
-	}
-	pods, ok := r.jobPods[id]
-	r.tabMu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %d", core.ErrUnknownJob, id)
-	}
-	var opts []core.CallOption
-	if key != "" {
-		opts = append(opts, core.WithIdemKey(key))
-	}
-	if err := r.mgrs[pods[0]].Release(id, opts...); err != nil {
-		return err
-	}
-	r.tabMu.Lock()
-	delete(r.jobPods, id)
-	if key != "" {
-		r.idem[key] = core.IdemState{Op: core.OpRelease, Job: int64(id)}
-	}
-	r.tabMu.Unlock()
-	return nil
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -12,9 +11,10 @@ import (
 // Fault routing: a machine lives in exactly one pod and a link is owned
 // by the pod of its child endpoint, so every fault op targets exactly
 // one pod manager. The router-level idempotency check runs BEFORE the
-// pod and the shadow see anything: a key that already committed must
-// skip both (the machine may have been restored since; re-failing it in
-// the shadow alone would diverge the merged view).
+// pod and the shadow see anything: a key the same op already committed
+// must skip both (the machine may have been restored since; re-failing it
+// in the shadow alone would diverge the merged view), and a key anything
+// else committed is refused, as it is for an admission or a release.
 
 // FailMachine takes a machine down. It returns the IDs of every job with
 // displaced VMs anywhere in the datacenter, sorted — the unsharded
@@ -48,18 +48,16 @@ func (r *Router) RestoreLink(id topology.LinkID, opts ...core.CallOption) error 
 // fault routes one fault-overlay mutation to its owning pod (and, in
 // strict mode, replays it into the shadow).
 func (r *Router) fault(mut core.Mutation, opts []core.CallOption) error {
-	co := core.ResolveCallOptions(opts...)
+	mut.IdemKey = core.ResolveCallOptions(opts...).IdemKey
 	if r.mode == Strict {
 		r.opMu.Lock()
 		defer r.opMu.Unlock()
 	}
-	if co.IdemKey != "" {
-		r.tabMu.Lock()
-		_, done := r.idem[co.IdemKey]
-		r.tabMu.Unlock()
-		if done {
-			return nil
-		}
+	r.tabMu.Lock()
+	_, bound, err := r.idem.Replay(mut.IdemKey, mut.Op, 0)
+	r.tabMu.Unlock()
+	if bound {
+		return err
 	}
 	var pod int
 	switch mut.Op {
@@ -71,7 +69,6 @@ func (r *Router) fault(mut core.Mutation, opts []core.CallOption) error {
 	if pod < 0 {
 		return fmt.Errorf("shard: node %d is outside every pod", mut.Node)
 	}
-	mut.IdemKey = co.IdemKey
 	if err := r.mgrs[pod].CommitExternal(mut); err != nil {
 		return err
 	}
@@ -80,11 +77,7 @@ func (r *Router) fault(mut core.Mutation, opts []core.CallOption) error {
 			return fmt.Errorf("shard: shadow diverged on %v: %w", mut.Op, err)
 		}
 	}
-	if co.IdemKey != "" {
-		r.tabMu.Lock()
-		r.idem[co.IdemKey] = core.IdemState{Op: mut.Op}
-		r.tabMu.Unlock()
-	}
+	r.faulted(mut)
 	r.assertConsistent()
 	return nil
 }
@@ -158,7 +151,7 @@ func (r *Router) repairOne(id core.JobID) (core.RepairResult, error) {
 		return core.RepairResult{}, fmt.Errorf("%w: job %d spans pods %v", ErrCrossPodRepair, id, pods)
 	}
 	pod := r.mgrs[pods[0]]
-	start := time.Now()
+	start := core.Now()
 	mut, displaced, err := pod.PlanRepair(id)
 	if err != nil {
 		return core.RepairResult{}, err
@@ -173,13 +166,11 @@ func (r *Router) repairOne(id core.JobID) (core.RepairResult, error) {
 	}
 	res := core.RepairResult{
 		Job: id, Outcome: mut.Outcome, MovedVMs: displaced,
-		EffectiveEps: mut.EffectiveEps, Elapsed: time.Since(start),
+		EffectiveEps: mut.EffectiveEps, Elapsed: core.Now().Sub(start),
 	}
 	switch mut.Outcome {
 	case core.RepairFailed:
-		r.tabMu.Lock()
-		delete(r.jobPods, id)
-		r.tabMu.Unlock()
+		r.released(mut)
 	case core.RepairNoop:
 		if p, perr := pod.JobPlacement(id); perr == nil {
 			res.Placement = p

@@ -140,8 +140,9 @@ type Router struct {
 	crossMut map[core.JobID]core.Mutation
 	// idem is the router-level union of the pods' durable idempotency
 	// bindings plus the cross-pod ones (whose durable home is the intent
-	// log); rebuilt on recovery from those same sources.
-	idem map[string]core.IdemState
+	// log); rebuilt on recovery from those same sources. It answers every
+	// repeated key before a pod or the shadow sees the call.
+	idem core.IdemTable
 	// claims tracks in-flight keyed fast-mode admissions so duplicate
 	// keys racing into different pods collapse to one job.
 	claims map[string]*claim
@@ -187,7 +188,7 @@ func Open(dir string, topo *topology.Topology, eps float64, shards int, opts Opt
 		dir:      dir,
 		jobPods:  make(map[core.JobID][]int),
 		crossMut: make(map[core.JobID]core.Mutation),
-		idem:     make(map[string]core.IdemState),
+		idem:     make(core.IdemTable),
 		claims:   make(map[string]*claim),
 	}
 
@@ -257,9 +258,9 @@ type pendingOp struct {
 }
 
 // foldIntents classifies the replayed intent log: completed admissions
-// populate crossMut and idem, completed releases clear them, and the
-// begin records with no done record come back as in-doubt operations in
-// log order.
+// and releases are mirrored into the tables exactly as when they settled
+// live, and the begin records with no done record come back as in-doubt
+// operations in log order.
 func (r *Router) foldIntents(intents []wal.Intent) (pendingAdm, pendingRel []pendingOp) {
 	admIdx := make(map[core.JobID]int)
 	relIdx := make(map[core.JobID]int)
@@ -277,7 +278,7 @@ func (r *Router) foldIntents(intents []wal.Intent) (pendingAdm, pendingRel []pen
 			pendingAdm[i].job = 0 // settled
 			delete(admIdx, in.Job)
 			if in.Commit {
-				r.recordCrossAlloc(op.mut)
+				r.admitted(op.mut, op.pods)
 			}
 		case wal.IntentReleaseBegin:
 			relIdx[in.Job] = len(pendingRel)
@@ -290,7 +291,7 @@ func (r *Router) foldIntents(intents []wal.Intent) (pendingAdm, pendingRel []pen
 			op := pendingRel[i]
 			pendingRel[i].job = 0 // settled
 			delete(relIdx, in.Job)
-			r.recordCrossRelease(op.mut)
+			r.released(op.mut)
 		}
 	}
 	pendingAdm = compactPending(pendingAdm)
@@ -306,28 +307,6 @@ func compactPending(ops []pendingOp) []pendingOp {
 		}
 	}
 	return out
-}
-
-// recordCrossAlloc marks one cross-pod admission committed: the original
-// mutation becomes the job's merged-state source, and its idempotency
-// key (whose durable home is the intent log, not any pod WAL) joins the
-// router table. Callers hold tabMu or have exclusive access.
-func (r *Router) recordCrossAlloc(mut core.Mutation) {
-	r.crossMut[mut.Job] = mut
-	if mut.IdemKey != "" {
-		r.idem[mut.IdemKey] = core.IdemState{
-			Op: core.OpAlloc, Job: int64(mut.Job),
-			Placement: mut.Placement.Clone().Entries,
-		}
-	}
-}
-
-// recordCrossRelease marks one cross-pod release completed.
-func (r *Router) recordCrossRelease(mut core.Mutation) {
-	delete(r.crossMut, mut.Job)
-	if mut.IdemKey != "" {
-		r.idem[mut.IdemKey] = core.IdemState{Op: core.OpRelease, Job: int64(mut.Job)}
-	}
 }
 
 // resolveInDoubt settles every begin-without-done operation the intent
@@ -349,7 +328,7 @@ func (r *Router) resolveInDoubt(pendingAdm, pendingRel []pendingOp) error {
 			if err := r.intents.Append(wal.Intent{Kind: wal.IntentDone, Job: op.job, Commit: true}); err != nil {
 				return err
 			}
-			r.recordCrossAlloc(op.mut)
+			r.admitted(op.mut, op.pods)
 			continue
 		}
 		for _, p := range op.pods {
@@ -373,14 +352,17 @@ func (r *Router) resolveInDoubt(pendingAdm, pendingRel []pendingOp) error {
 		if err := r.intents.Append(wal.Intent{Kind: wal.IntentReleaseDone, Job: op.job}); err != nil {
 			return err
 		}
-		r.recordCrossRelease(op.mut)
+		r.released(op.mut)
 	}
 	return nil
 }
 
 // rebuildTables derives jobPods, the idempotency union, and the job ID
-// high-water mark from the recovered pod states.
+// high-water mark from the recovered pod states. jobPods is the pods'
+// alone: what the intent log's settled admissions noted is derived again
+// with the rest.
 func (r *Router) rebuildTables() error {
+	clear(r.jobPods)
 	next := int64(0)
 	for i, mgr := range r.mgrs {
 		st := mgr.ExportState()

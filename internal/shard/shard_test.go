@@ -477,6 +477,62 @@ func TestFastModeIdemRace(t *testing.T) {
 	}
 }
 
+// TestFastModeReleaseRace: racers releasing one fast-mode job under one
+// key all get nil — the unsharded answer: the first releases, the rest
+// replay — and the job is released once. The racers that pass the
+// router's table together meet at the owning pod, whose own table answers
+// the losers (Manager.Release; CommitExternal would say ErrUnknownJob).
+func TestFastModeReleaseRace(t *testing.T) {
+	tp := testTopo(t, 4)
+	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{Mode: Fast, NoSync: true})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+
+	for round := 0; round < 20; round++ {
+		keep, err := r.AllocateHomog(homogReq(t, 1, 30, 6))
+		if err != nil {
+			t.Fatalf("round %d: alloc: %v", round, err)
+		}
+		a, err := r.AllocateHomog(homogReq(t, 3, 30, 6))
+		if err != nil {
+			t.Fatalf("round %d: alloc: %v", round, err)
+		}
+		const racers = 8
+		errs := make([]error, racers)
+		var wg sync.WaitGroup
+		for i := 0; i < racers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = r.Release(a.ID, core.WithIdemKey(fmt.Sprintf("rel-%d", round)))
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: racer %d: %v, want nil", round, i, err)
+			}
+		}
+		if got := r.Running(); got != 1 {
+			t.Fatalf("round %d: Running = %d, want 1 (the job the racers did not release)", round, got)
+		}
+		if err := r.Release(keep.ID); err != nil {
+			t.Fatalf("round %d: release: %v", round, err)
+		}
+	}
+	// Released once: a round journals two admissions and two releases,
+	// and a racer answered from a table journals nothing.
+	var records uint64
+	for i := 0; i < r.Shards(); i++ {
+		records += uint64(r.PodJournal(i).Appended())
+	}
+	if records != 20*4 {
+		t.Fatalf("the pods journaled %d records, want %d", records, 20*4)
+	}
+}
+
 // TestFastModeSpill: fast mode has no cross-pod path — requests no pod
 // can host are rejected, requests the affinity pod cannot host spill to
 // a sibling.

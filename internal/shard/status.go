@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -23,17 +24,10 @@ func (r *Router) MergedState() *core.ManagerState {
 		states[i] = m.ExportState()
 	}
 	r.tabMu.Lock()
-	cross := make(map[core.JobID]core.Mutation, len(r.crossMut))
-	for id, mut := range r.crossMut {
-		cross[id] = mut
-	}
-	idem := r.idem
-	var idemCopy map[string]core.IdemState
-	if len(idem) > 0 {
-		idemCopy = make(map[string]core.IdemState, len(idem))
-		for k, v := range idem {
-			idemCopy[k] = v
-		}
+	cross := maps.Clone(r.crossMut)
+	var idem core.IdemTable // nil when empty, as core exports it
+	if len(r.idem) > 0 {
+		idem = maps.Clone(r.idem)
 	}
 	r.tabMu.Unlock()
 
@@ -41,7 +35,7 @@ func (r *Router) MergedState() *core.ManagerState {
 	st := &core.ManagerState{
 		Links: make([]core.LinkRecord, n),
 		Used:  make([]int, n),
-		Idem:  idemCopy,
+		Idem:  idem,
 	}
 	machinesDown := make(map[int]bool)
 	linksDown := make(map[int]bool)
@@ -234,14 +228,15 @@ func (r *Router) FailureStats() core.FailureStats {
 	return out
 }
 
-// ShardStatus is one pod's slice of the /v1/status surface.
+// ShardStatus is one pod's slice of the /v1/status surface: the fields of
+// httpapi.PodStatus, which the daemon converts it to and which gives them
+// their wire names.
 type ShardStatus struct {
-	Shard        int                 `json:"shard"`
-	Root         int                 `json:"root"`
-	Jobs         int                 `json:"jobs"`
-	FreeSlots    int                 `json:"free_slots"`
-	MaxOccupancy float64             `json:"max_occupancy"`
-	Admission    core.AdmissionStats `json:"admission"`
+	Shard        int
+	Root         int
+	Jobs         int
+	FreeSlots    int
+	MaxOccupancy float64
 }
 
 // ShardStatuses returns the per-pod status sections.
@@ -254,7 +249,6 @@ func (r *Router) ShardStatuses() []ShardStatus {
 			Jobs:         m.Running(),
 			FreeSlots:    m.FreeSlotsSubtree(r.pods.Root(i)),
 			MaxOccupancy: m.MaxOccupancy(),
-			Admission:    m.AdmissionStats(),
 		}
 	}
 	return out

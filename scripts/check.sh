@@ -54,6 +54,12 @@ echo "==> go test -race -tags invariants (storm x3 + wal)"
 go test -race -tags invariants -run 'TestAdmissionStormInvariants$' -count 3 ./internal/core/
 go test -race -tags invariants ./internal/wal/
 
+# The sharded router under the same tag: I10's assertConsistent (merged
+# pods == shadow, no core-link leak) after every mutating op of every
+# test in the package, the idempotency contract table included.
+echo "==> go test -race -tags invariants ./internal/shard/"
+go test -race -tags invariants ./internal/shard/
+
 # Snapshot reads (INVARIANTS.md I5): the slow-reader stress must find the
 # Clone fallback and no write to a pinned buffer in three interleavings,
 # and the refresh-equals-clone property runs with the accessor's own
