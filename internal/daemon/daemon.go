@@ -345,7 +345,9 @@ func (d *Daemon) promote(ctx context.Context) (httpapi.PromoteResponse, error) {
 			log.Printf("svcd: fence old primary: %v", err)
 		}
 	}()
-	log.Printf("svcd: promoted to primary at epoch %d (gen %d)", prom.Epoch, prom.Journal.Gen())
+	c := prom.Cost
+	log.Printf("svcd: promoted to primary at epoch %d (gen %d) in %v: drain %v, verify %v (%d bytes read), epoch %v",
+		prom.Epoch, prom.Journal.Gen(), c.Drain+c.Verify+c.Epoch, c.Drain, c.Verify, c.VerifiedBytes, c.Epoch)
 	return httpapi.PromoteResponse{
 		Epoch: prom.Epoch, LagRecords: prom.Lag.Records,
 		LagBytes: prom.Lag.Bytes, Version: prom.Mgr.Version(),

@@ -210,7 +210,7 @@ func TestFollowerMatchesRecover(t *testing.T) {
 				t.Fatalf("ErrDiverged does not wrap the replay loop's refusal: %v", serr)
 			}
 			if rerr == nil {
-				if got, want := s.genRecords, rj.Appended(); got != want {
+				if got, want := s.mirror.Records(), rj.Appended(); got != want {
 					t.Errorf("standby applied %d records, recovery %d", got, want)
 				}
 				if got, want := s.Epoch(), rj.Epoch(); got != want {
@@ -240,9 +240,9 @@ func TestFollowerMatchesRecover(t *testing.T) {
 				if files, err := os.ReadDir(s.cfg.Dir); err != nil || len(files) != 0 {
 					t.Errorf("a refused reset chunk left files in the mirror: %v (err %v)", files, err)
 				}
-			case s.genRecords != rj.Appended() || s.Epoch() != rj.Epoch() || !s.Manager().ExportState().Equal(rm.ExportState()):
+			case s.mirror.Records() != rj.Appended() || s.Epoch() != rj.Epoch() || !s.Manager().ExportState().Equal(rm.ExportState()):
 				t.Errorf("one reset chunk: %d records at epoch %d, recovery %d at %d, or the states differ",
-					s.genRecords, s.Epoch(), rj.Appended(), rj.Epoch())
+					s.mirror.Records(), s.Epoch(), rj.Appended(), rj.Epoch())
 			}
 		})
 	}

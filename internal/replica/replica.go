@@ -9,11 +9,13 @@
 //
 // The follower's manager has no journal attached — it never writes the
 // log it is following (invariant I9). All state enters through
-// wal.Mirror.Apply. Promotion seals the mirror, recovers a fresh primary
-// manager from it with the full wal.Recover path, cross-checks that the
-// recovered state equals the followed state bit for bit, and then
-// durably advances the fencing epoch so the deposed primary's journal
-// vetoes any commit it might still attempt.
+// wal.Mirror.Apply, and the mirror holds every generation it publishes
+// against a recovery of its own directory there and then. Promotion
+// therefore rebuilds nothing: it seals the mirror — which proves, byte
+// for byte, that the directory is what was replayed — has the mirror
+// become the follower manager's journal, and durably advances the
+// fencing epoch so the deposed primary's journal vetoes any commit it
+// might still attempt.
 package replica
 
 import (
@@ -49,7 +51,7 @@ type Lag struct {
 // Config configures a Standby.
 type Config struct {
 	// Dir is the standby's own state directory: a byte-identical mirror
-	// of the primary's current generation, ready for wal.Recover.
+	// of the primary's current generation, ready for recovery.
 	Dir string
 	// Topo and Eps must match the primary's datacenter; meta frames are
 	// checked against them before any record is applied.
@@ -61,7 +63,7 @@ type Config struct {
 	// (placement policy, heterogeneous algorithm), so replayed mutations
 	// validate the same.
 	MgrOpts []core.ManagerOption
-	// WALOpts are applied to the journal recovered at promotion.
+	// WALOpts are applied to the journal the mirror becomes at promotion.
 	WALOpts []wal.Option
 	// NoSync skips fsync on the mirror (tests and simulations only).
 	NoSync bool
@@ -83,12 +85,10 @@ type Standby struct {
 	// only held briefly, so Lag/Cursor/Manager never block behind a poll.
 	syncMu sync.Mutex
 
-	mu         sync.Mutex
-	mgr        *core.Manager
-	mirror     *wal.Mirror // cfg.Dir: the primary's files, byte for byte
-	cur        wal.Cursor
-	epoch      uint64 // highest epoch seen in the stream
-	genRecords int    // mutation records applied in cur.Gen
+	mu     sync.Mutex
+	mgr    *core.Manager
+	mirror *wal.Mirror // cfg.Dir: the primary's files, byte for byte; it keeps the cursor and the record count
+	epoch  uint64      // highest epoch seen in the stream
 
 	// The primary's durable frontier as of the last answered fetch,
 	// recorded before the chunk is applied: a chunk that fails to apply
@@ -96,11 +96,13 @@ type Standby struct {
 	frontier     wal.Cursor
 	frontRecords int
 
-	// unsupported is sticky: the stream held a record in a format this
-	// binary does not know. The frames behind it are acknowledged writes
-	// the standby cannot have, so it neither follows nor promotes again —
-	// not even once the primary is gone and the lag reads zero.
-	unsupported error
+	// stopped is sticky: the stream held a record in a format this binary
+	// does not know — the frames behind it are acknowledged writes the
+	// standby cannot have — or the mirror faulted, and its directory is no
+	// longer provably what the manager replayed. Either way the standby
+	// neither follows nor promotes again, not even once the primary is
+	// gone and the lag reads zero.
+	stopped error
 
 	promoted bool
 	closed   bool
@@ -115,7 +117,8 @@ var (
 	// closed); it no longer follows or serves.
 	ErrPromoted = errors.New("replica: standby already promoted")
 	// ErrDiverged marks a verified record the follower manager refused
-	// to replay — the streams have diverged and following must stop.
+	// to replay, or a mirror that does not hold what was replayed — the
+	// streams have diverged and following must stop.
 	ErrDiverged = errors.New("replica: replay diverged")
 )
 
@@ -155,7 +158,7 @@ func (s *Standby) Manager() *core.Manager {
 func (s *Standby) Cursor() wal.Cursor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cur
+	return s.mirror.Cursor()
 }
 
 // Epoch returns the highest fencing epoch observed in the stream.
@@ -178,9 +181,9 @@ func (s *Standby) Lag() Lag {
 // applied, or failed) counts whole: nothing of that generation is here.
 func (s *Standby) lagLocked() Lag {
 	l := Lag{Records: s.frontRecords, Bytes: s.frontier.Off, Version: s.mgr.Version()}
-	if s.frontier.Gen == s.cur.Gen {
-		l.Records -= s.genRecords
-		l.Bytes -= s.cur.Off
+	if cur := s.mirror.Cursor(); s.frontier.Gen == cur.Gen {
+		l.Records -= s.mirror.Records()
+		l.Bytes -= cur.Off
 	}
 	return l
 }
@@ -203,11 +206,11 @@ func (s *Standby) syncOnce(ctx context.Context, wait time.Duration) (bool, error
 		s.mu.Unlock()
 		return false, ErrPromoted
 	}
-	if s.unsupported != nil {
+	if s.stopped != nil {
 		s.mu.Unlock()
-		return false, s.unsupported
+		return false, s.stopped
 	}
-	cur := s.cur
+	cur := s.mirror.Cursor()
 	s.mu.Unlock()
 
 	chunk, err := s.cfg.Fetch(ctx, cur, 0, wait)
@@ -223,13 +226,14 @@ func (s *Standby) syncOnce(ctx context.Context, wait time.Duration) (bool, error
 	}
 	s.frontier, s.frontRecords = wal.Cursor{Gen: chunk.Gen, Off: chunk.Durable}, chunk.Records
 	if err := s.applyChunkLocked(chunk); err != nil {
-		if errors.Is(err, wal.ErrUnsupportedFormat) {
-			s.unsupported = err
+		if errors.Is(err, wal.ErrUnsupportedFormat) || errors.Is(err, wal.ErrMirror) {
+			s.stopped = err
 		}
 		return false, err
 	}
 	s.raiseEpoch(chunk.Epoch)
-	return s.cur.Gen == chunk.Gen && s.cur.Off >= chunk.Durable, nil
+	cur = s.mirror.Cursor()
+	return cur.Gen == chunk.Gen && cur.Off >= chunk.Durable, nil
 }
 
 // Run follows the primary until ctx is done, the standby is promoted or
@@ -275,36 +279,42 @@ func fatalStream(err error) bool {
 }
 
 // applyChunkLocked hands one chunk to the mirror — verify, replay, store
-// — and moves the cursor past it. A reset chunk restarts the stream from
-// a snapshot base: the mirror returns a fresh follower manager, which
-// replaces the old one only once the new base is on disk, so a failed
-// reset keeps serving, and keeps mirrored, the last good state.
+// — which moves its cursor past it. A reset chunk restarts the stream
+// from a snapshot base: the mirror returns a fresh follower manager, which
+// replaces the old one only once the new base is on disk and recovers to
+// it, so a failed reset keeps serving, and keeps mirrored, the last good
+// state.
 func (s *Standby) applyChunkLocked(chunk wal.TailChunk) error {
 	if !chunk.Reset {
 		if len(chunk.Data) == 0 {
 			return nil // caught up; nothing to apply
 		}
-		if chunk.Gen != s.cur.Gen || chunk.From != s.cur.Off {
+		if cur := s.mirror.Cursor(); chunk.Gen != cur.Gen || chunk.From != cur.Off {
 			return fmt.Errorf("replica: continuation at %d/%d does not match cursor %d/%d",
-				chunk.Gen, chunk.From, s.cur.Gen, s.cur.Off)
+				chunk.Gen, chunk.From, cur.Gen, cur.Off)
 		}
 	}
-	mgr, applied, err := s.mirror.Apply(s.mgr, chunk, s.raiseEpoch)
-	if errors.Is(err, wal.ErrRefused) {
-		err = fmt.Errorf("%w: %w", ErrDiverged, err)
-	}
+	mgr, err := s.mirror.Apply(s.mgr, chunk, s.raiseEpoch)
 	if err != nil {
-		return err
+		return diverged(err)
 	}
 	if chunk.Reset {
-		s.mgr, s.cur, s.genRecords = mgr, wal.Cursor{Gen: chunk.Gen}, 0
+		s.mgr = mgr
 		if s.cfg.OnReset != nil {
 			s.cfg.OnReset(mgr)
 		}
 	}
-	s.cur.Off += int64(len(chunk.Data))
-	s.genRecords += applied
 	return nil
+}
+
+// diverged puts the mirror's two verdicts that the streams have parted —
+// a record the manager refused, a directory that is not what was
+// replayed — under ErrDiverged.
+func diverged(err error) error {
+	if errors.Is(err, wal.ErrRefused) || errors.Is(err, wal.ErrMirror) {
+		return fmt.Errorf("%w: %w", ErrDiverged, err)
+	}
+	return err
 }
 
 // raiseEpoch keeps the highest epoch the stream has shown: the epoch
@@ -315,13 +325,24 @@ func (s *Standby) raiseEpoch(epoch uint64) {
 	}
 }
 
-// Promotion is the outcome of a successful Promote: a journaled primary
-// manager recovered from the mirror, fenced ahead of the old primary.
+// Promotion is the outcome of a successful Promote: the follower manager,
+// now journaled by what was its mirror, fenced ahead of the old primary.
 type Promotion struct {
 	Mgr     *core.Manager
 	Journal *wal.Journal
 	Epoch   uint64 // the new fencing epoch this primary committed durably
 	Lag     Lag    // lag at the moment of promotion (always zero bytes)
+	Cost    Cost   // where the promotion's own time went
+}
+
+// Cost attributes one promotion, phase by phase: Drain (the catch-up
+// fetches, one refused dial when the primary is dead), Verify (sealing the
+// mirror and re-reading VerifiedBytes of snapshot and log against its
+// checksums), Epoch (opening the log as the journal and the fsynced epoch
+// record).
+type Cost struct {
+	Drain, Verify, Epoch time.Duration
+	VerifiedBytes        int64
 }
 
 // maxDrainRounds bounds promotion's catch-up, one fetch a round.
@@ -330,9 +351,11 @@ const maxDrainRounds = 8
 // Promote turns the standby into a primary. It drains what the primary
 // can still serve (a dead one fails the first fetch), then refuses
 // (ErrLagging) unless the follower has replayed everything the primary
-// made durable. On success the mirror is recovered through the standard
-// wal.Recover path, the recovered state is checked bit-identical against
-// the followed state, and the fencing epoch is durably advanced past
+// made durable. On success the mirror is sealed and proved, byte for
+// byte, to be what the follower manager replayed (ErrDiverged if not;
+// that recovering those bytes yields this manager's state was checked
+// when the generation was mirrored, see wal.Mirror), the manager adopts
+// it as its journal, and the fencing epoch is durably advanced past
 // everything seen in the stream; the standby stops following. A failed
 // promotion leaves a working standby: the mirror is reopened at the
 // cursor, so the follow loop and a later Promote carry on.
@@ -340,6 +363,7 @@ func (s *Standby) Promote(ctx context.Context) (Promotion, error) {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 
+	began := core.Now()
 	for i := 0; i < maxDrainRounds; i++ {
 		caught, err := s.syncOnce(ctx, 0)
 		if fatalStream(err) {
@@ -349,6 +373,7 @@ func (s *Standby) Promote(ctx context.Context) (Promotion, error) {
 			break
 		}
 	}
+	drained := core.Now()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -359,41 +384,20 @@ func (s *Standby) Promote(ctx context.Context) (Promotion, error) {
 		return Promotion{}, fmt.Errorf("%w: %d bytes (%d records) behind", ErrLagging, lag.Bytes, lag.Records)
 	}
 
-	// Seal the mirror and recover it exactly as a restarted primary
-	// would recover its own directory.
-	var prom Promotion
-	err := s.mirror.Seal()
+	var journal *wal.Journal
+	verified, err := s.mirror.Seal(s.mgr)
+	sealed := core.Now()
 	if err == nil {
-		prom, err = s.takeOverLocked()
+		journal, err = s.mirror.Adopt(s.mgr, s.epoch, s.cfg.WALOpts...)
 	}
-	if err != nil && s.cur.Gen > 0 { // still a standby: following needs a mirror
-		err = errors.Join(err, s.mirror.Reopen(s.cur))
+	if err != nil { // still a standby: following needs a mirror
+		return Promotion{}, errors.Join(diverged(err), s.mirror.Reopen())
 	}
-	return prom, err
-}
-
-// takeOverLocked recovers the sealed mirror, holds it against the
-// followed state, advances the epoch, and only then marks s promoted.
-func (s *Standby) takeOverLocked() (Promotion, error) {
-	mgr, journal, err := wal.Recover(s.cfg.Dir, s.cfg.Topo, s.cfg.Eps, s.cfg.MgrOpts, s.cfg.WALOpts...)
-	if err != nil {
-		return Promotion{}, fmt.Errorf("replica: recover mirror: %w", err)
-	}
-	if !mgr.ExportState().Equal(s.mgr.ExportState()) {
-		journal.Close()
-		return Promotion{}, fmt.Errorf("%w: the recovered mirror's state differs from the followed state", ErrDiverged)
-	}
-	epoch := s.epoch + 1
-	if je := journal.Epoch(); je >= epoch {
-		epoch = je + 1
-	}
-	if err := journal.AdvanceEpoch(epoch); err != nil {
-		journal.Close()
-		return Promotion{}, fmt.Errorf("replica: advance epoch: %w", err)
-	}
-	s.promoted = true
-	s.epoch = epoch
-	return Promotion{Mgr: mgr, Journal: journal, Epoch: epoch, Lag: s.lagLocked()}, nil
+	done := core.Now()
+	s.promoted, s.epoch = true, journal.Epoch()
+	return Promotion{Mgr: s.mgr, Journal: journal, Epoch: s.epoch, Lag: s.lagLocked(), Cost: Cost{
+		Drain: drained.Sub(began), Verify: sealed.Sub(drained), Epoch: done.Sub(sealed), VerifiedBytes: verified,
+	}}, nil
 }
 
 // Close stops the standby without promoting it. The mirror files stay on

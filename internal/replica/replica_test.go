@@ -251,14 +251,14 @@ func TestPromoteFailureKeepsFollowing(t *testing.T) {
 	defer s.Close()
 	syncToFrontier(t, s)
 
-	// A log of a generation far ahead, with no snapshot beside it, is a
-	// directory wal.Recover refuses without touching.
+	// A log of a generation far ahead is not something the mirror wrote:
+	// the seal refuses the directory without touching it.
 	stray := filepath.Join(s.cfg.Dir, "wal-99.log")
 	if err := os.WriteFile(stray, []byte("SVCWAL1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Promote(context.Background()); err == nil || errors.Is(err, ErrPromoted) {
-		t.Fatalf("promote over a mirror that cannot be recovered: %v, want the recovery's error", err)
+		t.Fatalf("promote over a mirror that holds a file it never wrote: %v, want the seal's error", err)
 	}
 	if err := os.Remove(stray); err != nil {
 		t.Fatal(err)
@@ -287,50 +287,22 @@ func TestPromoteFailureKeepsFollowing(t *testing.T) {
 	}
 }
 
-// TestPromoteRefusesDivergedMirror: promotion's cross-check compares the
-// state recovered from the mirror with the followed state field by field
-// and bit by bit. One link's variance off by an ulp, one binding's job id,
-// one placement count — each must refuse with ErrDiverged.
+// TestPromoteRefusesDivergedMirror: promotion holds the sealed mirror,
+// byte for byte, against what the follower replayed. A snapshot forged
+// with a valid checksum and one field changed — one link's variance off
+// by an ulp, one binding's job id, one placement count — a log frame
+// swapped for another intact frame of the same length, the log one whole
+// frame shorter or longer, a log of the next generation beside it: each
+// must refuse with ErrDiverged and leave the follower where it was, and
+// once the directory is put back the same standby promotes.
 func TestPromoteRefusesDivergedMirror(t *testing.T) {
-	for name, flip := range map[string]func(*core.ManagerState){
-		"a link's SumVar by one ulp": func(st *core.ManagerState) {
-			for i := range st.Links {
-				if v := &st.Links[i].SumVar; *v > 0 {
-					*v = math.Nextafter(*v, math.Inf(1))
-					return
-				}
-			}
-			panic("test setup: no stochastic load on any link")
-		},
-		"a binding's job id": func(st *core.ManagerState) {
-			is := st.Idem["repl-a"]
-			is.Job++
-			st.Idem["repl-a"] = is
-		},
-		"a placement count": func(st *core.ManagerState) {
-			st.Idem["repl-a"].Placement[0].Count++
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, j := mustPrimary(t, t.TempDir())
-			defer j.Close()
-			workload(t, m)
-			if _, err := m.AllocateHomog(homog(4, 2, 1)); err != nil { // wider than a machine: loads links
-				t.Fatal(err)
-			}
-			if err := m.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			s := newStandby(t, j)
-			defer s.Close()
-			syncToFrontier(t, s)
-
-			// Forge the mirror's snapshot: the same generation, the same
-			// datacenter, a valid checksum, one field different.
-			forged := m.ExportState()
-			flip(forged)
+	// forgeSnapshot replaces the mirror's snapshot with one of the same
+	// generation and datacenter whose state flip has changed.
+	forgeSnapshot := func(flip func(*core.ManagerState)) func(*testing.T, string, *core.ManagerState) {
+		return func(t *testing.T, dir string, atCheckpoint *core.ManagerState) {
+			flip(atCheckpoint)
 			_, fj := mustPrimary(t, t.TempDir())
-			if err := fj.Checkpoint(forged); err != nil {
+			if err := fj.Checkpoint(atCheckpoint); err != nil {
 				t.Fatal(err)
 			}
 			if err := fj.Close(); err != nil {
@@ -340,15 +312,116 @@ func TestPromoteRefusesDivergedMirror(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(s.cfg.Dir, "snap-2.snap"), snap, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "snap-2.snap"), snap, 0o644); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	// rewriteLog replaces the mirror's log with edit's result.
+	rewriteLog := func(edit func(log []byte, frames []wal.Frame) []byte) func(*testing.T, string, *core.ManagerState) {
+		return func(t *testing.T, dir string, _ *core.ManagerState) {
+			path := filepath.Join(dir, "wal-2.log")
+			log, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, _, err := wal.ScanLog(log)
+			if err != nil || len(frames) < 3 {
+				t.Fatalf("test setup: mirrored log has %d frames (err %v), want a meta frame and two records", len(frames), err)
+			}
+			if err := os.WriteFile(path, edit(log, frames), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, tamper := range map[string]func(t *testing.T, dir string, atCheckpoint *core.ManagerState){
+		"a link's SumVar by one ulp": forgeSnapshot(func(st *core.ManagerState) {
+			for i := range st.Links {
+				if v := &st.Links[i].SumVar; *v > 0 {
+					*v = math.Nextafter(*v, math.Inf(1))
+					return
+				}
+			}
+			panic("test setup: no stochastic load on any link")
+		}),
+		"a binding's job id": forgeSnapshot(func(st *core.ManagerState) {
+			is := st.Idem["repl-a"]
+			is.Job++
+			st.Idem["repl-a"] = is
+		}),
+		"a placement count": forgeSnapshot(func(st *core.ManagerState) {
+			st.Idem["repl-a"].Placement[0].Count++
+		}),
+		"a log frame swapped for another intact one of its length": rewriteLog(func(log []byte, frames []wal.Frame) []byte {
+			last := frames[len(frames)-1]
+			payload := append([]byte(nil), last.Payload...)
+			payload[len(payload)-1] ^= 1 // the idempotency key's last byte
+			return append(log[:last.End-len(payload)-frameHeader:last.End-len(payload)-frameHeader], frame(payload)...)
+		}),
+		"the log cut by one whole frame": rewriteLog(func(log []byte, frames []wal.Frame) []byte {
+			return log[:frames[len(frames)-2].End]
+		}),
+		"the log grown by one intact frame": rewriteLog(func(log []byte, frames []wal.Frame) []byte {
+			return append(log[:len(log):len(log)], log[frames[len(frames)-2].End:]...)
+		}),
+		"a log of the next generation beside it": func(t *testing.T, dir string, _ *core.ManagerState) {
+			if err := os.WriteFile(filepath.Join(dir, "wal-3.log"), []byte("SVCWAL1\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, j := mustPrimary(t, t.TempDir())
+			defer j.Close()
+			workload(t, m)
+			if _, err := m.AllocateHomog(homog(4, 2, 1)); err != nil { // wider than a machine: loads links
+				t.Fatal(err)
+			}
+			atCheckpoint := m.ExportState()
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			// A tail behind the snapshot: the last slot taken and given back.
+			a, err := m.AllocateHomog(homog(1, 1, 0.5), core.WithIdemKey("tail-admit"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Release(a.ID, core.WithIdemKey("tail-release")); err != nil {
+				t.Fatal(err)
+			}
+			s := newStandby(t, j)
+			defer s.Close()
+			syncToFrontier(t, s)
+			mirrored := regularFiles(t, s.cfg.Dir)
 
+			tamper(t, s.cfg.Dir, atCheckpoint)
 			if _, err := s.Promote(context.Background()); !errors.Is(err, ErrDiverged) {
-				t.Fatalf("promote over a mirror with %s changed: %v, want ErrDiverged", name, err)
+				t.Fatalf("promote over a mirror with %s: %v, want ErrDiverged", name, err)
 			}
 			if !reflect.DeepEqual(s.Manager().ExportState(), m.ExportState()) {
 				t.Fatal("the refusal moved the follower's state")
+			}
+
+			// The directory put back, the standby it still is promotes.
+			for name := range regularFiles(t, s.cfg.Dir) {
+				if mirrored[name] == nil {
+					if err := os.Remove(filepath.Join(s.cfg.Dir, name)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for name, data := range mirrored {
+				if err := os.WriteFile(filepath.Join(s.cfg.Dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prom, err := s.Promote(context.Background())
+			if err != nil {
+				t.Fatalf("promote with the mirror put back: %v", err)
+			}
+			defer prom.Journal.Close()
+			if !prom.Mgr.ExportState().Equal(m.ExportState()) {
+				t.Fatal("promoted state differs from the primary's")
 			}
 		})
 	}
@@ -473,6 +546,7 @@ func TestChaosKillPrimaryAtEveryBoundary(t *testing.T) {
 			} else if !errors.Is(err, core.ErrNoCapacity) {
 				t.Fatalf("post-promotion allocate: %v", err)
 			}
+			recoverPromoted(t, s, prom)
 		})
 	}
 }
@@ -534,7 +608,48 @@ func TestChaosKillPrimaryMidGroupCommit(t *testing.T) {
 			prom.Journal.Close()
 			t.Fatalf("promoted state at boundary %d differs from durable-prefix recovery", k)
 		}
-		prom.Journal.Close()
+		recoverPromoted(t, s, prom)
+	}
+}
+
+// recoverPromoted is what recovering the mirror at promotion used to
+// prove in passing, now that promotion adopts it instead: the promoted
+// directory is one a restart recovers. It commits one keyed admission on
+// the promoted manager, drops the journal without a checkpoint, and runs
+// wal.Recover over the directory: the recovered state is the promoted
+// manager's, the promotion's epoch record is read back, one generation is
+// on disk, and the keyed admission replays by key.
+func recoverPromoted(t *testing.T, s *Standby, prom Promotion) {
+	t.Helper()
+	const key = "after-promotion"
+	a, err := prom.Mgr.AllocateHomog(homog(1, 1, 0.5), core.WithIdemKey(key))
+	if err != nil {
+		t.Fatalf("keyed admission on the promoted manager: %v", err)
+	}
+	want := prom.Mgr.ExportState()
+	gen := prom.Journal.Gen()
+	prom.Mgr.SetJournal(nil)
+	if err := prom.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rm, rj := mustPrimary(t, s.cfg.Dir)
+	defer rj.Close()
+	if !rm.ExportState().Equal(want) {
+		t.Fatal("the promoted directory does not recover to the promoted manager's state")
+	}
+	if rj.Epoch() != prom.Epoch || rj.Gen() != gen {
+		t.Fatalf("recovered at epoch %d in generation %d, promoted at %d in %d", rj.Epoch(), rj.Gen(), prom.Epoch, gen)
+	}
+	files := map[string]bool{fmt.Sprintf("wal-%d.log", gen): true, fmt.Sprintf("snap-%d.snap", gen): gen > 1}
+	for _, name := range names(regularFiles(t, s.cfg.Dir)) {
+		if !files[name] {
+			t.Fatalf("the promoted directory holds %s beside generation %d", name, gen)
+		}
+	}
+	again, err := rm.AllocateHomog(homog(1, 1, 0.5), core.WithIdemKey(key))
+	if err != nil || again.ID != a.ID || !rm.ExportState().Equal(want) {
+		t.Fatalf("the keyed admission after recovery: id %d (err %v), want a replay of %d and no new state", again.ID, err, a.ID)
 	}
 }
 
@@ -703,6 +818,111 @@ func TestStandbyStopsOnNewerSnapshotFormat(t *testing.T) {
 	}
 	if s.Manager().Running() != 0 || s.Cursor() != (wal.Cursor{}) {
 		t.Fatal("the follower moved")
+	}
+}
+
+// TestMirrorFaultIsSticky: the two write failures that leave the mirror's
+// directory and the followed manager disagreeing stop the standby for
+// good. The round that hits one, every later SyncOnce and Promote answer
+// ErrDiverged — from memory, without a fetch, so the records are never
+// offered to Manager.Replay a second time: a retried chunk would re-apply
+// an idempotent fault record silently.
+func TestMirrorFaultIsSticky(t *testing.T) {
+	ctx := context.Background()
+	for name, tc := range map[string]struct {
+		reset  bool // serve the next fetch as a reset onto the mirror's own generation
+		inject func(t *testing.T, s *Standby)
+	}{
+		// Replayed, then no log to append to: the manager is ahead of it.
+		"a continuation chunk that replayed and could not be appended": {
+			inject: func(t *testing.T, s *Standby) {
+				if err := s.mirror.Close(); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+		// The snapshot overwritten in place, the log's temporary name taken
+		// by something a create cannot replace: half a reset, not undoable.
+		"a reset onto the mirror's own generation that failed between snapshot and log": {
+			reset: true,
+			inject: func(t *testing.T, s *Standby) {
+				tmp := filepath.Join(s.cfg.Dir, fmt.Sprintf("wal-%d.log.tmp", s.Cursor().Gen), "occupied")
+				if err := os.MkdirAll(tmp, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, j := mustPrimary(t, t.TempDir())
+			defer j.Close()
+			workload(t, m)
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			var fetches int
+			var dead, reset bool
+			s, err := New(Config{
+				Dir: t.TempDir(), Topo: testTopo(t), Eps: testEps, NoSync: true,
+				WALOpts: []wal.Option{wal.WithNoSync()},
+				Fetch: func(ctx context.Context, cur wal.Cursor, maxBytes int, wait time.Duration) (wal.TailChunk, error) {
+					fetches++
+					if dead {
+						return wal.TailChunk{}, errors.New("primary unreachable")
+					}
+					if reset {
+						cur = wal.Cursor{}
+					}
+					return j.Tail(ctx, cur, maxBytes, wait)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			syncToFrontier(t, s)
+
+			// New records, an idempotent one among them, and the failure.
+			machine := m.Topology().Machines()[2]
+			if _, err := m.FailMachine(machine); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RestoreMachine(machine); err != nil {
+				t.Fatal(err)
+			}
+			tc.inject(t, s)
+			reset = tc.reset
+			if _, err := s.SyncOnce(ctx, 0); !errors.Is(err, ErrDiverged) || !errors.Is(err, wal.ErrMirror) {
+				t.Fatalf("the round that hit the failure: %v, want ErrDiverged around wal.ErrMirror", err)
+			}
+			reset = false
+			state, version, cur := s.Manager().ExportState(), s.Manager().Version(), s.Cursor()
+
+			check := func(when string) {
+				t.Helper()
+				before := fetches
+				if _, err := s.SyncOnce(ctx, 0); !errors.Is(err, ErrDiverged) {
+					t.Fatalf("SyncOnce %s: %v, want ErrDiverged", when, err)
+				}
+				if _, err := s.Promote(ctx); !errors.Is(err, ErrDiverged) {
+					t.Fatalf("Promote %s: %v, want ErrDiverged", when, err)
+				}
+				if fetches != before {
+					t.Fatalf("%s the standby fetched %d more chunks", when, fetches-before)
+				}
+				if s.Manager().Version() != version || s.Cursor() != cur || !s.Manager().ExportState().Equal(state) {
+					t.Fatalf("%s the follower moved", when)
+				}
+			}
+			check("after the fault")
+			dead = true
+			check("with the primary gone")
+			rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			defer cancel()
+			if err := s.Run(rctx); !errors.Is(err, ErrDiverged) {
+				t.Fatalf("Run: %v, want it to stop on ErrDiverged", err)
+			}
+		})
 	}
 }
 

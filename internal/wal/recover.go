@@ -22,10 +22,7 @@ func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.Ma
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: create state dir: %w", err)
 	}
-	j := &Journal{stateDir: stateDir{dir: dir}, snapshotEvery: defaultSnapshotEvery, epoch: 1, tailers: make(chan struct{})}
-	for _, o := range opts {
-		o(j)
-	}
+	j := newJournal(dir, opts)
 	dc := datacenter{topo, eps, mgrOpts}
 
 	gen, err := scanDir(dir)
@@ -61,16 +58,7 @@ func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.Ma
 	if err != nil {
 		return nil, nil, err
 	}
-	if clean == 0 {
-		// There is no log, or it is torn before its meta frame: the
-		// directory is fresh, or the crash hit between the snapshot rename
-		// and the log creation, so the snapshot alone is the state.
-		j.f, j.durable, err = j.createWAL(j.meta, j.epoch)
-	} else {
-		j.appended, j.durable = applied, clean
-		j.f, err = j.openLog(walPath(dir, gen), clean)
-	}
-	if err != nil {
+	if err := j.open(applied, clean); err != nil {
 		return nil, nil, err
 	}
 	if !orphan {
@@ -80,6 +68,32 @@ func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.Ma
 	}
 	m.SetJournal(j)
 	return m, j, nil
+}
+
+// newJournal is a journal over dir with no log open yet: epoch 1, the
+// default checkpoint cadence, opts applied.
+func newJournal(dir string, opts []Option) *Journal {
+	j := &Journal{stateDir: stateDir{dir: dir}, snapshotEvery: defaultSnapshotEvery, epoch: 1, tailers: make(chan struct{})}
+	for _, o := range opts {
+		o(j)
+	}
+	return j
+}
+
+// open opens j.meta's log for appending behind its clean length, of which
+// applied mutation records are counted and all is durable — Recover's and
+// Mirror.Adopt's last step before the manager gets the journal. At clean 0
+// there is no log, or it is torn before its meta frame: the directory is
+// fresh, or the crash hit between the snapshot rename and the log
+// creation, so the snapshot alone is the state and a log is created.
+func (j *Journal) open(applied int, clean int64) (err error) {
+	if clean == 0 {
+		j.f, j.durable, err = j.createWAL(j.meta, j.epoch)
+		return err
+	}
+	j.appended, j.durable = applied, clean
+	j.f, err = j.openLog(walPath(j.dir, j.meta.Gen), clean)
+	return err
 }
 
 // recoverPrevious rebuilds the checkpoint state an orphaned generation

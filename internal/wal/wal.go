@@ -78,7 +78,14 @@
 //	checkpoint  snap-<gen>.snap Journal.Checkpoint: writeDurably
 //	mirror      both            Mirror.Apply, reset chunk: writeDurably for
 //	                            each, then openLog; continuation chunk:
-//	                            append, sync; Seal/Reopen around a promotion
+//	                            append, sync. Seal: sync, close, then read
+//	                            both against the mirror's own length and
+//	                            CRC32-C of what it wrote (writes nothing);
+//	                            Reopen after a failed promotion: openLog
+//	adopt       wal-<gen>.log   Mirror.Adopt at promotion: the sealed mirror's
+//	                            log becomes the journal's — openLog at the
+//	                            mirrored length (Journal.open, shared with
+//	                            Recover), then AdvanceEpoch: append, sync
 //	router      intents.log     OpenIntentLog: writeDurably + openLog, then
 //	                            IntentLog.Append: append, sync
 //

@@ -60,6 +60,13 @@ go test -race -tags invariants ./internal/wal/
 echo "==> go test -race -tags invariants ./internal/shard/"
 go test -race -tags invariants ./internal/shard/
 
+# Promotion adopts the follower manager and its mirror after a byte check
+# (INVARIANTS.md I9); the full recover-and-compare at promotion is compiled
+# in only under this tag, so the packages that promote — every chaos
+# boundary, differential and failover test in them — run with it.
+echo "==> go test -race -tags invariants ./internal/replica/ ./internal/daemon/"
+go test -race -tags invariants ./internal/replica/ ./internal/daemon/
+
 # Snapshot reads (INVARIANTS.md I5): the slow-reader stress must find the
 # Clone fallback and no write to a pinned buffer in three interleavings,
 # and the refresh-equals-clone property runs with the accessor's own
