@@ -11,10 +11,6 @@
 // deviation), 7 (rejection vs load), 8 (concurrency at 60% load),
 // 9 (occupancy CDF, SVC vs adapted TIVC), 10 (rejection, SVC vs adapted
 // TIVC), hetero (substring heuristic vs first fit).
-//
-// Declarative scenarios (docs/SCENARIOS.md) also run here on the offline
-// engine — `svcsim -scenario scenarios/baseline.yaml` — while cmd/svcscn
-// adds the live-daemon backend and differential mode.
 package main
 
 import (
@@ -30,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/scenario"
 )
 
 // startCPUProfile begins a CPU profile into path and returns the stop
@@ -88,7 +83,6 @@ func run(args []string, out io.Writer) error {
 		load     = fs.Float64("load", 0.6, "load for fig 8")
 		mtbfs    = fs.String("mtbfs", "", "comma-separated per-machine MTBF sweep in seconds (failures)")
 		mttr     = fs.Float64("mttr", 0, "mean machine repair time in seconds, 0 = default (failures)")
-		scn      = fs.String("scenario", "", "run a declarative scenario file on the offline engine instead of a figure (docs/SCENARIOS.md)")
 		timing   = fs.Bool("time", false, "print wall-clock time per experiment")
 		asJSON   = fs.Bool("json", false, "emit results as JSON instead of tables")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -107,10 +101,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *memProf != "" {
 		defer writeMemProfile(*memProf)
-	}
-
-	if *scn != "" {
-		return runScenario(*scn, *seed, *asJSON, out)
 	}
 
 	var sc experiments.Scale
@@ -196,54 +186,6 @@ func run(args []string, out io.Writer) error {
 		if *timing {
 			fmt.Fprintf(out, "[fig %s took %v]\n", f, time.Since(start).Round(time.Millisecond))
 		}
-	}
-	return nil
-}
-
-// runScenario executes one declarative scenario on the offline engine
-// and renders its report; a failed assertion is an error so the exit
-// status reflects the verdict (cmd/svcscn is the full driver).
-func runScenario(path string, seed uint64, asJSON bool, out io.Writer) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	s, err := scenario.Decode(data)
-	if err != nil {
-		return err
-	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if seed != 0 {
-		s.Seed = seed
-	}
-	plan, err := s.Compile()
-	if err != nil {
-		return err
-	}
-	b, err := scenario.NewSimBackend(plan.Topo, s.Eps)
-	if err != nil {
-		return err
-	}
-	defer b.Close()
-	rep, err := scenario.Run(plan, b)
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		buf, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if _, err := out.Write(append(buf, '\n')); err != nil {
-			return err
-		}
-	} else if _, err := io.WriteString(out, rep.Render()); err != nil {
-		return err
-	}
-	if !rep.Pass {
-		return fmt.Errorf("scenario %s failed its assertions", s.Name)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -50,13 +51,7 @@ type Failoverer interface {
 type AdmitResult struct {
 	Admitted  bool
 	ID        int64
-	Placement []Entry
-}
-
-// Entry is one machine's share of a placement.
-type Entry struct {
-	Machine topology.NodeID
-	Count   int
+	Placement []core.PlacementEntry
 }
 
 // Repair is one repair outcome ("noop" | "moved" | "degraded" |
@@ -64,7 +59,7 @@ type Entry struct {
 type Repair struct {
 	ID        int64
 	Outcome   string
-	Placement []Entry
+	Placement []core.PlacementEntry
 }
 
 // Stats is the backend state the engine samples.
@@ -152,11 +147,8 @@ func (b *SimBackend) Allocate(req core.Homogeneous) (AdmitResult, error) {
 	if err != nil {
 		return AdmitResult{}, err
 	}
-	out := AdmitResult{Admitted: true, ID: int64(alloc.ID)}
-	for _, e := range alloc.Placement.Entries {
-		out.Placement = append(out.Placement, Entry{Machine: e.Machine, Count: e.Count})
-	}
-	return out, nil
+	// Cloned: the engine keeps the entries for the life of the job.
+	return AdmitResult{Admitted: true, ID: int64(alloc.ID), Placement: slices.Clone(alloc.Placement.Entries)}, nil
 }
 
 func (b *SimBackend) Release(id int64) error {
@@ -190,10 +182,7 @@ func (b *SimBackend) RepairAll() ([]Repair, error) {
 	}
 	out := make([]Repair, len(results))
 	for i, r := range results {
-		out[i] = Repair{ID: int64(r.Job), Outcome: r.Outcome.String()}
-		for _, e := range r.Placement.Entries {
-			out[i].Placement = append(out[i].Placement, Entry{Machine: e.Machine, Count: e.Count})
-		}
+		out[i] = Repair{ID: int64(r.Job), Outcome: r.Outcome.String(), Placement: slices.Clone(r.Placement.Entries)}
 	}
 	return out, nil
 }
@@ -343,11 +332,16 @@ func (b *LiveBackend) Allocate(req core.Homogeneous) (AdmitResult, error) {
 	if err != nil {
 		return AdmitResult{}, err
 	}
-	out := AdmitResult{Admitted: true, ID: resp.ID}
-	for _, e := range resp.Placement {
-		out.Placement = append(out.Placement, Entry{Machine: topology.NodeID(e.Machine), Count: e.Count})
+	return AdmitResult{Admitted: true, ID: resp.ID, Placement: fromWire(resp.Placement)}, nil
+}
+
+// fromWire converts a response's placement to core's entries.
+func fromWire(wire []httpapi.PlacementEntry) []core.PlacementEntry {
+	var out []core.PlacementEntry
+	for _, e := range wire {
+		out = append(out, core.PlacementEntry{Machine: topology.NodeID(e.Machine), Count: e.Count, VMs: e.VMs})
 	}
-	return out, nil
+	return out
 }
 
 func (b *LiveBackend) Release(id int64) error {
@@ -382,10 +376,7 @@ func (b *LiveBackend) RepairAll() ([]Repair, error) {
 	}
 	out := make([]Repair, len(results))
 	for i, r := range results {
-		out[i] = Repair{ID: r.Job, Outcome: r.Outcome}
-		for _, e := range r.Placement {
-			out[i].Placement = append(out[i].Placement, Entry{Machine: topology.NodeID(e.Machine), Count: e.Count})
-		}
+		out[i] = Repair{ID: r.Job, Outcome: r.Outcome, Placement: fromWire(r.Placement)}
 	}
 	return out, nil
 }

@@ -314,40 +314,31 @@ func (p *Plan) compileChaos(rng *stats.Rand) {
 	p.Events = events
 }
 
-// renewalEvents draws exponential fail/restore cycles for one entity
-// until the horizon. Every cycle advances at least one second in each
-// phase, so the draw terminates. Cascade lists the subtree links that
-// fail with the entity and restore independently (staggered, each with
-// its own MTTR draw).
+// renewalEvents lays one entity's stats.Renewal cycles out as events up
+// to the horizon; the process's phases last at least a second, so the
+// loop terminates. Cascade lists the subtree links that fail with the
+// entity and restore independently (staggered, each with its own repair
+// time from the entity's stream).
 func renewalEvents(events []Event, rng *stats.Rand, r RenewalSpec, limit int,
 	fail, restore EventKind, node topology.NodeID, cascade []topology.LinkID) []Event {
-	t := 0
+	proc := stats.NewRenewal(rng, r.MTBFSeconds, r.MTTRSeconds)
 	for {
-		t += atLeastSecond(rng.Exp(r.MTBFSeconds))
+		t, failed := proc.Next()
 		if t > limit {
 			return events
+		}
+		if !failed {
+			events = append(events, Event{At: t, Kind: restore, Node: node})
+			continue
 		}
 		events = append(events, Event{At: t, Kind: fail, Node: node})
 		for _, l := range cascade {
 			events = append(events, Event{At: t, Kind: fail, Node: l})
-			if back := t + atLeastSecond(rng.Exp(r.MTTRSeconds)); back <= limit {
+			if back := t + proc.Downtime(); back <= limit {
 				events = append(events, Event{At: back, Kind: restore, Node: l})
 			}
 		}
-		t += atLeastSecond(rng.Exp(r.MTTRSeconds))
-		if t > limit {
-			return events
-		}
-		events = append(events, Event{At: t, Kind: restore, Node: node})
 	}
-}
-
-func atLeastSecond(x float64) int {
-	n := int(math.Round(x))
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // sortEvents orders the schedule by (At, Kind, Node): restores before

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -17,7 +18,7 @@ type liveJob struct {
 	planIdx   int
 	id        int64
 	releaseAt int
-	entries   []Entry
+	entries   []core.PlacementEntry
 }
 
 // engine executes one compiled plan against one backend in virtual time.

@@ -3,7 +3,9 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 
 	"repro/internal/topology"
 )
@@ -26,154 +28,162 @@ const (
 // an optional chaos schedule, and the assertions the run must satisfy.
 // See docs/SCENARIOS.md for the file format.
 type Scenario struct {
-	Name        string
-	Description string
-	Seed        uint64
-	Eps         float64
-	Topology    TopoSpec
-	Fleet       FleetSpec
-	Chaos       *ChaosSpec
-	Run         RunSpec
-	Assert      AssertSpec
+	Name        string     `yaml:"name"`
+	Description string     `yaml:"description"`
+	Seed        uint64     `yaml:"seed"`
+	Eps         float64    `yaml:"eps"`
+	Topology    TopoSpec   `yaml:"topology"`
+	Fleet       FleetSpec  `yaml:"fleet"`
+	Chaos       *ChaosSpec `yaml:"chaos,nullable"`
+	Run         RunSpec    `yaml:"run"`
+	Assert      AssertSpec `yaml:"assert"`
 }
+
+func (s *Scenario) setDefaults() { s.Eps = 0.05 }
 
 // TopoSpec selects the datacenter tree: the named preset or an explicit
 // three-tier shape.
 type TopoSpec struct {
-	Preset          string // "paper" (5x10x20 machines, 4 slots) or ""
-	Aggs            int
-	TorsPerAgg      int
-	MachinesPerRack int
-	SlotsPerMachine int
-	HostCapMbps     float64
-	Oversub         float64
+	Preset          string  `yaml:"preset"` // "paper" (5x10x20 machines, 4 slots) or ""
+	Aggs            int     `yaml:"aggs"`
+	TorsPerAgg      int     `yaml:"tors_per_agg"`
+	MachinesPerRack int     `yaml:"machines_per_rack"`
+	SlotsPerMachine int     `yaml:"slots_per_machine"`
+	HostCapMbps     float64 `yaml:"host_cap_mbps"`
+	Oversub         float64 `yaml:"oversub"`
 }
 
 // FleetSpec generates the tenant population from weighted templates.
 type FleetSpec struct {
-	Tenants   int
-	Arrival   ArrivalSpec
-	Templates []Template
+	Tenants   int         `yaml:"tenants"`
+	Arrival   ArrivalSpec `yaml:"arrival"`
+	Templates []Template  `yaml:"templates"`
 }
 
 // ArrivalSpec shapes when tenants arrive.
 type ArrivalSpec struct {
 	// Pattern: instant | linear | exponential | wave | poisson.
-	Pattern string
+	Pattern string `yaml:"pattern"`
 	// OverSeconds spreads linear/exponential/wave arrivals over [0, D].
-	OverSeconds int
+	OverSeconds int `yaml:"over_seconds"`
 	// RatePerSecond is the Poisson arrival rate.
-	RatePerSecond float64
+	RatePerSecond float64 `yaml:"rate_per_second"`
 	// Waves is the number of equal bursts for the wave pattern.
-	Waves int
+	Waves int `yaml:"waves"`
 }
 
 // Template is one weighted tenant class.
 type Template struct {
-	Name   string
-	Weight float64
-	N      SizeSpec
+	Name   string   `yaml:"name"`
+	Weight float64  `yaml:"weight"`
+	N      SizeSpec `yaml:"n"`
 	// Demand is the per-VM stochastic demand; mutually exclusive with
 	// Bandwidth.
-	Demand *DemandSpec
+	Demand *DemandSpec `yaml:"demand"`
 	// Bandwidth > 0 makes this a deterministic VC tenant <N, B>.
-	Bandwidth float64
-	Hold      RangeSpec // uniform job duration in seconds
+	Bandwidth float64   `yaml:"bandwidth"`
+	Hold      RangeSpec `yaml:"hold"` // uniform job duration in seconds
 }
+
+func (t *Template) setDefaults() { t.Weight = 1 }
 
 // SizeSpec draws the tenant's VM count: a fixed size, or an exponential
 // with truncation.
 type SizeSpec struct {
-	Fixed int
-	Mean  float64
-	Min   int
-	Max   int
+	Fixed int     `yaml:"fixed"`
+	Mean  float64 `yaml:"mean"`
+	Min   int     `yaml:"min"`
+	Max   int     `yaml:"max"`
 }
 
 // DemandSpec draws the per-VM demand distribution N(mu, sigma^2): either
 // a fixed (mu, sigma), or mu picked from MuChoices with sigma = rho*mu.
 type DemandSpec struct {
-	Mu        float64
-	Sigma     float64
-	MuChoices []float64
-	Rho       float64
+	Mu        float64   `yaml:"mu"`
+	Sigma     float64   `yaml:"sigma"`
+	MuChoices []float64 `yaml:"mu_choices"`
+	Rho       float64   `yaml:"rho"`
 }
 
 // RangeSpec is a uniform integer range [Lo, Hi].
 type RangeSpec struct {
-	Lo, Hi int
+	Lo int `yaml:"lo"`
+	Hi int `yaml:"hi"`
 }
 
 // ChaosSpec is the seeded failure schedule.
 type ChaosSpec struct {
 	// Repair: after every fault the engine invokes the controller's
 	// repair path, migrating displaced jobs; false kills them instead.
-	Repair bool
+	Repair bool `yaml:"repair"`
 	// Machines draws per-machine fail/restore renewal cycles.
-	Machines *RenewalSpec
+	Machines *RenewalSpec `yaml:"machines"`
 	// Links draws fail/restore cycles for the uplinks of nodes at Level.
-	Links *LinkChaosSpec
+	Links *LinkChaosSpec `yaml:"links"`
 	// Drains schedules zone maintenance: the uplink of the Index-th node
 	// at Level fails at At and is restored Duration seconds later.
-	Drains []DrainSpec
+	Drains []DrainSpec `yaml:"drains"`
 	// Failovers schedules controller failovers: at each listed second
 	// the primary crashes and its hot standby is promoted. Admissions,
 	// placements, and the guarantee must be unaffected.
-	Failovers []int
+	Failovers []int `yaml:"failovers"`
 }
 
 // RenewalSpec is an exponential fail/restore renewal process.
 type RenewalSpec struct {
-	MTBFSeconds float64
-	MTTRSeconds float64
+	MTBFSeconds float64 `yaml:"mtbf"`
+	MTTRSeconds float64 `yaml:"mttr"`
 	// Fraction of entities subject to chaos (default 1).
-	Fraction float64
+	Fraction float64 `yaml:"fraction"`
 }
+
+// LinkChaosSpec inherits the default through the embedding.
+func (r *RenewalSpec) setDefaults() { r.Fraction = 1 }
 
 // LinkChaosSpec draws link failures at one tree level; Cascade also
 // fails every link in the subtree below, with independently drawn
 // staggered restores.
 type LinkChaosSpec struct {
 	RenewalSpec
-	Level   int
-	Cascade bool
+	Level   int  `yaml:"level"`
+	Cascade bool `yaml:"cascade"`
 }
 
 // DrainSpec is one scheduled maintenance drain.
 type DrainSpec struct {
-	At       int
-	Level    int
-	Index    int
-	Duration int
+	At       int `yaml:"at"`
+	Level    int `yaml:"level"`
+	Index    int `yaml:"index"`
+	Duration int `yaml:"duration"`
 }
 
 // RunSpec bounds the execution.
 type RunSpec struct {
-	MaxSeconds  int
-	SampleEvery int
+	MaxSeconds  int `yaml:"max_seconds"`
+	SampleEvery int `yaml:"sample_every"`
 	// Concurrency > 1 submits same-second arrivals from that many
 	// goroutines (admission-storm scenarios).
-	Concurrency int
+	Concurrency int `yaml:"concurrency"`
 	// Shards > 0 runs the sharded control plane (one pod-local ledger and
 	// WAL per aggregation subtree); it must equal the topology's agg
 	// count. A chaos.failovers entry then crashes and recovers the whole
 	// router — pod WALs plus the cross-pod intent log — instead of
 	// switching to a hot standby.
-	Shards int
+	Shards int `yaml:"shards"`
 	// ShardMode: "" (strict) | strict | fast; see internal/shard.
-	ShardMode string
+	ShardMode string `yaml:"shard_mode"`
 }
 
 // AssertSpec is the declarative assertion block; nil / false fields are
 // not checked.
 type AssertSpec struct {
-	MaxRejectionRate *float64
-	MinAdmitted      *int
-	MaxEvicted       *int
-	MaxKilled        *int
-	Guarantee        *GuaranteeSpec
-	Conservation     bool
-	DrainToEmpty     bool
+	MaxRejectionRate *float64       `yaml:"max_rejection_rate"`
+	MinAdmitted      *int           `yaml:"min_admitted"`
+	MaxEvicted       *int           `yaml:"max_evicted"`
+	MaxKilled        *int           `yaml:"max_killed"`
+	Guarantee        *GuaranteeSpec `yaml:"guarantee"`
+	Conservation     bool           `yaml:"conservation"`
+	DrainToEmpty     bool           `yaml:"drain_to_empty"`
 }
 
 // GuaranteeSpec checks the paper's Eq. 4 bound by Monte Carlo: at second
@@ -181,413 +191,140 @@ type AssertSpec struct {
 // per-VM demands and require each link's congestion frequency to stay
 // within Eps + Margin.
 type GuaranteeSpec struct {
-	Samples int
-	Margin  float64
+	Samples int     `yaml:"samples"`
+	Margin  float64 `yaml:"margin"`
 	// Eps overrides the scenario eps for the assertion (a negative
 	// control asserts a tighter eps than the controller admits at).
-	Eps float64
+	Eps float64 `yaml:"eps"`
 	// At is the virtual second to measure at; negative means "after the
 	// last arrival".
-	At int
+	At int `yaml:"at"`
 }
 
-// Decode parses and strictly decodes a scenario document; unknown keys
-// are errors. The result is not yet validated — call Validate.
+func (g *GuaranteeSpec) setDefaults() { *g = GuaranteeSpec{Samples: 2000, Margin: 0.03, At: -1} }
+
+// Decode parses and strictly decodes a scenario document. The format's
+// keys are the `yaml` tags on the spec structs above and nothing else: a
+// struct takes a mapping of exactly its tagged fields (an embedded
+// struct's fields are its own), a slice a list, a pointer whatever it
+// points to — allocated only when its key is written, which is how an
+// assertion stays "checked only if written" — and a scalar a scalar. A key
+// no field carries, or a node of the wrong kind, is an error naming its
+// path. The result is not yet validated — call Validate.
 func Decode(data []byte) (*Scenario, error) {
 	root, err := parseYAML(data)
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{}
-	s := d.scenario(root)
-	if d.err != nil {
-		return nil, d.err
+	s := &Scenario{}
+	if err := decodeInto(reflect.ValueOf(s).Elem(), root, "document", "scenario"); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	return s, nil
 }
 
-// decoder walks the parsed tree, accumulating the first error.
-type decoder struct {
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("scenario: "+format, args...)
+// decodeInto fills dst from the parsed node and returns the first error
+// in field order. name is what an error about the node itself calls it,
+// ctx the prefix of its keys' names; they differ only at the root, whose
+// sections are named from the document ("topology", not
+// "scenario.topology").
+func decodeInto(dst reflect.Value, node any, name, ctx string) error {
+	mismatch := func(want, verb string) error {
+		return fmt.Errorf("%s: expected %s, got "+verb, name, want, node)
 	}
-}
-
-// obj coerces a parsed node to a mapping.
-func (d *decoder) obj(v any, ctx string) map[string]any {
-	if d.err != nil {
-		return nil
-	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		d.fail("%s: expected a mapping, got %T", ctx, v)
-		return nil
-	}
-	return m
-}
-
-// take removes a key from the mapping, so checkUnknown can flag leftovers.
-func take(m map[string]any, key string) (any, bool) {
-	v, ok := m[key]
-	if ok {
-		delete(m, key)
-	}
-	return v, ok
-}
-
-func (d *decoder) checkUnknown(m map[string]any, ctx string) {
-	if d.err != nil || len(m) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	d.fail("%s: unknown key %q", ctx, keys[0])
-}
-
-func (d *decoder) str(m map[string]any, key, ctx string, dst *string) {
-	v, ok := take(m, key)
-	if !ok || d.err != nil {
-		return
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.fail("%s.%s: expected a string, got %T", ctx, key, v)
-		return
-	}
-	*dst = s
-}
-
-func (d *decoder) integer(m map[string]any, key, ctx string, dst *int) {
-	v, ok := take(m, key)
-	if !ok || d.err != nil {
-		return
-	}
-	i, ok := v.(int64)
-	if !ok || int64(int(i)) != i {
-		d.fail("%s.%s: expected an integer, got %v", ctx, key, v)
-		return
-	}
-	*dst = int(i)
-}
-
-func (d *decoder) uint64v(m map[string]any, key, ctx string, dst *uint64) {
-	v, ok := take(m, key)
-	if !ok || d.err != nil {
-		return
-	}
-	i, ok := v.(int64)
-	if !ok || i < 0 {
-		d.fail("%s.%s: expected a non-negative integer, got %v", ctx, key, v)
-		return
-	}
-	*dst = uint64(i)
-}
-
-func (d *decoder) float(m map[string]any, key, ctx string, dst *float64) {
-	v, ok := take(m, key)
-	if !ok || d.err != nil {
-		return
-	}
-	switch n := v.(type) {
-	case int64:
-		*dst = float64(n)
-	case float64:
-		*dst = n
-	default:
-		d.fail("%s.%s: expected a number, got %T", ctx, key, v)
-	}
-}
-
-func (d *decoder) boolean(m map[string]any, key, ctx string, dst *bool) {
-	v, ok := take(m, key)
-	if !ok || d.err != nil {
-		return
-	}
-	b, ok := v.(bool)
-	if !ok {
-		d.fail("%s.%s: expected a bool, got %T", ctx, key, v)
-		return
-	}
-	*dst = b
-}
-
-func (d *decoder) floatList(m map[string]any, key, ctx string, dst *[]float64) {
-	v, ok := take(m, key)
-	if !ok || d.err != nil {
-		return
-	}
-	list, ok := v.([]any)
-	if !ok {
-		d.fail("%s.%s: expected a list, got %T", ctx, key, v)
-		return
-	}
-	out := make([]float64, len(list))
-	for i, e := range list {
-		switch n := e.(type) {
-		case int64:
-			out[i] = float64(n)
-		case float64:
-			out[i] = n
-		default:
-			d.fail("%s.%s[%d]: expected a number, got %T", ctx, key, i, e)
-			return
-		}
-	}
-	*dst = out
-}
-
-func (d *decoder) intList(m map[string]any, key, ctx string, dst *[]int) {
-	v, ok := take(m, key)
-	if !ok || d.err != nil {
-		return
-	}
-	list, ok := v.([]any)
-	if !ok {
-		d.fail("%s.%s: expected a list, got %T", ctx, key, v)
-		return
-	}
-	out := make([]int, len(list))
-	for i, e := range list {
-		n, ok := e.(int64)
+	switch dst.Kind() {
+	case reflect.Pointer:
+		dst.Set(reflect.New(dst.Type().Elem()))
+		return decodeInto(dst.Elem(), node, name, ctx)
+	case reflect.Struct:
+		m, ok := node.(map[string]any)
 		if !ok {
-			d.fail("%s.%s[%d]: expected an integer, got %T", ctx, key, i, e)
-			return
+			return mismatch("a mapping", "%T")
 		}
-		out[i] = int(n)
-	}
-	*dst = out
-}
-
-func (d *decoder) scenario(root any) *Scenario {
-	m := d.obj(root, "document")
-	if m == nil {
-		return nil
-	}
-	s := &Scenario{Eps: 0.05}
-	d.str(m, "name", "scenario", &s.Name)
-	d.str(m, "description", "scenario", &s.Description)
-	d.uint64v(m, "seed", "scenario", &s.Seed)
-	d.float(m, "eps", "scenario", &s.Eps)
-	if v, ok := take(m, "topology"); ok {
-		d.topoSpec(v, &s.Topology)
-	}
-	if v, ok := take(m, "fleet"); ok {
-		d.fleetSpec(v, &s.Fleet)
-	}
-	if v, ok := take(m, "chaos"); ok && v != nil {
-		s.Chaos = &ChaosSpec{}
-		d.chaosSpec(v, s.Chaos)
-	}
-	if v, ok := take(m, "run"); ok {
-		d.runSpec(v, &s.Run)
-	}
-	if v, ok := take(m, "assert"); ok {
-		d.assertSpec(v, &s.Assert)
-	}
-	d.checkUnknown(m, "scenario")
-	return s
-}
-
-func (d *decoder) topoSpec(v any, t *TopoSpec) {
-	m := d.obj(v, "topology")
-	if m == nil {
-		return
-	}
-	d.str(m, "preset", "topology", &t.Preset)
-	d.integer(m, "aggs", "topology", &t.Aggs)
-	d.integer(m, "tors_per_agg", "topology", &t.TorsPerAgg)
-	d.integer(m, "machines_per_rack", "topology", &t.MachinesPerRack)
-	d.integer(m, "slots_per_machine", "topology", &t.SlotsPerMachine)
-	d.float(m, "host_cap_mbps", "topology", &t.HostCapMbps)
-	d.float(m, "oversub", "topology", &t.Oversub)
-	d.checkUnknown(m, "topology")
-}
-
-func (d *decoder) fleetSpec(v any, f *FleetSpec) {
-	m := d.obj(v, "fleet")
-	if m == nil {
-		return
-	}
-	d.integer(m, "tenants", "fleet", &f.Tenants)
-	if v, ok := take(m, "arrival"); ok {
-		am := d.obj(v, "fleet.arrival")
-		if am != nil {
-			d.str(am, "pattern", "fleet.arrival", &f.Arrival.Pattern)
-			d.integer(am, "over_seconds", "fleet.arrival", &f.Arrival.OverSeconds)
-			d.float(am, "rate_per_second", "fleet.arrival", &f.Arrival.RatePerSecond)
-			d.integer(am, "waves", "fleet.arrival", &f.Arrival.Waves)
-			d.checkUnknown(am, "fleet.arrival")
+		if d, ok := dst.Addr().Interface().(interface{ setDefaults() }); ok {
+			d.setDefaults()
 		}
-	}
-	if v, ok := take(m, "templates"); ok {
-		list, ok := v.([]any)
-		if !ok {
-			d.fail("fleet.templates: expected a list, got %T", v)
-			return
-		}
-		f.Templates = make([]Template, len(list))
-		for i, e := range list {
-			d.template(e, fmt.Sprintf("fleet.templates[%d]", i), &f.Templates[i])
-		}
-	}
-	d.checkUnknown(m, "fleet")
-}
-
-func (d *decoder) template(v any, ctx string, t *Template) {
-	m := d.obj(v, ctx)
-	if m == nil {
-		return
-	}
-	t.Weight = 1
-	d.str(m, "name", ctx, &t.Name)
-	d.float(m, "weight", ctx, &t.Weight)
-	if v, ok := take(m, "n"); ok {
-		nm := d.obj(v, ctx+".n")
-		if nm != nil {
-			d.integer(nm, "fixed", ctx+".n", &t.N.Fixed)
-			d.float(nm, "mean", ctx+".n", &t.N.Mean)
-			d.integer(nm, "min", ctx+".n", &t.N.Min)
-			d.integer(nm, "max", ctx+".n", &t.N.Max)
-			d.checkUnknown(nm, ctx+".n")
-		}
-	}
-	if v, ok := take(m, "demand"); ok {
-		t.Demand = &DemandSpec{}
-		dm := d.obj(v, ctx+".demand")
-		if dm != nil {
-			d.float(dm, "mu", ctx+".demand", &t.Demand.Mu)
-			d.float(dm, "sigma", ctx+".demand", &t.Demand.Sigma)
-			d.floatList(dm, "mu_choices", ctx+".demand", &t.Demand.MuChoices)
-			d.float(dm, "rho", ctx+".demand", &t.Demand.Rho)
-			d.checkUnknown(dm, ctx+".demand")
-		}
-	}
-	d.float(m, "bandwidth", ctx, &t.Bandwidth)
-	if v, ok := take(m, "hold"); ok {
-		hm := d.obj(v, ctx+".hold")
-		if hm != nil {
-			d.integer(hm, "lo", ctx+".hold", &t.Hold.Lo)
-			d.integer(hm, "hi", ctx+".hold", &t.Hold.Hi)
-			d.checkUnknown(hm, ctx+".hold")
-		}
-	}
-	d.checkUnknown(m, ctx)
-}
-
-func (d *decoder) renewal(v any, ctx string, r *RenewalSpec) {
-	m := d.obj(v, ctx)
-	if m == nil {
-		return
-	}
-	r.Fraction = 1
-	d.float(m, "mtbf", ctx, &r.MTBFSeconds)
-	d.float(m, "mttr", ctx, &r.MTTRSeconds)
-	d.float(m, "fraction", ctx, &r.Fraction)
-	d.checkUnknown(m, ctx)
-}
-
-func (d *decoder) chaosSpec(v any, c *ChaosSpec) {
-	m := d.obj(v, "chaos")
-	if m == nil {
-		return
-	}
-	d.boolean(m, "repair", "chaos", &c.Repair)
-	if v, ok := take(m, "machines"); ok {
-		c.Machines = &RenewalSpec{}
-		d.renewal(v, "chaos.machines", c.Machines)
-	}
-	if v, ok := take(m, "links"); ok {
-		c.Links = &LinkChaosSpec{}
-		lm := d.obj(v, "chaos.links")
-		if lm != nil {
-			c.Links.Fraction = 1
-			d.float(lm, "mtbf", "chaos.links", &c.Links.MTBFSeconds)
-			d.float(lm, "mttr", "chaos.links", &c.Links.MTTRSeconds)
-			d.float(lm, "fraction", "chaos.links", &c.Links.Fraction)
-			d.integer(lm, "level", "chaos.links", &c.Links.Level)
-			d.boolean(lm, "cascade", "chaos.links", &c.Links.Cascade)
-			d.checkUnknown(lm, "chaos.links")
-		}
-	}
-	if v, ok := take(m, "drains"); ok {
-		list, ok := v.([]any)
-		if !ok {
-			d.fail("chaos.drains: expected a list, got %T", v)
-			return
-		}
-		c.Drains = make([]DrainSpec, len(list))
-		for i, e := range list {
-			ctx := fmt.Sprintf("chaos.drains[%d]", i)
-			dm := d.obj(e, ctx)
-			if dm == nil {
-				return
+		for _, f := range reflect.VisibleFields(dst.Type()) {
+			key, opt, _ := strings.Cut(f.Tag.Get("yaml"), ",")
+			v, ok := m[key]
+			if !ok || f.Anonymous {
+				continue
 			}
-			d.integer(dm, "at", ctx, &c.Drains[i].At)
-			d.integer(dm, "level", ctx, &c.Drains[i].Level)
-			d.integer(dm, "index", ctx, &c.Drains[i].Index)
-			d.integer(dm, "duration", ctx, &c.Drains[i].Duration)
-			d.checkUnknown(dm, ctx)
+			delete(m, key)
+			if v == nil && opt == "nullable" {
+				continue
+			}
+			sub, fv := ctx+"."+key, dst.FieldByIndex(f.Index)
+			if t := fv.Type(); name != ctx && (t.Kind() == reflect.Struct || t.Kind() == reflect.Pointer && t.Elem().Kind() == reflect.Struct) {
+				sub = key
+			}
+			if err := decodeInto(fv, v, sub, sub); err != nil {
+				return err
+			}
 		}
-	}
-	d.intList(m, "failovers", "chaos", &c.Failovers)
-	d.checkUnknown(m, "chaos")
-}
-
-func (d *decoder) runSpec(v any, r *RunSpec) {
-	m := d.obj(v, "run")
-	if m == nil {
-		return
-	}
-	d.integer(m, "max_seconds", "run", &r.MaxSeconds)
-	d.integer(m, "sample_every", "run", &r.SampleEvery)
-	d.integer(m, "concurrency", "run", &r.Concurrency)
-	d.integer(m, "shards", "run", &r.Shards)
-	d.str(m, "shard_mode", "run", &r.ShardMode)
-	d.checkUnknown(m, "run")
-}
-
-func (d *decoder) assertSpec(v any, a *AssertSpec) {
-	m := d.obj(v, "assert")
-	if m == nil {
-		return
-	}
-	if _, ok := m["max_rejection_rate"]; ok {
-		a.MaxRejectionRate = new(float64)
-		d.float(m, "max_rejection_rate", "assert", a.MaxRejectionRate)
-	}
-	if _, ok := m["min_admitted"]; ok {
-		a.MinAdmitted = new(int)
-		d.integer(m, "min_admitted", "assert", a.MinAdmitted)
-	}
-	if _, ok := m["max_evicted"]; ok {
-		a.MaxEvicted = new(int)
-		d.integer(m, "max_evicted", "assert", a.MaxEvicted)
-	}
-	if _, ok := m["max_killed"]; ok {
-		a.MaxKilled = new(int)
-		d.integer(m, "max_killed", "assert", a.MaxKilled)
-	}
-	if v, ok := take(m, "guarantee"); ok {
-		a.Guarantee = &GuaranteeSpec{Samples: 2000, Margin: 0.03, At: -1}
-		gm := d.obj(v, "assert.guarantee")
-		if gm != nil {
-			d.integer(gm, "samples", "assert.guarantee", &a.Guarantee.Samples)
-			d.float(gm, "margin", "assert.guarantee", &a.Guarantee.Margin)
-			d.float(gm, "eps", "assert.guarantee", &a.Guarantee.Eps)
-			d.integer(gm, "at", "assert.guarantee", &a.Guarantee.At)
-			d.checkUnknown(gm, "assert.guarantee")
+		if len(m) > 0 { // whatever no field took; sorted, so the one named does not depend on map order
+			unknown := make([]string, 0, len(m))
+			for k := range m {
+				unknown = append(unknown, k)
+			}
+			sort.Strings(unknown)
+			return fmt.Errorf("%s: unknown key %q", ctx, unknown[0])
 		}
+	case reflect.Slice:
+		list, ok := node.([]any)
+		if !ok {
+			return mismatch("a list", "%T")
+		}
+		dst.Set(reflect.MakeSlice(dst.Type(), len(list), len(list)))
+		for i, e := range list {
+			sub := fmt.Sprintf("%s[%d]", name, i)
+			if err := decodeInto(dst.Index(i), e, sub, sub); err != nil {
+				return err
+			}
+		}
+	case reflect.String:
+		v, ok := node.(string)
+		if !ok {
+			return mismatch("a string", "%T")
+		}
+		dst.SetString(v)
+	case reflect.Bool:
+		v, ok := node.(bool)
+		if !ok {
+			return mismatch("a bool", "%T")
+		}
+		dst.SetBool(v)
+	case reflect.Float64:
+		switch n := node.(type) {
+		case int64:
+			dst.SetFloat(float64(n))
+		case float64:
+			dst.SetFloat(n)
+		default:
+			return mismatch("a number", "%T")
+		}
+	case reflect.Int:
+		// An integer the parser could not hold arrives as a float64 and is
+		// refused with every other float; one past int is refused here. A
+		// field's error names the value it got, a list element's the type.
+		v, ok := node.(int64)
+		if !ok || int64(int(v)) != v {
+			if strings.HasSuffix(name, "]") {
+				return mismatch("an integer", "%T")
+			}
+			return mismatch("an integer", "%v")
+		}
+		dst.SetInt(v)
+	case reflect.Uint64:
+		v, ok := node.(int64)
+		if !ok || v < 0 {
+			return mismatch("a non-negative integer", "%v")
+		}
+		dst.SetUint(uint64(v))
+	default:
+		panic(fmt.Sprintf("scenario: spec field %s has kind %s, which no scenario value decodes into", name, dst.Kind()))
 	}
-	d.boolean(m, "conservation", "assert", &a.Conservation)
-	d.boolean(m, "drain_to_empty", "assert", &a.DrainToEmpty)
-	d.checkUnknown(m, "assert")
+	return nil
 }
 
 // TopoConfig resolves the topology spec to builder dimensions.

@@ -109,6 +109,78 @@ func TestDecodeUnknownKey(t *testing.T) {
 	}
 }
 
+// TestDecodeRefuses is the refused-document table: every way a node can
+// have the wrong kind, at every level, with the whole error text — the
+// path it names is what a scenario author goes by. The texts were
+// recorded from the hand-written decoder the tag-driven one replaced.
+func TestDecodeRefuses(t *testing.T) {
+	for _, tc := range []struct{ doc, want string }{
+		// A scalar or list where a mapping belongs, root to leaf.
+		{"- a\n", "scenario: document: expected a mapping, got []interface {}"},
+		{"topology: 5\n", "scenario: topology: expected a mapping, got int64"},
+		{"chaos: 5\n", "scenario: chaos: expected a mapping, got int64"},
+		{"run: [1]\n", "scenario: run: expected a mapping, got []interface {}"},
+		{"fleet: {arrival: x}\n", "scenario: fleet.arrival: expected a mapping, got string"},
+		{"fleet: {templates: [{hold: 5}]}\n", "scenario: fleet.templates[0].hold: expected a mapping, got int64"},
+		// A mapping or scalar where a list belongs.
+		{"fleet: {templates: {name: a}}\n", "scenario: fleet.templates: expected a list, got map[string]interface {}"},
+		{"chaos: {drains: {at: 1}}\n", "scenario: chaos.drains: expected a list, got map[string]interface {}"},
+		{"chaos: {failovers: 3}\n", "scenario: chaos.failovers: expected a list, got int64"},
+		{"fleet: {templates: [{demand: {mu_choices: 7}}]}\n", "scenario: fleet.templates[0].demand.mu_choices: expected a list, got int64"},
+		// A list element of the wrong kind (a list names the type it got,
+		// an integer field the value).
+		{"fleet: {templates: [a]}\n", "scenario: fleet.templates[0]: expected a mapping, got string"},
+		{"chaos: {drains: [{at: 1}, 7]}\n", "scenario: chaos.drains[1]: expected a mapping, got int64"},
+		{"chaos: {failovers: [1, x]}\n", "scenario: chaos.failovers[1]: expected an integer, got string"},
+		{"chaos: {failovers: [1, 2.5]}\n", "scenario: chaos.failovers[1]: expected an integer, got float64"},
+		{"fleet: {templates: [{demand: {mu_choices: [1, true]}}]}\n", "scenario: fleet.templates[0].demand.mu_choices[1]: expected a number, got bool"},
+		// Scalars: no float for an int, no sign on the seed, nothing past
+		// int64 (the parser reads it as a float), no cross-kind coercion.
+		{"run: {shards: 1.5}\n", "scenario: run.shards: expected an integer, got 1.5"},
+		{"assert: {max_evicted: 1.0}\n", "scenario: assert.max_evicted: expected an integer, got 1"},
+		{"fleet: {templates: [{}, {n: {fixed: 1.5}}]}\n", "scenario: fleet.templates[1].n.fixed: expected an integer, got 1.5"},
+		{"topology: {aggs: two}\n", "scenario: topology.aggs: expected an integer, got two"},
+		{"seed: -1\n", "scenario: scenario.seed: expected a non-negative integer, got -1"},
+		{"seed: 1.0\n", "scenario: scenario.seed: expected a non-negative integer, got 1"},
+		{"seed: 99999999999999999999\n", "scenario: scenario.seed: expected a non-negative integer, got 1e+20"},
+		{"run: {max_seconds: 9223372036854775808}\n", "scenario: run.max_seconds: expected an integer, got 9.223372036854776e+18"},
+		{"name: 5\n", "scenario: scenario.name: expected a string, got int64"},
+		{"description: [a]\n", "scenario: scenario.description: expected a string, got []interface {}"},
+		{"eps: high\n", "scenario: scenario.eps: expected a number, got string"},
+		{"chaos: {repair: 1}\n", "scenario: chaos.repair: expected a bool, got int64"},
+		{"assert: {conservation: yes}\n", "scenario: assert.conservation: expected a bool, got string"},
+		// null: only "chaos:" may be written with nothing under it.
+		{"topology:\n", "scenario: topology: expected a mapping, got <nil>"},
+		{"assert: {guarantee: ~}\n", "scenario: assert.guarantee: expected a mapping, got <nil>"},
+		{"assert:\n  guarantee:\n", "scenario: assert.guarantee: expected a mapping, got <nil>"},
+		{"chaos: {machines: ~}\n", "scenario: chaos.machines: expected a mapping, got <nil>"},
+		{"chaos: {links: ~}\n", "scenario: chaos.links: expected a mapping, got <nil>"},
+		{"fleet: {templates: [{demand: ~}]}\n", "scenario: fleet.templates[0].demand: expected a mapping, got <nil>"},
+		{"assert: {min_admitted: ~}\n", "scenario: assert.min_admitted: expected an integer, got <nil>"},
+		{"assert: {max_rejection_rate: ~}\n", "scenario: assert.max_rejection_rate: expected a number, got <nil>"},
+		{"chaos: ~\nassert: 1\n", "scenario: assert: expected a mapping, got int64"},
+		// Unknown keys: at the root, inside a list element, below one, in
+		// the embedded renewal of chaos.links — and a key of chaos.links is
+		// not a key of chaos.machines. Of several, the first in sorted
+		// order is named.
+		{"bogus: 1\n", `scenario: scenario: unknown key "bogus"`},
+		{"fleet: {templates: [{name: a}, {name: b, fixd: 1}]}\n", `scenario: fleet.templates[1]: unknown key "fixd"`},
+		{"fleet: {templates: [{n: {fixd: 1}}]}\n", `scenario: fleet.templates[0].n: unknown key "fixd"`},
+		{"chaos: {drains: [{at: 1, until: 2}]}\n", `scenario: chaos.drains[0]: unknown key "until"`},
+		{"chaos: {links: {mtbf: 1, lvl: 2}}\n", `scenario: chaos.links: unknown key "lvl"`},
+		{"chaos: {machines: {level: 1}}\n", `scenario: chaos.machines: unknown key "level"`},
+		{"run: {zeta: 1, alpha: 2}\n", `scenario: run: unknown key "alpha"`},
+		// The first error wins, in the structs' field order; a mapping's
+		// unknown keys are looked at after its known ones.
+		{"run: {shards: x}\ntopology: {aggs: y}\n", "scenario: topology.aggs: expected an integer, got y"},
+		{"run: {bogus: 1, shards: x}\n", "scenario: run.shards: expected an integer, got x"},
+	} {
+		if _, err := Decode([]byte(tc.doc)); err == nil || err.Error() != tc.want {
+			t.Errorf("%q:\n got %v\nwant %s", tc.doc, err, tc.want)
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	mutate := func(f func(*Scenario)) *Scenario {
 		s := decodeTestDoc(t)

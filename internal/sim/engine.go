@@ -315,12 +315,13 @@ func (e *engine) applyFailures() error {
 		e.pendingFailures = e.pendingFailures[1:]
 	}
 	if e.injector != nil {
-		for _, m := range e.injector.restoresDue(e.now) {
+		restored, failed := e.injector.due(e.now)
+		for _, m := range restored {
 			e.mgr.RestoreMachine(m)
 			e.frep.MachineRestores++
 			e.cfg.Recorder.Record(trace.Event{Time: e.now, Kind: trace.KindMachineRestore, Machines: int(m)})
 		}
-		downed = append(downed, e.injector.failuresDue(e.now)...)
+		downed = append(downed, failed...)
 	}
 	if len(downed) == 0 {
 		return nil

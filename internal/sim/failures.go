@@ -12,9 +12,10 @@ import (
 )
 
 // FailureModel injects random machine failures: every machine runs an
-// independent alternating renewal process with exponentially distributed
-// up-times (mean MTBF seconds) and down-times (mean MTTR seconds). The
-// stream is seeded, so a scenario's failure schedule replays exactly.
+// independent alternating renewal process (stats.Renewal, the generator
+// the scenario engine's chaos schedule draws from too) with exponentially
+// distributed up-times (mean MTBF seconds) and down-times (mean MTTR
+// seconds). The stream is seeded, so a failure schedule replays exactly.
 type FailureModel struct {
 	MTBF float64 // mean seconds between failures, per machine
 	MTTR float64 // mean seconds to repair a failed machine
@@ -28,59 +29,48 @@ func (f *FailureModel) validate() error {
 	return nil
 }
 
-// failureInjector realizes a FailureModel over a topology's machines.
+// failureInjector realizes a FailureModel over a topology's machines:
+// one stats.Renewal per machine, each on its own child of the seed's
+// stream, with the machine's next event drawn ahead.
 type failureInjector struct {
-	rng       *stats.Rand
-	model     FailureModel
-	machines  []topology.NodeID
-	nextFail  map[topology.NodeID]float64 // machine up: next failure time
-	restoreAt map[topology.NodeID]float64 // machine down: restore time
+	procs []machineProc
+}
+
+type machineProc struct {
+	*stats.Renewal
+	machine topology.NodeID
+	at      int  // second of the machine's next event
+	fail    bool // whether that event is its failure or its restore
 }
 
 func newFailureInjector(topo *topology.Topology, model FailureModel) *failureInjector {
-	inj := &failureInjector{
-		rng:       stats.NewRand(model.Seed),
-		model:     model,
-		machines:  topo.Machines(),
-		nextFail:  make(map[topology.NodeID]float64),
-		restoreAt: make(map[topology.NodeID]float64),
-	}
-	for _, m := range inj.machines {
-		inj.nextFail[m] = inj.rng.Exp(model.MTBF)
+	inj := &failureInjector{}
+	rng := stats.NewRand(model.Seed)
+	for _, m := range topo.Machines() {
+		p := machineProc{Renewal: stats.NewRenewal(rng.Child(), model.MTBF, model.MTTR), machine: m}
+		p.at, p.fail = p.Next()
+		inj.procs = append(inj.procs, p)
 	}
 	return inj
 }
 
-// failuresDue returns the machines whose failure time has arrived and
-// schedules their restores.
-func (inj *failureInjector) failuresDue(now int) []topology.NodeID {
-	var out []topology.NodeID
-	for _, m := range inj.machines {
-		at, up := inj.nextFail[m]
-		if !up || at > float64(now) {
+// due returns the machines whose restore and whose failure has arrived,
+// and draws their next events. The engine asks every second and a phase
+// lasts at least one, so a machine has at most one event due.
+func (inj *failureInjector) due(now int) (restored, failed []topology.NodeID) {
+	for i := range inj.procs {
+		p := &inj.procs[i]
+		if p.at > now {
 			continue
 		}
-		delete(inj.nextFail, m)
-		inj.restoreAt[m] = float64(now) + inj.rng.Exp(inj.model.MTTR)
-		out = append(out, m)
-	}
-	return out
-}
-
-// restoresDue returns the machines whose repair time has arrived and
-// schedules their next failures.
-func (inj *failureInjector) restoresDue(now int) []topology.NodeID {
-	var out []topology.NodeID
-	for _, m := range inj.machines {
-		at, down := inj.restoreAt[m]
-		if !down || at > float64(now) {
-			continue
+		if p.fail {
+			failed = append(failed, p.machine)
+		} else {
+			restored = append(restored, p.machine)
 		}
-		delete(inj.restoreAt, m)
-		inj.nextFail[m] = float64(now) + inj.rng.Exp(inj.model.MTBF)
-		out = append(out, m)
+		p.at, p.fail = p.Next()
 	}
-	return out
+	return restored, failed
 }
 
 // FailureReport aggregates a run's failure and repair activity.

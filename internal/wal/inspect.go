@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"repro/internal/core"
@@ -56,29 +55,28 @@ func Inspect(w io.Writer, dir string) error {
 	if err != nil {
 		return err
 	}
-	gens := sortedGens(dir)
-	if len(gens) > 0 {
-		if err := inspectFile(w, walPath(dir, gens[len(gens)-1]), walMagic); err != nil {
-			return err
-		}
+	gen, err := newestGen(dir, false)
+	if err == nil && gen > 0 {
+		_, err = inspectFile(w, walPath(dir, gen), walMagic)
 	}
-	intents := filepath.Join(dir, "intents.log")
-	if _, err := os.Stat(intents); err == nil {
-		return inspectFile(w, intents, intentMagic)
-	} else if len(gens) == 0 && !snap {
-		return fmt.Errorf("wal: no snap-<gen>.snap, wal-<gen>.log or intents.log in %s", dir)
-	}
-	return nil
-}
-
-func inspectFile(w io.Writer, path, magic string) error {
-	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
+	found, err := inspectFile(w, filepath.Join(dir, "intents.log"), intentMagic)
+	if err == nil && !found && gen == 0 && !snap {
+		err = fmt.Errorf("wal: no snap-<gen>.snap, wal-<gen>.log or intents.log in %s", dir)
+	}
+	return err
+}
+
+func inspectFile(w io.Writer, path, magic string) (found bool, err error) {
+	data, err := readIfExists(path)
+	if data == nil || err != nil {
+		return false, err
+	}
 	frames, clean, scanErr := scanFrames(data, magic)
 	if clean < magicLen {
-		return fmt.Errorf("wal: %s: %w", path, scanErr)
+		return true, fmt.Errorf("wal: %s: %w", path, scanErr)
 	}
 	name := filepath.Base(path)
 	if magic == walMagic && len(frames) > 0 {
@@ -118,7 +116,7 @@ func inspectFile(w io.Writer, path, magic string) error {
 		}
 		fields, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return true, err
 		}
 		// Splice the frame's position in front of the record's own fields.
 		fmt.Fprintf(w, `{"off":%d,"len":%d,"format":%q,%s`+"\n",
@@ -132,5 +130,5 @@ func inspectFile(w io.Writer, path, magic string) error {
 		summary += fmt.Sprintf(", torn tail %d bytes (%v)", torn, scanErr)
 	}
 	_, err = fmt.Fprintln(w, summary)
-	return err
+	return true, err
 }

@@ -217,7 +217,7 @@ func IntentNoSync() IntentOption {
 // is truncated — exactly the pod-WAL recovery contract — so the next
 // append continues from the last intact record.
 func OpenIntentLog(dir string, opts ...IntentOption) (*IntentLog, []Intent, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := ensureDir(dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: intent log: %w", err)
 	}
 	l := &IntentLog{stateDir: stateDir{dir: dir}}
@@ -226,8 +226,8 @@ func OpenIntentLog(dir string, opts ...IntentOption) (*IntentLog, []Intent, erro
 	}
 
 	path := filepath.Join(dir, "intents.log")
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	data, err := readIfExists(path)
+	if err != nil {
 		return nil, nil, fmt.Errorf("wal: intent log: %w", err)
 	}
 	if len(data) < magicLen {

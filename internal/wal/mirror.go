@@ -51,7 +51,7 @@ func (s fileSum) plus(p []byte) fileSum {
 // for byte what the sum was taken over.
 func (s fileSum) check(path string) error {
 	var got fileSum
-	f, err := os.Open(path)
+	f, err := openRead(path)
 	if err == nil {
 		h := crc32.New(castagnoli)
 		got.n, err = io.Copy(h, f)
@@ -71,7 +71,7 @@ func (s fileSum) check(path string) error {
 // stay until the first reset chunk replaces them; what Apply promises
 // about a failure covers only files the mirror itself has written.
 func OpenMirror(dir string, topo *topology.Topology, eps float64, mgrOpts []core.ManagerOption, noSync bool) (*Mirror, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := ensureDir(dir); err != nil {
 		return nil, fmt.Errorf("wal: create mirror dir: %w", err)
 	}
 	return &Mirror{stateDir: stateDir{dir: dir, noSync: noSync}, dc: datacenter{topo, eps, mgrOpts}}, nil
@@ -179,7 +179,7 @@ func (mi *Mirror) reset(chunk TailChunk, applied int, m *core.Manager) error {
 	if err != nil {
 		if chunk.Gen != mi.gen {
 			for i := len(published) - 1; i >= 0; i-- {
-				os.Remove(published[i])
+				remove(published[i])
 			}
 		} else if len(published) > 0 {
 			mi.fault = fmt.Errorf("%w: a reset onto the mirror's own generation %d failed half way: %w", ErrMirror, mi.gen, err)

@@ -19,7 +19,7 @@ import (
 // belongs to a different topology or epsilon, or when a snapshot itself
 // is unreadable.
 func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.ManagerOption, opts ...Option) (*core.Manager, *Journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := ensureDir(dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: create state dir: %w", err)
 	}
 	j := newJournal(dir, opts)
@@ -156,8 +156,8 @@ func (dc datacenter) base(gen uint64, snap []byte, name string) (*core.Manager, 
 // restoreBase is base for a generation on disk.
 func (dc datacenter) restoreBase(dir string, gen uint64) (*core.Manager, error) {
 	path := snapPath(dir, gen)
-	snap, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	snap, err := readIfExists(path)
+	if err != nil {
 		return nil, err
 	}
 	return dc.base(gen, snap, filepath.Base(path))
@@ -172,8 +172,8 @@ func (dc datacenter) restoreBase(dir string, gen uint64) (*core.Manager, error) 
 // for byte as it is.
 func (dc datacenter) replayGen(m *core.Manager, dir string, gen uint64, onEpoch func(uint64)) (applied int, clean int64, err error) {
 	path := walPath(dir, gen)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	data, err := readIfExists(path)
+	if err != nil {
 		return 0, 0, fmt.Errorf("wal: read log: %w", err)
 	}
 	frames, _, _ := scanFrames(data, walMagic)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"slices"
 
@@ -311,25 +310,15 @@ func formatName(tag byte) string {
 // newestSnapshot reads the highest-generation snap-<gen>.snap in dir,
 // nil when there is none.
 func newestSnapshot(dir string) (*snapshotFile, error) {
-	entries, err := os.ReadDir(dir)
+	gen, err := newestGen(dir, true)
+	if gen == 0 || err != nil {
+		return nil, err
+	}
+	data, err := readIfExists(snapPath(dir, gen))
 	if err != nil {
 		return nil, err
 	}
-	var gen uint64
-	f := &snapshotFile{}
-	for _, e := range entries {
-		if g, snap, ok := genOf(e.Name()); ok && snap && g >= gen {
-			gen, f.name = g, e.Name()
-		}
-	}
-	if f.name == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(filepath.Join(dir, f.name))
-	if err != nil {
-		return nil, err
-	}
-	f.size = len(data)
+	f := &snapshotFile{name: filepath.Base(snapPath(dir, gen)), size: len(data)}
 	f.meta, f.body, err = splitSnapshot(data, f.name)
 	return f, err
 }

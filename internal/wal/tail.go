@@ -154,18 +154,14 @@ func (j *Journal) buildChunk(cur Cursor, gen uint64, durable int64, epoch uint64
 // resetChunk restarts a standby from the current generation's base: the
 // snapshot image plus the log from offset 0.
 func (j *Journal) resetChunk(gen uint64, durable int64, epoch uint64, records, maxBytes int) (TailChunk, error) {
-	snap, err := os.ReadFile(snapPath(j.dir, gen))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return TailChunk{}, fmt.Errorf("wal: tail snapshot: %w", err)
-	}
+	snap, err := readIfExists(snapPath(j.dir, gen))
 	if err != nil {
-		snap = nil
-		if gen > 1 {
-			// An orphaned rotation (crash between snapshot rename and
-			// directory sync) has no shippable base until the next
-			// checkpoint publishes one.
-			return TailChunk{}, fmt.Errorf("wal: generation %d has no snapshot to bootstrap from; retry after a checkpoint", gen)
-		}
+		return TailChunk{}, fmt.Errorf("wal: tail snapshot: %w", err)
+	} else if snap == nil && gen > 1 {
+		// An orphaned rotation (crash between snapshot rename and
+		// directory sync) has no shippable base until the next
+		// checkpoint publishes one.
+		return TailChunk{}, fmt.Errorf("wal: generation %d has no snapshot to bootstrap from; retry after a checkpoint", gen)
 	}
 	data, err := readRange(walPath(j.dir, gen), 0, durable)
 	if err != nil {
@@ -187,7 +183,7 @@ func (j *Journal) resetChunk(gen uint64, durable int64, epoch uint64, records, m
 
 // readRange reads bytes [from, to) of one file.
 func readRange(path string, from, to int64) ([]byte, error) {
-	f, err := os.Open(path)
+	f, err := openRead(path)
 	if err != nil {
 		return nil, err
 	}

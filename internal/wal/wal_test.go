@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -212,8 +213,9 @@ func TestCheckpointCompacts(t *testing.T) {
 	if _, err := os.Stat(walPath(dir, 1)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("old generation log still present: %v", err)
 	}
-	if gens := sortedGens(dir); len(gens) != 1 || gens[0] != 2 {
-		t.Fatalf("generations on disk = %v, want [2]", gens)
+	var files []string
+	if err := eachFile(dir, func(name string, _ uint64, _, _ bool) { files = append(files, name) }); err != nil || !slices.Equal(files, []string{"snap-2.snap", "wal-2.log"}) {
+		t.Fatalf("files on disk = %v (%v), want generation 2's snapshot and log and nothing else", files, err)
 	}
 
 	// Post-checkpoint mutations land in the new log; recovery sees both.

@@ -86,6 +86,16 @@ go test -run '^$' -bench 'BenchmarkRecover|BenchmarkPromote|BenchmarkRecordCodec
 echo "==> fuzz smoke (FuzzSnapshotDecode, 10s)"
 go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/wal/
 
+# internal/wal reaches the file system through wal/dir.go and nowhere
+# else, so injecting one (ROADMAP item 4, step 1) is a change to that
+# file: outside it only the os.ErrNotExist sentinel and the *os.File type
+# may be named.
+echo "==> internal/wal: os calls in dir.go only"
+if grep -n '\bos\.[A-Z]' $(ls internal/wal/*.go | grep -v -e '_test\.go$' -e '/dir\.go$') | grep -v -e 'os\.ErrNotExist' -e '\*os\.File'; then
+  echo "check.sh: internal/wal calls the os package outside dir.go (route it through a stateDir helper)" >&2
+  exit 1
+fi
+
 echo "==> size (scripts/loc.sh: non-test Go lines)"
 bash scripts/loc.sh
 

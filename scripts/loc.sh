@@ -7,7 +7,7 @@
 # scripts/check.sh and CI's `make loc` step), so raising it is an edit a
 # reviewer sees. Lower it when a PR shrinks the total.
 set -euo pipefail
-budget=10694 # PR 23
+budget=10694 # PR 24 (unchanged since PR 23)
 cd "$(dirname "$0")/.."
 lines() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 total=0
