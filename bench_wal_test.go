@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -66,12 +67,14 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// recoverMixes are the record populations BenchmarkRecover replays.
-// "basic" is the cheapest record there is: 4-VM jobs that fit one
-// machine, so no contributions. "catalogue" is svcbench's churn — the
-// eight flavours {2,4,8,16} VMs x {N(100,40), N(300,100)} on a half-full
-// datacenter — whose larger jobs span machines and racks and so carry up
-// to a dozen contributions of 17-digit floats each.
+// recoverMixes are the record populations BenchmarkRecover's grid
+// replays, on benchWALTopology (2 aggs x 4 ToRs) and up to 10 000
+// records. "basic" is the cheapest record there is: 4-VM jobs that fit
+// one machine, so no contributions. "catalogue" is svcbench's churn
+// flavours — {2,4,8,16} VMs x {N(100,40), N(300,100)} — on that small
+// datacenter half full; its larger jobs span machines and racks and so
+// carry up to a dozen contributions each. The grid's ns/record does not
+// carry over to svcbench's restart-recover; the L cell is that shape.
 var recoverMixes = []struct {
 	name    string
 	prefill bool
@@ -129,8 +132,10 @@ func snapshotState(b *testing.B, dir string) (*topology.Topology, *core.Manager,
 
 // BenchmarkRecover measures a cold start from a state directory holding
 // one snapshot-free log of the given record count: scan, decode, and
-// validated replay into a fresh manager. ns/record and B/record (log
-// bytes) are the per-record costs; ns/op is the whole restart. The
+// validated replay into a fresh manager. ns/record, allocs/record and
+// B/record (log bytes) are the per-record costs; ns/op is the whole
+// restart. The L cell is svcbench's restart-recover directory L: the
+// paper's datacenter half full, catalogue churn, 100 000 records. The
 // snapshot cells hold the same kind of state in a snapshot instead:
 // "checkpoint" is export, encode and write, "load" the cold start from
 // what that wrote, and B/job the file's size.
@@ -188,65 +193,85 @@ func BenchmarkRecover(b *testing.B) {
 	for _, mix := range recoverMixes {
 		for _, records := range []int{100, 1000, 10000} {
 			b.Run(fmt.Sprintf("mix=%s/records=%d", mix.name, records), func(b *testing.B) {
-				dir := b.TempDir()
-				topo := benchWALTopology(b)
-				mgr, j, err := wal.Recover(dir, topo, 0.05, nil,
-					wal.WithNoSync(), wal.WithSnapshotEvery(1<<30))
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Admit the flavours in turn and release oldest-first, so the
-				// log alternates admissions and releases around a steady
-				// population (half the slots with prefill, none without).
-				var live []core.JobID
-				admit := func(i int) {
-					a, err := mgr.AllocateHomog(mix.reqs[i%len(mix.reqs)])
-					if err != nil {
-						b.Fatal(err)
-					}
-					live = append(live, a.ID)
-				}
-				if mix.prefill {
-					for i := 0; mgr.Running()*8 < topo.TotalSlots()/2; i++ {
-						admit(i)
-					}
-				}
-				for i := 0; j.Appended() < records; i++ {
-					admit(i)
-					if err := mgr.Release(live[0]); err != nil {
-						b.Fatal(err)
-					}
-					live = live[1:]
-				}
-				want, appended := mgr.Running(), j.Appended()
-				if err := j.Close(); err != nil {
-					b.Fatal(err)
-				}
-				info, err := os.Stat(filepath.Join(dir, "wal-1.log"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m2, j2, err := wal.Recover(dir, topo, 0.05, nil, wal.WithNoSync())
-					if err != nil {
-						b.Fatal(err)
-					}
-					if m2.Running() != want || j2.Appended() != appended {
-						b.Fatalf("recovered %d jobs from %d records, want %d from %d", m2.Running(), j2.Appended(), want, appended)
-					}
-					b.StopTimer()
-					if err := j2.Close(); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(appended), "ns/record")
-				b.ReportMetric(float64(info.Size())/float64(appended), "B/record")
+				benchRecoverLog(b, benchWALTopology(b), mix.prefill, mix.reqs, records)
 			})
 		}
 	}
+	b.Run("L/mix=catalogue/dc=paper/records=100000", func(b *testing.B) {
+		topo, err := topology.NewThreeTier(topology.PaperConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRecoverLog(b, topo, true, recoverMixes[1].reqs, 100000)
+	})
+}
+
+// benchRecoverLog is one record cell of BenchmarkRecover: it writes a
+// log of the given record count and times cold starts from it.
+func benchRecoverLog(b *testing.B, topo *topology.Topology, prefill bool, reqs []core.Homogeneous, records int) {
+	dir := b.TempDir()
+	mgr, j, err := wal.Recover(dir, topo, 0.05, nil, wal.WithNoSync(), wal.WithSnapshotEvery(1<<30))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Admit the flavours in turn and release oldest-first, so the log
+	// alternates admissions and releases around a steady population (half
+	// the slots with prefill, none without).
+	var live []core.JobID
+	admit := func(i int) {
+		a, err := mgr.AllocateHomog(reqs[i%len(reqs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		live = append(live, a.ID)
+	}
+	if prefill {
+		for i := 0; mgr.Running()*8 < topo.TotalSlots()/2; i++ {
+			admit(i)
+		}
+	}
+	for i := 0; j.Appended() < records; i++ {
+		admit(i)
+		if err := mgr.Release(live[0]); err != nil {
+			b.Fatal(err)
+		}
+		live = live[1:]
+	}
+	want, appended := mgr.Running(), j.Appended()
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(dir, "wal-1.log"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// allocs/record counts every allocation of the loop, the journal's
+	// Close too: a handful per restart.
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	mallocs := mem.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m2, j2, err := wal.Recover(dir, topo, 0.05, nil, wal.WithNoSync())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m2.Running() != want || j2.Appended() != appended {
+			b.Fatalf("recovered %d jobs from %d records, want %d from %d", m2.Running(), j2.Appended(), want, appended)
+		}
+		b.StopTimer()
+		if err := j2.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&mem)
+	perRecord := float64(b.N) * float64(appended)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRecord, "ns/record")
+	b.ReportMetric(float64(mem.Mallocs-mallocs)/perRecord, "allocs/record")
+	b.ReportMetric(float64(info.Size())/float64(appended), "B/record")
 }
 
 // BenchmarkPromote measures Standby.Promote on a standby that holds the

@@ -80,8 +80,8 @@ func (op MutationOp) String() string {
 // are the planners', the jobs' and the exported state's own types, so a
 // plan reaches the journal and the ledger unconverted — but cloned: a
 // Mutation may be shared (the sharded router commits one into a pod and
-// then into its shadow; a journal may keep it), so applyLocked never hands
-// a job the Mutation's own slices.
+// then into its shadow; a journal may keep it), so applyLocked hands no
+// job or binding its memory — which lets replay reuse its decode storage.
 type Mutation struct {
 	Op  MutationOp
 	Job JobID // alloc, release, repair
@@ -365,6 +365,8 @@ func (m *Manager) applyLocked(mut Mutation) error {
 // Replay validates and applies one journaled mutation without journaling
 // it again — the recovery path. Mutations must be replayed in their
 // original log order onto a manager whose state matches the log position.
+// Replay keeps no reference to mut's memory (jobs and bindings get copies),
+// so the caller may decode the next record into it once Replay returns.
 func (m *Manager) Replay(mut Mutation) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -405,27 +407,39 @@ func (m *Manager) validateMutationLocked(mut Mutation) error {
 		return nil
 	}
 	// validPlacement checks slot feasibility exactly as commit's UseSlots
-	// will see it: fault-aware free slots, with the freed counts per
-	// machine (the job's old placement, rolled back first) credited back.
-	validPlacement := func(p *Placement, freed map[topology.NodeID]int) error {
+	// will see it: fault-aware free slots, with the job's old placement
+	// (rolled back first) credited back per machine. The scratch it uses is
+	// the manager's, so validating a record allocates nothing.
+	validPlacement := func(p *Placement, old []PlacementEntry) error {
 		if p == nil {
 			return errors.New("core: mutation has no placement")
 		}
-		seen := make(map[topology.NodeID]bool, len(p.Entries))
+		if len(m.placedIn) < topo.Len() {
+			m.placedIn, m.freed = make([]int64, topo.Len()), make([]int, topo.Len())
+		}
+		m.checks++
+		for _, e := range old {
+			m.freed[e.Machine] += e.Count
+		}
+		defer func() {
+			for _, e := range old {
+				m.freed[e.Machine] = 0
+			}
+		}()
 		for _, e := range p.Entries {
 			if err := validMachine(e.Machine); err != nil {
 				return err
 			}
-			if e.Count <= 0 || seen[e.Machine] {
+			if e.Count <= 0 || m.placedIn[e.Machine] == m.checks {
 				return fmt.Errorf("core: bad placement entry on machine %d", e.Machine)
 			}
 			if e.VMs != nil && len(e.VMs) != e.Count {
 				return fmt.Errorf("core: machine %d lists %d VMs for count %d", e.Machine, len(e.VMs), e.Count)
 			}
-			seen[e.Machine] = true
+			m.placedIn[e.Machine] = m.checks
 			free := 0
 			if m.led.Faults().Alive(e.Machine) {
-				free = topo.Node(e.Machine).Slots - m.led.used[e.Machine] + freed[e.Machine]
+				free = topo.Node(e.Machine).Slots - m.led.used[e.Machine] + m.freed[e.Machine]
 			}
 			if e.Count > free {
 				return fmt.Errorf("core: machine %d needs %d slots, has %d free", e.Machine, e.Count, free)
@@ -488,11 +502,7 @@ func (m *Manager) validateMutationLocked(mut Mutation) error {
 			if math.IsNaN(mut.EffectiveEps) || mut.EffectiveEps < 0 || mut.EffectiveEps > 1 {
 				return fmt.Errorf("core: bad effective eps %v", mut.EffectiveEps)
 			}
-			freed := make(map[topology.NodeID]int, len(a.Placement.Entries))
-			for _, e := range a.Placement.Entries {
-				freed[e.Machine] += e.Count
-			}
-			if err := validPlacement(mut.Placement, freed); err != nil {
+			if err := validPlacement(mut.Placement, a.Placement.Entries); err != nil {
 				return err
 			}
 			return validContribs(mut.Contribs)

@@ -81,6 +81,12 @@ type Manager struct {
 	counters      CounterState
 	repairLatency metrics.LatencySummary
 
+	// validateMutationLocked's scratch (guarded by mu), per node: the last
+	// placement check that listed it, and the slots freed there, 0 between checks.
+	placedIn []int64
+	freed    []int
+	checks   int64
+
 	// adm counts admissions and times their plans (guarded by mu; its
 	// plan-cache fields stay zero, AdmissionStats fills them in). See
 	// admission.go.

@@ -77,7 +77,7 @@ func referenceStates(t *testing.T, data []byte, base *core.ManagerState) (states
 	m := newBase()
 	states = append(states, m.ExportState())
 	for i, fr := range frames[1:] { // frames[0] is the meta record
-		rec, err := decodeRecord(fr.Payload)
+		rec, err := DecodeRecord(fr.Payload)
 		if err != nil || rec.Kind != KindMutation {
 			t.Fatalf("reference decode record %d: %+v, %v", i, rec.Kind, err)
 		}

@@ -7,10 +7,13 @@ import (
 	"repro/internal/stats"
 )
 
-// FuzzWALDecode feeds arbitrary bytes through the full log-reading path:
-// frame scan, record decode, and validated replay into a live manager.
-// The invariants, whatever the input: never panic, stop replay at the
-// first corrupt record, and leave the manager internally consistent
+// FuzzWALDecode feeds arbitrary bytes to replay, the loop recovery and a
+// standby's mirror run: frames walked in place, records decoded into
+// storage the walk reuses, validated replay into a live manager. The
+// invariants, whatever the input: never panic; agree with the oracle —
+// every frame scanned, decoded into memory of its own and replayed until
+// the first that fails — on the mutations applied, the offset replay
+// stopped at and the state; and leave the manager internally consistent
 // (slot accounting still balances).
 func FuzzWALDecode(f *testing.F) {
 	// Seed with a real log image so the fuzzer starts from valid framing
@@ -57,6 +60,13 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(appendEpochFrame(mixed, 4))
 
 	topo := testTopo(f)
+	newManager := func(t *testing.T) *core.Manager {
+		m, err := core.NewManager(topo, testEps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames, clean, scanErr := scanFrames(data, walMagic)
 		if clean > len(data) {
@@ -65,25 +75,37 @@ func FuzzWALDecode(f *testing.F) {
 		if scanErr == nil && len(data) >= magicLen && clean != len(data) {
 			t.Fatalf("clean scan ended at %d of %d bytes", clean, len(data))
 		}
-		m, err := core.NewManager(topo, testEps)
-		if err != nil {
-			t.Fatal(err)
+		if clean < magicLen {
+			return // bad magic: nothing behind it is ever replayed
 		}
+		oracle := newManager(t)
+		wantApplied, wantEnd := 0, magicLen
 		for _, fr := range frames {
-			rec, err := decodeRecord(fr.Payload)
+			rec, err := DecodeRecord(fr.Payload)
 			if err != nil {
 				break // first corrupt or unknown-format record ends replay
 			}
-			if rec.Kind != KindMutation {
-				continue
+			if rec.Kind == KindMutation {
+				if err := oracle.Replay(rec.Mutation); err != nil {
+					break // semantically invalid: replay stops, no panic
+				}
+				wantApplied++
 			}
-			if err := m.Replay(rec.Mutation); err != nil {
-				break // semantically invalid: replay stops, no panic
-			}
+			wantEnd = fr.End
+		}
+
+		m := newManager(t)
+		applied, end, err := replay(m, data, magicLen, func(uint64) {})
+		if applied != wantApplied || end != wantEnd || (err == nil) != (end == len(data)) {
+			t.Fatalf("replay applied %d and stopped at %d (err %v); the oracle applied %d and stopped at %d of %d",
+				applied, end, err, wantApplied, wantEnd, len(data))
+		}
+		st := m.ExportState()
+		if !st.Equal(oracle.ExportState()) {
+			t.Fatal("replay's state differs from the oracle's")
 		}
 		// Whatever replayed must have kept the books balanced: exporting
 		// and re-importing the state must be accepted by the validator.
-		st := m.ExportState()
 		if _, err := core.NewManagerFromState(topo, testEps, st); err != nil {
 			t.Fatalf("replayed state fails its own validation: %v", err)
 		}

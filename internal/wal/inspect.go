@@ -100,7 +100,7 @@ func inspectFile(w io.Writer, path, magic string) (found bool, err error) {
 			}
 		} else {
 			var rec Record
-			if rec, err = decodeRecord(fr.Payload); err == nil {
+			if rec, err = DecodeRecord(fr.Payload); err == nil {
 				if rec.Kind == KindEpoch && rec.Epoch > epoch {
 					epoch = rec.Epoch
 				}

@@ -134,7 +134,7 @@ func decodeIntent(payload []byte) (Intent, error) {
 	if flags&^knownIntentFlags != 0 {
 		d.fail("unknown intent flag")
 	}
-	in := Intent{Kind: kind, Commit: flags&intentCommit != 0, Job: core.JobID(d.varint()), Pods: d.ints()}
+	in := Intent{Kind: kind, Commit: flags&intentCommit != 0, Job: core.JobID(d.varint()), Pods: d.ints(new([]int))}
 	hasMut := flags&intentHasMut != 0
 	if !hasMut && len(d.b) != 0 {
 		d.fail("trailing bytes after the intent")
@@ -151,7 +151,7 @@ func decodeIntent(payload []byte) (Intent, error) {
 // withMutation completes a begin intent with the mutation record nested
 // in its envelope.
 func withMutation(in Intent, payload []byte) (Intent, error) {
-	rec, err := decodeRecord(payload)
+	rec, err := DecodeRecord(payload)
 	if err != nil {
 		return Intent{}, err
 	}

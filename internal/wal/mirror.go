@@ -104,28 +104,26 @@ func (mi *Mirror) Apply(m *core.Manager, chunk TailChunk, onEpoch func(uint64)) 
 	if mi.fault != nil {
 		return nil, mi.fault
 	}
-	var frames []Frame
-	var err error
+	var metaPayload []byte
+	off, err := 0, error(nil)
 	if chunk.Reset {
-		if frames, _, err = scanFrames(chunk.Data, walMagic); err == nil && len(frames) == 0 {
-			err = fmt.Errorf("%w: no meta frame", ErrCorrupt)
-		}
-	} else {
-		frames, _, err = scanFramesAt(chunk.Data, 0)
+		metaPayload, off, err = metaFrame(chunk.Data, walMagic)
+	}
+	for at := off; err == nil && at < len(chunk.Data); {
+		_, at, err = nextFrame(chunk.Data, at)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: chunk at %d/%d failed verification: %w", chunk.Gen, chunk.From, err)
 	}
 	if chunk.Reset {
-		if err := mi.dc.meta(chunk.Gen).check(frames[0].Payload, "log"); err != nil {
+		if err := mi.dc.meta(chunk.Gen).check(metaPayload, "log"); err != nil {
 			return nil, err
 		}
 		if m, err = mi.dc.base(chunk.Gen, chunk.Snap, "stream"); err != nil {
 			return nil, err
 		}
-		frames = frames[1:]
 	}
-	applied, _, err := replay(m, frames, onEpoch)
+	applied, _, err := replay(m, chunk.Data, off, onEpoch)
 	if chunk.Reset {
 		if err == nil {
 			err = mi.reset(chunk, applied, m)

@@ -245,18 +245,43 @@ func appendEpochFrame(buf []byte, epoch uint64) []byte {
 	return buf
 }
 
-// decodeRecord is the single decode of a non-meta frame payload, called
-// once per frame by every reader. It never panics on malformed input:
-// structural problems surface as ErrCorrupt, an unknown format tag as
-// ErrUnsupportedFormat, and semantic validation against the manager's
-// state happens later in Manager.Replay.
-func decodeRecord(payload []byte) (Record, error) {
+// recordStore is the memory binary records are decoded into. A new store
+// allocates each section, so the record owns it (DecodeRecord); replay
+// reuses one for a walk, as Manager.Replay copies what it keeps.
+type recordStore struct {
+	homog    []core.Homogeneous
+	hetero   []core.Heterogeneous
+	place    []core.Placement
+	demands  []stats.Normal
+	entries  []core.PlacementEntry
+	vms      []int
+	contribs []core.Contribution
+}
+
+// cut returns the n elements past *slab's length, moving a full slab to one
+// twice as large; they may hold an earlier record's values: set every field.
+func cut[T any](slab *[]T, n int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(n, 2*cap(s)))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
+// decode is the single decode of a non-meta frame payload, into st. It
+// never panics on malformed input: structural problems surface as
+// ErrCorrupt, an unknown format tag as ErrUnsupportedFormat, and semantic
+// validation against the manager's state happens later in Manager.Replay.
+func (st *recordStore) decode(payload []byte) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, fmt.Errorf("%w: empty record", ErrCorrupt)
 	}
 	switch payload[0] {
 	case tagBin1:
-		return decodeBin1(payload[1:])
+		*st = recordStore{homog: st.homog[:0], hetero: st.hetero[:0], place: st.place[:0],
+			demands: st.demands[:0], entries: st.entries[:0], vms: st.vms[:0], contribs: st.contribs[:0]}
+		return decodeBin1(payload[1:], st)
 	case tagLegacy:
 		return decodeLegacy(payload)
 	default:
@@ -392,26 +417,25 @@ func (d *decoder) normal() stats.Normal {
 	return stats.Normal{Mu: d.float(), Sigma: d.float()}
 }
 
-// ints reads a counted list of signed integers; an empty list is nil.
-func (d *decoder) ints() []int {
+// ints reads a counted list of signed integers into slab; empty is nil.
+func (d *decoder) ints(slab *[]int) []int {
 	n := d.length(minVarint)
 	if n == 0 {
 		return nil
 	}
-	vs := make([]int, n)
+	vs := cut(slab, n)
 	for i := range vs {
 		vs[i] = d.int()
 	}
 	return vs
 }
 
-func (d *decoder) entry() core.PlacementEntry {
-	return core.PlacementEntry{Machine: topology.NodeID(d.int()), Count: d.int(), VMs: d.ints()}
+func (d *decoder) entry(vms *[]int) core.PlacementEntry {
+	return core.PlacementEntry{Machine: topology.NodeID(d.int()), Count: d.int(), VMs: d.ints(vms)}
 }
 
-// contribs reads the n contributions behind a count the caller has read.
-func (d *decoder) contribs(n int) []core.Contribution {
-	cs := make([]core.Contribution, n)
+// contribs fills cs, sized by a count the caller has read.
+func (d *decoder) contribs(cs []core.Contribution) []core.Contribution {
 	for i := range cs {
 		c := &cs[i]
 		c.Link = topology.LinkID(d.int())
@@ -428,8 +452,8 @@ func (d *decoder) key(n int) string {
 	return k
 }
 
-// decodeBin1 parses a format-1 payload past its tag byte.
-func decodeBin1(b []byte) (Record, error) {
+// decodeBin1 parses a format-1 payload past its tag byte into st.
+func decodeBin1(b []byte, st *recordStore) (Record, error) {
 	d := decoder{b: b}
 	op := d.byte()
 	if op == opEpoch {
@@ -461,27 +485,27 @@ func decodeBin1(b []byte) (Record, error) {
 	mut.Link = topology.LinkID(d.int())
 	mut.Offline = flags&flagOffline != 0
 	if flags&flagHomog != 0 {
-		req := core.Homogeneous{N: d.int(), Demand: d.normal()}
-		d.check(req.Validate())
-		mut.Homog = &req
+		mut.Homog = &cut(&st.homog, 1)[0]
+		*mut.Homog = core.Homogeneous{N: d.int(), Demand: d.normal()}
+		d.check(mut.Homog.Validate())
 	}
 	if flags&flagHetero != 0 {
-		req := core.Heterogeneous{Demands: make([]stats.Normal, d.count(minDemand))}
-		for i := range req.Demands {
-			req.Demands[i] = d.normal()
+		mut.Hetero = &cut(&st.hetero, 1)[0]
+		mut.Hetero.Demands = cut(&st.demands, d.count(minDemand))
+		for i := range mut.Hetero.Demands {
+			mut.Hetero.Demands[i] = d.normal()
 		}
-		d.check(req.Validate())
-		mut.Hetero = &req
+		d.check(mut.Hetero.Validate())
 	}
 	if flags&flagPlacement != 0 {
-		p := core.Placement{Entries: make([]core.PlacementEntry, d.count(minEntry))}
-		for i := range p.Entries {
-			p.Entries[i] = d.entry()
+		mut.Placement = &cut(&st.place, 1)[0]
+		mut.Placement.Entries = cut(&st.entries, d.count(minEntry))
+		for i := range mut.Placement.Entries {
+			mut.Placement.Entries[i] = d.entry(&st.vms)
 		}
-		mut.Placement = &p
 	}
 	if flags&flagContribs != 0 {
-		mut.Contribs = d.contribs(d.count(minContrib))
+		mut.Contribs = d.contribs(cut(&st.contribs, d.count(minContrib)))
 	}
 	if flags&flagEps != 0 {
 		if mut.EffectiveEps = d.float(); mut.EffectiveEps == 0 {

@@ -57,7 +57,7 @@ func legacyRoundTrip(m core.Mutation) (core.Mutation, error) {
 	if err != nil {
 		return core.Mutation{}, err
 	}
-	rec, err := decodeRecord(payload)
+	rec, err := DecodeRecord(payload)
 	if err == nil && rec.Kind != KindMutation {
 		err = fmt.Errorf("%w: a mutation came back as record kind %d", ErrCorrupt, rec.Kind)
 	}
@@ -175,7 +175,7 @@ func checkRoundTrip(t *testing.T, m core.Mutation) {
 	if !bytes.Equal(enc[:len(prefix)], prefix) {
 		t.Fatal("encoding disturbed the bytes already in the buffer")
 	}
-	rec, err := decodeRecord(enc[len(prefix):])
+	rec, err := DecodeRecord(enc[len(prefix):])
 	got := rec.Mutation
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("codecs disagree on validity: binary %v, JSON %v\n%+v", err, wantErr, m)
@@ -208,7 +208,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	// fixture. This one is a seed for the builder path.
 	f.Add([]byte{7, 3, 0xff, 0x80, 0xff, 2, 3, 3, 1, 2, 3, 4, 5, 6, 7, 0xf8, 0x7f, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeRecord(data)
+		rec, err := DecodeRecord(data)
 		if err != nil || rec.Kind != KindMutation {
 			g := mutationBuilder{b: data}
 			checkRoundTrip(t, g.mutation())
@@ -220,7 +220,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded mutation does not re-encode: %v", err)
 		}
-		if got, err := decodeRecord(enc); err != nil || !reflect.DeepEqual(got, Record{Mutation: m}) {
+		if got, err := DecodeRecord(enc); err != nil || !reflect.DeepEqual(got, Record{Mutation: m}) {
 			t.Fatalf("round trip is not the identity (err %v):\n got %+v\nwant %+v", err, got, m)
 		}
 	})
@@ -235,7 +235,7 @@ func TestRecordRoundTripSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := decodeRecord(enc); err != nil || !reflect.DeepEqual(got, Record{Mutation: m}) {
+		if got, err := DecodeRecord(enc); err != nil || !reflect.DeepEqual(got, Record{Mutation: m}) {
 			t.Fatalf("%v: round trip is not the identity (err %v):\n got %+v\nwant %+v", m.Op, err, got, m)
 		}
 	}
@@ -257,7 +257,7 @@ func TestRecordCanonicalForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := decodeRecord(enc)
+	rec, err := DecodeRecord(enc)
 	if err != nil || rec.Kind != KindMutation {
 		t.Fatalf("decode: kind %d, err %v", rec.Kind, err)
 	}
@@ -268,7 +268,7 @@ func TestRecordCanonicalForms(t *testing.T) {
 	m.Placement = &core.Placement{Entries: []core.PlacementEntry{{Machine: 2, Count: 1, VMs: []int{}}}}
 	checkRoundTrip(t, m)
 	enc, _ = appendMutation(nil, m)
-	rec, _ = decodeRecord(enc)
+	rec, _ = DecodeRecord(enc)
 	if got = rec.Mutation; got.Placement == nil || got.Placement.Entries[0].VMs != nil {
 		t.Fatalf("empty VM list did not decode to nil: %+v", got.Placement)
 	}
@@ -421,11 +421,11 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 		cases[fmt.Sprintf("truncated at %d", cut)] = good[:cut]
 	}
 	for name, payload := range cases {
-		if _, err := decodeRecord(payload); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrUnsupportedFormat) {
+		if _, err := DecodeRecord(payload); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrUnsupportedFormat) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
-	if _, err := decodeRecord(good); err != nil {
+	if _, err := DecodeRecord(good); err != nil {
 		t.Fatalf("the untouched record must decode: %v", err)
 	}
 }
@@ -454,7 +454,7 @@ func TestDecoderBoundsAllocation(t *testing.T) {
 
 	for name, payload := range payloads {
 		decode := func() error {
-			_, err := decodeRecord(payload)
+			_, err := DecodeRecord(payload)
 			return err
 		}
 		if name == "pods" {
@@ -636,12 +636,115 @@ func TestRecoverTruncatesMalformedKnownFormat(t *testing.T) {
 	}
 }
 
+// TestReplayKeepsNoDecodeStorage: replay decodes every record of a walk
+// into one recordStore, so no job, request, placement, contribution or
+// binding the manager holds may share memory with it. One log carries
+// every section — homogeneous and heterogeneous admissions with VM lists,
+// contributions, repairs ending moved, degraded and failed, keyed
+// admissions and a keyed release, an epoch record — and is walked twice:
+// by replay itself, and by hand with the store spoiled after every record,
+// whose state must be, record by record, the one records decoded into
+// memory of their own give.
+func TestReplayKeepsNoDecodeStorage(t *testing.T) {
+	entries := func(es ...core.PlacementEntry) *core.Placement { return &core.Placement{Entries: es} }
+	muts := []core.Mutation{
+		{Op: core.OpAlloc, Job: 1, Homog: &core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 1.3, Sigma: 0.7}},
+			Placement: entries(core.PlacementEntry{Machine: 2, Count: 1}, core.PlacementEntry{Machine: 6, Count: 3}),
+			Contribs:  []core.Contribution{{Link: 1, Mu: 1.25, Sigma: 0.625}, {Link: 6, Mu: 2, Det: true}},
+			IdemKey:   "tenant-a/42"},
+		{Op: core.OpAlloc, Job: 2, Hetero: &core.Heterogeneous{Demands: []stats.Normal{{Mu: 3, Sigma: 1}, {Mu: 2.7, Sigma: 0.5}, {Mu: 1}}},
+			Placement: entries(core.PlacementEntry{Machine: 5, Count: 2, VMs: []int{1, 0}}, core.PlacementEntry{Machine: 3, Count: 1, VMs: []int{2}}),
+			Contribs:  []core.Contribution{{Link: 4, Mu: 2, Sigma: 1}, {Link: 1, Mu: 1, Sigma: 0.5}}},
+		{Op: core.OpRepair, Job: 1, Outcome: core.RepairMoved, EffectiveEps: 0.05,
+			Placement: entries(core.PlacementEntry{Machine: 2, Count: 2}, core.PlacementEntry{Machine: 3, Count: 2}),
+			Contribs:  []core.Contribution{{Link: 1, Mu: 3, Sigma: 1}}},
+		{Op: core.OpRepair, Job: 2, Outcome: core.RepairDegraded, EffectiveEps: 0.2718281828459045,
+			Placement: entries(core.PlacementEntry{Machine: 6, Count: 2, VMs: []int{0, 1}}, core.PlacementEntry{Machine: 5, Count: 1, VMs: []int{2}}),
+			Contribs:  []core.Contribution{{Link: 4, Mu: 2.5, Sigma: 1.5}}},
+		{Op: core.OpAlloc, Job: 3, Homog: &core.Homogeneous{N: 1, Demand: stats.Normal{Mu: 50}},
+			Placement: entries(core.PlacementEntry{Machine: 5, Count: 1}), IdemKey: "k3"},
+		{Op: core.OpRepair, Job: 3, Outcome: core.RepairFailed, EffectiveEps: 1},
+		{Op: core.OpRelease, Job: 1, IdemKey: "rel-1"},
+		{Op: core.OpAlloc, Job: 4, Homog: &core.Homogeneous{N: 2, Demand: stats.Normal{Mu: 2, Sigma: 0.8}},
+			Placement: entries(core.PlacementEntry{Machine: 2, Count: 2}),
+			Contribs:  []core.Contribution{{Link: 1, Mu: 2, Sigma: 0.8}}},
+	}
+	log := []byte(walMagic)
+	for i, mut := range muts {
+		if i == 2 {
+			log = appendEpochFrame(log, 2)
+		}
+		log = appendFrame(log, mustEncode(t, mut))
+	}
+	newManager := func() *core.Manager {
+		m, err := core.NewManager(testTopo(t), testEps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	m := newManager()
+	if applied, end, err := replay(m, log, magicLen, func(uint64) {}); err != nil || applied != len(muts) || end != len(log) {
+		t.Fatalf("replay applied %d of %d records, stopped at %d of %d: %v", applied, len(muts), end, len(log), err)
+	}
+	ref, spoiled := newManager(), newManager()
+	var st recordStore
+	for off := magicLen; off < len(log); {
+		payload, next, err := nextFrame(log, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := st.decode(payload)
+		own, ownErr := DecodeRecord(payload)
+		if err != nil || ownErr != nil {
+			t.Fatalf("decode at %d: %v, %v", off, err, ownErr)
+		}
+		if rec.Kind == KindMutation {
+			if err := spoiled.Replay(rec.Mutation); err != nil {
+				t.Fatalf("replay at %d: %v", off, err)
+			}
+			if err := ref.Replay(own.Mutation); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spoil(&st)
+		if !spoiled.ExportState().Equal(ref.ExportState()) {
+			t.Fatalf("the state after the record at %d changed when the decode storage was overwritten", off)
+		}
+		off = next
+	}
+	if !m.ExportState().Equal(ref.ExportState()) {
+		t.Fatal("replay's state differs from the records decoded one by one")
+	}
+}
+
+// spoil overwrites every element a store could hand out again.
+func spoil(st *recordStore) {
+	fill(st.homog, core.Homogeneous{N: -1, Demand: stats.Normal{Mu: -1, Sigma: -1}})
+	fill(st.hetero, core.Heterogeneous{})
+	fill(st.place, core.Placement{})
+	fill(st.demands, stats.Normal{Mu: -1, Sigma: -1})
+	fill(st.entries, core.PlacementEntry{Machine: -1, Count: -1, VMs: []int{-1}})
+	fill(st.vms, -1)
+	fill(st.contribs, core.Contribution{Link: -1, Mu: -1, Sigma: -1, Det: true})
+}
+
+func fill[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
+}
+
 // TestCodecAllocs is the allocation tripwire: encoding into a buffer with
 // room allocates nothing — it runs under the manager's lock on every
 // commit — and decoding allocates once per pointer, slice or string field
-// the mutation actually has, never per element.
+// the mutation actually has, never per element; into a store that has
+// grown, nothing but a key. Recovery allocates at most twice per record.
 func TestCodecAllocs(t *testing.T) {
 	buf := make([]byte, 0, 4096)
+	var reused recordStore
 	for _, m := range opSamples() {
 		m := m
 		if n := testing.AllocsPerRun(100, func() {
@@ -674,12 +777,64 @@ func TestCodecAllocs(t *testing.T) {
 		}
 		payload := mustEncode(t, m)
 		if n := testing.AllocsPerRun(100, func() {
-			if _, err := decodeRecord(payload); err != nil {
+			if _, err := DecodeRecord(payload); err != nil {
 				t.Fatal(err)
 			}
 		}); int(n) > fields {
 			t.Errorf("%v: decode allocates %v times, want at most %d (one per field)", m.Op, n, fields)
 		}
+		keys := 0
+		if m.IdemKey != "" {
+			keys = 1
+		}
+		if n := testing.AllocsPerRun(100, func() { // the first run grows the store
+			if _, err := reused.decode(payload); err != nil {
+				t.Fatal(err)
+			}
+		}); int(n) > keys {
+			t.Errorf("%v: decode into a grown store allocates %v times, want at most %d (the key)", m.Op, n, keys)
+		}
+	}
+
+	// Recovery of BenchmarkRecover's catalogue churn on its datacenter,
+	// half full: 3.9 allocations per record before replay reused its
+	// decode storage and validation its scratch.
+	cfg := topology.PaperConfig()
+	cfg.Aggs, cfg.ToRsPerAgg = 2, 4
+	topo, err := topology.NewThreeTier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m, j, err := Recover(dir, topo, testEps, nil, WithNoSync(), WithSnapshotEvery(1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []core.JobID
+	for i := 0; j.Appended() < 4000; i++ {
+		a, err := m.AllocateHomog(homog(2<<(i%4), []float64{100, 300}[i/4%2], []float64{40, 100}[i/4%2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live = append(live, a.ID); m.Running()*8 >= topo.TotalSlots()/2 {
+			if err := m.Release(live[0]); err != nil {
+				t.Fatal(err)
+			}
+			live = live[1:]
+		}
+	}
+	records := j.Appended()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		_, j, err := Recover(dir, topo, testEps, nil, WithNoSync())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+	}) / float64(records); n > 2.0 {
+		t.Errorf("recovery allocates %.2f times per record, want at most 2", n)
 	}
 
 	// A snapshot's bindings: encoding allocates only the key slice it
@@ -738,7 +893,7 @@ func BenchmarkRecordCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(payload)))
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeRecord(payload); err != nil {
+			if _, err := DecodeRecord(payload); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -751,7 +906,7 @@ func BenchmarkRecordCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(legacy)))
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeRecord(legacy); err != nil {
+			if _, err := DecodeRecord(legacy); err != nil {
 				b.Fatal(err)
 			}
 		}

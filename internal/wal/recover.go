@@ -176,18 +176,18 @@ func (dc datacenter) replayGen(m *core.Manager, dir string, gen uint64, onEpoch 
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: read log: %w", err)
 	}
-	frames, _, _ := scanFrames(data, walMagic)
-	if len(frames) == 0 {
+	metaPayload, off, err := metaFrame(data, walMagic)
+	if err != nil {
 		return 0, 0, nil
 	}
-	if err := dc.meta(gen).check(frames[0].Payload, "log"); err != nil {
+	if err := dc.meta(gen).check(metaPayload, "log"); err != nil {
 		return 0, 0, err
 	}
-	applied, n, err := replay(m, frames[1:], onEpoch)
+	applied, end, err := replay(m, data, off, onEpoch)
 	if errors.Is(err, ErrUnsupportedFormat) {
 		return 0, 0, fmt.Errorf("wal: %s: %w", filepath.Base(path), err)
 	}
-	return applied, int64(frames[n].End), nil
+	return applied, int64(end), nil
 }
 
 // ErrRefused marks a verified, well-formed record that Manager.Replay
@@ -195,27 +195,32 @@ func (dc datacenter) replayGen(m *core.Manager, dir string, gen uint64, onEpoch 
 // streams have diverged.
 var ErrRefused = errors.New("wal: the manager refused a logged record")
 
-// replay is the one loop that turns record frames (no meta frame) into
-// manager state: each is decoded once and either raises the epoch
-// (onEpoch) or goes through the validated Manager.Replay. It stops at the
-// first frame that fails either step and returns how many mutations it
-// applied, how many frames it consumed, and the error that stopped it
-// (nil when every frame replayed).
-func replay(m *core.Manager, frames []Frame, onEpoch func(uint64)) (applied, n int, err error) {
-	for _, fr := range frames {
-		rec, err := decodeRecord(fr.Payload)
+// replay is the one loop that turns log records into manager state: it
+// walks data's frames in place from off, decodes each once into one store
+// reused for the walk, and either raises the epoch (onEpoch) or goes
+// through the validated Manager.Replay. It stops at the first frame that
+// fails a step and returns how many mutations it applied, the offset past
+// the last frame it consumed, and the error that stopped it (nil at the end).
+func replay(m *core.Manager, data []byte, off int, onEpoch func(uint64)) (applied, end int, err error) {
+	var st recordStore
+	for end = off; end < len(data); {
+		payload, next, err := nextFrame(data, end)
 		if err != nil {
-			return applied, n, err
+			return applied, end, err
+		}
+		rec, err := st.decode(payload)
+		if err != nil {
+			return applied, end, err
 		}
 		if rec.Kind == KindEpoch {
 			onEpoch(rec.Epoch)
 		} else {
 			if err := m.Replay(rec.Mutation); err != nil {
-				return applied, n, fmt.Errorf("%w: %w", ErrRefused, err)
+				return applied, end, fmt.Errorf("%w: %w", ErrRefused, err)
 			}
 			applied++
 		}
-		n++
+		end = next
 	}
-	return applied, n, nil
+	return applied, end, nil
 }

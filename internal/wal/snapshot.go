@@ -120,7 +120,7 @@ func appendSnapshot(buf []byte, st *core.ManagerState) ([]byte, error) {
 }
 
 // decodeSnapshotBody is the single decode of a snapshot's body frame.
-// Like decodeRecord it never panics and never returns a partial state: a
+// Like DecodeRecord it never panics and never returns a partial state: a
 // malformed body is ErrCorrupt, an unknown tag ErrUnsupportedFormat.
 // Whether the state fits the datacenter is NewManagerFromState's verdict.
 func decodeSnapshotBody(payload []byte) (*core.ManagerState, error) {
@@ -168,7 +168,7 @@ func (d *snapDecoder) entries() []core.PlacementEntry {
 	es := d.slab[:n:n]
 	d.slab = d.slab[n:]
 	for i := range es {
-		es[i] = d.entry()
+		es[i] = d.entry(new([]int))
 	}
 	return es
 }
@@ -182,7 +182,7 @@ func decodeSnapshotBin1(b []byte) (*core.ManagerState, error) {
 		l := &st.Links[i]
 		l.Det, l.SumMu, l.SumVar, l.Stochastic = d.float(), d.float(), d.float(), d.int()
 	}
-	st.Used = d.ints()
+	st.Used = d.ints(new([]int))
 	if n := d.length(minJob); n > 0 {
 		st.Jobs = make([]core.JobState, n)
 	}
@@ -204,15 +204,15 @@ func decodeSnapshotBin1(b []byte) (*core.ManagerState, error) {
 		}
 		js.Placement = d.entries()
 		if n := d.length(minContrib); n > 0 {
-			js.Contribs = d.contribs(n)
+			js.Contribs = d.contribs(make([]core.Contribution, n))
 		}
 		if flags&jobDegraded != 0 {
 			eps := d.float()
 			js.DegradedEps = &eps
 		}
 	}
-	st.MachinesDown = d.ints()
-	st.LinksDown = d.ints()
+	st.MachinesDown = d.ints(new([]int))
+	st.LinksDown = d.ints(new([]int))
 	for _, c := range counterFields(&st.Counters) {
 		*c = d.uvarint()
 	}

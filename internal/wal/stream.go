@@ -4,9 +4,9 @@ import "repro/internal/core"
 
 // This file is what a reader of log bytes outside the package gets:
 // ScanLog and DecodeRecord, for tools that walk a wal-<gen>.log image
-// frame by frame (svcbench's probes, the chaos tests). A standby does not
-// use them — it hands each TailChunk to its Mirror (mirror.go), which
-// verifies, replays and stores it with the code recovery runs.
+// frame by frame (svcbench's probes, the chaos tests; the intent log and
+// Inspect decode with it too). Recovery and a standby's Mirror (mirror.go)
+// use neither: replay walks and decodes in place (recover.go).
 
 // ScanLog verifies bytes that begin at offset 0 of a wal-<gen>.log
 // image (magic, then frames; Frame[0] is the generation's meta record).
@@ -34,9 +34,9 @@ type Record struct {
 	Epoch    uint64        // valid when Kind == KindEpoch
 }
 
-// DecodeRecord parses a non-meta frame payload, binary or legacy JSON.
-// The error wraps ErrCorrupt for a malformed record and
-// ErrUnsupportedFormat for one a newer version wrote.
+// DecodeRecord parses a non-meta frame payload, binary or legacy JSON,
+// into memory of the record's own. The error wraps ErrCorrupt for a
+// malformed record and ErrUnsupportedFormat for one a newer version wrote.
 func DecodeRecord(payload []byte) (Record, error) {
-	return decodeRecord(payload)
+	return new(recordStore).decode(payload)
 }

@@ -15,7 +15,7 @@ import (
 func replayShipped(t *testing.T, m *core.Manager, frames []Frame) {
 	t.Helper()
 	for _, fr := range frames {
-		rec, err := decodeRecord(fr.Payload)
+		rec, err := DecodeRecord(fr.Payload)
 		if err != nil {
 			t.Fatalf("decode shipped record: %v", err)
 		}

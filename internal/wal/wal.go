@@ -152,41 +152,58 @@ type Frame struct {
 	End     int
 }
 
+// nextFrame is the frame walker: it checks the frame at off (a frame
+// boundary) — header, length bound, CRC32-C — and returns its payload, in
+// place, and the offset past it; on error (ErrCorrupt) next is off.
+func nextFrame(data []byte, off int) (payload []byte, next int, err error) {
+	if len(data)-off < headerLen {
+		return nil, off, fmt.Errorf("%w: torn header at offset %d", ErrCorrupt, off)
+	}
+	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
+	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
+	if n <= 0 || n > maxRecord {
+		return nil, off, fmt.Errorf("%w: bad length %d at offset %d", ErrCorrupt, n, off)
+	}
+	if len(data)-off-headerLen < n {
+		return nil, off, fmt.Errorf("%w: torn payload at offset %d", ErrCorrupt, off)
+	}
+	payload = data[off+headerLen : off+headerLen+n]
+	if crc32.Checksum(payload, castagnoli) != sum {
+		return nil, off, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
+	}
+	return payload, off + headerLen + n, nil
+}
+
+// metaFrame checks the magic and walks the first frame, the meta record;
+// next is 0 only for a bad magic.
+func metaFrame(data []byte, magic string) (payload []byte, next int, err error) {
+	if len(data) < magicLen || string(data[:magicLen]) != magic {
+		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	return nextFrame(data, magicLen)
+}
+
 // scanFrames walks a log or snapshot image, returning every intact frame
 // in order and the clean length of the file (the offset just past the
 // last intact frame). err is nil when the file ends exactly on a frame
 // boundary, and wraps ErrCorrupt when a torn or corrupt tail was found —
 // the frames before it are still returned.
 func scanFrames(data []byte, magic string) (frames []Frame, clean int, err error) {
-	if len(data) < magicLen || string(data[:magicLen]) != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if _, clean, err = metaFrame(data, magic); clean == 0 {
+		return nil, 0, err
 	}
 	return scanFramesAt(data, magicLen)
 }
 
-// scanFramesAt is the frame walk itself, starting at off (which must be
-// a frame boundary). Frame end offsets are relative to the start of data.
+// scanFramesAt collects the walk from off, which must be a frame boundary.
 func scanFramesAt(data []byte, off int) (frames []Frame, clean int, err error) {
-	clean = off
 	for off < len(data) {
-		if len(data)-off < headerLen {
-			return frames, clean, fmt.Errorf("%w: torn header at offset %d", ErrCorrupt, off)
+		payload, next, err := nextFrame(data, off)
+		if err != nil {
+			return frames, off, err
 		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n <= 0 || n > maxRecord {
-			return frames, clean, fmt.Errorf("%w: bad length %d at offset %d", ErrCorrupt, n, off)
-		}
-		if len(data)-off-headerLen < n {
-			return frames, clean, fmt.Errorf("%w: torn payload at offset %d", ErrCorrupt, off)
-		}
-		payload := data[off+headerLen : off+headerLen+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return frames, clean, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
-		}
-		off += headerLen + n
-		frames = append(frames, Frame{Payload: payload, End: off})
-		clean = off
+		frames = append(frames, Frame{Payload: payload, End: next})
+		off = next
 	}
-	return frames, clean, nil
+	return frames, off, nil
 }

@@ -75,16 +75,20 @@ echo "==> snapshot views: -race stress x3, -tags invariants property test"
 go test -race -run 'TestViewSlowReaderStress$' -count 3 ./internal/core/
 go test -tags invariants -run 'TestViewEqualsClone$|FuzzFailRestoreLedger$' ./internal/core/
 
-# Recovery smoke: a cold start over both record mixes and from a
-# snapshot, a standby's promotion, and the record codec alone (see
+# Recovery smoke: a cold start over both record mixes, over svcbench's
+# 100 000-record directory L (its log takes about a second to write) and
+# from a snapshot, a standby's promotion, and the record codec alone (see
 # bench_wal_test.go, internal/wal/record_test.go).
 echo "==> recovery smoke (BenchmarkRecover, BenchmarkPromote, BenchmarkRecordCodec, 3 iterations)"
 go test -run '^$' -bench 'BenchmarkRecover|BenchmarkPromote|BenchmarkRecordCodec' -benchtime 3x . ./internal/wal/
 
-# Fuzz smoke: the decoder a crafted or damaged snapshot reaches first.
-# (CI's fuzz-smoke job runs every target in the tree for 20 s each.)
-echo "==> fuzz smoke (FuzzSnapshotDecode, 10s)"
+# Fuzz smoke: the decoder a crafted or damaged snapshot reaches first,
+# and replay, the loop every log record goes through, against its
+# fresh-decode oracle. (CI's fuzz-smoke job runs every target in the tree
+# for 20 s each.)
+echo "==> fuzz smoke (FuzzSnapshotDecode, FuzzWALDecode, 10s each)"
 go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/wal/
+go test -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 10s ./internal/wal/
 
 # internal/wal reaches the file system through wal/dir.go and nowhere
 # else, so injecting one (ROADMAP item 4, step 1) is a change to that

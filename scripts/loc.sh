@@ -7,7 +7,7 @@
 # scripts/check.sh and CI's `make loc` step), so raising it is an edit a
 # reviewer sees. Lower it when a PR shrinks the total.
 set -euo pipefail
-budget=10694 # PR 24 (unchanged since PR 23)
+budget=10754 # PR 25: +60 (10694 at PR 24) for replay's in-place frame walk, reused decode storage and allocation-free validation
 cd "$(dirname "$0")/.."
 lines() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 total=0
