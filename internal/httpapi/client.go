@@ -30,7 +30,8 @@ import (
 // failure rotates it to the next endpoint before the retry, so a write
 // that raced a primary crash is re-driven — under its idempotency key —
 // against the promoted standby. An acked admission is therefore neither
-// lost nor duplicated by a failover.
+// lost nor duplicated by a failover. A call tries each endpoint once
+// before it backs off, so one whose endpoints all fail hits each back to back.
 type Client struct {
 	mu      sync.Mutex
 	bases   []string
@@ -39,14 +40,14 @@ type Client struct {
 	retries int
 	backoff time.Duration
 	cap     time.Duration
-	timeout time.Duration
 }
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithRetries sets how many times a retryable request is re-attempted
-// after its first failure (default 3). Zero disables retries.
+// WithRetries sets how many attempts a retryable request may make after
+// its first failure (default 3). Every attempt counts, the free ones of
+// the first pass over the endpoints too. Zero disables retries.
 func WithRetries(n int) ClientOption {
 	return func(c *Client) {
 		if n >= 0 {
@@ -56,8 +57,10 @@ func WithRetries(n int) ClientOption {
 }
 
 // WithBackoff sets the exponential backoff's base delay and cap
-// (defaults 100ms and 2s). Attempt k sleeps a jittered base*2^k, never
-// more than cap.
+// (defaults 100ms and 2s). A failed attempt k sleeps a jittered base*2^k,
+// never more than cap, or the server's Retry-After when longer — except
+// on the first pass: with n endpoints, attempts 0..n-2 move on to an
+// untried endpoint without sleeping, skipping the n-1 shortest sleeps.
 func WithBackoff(base, cap time.Duration) ClientOption {
 	return func(c *Client) {
 		if base > 0 {
@@ -72,25 +75,15 @@ func WithBackoff(base, cap time.Duration) ClientOption {
 // WithEndpoints adds alternate service endpoints. The client sticks to
 // one endpoint until a transient failure (connection error or 500/502/
 // 503/504), then rotates to the next for the retry and every request
-// after it — a cheap failover: when the primary dies, traffic lands on
-// the standby as soon as one request fails over to it.
+// after it. A retry to an endpoint the call has not tried goes at once,
+// past the backoff and any Retry-After (a standby's 503 carries one), so
+// a call whose endpoints all fail hits each of them back to back.
 func WithEndpoints(alternates ...string) ClientOption {
 	return func(c *Client) {
 		for _, a := range alternates {
 			if a != "" {
 				c.bases = append(c.bases, a)
 			}
-		}
-	}
-}
-
-// WithRequestTimeout bounds each individual attempt (not the whole retry
-// loop) with a deadline, layered under the caller's context. Zero (the
-// default) applies no per-attempt deadline.
-func WithRequestTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.timeout = d
 		}
 	}
 }
@@ -342,8 +335,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, wantS
 			return err
 		}
 		// Try the next endpoint: if this one is a dead or deposed
-		// primary, the retry should land on the promoted standby.
+		// primary, the retry should land on the promoted standby, at
+		// once while this call has an endpoint it has not tried.
 		c.rotateFrom(used)
+		if attempt+1 < len(c.bases) {
+			continue
+		}
 		if err := c.sleep(ctx, attempt, hint); err != nil {
 			return lastErr
 		}
@@ -353,13 +350,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, wantS
 
 // attempt runs one request. hint carries the server's Retry-After (0 when
 // absent); transient reports whether the failure is worth retrying.
-func (c *Client) attempt(parent context.Context, base, method, path string, body []byte, hasBody bool, idemKey string, out any, wantStatus int) (err error, hint time.Duration, transient bool) {
-	ctx := parent
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(parent, c.timeout)
-		defer cancel()
-	}
+func (c *Client) attempt(ctx context.Context, base, method, path string, body []byte, hasBody bool, idemKey string, out any, wantStatus int) (err error, hint time.Duration, transient bool) {
 	var rd io.Reader
 	if hasBody {
 		rd = bytes.NewReader(body)
@@ -376,10 +367,10 @@ func (c *Client) attempt(parent context.Context, base, method, path string, body
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		// Connection-level failure. The parent context being done means the
-		// caller gave up; everything else (refused, reset, per-attempt
-		// deadline) is transient.
-		return fmt.Errorf("httpapi: %s %s: %w", method, path, err), 0, parent.Err() == nil
+		// Connection-level failure. The context being done means the
+		// caller gave up; everything else (refused, reset, the
+		// http.Client's Timeout) is transient.
+		return fmt.Errorf("httpapi: %s %s: %w", method, path, err), 0, ctx.Err() == nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != wantStatus {

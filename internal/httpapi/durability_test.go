@@ -324,8 +324,9 @@ func TestClientRetryHonorsContext(t *testing.T) {
 	}
 }
 
-// TestClientRequestTimeout: each attempt gets its own deadline, so one
-// hung response does not consume the whole retry budget.
+// TestClientRequestTimeout: an http.Client Timeout bounds each attempt
+// (one Do is one attempt), so one hung response does not consume the
+// whole retry budget.
 func TestClientRequestTimeout(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int64
@@ -342,9 +343,9 @@ func TestClientRequestTimeout(t *testing.T) {
 	}))
 	t.Cleanup(func() { close(release); srv.Close() })
 
-	client := NewClient(srv.URL, srv.Client(),
-		WithRetries(2), WithBackoff(time.Millisecond, 5*time.Millisecond),
-		WithRequestTimeout(50*time.Millisecond))
+	hc := &http.Client{Timeout: 50 * time.Millisecond, Transport: srv.Client().Transport}
+	client := NewClient(srv.URL, hc,
+		WithRetries(2), WithBackoff(time.Millisecond, 5*time.Millisecond))
 	if _, err := client.Status(context.Background()); err != nil {
 		t.Fatalf("Status with per-attempt timeout: %v", err)
 	}

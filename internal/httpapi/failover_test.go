@@ -111,6 +111,89 @@ func TestClientRotatesOn503OnlyWhenRetryable(t *testing.T) {
 	}
 }
 
+// countingTransport counts the attempts a client makes.
+type countingTransport struct {
+	n  atomic.Int64
+	rt http.RoundTripper
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return c.rt.RoundTrip(r)
+}
+
+// TestClientFirstPassIsFree: a call tries each endpoint once before it
+// backs off. The backoff is ten seconds and the call has two, so a sleep
+// on the first pass shows up as a deadline error, not as a slow test.
+func TestClientFirstPassIsFree(t *testing.T) {
+	mgr, err := core.NewManager(failoverTopo(t), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := httptest.NewServer(NewServer(mgr).Handler())
+	t.Cleanup(live.Close)
+	deadURL := func() string {
+		s := httptest.NewServer(http.NotFoundHandler())
+		s.Close()
+		return s.URL
+	}
+	var standbyHits atomic.Int64
+	standby := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		standbyHits.Add(1)
+		w.Header().Set("Retry-After", "5")
+		http.Error(w, `{"error":"standby: writes go to the primary"}`, http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(standby.Close)
+
+	allocate := func(t *testing.T, first, second string) (*countingTransport, error) {
+		t.Helper()
+		ht := &http.Transport{}
+		t.Cleanup(ht.CloseIdleConnections)
+		tr := &countingTransport{rt: ht}
+		c := NewClient(first, &http.Client{Transport: tr},
+			WithEndpoints(second),
+			WithRetries(3),
+			WithBackoff(10*time.Second, 10*time.Second))
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_, err := c.Allocate(ctx, AllocationRequest{N: 2, Mu: 50, Sigma: 10},
+			WithIdempotencyKey(t.Name()))
+		if err != nil && ctx.Err() == nil {
+			t.Fatalf("call ended before its deadline: %v", err)
+		}
+		return tr, err
+	}
+
+	t.Run("refused then answered", func(t *testing.T) {
+		tr, err := allocate(t, deadURL(), live.URL)
+		if err != nil {
+			t.Fatalf("keyed allocate across a refused endpoint: %v", err)
+		}
+		if got := tr.n.Load(); got != 2 {
+			t.Fatalf("%d attempts, want 2", got)
+		}
+	})
+	t.Run("standby 503 with Retry-After then answered", func(t *testing.T) {
+		tr, err := allocate(t, standby.URL, live.URL)
+		if err != nil {
+			t.Fatalf("keyed allocate across a standby's 503: %v", err)
+		}
+		if got, hits := tr.n.Load(), standbyHits.Load(); got != 2 || hits != 1 {
+			t.Fatalf("%d attempts, %d on the standby; want 2 and 1", got, hits)
+		}
+	})
+	t.Run("every endpoint refuses", func(t *testing.T) {
+		tr, err := allocate(t, deadURL(), deadURL())
+		if err == nil {
+			t.Fatal("keyed allocate succeeded against two refusing endpoints")
+		}
+		// One attempt each, then the backoff outlasts the call.
+		if got := tr.n.Load(); got != 2 {
+			t.Fatalf("%d attempts before the deadline, want 2", got)
+		}
+	})
+}
+
 // TestClientHonorsRetryAfter: a Retry-After hint longer than the backoff
 // schedule delays the retry by at least the hinted interval.
 func TestClientHonorsRetryAfter(t *testing.T) {

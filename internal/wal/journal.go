@@ -64,6 +64,7 @@ type Journal struct {
 	f             *os.File
 	meta          meta
 	appended      int // mutation records in the current log
+	failedAt      int // appended at the last failed checkpoint, 0 after a success
 	snapshotEvery int
 	err           error // sticky: first append failure poisons the journal
 
@@ -336,9 +337,9 @@ func (j *Journal) flushOpen() {
 
 // Checkpoint writes a snapshot of the state, starts the next log
 // generation, and deletes the superseded files. On failure the current
-// generation keeps working — a checkpoint is an optimization, not a
-// correctness requirement.
-func (j *Journal) Checkpoint(st *core.ManagerState) error {
+// generation keeps working (a checkpoint is an optimization) and
+// NeedsCheckpoint waits for snapshotEvery more records.
+func (j *Journal) Checkpoint(st *core.ManagerState) (err error) {
 	// Drain staged frames into the outgoing generation and keep writeMu so
 	// no in-flight flush can interleave with the file swap. Checkpoint runs
 	// under the manager's write lock, so nothing stages concurrently.
@@ -347,6 +348,11 @@ func (j *Journal) Checkpoint(st *core.ManagerState) error {
 	defer j.writeMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	defer func() {
+		if err != nil {
+			j.failedAt = j.appended
+		}
+	}()
 	if j.err != nil {
 		return j.err
 	}
@@ -373,7 +379,7 @@ func (j *Journal) Checkpoint(st *core.ManagerState) error {
 	old := j.f
 	j.f = nf
 	j.meta = next
-	j.appended = 0
+	j.appended, j.failedAt = 0, 0
 	j.durable = size
 	j.notifyTailLocked()
 	old.Close()
@@ -386,12 +392,12 @@ func (j *Journal) Checkpoint(st *core.ManagerState) error {
 	return nil
 }
 
-// NeedsCheckpoint reports whether enough records accumulated in the
-// current generation to make compaction worthwhile.
+// NeedsCheckpoint reports whether snapshotEvery records accumulated in
+// the current generation, and since its last failed checkpoint.
 func (j *Journal) NeedsCheckpoint() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appended >= j.snapshotEvery
+	return j.appended-j.failedAt >= j.snapshotEvery
 }
 
 // Appended returns the number of mutation records in the current

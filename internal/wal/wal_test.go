@@ -258,6 +258,58 @@ func TestNeedsCheckpointThreshold(t *testing.T) {
 	}
 }
 
+// TestFailedCheckpointWaitsForMoreRecords: a checkpoint that fails is not
+// asked for again on the next tick — NeedsCheckpoint stays false until
+// another snapshotEvery records land — and a success clears the wait.
+func TestFailedCheckpointWaitsForMoreRecords(t *testing.T) {
+	dir := t.TempDir()
+	m, j := mustRecover(t, dir, WithSnapshotEvery(3))
+	defer j.Close()
+	commit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := m.AllocateHomog(homog(1, 2, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A directory where the next snapshot goes fails writeDurably's rename.
+	block := snapPath(dir, j.Gen()+1)
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	commit(3)
+	if !j.NeedsCheckpoint() {
+		t.Fatal("NeedsCheckpoint false at threshold")
+	}
+	if err := m.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint succeeded onto a directory")
+	}
+	for i := 0; i < 3; i++ {
+		if j.NeedsCheckpoint() {
+			t.Fatalf("NeedsCheckpoint true %d records after a failed checkpoint, want false until 3", i)
+		}
+		commit(1)
+	}
+	if !j.NeedsCheckpoint() {
+		t.Fatal("NeedsCheckpoint false 3 records after a failed checkpoint")
+	}
+
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after the obstacle went: %v", err)
+	}
+	if j.NeedsCheckpoint() || j.Appended() != 0 {
+		t.Fatalf("after a checkpoint: NeedsCheckpoint %v, appended %d; want false and 0", j.NeedsCheckpoint(), j.Appended())
+	}
+	commit(3)
+	if !j.NeedsCheckpoint() {
+		t.Fatal("NeedsCheckpoint false at threshold after a successful checkpoint")
+	}
+}
+
 // TestRecoverRejectsForeignDirectory: a state directory journaled for a
 // different datacenter or risk factor must be refused.
 func TestRecoverRejectsForeignDirectory(t *testing.T) {

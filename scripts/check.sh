@@ -75,6 +75,12 @@ echo "==> snapshot views: -race stress x3, -tags invariants property test"
 go test -race -run 'TestViewSlowReaderStress$' -count 3 ./internal/core/
 go test -tags invariants -run 'TestViewEqualsClone$|FuzzFailRestoreLedger$' ./internal/core/
 
+# Client smoke: the retry schedule (a free first pass over the endpoints,
+# then backoff) and rotateFrom's rule that concurrent failures on one
+# endpoint rotate once, which only an interleaving can break.
+echo "==> client smoke (-race, TestClient* x3)"
+go test -race -count 3 -run 'TestClient' ./internal/httpapi/
+
 # Recovery smoke: a cold start over both record mixes, over svcbench's
 # 100 000-record directory L (its log takes about a second to write) and
 # from a snapshot, a standby's promotion, and the record codec alone (see
