@@ -169,22 +169,63 @@ func BenchmarkShardedBaseline(b *testing.B) {
 			continue
 		}
 		b.Run(syncMode, func(b *testing.B) {
-			walOpts := []wal.Option{wal.WithSnapshotEvery(1 << 30)}
-			switch syncMode {
-			case "simdisk":
-				walOpts = append(walOpts, wal.WithSyncDelay(simDiskLatency))
-			case "nosync":
-				walOpts = append(walOpts, wal.WithNoSync())
-			}
-			mgr, j, err := wal.Recover(b.TempDir(), benchShardTopology(b, 1), 0.05, nil, walOpts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer j.Close()
-			req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
-			benchShardLoop(b, 2,
-				func() (*core.Allocation, error) { return mgr.AllocateHomog(req) },
-				func(id core.JobID) error { return mgr.Release(id) })
+			benchUnsharded(b, benchShardTopology(b, 1), syncMode, 2)
 		})
+	}
+}
+
+// benchUnsharded runs the shared workload with clients clients on one
+// unsharded manager over a single WAL.
+func benchUnsharded(b *testing.B, topo *topology.Topology, syncMode string, clients int) {
+	walOpts := []wal.Option{wal.WithSnapshotEvery(1 << 30)}
+	switch syncMode {
+	case "simdisk":
+		walOpts = append(walOpts, wal.WithSyncDelay(simDiskLatency))
+	case "nosync":
+		walOpts = append(walOpts, wal.WithNoSync())
+	}
+	mgr, j, err := wal.Recover(b.TempDir(), topo, 0.05, nil, walOpts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
+	benchShardLoop(b, clients,
+		func() (*core.Allocation, error) { return mgr.AllocateHomog(req) },
+		func(id core.JobID) error { return mgr.Release(id) })
+}
+
+// BenchmarkStrictRouter measures strict mode, which no other benchmark
+// runs: a strict router and an unsharded manager on the same K-pod tree,
+// two clients per pod, the workload above. Strict plans every admission
+// on its shadow of the whole tree and commits it under opMu, which it
+// holds across the pod's fsync wait, so its admissions never share a
+// group commit. It asserts nothing: scripts/bench.sh's parity and scaling
+// checks parse BenchmarkSharded* only.
+func BenchmarkStrictRouter(b *testing.B) {
+	for _, shards := range []int{2, 4} {
+		for _, syncMode := range []string{"fsync", "nosync"} {
+			if testing.Short() && (shards != 2 || syncMode != "nosync") {
+				continue
+			}
+			name := fmt.Sprintf("shards=%d/%s", shards, syncMode)
+			b.Run(name+"/strict", func(b *testing.B) {
+				opts := shardSyncOptions(syncMode)
+				opts.Mode = shard.Strict
+				opts.SnapshotEvery = 1 << 30
+				r, err := shard.Open(b.TempDir(), benchShardTopology(b, shards), 0.05, shards, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer r.Close()
+				req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
+				benchShardLoop(b, 2*shards,
+					func() (*core.Allocation, error) { return r.AllocateHomog(req) },
+					func(id core.JobID) error { return r.Release(id) })
+			})
+			b.Run(name+"/unsharded", func(b *testing.B) {
+				benchUnsharded(b, benchShardTopology(b, shards), syncMode, 2*shards)
+			})
+		}
 	}
 }

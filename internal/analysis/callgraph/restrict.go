@@ -42,6 +42,16 @@ var DefaultRestrictions = []Restriction{
 		Reason:      "commits an unplanned mutation; use the Manager admission API",
 	},
 	{
+		Pkg: "repro/internal/core", Recv: "Manager", Method: "PlanHomog",
+		AllowedFrom: []string{"repro/internal/shard"},
+		Reason:      "plans a commit that does not re-check Eq. 4; use the Manager admission API",
+	},
+	{
+		Pkg: "repro/internal/core", Recv: "Manager", Method: "PlanHetero",
+		AllowedFrom: []string{"repro/internal/shard"},
+		Reason:      "plans a commit that does not re-check Eq. 4; use the Manager admission API",
+	},
+	{
 		Pkg: "repro/internal/core", Recv: "Manager", Method: "Replay",
 		AllowedFrom: []string{"repro/internal/wal"},
 		Reason:      "applies a raw journal record outside the one replay loop recovery and the standby share",

@@ -1,5 +1,5 @@
-// A package outside the allow-list: its direct seam call is the
-// cross-package violation; its admission-API call is clean.
+// A package outside the allow-list: its direct seam calls are the
+// cross-package violations; its admission-API call is clean.
 package consumer
 
 import "repro/internal/core"
@@ -18,4 +18,14 @@ func Fine(m *core.Manager) error {
 // as a dynamic edge to every CommitExternal method in the program.
 func Indirect(c core.Committer) error {
 	return c.CommitExternal(core.Mutation{})
+}
+
+// Peek plans outside the router, where nothing holds the manager between
+// the plan and a commit: restricted, for either kind of request.
+func Peek(m *core.Manager) error {
+	if _, err := m.PlanHomog(1); err != nil {
+		return err
+	}
+	_, err := m.PlanHetero(1)
+	return err
 }

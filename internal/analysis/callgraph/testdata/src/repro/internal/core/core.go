@@ -1,5 +1,5 @@
 // Stand-in for repro/internal/core: just enough surface for the engine
-// tests — a restricted method, a sibling caller, and an interface for
+// tests — restricted methods, a sibling caller, and an interface for
 // the dynamic-dispatch over-approximation.
 package core
 
@@ -10,6 +10,10 @@ type Manager struct{}
 // CommitExternal is the restricted seam (DefaultRestrictions allows
 // only repro/internal/shard and the declaring package).
 func (m *Manager) CommitExternal(mut Mutation) error { return nil }
+
+// PlanHomog and PlanHetero are the seam's plan half, restricted alike.
+func (m *Manager) PlanHomog(n int) (Mutation, error)  { return Mutation{}, nil }
+func (m *Manager) PlanHetero(n int) (Mutation, error) { return Mutation{}, nil }
 
 // Allocate calls the seam from inside the declaring package: allowed.
 func (m *Manager) Allocate(n int) error {

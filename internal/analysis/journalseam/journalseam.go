@@ -30,10 +30,11 @@
 // outside the shard seam functions: admitted, released and faulted, each
 // mirroring one settled commit, and rebuildTables.
 //
-// Cross-package seam entry points — Manager.CommitExternal (the commit
-// half with no planning half, the router's private escape hatch) and
-// Manager.Replay (the raw record applier, called from wal's one replay
-// loop and nowhere else) — are policed through the declarative restriction table
+// Cross-package seam entry points — Manager.CommitExternal and
+// PlanHomog/PlanHetero (a commit and a plan that nothing holds together
+// outside the strict router's opMu) and Manager.Replay (the raw record
+// applier, called from wal's one replay loop and nowhere else) — are
+// policed through the declarative restriction table
 // in internal/analysis/callgraph (DefaultRestrictions): each entry
 // names the function and the packages allowed to call it, and every
 // call site anywhere else is a finding.

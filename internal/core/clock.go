@@ -10,8 +10,8 @@ import "time"
 // mutation ran, only on its order in the log.
 var nowFunc = time.Now
 
-// Now reads the injected clock — exported for the sharded router, whose
-// repairs are timed outside any one manager.
+// Now reads the injected clock — exported for replica, which times the
+// steps of a promotion on it.
 func Now() time.Time { return nowFunc() }
 
 // since measures elapsed time against the injected clock (time.Since

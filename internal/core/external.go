@@ -2,14 +2,15 @@ package core
 
 import "repro/internal/stats"
 
-// External planning seam: the sharded control plane (internal/shard)
-// separates WHERE a job is planned from WHERE its state lives. The
-// router plans on one manager (a pod-local one, or the strict-mode
-// shadow of the whole tree) and commits the resulting frame into the
-// managers that own the touched state. PlanHomog/PlanHetero expose the
-// plan half — the same DP the Allocate* calls run, minus the commit —
-// and CommitExternal exposes the commit half: validate + journal + apply
-// of a mutation this manager did not plan itself.
+// External planning seam: the strict sharded router (internal/shard)
+// plans an admission on its shadow of the whole tree, commits the frame
+// into the pods owning the touched state and replays it into the shadow,
+// all under its opMu — so nothing lands between a plan and its commit,
+// which does not re-check Eq. 4. PlanHomog/PlanHetero expose the plan
+// half — the same DP the Allocate* calls run, minus the commit — and
+// CommitExternal the commit half: validate + journal + apply of a
+// mutation this manager did not plan itself. svclint lets only
+// internal/shard call them; fault ops and repairs run the pods' drivers.
 
 // PlanHomog plans a homogeneous admission against the live ledger and
 // returns the uncommitted mutation: request, placement, and the exact

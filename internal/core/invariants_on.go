@@ -12,13 +12,13 @@ import (
 // storm tests run under this tag in scripts/check.sh.
 const invariantsEnabled = true
 
-// assertOccupancyLocked checks paper Eq. 4 after a fresh admission
-// commits: every link the allocation contributes to must still satisfy
-// O_L <= 1 (plus float slack). Repairs are exempt — a degraded repair
-// deliberately re-admits at a weakened eps, so the global-c occupancy
+// assertOccupancyLocked checks paper Eq. 4 after an admission or a moved
+// repair commits: every link the placement contributes to must still
+// satisfy O_L <= 1 (plus float slack). Degraded repairs are exempt — they
+// deliberately re-admit at a weakened eps, so the global-c occupancy
 // measure may legitimately exceed 1 for those links.
 func (m *Manager) assertOccupancyLocked(mut *Mutation) {
-	if mut.Op != OpAlloc {
+	if mut.Op != OpAlloc && (mut.Op != OpRepair || mut.Outcome != RepairMoved) {
 		return
 	}
 	const slack = 1e-9

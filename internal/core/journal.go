@@ -342,6 +342,7 @@ func (m *Manager) applyLocked(mut Mutation) error {
 			} else {
 				delete(m.degraded, a.ID)
 				m.counters.MovedRepairs++
+				m.assertOccupancyLocked(&mut)
 			}
 			m.version += 2
 		case RepairFailed:
@@ -377,20 +378,22 @@ func (m *Manager) Replay(mut Mutation) error {
 }
 
 // validateMutationLocked rejects mutations that would corrupt or panic
-// the ledger. Live paths never produce such mutations; this guards the
-// replay path against a journal that passed its checksums but is
-// semantically inconsistent with the manager's state.
+// the ledger. Planned mutations never are such; this guards the replay
+// path against a journal that passed its checksums but is semantically
+// inconsistent with the manager's state, CommitExternal against a plan
+// made elsewhere, and the fault ops and SetOffline against a caller's
+// target that is no machine or link (ErrBadRequest).
 func (m *Manager) validateMutationLocked(mut Mutation) error {
 	topo := m.led.Topology()
 	validMachine := func(id topology.NodeID) error {
 		if id < 0 || int(id) >= topo.Len() || !topo.Node(id).IsMachine() {
-			return fmt.Errorf("core: node %d is not a machine", id)
+			return fmt.Errorf("%w: node %d is not a machine", ErrBadRequest, id)
 		}
 		return nil
 	}
 	validLink := func(id topology.LinkID) error {
 		if id < 0 || int(id) >= topo.Len() || topo.Node(topology.NodeID(id)).Parent == topology.None {
-			return fmt.Errorf("core: node %d has no uplink", id)
+			return fmt.Errorf("%w: node %d has no uplink", ErrBadRequest, id)
 		}
 		return nil
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 // fakeJournal records every committed mutation, optionally vetoing them.
@@ -101,6 +102,40 @@ func TestJournalVetoRollsBackNothing(t *testing.T) {
 	m.SetJournal(nil)
 	if got := m.ExportState(); !reflect.DeepEqual(got, before) {
 		t.Fatalf("vetoed operations mutated state:\n got %+v\nwant %+v", got, before)
+	}
+}
+
+// TestFaultTargetValidated: a fault op or SetOffline on a node that is not
+// a machine, or has no uplink, is the caller's mistake (ErrBadRequest). It
+// journals nothing — replay would refuse the record and recovery cut the
+// log at it — and leaves the manager usable: the fault overlay panics on
+// such a target, so it must be refused before anything is staged.
+func TestFaultTargetValidated(t *testing.T) {
+	m := mustManager(t, smallThreeTier(), 0.05)
+	j := &fakeJournal{}
+	m.SetJournal(j)
+	topo := m.Topology()
+	root := topo.Root()
+	tor := topo.Node(topo.Machines()[0]).Parent
+	for name, call := range map[string]func() error{
+		"FailMachine(root)":   func() error { _, err := m.FailMachine(root); return err },
+		"RestoreMachine(tor)": func() error { return m.RestoreMachine(tor, WithIdemKey("k")) },
+		"FailLink(root)":      func() error { _, err := m.FailLink(topology.LinkID(root)); return err },
+		"RestoreLink(root)":   func() error { return m.RestoreLink(topology.LinkID(root)) },
+		"SetOffline(tor)":     func() error { return m.SetOffline(tor, true) },
+		"FailMachine(-1)":     func() error { _, err := m.FailMachine(-1); return err },
+		"FailLink(past tree)": func() error { _, err := m.FailLink(topology.LinkID(topo.Len())); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s = %v, want ErrBadRequest", name, err)
+		}
+	}
+	if len(j.muts) != 0 {
+		t.Fatalf("bad targets journaled %d records: %+v", len(j.muts), j.muts)
+	}
+	// The lock was released and the key bound nothing: both still work.
+	if err := m.RestoreMachine(topo.Machines()[0], WithIdemKey("k")); err != nil {
+		t.Fatalf("RestoreMachine after the refusals: %v", err)
 	}
 }
 

@@ -286,17 +286,6 @@ func (m *Manager) HasJob(id JobID) bool {
 	return ok
 }
 
-// JobPlacement returns a clone of an admitted job's current placement.
-func (m *Manager) JobPlacement(id JobID) (Placement, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	a, ok := m.jobs[id]
-	if !ok {
-		return Placement{}, fmt.Errorf("%w: %d", ErrUnknownJob, id)
-	}
-	return a.Placement.Clone(), nil
-}
-
 // Running returns the number of admitted, unreleased jobs.
 func (m *Manager) Running() int {
 	m.mu.Lock()
@@ -318,16 +307,11 @@ func (m *Manager) Version() uint64 {
 
 // SetOffline takes a machine out of (or back into) service. Offline
 // machines receive no new VMs; running jobs are unaffected until their
-// owner releases or fails them. It fails only when the attached journal
-// rejects the mutation.
+// owner releases or fails them. It fails when the node is not a machine
+// (ErrBadRequest) or the attached journal rejects the mutation: nothing
+// plans the mutation, so it is validated as CommitExternal does.
 func (m *Manager) SetOffline(machine topology.NodeID, offline bool) error {
-	m.mu.Lock()
-	wait, err := m.commitStagedLocked(Mutation{Op: OpSetOffline, Node: machine, Offline: offline})
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return wait()
+	return m.CommitExternal(Mutation{Op: OpSetOffline, Node: machine, Offline: offline})
 }
 
 // MaxOccupancy returns the maximum bandwidth occupancy ratio over all

@@ -72,7 +72,10 @@ type RepairResult struct {
 	// repair: the manager's eps for Noop/Moved, the weakened per-job
 	// bound for Degraded, and 1 for Failed (the job is gone).
 	EffectiveEps float64
-	Elapsed      time.Duration
+	// Contribs are what a Moved or Degraded placement charges per link:
+	// with Outcome, Placement and EffectiveEps, the journaled record.
+	Contribs []Contribution
+	Elapsed  time.Duration
 }
 
 // FailureStats is a point-in-time snapshot of the manager's fault and
@@ -117,14 +120,17 @@ func (s FailureStats) MarshalJSON() ([]byte, error) {
 // fault commits one fault-overlay mutation and, for the Fail* calls,
 // reports the jobs displaced once it is applied. A key the same op already
 // committed skips the mutation entirely (fault ops are idempotent; the
-// stored binding just marks the request as applied).
+// stored binding just marks the request as applied). A target that is not
+// a machine, or has no uplink, is ErrBadRequest.
 func (m *Manager) fault(mut Mutation, opts []CallOption, wantAffected bool) ([]JobID, error) {
 	mut.IdemKey = evalCallOpts(opts).idemKey
 	wait := noWait
 	m.mu.Lock()
 	_, bound, err := m.idem.Replay(mut.IdemKey, mut.Op, 0)
 	if err == nil && !bound {
-		wait, err = m.commitStagedLocked(mut)
+		if err = m.validateMutationLocked(mut); err == nil {
+			wait, err = m.commitStagedLocked(mut)
+		}
 	}
 	if err != nil {
 		m.mu.Unlock()
@@ -145,8 +151,8 @@ func (m *Manager) fault(mut Mutation, opts []CallOption, wantAffected bool) ([]J
 // and bandwidth bookkeeping (so repair can roll them back exactly), but the
 // machine reports zero free slots and its jobs are considered displaced.
 // It returns the IDs of the jobs that now have displaced VMs anywhere in
-// the datacenter, sorted. It fails only when the attached journal rejects
-// the mutation.
+// the datacenter, sorted. It fails when id is not a machine (ErrBadRequest)
+// or the attached journal rejects the mutation.
 func (m *Manager) FailMachine(id topology.NodeID, opts ...CallOption) ([]JobID, error) {
 	return m.fault(Mutation{Op: OpFailMachine, Node: id}, opts, true)
 }
@@ -298,7 +304,8 @@ func (m *Manager) repairLocked(a *Allocation) (RepairResult, func() error, error
 	if err != nil {
 		return RepairResult{}, nil, err
 	}
-	res := RepairResult{Job: a.ID, Outcome: mut.Outcome, MovedVMs: displaced, EffectiveEps: mut.EffectiveEps}
+	res := RepairResult{Job: a.ID, Outcome: mut.Outcome, MovedVMs: displaced,
+		EffectiveEps: mut.EffectiveEps, Contribs: cloneContribs(mut.Contribs)}
 	switch {
 	case mut.Outcome == RepairNoop:
 		res.Placement = a.Placement.Clone()
@@ -308,23 +315,6 @@ func (m *Manager) repairLocked(a *Allocation) (RepairResult, func() error, error
 	res.Elapsed = since(start)
 	m.repairLatency.Observe(res.Elapsed)
 	return res, wait, nil
-}
-
-// PlanRepair plans — without committing — the repair of one job: the
-// returned mutation is exactly what RepairJob would journal, alongside
-// the displaced VM count. The sharded router plans repairs on the
-// pod-local manager owning the job and commits the resulting mutation
-// through CommitExternal, so a pod never decides to move VMs it cannot
-// see. The plan is only valid until the next mutation on this manager.
-func (m *Manager) PlanRepair(id JobID) (Mutation, int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	a, ok := m.jobs[id]
-	if !ok {
-		return Mutation{}, 0, fmt.Errorf("%w: %d", ErrUnknownJob, id)
-	}
-	mut, displaced := m.planRepairLocked(a)
-	return mut, displaced, nil
 }
 
 // planRepairLocked chooses the repair outcome for one job on a scratch

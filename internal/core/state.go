@@ -173,11 +173,12 @@ func (t IdemTable) Bind(mut Mutation) {
 
 // Equal reports whether st and o are the same state: every field equal,
 // floats by their bits (a one-ulp drift or a flipped zero sign is a
-// difference), nil and empty slices and maps alike. Promotion checks the
-// mirror it recovered against the state it followed with it, so it is
-// written out type by type and never reflects; a field added to any of
-// the state types must be added to its equal method too, which
-// TestSnapshotFieldsComplete (internal/wal) enforces.
+// difference), nil and empty slices and maps alike. A standby's mirror
+// holds the state it recovers at every reset (and, under -tags invariants,
+// at promotion) against the one it followed, and the tests compare states
+// with it, so it is written out type by type and never reflects; a field
+// added to any of the state types must be added to its equal method too,
+// which TestSnapshotFieldsComplete (internal/wal) enforces.
 func (st *ManagerState) Equal(o *ManagerState) bool {
 	if st.NextID != o.NextID || st.Counters != o.Counters || len(st.Idem) != len(o.Idem) ||
 		!slices.EqualFunc(st.Links, o.Links, LinkRecord.equal) ||

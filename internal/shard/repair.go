@@ -9,12 +9,16 @@ import (
 )
 
 // Fault routing: a machine lives in exactly one pod and a link is owned
-// by the pod of its child endpoint, so every fault op targets exactly
-// one pod manager. The router-level idempotency check runs BEFORE the
-// pod and the shadow see anything: a key the same op already committed
-// must skip both (the machine may have been restored since; re-failing it
-// in the shadow alone would diverge the merged view), and a key anything
-// else committed is refused, as it is for an admission or a release.
+// by the pod of its child endpoint, so every fault op and every repair
+// targets exactly one pod manager, and runs that pod's own driver, which
+// decides and commits under one hold of the pod's lock in both modes.
+// The router-level idempotency check runs BEFORE the pod and the shadow
+// see anything: a key the same op already committed must skip both (the
+// machine may have been restored since; re-failing it in the shadow alone
+// would diverge the merged view), and a key anything else committed is
+// refused, as it is for an admission or a release. Fast-mode racers under
+// one key that all pass it meet at the pod, whose own table answers the
+// losers.
 
 // FailMachine takes a machine down. It returns the IDs of every job with
 // displaced VMs anywhere in the datacenter, sorted — the unsharded
@@ -45,8 +49,8 @@ func (r *Router) RestoreLink(id topology.LinkID, opts ...core.CallOption) error 
 	return r.fault(core.Mutation{Op: core.OpRestoreLink, Link: id}, opts)
 }
 
-// fault routes one fault-overlay mutation to its owning pod (and, in
-// strict mode, replays it into the shadow).
+// fault runs one fault op on its owning pod (and, in strict mode,
+// replays it into the shadow).
 func (r *Router) fault(mut core.Mutation, opts []core.CallOption) error {
 	mut.IdemKey = core.ResolveCallOptions(opts...).IdemKey
 	if r.mode == Strict {
@@ -59,17 +63,25 @@ func (r *Router) fault(mut core.Mutation, opts []core.CallOption) error {
 	if bound {
 		return err
 	}
-	var pod int
+	node := mut.Node
+	if mut.Op == core.OpFailLink || mut.Op == core.OpRestoreLink {
+		node = topology.NodeID(mut.Link)
+	}
+	if node < 0 || int(node) >= r.topo.Len() || r.pods.Of(node) < 0 {
+		return fmt.Errorf("%w: shard: node %d is outside every pod", core.ErrBadRequest, node)
+	}
+	m, key := r.mgrs[r.pods.Of(node)], core.WithIdemKey(mut.IdemKey)
 	switch mut.Op {
-	case core.OpFailLink, core.OpRestoreLink:
-		pod = r.pods.OfLink(mut.Link)
+	case core.OpFailMachine:
+		_, err = m.FailMachine(mut.Node, key)
+	case core.OpRestoreMachine:
+		err = m.RestoreMachine(mut.Node, key)
+	case core.OpFailLink:
+		_, err = m.FailLink(mut.Link, key)
 	default:
-		pod = r.pods.Of(mut.Node)
+		err = m.RestoreLink(mut.Link, key)
 	}
-	if pod < 0 {
-		return fmt.Errorf("shard: node %d is outside every pod", mut.Node)
-	}
-	if err := r.mgrs[pod].CommitExternal(mut); err != nil {
+	if err != nil {
 		return err
 	}
 	if r.mode == Strict {
@@ -137,9 +149,9 @@ func (r *Router) RepairAll() ([]core.RepairResult, error) {
 	return out, nil
 }
 
-// repairOne plans a repair on the owning pod, commits the planned
-// mutation there, and (in strict mode) replays it into the shadow.
-// Callers in strict mode hold opMu.
+// repairOne runs the owning pod's RepairJob and (in strict mode) replays
+// the committed repair, rebuilt from its result, into the shadow. Callers
+// in strict mode hold opMu.
 func (r *Router) repairOne(id core.JobID) (core.RepairResult, error) {
 	r.tabMu.Lock()
 	pods, ok := r.jobPods[id]
@@ -150,35 +162,19 @@ func (r *Router) repairOne(id core.JobID) (core.RepairResult, error) {
 	if len(pods) > 1 {
 		return core.RepairResult{}, fmt.Errorf("%w: job %d spans pods %v", ErrCrossPodRepair, id, pods)
 	}
-	pod := r.mgrs[pods[0]]
-	start := core.Now()
-	mut, displaced, err := pod.PlanRepair(id)
+	res, err := r.mgrs[pods[0]].RepairJob(id)
 	if err != nil {
 		return core.RepairResult{}, err
 	}
-	if err := pod.CommitExternal(mut); err != nil {
-		return core.RepairResult{}, err
-	}
+	mut := core.Mutation{Op: core.OpRepair, Job: id, Outcome: res.Outcome,
+		Placement: &res.Placement, Contribs: res.Contribs, EffectiveEps: res.EffectiveEps}
 	if r.mode == Strict {
 		if err := r.shadow.CommitExternal(mut); err != nil {
 			return core.RepairResult{}, fmt.Errorf("shard: shadow diverged on repair of job %d: %w", id, err)
 		}
 	}
-	res := core.RepairResult{
-		Job: id, Outcome: mut.Outcome, MovedVMs: displaced,
-		EffectiveEps: mut.EffectiveEps, Elapsed: core.Now().Sub(start),
-	}
-	switch mut.Outcome {
-	case core.RepairFailed:
+	if res.Outcome == core.RepairFailed {
 		r.released(mut)
-	case core.RepairNoop:
-		if p, perr := pod.JobPlacement(id); perr == nil {
-			res.Placement = p
-		}
-	default:
-		if mut.Placement != nil {
-			res.Placement = mut.Placement.Clone()
-		}
 	}
 	r.assertConsistent()
 	return res, nil

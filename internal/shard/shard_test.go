@@ -533,6 +533,94 @@ func TestFastModeReleaseRace(t *testing.T) {
 	}
 }
 
+// TestFastModeFaultRace: racers failing or restoring one machine under one
+// key journal one record per key. The racers that pass the router's table
+// together meet at the owning pod, whose FailMachine/RestoreMachine answer
+// the losers from the pod's own table under its lock, as the unsharded
+// manager would.
+func TestFastModeFaultRace(t *testing.T) {
+	tp := testTopo(t, 4)
+	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{Mode: Fast, NoSync: true})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+
+	machine := tp.Machines()[0]
+	const rounds, racers = 20, 8
+	for round := 0; round < rounds; round++ {
+		key := core.WithIdemKey(fmt.Sprintf("fault-%d", round))
+		errs := make([]error, racers)
+		var wg sync.WaitGroup
+		for i := 0; i < racers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if round%2 == 0 {
+					_, errs[i] = r.FailMachine(machine, key)
+				} else {
+					errs[i] = r.RestoreMachine(machine, key)
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: racer %d: %v", round, i, err)
+			}
+		}
+	}
+	var records int
+	for i := 0; i < r.Shards(); i++ {
+		records += r.PodJournal(i).Appended()
+	}
+	if records != rounds {
+		t.Fatalf("the pods journaled %d records for %d keyed fault ops, want %d", records, rounds, rounds)
+	}
+	if st := r.FailureStats(); st.MachineFailures != rounds/2 || st.MachineRestores != rounds/2 || st.MachinesDown != 0 {
+		t.Fatalf("failure stats %+v, want %d failures and restores, nothing down", st, rounds/2)
+	}
+}
+
+// TestFaultTargetValidated: the router refuses a fault op whose target is
+// not a machine, has no uplink or lies outside the tree with
+// ErrBadRequest, in both modes, and no pod journals it — it reaches the
+// pod's own FailMachine/FailLink, which validate before they stage.
+func TestFaultTargetValidated(t *testing.T) {
+	tp := testTopo(t, 2)
+	root := tp.Root()
+	tor := tp.Node(tp.Machines()[0]).Parent
+	for _, mode := range []Mode{Strict, Fast} {
+		r, err := Open(t.TempDir(), tp, 0.1, 2, Options{Mode: mode, NoSync: true})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		for name, call := range map[string]func() error{
+			"FailMachine(root)":   func() error { _, err := r.FailMachine(root); return err },
+			"FailMachine(tor)":    func() error { _, err := r.FailMachine(tor, core.WithIdemKey("k")); return err },
+			"RestoreMachine(tor)": func() error { return r.RestoreMachine(tor) },
+			"FailLink(root)":      func() error { _, err := r.FailLink(topology.LinkID(root)); return err },
+			"RestoreLink(root)":   func() error { return r.RestoreLink(topology.LinkID(root)) },
+			"FailMachine(-1)":     func() error { _, err := r.FailMachine(-1); return err },
+			"FailLink(past tree)": func() error { _, err := r.FailLink(topology.LinkID(tp.Len())); return err },
+		} {
+			if err := call(); !errors.Is(err, core.ErrBadRequest) {
+				t.Errorf("%v: %s = %v, want ErrBadRequest", mode, name, err)
+			}
+		}
+		for i := 0; i < r.Shards(); i++ {
+			if n := r.PodJournal(i).Appended(); n != 0 {
+				t.Errorf("%v: pod %d journaled %d records for refused faults", mode, i, n)
+			}
+		}
+		// The key bound nothing, and the router still serves.
+		if _, err := r.FailMachine(tp.Machines()[0], core.WithIdemKey("k")); err != nil {
+			t.Errorf("%v: FailMachine after the refusals: %v", mode, err)
+		}
+		r.Close()
+	}
+}
+
 // TestFastModeSpill: fast mode has no cross-pod path — requests no pod
 // can host are rejected, requests the affinity pod cannot host spill to
 // a sibling.
@@ -632,8 +720,10 @@ func TestShardCountMismatch(t *testing.T) {
 }
 
 // TestFastConcurrentStorm drives concurrent keyless admissions and
-// releases across pods and checks conservation at the end — the -race
-// job's workload.
+// releases across pods beside workers that fail and restore machines of
+// one pod and repair what that displaced, and checks conservation at the
+// end — the -race job's workload; under -tags invariants every admission
+// and moved repair also asserts Eq. 4 on the links it charges (I6).
 func TestFastConcurrentStorm(t *testing.T) {
 	tp := testTopo(t, 4)
 	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{Mode: Fast, NoSync: true})
@@ -648,6 +738,9 @@ func TestFastConcurrentStorm(t *testing.T) {
 	if testing.Short() {
 		iters = 10
 	}
+	// A repair may evict a job a worker still holds, or find a job gone
+	// that a worker released after the sweep listed it.
+	gone := func(err error) bool { return err == nil || errors.Is(err, core.ErrUnknownJob) }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -660,13 +753,41 @@ func TestFastConcurrentStorm(t *testing.T) {
 					continue // capacity contention is expected
 				}
 				if i%2 == 0 {
-					if err := r.Release(a.ID); err != nil {
+					if err := r.Release(a.ID); !gone(err) {
 						t.Errorf("release %d: %v", a.ID, err)
 						return
 					}
 				}
 			}
 		}(w)
+	}
+	pods := topology.NewPods(tp)
+	var pod0 []topology.NodeID
+	for _, m := range tp.Machines() {
+		if pods.Of(m) == 0 {
+			pod0 = append(pod0, m)
+		}
+	}
+	for f := 0; f < 2; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				m := pod0[(2*i+f)%len(pod0)]
+				if _, err := r.FailMachine(m); err != nil {
+					t.Errorf("fail %d: %v", m, err)
+					return
+				}
+				if _, err := r.RepairAll(); !gone(err) {
+					t.Errorf("repair: %v", err)
+					return
+				}
+				if err := r.RestoreMachine(m); err != nil {
+					t.Errorf("restore %d: %v", m, err)
+					return
+				}
+			}
+		}(f)
 	}
 	wg.Wait()
 

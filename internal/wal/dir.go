@@ -123,7 +123,7 @@ func (d *stateDir) syncDir() {
 // it), so an injected file system replaces this one.
 func ensureDir(dir string) error             { return os.MkdirAll(dir, 0o755) }
 func openRead(path string) (*os.File, error) { return os.Open(path) }
-func remove(path string)                     { os.Remove(path) } // best-effort: the next open sweeps or overwrites a leftover
+func remove(path string) error               { return os.Remove(path) }
 
 // readIfExists reads the whole file at path; a missing file is nil and no
 // error: generation 1 has no snapshot, a fresh directory no log.
@@ -167,7 +167,8 @@ func scanDir(dir string) (gen uint64, err error) {
 
 // removeStale deletes every generation file but keep's: the older ones
 // keep's snapshot supersedes and, in a mirror whose primary started over,
-// newer ones from the timeline it no longer follows.
+// newer ones from the timeline it no longer follows. Best-effort: a file
+// left behind goes at the next call.
 func removeStale(dir string, keep uint64) {
 	eachFile(dir, func(name string, gen uint64, _, ok bool) {
 		if ok && gen != keep {

@@ -372,8 +372,15 @@ func (j *Journal) Checkpoint(st *core.ManagerState) (err error) {
 	}
 	nf, size, err := j.createWAL(next, j.epoch)
 	if err != nil {
-		// The new snapshot is already durable; the old log keeps the
-		// journal usable, and the next recovery starts from the snapshot.
+		// Recovery would take the published snapshot as the state and delete
+		// the old log, which goes on taking records: take the generation
+		// back, log first, or poison the journal if a file will not go.
+		for _, path := range []string{walPath(j.dir, next.Gen), snapPath(j.dir, next.Gen)} {
+			if rerr := remove(path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) && j.err == nil {
+				j.err = fmt.Errorf("wal: take back generation %d: %w", next.Gen, rerr)
+			}
+		}
+		j.syncDir()
 		return err
 	}
 	old := j.f

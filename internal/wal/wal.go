@@ -94,7 +94,10 @@
 // or complete. A checkpoint and a mirror reset both publish the new
 // generation that way — snapshot first, then log — and only then delete
 // the others (removeStale): every crash point in that sequence leaves
-// either the old generation intact or the new one complete. scanDir
+// either the old generation intact or the new one complete. A failure
+// the process survives must too, though the old log may go on taking
+// records: what was published is taken back, log first, and a checkpoint
+// that cannot poisons its journal (a mirror: see Mirror.reset). scanDir
 // sweeps leftover .tmp files at the next Recover.
 package wal
 

@@ -310,6 +310,50 @@ func TestFailedCheckpointWaitsForMoreRecords(t *testing.T) {
 	}
 }
 
+// TestHalfPublishedCheckpointIsTakenBack: a checkpoint that published its
+// snapshot but could not create its log takes the snapshot back, so the
+// records the journal goes on acknowledging in the old log are what the
+// next recovery replays. Left in place, the snapshot would be recovery's
+// state and the old log — 7 acknowledged admissions here — deleted as
+// stale. (A take-back that fails poisons the journal; provoking a failed
+// removal needs a file-system seam, so that branch is untested.)
+func TestHalfPublishedCheckpointIsTakenBack(t *testing.T) {
+	dir := t.TempDir()
+	m, j := mustRecover(t, dir)
+	commit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := m.AllocateHomog(homog(1, 2, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	commit(5)
+	// A directory where the new log's temporary file goes fails createWAL
+	// after the snapshot is in place.
+	if err := os.Mkdir(walPath(dir, 2)+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint created its log through a directory")
+	}
+	if _, err := os.Stat(snapPath(dir, 2)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the failed checkpoint left its snapshot: %v", err)
+	}
+	commit(7)
+	want := m.ExportState()
+	j.Close()
+
+	m2, j2 := mustRecover(t, dir)
+	defer j2.Close()
+	if got := m2.Running(); got != 12 || j2.Gen() != 1 {
+		t.Fatalf("recovered %d jobs at generation %d, want 12 at generation 1", got, j2.Gen())
+	}
+	if got := m2.ExportState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestRecoverRejectsForeignDirectory: a state directory journaled for a
 // different datacenter or risk factor must be refused.
 func TestRecoverRejectsForeignDirectory(t *testing.T) {

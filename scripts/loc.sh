@@ -7,7 +7,7 @@
 # scripts/check.sh and CI's `make loc` step), so raising it is an edit a
 # reviewer sees. Lower it when a PR shrinks the total.
 set -euo pipefail
-budget=10751 # PR 26: -3 (10754 at PR 25): WithRequestTimeout gone, paying for the client's free first pass and the failed-checkpoint wait
+budget=10737 # PR 27: -14 (10751 at PR 26): the router runs the pods' own fault and repair drivers (PlanRepair, JobPlacement gone), paying for the checkpoint take-back
 cd "$(dirname "$0")/.."
 lines() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 total=0
