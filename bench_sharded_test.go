@@ -1,5 +1,5 @@
-// Sharded admission throughput: the pod-partitioned control plane (fast
-// mode, one ledger + WAL per aggregation subtree) against the single-WAL
+// Sharded admission throughput: the pod-partitioned control plane (one
+// ledger + WAL per aggregation subtree) against the single-WAL
 // manager. The grid scales pods and clients together — each pod is a
 // fixed-size subtree serving two clients — so the fsync cells measure how
 // aggregate durable throughput grows as the fsync stream is sharded:
@@ -101,9 +101,8 @@ func benchShardLoop(b *testing.B, clients int,
 
 // BenchmarkShardedAdmission reports end-to-end journaled admission ops/s
 // on the sharded router at 1, 2, 4, and 8 pods with two clients per pod.
-// Fast mode: admissions plan and commit pod-locally (round-robin
-// dispatch), so the K fsync cells have K independent group-commit
-// streams in flight.
+// Admissions plan and commit pod-locally (round-robin dispatch), so the
+// K fsync cells have K independent group-commit streams in flight.
 func BenchmarkShardedAdmission(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, syncMode := range []string{"fsync", "simdisk", "nosync"} {
@@ -136,7 +135,6 @@ func shardSyncOptions(syncMode string) shard.Options {
 
 func benchSharded(b *testing.B, shards int, syncMode string) {
 	opts := shardSyncOptions(syncMode)
-	opts.Mode = shard.Fast
 	opts.SnapshotEvery = 1 << 30
 	r, err := shard.Open(b.TempDir(), benchShardTopology(b, shards), 0.05, shards, opts)
 	if err != nil {
@@ -193,39 +191,4 @@ func benchUnsharded(b *testing.B, topo *topology.Topology, syncMode string, clie
 	benchShardLoop(b, clients,
 		func() (*core.Allocation, error) { return mgr.AllocateHomog(req) },
 		func(id core.JobID) error { return mgr.Release(id) })
-}
-
-// BenchmarkStrictRouter measures strict mode, which no other benchmark
-// runs: a strict router and an unsharded manager on the same K-pod tree,
-// two clients per pod, the workload above. Strict plans every admission
-// on its shadow of the whole tree and commits it under opMu, which it
-// holds across the pod's fsync wait, so its admissions never share a
-// group commit. It asserts nothing: scripts/bench.sh's parity and scaling
-// checks parse BenchmarkSharded* only.
-func BenchmarkStrictRouter(b *testing.B) {
-	for _, shards := range []int{2, 4} {
-		for _, syncMode := range []string{"fsync", "nosync"} {
-			if testing.Short() && (shards != 2 || syncMode != "nosync") {
-				continue
-			}
-			name := fmt.Sprintf("shards=%d/%s", shards, syncMode)
-			b.Run(name+"/strict", func(b *testing.B) {
-				opts := shardSyncOptions(syncMode)
-				opts.Mode = shard.Strict
-				opts.SnapshotEvery = 1 << 30
-				r, err := shard.Open(b.TempDir(), benchShardTopology(b, shards), 0.05, shards, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer r.Close()
-				req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
-				benchShardLoop(b, 2*shards,
-					func() (*core.Allocation, error) { return r.AllocateHomog(req) },
-					func(id core.JobID) error { return r.Release(id) })
-			})
-			b.Run(name+"/unsharded", func(b *testing.B) {
-				benchUnsharded(b, benchShardTopology(b, shards), syncMode, 2*shards)
-			})
-		}
-	}
 }

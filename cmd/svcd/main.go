@@ -73,8 +73,7 @@ func parseConfig(args []string) (daemon.Config, error) {
 	fs.BoolVar(&cfg.NoSync, "no-sync", false, "skip fsync on journal appends (faster, loses tail on power failure)")
 	fs.StringVar(&cfg.Role, "role", "primary", "primary serves writes; standby follows a primary's WAL and serves reads until promoted")
 	fs.StringVar(&cfg.Follow, "follow", "", "primary base URL a standby replicates from (e.g. http://10.0.0.1:8080)")
-	fs.IntVar(&cfg.Shards, "shards", 0, "shard the control plane into one ledger+WAL per aggregation subtree; must equal the topology's pod count (0: unsharded)")
-	fs.StringVar(&cfg.ShardMode, "shard-mode", "", "sharded admission mode, with -shards: strict (default; serialized, bit-identical to unsharded) | fast (pod-parallel, no cross-pod placements)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "shard the control plane into one ledger+WAL per aggregation subtree; must equal the topology's pod count (0: unsharded). A request no single pod can host is rejected")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -112,11 +111,7 @@ func run(args []string) error {
 		durable = "standby following " + cfg.Follow + ", mirroring to " + cfg.StateDir
 	}
 	if cfg.Shards > 0 {
-		mode := cfg.ShardMode
-		if mode == "" {
-			mode = "strict"
-		}
-		durable = fmt.Sprintf("%d pod shards (%s mode) journaled to %s", cfg.Shards, mode, cfg.StateDir)
+		durable = fmt.Sprintf("%d pod shards journaled to %s", cfg.Shards, cfg.StateDir)
 	}
 	log.Printf("svcd: serving %d machines (%d slots, %d jobs recovered) at eps=%v on %s, %s",
 		len(cfg.Topo.Machines()), cfg.Topo.TotalSlots(), d.Recovered(), cfg.Eps,

@@ -27,9 +27,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-admission", "locked", "-addr", "127.0.0.1:0"}); err == nil {
 		t.Error("-admission accepted: there is one admission pipeline and no flag to pick another")
 	}
-	if err := run([]string{"-shard-mode", "strict", "-addr", "127.0.0.1:0"}); err == nil {
-		t.Error("-shard-mode without -shards accepted")
-	}
 }
 
 func TestLoadTopologyFromFile(t *testing.T) {
@@ -58,9 +55,9 @@ func TestLoadTopologyFromFile(t *testing.T) {
 }
 
 // TestShardedDaemonFlagValidation walks the whole flag surface: every
-// combination of -role, -follow, -state-dir, -shards and -shard-mode the
-// daemon accepts must boot and shut down cleanly, and every combination
-// it cannot serve must be refused by name, never silently ignored.
+// combination of -role, -follow, -state-dir and -shards the daemon accepts
+// must boot and shut down cleanly, and every combination it cannot serve
+// must be refused by name, never silently ignored.
 func TestShardedDaemonFlagValidation(t *testing.T) {
 	// Two pods: each one aggregation subtree with two 2-slot machines.
 	pods := filepath.Join(t.TempDir(), "pods.json")
@@ -83,19 +80,13 @@ func TestShardedDaemonFlagValidation(t *testing.T) {
 		{name: "explicit role", args: []string{"-role", "primary"}, dir: true},
 		{name: "standby", args: []string{"-role", "standby", "-follow", dead}, dir: true},
 		{name: "shards, default mode", args: []string{"-topo", pods, "-shards", "2"}, dir: true},
-		{name: "shards, strict", args: []string{"-topo", pods, "-shards", "2", "-shard-mode", "strict"}, dir: true},
-		{name: "shards, fast", args: []string{"-topo", pods, "-shards", "2", "-shard-mode", "fast"}, dir: true},
 
 		{name: "unknown policy", args: []string{"-policy", "alphabetical"}, refused: "unknown policy"},
 		{name: "unknown role", args: []string{"-role", "observer"}, refused: "unknown role"},
 		{name: "follow on a primary", args: []string{"-follow", dead}, dir: true, refused: "-follow requires -role standby"},
 		{name: "standby without state-dir", args: []string{"-role", "standby", "-follow", dead}, refused: "-role standby needs"},
 		{name: "standby without follow", args: []string{"-role", "standby"}, dir: true, refused: "-role standby needs"},
-		{name: "shard-mode without shards", args: []string{"-shard-mode", "fast"}, dir: true, refused: "-shard-mode requires -shards"},
-		{name: "default shard-mode named without shards", args: []string{"-shard-mode", "strict"}, refused: "-shard-mode requires -shards"},
-		{name: "shard-mode on a standby", args: []string{"-role", "standby", "-follow", dead, "-shard-mode", "strict"}, dir: true, refused: "-shard-mode requires -shards"},
 		{name: "shards without state-dir", args: []string{"-topo", pods, "-shards", "2"}, refused: "-shards needs -state-dir"},
-		{name: "unknown shard mode", args: []string{"-topo", pods, "-shards", "2", "-shard-mode", "psychic"}, dir: true, refused: "unknown mode"},
 		{name: "shards on a standby", args: []string{"-topo", pods, "-shards", "2", "-role", "standby", "-follow", dead}, dir: true, refused: "-shards requires -role primary"},
 		{name: "shards not matching the pod count", args: []string{"-shards", "3"}, dir: true, refused: "shard count"}, // builtin paper topology has 5 pods
 	}

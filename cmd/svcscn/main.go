@@ -177,7 +177,7 @@ func runOne(s *scenario.Scenario, seed uint64, backend, addr string) (*scenario.
 				return nil, err
 			}
 			defer os.RemoveAll(dir)
-			b, err = scenario.NewShardBackend(dir, plan.Topo, s.Eps, s.Run.Shards, s.Run.ShardMode)
+			b, err = scenario.NewShardBackend(dir, plan.Topo, s.Eps, s.Run.Shards)
 			if err != nil {
 				return nil, err
 			}
@@ -205,8 +205,7 @@ func runOne(s *scenario.Scenario, seed uint64, backend, addr string) (*scenario.
 		}
 		defer os.RemoveAll(dir)
 		b, err = scenario.StartLive(daemon.Config{
-			Topo: plan.Topo, Eps: s.Eps, StateDir: dir,
-			Shards: s.Run.Shards, ShardMode: s.Run.ShardMode,
+			Topo: plan.Topo, Eps: s.Eps, StateDir: dir, Shards: s.Run.Shards,
 		}, failovers)
 		if err != nil {
 			return nil, err

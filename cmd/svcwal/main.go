@@ -3,9 +3,8 @@
 // wal-1.log` and `jq . snap-2.snap` no longer show them; this does:
 //
 //	svcwal /var/lib/svcd        # the newest snap-<gen>.snap and
-//	                            # wal-<gen>.log; for a sharded router's
-//	                            # directory, its intents.log
-//	svcwal /var/lib/svcd/pod0   # one pod of a sharded router
+//	                            # wal-<gen>.log
+//	svcwal /var/lib/svcd/pod-0  # one pod of a sharded router
 //	svcwal state /var/lib/svcd  # the newest snapshot's whole state, as
 //	                            # the JSON GET /v1/state serves
 //

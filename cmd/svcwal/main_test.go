@@ -48,7 +48,6 @@ func TestSmoke(t *testing.T) {
 		`"format":"json","op":"alloc","job":3,"homog":{"n":4,"mu":2}`,
 		`"format":"json","op":"epoch","epoch":3}`,
 		"wal-2.log: 17 records, clean length 1864 bytes, epoch 3\n",
-		"intents.log: 4 records, clean length 386 bytes\n",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("legacy output lacks %q:\n%s", want, out.String())

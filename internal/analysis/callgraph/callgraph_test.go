@@ -9,7 +9,7 @@ import (
 	"repro/internal/analysis/callgraph"
 )
 
-var fixturePaths = []string{"repro/internal/core", "repro/internal/shard", "consumer"}
+var fixturePaths = []string{"repro/internal/core", "repro/internal/wal", "consumer"}
 
 func loadUnits(t *testing.T) map[string]*callgraph.Unit {
 	t.Helper()
@@ -22,22 +22,18 @@ func loadUnits(t *testing.T) map[string]*callgraph.Unit {
 
 // TestCrossPackageRestriction drives the declarative restriction table
 // over a multi-package fixture: the declaring package and the
-// allow-listed shard stand-in call the seam and its plan half freely;
-// the outside consumer's direct calls are the violations, in source
-// order (the interface call is not a direct one).
+// allow-listed wal stand-in call the seam freely; the outside consumer's
+// direct call is the violation (the interface call is not a direct one).
 func TestCrossPackageRestriction(t *testing.T) {
 	units := loadUnits(t)
-	for _, p := range []string{"repro/internal/core", "repro/internal/shard"} {
+	for _, p := range []string{"repro/internal/core", "repro/internal/wal"} {
 		if vs := callgraph.CheckRestrictions(units[p], callgraph.DefaultRestrictions); len(vs) != 0 {
 			t.Errorf("%s: unexpected violations %v", p, vs)
 		}
 	}
 	vs := callgraph.CheckRestrictions(units["consumer"], callgraph.DefaultRestrictions)
-	plan := " outside internal/shard plans a commit that does not re-check Eq. 4; use the Manager admission API"
 	want := []string{
-		"CommitExternal outside internal/shard commits an unplanned mutation; use the Manager admission API",
-		"PlanHomog" + plan,
-		"PlanHetero" + plan,
+		"Replay outside internal/wal applies a raw journal record outside the one replay loop recovery and the standby share",
 	}
 	if len(vs) != len(want) {
 		t.Fatalf("consumer violations = %d, want %d: %v", len(vs), len(want), vs)
@@ -55,15 +51,15 @@ func TestCrossPackageRestriction(t *testing.T) {
 func TestGraphEdges(t *testing.T) {
 	units := loadUnits(t)
 	g := callgraph.Build([]*callgraph.Unit{
-		units["repro/internal/core"], units["repro/internal/shard"], units["consumer"],
+		units["repro/internal/core"], units["repro/internal/wal"], units["consumer"],
 	})
 	r := render(g)
 	for _, want := range []string{
 		"consumer.Fine\n  -> repro/internal/core.(*Manager).Allocate static",
-		"consumer.Sneak\n  -> repro/internal/core.(*Manager).CommitExternal static",
-		"consumer.Indirect\n  -> repro/internal/core.(*Manager).CommitExternal dynamic",
-		"repro/internal/shard.Admit\n  -> repro/internal/core.(*Manager).CommitExternal static",
-		"repro/internal/core.(*Manager).Allocate\n  -> repro/internal/core.(*Manager).CommitExternal static",
+		"consumer.Sneak\n  -> repro/internal/core.(*Manager).Replay static",
+		"consumer.Indirect\n  -> repro/internal/core.(*Manager).Replay dynamic",
+		"repro/internal/wal.Recover\n  -> repro/internal/core.(*Manager).Replay static",
+		"repro/internal/core.(*Manager).Allocate\n  -> repro/internal/core.(*Manager).Replay static",
 	} {
 		if !strings.Contains(r, want) {
 			t.Errorf("graph rendering missing %q:\n%s", want, r)

@@ -1,6 +1,6 @@
 // Cross-package call restrictions: the declarative generalization of
-// journalseam's original hand-coded "CommitExternal may only be called
-// from internal/shard" rule. A Restriction names one method (or
+// journalseam's original hand-coded rule that one seam method may only be
+// called from one package. A Restriction names one method (or
 // package-level function) and the packages allowed to call it; every
 // call site anywhere else is a violation. The check needs only the
 // calling package's type information, so it runs identically in the
@@ -33,24 +33,8 @@ type Restriction struct {
 }
 
 // DefaultRestrictions is the repo's cross-package restriction table.
-// journalseam applies it to every package it visits; the fixture that
-// pinned the original hand-coded rule now pins this entry.
+// journalseam applies it to every package it visits.
 var DefaultRestrictions = []Restriction{
-	{
-		Pkg: "repro/internal/core", Recv: "Manager", Method: "CommitExternal",
-		AllowedFrom: []string{"repro/internal/shard"},
-		Reason:      "commits an unplanned mutation; use the Manager admission API",
-	},
-	{
-		Pkg: "repro/internal/core", Recv: "Manager", Method: "PlanHomog",
-		AllowedFrom: []string{"repro/internal/shard"},
-		Reason:      "plans a commit that does not re-check Eq. 4; use the Manager admission API",
-	},
-	{
-		Pkg: "repro/internal/core", Recv: "Manager", Method: "PlanHetero",
-		AllowedFrom: []string{"repro/internal/shard"},
-		Reason:      "plans a commit that does not re-check Eq. 4; use the Manager admission API",
-	},
 	{
 		Pkg: "repro/internal/core", Recv: "Manager", Method: "Replay",
 		AllowedFrom: []string{"repro/internal/wal"},

@@ -1,12 +1,12 @@
-// A package outside the allow-list: its direct seam calls are the
-// cross-package violations; its admission-API call is clean.
+// A package outside the allow-list: its direct seam call is the
+// cross-package violation; its admission-API call is clean.
 package consumer
 
 import "repro/internal/core"
 
-// Sneak bypasses the admission API: restricted.
+// Sneak applies a record outside the replay loop: restricted.
 func Sneak(m *core.Manager) error {
-	return m.CommitExternal(core.Mutation{})
+	return m.Replay(&core.Mutation{})
 }
 
 // Fine goes through the admission API: clean.
@@ -15,17 +15,7 @@ func Fine(m *core.Manager) error {
 }
 
 // Indirect calls the seam through the interface: the engine resolves it
-// as a dynamic edge to every CommitExternal method in the program.
-func Indirect(c core.Committer) error {
-	return c.CommitExternal(core.Mutation{})
-}
-
-// Peek plans outside the router, where nothing holds the manager between
-// the plan and a commit: restricted, for either kind of request.
-func Peek(m *core.Manager) error {
-	if _, err := m.PlanHomog(1); err != nil {
-		return err
-	}
-	_, err := m.PlanHetero(1)
-	return err
+// as a dynamic edge to every Replay method in the program.
+func Indirect(r core.Replayer) error {
+	return r.Replay(&core.Mutation{})
 }

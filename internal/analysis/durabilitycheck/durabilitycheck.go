@@ -71,7 +71,6 @@ var MutatorNames = map[string]bool{
 	"AdvanceEpoch":   true,
 	"Commit":         true,
 	"StageCommit":    true,
-	"CommitExternal": true,
 }
 
 // commitWaits are the wal-level operations that block until the record

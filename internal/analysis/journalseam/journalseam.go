@@ -23,21 +23,19 @@
 //
 // The sharded control plane gets the same treatment at the router
 // layer. Inside repro/internal/shard, the Router's recovered tables
-// (jobPods, crossMut, idem) are rebuilt from the pod WALs plus the
-// intent log on every reopen, so a write outside the functions that
-// mirror journaled commits silently diverges the live maps from what
-// recovery will reconstruct; such writes (idem.Bind included) are flagged
-// outside the shard seam functions: admitted, released and faulted, each
-// mirroring one settled commit, and rebuildTables.
+// (jobPods, idem) are rebuilt from the pod WALs on every reopen, so a
+// write outside the functions that mirror journaled commits silently
+// diverges the live maps from what recovery will reconstruct; such writes
+// (idem.Bind included) are flagged outside the shard seam functions:
+// admitted, released and faulted, each mirroring one settled commit, and
+// rebuildTables.
 //
-// Cross-package seam entry points — Manager.CommitExternal and
-// PlanHomog/PlanHetero (a commit and a plan that nothing holds together
-// outside the strict router's opMu) and Manager.Replay (the raw record
-// applier, called from wal's one replay loop and nowhere else) — are
-// policed through the declarative restriction table
-// in internal/analysis/callgraph (DefaultRestrictions): each entry
-// names the function and the packages allowed to call it, and every
-// call site anywhere else is a finding.
+// Cross-package seam entry points — Manager.Replay, the raw record
+// applier, called from wal's one replay loop and nowhere else — are
+// policed through the declarative restriction table in
+// internal/analysis/callgraph (DefaultRestrictions): each entry names the
+// function and the packages allowed to call it, and every call site
+// anywhere else is a finding.
 package journalseam
 
 import (
@@ -95,15 +93,14 @@ func seamFunc(name string) bool {
 }
 
 // routerTables are the Router fields recovery rebuilds from the pod
-// WALs plus the intent log; every live write must mirror a journaled
-// commit or replay, which only the shard seam functions do.
+// WALs; every live write must mirror a journaled commit, which only the
+// shard seam functions do.
 var routerTables = map[string]bool{
-	"jobPods": true, "crossMut": true, "idem": true,
+	"jobPods": true, "idem": true,
 }
 
 // shardSeamFunc lists the Router methods allowed to write the recovered
-// tables: the three that mirror a settled admission, release or fault —
-// shared by the live paths of both modes, foldIntents and resolveInDoubt —
+// tables: the three that mirror a settled admission, release or fault,
 // and recovery's rebuildTables (plus constructors, as in core; Open is
 // one, and initialises the maps).
 func shardSeamFunc(name string) bool {

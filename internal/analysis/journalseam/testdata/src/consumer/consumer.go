@@ -37,13 +37,6 @@ func Kill(f *topology.Faults, id topology.MachineID) {
 	f.FailMachine(id) // want `direct Faults\.FailMachine outside internal/core`
 }
 
-// --- positive: committing a hand-built mutation from outside the
-// sharded router bypasses admission planning entirely ---
-
-func Inject(m *core.Manager, mut core.Mutation) error {
-	return m.CommitExternal(mut) // want `CommitExternal outside internal/shard`
-}
-
 // --- positive: replaying a raw record outside wal's replay loop skips
 // planning and journaling both ---
 

@@ -154,15 +154,6 @@ func (m *Manager) Replay(mut *Mutation) error {
 	return m.applyLocked(mut)
 }
 
-// --- negative: the externally-planned commit half (the shard router's
-// escape hatch; calling it is policed in consumer packages, not here) ---
-
-func (m *Manager) CommitExternal(mut Mutation) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.applyLocked(&mut)
-}
-
 func (m *Manager) Release(id JobID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,10 +1,10 @@
 // Package lockorder builds the program's static lock-order graph and
 // enforces the documented global acquisition order (docs/INVARIANTS.md
 // I11). It is the first analyzer that needs the whole-program layer:
-// the two-phase commit path holds shard.Router.opMu while spawned
-// goroutines drive pod managers into core.Manager.mu and from there —
-// through the core.Journal interface — into wal.Journal.writeMu and
-// wal.Journal.mu, a chain no single package can see.
+// the daemon holds daemon.Daemon.roleMu while it checkpoints managers,
+// which take core.Manager.mu and from there — through the core.Journal
+// interface — wal.Journal.writeMu and wal.Journal.mu, a chain no single
+// package can see.
 //
 // Lock classes are (package, receiver type, field) triples like
 // core.Manager.mu; mutexes that are not fields of a named struct carry
@@ -18,9 +18,9 @@
 //     callee may acquire transitively (a callgraph.Fixpoint fact, so
 //     the WAL's group-commit closure is visible behind Journal.Commit);
 //   - a go statement propagates the spawner's held set into the spawned
-//     body: the spawner typically blocks on the goroutines it launched
-//     (the wg.Wait-under-opMu two-phase commit), so their acquisitions
-//     order against its held locks;
+//     body: a spawner may block on the goroutines it launched (a
+//     wg.Wait under a held lock), so their acquisitions order against
+//     its held locks;
 //   - same-class edges are skipped (two pods' Manager.mu alias one
 //     class; instance identity is out of scope).
 //
@@ -59,7 +59,6 @@ var Analyzer = &analysis.Analyzer{
 // only. Var so the analyzer tests can rank fixture classes.
 var Order = []string{
 	"repro/internal/daemon.Daemon.roleMu",
-	"repro/internal/shard.Router.opMu",
 	"repro/internal/shard.Router.tabMu",
 	"repro/internal/replica.Standby.syncMu",
 	"repro/internal/replica.Standby.mu",
@@ -229,10 +228,9 @@ func (c *checker) walker() *flow.Walker {
 			return s
 		},
 		Go: func(call *ast.CallExpr, s flow.State) flow.State {
-			// The spawner's held set flows into the spawned body: the
-			// two-phase commit holds opMu while its goroutines commit
-			// into the pods, and those acquisitions must order against
-			// opMu because the spawner blocks on them.
+			// The spawner's held set flows into the spawned body: a
+			// spawner that blocks on its goroutines while holding a lock
+			// orders their acquisitions against that lock.
 			held := s.(heldSet)
 			if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 				c.walker().Walk(fl.Body, held.Clone())

@@ -23,13 +23,12 @@
 //     accessor calls it on its own unpinned spare and nobody calls it on
 //     a ledger they were lent (it is unexported, so only core could).
 //
-// The sharded router's recovered tables (Router.jobPods, crossMut,
-// idem in repro/internal/shard) get the snapshot treatment too: values
-// read out of them — a pod list, a stored cross-pod mutation whose
-// Placement and Contribs share backing arrays with the table — are
-// live shared state, so a variable bound to a table read (or to the
-// table itself) must not be written through or handed to a mutator;
-// copy first, as MergedState does with every Contribs slice.
+// The sharded router's recovered tables (Router.jobPods and idem in
+// repro/internal/shard) get the snapshot treatment too: values read out
+// of them — a binding whose Placement shares its backing array with the
+// table — are live shared state, so a variable bound to a table read (or
+// to the table itself) must not be written through or handed to a
+// mutator; copy first, as IdemState.Allocation does.
 package snapshotro
 
 import (
@@ -82,7 +81,7 @@ var ShardPath = "repro/internal/shard"
 // routerTables are the Router fields whose values are shared with the
 // live tables: reading one hands out aliased state, never a copy.
 var routerTables = map[string]bool{
-	"jobPods": true, "crossMut": true, "idem": true,
+	"jobPods": true, "idem": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -267,7 +266,7 @@ func snapshotVars(pass *analysis.Pass, fn *ast.FuncDecl) map[types.Object]bool {
 }
 
 // isTableRead reports whether the expression reads a recovered router
-// table (r.jobPods[id], r.crossMut[id], r.idem — with or without the
+// table (r.jobPods[id], r.idem[key], r.idem — with or without the
 // index), whose value aliases the live table.
 func isTableRead(pass *analysis.Pass, e ast.Expr) bool {
 	if idx, ok := e.(*ast.IndexExpr); ok {

@@ -3,71 +3,54 @@
 // tables alias live shared state and are read-only.
 package shard
 
-type Contribution struct {
-	Link int
-	Mean float64
-}
-
-type Mutation struct {
-	Job      int
-	Contribs []Contribution
+type PlacementEntry struct {
+	Machine int
+	Count   int
 }
 
 type IdemState struct {
-	Job int64
+	Job       int64
+	Placement []PlacementEntry
 }
 
 type Router struct {
-	jobPods  map[int][]int
-	crossMut map[int]Mutation
-	idem     map[string]IdemState
+	jobPods map[int]int
+	idem    map[string]IdemState
 }
 
 // --- negative: reading a table value without mutating it ---
 
-func (r *Router) IsCross(id int) bool {
-	pods := r.jobPods[id]
-	return len(pods) > 1
+func (r *Router) PodOf(id int) int {
+	pod := r.jobPods[id]
+	return pod
 }
 
 // --- negative: a defensive copy may be edited freely ---
 
-func (r *Router) PodsCopy(id int) []int {
-	pods := r.jobPods[id]
-	cp := append([]int(nil), pods...)
-	if len(cp) > 0 {
-		cp[0] = -cp[0]
+func (r *Router) PlacementCopy(key string) []PlacementEntry {
+	is := r.idem[key]
+	out := append([]PlacementEntry(nil), is.Placement...)
+	if len(out) > 0 {
+		out[0].Count = 0
 	}
-	return cp
-}
-
-// --- negative: copying a stored mutation's contribs before sorting ---
-
-func (r *Router) ContribsCopy(id int) []Contribution {
-	mut := r.crossMut[id]
-	out := append([]Contribution(nil), mut.Contribs...)
 	return out
 }
 
-// --- positive: editing the pod list shared with the live table ---
+// --- positive: editing a bound placement shared with the live table ---
 
-func (r *Router) badRehome(id int) {
-	pods := r.jobPods[id]
-	if len(pods) > 0 {
-		pods[0] = 0 // want `write through shared snapshot pods`
-	}
-}
-
-// --- positive: scaling a stored mutation's contributions in place ---
-
-func (r *Router) badScale(id int, f float64) {
-	mut := r.crossMut[id]
-	for i := range mut.Contribs {
-		mut.Contribs[i].Mean *= f // want `write through shared snapshot mut`
+func (r *Router) badRehome(key string, machine int) {
+	is := r.idem[key]
+	for i := range is.Placement {
+		is.Placement[i].Machine = machine // want `write through shared snapshot is`
 	}
 }
 
 // --- positive: aliasing a whole table and writing through the alias ---
+
+func (r *Router) badMove(id, pod int) {
+	jobPods := r.jobPods
+	jobPods[id] = pod // want `write through shared snapshot jobPods`
+}
 
 func (r *Router) badAlias(key string) {
 	idem := r.idem

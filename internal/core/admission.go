@@ -18,7 +18,7 @@ import (
 // AdmissionStats counts admissions and the plans behind them. Locked
 // counts committed admissions, every one of which planned under the write
 // lock; Plan summarizes the planning time of every plan, committed or
-// rejected, PlanHomog/PlanHetero included.
+// rejected.
 type AdmissionStats struct {
 	// The five counters of the snapshot-planned pipeline, which is gone:
 	// they stay declared only while bench/ and the pinned /v1/status key

@@ -57,35 +57,6 @@ func TestAdmissionAllocBudget(t *testing.T) {
 	}
 }
 
-// TestAdmissionAllocCount counts objects where TestAdmissionAllocBudget
-// counts bytes: a warm AllocateHomog whose placement spans two machines
-// allocated 31 objects (go1.24) while the planner's contributions were
-// converted to the journaled type and back on their way into the job; held
-// in one type they are copied once, for the job, and a conversion that
-// creeps back in fails here.
-func TestAdmissionAllocCount(t *testing.T) {
-	topo, err := topology.NewThreeTier(topology.PaperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.NewManager(topo, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := core.Homogeneous{N: 6, Demand: stats.Normal{Mu: 100, Sigma: 40}}
-	admit := func() {
-		if _, err := m.AllocateHomog(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ { // past the plan cache's second-sight admission
-		admit()
-	}
-	if got := testing.AllocsPerRun(200, admit); got > 30 {
-		t.Errorf("a warm AllocateHomog allocates %v objects, want <= 30", got)
-	}
-}
-
 // TestRepairAllIsOneGroupCommit: a sweep stages every repair under one
 // hold of the manager lock and waits once, so a single caller's K repairs
 // reach the log as one batch — and the log recovers to the live state.

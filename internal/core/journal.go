@@ -79,8 +79,7 @@ func (op MutationOp) String() string {
 // meaningful depends on Op; see the field comments. Placement and Contribs
 // are the planners', the jobs' and the exported state's own types, so a
 // plan reaches the journal and the ledger unconverted — but cloned: a
-// Mutation may be shared (the sharded router commits one into a pod and
-// then into its shadow; a journal may keep it), so applyLocked hands no
+// Mutation may be shared (a journal may keep it), so applyLocked hands no
 // job or binding its memory — which lets replay reuse its decode storage.
 type Mutation struct {
 	Op  MutationOp
@@ -380,9 +379,8 @@ func (m *Manager) Replay(mut Mutation) error {
 // validateMutationLocked rejects mutations that would corrupt or panic
 // the ledger. Planned mutations never are such; this guards the replay
 // path against a journal that passed its checksums but is semantically
-// inconsistent with the manager's state, CommitExternal against a plan
-// made elsewhere, and the fault ops and SetOffline against a caller's
-// target that is no machine or link (ErrBadRequest).
+// inconsistent with the manager's state, and the fault ops and SetOffline
+// against a caller's target that is no machine or link (ErrBadRequest).
 func (m *Manager) validateMutationLocked(mut Mutation) error {
 	topo := m.led.Topology()
 	validMachine := func(id topology.NodeID) error {

@@ -308,10 +308,10 @@ func (m *Manager) Version() uint64 {
 // SetOffline takes a machine out of (or back into) service. Offline
 // machines receive no new VMs; running jobs are unaffected until their
 // owner releases or fails them. It fails when the node is not a machine
-// (ErrBadRequest) or the attached journal rejects the mutation: nothing
-// plans the mutation, so it is validated as CommitExternal does.
+// (ErrBadRequest) or the attached journal rejects the mutation.
 func (m *Manager) SetOffline(machine topology.NodeID, offline bool) error {
-	return m.CommitExternal(Mutation{Op: OpSetOffline, Node: machine, Offline: offline})
+	_, err := m.fault(Mutation{Op: OpSetOffline, Node: machine, Offline: offline}, nil, false)
+	return err
 }
 
 // MaxOccupancy returns the maximum bandwidth occupancy ratio over all

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -18,12 +17,6 @@ import (
 // back to a documented graceful-degradation path: the job is re-placed with
 // the admission condition relaxed and its honest, weakened effective eps is
 // recorded instead of silently violating Eq. 4.
-
-// ErrNotRepairable reports a repair request for a job its controller
-// cannot re-place where it stands: the client's remedy is to release and
-// re-admit, not to retry. The manager itself never returns it; a sharded
-// router wraps it for a job that spans pods.
-var ErrNotRepairable = errors.New("core: job cannot be repaired in place")
 
 // RepairOutcome classifies what RepairJob did to one job.
 type RepairOutcome int
@@ -117,11 +110,11 @@ func (s FailureStats) MarshalJSON() ([]byte, error) {
 	}{printedCounters(s.CounterState), rest(s)})
 }
 
-// fault commits one fault-overlay mutation and, for the Fail* calls,
-// reports the jobs displaced once it is applied. A key the same op already
-// committed skips the mutation entirely (fault ops are idempotent; the
-// stored binding just marks the request as applied). A target that is not
-// a machine, or has no uplink, is ErrBadRequest.
+// fault commits one fault-overlay mutation (or a SetOffline) and, for the
+// Fail* calls, reports the jobs displaced once it is applied. A key the
+// same op already committed skips the mutation entirely (fault ops are
+// idempotent; the stored binding just marks the request as applied). A
+// target that is not a machine, or has no uplink, is ErrBadRequest.
 func (m *Manager) fault(mut Mutation, opts []CallOption, wantAffected bool) ([]JobID, error) {
 	mut.IdemKey = evalCallOpts(opts).idemKey
 	wait := noWait

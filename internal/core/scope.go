@@ -86,8 +86,8 @@ func (o planSubtreeOption) apply(m *Manager) {
 // WithPlanSubtree restricts the manager's planning DPs (homogeneous,
 // substring-heterogeneous, pinned repair, headroom, dry runs) to the
 // subtree rooted at root. Mutations addressed outside the subtree are
-// still accepted through Replay/CommitExternal — the ledger covers the
-// whole topology — but the manager will never *place* VMs outside it.
+// still accepted through Replay — the ledger covers the whole topology —
+// but the manager will never *place* VMs outside it.
 // Scoped managers plan heterogeneous requests with the substring
 // algorithm regardless of WithHeteroAlgorithm (the exact and first-fit
 // allocators have no scoped variants).

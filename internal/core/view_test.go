@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -394,6 +395,17 @@ func TestDryRunEqualsAdmission(t *testing.T) {
 	}
 }
 
+// planOnly runs an admission's plan step on mut and stops there, before
+// the commit.
+func planOnly(t *testing.T, m *Manager, mut Mutation) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.planLocked(&mut); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDryRunBuildsNoPlacement: on a warm key with no mutation in between,
 // a dry run allocates nothing, while the plan an admission runs on the
 // same table allocates its placement and contribution slices.
@@ -417,9 +429,8 @@ func TestDryRunBuildsNoPlacement(t *testing.T) {
 	}
 	dry := testing.AllocsPerRun(50, func() { m.CanAllocateHomog(req) })
 	plan := testing.AllocsPerRun(50, func() {
-		if _, err := m.PlanHomog(req); err != nil {
-			t.Fatal(err)
-		}
+		r := req
+		planOnly(t, m, Mutation{Op: OpAlloc, Homog: &r})
 	})
 	if dry != 0 {
 		t.Errorf("warm homogeneous dry run allocates %v times, want 0", dry)
@@ -429,9 +440,7 @@ func TestDryRunBuildsNoPlacement(t *testing.T) {
 	}
 	hdry := testing.AllocsPerRun(50, func() { m.CanAllocateHetero(hreq) })
 	hplan := testing.AllocsPerRun(50, func() {
-		if _, err := m.PlanHetero(hreq); err != nil {
-			t.Fatal(err)
-		}
+		planOnly(t, m, Mutation{Op: OpAlloc, Hetero: &Heterogeneous{Demands: slices.Clone(hreq.Demands)}})
 	})
 	// Both sort the request by percentile and render the cache key; only
 	// the plan builds the per-machine VM lists, placement and contributions.

@@ -36,7 +36,6 @@ type Config struct {
 	Role            string // "primary" (also "") or "standby"
 	Follow          string // primary base URL, required for a standby
 	Shards          int    // 0: unsharded; N: one pod-local shard per aggregation subtree
-	ShardMode       string // "strict" (also "", the default) or "fast"; refused without shards
 }
 
 // journaled is one manager and the log it commits to: the unsharded
@@ -55,7 +54,7 @@ type Daemon struct {
 	listener  net.Listener
 	serveErr  chan error
 	stopTick  chan struct{}
-	router    *shard.Router // non-nil with Shards; it owns the pod journals and the intent log
+	router    *shard.Router // non-nil with Shards; it owns the pod journals
 	recovered int
 
 	// roleMu guards what promotion replaces — the logs, the standby and
@@ -80,9 +79,6 @@ func New(cfg Config) (_ *Daemon, err error) {
 	if cfg.NoSync {
 		walOpts = append(walOpts, wal.WithNoSync())
 	}
-	if cfg.ShardMode != "" && cfg.Shards == 0 {
-		return nil, errors.New("-shard-mode requires -shards")
-	}
 	var wiring httpapi.Wiring
 	switch cfg.Role {
 	case "", "primary":
@@ -95,12 +91,7 @@ func New(cfg Config) (_ *Daemon, err error) {
 			if cfg.StateDir == "" {
 				return nil, errors.New("-shards needs -state-dir (each pod keeps its own write-ahead log)")
 			}
-			mode, err := shard.ParseMode(cfg.ShardMode)
-			if err != nil {
-				return nil, err
-			}
 			d.router, err = shard.Open(cfg.StateDir, cfg.Topo, cfg.Eps, cfg.Shards, shard.Options{
-				Mode:          mode,
 				MgrOpts:       cfg.MgrOpts,
 				NoSync:        cfg.NoSync,
 				SnapshotEvery: cfg.CheckpointEvery,
@@ -214,11 +205,7 @@ func (d *Daemon) primaryWiring(ctrl httpapi.Controller) httpapi.Wiring {
 	}
 	if r := d.router; r != nil {
 		w.Sharding = func() *httpapi.ShardingStatus {
-			ss := &httpapi.ShardingStatus{
-				Mode:         r.Mode().String(),
-				Shards:       r.Shards(),
-				CrossPodJobs: r.CrossPodJobs(),
-			}
+			ss := &httpapi.ShardingStatus{Shards: r.Shards()}
 			for _, st := range r.ShardStatuses() {
 				ss.Pods = append(ss.Pods, httpapi.PodStatus(st))
 			}
@@ -383,7 +370,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 }
 
 // closeFiles closes every file the node holds: the standby's mirror,
-// the router's pod journals and intent log, or the journal.
+// the router's pod journals, or the journal.
 func (d *Daemon) closeFiles() error {
 	var err error
 	if d.standby != nil {

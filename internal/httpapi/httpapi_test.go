@@ -370,7 +370,7 @@ var statusKeys = []string{
 	"replication.role", "replication.epoch", "replication.gen",
 	"replication.applied_off", "replication.durable_off",
 	"replication.lag_bytes", "replication.lag_records", "replication.version",
-	"sharding.mode", "sharding.shards", "sharding.crossPodJobs",
+	"sharding.shards",
 	"sharding.pods.shard", "sharding.pods.root", "sharding.pods.jobs",
 	"sharding.pods.freeSlots", "sharding.pods.maxOccupancy",
 }

@@ -19,7 +19,7 @@
 //
 // Idempotency-Key: the three mutating endpoints (allocate, release,
 // fault) accept the header, and core.IdemTable decides what a repeated
-// key answers, the same on svcd and on svcd -shards K in either mode. A
+// key answers, the same on svcd and on svcd -shards K. A
 // key nothing committed executes. A key the same operation committed —
 // for a release, of the same job — replays the original outcome (201 with
 // the original placement, 204, 200) without executing. A key any other
@@ -114,10 +114,8 @@ type Status struct {
 // ShardingStatus reports the sharded control plane's layout and load.
 // The daemon injects it (Wiring.Sharding) when running with -shards.
 type ShardingStatus struct {
-	Mode         string      `json:"mode"`
-	Shards       int         `json:"shards"`
-	CrossPodJobs int         `json:"crossPodJobs"`
-	Pods         []PodStatus `json:"pods"`
+	Shards int         `json:"shards"`
+	Pods   []PodStatus `json:"pods"`
 }
 
 // PodStatus is one shard's slice of the status surface.
@@ -711,7 +709,7 @@ var (
 // may not import it), and what matches none of them is the server's fault.
 func statusOf(err error) int {
 	switch {
-	case errors.Is(err, core.ErrNoCapacity), errors.Is(err, core.ErrIdemConflict), errors.Is(err, core.ErrNotRepairable):
+	case errors.Is(err, core.ErrNoCapacity), errors.Is(err, core.ErrIdemConflict):
 		return http.StatusConflict
 	case errors.Is(err, core.ErrBadRequest), errors.Is(err, errBadBody):
 		return http.StatusBadRequest

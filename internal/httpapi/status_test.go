@@ -63,7 +63,6 @@ func TestStatusOfTable(t *testing.T) {
 	}{
 		{core.ErrNoCapacity, http.StatusConflict},
 		{core.ErrIdemConflict, http.StatusConflict},
-		{core.ErrNotRepairable, http.StatusConflict},
 		{core.ErrBadRequest, http.StatusBadRequest},
 		{core.ErrUnknownJob, http.StatusNotFound},
 		{core.ErrJournal, http.StatusServiceUnavailable},

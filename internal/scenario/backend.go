@@ -97,20 +97,15 @@ func NewSimBackend(topo *topology.Topology, eps float64) (*SimBackend, error) {
 	}}, nil
 }
 
-// NewShardBackend opens a sharded router under dir (mode is "" | strict
-// | fast; pod WALs open nosync — scenarios measure the controller, not
-// the disk). Its failover restarts the control plane from its own
-// durable state — close the router, reopen from the same directory,
-// replaying every pod WAL and resolving the cross-pod intent log —
+// NewShardBackend opens a sharded router under dir (pod WALs open nosync
+// — scenarios measure the controller, not the disk). Its failover
+// restarts the control plane from its own durable state — close the
+// router, reopen from the same directory, replaying every pod WAL —
 // rather than switching to a hot standby, so failover scenarios double
 // as recovery soak tests.
-func NewShardBackend(dir string, topo *topology.Topology, eps float64, shards int, mode string) (*SimBackend, error) {
-	m, err := shard.ParseMode(mode)
-	if err != nil {
-		return nil, err
-	}
+func NewShardBackend(dir string, topo *topology.Topology, eps float64, shards int) (*SimBackend, error) {
 	open := func() (httpapi.Controller, error) {
-		return shard.Open(dir, topo, eps, shards, shard.Options{Mode: m, NoSync: true})
+		return shard.Open(dir, topo, eps, shards, shard.Options{NoSync: true})
 	}
 	r, err := open()
 	if err != nil {
@@ -124,10 +119,9 @@ func NewShardBackend(dir string, topo *topology.Topology, eps float64, shards in
 	}}, nil
 }
 
-// Failover switches to the successor controller. Jobs, reservations,
-// the idempotency table, and (sharded) in-flight cross-pod intents must
-// all survive — the engine's conservation mirror checks exactly that at
-// the next sample.
+// Failover switches to the successor controller. Jobs, reservations and
+// the idempotency table must all survive — the engine's conservation
+// mirror checks exactly that at the next sample.
 func (b *SimBackend) Failover() error {
 	next, err := b.failover(b.ctrl)
 	if err != nil {
@@ -172,9 +166,7 @@ func (b *SimBackend) Apply(ev Event) error {
 	return err
 }
 
-// RepairAll re-places every displaced job. A sharded router skips
-// cross-pod jobs (see shard.ErrCrossPodRepair); they keep their
-// reservations until released or killed.
+// RepairAll re-places every displaced job.
 func (b *SimBackend) RepairAll() ([]Repair, error) {
 	results, err := b.ctrl.RepairAll()
 	if err != nil {
@@ -199,8 +191,8 @@ func (b *SimBackend) State() (*core.ManagerState, error) {
 	return b.ctrl.ExportState(), nil
 }
 
-// Close releases what the controller holds: a router's pod WALs and
-// intent log; an unsharded manager holds nothing.
+// Close releases what the controller holds: a router's pod WALs; an
+// unsharded manager holds nothing.
 func (b *SimBackend) Close() error {
 	if r, ok := b.ctrl.(*shard.Router); ok {
 		return r.Close()
@@ -235,10 +227,10 @@ func NewLiveBackend(base string) *LiveBackend {
 
 // StartLive starts the daemon svcd runs on a loopback port — nosync:
 // scenarios measure the controller, not the disk — and returns a backend
-// that owns it. cfg carries Topo, Eps, StateDir (empty: in memory),
-// Shards and ShardMode. With pair, the node is a journaled primary with
-// a real -role standby node following it, and Failover is what an
-// operator does: promote the standby, crash the old primary.
+// that owns it. cfg carries Topo, Eps, StateDir (empty: in memory) and
+// Shards. With pair, the node is a journaled primary with a real -role
+// standby node following it, and Failover is what an operator does:
+// promote the standby, crash the old primary.
 func StartLive(cfg daemon.Config, pair bool) (*LiveBackend, error) {
 	cfg.Addr, cfg.NoSync = "127.0.0.1:0", true
 	pcfg := cfg

@@ -20,7 +20,6 @@ var corpusExpect = map[string]bool{
 	"admit-storm":      true,
 	"failover-soak":    true,
 	"sharded-churn":    true,
-	"sharded-crosspod": true,
 	"negative-control": false,
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/daemon"
 )
 
@@ -72,99 +73,90 @@ func TestDifferentialSimVsLive(t *testing.T) {
 	}
 }
 
-// TestDifferentialSimVsSharded runs the same compiled plan against the
-// unsharded offline manager and against the pod-sharded router, twice:
-// once in-process and once behind the HTTP API. Strict mode promises
-// sharding is an implementation detail — identical admission outcomes,
-// identical reports, and a bit-identical final exported ledger. Chaos
-// runs in kill mode because cross-pod jobs are not repairable (the
-// sharded RepairAll skips them, which would legitimately diverge).
+// TestDifferentialSimVsSharded runs one compiled plan per document on
+// several backends and requires identical reports and final exported
+// ledgers. On a tree with one aggregation subtree the router has one pod
+// holding the whole tree, so it IS the unsharded manager (INVARIANTS.md
+// I10): the offline manager, the in-process router and a sharded svcd
+// behind the HTTP API must agree, repairs included. With two pods the
+// router rejects what no single pod can host, which the manager would
+// place, so there the in-process router and the sharded svcd agree with
+// each other.
 func TestDifferentialSimVsSharded(t *testing.T) {
-	s := decodeTestDoc(t)
-	s.Chaos.Repair = false
-	s.Run.Shards = 2
-	s.Run.ShardMode = "strict"
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	onePod := decodeTestDoc(t)
+	onePod.Topology.Aggs, onePod.Topology.TorsPerAgg = 1, 4
+	onePod.Run.Shards = 1
+	twoPods := decodeTestDoc(t)
+	twoPods.Run.Shards = 2
+	for _, s := range []*Scenario{onePod, twoPods} {
+		if err := s.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
 	}
 
-	plan1, err := s.Compile()
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
+	backends := []string{"shard"}
+	if !testing.Short() { // live daemon round-trips in -short mode
+		backends = append(backends, "live-shard")
 	}
-	sim, err := NewSimBackend(plan1.Topo, s.Eps)
-	if err != nil {
-		t.Fatalf("NewSimBackend: %v", err)
+	wantRep, wantState := runDifferential(t, onePod, "sim")
+	for _, backend := range backends {
+		rep, state := runDifferential(t, onePod, backend)
+		sameRun(t, "one pod: sim vs "+backend, wantRep, rep, wantState, state)
 	}
-	defer sim.Close()
-	simRep, err := Run(plan1, sim)
-	if err != nil {
-		t.Fatalf("sim run: %v", err)
-	}
-	simState, err := sim.State()
-	if err != nil {
-		t.Fatalf("sim state: %v", err)
-	}
-
-	plan2, err := s.Compile()
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	sb, err := NewShardBackend(t.TempDir(), plan2.Topo, s.Eps, s.Run.Shards, s.Run.ShardMode)
-	if err != nil {
-		t.Fatalf("NewShardBackend: %v", err)
-	}
-	defer sb.Close()
-	shardRep, err := Run(plan2, sb)
-	if err != nil {
-		t.Fatalf("shard run: %v", err)
-	}
-	shardRep.Backend = simRep.Backend
-	if !reflect.DeepEqual(simRep, shardRep) {
-		sj, _ := simRep.JSON()
-		hj, _ := shardRep.JSON()
-		t.Fatalf("reports diverge:\nsim:\n%s\nshard:\n%s", sj, hj)
-	}
-	shardState, err := sb.State()
-	if err != nil {
-		t.Fatalf("shard state: %v", err)
-	}
-	if !reflect.DeepEqual(simState, shardState) {
-		t.Fatalf("ledgers diverge:\nsim:   %+v\nshard: %+v", simState, shardState)
-	}
-
 	if testing.Short() {
-		return // live daemon round-trips in -short mode
+		return
 	}
-	plan3, err := s.Compile()
+	wantRep, wantState = runDifferential(t, twoPods, "shard")
+	rep, state := runDifferential(t, twoPods, "live-shard")
+	sameRun(t, "two pods: shard vs live-shard", wantRep, rep, wantState, state)
+}
+
+// runDifferential compiles s and runs it on backend: "sim" (the
+// unsharded manager), "shard" (the in-process router) or "live-shard" (an
+// svcd node with -shards over HTTP). It returns the report, labelled
+// "sim" whatever ran it, and the final exported state.
+func runDifferential(t *testing.T, s *Scenario, backend string) (*Report, *core.ManagerState) {
+	t.Helper()
+	p, err := s.Compile()
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	live, err := StartLive(daemon.Config{
-		Topo: plan3.Topo, Eps: s.Eps, StateDir: t.TempDir(),
-		Shards: s.Run.Shards, ShardMode: s.Run.ShardMode,
-	}, false)
+	var b Backend
+	switch backend {
+	case "sim":
+		b, err = NewSimBackend(p.Topo, s.Eps)
+	case "shard":
+		b, err = NewShardBackend(t.TempDir(), p.Topo, s.Eps, s.Run.Shards)
+	default:
+		b, err = StartLive(daemon.Config{Topo: p.Topo, Eps: s.Eps, StateDir: t.TempDir(), Shards: s.Run.Shards}, false)
+	}
 	if err != nil {
-		t.Fatalf("StartLive sharded: %v", err)
+		t.Fatalf("%s: %v", backend, err)
 	}
-	liveRep, err := Run(plan3, live)
+	rep, err := Run(p, b)
 	if err != nil {
-		t.Fatalf("live sharded run: %v", err)
+		t.Fatalf("%s run: %v", backend, err)
 	}
-	liveRep.Backend = simRep.Backend
-	if !reflect.DeepEqual(simRep, liveRep) {
-		sj, _ := simRep.JSON()
-		lj, _ := liveRep.JSON()
-		t.Fatalf("reports diverge:\nsim:\n%s\nlive-shard:\n%s", sj, lj)
-	}
-	liveState, err := live.State()
+	state, err := b.State()
 	if err != nil {
-		t.Fatalf("live state: %v", err)
+		t.Fatalf("%s state: %v", backend, err)
 	}
-	if !reflect.DeepEqual(simState, liveState) {
-		t.Fatalf("ledgers diverge:\nsim:        %+v\nlive-shard: %+v", simState, liveState)
+	if err := b.Close(); err != nil {
+		t.Fatalf("close %s: %v", backend, err)
 	}
-	if err := live.Close(); err != nil {
-		t.Fatalf("shut down the live node: %v", err)
+	rep.Backend = "sim"
+	return rep, state
+}
+
+// sameRun fails unless two runs agree on the report and the final state.
+func sameRun(t *testing.T, what string, wantRep, rep *Report, wantState, state *core.ManagerState) {
+	t.Helper()
+	if !reflect.DeepEqual(wantRep, rep) {
+		wj, _ := wantRep.JSON()
+		gj, _ := rep.JSON()
+		t.Fatalf("%s: reports diverge:\nwant:\n%s\ngot:\n%s", what, wj, gj)
+	}
+	if !reflect.DeepEqual(wantState, state) {
+		t.Fatalf("%s: states diverge:\nwant: %+v\n got: %+v", what, wantState, state)
 	}
 }

@@ -13,7 +13,7 @@ func runSim(t *testing.T, s *Scenario) *Report {
 	}
 	var b Backend
 	if s.Run.Shards > 0 {
-		b, err = NewShardBackend(t.TempDir(), p.Topo, s.Eps, s.Run.Shards, s.Run.ShardMode)
+		b, err = NewShardBackend(t.TempDir(), p.Topo, s.Eps, s.Run.Shards)
 		if err != nil {
 			t.Fatalf("NewShardBackend: %v", err)
 		}

@@ -165,13 +165,11 @@ type RunSpec struct {
 	// goroutines (admission-storm scenarios).
 	Concurrency int `yaml:"concurrency"`
 	// Shards > 0 runs the sharded control plane (one pod-local ledger and
-	// WAL per aggregation subtree); it must equal the topology's agg
-	// count. A chaos.failovers entry then crashes and recovers the whole
-	// router — pod WALs plus the cross-pod intent log — instead of
-	// switching to a hot standby.
+	// WAL per aggregation subtree; see internal/shard); it must equal the
+	// topology's agg count. A chaos.failovers entry then crashes and
+	// recovers the whole router from its pod WALs instead of switching to
+	// a hot standby.
 	Shards int `yaml:"shards"`
-	// ShardMode: "" (strict) | strict | fast; see internal/shard.
-	ShardMode string `yaml:"shard_mode"`
 }
 
 // AssertSpec is the declarative assertion block; nil / false fields are
@@ -427,18 +425,10 @@ func (s *Scenario) validateRun() error {
 	if r.Concurrency < 0 || r.Concurrency > maxConcurrent {
 		return fmt.Errorf("scenario: run.concurrency %d outside [0, %d]", r.Concurrency, maxConcurrent)
 	}
-	switch r.ShardMode {
-	case "", "strict", "fast":
-	default:
-		return fmt.Errorf("scenario: run.shard_mode %q not strict|fast", r.ShardMode)
-	}
 	if r.Shards < 0 {
 		return fmt.Errorf("scenario: run.shards %d negative", r.Shards)
 	}
 	if r.Shards == 0 {
-		if r.ShardMode != "" {
-			return fmt.Errorf("scenario: run.shard_mode requires run.shards")
-		}
 		return nil
 	}
 	if cfg, err := s.Topology.TopoConfig(); err == nil && r.Shards != cfg.Aggs {

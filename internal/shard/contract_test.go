@@ -11,7 +11,7 @@ import (
 )
 
 // controller is what the idempotency contract is stated over: the keyed
-// mutators of an unsharded core.Manager and of a Router in either mode.
+// mutators of an unsharded core.Manager and of a Router.
 type controller interface {
 	AllocateHomog(core.Homogeneous, ...core.CallOption) (*core.Allocation, error)
 	Release(core.JobID, ...core.CallOption) error
@@ -23,24 +23,19 @@ type controller interface {
 }
 
 // contractSystem opens (and, on the same directory, reopens) one of the
-// controllers the contract must hold for. crossPod makes job j and the
-// alloc binding cross-pod jobs, whose keys live in the router's intent log
-// and not in any pod WAL.
+// controllers the contract must hold for.
 type contractSystem struct {
-	name     string
-	crossPod bool
-	open     func(t *testing.T, dir string, tp *topology.Topology) (controller, func())
+	name string
+	open func(t *testing.T, dir string, tp *topology.Topology) (controller, func())
 }
 
 func contractSystems() []contractSystem {
-	router := func(mode Mode) func(*testing.T, string, *topology.Topology) (controller, func()) {
-		return func(t *testing.T, dir string, tp *topology.Topology) (controller, func()) {
-			r, err := Open(dir, tp, 0.1, 3, Options{Mode: mode, NoSync: true})
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			return r, func() { r.Close() }
+	router := func(t *testing.T, dir string, tp *topology.Topology) (controller, func()) {
+		r, err := Open(dir, tp, 0.1, 3, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
 		}
+		return r, func() { r.Close() }
 	}
 	manager := func(t *testing.T, dir string, tp *topology.Topology) (controller, func()) {
 		mgr, j, err := wal.Recover(dir, tp, 0.1, nil, wal.WithNoSync())
@@ -51,9 +46,7 @@ func contractSystems() []contractSystem {
 	}
 	return []contractSystem{
 		{name: "manager", open: manager},
-		{name: "strict", open: router(Strict)},
-		{name: "strict cross-pod", crossPod: true, open: router(Strict)},
-		{name: "fast", open: router(Fast)},
+		{name: "router", open: router},
 	}
 }
 
@@ -64,11 +57,10 @@ func contractSystems() []contractSystem {
 // restore-machine | fail-link | restore-link). A key nothing bound
 // executes; a key the same op bound (for a release: of the same job)
 // replays the stored outcome and changes nothing; anything else is
-// core.ErrIdemConflict and changes nothing. The unsharded manager, the
-// strict router (pod-local and cross-pod jobs) and the fast router must
-// give the same cell, live and after the directory was closed and
-// reopened — pod-WAL bindings come back through rebuildTables, cross-pod
-// ones through the intent log.
+// core.ErrIdemConflict and changes nothing. The unsharded manager and the
+// router must give the same cell, live and after the directory was
+// closed and reopened — the router's bindings come back from the pod WALs
+// through rebuildTables.
 //
 // A fault call targets a different machine or link than the fault that
 // bound its key, so that executing it would be visible: that reuse still
@@ -83,7 +75,6 @@ func TestIdempotencyContract(t *testing.T) {
 	}
 	mc := tp.Machines()
 	small := homogReq(t, 2, 20, 4)
-	big := homogReq(t, 25, 20, 4) // a pod holds 24 slots
 	const key = "k"
 	withKey := core.WithIdemKey(key)
 
@@ -116,11 +107,7 @@ func TestIdempotencyContract(t *testing.T) {
 
 					// Two live jobs, and two machines and a link already down
 					// so that a restore has something to do.
-					jReq := small
-					if sys.crossPod {
-						jReq = big
-					}
-					j, err := c.AllocateHomog(jReq)
+					j, err := c.AllocateHomog(small)
 					must("admit j", err)
 					j2, err := c.AllocateHomog(small)
 					must("admit j'", err)
@@ -134,7 +121,7 @@ func TestIdempotencyContract(t *testing.T) {
 					var boundJob core.JobID
 					switch binder {
 					case "alloc":
-						a, err := c.AllocateHomog(jReq, withKey)
+						a, err := c.AllocateHomog(small, withKey)
 						must("bind", err)
 						boundJob = a.ID
 					case "release j":

@@ -10,12 +10,8 @@ import "repro/internal/core"
 func (r *Router) ExportState() *core.ManagerState { return r.MergedState() }
 
 // CanAllocateHomog reports whether the request would currently be
-// admitted. Strict mode asks the merged view; fast mode asks whether ANY
-// single pod could host it (fast mode has no cross-pod placements).
+// admitted: whether any single pod could host it.
 func (r *Router) CanAllocateHomog(req core.Homogeneous) bool {
-	if r.mode == Strict {
-		return r.shadow.CanAllocateHomog(req)
-	}
 	for _, m := range r.mgrs {
 		if m.CanAllocateHomog(req) {
 			return true
@@ -25,11 +21,8 @@ func (r *Router) CanAllocateHomog(req core.Homogeneous) bool {
 }
 
 // CanAllocateHetero reports whether the request would currently be
-// admitted; see CanAllocateHomog for the per-mode semantics.
+// admitted; see CanAllocateHomog.
 func (r *Router) CanAllocateHetero(req core.Heterogeneous) bool {
-	if r.mode == Strict {
-		return r.shadow.CanAllocateHetero(req)
-	}
 	for _, m := range r.mgrs {
 		if m.CanAllocateHetero(req) {
 			return true
@@ -38,14 +31,10 @@ func (r *Router) CanAllocateHetero(req core.Heterogeneous) bool {
 	return false
 }
 
-// Headroom reports how many copies of the request would fit. Strict mode
-// probes the merged view; fast mode sums the per-pod headrooms (each
-// copy must fit inside one pod, so the pod-wise sum is exact for the
-// placements fast mode can actually produce).
+// Headroom reports how many copies of the request would fit: the sum of
+// the per-pod headrooms, which is exact because each copy must fit
+// inside one pod.
 func (r *Router) Headroom(req core.Homogeneous, limit int) (int, error) {
-	if r.mode == Strict {
-		return r.shadow.Headroom(req, limit)
-	}
 	total := 0
 	for _, m := range r.mgrs {
 		n, err := m.Headroom(req, limit)

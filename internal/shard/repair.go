@@ -11,14 +11,12 @@ import (
 // Fault routing: a machine lives in exactly one pod and a link is owned
 // by the pod of its child endpoint, so every fault op and every repair
 // targets exactly one pod manager, and runs that pod's own driver, which
-// decides and commits under one hold of the pod's lock in both modes.
-// The router-level idempotency check runs BEFORE the pod and the shadow
-// see anything: a key the same op already committed must skip both (the
-// machine may have been restored since; re-failing it in the shadow alone
-// would diverge the merged view), and a key anything else committed is
-// refused, as it is for an admission or a release. Fast-mode racers under
-// one key that all pass it meet at the pod, whose own table answers the
-// losers.
+// decides and commits under one hold of the pod's lock. The router-level
+// idempotency check runs BEFORE the pod sees anything: a key the same op
+// already committed replays without touching the pod (the machine may
+// have been restored since), and a key anything else committed is
+// refused, as it is for an admission or a release. Racers under one key
+// that all pass it meet at the pod, whose own table answers the losers.
 
 // FailMachine takes a machine down. It returns the IDs of every job with
 // displaced VMs anywhere in the datacenter, sorted — the unsharded
@@ -49,14 +47,9 @@ func (r *Router) RestoreLink(id topology.LinkID, opts ...core.CallOption) error 
 	return r.fault(core.Mutation{Op: core.OpRestoreLink, Link: id}, opts)
 }
 
-// fault runs one fault op on its owning pod (and, in strict mode,
-// replays it into the shadow).
+// fault runs one fault op on its owning pod.
 func (r *Router) fault(mut core.Mutation, opts []core.CallOption) error {
 	mut.IdemKey = core.ResolveCallOptions(opts...).IdemKey
-	if r.mode == Strict {
-		r.opMu.Lock()
-		defer r.opMu.Unlock()
-	}
 	r.tabMu.Lock()
 	_, bound, err := r.idem.Replay(mut.IdemKey, mut.Op, 0)
 	r.tabMu.Unlock()
@@ -84,98 +77,50 @@ func (r *Router) fault(mut core.Mutation, opts []core.CallOption) error {
 	if err != nil {
 		return err
 	}
-	if r.mode == Strict {
-		if err := r.shadow.CommitExternal(mut); err != nil {
-			return fmt.Errorf("shard: shadow diverged on %v: %w", mut.Op, err)
-		}
-	}
 	r.faulted(mut)
-	r.assertConsistent()
 	return nil
 }
 
 // AffectedJobs returns the IDs of admitted jobs with displaced VMs,
-// sorted — the union over pods, with cross-pod jobs deduplicated.
+// sorted — the union over pods.
 func (r *Router) AffectedJobs() []core.JobID {
-	seen := make(map[core.JobID]bool)
 	var out []core.JobID
 	for _, m := range r.mgrs {
-		for _, id := range m.AffectedJobs() {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
+		out = append(out, m.AffectedJobs()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// RepairJob repairs one job. Repair planning is pod-scoped — the owning
-// pod's manager re-runs the allocation DP inside its own subtree — so
-// cross-pod jobs are not repairable (ErrCrossPodRepair): release and
-// re-admit instead. This is a deliberate divergence from the unsharded
-// manager, which plans repairs over the whole tree; see docs/SHARDING.md.
+// RepairJob repairs one job: the owning pod's manager re-runs the
+// allocation DP inside its own subtree, where the whole job lives.
 func (r *Router) RepairJob(id core.JobID) (core.RepairResult, error) {
-	if r.mode == Strict {
-		r.opMu.Lock()
-		defer r.opMu.Unlock()
+	r.tabMu.Lock()
+	pod, ok := r.jobPods[id]
+	r.tabMu.Unlock()
+	if !ok {
+		return core.RepairResult{}, fmt.Errorf("%w: %d", core.ErrUnknownJob, id)
 	}
-	return r.repairOne(id)
+	res, err := r.mgrs[pod].RepairJob(id)
+	if err != nil {
+		return core.RepairResult{}, err
+	}
+	if res.Outcome == core.RepairFailed {
+		r.released(core.Mutation{Op: core.OpRepair, Job: id})
+	}
+	return res, nil
 }
 
-// RepairAll repairs every affected job in ID order, skipping cross-pod
-// jobs (they cannot be planned pod-locally). On an error it returns the
-// repairs that committed before it alongside the error.
+// RepairAll repairs every affected job in ID order. On an error it
+// returns the repairs that committed before it alongside the error.
 func (r *Router) RepairAll() ([]core.RepairResult, error) {
-	if r.mode == Strict {
-		r.opMu.Lock()
-		defer r.opMu.Unlock()
-	}
 	var out []core.RepairResult
 	for _, id := range r.AffectedJobs() {
-		r.tabMu.Lock()
-		cross := len(r.jobPods[id]) > 1
-		r.tabMu.Unlock()
-		if cross {
-			continue
-		}
-		res, err := r.repairOne(id)
+		res, err := r.RepairJob(id)
 		if err != nil {
 			return out, err
 		}
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-// repairOne runs the owning pod's RepairJob and (in strict mode) replays
-// the committed repair, rebuilt from its result, into the shadow. Callers
-// in strict mode hold opMu.
-func (r *Router) repairOne(id core.JobID) (core.RepairResult, error) {
-	r.tabMu.Lock()
-	pods, ok := r.jobPods[id]
-	r.tabMu.Unlock()
-	if !ok {
-		return core.RepairResult{}, fmt.Errorf("%w: %d", core.ErrUnknownJob, id)
-	}
-	if len(pods) > 1 {
-		return core.RepairResult{}, fmt.Errorf("%w: job %d spans pods %v", ErrCrossPodRepair, id, pods)
-	}
-	res, err := r.mgrs[pods[0]].RepairJob(id)
-	if err != nil {
-		return core.RepairResult{}, err
-	}
-	mut := core.Mutation{Op: core.OpRepair, Job: id, Outcome: res.Outcome,
-		Placement: &res.Placement, Contribs: res.Contribs, EffectiveEps: res.EffectiveEps}
-	if r.mode == Strict {
-		if err := r.shadow.CommitExternal(mut); err != nil {
-			return core.RepairResult{}, fmt.Errorf("shard: shadow diverged on repair of job %d: %w", id, err)
-		}
-	}
-	if res.Outcome == core.RepairFailed {
-		r.released(mut)
-	}
-	r.assertConsistent()
-	return res, nil
 }

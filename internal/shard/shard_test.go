@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,9 +29,9 @@ func testTopo(t *testing.T, aggs int) *topology.Topology {
 	return tp
 }
 
-func openStrict(t *testing.T, dir string, tp *topology.Topology, shards int) *Router {
+func openRouter(t *testing.T, dir string, tp *topology.Topology, shards int) *Router {
 	t.Helper()
-	r, err := Open(dir, tp, 0.1, shards, Options{Mode: Strict})
+	r, err := Open(dir, tp, 0.1, shards, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -54,15 +56,36 @@ func heteroReq(t *testing.T, demands ...stats.Normal) core.Heterogeneous {
 	return req
 }
 
-// TestShardedDifferential is the sharding proof: a strict-mode router
-// over K pods, fed the exact operation sequence an unsharded manager
-// receives, must produce bit-identical state — job IDs, placements,
-// ledger floats, fault overlay, counters, and idempotency bindings.
-// Both sides plan through core's one admission path (planLocked).
-func TestShardedDifferential(t *testing.T) {
-	tp := testTopo(t, 3)
-	r := openStrict(t, t.TempDir(), tp, 3)
-	defer r.Close()
+// checkCoreLinksIdle fails unless every core link — a pod root's uplink —
+// holds an all-zero record, exactly: a job lives in one pod, and its
+// crossing demand on that pod's uplink is zero, so nothing ever charges
+// one.
+func checkCoreLinksIdle(t *testing.T, r *Router) {
+	t.Helper()
+	for i, l := range r.pods.CoreLinks() {
+		if rec := r.Pod(i).ExportState().Links[l]; rec != (core.LinkRecord{}) {
+			t.Fatalf("core link %d (pod %d) carries %+v", l, i, rec)
+		}
+	}
+}
+
+// TestOnePodRouterIsTheManager is I10's oracle: on a tree with one
+// aggregation subtree the router has one pod, which holds the whole
+// tree, so fed the operation sequence an unsharded manager receives it
+// must export bit-identical state at every step — job IDs (a capacity
+// rejection included), placements, ledger floats, fault overlay,
+// counters and idempotency bindings — and again after a reopen.
+func TestOnePodRouterIsTheManager(t *testing.T) {
+	tp, err := topology.NewThreeTier(topology.ThreeTierConfig{
+		Aggs: 1, ToRsPerAgg: 3, MachinesPerRack: 3, SlotsPerMachine: 2,
+		HostCap: 1000, Oversub: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	r := openRouter(t, dir, tp, 1)
+	defer func() { r.Close() }()
 	base, err := core.NewManager(tp, 0.1)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
@@ -70,176 +93,123 @@ func TestShardedDifferential(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
-		got := r.MergedState()
-		want := base.ExportState()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: merged state diverged\n got: %+v\nwant: %+v", step, got, want)
+		if got, want := r.MergedState(), base.ExportState(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: states diverge\nrouter: %+v\n  base: %+v", step, got, want)
 		}
-		if err := r.CheckCoreLinks(); err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
+		checkCoreLinksIdle(t, r)
 	}
-
-	// Pod-local admissions: one per pod plus a keyed one.
-	small := homogReq(t, 3, 40, 8)
-	for i := 0; i < 3; i++ {
-		ra, rerr := r.AllocateHomog(small)
-		ba, berr := base.AllocateHomog(small)
-		if (rerr == nil) != (berr == nil) {
-			t.Fatalf("alloc %d: router err %v, base err %v", i, rerr, berr)
+	admit := func(step string, req core.Homogeneous, opts ...core.CallOption) *core.Allocation {
+		t.Helper()
+		ra, rerr := r.AllocateHomog(req, opts...)
+		ba, berr := base.AllocateHomog(req, opts...)
+		if (rerr == nil) != (berr == nil) || rerr != nil && !errors.Is(rerr, core.ErrNoCapacity) {
+			t.Fatalf("%s: router err %v, base err %v", step, rerr, berr)
 		}
 		if rerr == nil && (ra.ID != ba.ID || !reflect.DeepEqual(ra.Placement, ba.Placement)) {
-			t.Fatalf("alloc %d: router %v@%v, base %v@%v", i, ra.ID, ra.Placement, ba.ID, ba.Placement)
+			t.Fatalf("%s: router %d@%v, base %d@%v", step, ra.ID, ra.Placement, ba.ID, ba.Placement)
 		}
-		check(fmt.Sprintf("pod-local alloc %d", i))
+		check(step)
+		return ra
 	}
-	if _, err := r.AllocateHomog(small, core.WithIdemKey("k-pod-local")); err != nil {
-		t.Fatalf("keyed alloc: %v", err)
-	}
-	if _, err := base.AllocateHomog(small, core.WithIdemKey("k-pod-local")); err != nil {
-		t.Fatalf("keyed base alloc: %v", err)
-	}
-	check("keyed pod-local alloc")
 
-	// A request bigger than any single pod (12 slots per pod) must span
-	// pods: the two-phase path.
-	big := homogReq(t, 14, 20, 4)
-	ra, err := r.AllocateHomog(big, core.WithIdemKey("k-cross"))
-	if err != nil {
-		t.Fatalf("cross-pod alloc: %v", err)
+	small := homogReq(t, 3, 40, 8)
+	first := admit("alloc 1", small)
+	admit("alloc 2", small)
+	keyed := admit("keyed alloc", small, core.WithIdemKey("k-alloc"))
+	if again := admit("keyed replay", small, core.WithIdemKey("k-alloc")); again.ID != keyed.ID {
+		t.Fatalf("keyed replay answered job %d, want %d", again.ID, keyed.ID)
 	}
-	ba, err := base.AllocateHomog(big, core.WithIdemKey("k-cross"))
-	if err != nil {
-		t.Fatalf("cross-pod base alloc: %v", err)
-	}
-	if ra.ID != ba.ID || !reflect.DeepEqual(ra.Placement, ba.Placement) {
-		t.Fatalf("cross-pod: router %v@%v, base %v@%v", ra.ID, ra.Placement, ba.ID, ba.Placement)
-	}
-	if r.CrossPodJobs() != 1 {
-		t.Fatalf("CrossPodJobs = %d, want 1", r.CrossPodJobs())
-	}
-	check("cross-pod alloc")
+	// 9 of 18 slots are taken: a capacity rejection, which must hand its
+	// job ID back, so that the next admission gets the manager's ID.
+	admit("capacity rejection", homogReq(t, 10, 40, 8))
+	admit("alloc after the rejection", small)
 
-	// Idempotent replay must return the original placement from both.
-	ra2, err := r.AllocateHomog(big, core.WithIdemKey("k-cross"))
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if _, err := base.AllocateHomog(big, core.WithIdemKey("k-cross")); err != nil {
-		t.Fatalf("base replay: %v", err)
-	}
-	if ra2.ID != ra.ID || !reflect.DeepEqual(ra2.Placement, ra.Placement) {
-		t.Fatalf("replayed %v@%v, want %v@%v", ra2.ID, ra2.Placement, ra.ID, ra.Placement)
-	}
-	check("idempotent replay")
-
-	// Heterogeneous cross-pod admission.
 	var demands []stats.Normal
-	for i := 0; i < 13; i++ {
-		demands = append(demands, stats.Normal{Mu: 15 + float64(i), Sigma: 3})
+	for i := 0; i < 5; i++ {
+		demands = append(demands, stats.Normal{Mu: 15 + 5*float64(i), Sigma: 3})
 	}
 	het := heteroReq(t, demands...)
 	rh, rerr := r.AllocateHetero(het)
 	bh, berr := base.AllocateHetero(het)
-	if (rerr == nil) != (berr == nil) {
-		t.Fatalf("hetero: router err %v, base err %v", rerr, berr)
-	}
-	if rerr == nil && !reflect.DeepEqual(rh.Placement, bh.Placement) {
-		t.Fatalf("hetero placements differ: %v vs %v", rh.Placement, bh.Placement)
+	if rerr != nil || berr != nil || rh.ID != bh.ID || !reflect.DeepEqual(rh.Placement, bh.Placement) {
+		t.Fatalf("hetero: router %v (err %v), base %v (err %v)", rh, rerr, bh, berr)
 	}
 	check("hetero alloc")
 
-	// Faults and restores, including a core link.
-	machine := tp.Machines()[0]
-	if _, err := r.FailMachine(machine); err != nil {
-		t.Fatalf("FailMachine: %v", err)
-	}
-	if _, err := base.FailMachine(machine); err != nil {
-		t.Fatalf("base FailMachine: %v", err)
-	}
-	raff, baff := r.AffectedJobs(), base.AffectedJobs()
-	if !reflect.DeepEqual(raff, baff) {
-		t.Fatalf("AffectedJobs: router %v, base %v", raff, baff)
+	machine := first.Placement.Entries[0].Machine
+	raff, rerr := r.FailMachine(machine)
+	baff, berr := base.FailMachine(machine)
+	if rerr != nil || berr != nil || !reflect.DeepEqual(raff, baff) || len(raff) == 0 {
+		t.Fatalf("FailMachine: router %v (err %v), base %v (err %v)", raff, rerr, baff, berr)
 	}
 	check("fail machine")
+	rrep, rerr := r.RepairAll()
+	brep, berr := base.RepairAll()
+	for i := range rrep {
+		rrep[i].Elapsed = 0
+	}
+	for i := range brep {
+		brep[i].Elapsed = 0
+	}
+	if rerr != nil || berr != nil || !reflect.DeepEqual(rrep, brep) {
+		t.Fatalf("RepairAll: router %+v (err %v), base %+v (err %v)", rrep, rerr, brep, berr)
+	}
+	check("repair all")
 
-	coreLink := r.pods.CoreLinks()[1]
-	if _, err := r.FailLink(coreLink, core.WithIdemKey("k-fail-link")); err != nil {
-		t.Fatalf("FailLink: %v", err)
+	uplink := r.pods.CoreLinks()[0]
+	key := core.WithIdemKey("k-fail-link")
+	for _, step := range []string{"fail agg uplink", "restore agg uplink", "fault key replayed after the restore", "restore again"} {
+		var rerr, berr error
+		if strings.HasPrefix(step, "restore") {
+			rerr, berr = r.RestoreLink(uplink), base.RestoreLink(uplink)
+		} else {
+			_, rerr = r.FailLink(uplink, key)
+			_, berr = base.FailLink(uplink, key)
+		}
+		if rerr != nil || berr != nil {
+			t.Fatalf("%s: router err %v, base err %v", step, rerr, berr)
+		}
+		check(step)
 	}
-	if _, err := base.FailLink(coreLink, core.WithIdemKey("k-fail-link")); err != nil {
-		t.Fatalf("base FailLink: %v", err)
-	}
-	check("fail core link")
-	// Replaying the fault key must not re-apply after a restore anywhere.
-	if err := r.RestoreLink(coreLink); err != nil {
-		t.Fatalf("RestoreLink: %v", err)
-	}
-	if err := base.RestoreLink(coreLink); err != nil {
-		t.Fatalf("base RestoreLink: %v", err)
-	}
-	if _, err := r.FailLink(coreLink, core.WithIdemKey("k-fail-link")); err != nil {
-		t.Fatalf("FailLink replay: %v", err)
-	}
-	if _, err := base.FailLink(coreLink, core.WithIdemKey("k-fail-link")); err != nil {
-		t.Fatalf("base FailLink replay: %v", err)
-	}
-	check("fault idempotent replay")
-	if err := r.RestoreLink(coreLink); err != nil {
-		t.Fatalf("RestoreLink: %v", err)
-	}
-	if err := base.RestoreLink(coreLink); err != nil {
-		t.Fatalf("base RestoreLink: %v", err)
-	}
-	if err := r.RestoreMachine(machine); err != nil {
-		t.Fatalf("RestoreMachine: %v", err)
-	}
-	if err := base.RestoreMachine(machine); err != nil {
-		t.Fatalf("base RestoreMachine: %v", err)
-	}
-	check("restore")
 
-	// Release the cross-pod job (two-phase) and a pod-local one.
-	if err := r.Release(ra.ID, core.WithIdemKey("k-rel")); err != nil {
-		t.Fatalf("cross release: %v", err)
+	rel := core.WithIdemKey("k-rel")
+	for _, step := range []string{"keyed release", "keyed release replayed"} {
+		if rerr, berr := r.Release(first.ID, rel), base.Release(first.ID, rel); rerr != nil || berr != nil {
+			t.Fatalf("%s: router err %v, base err %v", step, rerr, berr)
+		}
+		check(step)
 	}
-	if err := base.Release(ba.ID, core.WithIdemKey("k-rel")); err != nil {
-		t.Fatalf("base cross release: %v", err)
-	}
-	if err := r.Release(1); err != nil {
-		t.Fatalf("release 1: %v", err)
-	}
-	if err := base.Release(1); err != nil {
-		t.Fatalf("base release 1: %v", err)
-	}
-	check("releases")
-
-	// Unknown-job and conflicting-key errors must mirror too.
 	if err := r.Release(999); !errors.Is(err, core.ErrUnknownJob) {
 		t.Fatalf("release unknown = %v, want ErrUnknownJob", err)
 	}
-	if _, err := r.AllocateHomog(small, core.WithIdemKey("k-rel")); !errors.Is(err, core.ErrIdemConflict) {
-		t.Fatalf("alloc with release key = %v, want ErrIdemConflict", err)
+	if _, err := r.AllocateHomog(small, rel); !errors.Is(err, core.ErrIdemConflict) {
+		t.Fatalf("alloc under the release key = %v, want ErrIdemConflict", err)
 	}
 	check("error paths")
+
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r = openRouter(t, dir, tp, 1)
+	check("reopen")
+	admit("alloc after the reopen", small)
 }
 
 // TestShardedCrashRecovery closes the router mid-life and reopens it:
-// the recovered merged state must equal the pre-crash export, and the
-// strict shadow must keep matching the baseline afterwards.
+// the recovered merged state must equal the pre-crash export, a bound
+// key must still replay, and the job ID high-water mark must carry over.
 func TestShardedCrashRecovery(t *testing.T) {
 	tp := testTopo(t, 3)
 	dir := t.TempDir()
-	r := openStrict(t, dir, tp, 3)
+	r := openRouter(t, dir, tp, 3)
 
 	small := homogReq(t, 4, 30, 6)
-	big := homogReq(t, 14, 20, 4)
 	if _, err := r.AllocateHomog(small); err != nil {
 		t.Fatalf("alloc: %v", err)
 	}
-	cross, err := r.AllocateHomog(big, core.WithIdemKey("k-x"))
+	keyed, err := r.AllocateHomog(small, core.WithIdemKey("k-x"))
 	if err != nil {
-		t.Fatalf("cross alloc: %v", err)
+		t.Fatalf("keyed alloc: %v", err)
 	}
 	if _, err := r.FailMachine(tp.Machines()[2]); err != nil {
 		t.Fatalf("FailMachine: %v", err)
@@ -247,202 +217,94 @@ func TestShardedCrashRecovery(t *testing.T) {
 	before := r.MergedState()
 	r.Close()
 
-	r2 := openStrict(t, dir, tp, 3)
+	r2 := openRouter(t, dir, tp, 3)
 	defer r2.Close()
 	after := r2.MergedState()
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("state changed across crash:\nbefore: %+v\n after: %+v", before, after)
 	}
-	if r2.CrossPodJobs() != 1 {
-		t.Fatalf("CrossPodJobs = %d after recovery, want 1", r2.CrossPodJobs())
-	}
-	// The cross-pod idempotency key must survive via the intent log.
-	a, err := r2.AllocateHomog(big, core.WithIdemKey("k-x"))
+	a, err := r2.AllocateHomog(small, core.WithIdemKey("k-x"))
 	if err != nil {
 		t.Fatalf("replay after recovery: %v", err)
 	}
-	if a.ID != cross.ID {
-		t.Fatalf("replayed job %d, want %d", a.ID, cross.ID)
+	if a.ID != keyed.ID {
+		t.Fatalf("replayed job %d, want %d", a.ID, keyed.ID)
 	}
-	// And the job must still release cleanly across pods.
-	if err := r2.Release(cross.ID); err != nil {
+	fresh, err := r2.AllocateHomog(small)
+	if err != nil {
+		t.Fatalf("alloc after recovery: %v", err)
+	}
+	if fresh.ID != keyed.ID+1 {
+		t.Fatalf("new job %d after recovery, want %d", fresh.ID, keyed.ID+1)
+	}
+	if err := r2.Release(keyed.ID); err != nil {
 		t.Fatalf("release after recovery: %v", err)
 	}
-	if err := r2.CheckCoreLinks(); err != nil {
-		t.Fatal(err)
-	}
+	checkCoreLinksIdle(t, r2)
 }
 
-// truncateLastIntent chops the final record off the router's intent log,
-// simulating a crash between the last pod commit and the done record.
-func truncateLastIntent(t *testing.T, dir string) {
-	t.Helper()
+// TestOpenRefusesStrictDirectory: a directory a strict-mode router wrote
+// cross-pod intents into is refused — ErrUnsupportedFormat, naming the
+// file — and left exactly as it was: no pod directory created, the log
+// byte for byte. An intents.log that is its header alone opens. A job
+// held by two pods, which only a cross-pod admission leaves, is refused.
+func TestOpenRefusesStrictDirectory(t *testing.T) {
+	tp := testTopo(t, 2)
+	legacy, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "legacy-v1", "intents.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
 	path := filepath.Join(dir, "intents.log")
-	data, err := os.ReadFile(path)
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, tp, 0.1, 2, Options{NoSync: true}); !errors.Is(err, wal.ErrUnsupportedFormat) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open = %v, want ErrUnsupportedFormat naming %s", err, path)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Records are length-prefixed frames after an 8-byte magic; walk to
-	// the start of the last frame.
-	off := 8
-	last := off
-	for off < len(data) {
-		n := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		last = off
-		off += 8 + n
+	if len(entries) != 1 || entries[0].Name() != "intents.log" {
+		t.Fatalf("the refused directory holds %v, want intents.log alone", entries)
 	}
-	if err := os.WriteFile(path, data[:last], 0o644); err != nil {
-		t.Fatal(err)
+	if after, err := os.ReadFile(path); err != nil || !slices.Equal(after, legacy) {
+		t.Fatalf("the refused intents.log was modified (read err %v)", err)
 	}
-}
 
-// TestInDoubtCommit: crash after every pod committed its sub-frame but
-// before the done record. Recovery must resolve to COMMIT — every
-// participant holds the job — and preserve the admission.
-func TestInDoubtCommit(t *testing.T) {
-	tp := testTopo(t, 3)
-	dir := t.TempDir()
-	r := openStrict(t, dir, tp, 3)
-	big := homogReq(t, 14, 20, 4)
-	a, err := r.AllocateHomog(big, core.WithIdemKey("k-indoubt"))
+	if err := os.WriteFile(path, legacy[:8], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := openRouter(t, dir, tp, 2)
+	a, err := r.AllocateHomog(homogReq(t, 2, 30, 6))
 	if err != nil {
-		t.Fatalf("cross alloc: %v", err)
+		t.Fatal(err)
 	}
 	r.Close()
-	truncateLastIntent(t, dir) // drop the IntentDone
 
-	r2 := openStrict(t, dir, tp, 3)
-	defer r2.Close()
-	if got := r2.Running(); got != 1 {
-		t.Fatalf("Running = %d after in-doubt commit, want 1", got)
-	}
-	if r2.CrossPodJobs() != 1 {
-		t.Fatalf("CrossPodJobs = %d, want 1", r2.CrossPodJobs())
-	}
-	// The resolved admission keeps its idempotency binding.
-	a2, err := r2.AllocateHomog(big, core.WithIdemKey("k-indoubt"))
+	// Put the job on the other pod too, as a cross-pod admission did.
+	other := 1 - topology.NewPods(tp).Of(a.Placement.Entries[0].Machine)
+	mgr, j, err := wal.Recover(podDir(dir, other), tp, 0.1,
+		[]core.ManagerOption{core.WithPlanSubtree(topology.NewPods(tp).Root(other))}, wal.WithNoSync())
 	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if a2.ID != a.ID {
-		t.Fatalf("replayed job %d, want %d", a2.ID, a.ID)
-	}
-	if err := r2.CheckCoreLinks(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestInDoubtAbort: crash after only SOME pods committed. Recovery must
-// abort — releasing the partial sub-frames — and leave no residue on the
-// core links.
-func TestInDoubtAbort(t *testing.T) {
-	tp := testTopo(t, 3)
-	dir := t.TempDir()
-	r := openStrict(t, dir, tp, 3)
-	big := homogReq(t, 14, 20, 4)
-	a, err := r.AllocateHomog(big)
-	if err != nil {
-		t.Fatalf("cross alloc: %v", err)
-	}
-	r.tabMu.Lock()
-	pods := append([]int(nil), r.jobPods[a.ID]...)
-	r.tabMu.Unlock()
-	if len(pods) < 2 {
-		t.Fatalf("job spans %v, want >= 2 pods", pods)
-	}
-	r.Close()
-	truncateLastIntent(t, dir) // drop the IntentDone
-
-	// Retract the job from one participant pod, as if that pod's commit
-	// never reached its WAL.
-	mgr, j, err := wal.Recover(podDir(dir, pods[0]), tp, 0.1,
-		[]core.ManagerOption{core.WithPlanSubtree(topology.NewPods(tp).Root(pods[0]))})
-	if err != nil {
-		t.Fatalf("open pod %d: %v", pods[0], err)
-	}
-	if err := mgr.Release(a.ID); err != nil {
-		t.Fatalf("retract sub-job: %v", err)
+	if _, err := mgr.AllocateHomog(homogReq(t, 1, 30, 6), core.WithJobID(a.ID)); err != nil {
+		t.Fatal(err)
 	}
 	j.Close()
-
-	r2 := openStrict(t, dir, tp, 3)
-	defer r2.Close()
-	if got := r2.Running(); got != 0 {
-		t.Fatalf("Running = %d after in-doubt abort, want 0", got)
-	}
-	if err := r2.CheckCoreLinks(); err != nil {
-		t.Fatalf("core links leaked after abort: %v", err)
-	}
-	for i := 0; i < r2.Shards(); i++ {
-		if r2.Pod(i).HasJob(a.ID) {
-			t.Fatalf("pod %d still holds aborted job %d", i, a.ID)
-		}
-	}
-	// The aborted ID is burned (pods max-merged it); the next admission
-	// must get a fresh ID, not resurrect the aborted one.
-	na, err := r2.AllocateHomog(homogReq(t, 2, 30, 6))
-	if err != nil {
-		t.Fatalf("alloc after abort: %v", err)
-	}
-	if na.ID <= a.ID {
-		t.Fatalf("new job %d not past burned id %d", na.ID, a.ID)
+	if _, err := Open(dir, tp, 0.1, 2, Options{NoSync: true}); !errors.Is(err, wal.ErrUnsupportedFormat) || !strings.Contains(err.Error(), fmt.Sprintf("job %d", a.ID)) {
+		t.Fatalf("Open over a job on two pods = %v, want ErrUnsupportedFormat naming job %d", err, a.ID)
 	}
 }
 
-// TestInDoubtRelease: crash between the release_begin intent and the
-// done record, with only some pods released. Recovery finishes the
-// release idempotently.
-func TestInDoubtRelease(t *testing.T) {
-	tp := testTopo(t, 3)
-	dir := t.TempDir()
-	r := openStrict(t, dir, tp, 3)
-	big := homogReq(t, 14, 20, 4)
-	a, err := r.AllocateHomog(big)
-	if err != nil {
-		t.Fatalf("cross alloc: %v", err)
-	}
-	r.tabMu.Lock()
-	pods := append([]int(nil), r.jobPods[a.ID]...)
-	r.tabMu.Unlock()
-	if err := r.Release(a.ID); err != nil {
-		t.Fatalf("release: %v", err)
-	}
-	r.Close()
-	truncateLastIntent(t, dir) // drop the IntentReleaseDone
-
-	// Resurrect the sub-job on one pod, as if its release never hit disk.
-	sub := homogReq(t, 1, 20, 4)
-	mgr, j, err := wal.Recover(podDir(dir, pods[0]), tp, 0.1,
-		[]core.ManagerOption{core.WithPlanSubtree(topology.NewPods(tp).Root(pods[0]))})
-	if err != nil {
-		t.Fatalf("open pod %d: %v", pods[0], err)
-	}
-	if _, err := mgr.AllocateHomog(sub, core.WithJobID(a.ID)); err != nil {
-		t.Fatalf("resurrect sub-job: %v", err)
-	}
-	j.Close()
-
-	r2 := openStrict(t, dir, tp, 3)
-	defer r2.Close()
-	if got := r2.Running(); got != 0 {
-		t.Fatalf("Running = %d after in-doubt release, want 0", got)
-	}
-	for i := 0; i < r2.Shards(); i++ {
-		if r2.Pod(i).HasJob(a.ID) {
-			t.Fatalf("pod %d still holds released job %d", i, a.ID)
-		}
-	}
-	if err := r2.CheckCoreLinks(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFastModeIdemRace: duplicate idempotency keys racing through the
-// fast path must collapse to exactly one job, with every racer observing
-// the same placement.
+// TestFastModeIdemRace: duplicate idempotency keys racing into different
+// pods must collapse to exactly one job, with every racer observing the
+// same placement.
 func TestFastModeIdemRace(t *testing.T) {
 	tp := testTopo(t, 4)
-	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{Mode: Fast})
+	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -477,14 +339,13 @@ func TestFastModeIdemRace(t *testing.T) {
 	}
 }
 
-// TestFastModeReleaseRace: racers releasing one fast-mode job under one
-// key all get nil — the unsharded answer: the first releases, the rest
-// replay — and the job is released once. The racers that pass the
-// router's table together meet at the owning pod, whose own table answers
-// the losers (Manager.Release; CommitExternal would say ErrUnknownJob).
+// TestFastModeReleaseRace: racers releasing one job under one key all get
+// nil — the unsharded answer: the first releases, the rest replay — and
+// the job is released once. The racers that pass the router's table
+// together meet at the owning pod, whose own table answers the losers.
 func TestFastModeReleaseRace(t *testing.T) {
 	tp := testTopo(t, 4)
-	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{Mode: Fast, NoSync: true})
+	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -540,7 +401,7 @@ func TestFastModeReleaseRace(t *testing.T) {
 // manager would.
 func TestFastModeFaultRace(t *testing.T) {
 	tp := testTopo(t, 4)
-	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{Mode: Fast, NoSync: true})
+	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -584,49 +445,44 @@ func TestFastModeFaultRace(t *testing.T) {
 
 // TestFaultTargetValidated: the router refuses a fault op whose target is
 // not a machine, has no uplink or lies outside the tree with
-// ErrBadRequest, in both modes, and no pod journals it — it reaches the
-// pod's own FailMachine/FailLink, which validate before they stage.
+// ErrBadRequest, and no pod journals it — it reaches the pod's own
+// FailMachine/FailLink, which validate before they stage.
 func TestFaultTargetValidated(t *testing.T) {
 	tp := testTopo(t, 2)
 	root := tp.Root()
 	tor := tp.Node(tp.Machines()[0]).Parent
-	for _, mode := range []Mode{Strict, Fast} {
-		r, err := Open(t.TempDir(), tp, 0.1, 2, Options{Mode: mode, NoSync: true})
-		if err != nil {
-			t.Fatalf("Open: %v", err)
+	r := openRouter(t, t.TempDir(), tp, 2)
+	defer r.Close()
+	for name, call := range map[string]func() error{
+		"FailMachine(root)":   func() error { _, err := r.FailMachine(root); return err },
+		"FailMachine(tor)":    func() error { _, err := r.FailMachine(tor, core.WithIdemKey("k")); return err },
+		"RestoreMachine(tor)": func() error { return r.RestoreMachine(tor) },
+		"FailLink(root)":      func() error { _, err := r.FailLink(topology.LinkID(root)); return err },
+		"RestoreLink(root)":   func() error { return r.RestoreLink(topology.LinkID(root)) },
+		"FailMachine(-1)":     func() error { _, err := r.FailMachine(-1); return err },
+		"FailLink(past tree)": func() error { _, err := r.FailLink(topology.LinkID(tp.Len())); return err },
+	} {
+		if err := call(); !errors.Is(err, core.ErrBadRequest) {
+			t.Errorf("%s = %v, want ErrBadRequest", name, err)
 		}
-		for name, call := range map[string]func() error{
-			"FailMachine(root)":   func() error { _, err := r.FailMachine(root); return err },
-			"FailMachine(tor)":    func() error { _, err := r.FailMachine(tor, core.WithIdemKey("k")); return err },
-			"RestoreMachine(tor)": func() error { return r.RestoreMachine(tor) },
-			"FailLink(root)":      func() error { _, err := r.FailLink(topology.LinkID(root)); return err },
-			"RestoreLink(root)":   func() error { return r.RestoreLink(topology.LinkID(root)) },
-			"FailMachine(-1)":     func() error { _, err := r.FailMachine(-1); return err },
-			"FailLink(past tree)": func() error { _, err := r.FailLink(topology.LinkID(tp.Len())); return err },
-		} {
-			if err := call(); !errors.Is(err, core.ErrBadRequest) {
-				t.Errorf("%v: %s = %v, want ErrBadRequest", mode, name, err)
-			}
+	}
+	for i := 0; i < r.Shards(); i++ {
+		if n := r.PodJournal(i).Appended(); n != 0 {
+			t.Errorf("pod %d journaled %d records for refused faults", i, n)
 		}
-		for i := 0; i < r.Shards(); i++ {
-			if n := r.PodJournal(i).Appended(); n != 0 {
-				t.Errorf("%v: pod %d journaled %d records for refused faults", mode, i, n)
-			}
-		}
-		// The key bound nothing, and the router still serves.
-		if _, err := r.FailMachine(tp.Machines()[0], core.WithIdemKey("k")); err != nil {
-			t.Errorf("%v: FailMachine after the refusals: %v", mode, err)
-		}
-		r.Close()
+	}
+	// The key bound nothing, and the router still serves.
+	if _, err := r.FailMachine(tp.Machines()[0], core.WithIdemKey("k")); err != nil {
+		t.Errorf("FailMachine after the refusals: %v", err)
 	}
 }
 
-// TestFastModeSpill: fast mode has no cross-pod path — requests no pod
+// TestFastModeSpill: the router has no cross-pod path — requests no pod
 // can host are rejected, requests the affinity pod cannot host spill to
 // a sibling.
 func TestFastModeSpill(t *testing.T) {
 	tp := testTopo(t, 2)
-	r, err := Open(t.TempDir(), tp, 0.1, 2, Options{Mode: Fast})
+	r, err := Open(t.TempDir(), tp, 0.1, 2, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -655,37 +511,27 @@ func TestFastModeSpill(t *testing.T) {
 		t.Fatalf("overflow = %v, want ErrNoCapacity", err)
 	}
 	// A 13-slot request can never fit one pod even when empty.
-	r2, err := Open(t.TempDir(), tp, 0.1, 2, Options{Mode: Fast})
+	r2, err := Open(t.TempDir(), tp, 0.1, 2, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r2.Close()
 	if _, err := r2.AllocateHomog(homogReq(t, 13, 10, 2)); !errors.Is(err, core.ErrNoCapacity) {
-		t.Fatalf("oversized = %v, want ErrNoCapacity (fast mode has no cross-pod path)", err)
+		t.Fatalf("oversized = %v, want ErrNoCapacity (the router has no cross-pod path)", err)
 	}
 }
 
-// TestRepairScoping: pod-local jobs repair inside their pod; cross-pod
-// jobs refuse with ErrCrossPodRepair and RepairAll skips them.
+// TestRepairScoping: a job repairs inside its pod, without touching
+// the others.
 func TestRepairScoping(t *testing.T) {
 	tp := testTopo(t, 3)
-	r := openStrict(t, t.TempDir(), tp, 3)
+	r := openRouter(t, t.TempDir(), tp, 3)
 	defer r.Close()
 
 	local, err := r.AllocateHomog(homogReq(t, 3, 30, 6))
 	if err != nil {
-		t.Fatalf("local alloc: %v", err)
+		t.Fatalf("alloc: %v", err)
 	}
-	cross, err := r.AllocateHomog(homogReq(t, 14, 20, 4))
-	if err != nil {
-		t.Fatalf("cross alloc: %v", err)
-	}
-	if _, err := r.RepairJob(cross.ID); !errors.Is(err, ErrCrossPodRepair) {
-		t.Fatalf("cross repair = %v, want ErrCrossPodRepair", err)
-	}
-
-	// Fail one of the local job's machines; its pod must repair it
-	// without touching other pods.
 	machine := local.Placement.Entries[0].Machine
 	if _, err := r.FailMachine(machine); err != nil {
 		t.Fatalf("FailMachine: %v", err)
@@ -694,21 +540,17 @@ func TestRepairScoping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RepairAll: %v", err)
 	}
+	if len(results) != 1 || results[0].Job != local.ID || results[0].Outcome != core.RepairMoved {
+		t.Fatalf("RepairAll = %+v, want job %d moved", results, local.ID)
+	}
 	pods := topology.NewPods(tp)
 	homePod := pods.Of(machine)
-	for _, res := range results {
-		if res.Job == cross.ID {
-			t.Fatalf("RepairAll touched cross-pod job %d", cross.ID)
-		}
-		for _, e := range res.Placement.Entries {
-			if pods.Of(e.Machine) != homePod {
-				t.Fatalf("repair moved job %d to machine %d outside pod %d", res.Job, e.Machine, homePod)
-			}
+	for _, e := range results[0].Placement.Entries {
+		if pods.Of(e.Machine) != homePod {
+			t.Fatalf("repair moved job %d to machine %d outside pod %d", local.ID, e.Machine, homePod)
 		}
 	}
-	if err := r.CheckCoreLinks(); err != nil {
-		t.Fatal(err)
-	}
+	checkCoreLinksIdle(t, r)
 }
 
 // TestShardCountMismatch: the shard count is structural, not a knob.
@@ -726,7 +568,7 @@ func TestShardCountMismatch(t *testing.T) {
 // and moved repair also asserts Eq. 4 on the links it charges (I6).
 func TestFastConcurrentStorm(t *testing.T) {
 	tp := testTopo(t, 4)
-	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{Mode: Fast, NoSync: true})
+	r, err := Open(t.TempDir(), tp, 0.1, 4, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -800,7 +642,5 @@ func TestFastConcurrentStorm(t *testing.T) {
 	if got := r.FreeSlots(); got+used != totalSlots {
 		t.Fatalf("slot conservation broken: free %d + used %d != total %d", got, used, totalSlots)
 	}
-	if err := r.CheckCoreLinks(); err != nil {
-		t.Fatal(err)
-	}
+	checkCoreLinksIdle(t, r)
 }

@@ -1,10 +1,7 @@
 package shard
 
 import (
-	"fmt"
 	"maps"
-	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -12,19 +9,15 @@ import (
 )
 
 // MergedState reassembles the unsharded manager state from the pod-local
-// shards. The pods partition every link and machine, so per-node fields
-// are copied verbatim from the owner pod, never summed; cross-pod jobs —
-// whose per-pod records are sub-frames, not the original request — are
-// reconstructed from the router's intent-journaled original mutations.
-// In strict mode the result is bit-identical to the shadow's ExportState
-// (asserted after every mutating op under -tags invariants).
+// shards. The pods partition every link and machine, and every job lives
+// in one pod, so per-node fields and jobs are copied verbatim from their
+// owner pod, never summed. With one pod it equals that pod's ExportState.
 func (r *Router) MergedState() *core.ManagerState {
 	states := make([]*core.ManagerState, len(r.mgrs))
 	for i, m := range r.mgrs {
 		states[i] = m.ExportState()
 	}
 	r.tabMu.Lock()
-	cross := maps.Clone(r.crossMut)
 	var idem core.IdemTable // nil when empty, as core exports it
 	if len(r.idem) > 0 {
 		idem = maps.Clone(r.idem)
@@ -49,12 +42,7 @@ func (r *Router) MergedState() *core.ManagerState {
 				st.Used[v] = ps.Used[v]
 			}
 		}
-		for _, js := range ps.Jobs {
-			if _, isCross := cross[core.JobID(js.ID)]; isCross {
-				continue // sub-frame; the original mutation rebuilds it below
-			}
-			st.Jobs = append(st.Jobs, js)
-		}
+		st.Jobs = append(st.Jobs, ps.Jobs...)
 		for _, mc := range ps.MachinesDown {
 			machinesDown[mc] = true
 		}
@@ -62,25 +50,6 @@ func (r *Router) MergedState() *core.ManagerState {
 			linksDown[l] = true
 		}
 		st.Counters = st.Counters.Add(ps.Counters)
-	}
-
-	for _, mut := range cross {
-		js := core.JobState{
-			ID:        int64(mut.Job),
-			Placement: mut.Placement.Clone().Entries,
-			Contribs:  append([]core.Contribution(nil), mut.Contribs...),
-		}
-		sort.Slice(js.Contribs, func(a, b int) bool { return js.Contribs[a].Link < js.Contribs[b].Link })
-		if mut.Homog != nil {
-			h := core.HomogSpecOf(*mut.Homog)
-			js.Homog = &h
-		}
-		if mut.Hetero != nil {
-			js.Hetero = slices.Clone(mut.Hetero.Demands)
-		}
-		// Cross-pod jobs are never degraded: degradation only comes from
-		// repairs, and repairs are pod-scoped (ErrCrossPodRepair).
-		st.Jobs = append(st.Jobs, js)
 	}
 	sort.Slice(st.Jobs, func(a, b int) bool { return st.Jobs[a].ID < st.Jobs[b].ID })
 
@@ -98,59 +67,11 @@ func (r *Router) MergedState() *core.ManagerState {
 	return st
 }
 
-// CheckCoreLinks verifies the cross-pod reservation accounting: every
-// core link's ledger record (held by its owner pod) must equal the sum
-// of the cross-pod jobs' contributions on it — single-pod jobs never
-// touch core links (their crossing demand on the enclosing uplink is
-// zero, and zero-demand links are omitted from contributions), so any
-// residue is a two-phase leak: an aborted admission that left a
-// sub-frame behind, or a release that missed a pod. Float sums tolerate
-// reassociation noise (1e-6); the stochastic count must match exactly.
-func (r *Router) CheckCoreLinks() error {
-	want := make(map[topology.LinkID]core.LinkRecord)
-	r.tabMu.Lock()
-	for _, mut := range r.crossMut {
-		for _, c := range mut.Contribs {
-			rec := want[c.Link]
-			if c.Det {
-				rec.Det += c.Mu
-			} else {
-				rec.SumMu += c.Mu
-				rec.SumVar += c.Sigma * c.Sigma
-				rec.Stochastic++
-			}
-			want[c.Link] = rec
-		}
-	}
-	r.tabMu.Unlock()
-
-	const tol = 1e-6
-	for i, l := range r.pods.CoreLinks() {
-		got := r.mgrs[i].ExportState().Links[l]
-		w := want[l]
-		if got.Stochastic != w.Stochastic ||
-			math.Abs(got.Det-w.Det) > tol ||
-			math.Abs(got.SumMu-w.SumMu) > tol ||
-			math.Abs(got.SumVar-w.SumVar) > tol {
-			return fmt.Errorf("shard: core link %d leaked: ledger %+v, cross-pod contributions %+v", l, got, w)
-		}
-	}
-	return nil
-}
-
-// Running returns the number of admitted, unreleased jobs (cross-pod
-// jobs counted once).
+// Running returns the number of admitted, unreleased jobs.
 func (r *Router) Running() int {
 	r.tabMu.Lock()
 	defer r.tabMu.Unlock()
 	return len(r.jobPods)
-}
-
-// CrossPodJobs returns the number of live jobs spanning pods.
-func (r *Router) CrossPodJobs() int {
-	r.tabMu.Lock()
-	defer r.tabMu.Unlock()
-	return len(r.crossMut)
 }
 
 // FreeSlots returns the unoccupied VM slots across all pods.
@@ -190,16 +111,9 @@ func (r *Router) LinkLoads() []core.LinkLoad {
 	return out
 }
 
-// AdmissionStats returns the merged admission counters. In strict mode
-// planning happens on the shadow, so its stats are the truth, with
-// Locked counting the router's serialized commits; in fast mode the pods
-// plan independently and their counters sum.
+// AdmissionStats returns the admission counters summed over the pods,
+// each of which plans its own admissions.
 func (r *Router) AdmissionStats() core.AdmissionStats {
-	if r.mode == Strict {
-		st := r.shadow.AdmissionStats()
-		st.Locked = r.strict.Load()
-		return st
-	}
 	var out core.AdmissionStats
 	for _, m := range r.mgrs {
 		st := m.AdmissionStats()

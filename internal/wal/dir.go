@@ -11,9 +11,8 @@ import (
 )
 
 // stateDir is a state directory and its flush policy: the one place that
-// names, creates, opens and deletes the files in it. The journal, a
-// standby's mirror and the router's intent log embed it (see the table in
-// the package comment).
+// names, creates, opens and deletes the files in it. The journal and a
+// standby's mirror embed it (see the table in the package comment).
 type stateDir struct {
 	dir       string
 	noSync    bool
@@ -133,6 +132,26 @@ func readIfExists(path string) ([]byte, error) {
 		return nil, nil
 	}
 	return data, err
+}
+
+// CheckNoIntents refuses a sharded router's state directory whose
+// intents.log holds records. That file is the cross-pod intent journal
+// the strict-mode routers of older builds kept; its records bracket
+// cross-pod jobs, which only those builds can resolve or release. A
+// missing file holds none, nor does one no longer than its 8-byte
+// "SVCINT1\n" header, which every router of the other mode wrote.
+// CheckNoIntents writes nothing.
+func CheckNoIntents(dir string) error {
+	path := filepath.Join(dir, "intents.log")
+	data, err := readIfExists(path)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if len(data) > magicLen {
+		return fmt.Errorf("%w: %s holds %d bytes of cross-pod intent records, written by a strict-mode router; release its cross-pod jobs with an older build",
+			ErrUnsupportedFormat, path, len(data)-magicLen)
+	}
+	return nil
 }
 
 // eachFile reads dir, changing nothing, and calls visit with every name in

@@ -45,8 +45,7 @@ func recordOf(rec Record) record {
 // Inspect writes a legible rendering of a state directory to w. For the
 // newest snap-<gen>.snap: the file name with its meta record and a
 // one-line summary (WriteState prints the state itself). For the newest
-// wal-<gen>.log, and for intents.log when the directory is a sharded
-// router's: the file name (with the log's meta record), one JSON line
+// wal-<gen>.log: the file name with the log's meta record, one JSON line
 // per frame — {"off":…,"len":…,"format":"json|bin1",…fields…} — and a
 // one-line summary. It opens nothing for writing and truncates nothing;
 // a frame it cannot decode is rendered with its error and the walk goes on.
@@ -56,30 +55,28 @@ func Inspect(w io.Writer, dir string) error {
 		return err
 	}
 	gen, err := newestGen(dir, false)
-	if err == nil && gen > 0 {
-		_, err = inspectFile(w, walPath(dir, gen), walMagic)
-	}
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
+	case gen > 0:
+		return inspectLog(w, walPath(dir, gen))
+	case !snap:
+		return fmt.Errorf("wal: no snap-<gen>.snap or wal-<gen>.log in %s", dir)
 	}
-	found, err := inspectFile(w, filepath.Join(dir, "intents.log"), intentMagic)
-	if err == nil && !found && gen == 0 && !snap {
-		err = fmt.Errorf("wal: no snap-<gen>.snap, wal-<gen>.log or intents.log in %s", dir)
-	}
-	return err
+	return nil
 }
 
-func inspectFile(w io.Writer, path, magic string) (found bool, err error) {
+func inspectLog(w io.Writer, path string) error {
 	data, err := readIfExists(path)
 	if data == nil || err != nil {
-		return false, err
+		return err
 	}
-	frames, clean, scanErr := scanFrames(data, magic)
+	frames, clean, scanErr := scanFrames(data, walMagic)
 	if clean < magicLen {
-		return true, fmt.Errorf("wal: %s: %w", path, scanErr)
+		return fmt.Errorf("wal: %s: %w", path, scanErr)
 	}
 	name := filepath.Base(path)
-	if magic == walMagic && len(frames) > 0 {
+	if len(frames) > 0 {
 		fmt.Fprintf(w, `{"file":%q,"meta":%s}`+"\n", name, frames[0].Payload)
 		frames = frames[1:]
 	} else {
@@ -88,47 +85,30 @@ func inspectFile(w io.Writer, path, magic string) (found bool, err error) {
 	records, epoch := 0, uint64(1)
 	for _, fr := range frames {
 		var body any
-		var err error
-		if magic == intentMagic {
-			var in Intent
-			if in, err = decodeIntent(fr.Payload); err == nil {
-				line := intentRecord{Kind: in.Kind.String(), Job: int64(in.Job), Commit: in.Commit, Pods: in.Pods}
-				if in.HasMut {
-					line.Mut, err = json.Marshal(recordOf(Record{Mutation: in.Mut}))
-				}
-				body = line
+		rec, err := DecodeRecord(fr.Payload)
+		if err == nil {
+			if rec.Kind == KindEpoch && rec.Epoch > epoch {
+				epoch = rec.Epoch
 			}
+			body = recordOf(rec)
+			records++
 		} else {
-			var rec Record
-			if rec, err = DecodeRecord(fr.Payload); err == nil {
-				if rec.Kind == KindEpoch && rec.Epoch > epoch {
-					epoch = rec.Epoch
-				}
-				body = recordOf(rec)
-			}
-		}
-		if err != nil {
 			body = struct {
 				Error string `json:"error"`
 			}{err.Error()}
-		} else {
-			records++
 		}
 		fields, err := json.Marshal(body)
 		if err != nil {
-			return true, err
+			return err
 		}
 		// Splice the frame's position in front of the record's own fields.
 		fmt.Fprintf(w, `{"off":%d,"len":%d,"format":%q,%s`+"\n",
 			fr.End-headerLen-len(fr.Payload), len(fr.Payload), formatName(fr.Payload[0]), fields[1:])
 	}
-	summary := fmt.Sprintf("%s: %d records, clean length %d bytes", name, records, clean)
-	if magic == walMagic {
-		summary += fmt.Sprintf(", epoch %d", epoch)
-	}
+	summary := fmt.Sprintf("%s: %d records, clean length %d bytes, epoch %d", name, records, clean, epoch)
 	if torn := len(data) - clean; torn > 0 {
 		summary += fmt.Sprintf(", torn tail %d bytes (%v)", torn, scanErr)
 	}
 	_, err = fmt.Fprintln(w, summary)
-	return true, err
+	return err
 }

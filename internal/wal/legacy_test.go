@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,7 +17,8 @@ import (
 // whose records were JSON (see its README): snapshot + JSON log with
 // alloc, release, fail, repair, set-offline, epoch and keyed records, the
 // ExportState it must recover to, and a JSON intents.log. It stands for
-// an operator's existing directory, which must keep working.
+// an operator's existing directory, which must keep working — or, for
+// the intents.log of a strict-mode router, be refused untouched.
 
 // copyLegacy copies the fixture into a scratch directory, because
 // recovery opens the log for appending.
@@ -106,38 +108,43 @@ func TestLegacyDirectoryUpgradesInPlace(t *testing.T) {
 	}
 }
 
-// TestLegacyIntentLog: the same for the router's intent log.
-func TestLegacyIntentLog(t *testing.T) {
+// TestLegacyStrictDirectoryRefused: the fixture's intents.log holds the
+// cross-pod intent records of a strict-mode router, which no build since
+// can resolve. CheckNoIntents refuses its directory with
+// ErrUnsupportedFormat, names the file, and leaves it byte for byte as it
+// was.
+func TestLegacyStrictDirectoryRefused(t *testing.T) {
 	dir := copyLegacy(t)
-	want := []Intent{
-		testIntent(7),
-		{Kind: IntentDone, Job: 7, Commit: true},
-		{Kind: IntentReleaseBegin, Job: 7, Pods: []int{0, 2}},
-		{Kind: IntentReleaseDone, Job: 7},
-	}
-	l, got, err := OpenIntentLog(dir, IntentNoSync())
+	path := filepath.Join(dir, "intents.log")
+	before, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("open the legacy intent log: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy intents:\n got %+v\nwant %+v", got, want)
-	}
-	more := []Intent{testIntent(8), {Kind: IntentDone, Job: 8}}
-	for _, in := range more {
-		if err := l.Append(in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, got, err := OpenIntentLog(dir, IntentNoSync())
-	if err != nil {
-		t.Fatalf("reopen the mixed intent log: %v", err)
+	err = CheckNoIntents(dir)
+	if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("CheckNoIntents = %v, want ErrUnsupportedFormat naming %s", err, path)
 	}
-	defer l2.Close()
-	if !reflect.DeepEqual(got, append(want, more...)) {
-		t.Fatalf("mixed intents:\n got %+v", got)
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("a refused intents.log was modified (read err %v)", err)
+	}
+}
+
+// TestShortIntentsFileAccepted: an intents.log no longer than its 8-byte
+// header holds no records — every router of the other mode wrote the
+// header alone, and a crash while one was being created left less — so
+// its directory passes, as one without the file does.
+func TestShortIntentsFileAccepted(t *testing.T) {
+	if err := CheckNoIntents(t.TempDir()); err != nil {
+		t.Fatalf("a directory without intents.log: %v", err)
+	}
+	for _, data := range []string{"SVC", "SVCINT1\n"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "intents.log"), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckNoIntents(dir); err != nil {
+			t.Errorf("intents.log of %q: %v", data, err)
+		}
 	}
 }
 
@@ -171,13 +178,12 @@ func TestInspect(t *testing.T) {
 		t.Fatalf("Inspect: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	// snap: file line, summary; wal: file line, 18 records, summary;
-	// intents: file line, 4, summary.
-	if len(lines) != 1+1+1+18+1+1+4+1 {
+	// snap: file line, summary; wal: file line, 18 records, summary.
+	if len(lines) != 1+1+1+18+1 {
 		t.Fatalf("Inspect printed %d lines:\n%s", len(lines), out.String())
 	}
 	for i, line := range lines {
-		if i == 1 || i == 21 || i == 27 {
+		if i == 1 || i == 21 {
 			continue // the summaries are prose
 		}
 		var fields map[string]any
@@ -193,8 +199,6 @@ func TestInspect(t *testing.T) {
 		`"format":"json","op":"epoch","epoch":3}`,
 		`"format":"bin1","op":"release","job":8,"idem_key":"after-upgrade"}`,
 		`wal-2.log: 18 records, clean length `, `, epoch 3, torn tail 5 bytes (`,
-		`"format":"json","kind":"begin","job":7,"pods":[0,2],"mut":{"op":"alloc","job":7,`,
-		`intents.log: 4 records, clean length 386 bytes`,
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("Inspect output lacks %q:\n%s", want, out.String())

@@ -320,10 +320,6 @@ func TestFormat1Golden(t *testing.T) {
 	if got := appendEpochFrame(nil, 300)[headerLen:]; !bytes.Equal(got, []byte{0x01, 0x40, 0xac, 0x02}) {
 		t.Fatalf("epoch record drifted from format 1: %x", got)
 	}
-	begin, err := appendIntent(nil, Intent{Kind: IntentBegin, Job: 7, Pods: []int{0, 2}, HasMut: true, Mut: core.Mutation{Op: core.OpRelease, Job: 7}})
-	if err != nil || !bytes.Equal(begin, []byte{0x01, 1, intentHasMut, 14, 2, 0, 4, 0x01, 2, 0, 0, 14, 0, 0}) {
-		t.Fatalf("intent envelope drifted from format 1 (err %v): %x", err, begin)
-	}
 	// The legacy tag can never collide with a binary one.
 	if tagLegacy != 0x7b || tagBin1 == tagLegacy {
 		t.Fatal("format tags collide")
@@ -449,23 +445,11 @@ func TestDecoderBoundsAllocation(t *testing.T) {
 	}
 	vms := []byte{tagBin1, 1, flagPlacement, 0, 0, 0, 0, 1, 2, 1}
 	payloads["vms"] = append(binary.AppendUvarint(vms, 1<<62), make([]byte, 4)...)
-	pods := []byte{tagBin1, byte(IntentBegin), 0, 0}
-	payloads["pods"] = append(binary.AppendUvarint(pods, 1<<62), make([]byte, 4)...)
 
 	for name, payload := range payloads {
-		decode := func() error {
-			_, err := DecodeRecord(payload)
-			return err
-		}
-		if name == "pods" {
-			decode = func() error {
-				_, err := decodeIntent(payload)
-				return err
-			}
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := decode()
+		_, err := DecodeRecord(payload)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
@@ -572,30 +556,19 @@ func TestRecoverRefusesNewerFormat(t *testing.T) {
 		refused(t, dir, path)
 	})
 	t.Run("intent log", func(t *testing.T) {
+		// A strict-mode router's intents.log behind its header: refused
+		// whatever its records say, and left alone.
 		dir := t.TempDir()
-		l, _, err := OpenIntentLog(dir, IntentNoSync())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Append(testIntent(7)); err != nil {
-			t.Fatal(err)
-		}
-		l.Close()
 		path := filepath.Join(dir, "intents.log")
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+		data := appendFrame(appendFrame([]byte("SVCINT1\n"), mustEncode(t, alloc)), newer)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Write(appendFrame(nil, newer)); err != nil {
-			t.Fatal(err)
+		if err := CheckNoIntents(dir); !errors.Is(err, ErrUnsupportedFormat) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("CheckNoIntents: err = %v, want ErrUnsupportedFormat and not ErrCorrupt", err)
 		}
-		f.Close()
-		before, _ := os.ReadFile(path)
-		if _, _, err := OpenIntentLog(dir, IntentNoSync()); !errors.Is(err, ErrUnsupportedFormat) || errors.Is(err, ErrCorrupt) {
-			t.Fatalf("OpenIntentLog: err = %v, want ErrUnsupportedFormat and not ErrCorrupt", err)
-		}
-		if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
-			t.Fatal("a refused intent log was modified")
+		if after, _ := os.ReadFile(path); !bytes.Equal(data, after) {
+			t.Fatal("a refused intents.log was modified")
 		}
 	})
 }

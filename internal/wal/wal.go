@@ -49,8 +49,7 @@
 // f64 is the raw little-endian IEEE-754 bits, bit-exact by construction;
 // NaN and ±Inf are refused by the encoder (the commit is vetoed) and by
 // the decoder. Every length is checked against the bytes that remain
-// before it sizes an allocation. intents.log frames wrap the same
-// mutation record in an envelope of their own (intent.go).
+// before it sizes an allocation.
 //
 // A snapshot body (snapshot.go; legacy: {"state":{...}}) holds the whole
 // state; an entry is a [placement] element, a contribution a [contribs] one:
@@ -86,8 +85,8 @@
 //	                            log becomes the journal's — openLog at the
 //	                            mirrored length (Journal.open, shared with
 //	                            Recover), then AdvanceEpoch: append, sync
-//	router      intents.log     OpenIntentLog: writeDurably + openLog, then
-//	                            IntentLog.Append: append, sync
+//	router      intents.log     nothing: CheckNoIntents reads it, and refuses
+//	                            a directory whose file holds records
 //
 // writeDurably writes <name>.tmp, fsyncs, renames it into place (atomic on
 // POSIX) and fsyncs the directory, so a file is either absent, as it was,

@@ -54,9 +54,10 @@ echo "==> go test -race -tags invariants (storm x3 + wal)"
 go test -race -tags invariants -run 'TestAdmissionStormInvariants$' -count 3 ./internal/core/
 go test -race -tags invariants ./internal/wal/
 
-# The sharded router under the same tag: I10's assertConsistent (merged
-# pods == shadow, no core-link leak) after every mutating op of every
-# test in the package, the idempotency contract table included.
+# The sharded router under the same tag: every pod's Eq. 4 assertion
+# after each admission and moved repair, through every test in the
+# package — the one-pod oracle (I10), the fault-and-repair storm and the
+# idempotency contract table included.
 echo "==> go test -race -tags invariants ./internal/shard/"
 go test -race -tags invariants ./internal/shard/
 
@@ -68,12 +69,13 @@ echo "==> go test -race -tags invariants ./internal/replica/ ./internal/daemon/"
 go test -race -tags invariants ./internal/replica/ ./internal/daemon/
 
 # Snapshot reads (INVARIANTS.md I5): the slow-reader stress must find the
-# Clone fallback and no write to a pinned buffer in three interleavings,
-# and the refresh-equals-clone property runs with the accessor's own
-# sampled check compiled in.
-echo "==> snapshot views: -race stress x3, -tags invariants property test"
+# Clone fallback and no write to a pinned buffer in three interleavings.
+# Then the whole core package with every sampled check compiled in (the
+# refresh-equals-clone property, cached-plan recomputes, Eq. 4 after each
+# commit); its allocation bounds say what the tag adds.
+echo "==> snapshot views: -race stress x3; go test -tags invariants ./internal/core/"
 go test -race -run 'TestViewSlowReaderStress$' -count 3 ./internal/core/
-go test -tags invariants -run 'TestViewEqualsClone$|FuzzFailRestoreLedger$' ./internal/core/
+go test -tags invariants ./internal/core/
 
 # Client smoke: the retry schedule (a free first pass over the endpoints,
 # then backoff) and rotateFrom's rule that concurrent failures on one
