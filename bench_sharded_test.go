@@ -1,25 +1,18 @@
 // Sharded admission throughput: the pod-partitioned control plane (one
-// ledger + WAL per aggregation subtree) against the single-WAL
-// manager. The grid scales pods and clients together — each pod is a
-// fixed-size subtree serving two clients — so the fsync cells measure how
-// aggregate durable throughput grows as the fsync stream is sharded:
-// one journal serializes every admission through one device queue, K
-// journals sync in parallel.
+// ledger + WAL per aggregation subtree) against the single-WAL manager on
+// the same tree. The grid scales pods and clients together — each pod is
+// a fixed-size subtree serving two clients — and runs every cell twice:
+// BenchmarkShardedAdmission on the router, BenchmarkShardedBaseline on one
+// unsharded manager with the same tree and the same 2K clients. Their
+// ratio per cell is what decides whether sharding wins a regime.
 //
-// The grid has three sync modes. "fsync" is the host disk as-is — on a
-// single shared device whose flush queue serializes concurrent fsyncs
-// (measured here: ~2x aggregate at 8 parallel streams), it reports what
-// this machine can do, not what the architecture can. "simdisk" models
-// the deployment the sharding is for — one log device per pod — by
-// replacing the physical fsync with a fixed 150us device wait
-// (wal.WithSyncDelay), so the cells isolate the control plane's own
-// scaling: with a single WAL every admission serializes behind one
-// flush stream regardless of group commit; with K WALs the streams are
-// independent. "nosync" drops durability entirely and shows the CPU
-// ceiling. BenchmarkShardedBaseline is the matched unsharded control
-// (same one-pod topology, same two clients, one unsharded manager) that
-// the shards=1 cells must stay within noise of — sharding must be free
-// when there is nothing to shard.
+// "fsync" is the host disk as-is: one journal serializes every admission
+// through one flush stream, K journals sync in parallel, and a single
+// shared device queue decides how much of that parallelism is real.
+// "nosync" drops durability and compares the two control planes' CPU
+// paths. The shards=1 cells must stay within noise of each other —
+// sharding must be free when there is nothing to shard (scripts/bench.sh
+// asserts it).
 package svc_test
 
 import (
@@ -28,7 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/shard"
@@ -99,96 +91,68 @@ func benchShardLoop(b *testing.B, clients int,
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
-// BenchmarkShardedAdmission reports end-to-end journaled admission ops/s
-// on the sharded router at 1, 2, 4, and 8 pods with two clients per pod.
-// Admissions plan and commit pod-locally (round-robin dispatch), so the
-// K fsync cells have K independent group-commit streams in flight.
-func BenchmarkShardedAdmission(b *testing.B) {
+// shardGrid runs cell at 1, 2, 4 and 8 pods, on fsync and on nosync;
+// -short keeps one smoke cell, shards=4/nosync.
+func shardGrid(b *testing.B, cell func(b *testing.B, shards int, noSync bool)) {
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, syncMode := range []string{"fsync", "simdisk", "nosync"} {
-			// -short: one smoke cell at the headline point.
-			if testing.Short() && (shards != 4 || syncMode != "simdisk") {
+		for _, mode := range []string{"fsync", "nosync"} {
+			if testing.Short() && (shards != 4 || mode != "nosync") {
 				continue
 			}
-			name := fmt.Sprintf("shards=%d/%s", shards, syncMode)
-			b.Run(name, func(b *testing.B) {
-				benchSharded(b, shards, syncMode)
+			b.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(b *testing.B) {
+				cell(b, shards, mode == "nosync")
 			})
 		}
 	}
 }
 
-// simDiskLatency is the simulated per-device flush wait for the simdisk
-// cells — on the order of a real fsync on this class of hardware.
-const simDiskLatency = 150 * time.Microsecond
-
-func shardSyncOptions(syncMode string) shard.Options {
-	switch syncMode {
-	case "fsync":
-		return shard.Options{}
-	case "simdisk":
-		return shard.Options{SyncDelay: simDiskLatency}
-	default:
-		return shard.Options{NoSync: true}
-	}
-}
-
-func benchSharded(b *testing.B, shards int, syncMode string) {
-	opts := shardSyncOptions(syncMode)
-	opts.SnapshotEvery = 1 << 30
-	r, err := shard.Open(b.TempDir(), benchShardTopology(b, shards), 0.05, shards, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
-	benchShardLoop(b, 2*shards,
-		func() (*core.Allocation, error) { return r.AllocateHomog(req) },
-		func(id core.JobID) error { return r.Release(id) })
-	var batches, records int64
-	for i := 0; i < r.Shards(); i++ {
-		gs := r.PodJournal(i).GroupCommitStats()
-		batches += gs.Batches
-		records += gs.Records
-	}
-	if batches > 0 {
-		b.ReportMetric(float64(records)/float64(batches), "recs/batch")
-	}
-}
-
-// BenchmarkShardedBaseline is the unsharded control for the shards=1
-// parity check: the same one-pod topology and two-client workload on a
-// plain unsharded manager over a single WAL. scripts/bench.sh asserts
-// the shards=1 router stays within noise of this — the router's extra
-// routing layer must cost nothing when every admission is pod-local.
-func BenchmarkShardedBaseline(b *testing.B) {
-	for _, syncMode := range []string{"fsync", "simdisk", "nosync"} {
-		if testing.Short() && syncMode != "simdisk" {
-			continue
+// BenchmarkShardedAdmission reports end-to-end journaled admission ops/s
+// on the sharded router with two clients per pod. Admissions plan and
+// commit pod-locally (round-robin dispatch), so the K fsync cells have K
+// independent group-commit streams in flight.
+func BenchmarkShardedAdmission(b *testing.B) {
+	shardGrid(b, func(b *testing.B, shards int, noSync bool) {
+		r, err := shard.Open(b.TempDir(), benchShardTopology(b, shards), 0.05, shards, shard.Options{NoSync: noSync})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(syncMode, func(b *testing.B) {
-			benchUnsharded(b, benchShardTopology(b, 1), syncMode, 2)
-		})
-	}
+		defer r.Close()
+		req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
+		benchShardLoop(b, 2*shards,
+			func() (*core.Allocation, error) { return r.AllocateHomog(req) },
+			func(id core.JobID) error { return r.Release(id) })
+		var batches, records int64
+		for i := 0; i < r.Shards(); i++ {
+			gs := r.PodJournal(i).GroupCommitStats()
+			batches += gs.Batches
+			records += gs.Records
+		}
+		if batches > 0 {
+			b.ReportMetric(float64(records)/float64(batches), "recs/batch")
+		}
+	})
 }
 
-// benchUnsharded runs the shared workload with clients clients on one
-// unsharded manager over a single WAL.
-func benchUnsharded(b *testing.B, topo *topology.Topology, syncMode string, clients int) {
-	walOpts := []wal.Option{wal.WithSnapshotEvery(1 << 30)}
-	switch syncMode {
-	case "simdisk":
-		walOpts = append(walOpts, wal.WithSyncDelay(simDiskLatency))
-	case "nosync":
-		walOpts = append(walOpts, wal.WithNoSync())
-	}
-	mgr, j, err := wal.Recover(b.TempDir(), topo, 0.05, nil, walOpts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer j.Close()
-	req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
-	benchShardLoop(b, clients,
-		func() (*core.Allocation, error) { return mgr.AllocateHomog(req) },
-		func(id core.JobID) error { return mgr.Release(id) })
+// BenchmarkShardedBaseline is the unsharded control of every
+// BenchmarkShardedAdmission cell: the same K-pod tree and the same 2K
+// clients on one unsharded manager over a single WAL.
+func BenchmarkShardedBaseline(b *testing.B) {
+	shardGrid(b, func(b *testing.B, shards int, noSync bool) {
+		var opts []wal.Option
+		if noSync {
+			opts = append(opts, wal.WithNoSync())
+		}
+		mgr, j, err := wal.Recover(b.TempDir(), benchShardTopology(b, shards), 0.05, nil, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer j.Close()
+		req := core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}
+		benchShardLoop(b, 2*shards,
+			func() (*core.Allocation, error) { return mgr.AllocateHomog(req) },
+			func(id core.JobID) error { return mgr.Release(id) })
+		if gs := j.GroupCommitStats(); gs.Batches > 0 {
+			b.ReportMetric(float64(gs.Records)/float64(gs.Batches), "recs/batch")
+		}
+	})
 }

@@ -440,42 +440,6 @@ func BenchmarkFailRepair(b *testing.B) {
 	b.ReportMetric(float64(repaired)/float64(b.N), "repairs/op")
 }
 
-// BenchmarkRepairPlan measures the plan inside one homogeneous repair on
-// its own: Algorithm 1 for N = 49 with the survivors of a one-machine
-// failure pinned, on the partially loaded paper-scale ledger. The strict
-// cell is the pass every repair runs; the relaxed cell is the degraded pass
-// a repair falls back to (here on an instance the strict pass solves, so
-// the two cells differ only by the uplink filter).
-func BenchmarkRepairPlan(b *testing.B) {
-	led := paperLedger(b)
-	req, err := core.NewHomogeneous(49, stats.Normal{Mu: 300, Sigma: 150})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, _, err := core.AllocateHomog(led, req, core.MinMaxOccupancy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	led.Faults().FailMachine(p.Entries[0].Machine)
-	pinned := make(map[topology.NodeID]int)
-	for _, e := range p.Entries[1:] {
-		pinned[e.Machine] = e.Count
-	}
-	for _, bc := range []struct {
-		name  string
-		relax bool
-	}{{"strict", false}, {"relaxed", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.AllocateHomogPinned(led, req, core.MinMaxOccupancy, pinned, bc.relax); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMaxOccupancy measures the Fig. 9 sampling statistic over the
 // paper-scale link set.
 func BenchmarkMaxOccupancy(b *testing.B) {

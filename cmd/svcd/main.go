@@ -10,6 +10,12 @@
 // (plus the latest snapshot) into a bit-identical manager: admitted jobs,
 // fault state, and idempotency keys all survive a crash or SIGKILL.
 //
+// Flags: -addr, -topo, -eps, -state-dir, -no-sync, -role and -follow (a
+// hot standby), and -shards (one ledger and log per aggregation subtree).
+// Every node plans with Algorithm 1's min-max occupancy objective and
+// compacts its log into a snapshot every 4 096 records; neither is a
+// flag.
+//
 // API (see internal/httpapi):
 //
 //	POST   /v1/allocations        {"n":49,"mu":300,"sigma":120} -> placement
@@ -46,7 +52,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/topology"
 )
@@ -58,18 +63,16 @@ func main() {
 	}
 }
 
-// parseConfig turns the command line into a node configuration: flags,
-// the topology file and the policy name. What the flags may say together
-// is daemon.New's to judge.
+// parseConfig turns the command line into a node configuration: flags
+// and the topology file. What the flags may say together is daemon.New's
+// to judge.
 func parseConfig(args []string) (daemon.Config, error) {
 	fs := flag.NewFlagSet("svcd", flag.ContinueOnError)
 	var cfg daemon.Config
 	fs.StringVar(&cfg.Addr, "addr", "127.0.0.1:8080", "listen address")
 	topoPath := fs.String("topo", "", "topology spec JSON (default: builtin paper topology)")
 	fs.Float64Var(&cfg.Eps, "eps", 0.05, "risk factor for the probabilistic guarantee")
-	policy := fs.String("policy", "minmax", "placement policy: minmax|first-feasible|greedy-pack")
 	fs.StringVar(&cfg.StateDir, "state-dir", "", "directory for the write-ahead log and snapshots (empty: in-memory only)")
-	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 4096, "journal records between snapshots")
 	fs.BoolVar(&cfg.NoSync, "no-sync", false, "skip fsync on journal appends (faster, loses tail on power failure)")
 	fs.StringVar(&cfg.Role, "role", "primary", "primary serves writes; standby follows a primary's WAL and serves reads until promoted")
 	fs.StringVar(&cfg.Follow, "follow", "", "primary base URL a standby replicates from (e.g. http://10.0.0.1:8080)")
@@ -78,20 +81,8 @@ func parseConfig(args []string) (daemon.Config, error) {
 		return cfg, err
 	}
 	var err error
-	if cfg.Topo, err = loadTopology(*topoPath); err != nil {
-		return cfg, err
-	}
-	switch *policy {
-	case "minmax":
-		cfg.MgrOpts = []core.ManagerOption{core.WithPolicy(core.MinMaxOccupancy)}
-	case "first-feasible":
-		cfg.MgrOpts = []core.ManagerOption{core.WithPolicy(core.FirstFeasible)}
-	case "greedy-pack":
-		cfg.MgrOpts = []core.ManagerOption{core.WithPolicy(core.GreedyPack)}
-	default:
-		return cfg, fmt.Errorf("unknown policy %q", *policy)
-	}
-	return cfg, nil
+	cfg.Topo, err = loadTopology(*topoPath)
+	return cfg, err
 }
 
 func run(args []string) error {

@@ -69,7 +69,7 @@ type homogTable struct {
 	policy   Policy
 	crossing []stats.Normal // crossing[m]: demand on a link with m of the N VMs below
 
-	// Repair inputs (AllocateHomogPinned); an admission sets neither.
+	// Repair inputs (allocateHomogPinnedScoped); an admission sets neither.
 	// Surviving VMs are lower bounds: a machine cannot take fewer VMs
 	// than are pinned on it, and the chosen subtree must hold every pin.
 	pins   []int // pins[v]: VMs pinned inside v's subtree; meaningful only while pinned > 0

@@ -190,19 +190,11 @@ func evalCallOpts(opts []CallOption) callOpts {
 	return co
 }
 
-// CallMeta is the resolved view of a call-option list, for external
-// coordinators — the sharded router routes on the idempotency key
+// ResolveCallOptions returns the idempotency key a call-option list
+// carries, without invoking a manager — the sharded router routes on it
 // (replay, claim arbitration) before any pod manager sees the call.
-type CallMeta struct {
-	IdemKey string
-	Job     JobID
-}
-
-// ResolveCallOptions evaluates a call-option list without invoking a
-// manager.
-func ResolveCallOptions(opts ...CallOption) CallMeta {
-	co := evalCallOpts(opts)
-	return CallMeta{IdemKey: co.idemKey, Job: co.jobID}
+func ResolveCallOptions(opts ...CallOption) string {
+	return evalCallOpts(opts).idemKey
 }
 
 // noWait is the durability wait of a commit with nothing left to wait

@@ -276,16 +276,6 @@ func (m *Manager) Release(id JobID, opts ...CallOption) error {
 	return wait()
 }
 
-// HasJob reports whether a job is currently admitted. The sharded
-// router's crash recovery uses it to resolve in-doubt cross-pod
-// admissions: an intent with no matching job on some pod must abort.
-func (m *Manager) HasJob(id JobID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.jobs[id]
-	return ok
-}
-
 // Running returns the number of admitted, unreleased jobs.
 func (m *Manager) Running() int {
 	m.mu.Lock()
@@ -293,9 +283,20 @@ func (m *Manager) Running() int {
 	return len(m.jobs)
 }
 
-// FreeSlots returns the number of unoccupied VM slots. Like every metric
-// below it reads a ledger snapshot, so scrapes never stall admissions.
-func (m *Manager) FreeSlots() int { return view(m, (*Ledger).TotalFreeSlots) }
+// FreeSlots returns the number of unoccupied VM slots on the machines the
+// manager plans over: every machine, or a WithPlanSubtree manager's
+// subtree — a pod of a sharded control plane answers for its own
+// machines. Like every metric below it reads a ledger snapshot, so
+// scrapes never stall admissions.
+func (m *Manager) FreeSlots() int {
+	machines := scopeAtLevel(m.led.Topology(), m.scope, 0)
+	return view(m, func(led *Ledger) (total int) {
+		for _, mc := range machines {
+			total += led.FreeSlots(mc)
+		}
+		return total
+	})
+}
 
 // Version returns the count of applied mutations since construction —
 // the committed-version clock replication lag is measured in.
@@ -364,20 +365,6 @@ func (m *Manager) Topology() *topology.Topology { return m.led.Topology() }
 // in-process tooling (the simulator and tests). Callers must not mutate it
 // while the manager is in use.
 func (m *Manager) Ledger() *Ledger { return m.led }
-
-// FreeSlotsSubtree returns the number of unoccupied VM slots on machines
-// inside root's subtree — the per-pod capacity view a sharded control
-// plane reports, where each pod controller's ledger is authoritative only
-// for its own subtree.
-func (m *Manager) FreeSlotsSubtree(root topology.NodeID) int {
-	machines := m.led.Topology().SubtreeMachines(nil, root)
-	return view(m, func(led *Ledger) (total int) {
-		for _, mc := range machines {
-			total += led.FreeSlots(mc)
-		}
-		return total
-	})
-}
 
 // LinkLoad is the point-in-time load of one physical link, for status
 // surfaces (the /v1/links endpoint and per-shard status sections).

@@ -15,11 +15,14 @@ import (
 // O_L < 1 (paper Eq. 4) switched off. This file only validates the pins and
 // hands them to the table.
 
-// AllocateHomogPinned places a homogeneous request with some VMs pinned:
-// pinned maps machines to the VM counts that must remain there. The
-// returned placement includes the pinned VMs (entry counts are totals per
-// machine). The ledger must not be carrying the request being repaired —
-// the caller rolls the job back first, so pinned slots are free again.
+// allocateHomogPinnedScoped places a homogeneous request with some VMs
+// pinned: pinned maps machines to the VM counts that must remain there.
+// The returned placement includes the pinned VMs (entry counts are totals
+// per machine). The ledger must not be carrying the request being
+// repaired — the caller rolls the job back first, so pinned slots are
+// free again. A non-nil scope confines the repair to the scope's subtree
+// exactly like allocateHomogScoped does for admissions. Always a cold
+// plan in a pooled table, never a plan-cache entry: see planRepairLocked.
 //
 // With relax == false the admission condition O_L < 1 is enforced on every
 // uplink, exactly like AllocateHomog; ErrNoCapacity means no
@@ -28,15 +31,6 @@ import (
 // objective limits (but does not bound) the resulting occupancy — the
 // graceful-degradation path, which the manager reports as a weakened
 // effective eps rather than silently violating the guarantee.
-func AllocateHomogPinned(led *Ledger, req Homogeneous, policy Policy, pinned map[topology.NodeID]int, relax bool) (Placement, []Contribution, error) {
-	return allocateHomogPinnedScoped(led, req, policy, pinned, relax, nil)
-}
-
-// allocateHomogPinnedScoped is the scope-aware driver behind
-// AllocateHomogPinned; a non-nil scope confines the repair to the scope's
-// subtree exactly like allocateHomogScoped does for admissions. Always a
-// cold plan in a pooled table, never a plan-cache entry: see
-// planRepairLocked.
 func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinned map[topology.NodeID]int, relax bool, scope *planScope) (Placement, []Contribution, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err

@@ -307,7 +307,7 @@ func TestPinnedEmptyMatchesPlainDP(t *testing.T) {
 		n := r.UniformInt(1, min(8, tp.TotalSlots()))
 		req := Homogeneous{N: n, Demand: stats.Normal{Mu: r.UniformRange(1, 10), Sigma: r.UniformRange(0, 4)}}
 		p1, _, err1 := AllocateHomog(led, req, MinMaxOccupancy)
-		p2, _, err2 := AllocateHomogPinned(led, req, MinMaxOccupancy, nil, false)
+		p2, _, err2 := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, nil, false, nil)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: feasibility differs: %v vs %v", trial, err1, err2)
 		}
@@ -343,7 +343,7 @@ func TestPinnedRejectsBadPins(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(led)
 			}
-			if _, _, err := AllocateHomogPinned(led, req, MinMaxOccupancy, tc.pinned, false); err == nil {
+			if _, _, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, tc.pinned, false, nil); err == nil {
 				t.Fatal("expected an error")
 			}
 		})
@@ -361,20 +361,10 @@ func TestRepairPlanAllocBudget(t *testing.T) {
 		maxBytes   = 64 << 10
 		maxObjects = 200
 	)
-	led := paperManager(t).Ledger().Clone()
-	req := Homogeneous{N: 49, Demand: stats.Normal{Mu: 300, Sigma: 150}}
-	p, _, err := AllocateHomog(led, req, MinMaxOccupancy)
-	if err != nil || len(p.Entries) < 2 {
-		t.Fatalf("no spread placement to repair: %v (err %v)", &p, err)
-	}
-	led.Faults().FailMachine(p.Entries[0].Machine)
-	pinned := make(map[topology.NodeID]int)
-	for _, e := range p.Entries[1:] {
-		pinned[e.Machine] = e.Count
-	}
+	led, req, pinned := paperRepair(t)
 	for _, relax := range []bool{false, true} {
 		plan := func() {
-			if _, _, err := AllocateHomogPinned(led, req, MinMaxOccupancy, pinned, relax); err != nil {
+			if _, _, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, pinned, relax, nil); err != nil {
 				t.Fatalf("relax %v: %v", relax, err)
 			}
 		}
@@ -395,4 +385,46 @@ func TestRepairPlanAllocBudget(t *testing.T) {
 				relax, objects, bytes, maxObjects, maxBytes)
 		}
 	}
+}
+
+// BenchmarkRepairPlan measures the plan inside one homogeneous repair on
+// its own: Algorithm 1 for N = 49 with the survivors of a one-machine
+// failure pinned, on the paper-scale ledger TestRepairPlanAllocBudget
+// bounds. The strict cell is the pass every repair runs; the relaxed cell
+// is the degraded pass a repair falls back to (here on an instance the
+// strict pass solves, so the two cells differ only by the uplink filter).
+func BenchmarkRepairPlan(b *testing.B) {
+	led, req, pinned := paperRepair(b)
+	for _, bc := range []struct {
+		name  string
+		relax bool
+	}{{"strict", false}, {"relaxed", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, pinned, bc.relax, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// paperRepair is one repair's input on the paper's datacenter with a few
+// tenants admitted: an N = 49 request placed on a copy of that ledger,
+// the placement's first machine failed, and its survivors as the pins.
+func paperRepair(tb testing.TB) (*Ledger, Homogeneous, map[topology.NodeID]int) {
+	tb.Helper()
+	led := paperManager(tb).Ledger().Clone()
+	req := Homogeneous{N: 49, Demand: stats.Normal{Mu: 300, Sigma: 150}}
+	p, _, err := AllocateHomog(led, req, MinMaxOccupancy)
+	if err != nil || len(p.Entries) < 2 {
+		tb.Fatalf("no spread placement to repair: %v (err %v)", &p, err)
+	}
+	led.Faults().FailMachine(p.Entries[0].Machine)
+	pinned := make(map[topology.NodeID]int)
+	for _, e := range p.Entries[1:] {
+		pinned[e.Machine] = e.Count
+	}
+	return led, req, pinned
 }

@@ -507,7 +507,7 @@ func TestPlanCacheCounters(t *testing.T) {
 
 // paperManager returns a manager over the paper's datacenter with a few
 // tenants admitted, so plans are not trivially machine-local.
-func paperManager(t *testing.T) *Manager {
+func paperManager(t testing.TB) *Manager {
 	t.Helper()
 	topo, err := topology.NewThreeTier(topology.PaperConfig())
 	if err != nil {

@@ -222,7 +222,7 @@ func (m *Manager) EffectiveEps(id JobID) (float64, error) {
 // reservations are rolled back and it is re-placed:
 //
 //   - Homogeneous jobs run Algorithm 1 with the survivors pinned
-//     (AllocateHomogPinned), so surviving VMs stay exactly where they are.
+//     (allocateHomogPinnedScoped), so surviving VMs stay exactly where they are.
 //     A strict pass enforces the original admission condition
 //     (RepairMoved); if none exists, a relaxed pass minimizes — but no
 //     longer bounds — occupancy, and the job is marked degraded with its

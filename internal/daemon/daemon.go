@@ -24,18 +24,17 @@ import (
 )
 
 // Config is one node's configuration: svcd's flags, with the topology
-// parsed and the placement policy already a manager option.
+// parsed. Every node plans with core's default policy (min-max) and
+// checkpoints at wal's default cadence.
 type Config struct {
-	Addr            string
-	Topo            *topology.Topology
-	Eps             float64
-	MgrOpts         []core.ManagerOption
-	StateDir        string // empty: in-memory only
-	CheckpointEvery int    // journal records between snapshots (0: wal's default)
-	NoSync          bool
-	Role            string // "primary" (also "") or "standby"
-	Follow          string // primary base URL, required for a standby
-	Shards          int    // 0: unsharded; N: one pod-local shard per aggregation subtree
+	Addr     string
+	Topo     *topology.Topology
+	Eps      float64
+	StateDir string // empty: in-memory only
+	NoSync   bool
+	Role     string // "primary" (also "") or "standby"
+	Follow   string // primary base URL, required for a standby
+	Shards   int    // 0: unsharded; N: one pod-local shard per aggregation subtree
 }
 
 // journaled is one manager and the log it commits to: the unsharded
@@ -75,7 +74,7 @@ func New(cfg Config) (_ *Daemon, err error) {
 			d.closeFiles()
 		}
 	}()
-	walOpts := []wal.Option{wal.WithSnapshotEvery(cfg.CheckpointEvery)}
+	var walOpts []wal.Option
 	if cfg.NoSync {
 		walOpts = append(walOpts, wal.WithNoSync())
 	}
@@ -91,11 +90,7 @@ func New(cfg Config) (_ *Daemon, err error) {
 			if cfg.StateDir == "" {
 				return nil, errors.New("-shards needs -state-dir (each pod keeps its own write-ahead log)")
 			}
-			d.router, err = shard.Open(cfg.StateDir, cfg.Topo, cfg.Eps, cfg.Shards, shard.Options{
-				MgrOpts:       cfg.MgrOpts,
-				NoSync:        cfg.NoSync,
-				SnapshotEvery: cfg.CheckpointEvery,
-			})
+			d.router, err = shard.Open(cfg.StateDir, cfg.Topo, cfg.Eps, cfg.Shards, shard.Options{NoSync: cfg.NoSync})
 			if err != nil {
 				return nil, err
 			}
@@ -104,14 +99,14 @@ func New(cfg Config) (_ *Daemon, err error) {
 			}
 			ctrl = d.router
 		case cfg.StateDir != "":
-			mgr, journal, err := wal.Recover(cfg.StateDir, cfg.Topo, cfg.Eps, cfg.MgrOpts, walOpts...)
+			mgr, journal, err := wal.Recover(cfg.StateDir, cfg.Topo, cfg.Eps, nil, walOpts...)
 			if err != nil {
 				return nil, err
 			}
 			d.logs = []journaled{{mgr, journal}}
 			ctrl = mgr
 		default:
-			if ctrl, err = core.NewManager(cfg.Topo, cfg.Eps, cfg.MgrOpts...); err != nil {
+			if ctrl, err = core.NewManager(cfg.Topo, cfg.Eps); err != nil {
 				return nil, err
 			}
 		}
@@ -129,7 +124,6 @@ func New(cfg Config) (_ *Daemon, err error) {
 			Topo:    cfg.Topo,
 			Eps:     cfg.Eps,
 			Fetch:   httpapi.NewClient(cfg.Follow, nil).WALTail,
-			MgrOpts: cfg.MgrOpts,
 			WALOpts: walOpts,
 			NoSync:  cfg.NoSync,
 			// Stream resets build a fresh follower manager; re-point read

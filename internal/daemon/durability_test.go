@@ -29,7 +29,7 @@ func startNode(t *testing.T, cfg Config) *Daemon {
 	if cfg.Topo == nil {
 		cfg.Topo = paperTopo(t)
 	}
-	cfg.Addr, cfg.Eps, cfg.CheckpointEvery, cfg.NoSync = "127.0.0.1:0", 0.05, 4096, true
+	cfg.Addr, cfg.Eps, cfg.NoSync = "127.0.0.1:0", 0.05, true
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

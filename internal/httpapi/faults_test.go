@@ -4,6 +4,10 @@ import (
 	"context"
 	"net/http"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/shard"
+	"repro/internal/topology"
 )
 
 // intp builds an optional wire field.
@@ -92,10 +96,37 @@ func TestRepairAllNoopOnHealthyDatacenter(t *testing.T) {
 	}
 }
 
+// TestFaultValidation: a fault on a target that is not a machine, has no
+// uplink or does not exist is a 400, from the unsharded manager and from
+// a 2-pod router alike. The handler checks only the request's shape; the
+// target is the controller's to judge (core.ErrBadRequest).
 func TestFaultValidation(t *testing.T) {
-	client, mgr := newTestService(t)
+	topo, err := topology.NewThreeTier(topology.ThreeTierConfig{
+		Aggs: 2, ToRsPerAgg: 2, MachinesPerRack: 2, SlotsPerMachine: 2,
+		HostCap: 1000, Oversub: 2,
+	})
+	if err != nil {
+		t.Fatalf("topology: %v", err)
+	}
+	mgr, err := core.NewManager(topo, 0.05)
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	router, err := shard.Open(t.TempDir(), topo, 0.05, 2, shard.Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("shard.Open: %v", err)
+	}
+	t.Cleanup(func() { router.Close() })
+	servers := []struct {
+		name   string
+		client *Client
+	}{
+		{"manager", serve(t, mgr)},
+		{"router", serve(t, router)},
+	}
 	ctx := context.Background()
-	root := int(mgr.Topology().Root())
+	root := int(topo.Root())
+	agg := int(topo.AtLevel(2)[0]) // inside a pod: the pod's manager refuses it
 
 	cases := []struct {
 		name string
@@ -105,14 +136,20 @@ func TestFaultValidation(t *testing.T) {
 		{"both machine and link", FaultRequest{Machine: intp(1), Link: intp(1)}},
 		{"machine id out of range", FaultRequest{Machine: intp(10000)}},
 		{"machine id is an internal node", FaultRequest{Machine: &root}},
+		{"machine id is a pod's switch", FaultRequest{Machine: &agg, Restore: true}},
 		{"link id is the root", FaultRequest{Link: &root}},
+		{"link id out of range", FaultRequest{Link: intp(10000), Restore: true}},
 		{"negative link id", FaultRequest{Link: intp(-1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := client.Fault(ctx, tc.req)
-			if se := asStatus(t, err); se != http.StatusBadRequest {
-				t.Errorf("status = %d, want 400", se)
+			for _, s := range servers {
+				t.Run(s.name, func(t *testing.T) {
+					_, err := s.client.Fault(ctx, tc.req)
+					if se := asStatus(t, err); se != http.StatusBadRequest {
+						t.Errorf("status = %d, want 400", se)
+					}
+				})
 			}
 		})
 	}

@@ -28,9 +28,15 @@ func newTestService(t *testing.T) (*Client, *core.Manager) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	srv := httptest.NewServer(NewServer(mgr).Handler())
+	return serve(t, mgr), mgr
+}
+
+// serve puts c behind an httptest server and returns a client for it.
+func serve(t *testing.T, c Controller) *Client {
+	t.Helper()
+	srv := httptest.NewServer(NewControllerServer(c).Handler())
 	t.Cleanup(srv.Close)
-	return NewClient(srv.URL, srv.Client()), mgr
+	return NewClient(srv.URL, srv.Client())
 }
 
 func TestAllocateReleaseRoundTrip(t *testing.T) {

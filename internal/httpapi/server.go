@@ -406,13 +406,18 @@ func (s *Server) handleAllocate(w http.ResponseWriter, req *http.Request) {
 		writeError(w, statusOf(err), err)
 		return
 	}
-	resp := AllocationResponse{ID: int64(alloc.ID), VMs: alloc.Placement.TotalVMs()}
-	for _, e := range alloc.Placement.Entries {
-		resp.Placement = append(resp.Placement, PlacementEntry{
-			Machine: int(e.Machine), Count: e.Count, VMs: e.VMs,
-		})
+	writeJSON(w, http.StatusCreated, AllocationResponse{
+		ID: int64(alloc.ID), VMs: alloc.Placement.TotalVMs(), Placement: wirePlacement(alloc.Placement),
+	})
+}
+
+// wirePlacement converts a placement to its wire form (nil when empty).
+func wirePlacement(p core.Placement) []PlacementEntry {
+	var out []PlacementEntry
+	for _, e := range p.Entries {
+		out = append(out, PlacementEntry{Machine: int(e.Machine), Count: e.Count, VMs: e.VMs})
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	return out
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, req *http.Request) {
@@ -522,7 +527,8 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("set exactly one of machine and link"))
 		return
 	}
-	topo := mgr.Topology()
+	// Whether the target is a machine or has an uplink is the
+	// controller's to judge: it answers core.ErrBadRequest, a 400.
 	key := core.WithIdemKey(req.Header.Get(IdempotencyHeader))
 	var (
 		affected []core.JobID
@@ -531,10 +537,6 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case wire.Machine != nil:
 		id := topology.NodeID(*wire.Machine)
-		if id < 0 || int(id) >= topo.Len() || !topo.Node(id).IsMachine() {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("node %d is not a machine", id))
-			return
-		}
 		if wire.Restore {
 			err = mgr.RestoreMachine(id, key)
 		} else {
@@ -542,10 +544,6 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 		}
 	default:
 		id := topology.LinkID(*wire.Link)
-		if id < 0 || int(id) >= topo.Len() || topo.Node(topology.NodeID(id)).Parent == topology.None {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("node %d has no uplink", id))
-			return
-		}
 		if wire.Restore {
 			err = mgr.RestoreLink(id, key)
 		} else {
@@ -568,19 +566,14 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 
 // wireRepair converts one repair outcome to its wire form.
 func wireRepair(res core.RepairResult) RepairResult {
-	out := RepairResult{
+	return RepairResult{
 		Job:          int64(res.Job),
 		Outcome:      res.Outcome.String(),
 		MovedVMs:     res.MovedVMs,
 		EffectiveEps: res.EffectiveEps,
 		ElapsedMs:    float64(res.Elapsed) / 1e6,
+		Placement:    wirePlacement(res.Placement),
 	}
-	for _, e := range res.Placement.Entries {
-		out.Placement = append(out.Placement, PlacementEntry{
-			Machine: int(e.Machine), Count: e.Count, VMs: e.VMs,
-		})
-	}
-	return out
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, req *http.Request) {

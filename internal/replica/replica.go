@@ -59,10 +59,6 @@ type Config struct {
 	Eps  float64
 	// Fetch pulls log chunks from the primary.
 	Fetch Fetch
-	// MgrOpts configure the follower manager identically to the primary
-	// (placement policy, heterogeneous algorithm), so replayed mutations
-	// validate the same.
-	MgrOpts []core.ManagerOption
 	// WALOpts are applied to the journal the mirror becomes at promotion.
 	WALOpts []wal.Option
 	// NoSync skips fsync on the mirror (tests and simulations only).
@@ -134,11 +130,11 @@ func New(cfg Config) (*Standby, error) {
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 5 * time.Second
 	}
-	mgr, err := core.NewManager(cfg.Topo, cfg.Eps, cfg.MgrOpts...)
+	mgr, err := core.NewManager(cfg.Topo, cfg.Eps)
 	if err != nil {
 		return nil, err
 	}
-	mirror, err := wal.OpenMirror(cfg.Dir, cfg.Topo, cfg.Eps, cfg.MgrOpts, cfg.NoSync)
+	mirror, err := wal.OpenMirror(cfg.Dir, cfg.Topo, cfg.Eps, cfg.NoSync)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func (r *Router) AllocateHetero(req core.Heterogeneous, opts ...core.CallOption)
 // after a failed keyed attempt; the router trades that retry for never
 // blocking admissions on a sibling pod's planning (see docs/SHARDING.md).
 func (r *Router) admit(req core.Mutation, opts []core.CallOption) (*core.Allocation, error) {
-	req.IdemKey = core.ResolveCallOptions(opts...).IdemKey
+	req.IdemKey = core.ResolveCallOptions(opts...)
 	var (
 		is          core.IdemState
 		bound       bool
@@ -76,7 +76,7 @@ func (r *Router) admit(req core.Mutation, opts []core.CallOption) (*core.Allocat
 
 // Release frees an admitted job on the pod holding it.
 func (r *Router) Release(id core.JobID, opts ...core.CallOption) error {
-	mut := core.Mutation{Op: core.OpRelease, Job: id, IdemKey: core.ResolveCallOptions(opts...).IdemKey}
+	mut := core.Mutation{Op: core.OpRelease, Job: id, IdemKey: core.ResolveCallOptions(opts...)}
 	r.tabMu.Lock()
 	_, bound, err := r.idem.Replay(mut.IdemKey, core.OpRelease, id)
 	pod, ok := r.jobPods[id]

@@ -5,10 +5,6 @@ import "repro/internal/core"
 // Read-only probes matching the unsharded manager's surface, so the HTTP
 // layer can serve a Router and a Manager through one Controller seam.
 
-// ExportState is MergedState under the Controller-interface name: the
-// router's full serializable state, reassembled from the pod shards.
-func (r *Router) ExportState() *core.ManagerState { return r.MergedState() }
-
 // CanAllocateHomog reports whether the request would currently be
 // admitted: whether any single pod could host it.
 func (r *Router) CanAllocateHomog(req core.Homogeneous) bool {

@@ -49,7 +49,7 @@ func (r *Router) RestoreLink(id topology.LinkID, opts ...core.CallOption) error 
 
 // fault runs one fault op on its owning pod.
 func (r *Router) fault(mut core.Mutation, opts []core.CallOption) error {
-	mut.IdemKey = core.ResolveCallOptions(opts...).IdemKey
+	mut.IdemKey = core.ResolveCallOptions(opts...)
 	r.tabMu.Lock()
 	_, bound, err := r.idem.Replay(mut.IdemKey, mut.Op, 0)
 	r.tabMu.Unlock()

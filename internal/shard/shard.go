@@ -22,7 +22,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -50,16 +49,8 @@ type Options struct {
 	//
 	// Deprecated: the router has one mode.
 	Mode Mode
-	// MgrOpts are applied to every pod manager: policy, hetero algorithm.
-	MgrOpts []core.ManagerOption
 	// NoSync disables fsyncs on the pod WALs — tests and benchmarks only.
 	NoSync bool
-	// SyncDelay replaces the pod WALs' physical fsync with a fixed sleep
-	// (wal.WithSyncDelay): a simulated dedicated log device per pod.
-	// Benchmarks only; see wal.WithSyncDelay.
-	SyncDelay time.Duration
-	// SnapshotEvery sets the pod WALs' checkpoint cadence (0 = default).
-	SnapshotEvery int
 }
 
 // Router is the sharded control plane: K pod-local managers with
@@ -127,18 +118,11 @@ func Open(dir string, topo *topology.Topology, eps float64, shards int, opts Opt
 	if opts.NoSync {
 		wopts = append(wopts, wal.WithNoSync())
 	}
-	if opts.SyncDelay > 0 {
-		wopts = append(wopts, wal.WithSyncDelay(opts.SyncDelay))
-	}
-	if opts.SnapshotEvery > 0 {
-		wopts = append(wopts, wal.WithSnapshotEvery(opts.SnapshotEvery))
-	}
 	r.mgrs = make([]*core.Manager, shards)
 	r.journals = make([]*wal.Journal, shards)
 	for i := 0; i < shards; i++ {
-		mgrOpts := append(append([]core.ManagerOption(nil), opts.MgrOpts...),
-			core.WithPlanSubtree(pods.Root(i)))
-		mgr, j, err := wal.Recover(podDir(dir, i), topo, eps, mgrOpts, wopts...)
+		mgr, j, err := wal.Recover(podDir(dir, i), topo, eps,
+			[]core.ManagerOption{core.WithPlanSubtree(pods.Root(i))}, wopts...)
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("shard: pod %d: %w", i, err)

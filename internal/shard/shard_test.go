@@ -93,8 +93,11 @@ func TestOnePodRouterIsTheManager(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
-		if got, want := r.MergedState(), base.ExportState(); !reflect.DeepEqual(got, want) {
+		if got, want := r.ExportState(), base.ExportState(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: states diverge\nrouter: %+v\n  base: %+v", step, got, want)
+		}
+		if got, want := r.FreeSlots(), base.FreeSlots(); got != want {
+			t.Fatalf("%s: router %d free slots, base %d", step, got, want)
 		}
 		checkCoreLinksIdle(t, r)
 	}
@@ -214,12 +217,12 @@ func TestShardedCrashRecovery(t *testing.T) {
 	if _, err := r.FailMachine(tp.Machines()[2]); err != nil {
 		t.Fatalf("FailMachine: %v", err)
 	}
-	before := r.MergedState()
+	before := r.ExportState()
 	r.Close()
 
 	r2 := openRouter(t, dir, tp, 3)
 	defer r2.Close()
-	after := r2.MergedState()
+	after := r2.ExportState()
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("state changed across crash:\nbefore: %+v\n after: %+v", before, after)
 	}
@@ -241,6 +244,50 @@ func TestShardedCrashRecovery(t *testing.T) {
 		t.Fatalf("release after recovery: %v", err)
 	}
 	checkCoreLinksIdle(t, r2)
+}
+
+// TestPodFreeSlotsSumToTheManager: a pod manager counts the free slots of
+// its own machines only, so on a K-pod tree the pods' counts sum to what
+// an unsharded manager holding the router's state reports — through
+// admissions, a release and a failed machine, which has none.
+func TestPodFreeSlotsSumToTheManager(t *testing.T) {
+	tp := testTopo(t, 3)
+	r := openRouter(t, t.TempDir(), tp, 3)
+	defer r.Close()
+	check := func(step string) {
+		t.Helper()
+		base, err := core.NewManagerFromState(tp, 0.1, r.ExportState())
+		if err != nil {
+			t.Fatalf("%s: NewManagerFromState: %v", step, err)
+		}
+		sum := 0
+		for i := 0; i < r.Shards(); i++ {
+			sum += r.Pod(i).FreeSlots()
+		}
+		if want := base.FreeSlots(); sum != want || r.FreeSlots() != want {
+			t.Fatalf("%s: the pods sum to %d free slots and the router says %d, want the unsharded manager's %d",
+				step, sum, r.FreeSlots(), want)
+		}
+	}
+	check("empty")
+	small := homogReq(t, 4, 30, 6)
+	var jobs []*core.Allocation
+	for i := 0; i < 4; i++ {
+		a, err := r.AllocateHomog(small)
+		if err != nil {
+			t.Fatalf("alloc %d: %v", i, err)
+		}
+		jobs = append(jobs, a)
+		check(fmt.Sprintf("alloc %d", i))
+	}
+	if err := r.Release(jobs[0].ID); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	check("release")
+	if _, err := r.FailMachine(jobs[1].Placement.Entries[0].Machine); err != nil {
+		t.Fatalf("FailMachine: %v", err)
+	}
+	check("fail machine")
 }
 
 // TestOpenRefusesStrictDirectory: a directory a strict-mode router wrote
@@ -634,7 +681,7 @@ func TestFastConcurrentStorm(t *testing.T) {
 	wg.Wait()
 
 	used := 0
-	for _, js := range r.MergedState().Jobs {
+	for _, js := range r.ExportState().Jobs {
 		for _, e := range js.Placement {
 			used += e.Count
 		}

@@ -8,11 +8,11 @@ import (
 	"repro/internal/topology"
 )
 
-// MergedState reassembles the unsharded manager state from the pod-local
+// ExportState reassembles the unsharded manager state from the pod-local
 // shards. The pods partition every link and machine, and every job lives
 // in one pod, so per-node fields and jobs are copied verbatim from their
 // owner pod, never summed. With one pod it equals that pod's ExportState.
-func (r *Router) MergedState() *core.ManagerState {
+func (r *Router) ExportState() *core.ManagerState {
 	states := make([]*core.ManagerState, len(r.mgrs))
 	for i, m := range r.mgrs {
 		states[i] = m.ExportState()
@@ -74,11 +74,12 @@ func (r *Router) Running() int {
 	return len(r.jobPods)
 }
 
-// FreeSlots returns the unoccupied VM slots across all pods.
+// FreeSlots returns the unoccupied VM slots across all pods, each pod
+// counting its own machines.
 func (r *Router) FreeSlots() int {
 	total := 0
-	for i, m := range r.mgrs {
-		total += m.FreeSlotsSubtree(r.pods.Root(i))
+	for _, m := range r.mgrs {
+		total += m.FreeSlots()
 	}
 	return total
 }
@@ -161,7 +162,7 @@ func (r *Router) ShardStatuses() []ShardStatus {
 			Shard:        i,
 			Root:         int(r.pods.Root(i)),
 			Jobs:         m.Running(),
-			FreeSlots:    m.FreeSlotsSubtree(r.pods.Root(i)),
+			FreeSlots:    m.FreeSlots(),
 			MaxOccupancy: m.MaxOccupancy(),
 		}
 	}

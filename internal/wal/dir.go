@@ -7,16 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 )
 
 // stateDir is a state directory and its flush policy: the one place that
 // names, creates, opens and deletes the files in it. The journal and a
 // standby's mirror embed it (see the table in the package comment).
 type stateDir struct {
-	dir       string
-	noSync    bool
-	syncDelay time.Duration // simulated device flush (benchmarks only)
+	dir    string
+	noSync bool
 }
 
 func walPath(dir string, gen uint64) string {
@@ -91,10 +89,6 @@ func (d *stateDir) createWAL(m meta, epoch uint64) (*os.File, int64, error) {
 }
 
 func (d *stateDir) sync(f *os.File) error {
-	if d.syncDelay > 0 {
-		time.Sleep(d.syncDelay)
-		return nil
-	}
 	if d.noSync {
 		return nil
 	}
@@ -107,7 +101,7 @@ func (d *stateDir) sync(f *os.File) error {
 // syncDir fsyncs the state directory so renames and creates are durable.
 // Best-effort: not every platform supports directory fsync.
 func (d *stateDir) syncDir() {
-	if d.noSync || d.syncDelay > 0 {
+	if d.noSync {
 		return
 	}
 	if dir, err := os.Open(d.dir); err == nil {

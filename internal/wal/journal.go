@@ -7,7 +7,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -138,21 +137,6 @@ type Option func(*Journal)
 // failure can lose the tail. Intended for tests and benchmarks.
 func WithNoSync() Option {
 	return func(j *Journal) { j.noSync = true }
-}
-
-// WithSyncDelay replaces the physical fsync with a fixed sleep of d —
-// a simulated log device with deterministic flush latency. Appends still
-// reach the OS (crash-unsafe, exactly like WithNoSync), but every commit
-// pays a realistic, *independent* device wait. Benchmarks only: it
-// isolates the control plane's own scaling from the host disk, whose
-// shared flush queue serializes concurrent fsyncs even across files —
-// the deployment model for sharded WALs is one log device per pod.
-func WithSyncDelay(d time.Duration) Option {
-	return func(j *Journal) {
-		if d > 0 {
-			j.syncDelay = d
-		}
-	}
 }
 
 // WithSnapshotEvery sets how many records accumulate before

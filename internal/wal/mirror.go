@@ -70,11 +70,11 @@ func (s fileSum) check(path string) error {
 // OpenMirror prepares dir, creating it if need be. Files already in it
 // stay until the first reset chunk replaces them; what Apply promises
 // about a failure covers only files the mirror itself has written.
-func OpenMirror(dir string, topo *topology.Topology, eps float64, mgrOpts []core.ManagerOption, noSync bool) (*Mirror, error) {
+func OpenMirror(dir string, topo *topology.Topology, eps float64, noSync bool) (*Mirror, error) {
 	if err := ensureDir(dir); err != nil {
 		return nil, fmt.Errorf("wal: create mirror dir: %w", err)
 	}
-	return &Mirror{stateDir: stateDir{dir: dir, noSync: noSync}, dc: datacenter{topo, eps, mgrOpts}}, nil
+	return &Mirror{stateDir: stateDir{dir: dir, noSync: noSync}, dc: datacenter{topo: topo, eps: eps}}, nil
 }
 
 // Cursor is where the mirror is complete up to: its generation and the

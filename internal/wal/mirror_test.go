@@ -11,7 +11,7 @@ import (
 
 func mustMirror(t *testing.T, dir string) *Mirror {
 	t.Helper()
-	mi, err := OpenMirror(dir, testTopo(t), testEps, nil, true)
+	mi, err := OpenMirror(dir, testTopo(t), testEps, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,14 +171,11 @@ if [ -n "${PARENT:-}" ]; then
     echo "added host, e2e, layers and admission_grid to $OUT (checkouts and logs in $work)"
 fi
 
-# Sharding assertions (skipped when the cells are not in this run):
-#  - parity: the shards=1 router must stay within noise (>= 0.75x) of the
-#    matched unsharded baseline, per sync mode — routing must be free when
-#    every admission is pod-local;
-#  - scaling: 4 pods must deliver >= 3x the shards=1 aggregate throughput
-#    on the simulated per-pod log devices (the simdisk cells; the host's
-#    single shared disk serializes concurrent fsyncs, so the real-fsync
-#    cells measure the machine, not the architecture).
+# Sharding: every cell's router/unsharded ratio on the same K-pod tree,
+# printed; asserted (skipped when the cells are not in this run) only at
+# shards=1, where the router must stay within noise (>= 0.75x) of the
+# unsharded manager per sync mode — routing must be free when every
+# admission is pod-local.
 awk '
 /^BenchmarkSharded/ {
     name = $1; sub(/-[0-9]+$/, "", name)
@@ -186,24 +183,18 @@ awk '
 }
 END {
     fails = 0
-    for (mode_i = 1; mode_i <= 3; mode_i++) {
-        mode = (mode_i == 1 ? "fsync" : mode_i == 2 ? "simdisk" : "nosync")
-        base = ops["BenchmarkShardedBaseline/" mode]
-        one  = ops["BenchmarkShardedAdmission/shards=1/" mode]
-        if (base > 0 && one > 0) {
-            ratio = one / base
-            verdict = (ratio >= 0.75 ? "ok" : "FAIL"); if (ratio < 0.75) fails++
-            printf "shard parity  [%s]: shards=1 %.0f vs unsharded %.0f ops/s (%.2fx, want >= 0.75) %s\n",
-                   mode, one, base, ratio, verdict
+    split("1 2 4 8", counts, " ")
+    split("fsync nosync", modes, " ")
+    for (c = 1; c <= 4; c++) for (m = 1; m <= 2; m++) {
+        cell = "shards=" counts[c] "/" modes[m]
+        router = ops["BenchmarkShardedAdmission/" cell]
+        base   = ops["BenchmarkShardedBaseline/" cell]
+        if (router > 0 && base > 0) {
+            ratio = router / base
+            verdict = ""
+            if (counts[c] == 1) { verdict = (ratio >= 0.75 ? " ok (want >= 0.75)" : " FAIL (want >= 0.75)"); if (ratio < 0.75) fails++ }
+            printf "router vs unsharded [%s]: %.0f vs %.0f ops/s (%.2fx)%s\n", cell, router, base, ratio, verdict
         }
-    }
-    one  = ops["BenchmarkShardedAdmission/shards=1/simdisk"]
-    four = ops["BenchmarkShardedAdmission/shards=4/simdisk"]
-    if (one > 0 && four > 0) {
-        ratio = four / one
-        verdict = (ratio >= 3 ? "ok" : "FAIL"); if (ratio < 3) fails++
-        printf "shard scaling [simdisk]: shards=4 %.0f vs shards=1 %.0f ops/s (%.2fx, want >= 3) %s\n",
-               four, one, ratio, verdict
     }
     exit fails
 }' "$raw" || { echo "bench.sh: sharding assertion failed" >&2; exit 1; }

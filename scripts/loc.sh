@@ -7,7 +7,7 @@
 # scripts/check.sh and CI's `make loc` step), so raising it is an edit a
 # reviewer sees. Lower it when a PR shrinks the total.
 set -euo pipefail
-budget=9705 # -1032 (from 10737): the sharded router keeps one mode (strict mode, its shadow, two-phase commit and the intent log gone)
+budget=9626 # -79 (from 9705): svcd keeps only what a deployment sets (-policy, -checkpoint-every, the simulated-disk sync delay and the fields that carried them gone, with HasJob, CallMeta, MergedState, AllocateHomogPinned and FreeSlotsSubtree)
 cd "$(dirname "$0")/.."
 lines() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 total=0
