@@ -9,7 +9,7 @@
 // Branches fork the state and re-join on the intersection of the paths
 // that fall through, so a branch that unlocks and returns does not
 // clear the state for the code after it. Calling m.fooLocked(...)
-// requires some mutex rooted at m (m.mu, m.snapMu, ...) to be held; a
+// requires some mutex rooted at m (m.mu, m.tabMu, ...) to be held; a
 // plain call to fooLocked() requires any mutex. Functions themselves
 // named *Locked inherit the contract from their callers and are exempt
 // inside.
@@ -230,7 +230,7 @@ func (c *checker) call(call *ast.CallExpr, held lockSet) {
 
 // satisfied reports whether a held mutex guards the callee's receiver:
 // any mutex rooted at the same base path (base "m" matches "m.mu",
-// "m.snapMu", ...); an empty base (plain function call) accepts any
+// "m.tabMu", ...); an empty base (plain function call) accepts any
 // held mutex.
 func (c *checker) satisfied(held lockSet, base string) bool {
 	if base == "" {

@@ -5,9 +5,9 @@ package lockcheck
 import "sync"
 
 type Manager struct {
-	mu     sync.Mutex
-	snapMu sync.Mutex
-	n      int
+	mu    sync.Mutex
+	tabMu sync.Mutex
+	n     int
 }
 
 func (m *Manager) commitLocked() { m.n++ }
@@ -38,8 +38,8 @@ func (m *Manager) GoodBranch(fail bool) {
 // --- negative: any mutex rooted at the receiver satisfies the call ---
 
 func (m *Manager) GoodOtherMutex() {
-	m.snapMu.Lock()
-	defer m.snapMu.Unlock()
+	m.tabMu.Lock()
+	defer m.tabMu.Unlock()
 	m.statsLocked()
 }
 

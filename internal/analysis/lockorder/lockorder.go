@@ -62,7 +62,6 @@ var Order = []string{
 	"repro/internal/shard.Router.tabMu",
 	"repro/internal/replica.Standby.syncMu",
 	"repro/internal/replica.Standby.mu",
-	"repro/internal/core.Manager.snapMu",
 	"repro/internal/core.Manager.mu",
 	"repro/internal/wal.Journal.writeMu",
 	"repro/internal/wal.Journal.mu",

@@ -1,8 +1,9 @@
 // Package snapshotro protects the read-only snapshot discipline. The
-// manager lends readers a shared snapshot ledger for the length of one
+// manager lends readers its live ledger under m.mu for the length of one
 // call (core's view(m, func(*Ledger) T) accessor; elsewhere a
 // snapshot()/Snapshot() result); callers may read it freely but must
-// Clone() before mutating, or every other reader sees the edit.
+// Clone() before mutating: a write there would change live state without
+// a journal record, so recovery and every replica would diverge from it.
 //
 // Two rules:
 //
@@ -18,10 +19,7 @@
 //     snapshot()/Snapshot(), must not be written through (field or
 //     element assignment) or passed to a mutator (UseSlots, SetOffline,
 //     FailMachine, commit, ...). Take a Clone() first — led.Clone()
-//     inside the view is the sanctioned scratch pattern. refreshFrom,
-//     the in-place counterpart of Clone, is a mutator like the rest: the
-//     accessor calls it on its own unpinned spare and nobody calls it on
-//     a ledger they were lent (it is unexported, so only core could).
+//     inside the view is the sanctioned scratch pattern.
 //
 // The sharded router's recovered tables (Router.jobPods and idem in
 // repro/internal/shard) get the snapshot treatment too: values read out
@@ -56,8 +54,8 @@ var SnapshotFuncs = map[string]bool{
 }
 
 // ViewFuncs are the scoped accessors: they run the function literal they
-// are handed on a shared snapshot, so that literal's parameter is
-// snapshot-bound for its whole body.
+// are handed on the live ledger, lent read-only, so that literal's
+// parameter is snapshot-bound for its whole body.
 var ViewFuncs = map[string]bool{"view": true}
 
 // mutators are methods that change ledger, overlay, or slot state; a
@@ -66,7 +64,7 @@ var mutators = map[string]bool{
 	"AddStochastic": true, "RemoveStochastic": true, "AddDet": true,
 	"RemoveDet": true, "UseSlots": true, "ReleaseSlots": true,
 	"SetOffline": true, "FailMachine": true, "RestoreMachine": true,
-	"FailLink": true, "RestoreLink": true, "refreshFrom": true,
+	"FailLink": true, "RestoreLink": true,
 }
 
 // mutatorFuncs are free functions that mutate their first argument.

@@ -2,6 +2,8 @@
 // snapshot discipline.
 package snapshotro
 
+import "sync"
+
 // --- Clone completeness ---
 
 type Faults struct {
@@ -132,24 +134,19 @@ func (m *Manager) BadCommit(mut *Mutation) error {
 	return commit(snap, mut) // want `shared snapshot snap passed to commit`
 }
 
-// --- the scoped accessor: view lends fn a shared snapshot ---
-
-func (l *Ledger) refreshFrom(src *Ledger) {
-	for k, v := range src.used {
-		l.used[k] = v
-	}
-}
+// --- the scoped accessor: view lends fn the live ledger under a lock ---
 
 type Node struct {
-	live, cur, spare *Ledger
+	mu   sync.Mutex
+	live *Ledger
 }
 
-// negative: the accessor brings its own spare up to date in place.
+// negative: the accessor itself only locks and lends.
 
 func view[T any](n *Node, fn func(*Ledger) T) T {
-	n.spare.refreshFrom(n.live)
-	n.cur, n.spare = n.spare, n.cur
-	return fn(n.cur)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return fn(n.live)
 }
 
 // negative: reading the lent ledger is the whole point.
@@ -183,16 +180,6 @@ func (n *Node) BadViewWrite() int {
 func (n *Node) BadViewUse() bool {
 	return view[bool](n, func(led *Ledger) bool {
 		return led.UseSlots(0, 1) // want `mutator UseSlots called on shared snapshot led`
-	})
-}
-
-// positive: the in-place refresh is a mutator — a reader must not
-// overwrite the ledger it was lent.
-
-func (n *Node) BadViewRefresh(other *Ledger) int {
-	return view(n, func(led *Ledger) int {
-		led.refreshFrom(other) // want `mutator refreshFrom called on shared snapshot led`
-		return 0
 	})
 }
 

@@ -52,9 +52,8 @@ type AdmissionStats struct {
 // AdmissionStats returns a snapshot of the admission counters.
 func (m *Manager) AdmissionStats() AdmissionStats {
 	m.mu.Lock()
-	out := m.adm
-	m.mu.Unlock()
-	pc := m.plans.snapshot()
+	defer m.mu.Unlock()
+	out, pc := m.adm, m.plans.stats
 	out.PlanCacheHits = pc.Hits
 	out.PlanCacheMisses = pc.Misses
 	out.PlanCacheInvalidations = pc.Invalidations

@@ -143,13 +143,15 @@ func TestAdmissionTraceReplaysFromJournal(t *testing.T) {
 }
 
 // TestAdmissionStormInvariants hammers one manager with concurrent
-// admissions, releases, fault injection/restore, and repairs (run under
-// -race -tags invariants by scripts/check.sh), then checks ledger
+// admissions, releases, fault injection/restore, repairs and reads (run
+// under -race -tags invariants by scripts/check.sh), then checks ledger
 // invariants: the exported state revalidates, occupancy stays bounded
 // when no repair ran degraded, and releasing everything returns the
 // ledger to empty. A repair that finds no placement evicts its job
 // (RepairFailed); those are the only jobs allowed to be unknown when the
-// test comes to release them.
+// test comes to release them. The reader dry-runs shapes the allocators
+// admitted, so its plans share the allocators' cache shelves and build
+// entries of their own: a cache access outside m.mu is a -race report.
 func TestAdmissionStormInvariants(t *testing.T) {
 	m := newTestManager(t, mediumThreeTier(), 0.05)
 	topo := m.Topology()
@@ -160,12 +162,22 @@ func TestAdmissionStormInvariants(t *testing.T) {
 		admitted int64
 		evicted  = make(map[JobID]bool) // jobs a repair reported RepairFailed
 		unknown  []JobID                // jobs a releaser found already gone
+		shapes   []traceOp              // admitted requests, for the reader
 	)
-	pushJob := func(id JobID) {
+	pushJob := func(id JobID, shape traceOp) {
 		mu.Lock()
 		live = append(live, id)
+		shapes = append(shapes, shape)
 		admitted++
 		mu.Unlock()
+	}
+	pickShape := func(r *stats.Rand) (traceOp, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(shapes) == 0 {
+			return traceOp{}, false
+		}
+		return shapes[r.IntN(len(shapes))], true
 	}
 	popJob := func(r *rand.Rand) (JobID, bool) {
 		mu.Lock()
@@ -203,18 +215,22 @@ func TestAdmissionStormInvariants(t *testing.T) {
 			r := stats.NewRand(uint64(1000 + g))
 			for i := 0; i < opsPerWorker; i++ {
 				var (
-					a   *Allocation
-					err error
+					a     *Allocation
+					err   error
+					shape traceOp
 				)
 				if i%2 == 0 {
 					var req Homogeneous
 					req, err = NewHomogeneous(2+r.IntN(5), stats.Normal{
 						Mu: r.UniformRange(3, 10), Sigma: r.UniformRange(0.5, 3)})
 					if err == nil {
+						shape.homog = &req
 						a, err = m.AllocateHomog(req)
 					}
 				} else {
-					a, err = m.AllocateHetero(randHetero(r, 2+r.IntN(3), 3, 10))
+					req := randHetero(r, 2+r.IntN(3), 3, 10)
+					shape.hetero = &req
+					a, err = m.AllocateHetero(req)
 				}
 				if err != nil {
 					if !errors.Is(err, ErrNoCapacity) {
@@ -223,7 +239,7 @@ func TestAdmissionStormInvariants(t *testing.T) {
 					}
 					continue
 				}
-				pushJob(a.ID)
+				pushJob(a.ID, shape)
 			}
 		}(g)
 	}
@@ -274,6 +290,35 @@ func TestAdmissionStormInvariants(t *testing.T) {
 			}
 			if err := m.RestoreLink(link); err != nil {
 				t.Errorf("RestoreLink(%d): %v", link, err)
+				return
+			}
+		}
+	}()
+
+	// Reader: dry runs of admitted shapes, and every read surface besides.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := stats.NewRand(3000)
+		for i := 0; i < opsPerWorker; i++ {
+			if shape, ok := pickShape(r); ok {
+				if shape.homog != nil {
+					m.CanAllocateHomog(*shape.homog)
+					if _, err := m.Headroom(*shape.homog, 3); err != nil {
+						t.Errorf("Headroom: %v", err)
+						return
+					}
+				} else {
+					m.CanAllocateHetero(*shape.hetero)
+				}
+			}
+			m.AdmissionStats()
+			if got := len(m.LinkLoads()); got != len(topo.Links()) {
+				t.Errorf("LinkLoads returned %d links, want %d", got, len(topo.Links()))
+				return
+			}
+			if free := m.FreeSlots(); free < 0 || free > topo.TotalSlots() {
+				t.Errorf("FreeSlots = %d, outside [0, %d]", free, topo.TotalSlots())
 				return
 			}
 		}

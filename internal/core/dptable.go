@@ -84,9 +84,9 @@ func (t *dpTable) choice(r *dpRec, i int) []int32 {
 
 // cachedRecords returns the record table for read-only use by the
 // selection scan and placement reconstruction. A plan-cache entry's table
-// is snapshot-derived shared state (the snapshotro analyzer tracks this
+// outlives the plan that filled it (the snapshotro analyzer tracks this
 // accessor): all writes go through the compute kernels, never through the
-// returned view.
+// returned view, so a cached record always equals a cold recompute.
 func (t *dpTable) cachedRecords() []dpRec { return t.recs }
 
 // syncEpoch drops every record when the ledger's fault state is not the

@@ -7,5 +7,3 @@ package core
 const invariantsEnabled = false
 
 func (m *Manager) assertOccupancyLocked(mut *Mutation) {}
-
-func (m *Manager) assertRefreshedLocked(led *Ledger) {}

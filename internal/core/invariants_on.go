@@ -2,10 +2,7 @@
 
 package core
 
-import (
-	"fmt"
-	"reflect"
-)
+import "fmt"
 
 // invariantsEnabled gates runtime assertions that are too hot for
 // production builds. Enable with `go test -tags invariants`; the race
@@ -27,15 +24,5 @@ func (m *Manager) assertOccupancyLocked(mut *Mutation) {
 			panic(fmt.Sprintf("invariant violated: link %d occupancy %.12f > 1 after committing job %d (Eq. 4)",
 				c.Link, o, mut.Job))
 		}
-	}
-}
-
-// assertRefreshedLocked checks on every 8th in-place snapshot refresh
-// (counter-sampled like planCacheSampleEvery, so deterministic) that the
-// buffer equals a fresh Clone of the live ledger — links, slots, subtree
-// versions and fault overlay (docs/INVARIANTS.md I5).
-func (m *Manager) assertRefreshedLocked(led *Ledger) {
-	if m.refreshTick++; m.refreshTick%8 == 1 && !reflect.DeepEqual(led, m.led.Clone()) {
-		panic(fmt.Sprintf("invariant violated: snapshot refreshed in place at version %d differs from a clone of the live ledger", m.version))
 	}
 }

@@ -30,7 +30,8 @@ type Ledger struct {
 	// reservation or slot state inside v's subtree (including v's own
 	// uplink) changes. Ticks come from a process-global counter, so equal
 	// subVer values across any two ledgers of the same lineage — the live
-	// ledger and its snapshots — imply bit-identical subtree state. The plan cache keys DP records on it; see plancache.go.
+	// ledger and its clones — imply bit-identical subtree state. The plan
+	// cache keys DP records on it; see plancache.go.
 	// Fault state is deliberately NOT folded in: reachability depends on
 	// links above v, so caches track Faults().Epoch() separately.
 	subVer []uint64
@@ -92,28 +93,6 @@ func (l *Ledger) Clone() *Ledger {
 	copy(c.used, l.used)
 	copy(c.subVer, l.subVer)
 	return c
-}
-
-// refreshFrom makes l, an earlier clone in src's lineage, equal src.Clone()
-// in place. It descends from the root and copies a node's entries only
-// where the subtree versions differ — equal subVer certifies an identical
-// subtree (see subVer) — so it costs the root paths written since and
-// allocates nothing; the fault overlay, which no subtree version covers,
-// is cloned again when its epoch moved.
-func (l *Ledger) refreshFrom(src *Ledger) {
-	if l.faults.Epoch() != src.faults.Epoch() {
-		l.faults = src.faults.Clone()
-	}
-	l.refreshSubtree(src, l.topo.Root())
-}
-
-func (l *Ledger) refreshSubtree(src *Ledger, v topology.NodeID) {
-	if l.subVer[v] != src.subVer[v] {
-		l.links[v], l.used[v], l.subVer[v] = src.links[v], src.used[v], src.subVer[v]
-		for _, c := range l.topo.Node(v).Children {
-			l.refreshSubtree(src, c)
-		}
-	}
 }
 
 // Topology returns the topology the ledger tracks.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/topology"
@@ -47,17 +46,14 @@ type Allocation struct {
 // resulting reservations, and releases them when jobs finish. It is safe
 // for concurrent use.
 //
-// Every mutator has one shape: take the write lock, decide on the live
-// ledger (admissions plan there, one request at a time — see
-// admission.go), stage the journal record, apply, unlock, and only then
-// wait for durability, so concurrent callers share a group commit.
-// Read-only work (CanAllocate* dry runs, MaxOccupancy*, FreeSlots* and
-// LinkLoads metrics, Headroom probes) runs in view, on one of two snapshot
-// ledgers instead: the lock is held only while the first reader after a
-// mutation copies the paths written since (Ledger.refreshFrom), never for
-// the dynamic program on top of it. Snapshot reads are point-in-time
-// consistent; under concurrent mutation they may lag the live ledger by
-// the mutations that land after the view was taken.
+// Every mutator has one shape: take the lock, decide on the live ledger
+// (admissions plan there, one request at a time — see admission.go),
+// stage the journal record, apply, unlock, and only then wait for
+// durability, so concurrent callers share a group commit. Read-only work
+// (CanAllocate* dry runs, MaxOccupancy*, FreeSlots* and LinkLoads
+// metrics, Headroom probes) runs in view, on the same live ledger under
+// the same lock: a dry run is the decision an admission would make, one
+// at a time like it, and a read sees every mutation applied before it.
 type Manager struct {
 	mu      sync.Mutex
 	led     *Ledger
@@ -92,17 +88,9 @@ type Manager struct {
 	// admission.go.
 	adm AdmissionStats
 
-	// The read snapshots (guarded by snapMu; see view): new readers pin cur,
-	// the next refresh writes spare. snapMu only serializes readers'
-	// refreshes — a burst queues here, not on mu — never the DP on top.
-	snapMu      sync.Mutex
-	cur, spare  *snapBuf
-	refreshTick uint64 // in-place refreshes, sampled by assertRefreshedLocked
-
-	// plans memoizes per-subtree DP tables across admissions, keyed by
-	// (demand params, N, policy) and validated per vertex against the
-	// ledger's subtree versions (see plancache.go). Immutable pointer,
-	// internally synchronized.
+	// plans memoizes per-subtree DP tables across admissions and dry runs,
+	// keyed by (demand params, N, policy) and validated per vertex against
+	// the ledger's subtree versions (see plancache.go). Guarded by mu.
 	plans *planCache
 
 	// scope, when non-nil, confines every planning DP to one subtree
@@ -198,45 +186,18 @@ func (m *Manager) planHetero(led *Ledger, req Heterogeneous, mode planMode) (Pla
 	return m.plans.allocateHeteroSubstring(led, req, m.policy, m.scope, mode != planDry)
 }
 
-// snapBuf is one of the manager's two read snapshots: a ledger equal to
-// the live one as of manager version ver, and the views reading it now.
-type snapBuf struct {
-	led  *Ledger
-	ver  uint64
-	pins atomic.Int32 // raised under snapMu, lowered without it
-}
-
-// view runs fn on a read-only ledger reflecting every mutation applied
-// before the call; fn must neither mutate it (mutating probes Clone it)
-// nor keep it. Readers share the current snapshot until a mutation; the
-// first reader after one refreshes the spare in place and makes it
-// current, so writers never pay for a reader. A spare some slow reader
-// still holds is left to that reader and replaced by a whole Clone, as
-// are the two a manager starts without.
+// view runs fn on the live ledger under m.mu, so it sees every mutation
+// applied before the call; fn must neither mutate the ledger (mutating
+// probes Clone it; a write here would bypass the journal) nor keep it.
 func view[T any](m *Manager, fn func(*Ledger) T) T {
-	m.snapMu.Lock()
 	m.mu.Lock()
-	if m.cur == nil || m.cur.ver != m.version {
-		if sp := m.spare; sp != nil && sp.pins.Load() == 0 {
-			sp.led.refreshFrom(m.led)
-			m.assertRefreshedLocked(sp.led)
-			m.cur, m.spare = sp, m.cur
-		} else {
-			m.cur, m.spare = &snapBuf{led: m.led.Clone()}, m.cur
-		}
-		m.cur.ver = m.version
-	}
-	m.mu.Unlock()
-	s := m.cur
-	s.pins.Add(1)
-	m.snapMu.Unlock()
-	defer s.pins.Add(-1)
-	return fn(s.led)
+	defer m.mu.Unlock()
+	return fn(m.led)
 }
 
 // CanAllocateHomog reports whether a homogeneous request would currently
 // be admitted, without committing anything — a capacity-planning dry run.
-// It runs on a ledger snapshot, concurrently with admissions.
+// It plans under the manager lock, like the admission it predicts.
 func (m *Manager) CanAllocateHomog(req Homogeneous) bool {
 	return view(m, func(led *Ledger) bool {
 		_, _, err := m.plans.allocateHomog(led, req, m.policy, m.scope, false)
@@ -245,8 +206,8 @@ func (m *Manager) CanAllocateHomog(req Homogeneous) bool {
 }
 
 // CanAllocateHetero reports whether a heterogeneous request would currently
-// be admitted, without committing anything. It runs on a ledger snapshot,
-// concurrently with admissions.
+// be admitted, without committing anything. It plans under the manager
+// lock, like the admission it predicts.
 func (m *Manager) CanAllocateHetero(req Heterogeneous) bool {
 	return view(m, func(led *Ledger) bool {
 		_, _, err := m.planHetero(led, req, planDry)
@@ -286,8 +247,7 @@ func (m *Manager) Running() int {
 // FreeSlots returns the number of unoccupied VM slots on the machines the
 // manager plans over: every machine, or a WithPlanSubtree manager's
 // subtree — a pod of a sharded control plane answers for its own
-// machines. Like every metric below it reads a ledger snapshot, so
-// scrapes never stall admissions.
+// machines. Like every metric below it reads the live ledger in view.
 func (m *Manager) FreeSlots() int {
 	machines := scopeAtLevel(m.led.Topology(), m.scope, 0)
 	return view(m, func(led *Ledger) (total int) {

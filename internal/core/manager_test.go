@@ -272,8 +272,8 @@ func TestLedgerClone(t *testing.T) {
 
 // TestManagerConcurrentStress hammers one manager with concurrent
 // admissions, releases, dry runs, headroom probes and metrics reads.
-// Run under -race it proves the snapshot machinery keeps read-only work
-// off the write lock without data races; the final drain proves the
+// Run under -race it proves the reads and the plan cache they share with
+// admissions stay under the manager lock; the final drain proves the
 // ledger bookkeeping stayed exact throughout.
 func TestManagerConcurrentStress(t *testing.T) {
 	topo, err := topology.NewThreeTier(topology.ThreeTierConfig{

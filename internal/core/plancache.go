@@ -28,11 +28,14 @@ import (
 //
 // Fault state is the one input that is NOT subtree-local: FreeSlots
 // depends on reachability through links above the vertex. Tables stamp
-// Faults().Epoch() and drop all records when it moves. This is sound for
-// every ledger the manager plans on (live ledger, shared snapshots)
-// because only the live ledger's fault overlay is ever mutated; clones
-// never diverge on fault state, so an epoch value identifies one fault
-// configuration.
+// Faults().Epoch() and drop all records when it moves. This is sound
+// because the manager plans through its cache on one ledger, the live one,
+// whose fault overlay bumps its epoch on every change, so an epoch value
+// identifies one fault configuration.
+//
+// Every plan through the cache — an admission's, a dry run's, a sampled
+// cold recompute — runs under the manager's mu, so the cache keeps no
+// lock of its own.
 //
 // A cached plan and a cold one are the same code on the same table type
 // (homogTable, substrTable): the cold plan starts from a table with no
@@ -65,8 +68,8 @@ const (
 	planCacheSampleEvery = 32
 )
 
-// planCacheStats is a snapshot of the cache counters. Every plan is
-// exactly one hit or one miss.
+// planCacheStats are the cache counters. Every plan is exactly one hit or
+// one miss.
 type planCacheStats struct {
 	Hits          int64 // plans served from an existing entry
 	Misses        int64 // plans of a key with no entry: run cold (first sight) or building one (second)
@@ -74,12 +77,9 @@ type planCacheStats struct {
 	Evictions     int64 // entries dropped by the FIFO bound
 }
 
-// planCache memoizes per-subtree DP tables across admissions. One per
-// Manager; safe for concurrent use. Plans for the same key serialize on
-// the entry's mutex (they would recompute identical records anyway);
-// plans for different keys run concurrently.
+// planCache memoizes per-subtree DP tables across plans. One per Manager,
+// guarded by its mu; not safe for concurrent use.
 type planCache struct {
-	mu         sync.Mutex
 	homog      planShelf[homogKey, homogTable]
 	hetero     planShelf[string, substrTable]
 	stats      planCacheStats
@@ -120,27 +120,16 @@ func (r *keyRing[K]) take(k K) bool {
 	return false
 }
 
-// planEntry is one resident key's table. The table is nil until the
-// entry's first plan and again once the entry is evicted.
+// planEntry is one resident key's table, nil until the entry's first plan.
 type planEntry[T any] struct {
-	mu    sync.Mutex
 	table *T
 }
 
-// retire detaches an evicted entry's table and pools it, so the entry
-// that displaced it — or any cold plan — reuses the slabs. A plan that
-// holds the entry finishes first; one that arrives later finds no table
-// and draws its own.
+// retire pools an evicted entry's table, so the entry that displaced it —
+// or any cold plan — reuses the slabs.
 func (e *planEntry[T]) retire(pool *sync.Pool) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	t := e.table
-	e.table = nil
-	e.mu.Unlock()
-	if t != nil {
-		pool.Put(t)
+	if e != nil && e.table != nil {
+		pool.Put(e.table)
 	}
 }
 
@@ -204,13 +193,10 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 		return Placement{}, nil, err
 	}
 	key := homogKey{demand: canonDemand(req.Demand), n: req.N, policy: policy}
-	c.mu.Lock()
 	e, hit, victim := c.homog.admit(key, &c.stats)
-	c.mu.Unlock()
 	victim.retire(&homogTablePool)
 	var t *homogTable
 	if e != nil {
-		e.mu.Lock()
 		t = e.table
 	}
 	if t == nil { // first sight, or an entry's first plan
@@ -228,7 +214,6 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 		return p, contribs, err
 	}
 	e.table = t
-	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
 		fp, _, ferr := allocateHomogScoped(led, req, policy, scope)
@@ -264,13 +249,10 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 		sorted[i] = canonDemand(sorted[i])
 	}
 	key := substrCacheKey(sorted, policy)
-	c.mu.Lock()
 	e, hit, victim := c.hetero.admit(key, &c.stats)
-	c.mu.Unlock()
 	victim.retire(&substrTablePool)
 	var t *substrTable
 	if e != nil {
-		e.mu.Lock()
 		t = e.table
 	}
 	if t == nil {
@@ -288,7 +270,6 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 		return p, contribs, err
 	}
 	e.table = t
-	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
 		fp, _, ferr := allocateHeteroSubstringScoped(led, req, policy, scope)
@@ -303,27 +284,15 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 // on a pre-existing entry are invalidations (a commit or fault moved the
 // versions); a new entry's full fill is already accounted as a miss.
 func (c *planCache) notePlan(hit bool, recomputed int) {
-	if !hit || recomputed == 0 {
-		return
+	if hit {
+		c.stats.Invalidations += int64(recomputed)
 	}
-	c.mu.Lock()
-	c.stats.Invalidations += int64(recomputed)
-	c.mu.Unlock()
-}
-
-// snapshot returns the current counters.
-func (c *planCache) snapshot() planCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // shouldSample gates the invariants-build cross-check to every
 // planCacheSampleEvery-th cached plan. Counter-based, so sampling stays
 // deterministic for a deterministic call sequence.
 func (c *planCache) shouldSample() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.sampleTick++
 	return c.sampleTick%planCacheSampleEvery == 1
 }

@@ -94,12 +94,12 @@ func checkCacheLifecycle(t *testing.T, led *Ledger, subject cachedShape, fillers
 	c := newPlanCache()
 	step := func(where string, wantHits, wantMisses int64) (Placement, []Contribution) {
 		t.Helper()
-		before := c.snapshot()
+		before := c.stats
 		p, contribs, err := planBoth(t, where, c, led, subject)
 		if err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}
-		after := c.snapshot()
+		after := c.stats
 		if after.Hits-before.Hits != wantHits || after.Misses-before.Misses != wantMisses {
 			t.Fatalf("%s: counted %d hits %d misses, want %d and %d", where,
 				after.Hits-before.Hits, after.Misses-before.Misses, wantHits, wantMisses)
@@ -111,12 +111,12 @@ func checkCacheLifecycle(t *testing.T, led *Ledger, subject cachedShape, fillers
 	commit(led, &p, contribs)
 	step("second sight, after a commit", 0, 1)
 	step("hit", 1, 0)
-	if st := c.snapshot(); st.Invalidations != 0 {
+	if st := c.stats; st.Invalidations != 0 {
 		t.Fatalf("unchanged replan recomputed %d records", st.Invalidations)
 	}
 	rollback(led, &p, contribs)
 	step("hit after a release", 1, 0)
-	if st := c.snapshot(); st.Invalidations == 0 {
+	if st := c.stats; st.Invalidations == 0 {
 		t.Fatal("a release under a resident entry invalidated nothing")
 	}
 	m := led.Topology().Machines()[0]
@@ -129,11 +129,11 @@ func checkCacheLifecycle(t *testing.T, led *Ledger, subject cachedShape, fillers
 		for sight := 0; sight < 2; sight++ {
 			planBoth(t, "filler", c, led, f)
 		}
-		if st := c.snapshot(); i < len(fillers)-1 && st.Evictions != 0 {
+		if st := c.stats; i < len(fillers)-1 && st.Evictions != 0 {
 			t.Fatalf("evicted after %d of %d fillers", i+1, len(fillers))
 		}
 	}
-	if st := c.snapshot(); st.Evictions != 1 {
+	if st := c.stats; st.Evictions != 1 {
 		t.Fatalf("after the fillers: %+v, want exactly the subject evicted", st)
 	}
 	p, contribs = step("first sight after eviction", 0, 1)
@@ -250,7 +250,7 @@ func TestPlanCacheEquivalenceHomog(t *testing.T) {
 				// No mutation: the next plan for this shape is a pure hit.
 			}
 		}
-		st := cache.snapshot()
+		st := cache.stats
 		total.Hits += st.Hits
 		total.Invalidations += st.Invalidations
 		total.Evictions += st.Evictions
@@ -331,7 +331,7 @@ func TestPlanCacheEquivalenceHetero(t *testing.T) {
 			default:
 			}
 		}
-		st := cache.snapshot()
+		st := cache.stats
 		total.Hits += st.Hits
 		total.Invalidations += st.Invalidations
 		total.Evictions += st.Evictions
@@ -439,13 +439,13 @@ func TestPlanCacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first plan: %v", err)
 	}
-	if st := c.snapshot(); st.Misses != 1 || st.Hits != 0 {
+	if st := c.stats; st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("after first plan: %+v, want 1 miss 0 hits", st)
 	}
 	if _, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true); err != nil {
 		t.Fatalf("second plan: %v", err)
 	}
-	if st := c.snapshot(); st.Misses != 2 || st.Hits != 0 {
+	if st := c.stats; st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("after second plan: %+v, want 2 misses 0 hits", st)
 	}
 
@@ -456,7 +456,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	if !reflect.DeepEqual(p1.Entries, p2.Entries) {
 		t.Fatalf("unchanged replan differs: %v vs %v", &p1, &p2)
 	}
-	if st := c.snapshot(); st.Hits != 1 || st.Invalidations != 0 {
+	if st := c.stats; st.Hits != 1 || st.Invalidations != 0 {
 		t.Fatalf("after unchanged replan: %+v, want 1 hit 0 invalidations", st)
 	}
 
@@ -464,7 +464,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	if _, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true); err != nil {
 		t.Fatalf("post-commit plan: %v", err)
 	}
-	st := c.snapshot()
+	st := c.stats
 	if st.Hits != 2 || st.Invalidations == 0 {
 		t.Fatalf("after post-commit replan: %+v, want 2 hits and >0 invalidations", st)
 	}
@@ -484,7 +484,7 @@ func TestPlanCacheCounters(t *testing.T) {
 			}
 		}
 	}
-	if st := c.snapshot(); st.Evictions != 1 {
+	if st := c.stats; st.Evictions != 1 {
 		t.Fatalf("after overflowing the homog shelf by one: %+v, want 1 eviction", st)
 	}
 
@@ -496,7 +496,7 @@ func TestPlanCacheCounters(t *testing.T) {
 			}
 		}
 	}
-	st = c.snapshot()
+	st = c.stats
 	if st.Evictions != 2 {
 		t.Fatalf("after overflowing both shelves by one: %+v, want 2 evictions", st)
 	}

@@ -48,9 +48,11 @@ echo "==> bench module: go vet + go test"
 
 # The storm test under -tags invariants additionally asserts Eq. 4
 # occupancy after every commit and staging-order == log-order in the
-# WAL's group commit (see docs/INVARIANTS.md). Three rounds: the
-# interleaving in which a repair evicts a job is roughly one in ten.
-echo "==> go test -race -tags invariants (storm x3 + wal)"
+# WAL's group commit (see docs/INVARIANTS.md); its reader dry-runs the
+# admitted shapes beside the writers, so a plan-cache access outside the
+# manager lock is a race report (I5). Three rounds: the interleaving in
+# which a repair evicts a job is roughly one in ten.
+echo "==> go test -race -tags invariants (storm with a reader x3 + wal)"
 go test -race -tags invariants -run 'TestAdmissionStormInvariants$' -count 3 ./internal/core/
 go test -race -tags invariants ./internal/wal/
 
@@ -68,13 +70,10 @@ go test -race -tags invariants ./internal/shard/
 echo "==> go test -race -tags invariants ./internal/replica/ ./internal/daemon/"
 go test -race -tags invariants ./internal/replica/ ./internal/daemon/
 
-# Snapshot reads (INVARIANTS.md I5): the slow-reader stress must find the
-# Clone fallback and no write to a pinned buffer in three interleavings.
-# Then the whole core package with every sampled check compiled in (the
-# refresh-equals-clone property, cached-plan recomputes, Eq. 4 after each
-# commit); its allocation bounds say what the tag adds.
-echo "==> snapshot views: -race stress x3; go test -tags invariants ./internal/core/"
-go test -race -run 'TestViewSlowReaderStress$' -count 3 ./internal/core/
+# The whole core package with every sampled check compiled in (cached-plan
+# recomputes, Eq. 4 after each commit); its allocation bounds say what the
+# tag adds.
+echo "==> go test -tags invariants ./internal/core/"
 go test -tags invariants ./internal/core/
 
 # Client smoke: the retry schedule (a free first pass over the endpoints,

@@ -7,7 +7,7 @@
 # scripts/check.sh and CI's `make loc` step), so raising it is an edit a
 # reviewer sees. Lower it when a PR shrinks the total.
 set -euo pipefail
-budget=9626 # -79 (from 9705): svcd keeps only what a deployment sets (-policy, -checkpoint-every, the simulated-disk sync delay and the fields that carried them gone, with HasJob, CallMeta, MergedState, AllocateHomogPinned and FreeSlotsSubtree)
+budget=9518 # -108 (from 9626): reads take the manager lock (the snapshot double buffer, its pin protocol, the in-place refresh and the plan cache's own locks gone)
 cd "$(dirname "$0")/.."
 lines() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 total=0
