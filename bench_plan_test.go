@@ -65,6 +65,11 @@ func reportPlanCache(b *testing.B, mgr *core.Manager, before core.AdmissionStats
 //     iteration — svcbench's plan-miss stream in process. The plan runs
 //     cold in a pooled table; allocs/op is the number to watch (N = 49 and
 //     N = 8, the paper population's mean size and its hetero requests).
+//   - homog/miss-reject: a new key on every iteration whose every VM needs
+//     more than a host link, so no machine takes one, no subtree hosts
+//     the request, and the plan walks every level before it rejects.
+//   - homog/miss-N150: homog/miss at N = 150, the population's tail, where
+//     the DP rows are three times as long.
 func BenchmarkPlanOnly(b *testing.B) {
 	b.Run("homog/warm", func(b *testing.B) {
 		mgr := planBenchManager(b)
@@ -164,6 +169,42 @@ func BenchmarkPlanOnly(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			req, err := core.NewHomogeneous(49, stats.Normal{Mu: 300, Sigma: 100 + float64(i)/float64(b.N)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !mgr.CanAllocateHomog(req) {
+				b.Fatal("plan rejected on a lightly loaded datacenter")
+			}
+		}
+		b.StopTimer()
+		reportPlanCache(b, mgr, before)
+	})
+
+	b.Run("homog/miss-reject", func(b *testing.B) {
+		mgr := planBenchManager(b)
+		before := mgr.AdmissionStats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req, err := core.NewHomogeneous(49, stats.Normal{Mu: 1500 + float64(i)/float64(b.N), Sigma: 100})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if mgr.CanAllocateHomog(req) {
+				b.Fatal("plan accepted a VM larger than a host link")
+			}
+		}
+		b.StopTimer()
+		reportPlanCache(b, mgr, before)
+	})
+
+	b.Run("homog/miss-N150", func(b *testing.B) {
+		mgr := planBenchManager(b)
+		before := mgr.AdmissionStats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req, err := core.NewHomogeneous(150, stats.Normal{Mu: 300, Sigma: 100 + float64(i)/float64(b.N)})
 			if err != nil {
 				b.Fatal(err)
 			}

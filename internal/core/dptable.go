@@ -20,10 +20,14 @@ import (
 type dpRec struct {
 	ver    uint64 // SubtreeVersion(v) the record was computed under
 	filled bool   // false until computed, and again after a fault-epoch change
-	cap    int    // largest VM count (homogeneous) or substring length (substring DP) the subtree takes now
-	cells  int    // length of each row: (static bound on cap + 1) x stride
-	off    int    // alloc row starts at bl[off]; optIn at f64[2*off], upOcc right behind it
-	pick   int    // child i's choice row starts at i32[pick+i*cells] (internal vertices)
+	// cap is, in the homogeneous DP, the largest VM count with a finite
+	// optimum — 0, with optIn[0] = +Inf, when the subtree takes none — and
+	// no cell above it is read; in the substring DP it bounds the
+	// substring length the subtree takes now.
+	cap   int
+	cells int // length of each row: (static bound on cap + 1) x stride
+	off   int // alloc row starts at bl[off]; optIn at f64[2*off], upOcc right behind it
+	pick  int // child i's choice row starts at i32[pick+i*cells] (internal vertices)
 }
 
 // dpTable is the slab-backed record table.

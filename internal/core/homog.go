@@ -48,7 +48,7 @@ var infeasible = math.Inf(1)
 
 // homogTable is the DP table of Algorithm 1 for one request shape. Per
 // vertex it records the allocable VM set (paper Definition 1): for each
-// count e up to the record's cap,
+// count e up to the record's cap, the largest count with a finite optimum,
 //
 //   - optIn[e]: the min over placements of e VMs in the subtree of the max
 //     occupancy of the links strictly inside it (infeasible if e cannot be
@@ -204,31 +204,46 @@ func (t *homogTable) compute(led *Ledger, topo *topology.Topology, v topology.No
 		// to the incremental tree T_v[i]. acc and next ping-pong between
 		// v's own two float rows (upOcc is not needed until the combine is
 		// over), starting on the one that leaves the last result in optIn.
-		// Only sums up to reach exist at any point, so only those cells are
-		// initialised and read; reach ends at rec.cap.
-		capV := 0
-		for _, c := range node.Children {
-			capV += t.recs[c].cap
-		}
-		rec.cap = min(t.req.N, capV)
+		// Each combine runs over live cells only — acc up to top, its
+		// largest finite sum, times the child's counts up to its largest
+		// allocable one — so only those cells are initialised and read,
+		// and the last top is rec.cap.
 		acc, next := optIn, upOcc
 		if len(node.Children)%2 == 1 {
 			acc, next = next, acc
 		}
 		acc[0] = 0
-		reach := 0 // largest sum reachable with the children combined so far
+		top := 0 // -1 once no sum is finite: v takes no count, not even 0
 		for i, c := range node.Children {
 			child := &t.recs[c]
 			cOpt, cUp, cAlloc := t.rows(child)
-			grown := min(rec.cap, reach+child.cap)
-			pick := t.choice(rec, i)[:grown+1]
+			ctop := child.cap
+			for ctop >= 0 && !cAlloc[ctop] {
+				ctop--
+			}
+			if ctop < 0 {
+				top = -1
+				break
+			}
+			reach := min(t.req.N, top+ctop)
+			pick := t.choice(rec, i)[:reach+1]
 			for s := range pick {
 				next[s] = infeasible
 				pick[s] = -1
 			}
-			homogCombine(t.policy, acc[:reach+1], next[:grown+1], pick, cOpt, cUp, cAlloc[:child.cap+1])
+			homogCombine(t.policy, acc[:top+1], next[:reach+1], pick, cOpt, cUp, cAlloc[:ctop+1])
 			acc, next = next, acc
-			reach = grown
+			top = reach
+			for top >= 0 && acc[top] == infeasible {
+				top--
+			}
+			if top < 0 {
+				break
+			}
+		}
+		rec.cap = max(top, 0)
+		if top < 0 {
+			optIn[0] = infeasible
 		}
 	}
 
@@ -255,46 +270,50 @@ func (t *homogTable) compute(led *Ledger, topo *topology.Topology, v topology.No
 // with acc[h] the optimum of h VMs in the children before it, and the
 // child taking e of its allocable counts at cost max(cOpt[e], cUp[e]) —
 // its in-subtree optimum and its uplink — it lowers next[h+e] and records
-// e in pick[h+e]. len(next)-1 is the parent's cap, len(cAlloc)-1 the
-// child's. The policy picks among feasible splits: MinMaxOccupancy the
-// smallest max (first found on ties), GreedyPack the last found,
-// FirstFeasible the first. Occupancies are never NaN, so the compares
-// below select exactly what math.Max would.
+// e in pick[h+e]. len(next)-1 is the largest sum the parent keeps,
+// len(cAlloc)-1 the child's largest count worth trying. The policy picks
+// among feasible splits: MinMaxOccupancy the smallest max (first found on
+// ties), GreedyPack the last found, FirstFeasible the first.
+//
+// The child's count e is the outer loop, descending: a count the child
+// cannot take is skipped once, and its cost is read once. The partial sum
+// h is the inner loop, ascending. A target cell s = h+e therefore sees its
+// candidates in increasing h, the order an h-outer, e-ascending loop gives
+// it, so "first found" and "last found" name the same split in both. An
+// infeasible acc[h] makes the min-max value +Inf, which lowers no cell, so
+// that loop needs no test for it. Occupancies are never NaN, so the
+// compares below select exactly what math.Max would.
 func homogCombine(policy Policy, acc, next []float64, pick []int32, cOpt, cUp []float64, cAlloc []bool) {
-	for h, cur := range acc {
-		if cur == infeasible {
+	for e := min(len(cAlloc), len(next)) - 1; e >= 0; e-- {
+		if !cAlloc[e] {
 			continue
 		}
-		room := min(len(cAlloc), len(next)-h)
-		into, from := next[h:h+room], pick[h:h+room]
-		cOpt, cUp := cOpt[:room], cUp[:room]
+		room := min(len(acc), len(next)-e)
+		into, from := next[e:e+room], pick[e:e+room]
 		switch policy {
 		case MinMaxOccupancy:
-			for e, ok := range cAlloc[:room] {
-				if !ok {
-					continue
+			cost := cOpt[e]
+			if cUp[e] > cost {
+				cost = cUp[e]
+			}
+			for h, val := range acc[:room] {
+				if cost > val {
+					val = cost
 				}
-				val := cur
-				if cOpt[e] > val {
-					val = cOpt[e]
-				}
-				if cUp[e] > val {
-					val = cUp[e]
-				}
-				if val < into[e] {
-					into[e], from[e] = val, int32(e)
+				if val < into[h] {
+					into[h], from[h] = val, int32(e)
 				}
 			}
 		case GreedyPack:
-			for e, ok := range cAlloc[:room] {
-				if ok {
-					into[e], from[e] = 0, int32(e)
+			for h, cur := range acc[:room] {
+				if cur != infeasible {
+					into[h], from[h] = 0, int32(e)
 				}
 			}
 		default: // FirstFeasible keeps the split found first
-			for e, ok := range cAlloc[:room] {
-				if ok && into[e] == infeasible {
-					into[e], from[e] = 0, int32(e)
+			for h, cur := range acc[:room] {
+				if cur != infeasible && into[h] == infeasible {
+					into[h], from[h] = 0, int32(e)
 				}
 			}
 		}

@@ -76,6 +76,12 @@ go test -race -tags invariants ./internal/replica/ ./internal/daemon/
 echo "==> go test -tags invariants ./internal/core/"
 go test -tags invariants ./internal/core/
 
+# The homogeneous combine against its pre-trim reference (h outside, e
+# inside, every cell up to the static caps) on arbitrary rows: the two
+# loop orders must leave the same bits and the same choices.
+echo "==> fuzz smoke (FuzzHomogCombine, 10s)"
+go test -run '^$' -fuzz FuzzHomogCombine -fuzztime 10s ./internal/core/
+
 # Client smoke: the retry schedule (a free first pass over the endpoints,
 # then backoff) and rotateFrom's rule that concurrent failures on one
 # endpoint rotate once, which only an interleaving can break.

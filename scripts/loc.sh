@@ -7,7 +7,7 @@
 # scripts/check.sh and CI's `make loc` step), so raising it is an edit a
 # reviewer sees. Lower it when a PR shrinks the total.
 set -euo pipefail
-budget=9518 # -108 (from 9626): reads take the manager lock (the snapshot double buffer, its pin protocol, the in-place refresh and the plan cache's own locks gone)
+budget=9541 # +23 (from 9518): the cold homogeneous combine runs over live cells only (e outside and descending, h inside; trimmed to acc's largest finite sum and the child's largest allocable count)
 cd "$(dirname "$0")/.."
 lines() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 total=0
