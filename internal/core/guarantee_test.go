@@ -16,6 +16,12 @@ import (
 // The realized crossing traffic of one virtual cluster is
 // min(sum inside-VM demands, sum outside-VM demands) — exactly the quantity
 // whose moment-matched distribution the ledger reserves.
+//
+// This loop is the independent reference for Audit, the repository's one
+// Monte Carlo estimator over placements: it reads no placement and no
+// exported state, and checks Lemma 1 against raw draws on a bare ledger.
+// Keep it hand-written; routing it through Audit would leave the
+// estimator checking itself.
 func TestProbabilisticGuaranteeMonteCarlo(t *testing.T) {
 	const (
 		eps     = 0.10

@@ -10,12 +10,11 @@ import (
 // TestRepairGuaranteeMonteCarlo is the acceptance check for the repair
 // path: a seeded scenario fails more than 5% of the datacenter's machines,
 // every affected job is repaired, and the probabilistic bandwidth
-// guarantee is then re-measured the same way TestProbabilisticGuarantee-
-// MonteCarlo measures it — per-VM demands are drawn from the jobs' demand
-// distributions and the realized crossing traffic on every live link is
-// compared against its capacity. The empirical violation frequency must
-// stay within eps (plus a Monte Carlo margin) for every link, because no
-// job was degraded.
+// guarantee is then re-measured by Audit — per-VM demands are drawn from
+// the jobs' demand distributions and the realized crossing traffic on
+// every live link is compared against its capacity. The empirical
+// violation frequency must stay within eps (plus a Monte Carlo margin) for
+// every link, because no job was degraded.
 func TestRepairGuaranteeMonteCarlo(t *testing.T) {
 	const (
 		eps     = 0.10
@@ -107,64 +106,24 @@ func TestRepairGuaranteeMonteCarlo(t *testing.T) {
 		t.Fatalf("unexpected degradation after repair: %+v", st)
 	}
 
-	// Monte Carlo re-measurement of the guarantee over the repaired state.
-	// For each link, each job contributes min(inside, outside) of its
+	// Monte Carlo re-measurement of the guarantee over the repaired state:
+	// on every link, each job contributes min(inside, outside) of its
 	// realized per-VM demands — the crossing traffic the SVC model bounds.
-	led := m.Ledger()
-	type crossing struct{ inside int }
-	perLink := make(map[topology.LinkID]map[int]crossing) // link -> job index -> split
-	for ji, a := range jobs {
-		for link, inside := range vmsInsideLink(tp, &a.Placement) {
-			if inside == 0 || inside == jobSize {
-				continue
-			}
-			if perLink[link] == nil {
-				perLink[link] = make(map[int]crossing)
-			}
-			perLink[link][ji] = crossing{inside: inside}
-		}
+	stochastic, links, err := Audit(tp, m.ExportState(), samples, 20140708)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(perLink) == 0 {
+	if stochastic != len(jobs) {
+		t.Fatalf("audited %d stochastic jobs, want %d", stochastic, len(jobs))
+	}
+	if len(links) == 0 {
 		t.Fatal("no link carries crossing demand; scenario is vacuous")
 	}
-	violations := make(map[topology.LinkID]int)
-	draws := make([][]float64, len(jobs))
-	prefix := make([][]float64, len(jobs))
-	for i := range draws {
-		draws[i] = make([]float64, jobSize)
-		prefix[i] = make([]float64, jobSize+1)
-	}
-	for s := 0; s < samples; s++ {
-		for ji := range jobs {
-			for v := 0; v < jobSize; v++ {
-				draws[ji][v] = r.Normal(profile)
-			}
-			for v := 0; v < jobSize; v++ {
-				prefix[ji][v+1] = prefix[ji][v] + draws[ji][v]
-			}
-		}
-		for link, xs := range perLink {
-			total := led.DetReserved(link)
-			for ji, c := range xs {
-				inside := prefix[ji][c.inside]
-				outside := prefix[ji][jobSize] - inside
-				if outside < inside {
-					inside = outside
-				}
-				if inside > 0 {
-					total += inside
-				}
-			}
-			if total > tp.LinkCap(link) {
-				violations[link]++
-			}
-		}
-	}
-	for link, bad := range violations {
-		if got := float64(bad) / samples; got > eps+0.03 {
-			t.Errorf("link %d: empirical violation %.4f exceeds eps %.2f after repair", link, got, eps)
+	for _, la := range links {
+		if got := float64(la.Overflows) / samples; got > eps+0.03 {
+			t.Errorf("link %d: empirical violation %.4f exceeds eps %.2f after repair", la.Link, got, eps)
 		}
 	}
 	t.Logf("repaired %d jobs after failing %d/%d machines; %d links carry crossing demand",
-		len(results), len(failed), len(tp.Machines()), len(perLink))
+		len(results), len(failed), len(tp.Machines()), len(links))
 }

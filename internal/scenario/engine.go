@@ -15,7 +15,6 @@ import (
 // state so it can (a) decide kills without asking the backend and
 // (b) cross-check the backend's accounting (conservation assertion).
 type liveJob struct {
-	planIdx   int
 	id        int64
 	releaseAt int
 	entries   []core.PlacementEntry
@@ -334,7 +333,7 @@ func (e *engine) admit(batch []PlannedJob, t int) error {
 		}
 		tr.Admitted++
 		e.report.Admitted++
-		lj := &liveJob{planIdx: j.ID, id: results[i].ID, releaseAt: t + j.Hold, entries: results[i].Placement}
+		lj := &liveJob{id: results[i].ID, releaseAt: t + j.Hold, entries: results[i].Placement}
 		e.live[lj.id] = lj
 		for _, en := range lj.entries {
 			e.used[en.Machine] += en.Count

@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -49,8 +51,42 @@ func TestGoldenBaselineReport(t *testing.T) {
 	if again := run(); !bytes.Equal(got, again) {
 		t.Fatalf("two runs of the same plan produced different reports")
 	}
+	checkGolden(t, filepath.Join("testdata", "golden", "baseline.sim.json"), got)
+}
 
-	golden := filepath.Join("testdata", "golden", "baseline.sim.json")
+// TestGoldenGuarantee pins the Monte Carlo guarantee block of every
+// corpus scenario that asserts one, on the offline backend (the sharded
+// router for a scenario with run.shards): the chaos runs with repairs and
+// failovers, and the negative control's overflow. baseline's block is
+// pinned twice, here and in its whole report above.
+func TestGoldenGuarantee(t *testing.T) {
+	corpus := loadCorpus(t)
+	var names []string
+	for name, s := range corpus {
+		if s.Assert.Guarantee != nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			rep := runSim(t, corpus[name])
+			if rep.Guarantee == nil {
+				t.Fatal("the report carries no guarantee block")
+			}
+			got, err := json.MarshalIndent(rep.Guarantee, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join("testdata", "golden", "guarantee", name+".json"), append(got, '\n'))
+		})
+	}
+}
+
+// checkGolden compares got with the golden file, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -66,6 +102,6 @@ func TestGoldenBaselineReport(t *testing.T) {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("baseline report drifted from golden (regenerate with -update if intended):\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("%s drifted from its golden (regenerate with -update if intended):\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
 }

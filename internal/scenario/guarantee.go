@@ -2,10 +2,8 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/stats"
-	"repro/internal/topology"
+	"repro/internal/core"
 )
 
 // mcSeedSalt derives the Monte Carlo stream from the scenario seed; the
@@ -13,13 +11,10 @@ import (
 // salted stream is independent of both.
 const mcSeedSalt = 0x9e3779b97f4a7c15
 
-// measureGuarantee re-measures the paper's Eq. 4 bound over the current
-// live placement, the way internal/core's repair-guarantee test does:
-// draw every stochastic tenant's per-VM demands, charge each link
-// min(inside, outside) of the realized sums as crossing traffic on top
-// of its deterministic reservations, and count how often the link
-// exceeds capacity. Links currently failed carry no traffic and are
-// skipped.
+// measureGuarantee re-measures the paper's Eq. 4 bound over the backend's
+// current state with core.Audit and reports the link that overflowed
+// most often: the guarantee holds when that frequency is within the
+// asserted eps plus the Monte Carlo margin.
 func (e *engine) measureGuarantee() (*GuaranteeReport, error) {
 	spec := e.plan.Scenario.Assert.Guarantee
 	epsAsserted := spec.Eps
@@ -29,105 +24,21 @@ func (e *engine) measureGuarantee() (*GuaranteeReport, error) {
 	rep := &GuaranteeReport{
 		At: e.plan.GuaranteeAt, Samples: spec.Samples,
 		EpsAsserted: epsAsserted, Margin: spec.Margin,
-		WorstLink: -1, Pass: true,
+		WorstLink: -1,
 	}
 	st, err := e.backend.State()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: export state for guarantee: %w", err)
 	}
-
-	// Collect the stochastic live jobs in ID order and, per link, which
-	// jobs cross it with how many inside VMs.
-	type mcJob struct {
-		n      int
-		demand stats.Normal
+	stochastic, links, err := core.Audit(e.plan.Topo, st, spec.Samples, e.plan.Seed^mcSeedSalt)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: guarantee: %w", err)
 	}
-	var jobs []mcJob
-	perLink := map[topology.LinkID][][2]int{} // link -> (job index, inside count)
-	ids := make([]int64, 0, len(e.live))
-	for id := range e.live {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	topo := e.plan.Topo
-	for _, id := range ids {
-		j := e.live[id]
-		req := e.plan.Jobs[j.planIdx].Req
-		if !(req.Demand.Sigma > 0) {
-			continue // deterministic tenants are in LinkRecord.Det already
-		}
-		ji := len(jobs)
-		jobs = append(jobs, mcJob{n: req.N, demand: req.Demand})
-		inside := map[topology.LinkID]int{}
-		for _, en := range j.entries {
-			for _, link := range topo.PathToRoot(en.Machine) {
-				inside[link] += en.Count
-			}
-		}
-		// Walk the job's links in sorted order so each perLink list is
-		// built deterministically — crossing sums are float additions,
-		// and a different accumulation order would change low bits.
-		jobLinks := make([]topology.LinkID, 0, len(inside))
-		for link := range inside {
-			jobLinks = append(jobLinks, link)
-		}
-		sort.Slice(jobLinks, func(i, j int) bool { return jobLinks[i] < jobLinks[j] })
-		for _, link := range jobLinks {
-			if c := inside[link]; c > 0 && c < req.N {
-				perLink[link] = append(perLink[link], [2]int{ji, c})
-			}
-		}
-	}
-	rep.StochasticJobs = len(jobs)
-
-	links := make([]topology.LinkID, 0, len(perLink))
-	for link := range perLink {
-		if e.mirror.LinkDown(link) {
-			continue
-		}
-		links = append(links, link)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	rep.LinksChecked = len(links)
-	if len(links) == 0 {
-		return rep, nil
-	}
-
-	rng := stats.NewRand(e.plan.Seed ^ mcSeedSalt)
-	prefix := make([][]float64, len(jobs))
-	for i, j := range jobs {
-		prefix[i] = make([]float64, j.n+1)
-	}
-	violations := make([]int, len(links))
-	for s := 0; s < spec.Samples; s++ {
-		for ji, j := range jobs {
-			p := prefix[ji]
-			for v := 0; v < j.n; v++ {
-				p[v+1] = p[v] + rng.Normal(j.demand)
-			}
-		}
-		for li, link := range links {
-			total := st.Links[link].Det
-			for _, cr := range perLink[link] {
-				p := prefix[cr[0]]
-				inside := p[cr[1]]
-				if outside := p[len(p)-1] - inside; outside < inside {
-					inside = outside
-				}
-				if inside > 0 {
-					total += inside
-				}
-			}
-			if total > topo.LinkCap(link) {
-				violations[li]++
-			}
-		}
-	}
-	for li, link := range links {
-		freq := float64(violations[li]) / float64(spec.Samples)
+	rep.StochasticJobs, rep.LinksChecked = stochastic, len(links)
+	for _, la := range links {
+		freq := float64(la.Overflows) / float64(spec.Samples)
 		if freq > rep.WorstFreq || rep.WorstLink < 0 {
-			rep.WorstFreq = freq
-			rep.WorstLink = int(link)
+			rep.WorstFreq, rep.WorstLink = freq, int(la.Link)
 		}
 	}
 	rep.Pass = rep.WorstFreq <= epsAsserted+spec.Margin
