@@ -58,6 +58,9 @@ func reportPlanCache(b *testing.B, mgr *core.Manager, before core.AdmissionStats
 //     BenchmarkAllocateHomogSeq / BENCH_pr4's ~ms-scale cold DP).
 //   - homog/churn: an admit+release cycle every 8 plans, so plans
 //     periodically recompute the records the commit paths invalidated.
+//   - homog/churn-small: homog/churn for N = 2, a request the first free
+//     machine hosts, so a plan reads the machines up to that one and no
+//     record above them.
 //   - homog/cold: the uncached DP on the same tree, the baseline ratio
 //     denominator, reported with the same plans/s metric.
 //   - hetero/warm: the substring DP's steady-state cached pass (N = 16).
@@ -94,37 +97,11 @@ func BenchmarkPlanOnly(b *testing.B) {
 	})
 
 	b.Run("homog/churn", func(b *testing.B) {
-		mgr := planBenchManager(b)
-		req, err := core.NewHomogeneous(49, stats.Normal{Mu: 300, Sigma: 150})
-		if err != nil {
-			b.Fatal(err)
-		}
-		churn, err := core.NewHomogeneous(4, stats.Normal{Mu: 200, Sigma: 80})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !mgr.CanAllocateHomog(req) || !mgr.CanAllocateHomog(req) {
-			b.Fatal("warmup plan rejected")
-		}
-		before := mgr.AdmissionStats()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%8 == 7 {
-				a, err := mgr.AllocateHomog(churn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := mgr.Release(a.ID); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if !mgr.CanAllocateHomog(req) {
-				b.Fatal("plan rejected on a lightly loaded datacenter")
-			}
-		}
-		b.StopTimer()
-		reportPlanCache(b, mgr, before)
+		benchPlanChurn(b, core.Homogeneous{N: 49, Demand: stats.Normal{Mu: 300, Sigma: 150}})
+	})
+
+	b.Run("homog/churn-small", func(b *testing.B) {
+		benchPlanChurn(b, core.Homogeneous{N: 2, Demand: stats.Normal{Mu: 100, Sigma: 40}})
 	})
 
 	b.Run("homog/cold", func(b *testing.B) {
@@ -231,4 +208,36 @@ func BenchmarkPlanOnly(b *testing.B) {
 		b.StopTimer()
 		reportPlanCache(b, mgr, before)
 	})
+}
+
+// benchPlanChurn times cached dry runs of req with an admit+release cycle
+// of a 4-VM job every 8 plans.
+func benchPlanChurn(b *testing.B, req core.Homogeneous) {
+	mgr := planBenchManager(b)
+	churn, err := core.NewHomogeneous(4, stats.Normal{Mu: 200, Sigma: 80})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !mgr.CanAllocateHomog(req) || !mgr.CanAllocateHomog(req) {
+		b.Fatal("warmup plan rejected")
+	}
+	before := mgr.AdmissionStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%8 == 7 {
+			a, err := mgr.AllocateHomog(churn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := mgr.Release(a.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !mgr.CanAllocateHomog(req) {
+			b.Fatal("plan rejected on a lightly loaded datacenter")
+		}
+	}
+	b.StopTimer()
+	reportPlanCache(b, mgr, before)
 }

@@ -5,8 +5,9 @@ import (
 )
 
 // This file holds the storage both allocation DPs (homog.go, hetero.go)
-// keep their per-vertex records in: one table type, used as pooled
-// scratch by a cold plan and as owned storage by a plan-cache entry.
+// keep their per-vertex records in — one table type, used as pooled
+// scratch by a cold plan and as owned storage by a plan-cache entry — and
+// settle, the selection both run over it.
 //
 // A vertex's record is three rows of equal length — optIn, upOcc, alloc —
 // plus one choice row per child. Row lengths depend only on the topology
@@ -32,12 +33,12 @@ type dpRec struct {
 
 // dpTable is the slab-backed record table.
 type dpTable struct {
-	recs  []dpRec // indexed by NodeID; only in-scope vertices are laid out
-	f64   []float64
-	i32   []int32
-	bl    []bool
-	stale []topology.NodeID // staleAt's result, reused level to level
-	epoch uint64            // Faults().Epoch() the filled records were computed under
+	recs   []dpRec // indexed by NodeID; only in-scope vertices are laid out
+	f64    []float64
+	i32    []int32
+	bl     []bool
+	lowest int    // the lowest level with a vertex whose static bound reaches n
+	epoch  uint64 // Faults().Epoch() the filled records were computed under
 }
 
 // layout sizes the table for a request of n VMs over the scope's vertices
@@ -48,6 +49,7 @@ type dpTable struct {
 func (t *dpTable) layout(topo *topology.Topology, scope *planScope, n, stride int) {
 	t.recs = grow(t.recs, topo.Len())
 	cells, picks := 0, 0
+	t.lowest = scopeHeight(topo, scope) + 1
 	for level := 0; level <= scopeHeight(topo, scope); level++ {
 		for _, v := range scopeAtLevel(topo, scope, level) {
 			node := topo.Node(v)
@@ -58,6 +60,9 @@ func (t *dpTable) layout(topo *topology.Topology, scope *planScope, n, stride in
 				bound += t.recs[c].cap
 			}
 			bound = min(n, bound)
+			if bound == n {
+				t.lowest = min(t.lowest, level)
+			}
 			t.recs[v] = dpRec{cap: bound, cells: (bound + 1) * stride, off: cells, pick: picks}
 			cells += t.recs[v].cells
 			picks += len(node.Children) * t.recs[v].cells
@@ -105,42 +110,79 @@ func (t *dpTable) syncEpoch(led *Ledger) {
 	}
 }
 
-// staleAt returns the vertices of one level whose records do not reflect
-// led. A record whose subtree version matches is current together with
-// every record below it: any mutation below v restamps v.
-func (t *dpTable) staleAt(led *Ledger, verts []topology.NodeID) []topology.NodeID {
-	t.stale = t.stale[:0]
-	for _, v := range verts {
-		if r := &t.recs[v]; !r.filled || r.ver != led.SubtreeVersion(v) {
-			t.stale = append(t.stale, v)
-		}
-	}
-	return t.stale
+// current reports whether v's record reflects led. A record whose subtree
+// version matches is current together with every record below it: any
+// mutation below v restamps v, and a record is only ever computed from
+// current children.
+func (t *dpTable) current(led *Ledger, v topology.NodeID) bool {
+	r := &t.recs[v]
+	return r.filled && r.ver == led.SubtreeVersion(v)
 }
 
-// best scans one level, in topology order, for the subtree that can host
-// the whole request — need VMs, whose optimum sits at optIn[whole] — at
-// the smallest optimum. Ties keep the first vertex, and FirstFeasible
-// keeps the first feasible one whatever its value.
-func (t *dpTable) best(verts []topology.NodeID, need, whole int, policy Policy) topology.NodeID {
-	recs := t.cachedRecords()
-	best, bestVal := topology.None, infeasible
-	for _, v := range verts {
-		rec := &recs[v]
-		if rec.cap < need {
-			continue
+// settle finds the root of the lowest subtree that hosts a request of need
+// VMs, whose optimum sits at optIn[whole], and returns it (None if no
+// subtree does) with the number of records it recomputed. It brings up to
+// date only the records the selection reads. Level by level, from the
+// lowest one whose static bounds reach need, each candidate — a vertex
+// whose rows hold the whole cell, narrowed by within when it is set — is
+// ensured and read in topology order, and the smallest optimum wins, the
+// first of equal ones. A machine that fits costs exactly 0, so the machine
+// level stops at the first one; FirstFeasible stops at its first feasible
+// vertex on every level.
+func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy Policy,
+	within func([]topology.NodeID) []topology.NodeID, compute kernel) (best topology.NodeID, recomputed int) {
+	topo, recs := led.Topology(), t.cachedRecords()
+	t.syncEpoch(led)
+	best = topology.None
+	for level := t.lowest; level <= scopeHeight(topo, scope); level++ {
+		verts := scopeAtLevel(topo, scope, level)
+		if within != nil {
+			verts = within(verts)
 		}
-		optIn, _, _ := t.rows(rec)
-		val := optIn[whole]
-		if val == infeasible {
-			continue
+		bestVal := infeasible
+		for _, v := range verts {
+			if recs[v].cells <= whole {
+				continue
+			}
+			recomputed += t.ensure(led, topo, v, compute)
+			if recs[v].cap < need {
+				continue
+			}
+			optIn, _, _ := t.rows(&recs[v])
+			if val := optIn[whole]; val != infeasible && (best == topology.None || val < bestVal) {
+				best, bestVal = v, val
+				if level == 0 || policy == FirstFeasible {
+					break
+				}
+			}
 		}
-		if policy == FirstFeasible && best != topology.None {
-			continue
-		}
-		if val < bestVal || best == topology.None {
-			best, bestVal = v, val
+		if best != topology.None {
+			break
 		}
 	}
-	return best
+	return best, recomputed
+}
+
+// kernel fills vertex v's record from led and its children's records.
+type kernel func(led *Ledger, topo *topology.Topology, v topology.NodeID)
+
+// ensure brings v's record up to date with led, stale children first, and
+// returns the number of records it recomputed. A current record needs
+// nothing, because everything below it is current too; machine children
+// are computed in the loop, not through a call each.
+func (t *dpTable) ensure(led *Ledger, topo *topology.Topology, v topology.NodeID, compute kernel) (recomputed int) {
+	if t.current(led, v) {
+		return 0
+	}
+	for _, c := range topo.Node(v).Children {
+		switch {
+		case !topo.Node(c).IsMachine():
+			recomputed += t.ensure(led, topo, c, compute)
+		case !t.current(led, c):
+			compute(led, topo, c)
+			recomputed++
+		}
+	}
+	compute(led, topo, v)
+	return recomputed + 1
 }

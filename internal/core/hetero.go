@@ -49,7 +49,7 @@ type substrTable struct {
 	prefix demandPrefix
 	// crossing[idx(length, a)] is the demand a link carries with the
 	// substring [a, a+length) below it — the same for every vertex, so it
-	// is computed once per table, a length at a time as levels need them
+	// is computed once per table, a length at a time as vertices need them
 	// (needCrossing); lengths below crossLens are filled.
 	crossing  []stats.Normal
 	crossLens int
@@ -69,16 +69,13 @@ func (t *substrTable) reset(topo *topology.Topology, scope *planScope, sorted []
 	t.layout(topo, scope, t.n, t.n+1)
 }
 
-// needCrossing extends the crossing table to the substring lengths the
-// given vertices' uplinks can see: up to each one's static cap bound.
-func (t *substrTable) needCrossing(topo *topology.Topology, verts []topology.NodeID) {
-	maxLen := -1
-	for _, v := range verts {
-		if topo.Node(v).Parent != topology.None {
-			maxLen = max(maxLen, t.recs[v].cells/(t.n+1)-1)
-		}
+// needCrossing extends the crossing table to the substring lengths v's
+// uplink can see: up to its static cap bound. The root has no uplink.
+func (t *substrTable) needCrossing(topo *topology.Topology, v topology.NodeID) {
+	if topo.Node(v).Parent == topology.None {
+		return
 	}
-	for ; t.crossLens <= maxLen; t.crossLens++ {
+	for maxLen := t.recs[v].cells/(t.n+1) - 1; t.crossLens <= maxLen; t.crossLens++ {
 		for a := 0; a+t.crossLens <= t.n; a++ {
 			t.crossing[t.idx(t.crossLens, a)] = t.prefix.crossing(a, a+t.crossLens)
 		}
@@ -115,25 +112,14 @@ func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.
 	return p, contribs, err
 }
 
-// settle is homogTable.settle for the substring DP: the level loop is
-// written out again, not shared behind an interface, which measured 2 %
-// off the admission path (BENCH_pr20.json).
-func (t *substrTable) settle(led *Ledger, scope *planScope) (best topology.NodeID, recomputed int, err error) {
-	topo := led.Topology()
-	t.syncEpoch(led)
-	for level := 0; level <= scopeHeight(topo, scope); level++ {
-		verts := scopeAtLevel(topo, scope, level)
-		stale := t.staleAt(led, verts)
-		t.needCrossing(topo, stale)
-		for _, v := range stale {
-			t.compute(led, topo, v)
-		}
-		recomputed += len(stale)
-		if best := t.best(verts, t.n, t.idx(t.n, 0), t.policy); best != topology.None {
-			return best, recomputed, nil
-		}
+// settle is dpTable.settle for the whole sorted sequence, the substring
+// [0, n).
+func (t *substrTable) settle(led *Ledger, scope *planScope) (topology.NodeID, int, error) {
+	best, recomputed := t.dpTable.settle(led, scope, t.n, t.idx(t.n, 0), t.policy, nil, t.compute)
+	if best == topology.None {
+		return best, recomputed, ErrNoCapacity // plan names the request it was for
 	}
-	return topology.None, recomputed, ErrNoCapacity // plan names the request it was for
+	return best, recomputed, nil
 }
 
 // plan is settle followed by build for req, a request whose sorted
@@ -152,8 +138,10 @@ func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, ord
 
 // compute fills the substring DP record for vertex v. Like
 // homogTable.compute it reads the ledger and the children's records and
-// writes only v's own cells.
+// writes only v's own cells, after extending the shared crossing table to
+// what v's uplink needs.
 func (t *substrTable) compute(led *Ledger, topo *topology.Topology, v topology.NodeID) {
+	t.needCrossing(topo, v)
 	node := topo.Node(v)
 	rec := &t.recs[v]
 	optIn, upOcc, alloc := t.rows(rec)

@@ -142,27 +142,15 @@ func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *pla
 	return p, contribs, err
 }
 
-// settle brings the table up to date with led level by level — recomputing
-// only the records whose subtree version moved since they were filled —
-// and returns the root of the lowest subtree that hosts the request, with
-// the number of records it recomputed. The selection scan runs in topology
-// order, which is what breaks ties between equal subtrees. A dry run is
-// settle and nothing else: it shares every DP line with an admission.
-func (t *homogTable) settle(led *Ledger, scope *planScope) (best topology.NodeID, recomputed int, err error) {
-	topo := led.Topology()
-	t.syncEpoch(led)
-	for level := 0; level <= scopeHeight(topo, scope); level++ {
-		verts := scopeAtLevel(topo, scope, level)
-		stale := t.staleAt(led, verts)
-		for _, v := range stale {
-			t.compute(led, topo, v)
-		}
-		recomputed += len(stale)
-		if best := t.best(t.holdingPins(verts), t.req.N, t.req.N, t.policy); best != topology.None {
-			return best, recomputed, nil
-		}
+// settle is dpTable.settle for this request, with a repair's pins
+// narrowing each level's candidates. A dry run is settle and nothing else:
+// it shares every DP line with an admission.
+func (t *homogTable) settle(led *Ledger, scope *planScope) (topology.NodeID, int, error) {
+	best, recomputed := t.dpTable.settle(led, scope, t.req.N, t.req.N, t.policy, t.holdingPins, t.compute)
+	if best == topology.None {
+		return best, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, t.req)
 	}
-	return topology.None, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, t.req)
+	return best, recomputed, nil
 }
 
 // plan is settle followed by build: the placement in the subtree settle
@@ -178,10 +166,9 @@ func (t *homogTable) plan(led *Ledger, scope *planScope) (Placement, []Contribut
 	return p, homogContributions(led.Topology(), t.req, &p), recomputed, nil
 }
 
-// compute fills the DP record for vertex v from its children's records
-// (which the level-order traversal has already brought up to date). It
-// reads the ledger and the children's records and writes only v's own
-// cells.
+// compute fills the DP record for vertex v from its children's records,
+// which ensure has already brought up to date. It reads the ledger and the
+// children's records and writes only v's own cells.
 func (t *homogTable) compute(led *Ledger, topo *topology.Topology, v topology.NodeID) {
 	node := topo.Node(v)
 	rec := &t.recs[v]

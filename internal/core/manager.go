@@ -292,7 +292,8 @@ func (m *Manager) Headroom(req Homogeneous, limit int) (int, error) {
 		limit = scratch.TotalFreeSlots()/req.N + 1
 	}
 	// One table for the whole probe: each commit below restamps only the
-	// paths it touched, so the next plan recomputes just those records.
+	// paths it touched, and the next plan recomputes only those of them
+	// its selection reads.
 	t := homogTablePool.Get().(*homogTable)
 	defer homogTablePool.Put(t)
 	t.reset(scratch.Topology(), m.scope, req, m.policy)

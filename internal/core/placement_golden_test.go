@@ -39,9 +39,17 @@ var placementGoldenFile = filepath.Join("testdata", "placement_golden.json")
 //
 // Every admission of a new shape runs Algorithm 1 cold, so the final
 // state's hash covers thousands of cold DP plans, rejections included.
-// The hashes in testdata were generated at commit 0ed0684, before the
-// homogeneous combine was reordered and trimmed to its live cells; any
-// change to them is a change to placements, not a refactor.
+//
+// The warm streams run the same trees and fills on a catalogue instead:
+// the eight flavours N in {2, 4, 8, 16} x demand {100±40, 300±100}, and in
+// one request of ten one of two fixed N = 8 heterogeneous shapes, for
+// 1 200 steps; then one machine under a live job fails and RepairAll
+// runs. Nearly every plan is a plan-cache hit on a partly stale table.
+//
+// The cold hashes in testdata were generated at commit 0ed0684, before the
+// homogeneous combine was reordered and trimmed to its live cells; the
+// warm ones at b0e942d, before settle became demand-driven. Any change to
+// them is a change to placements, not a refactor.
 func TestPlacementGolden(t *testing.T) {
 	want := map[string]string{}
 	if !*updatePlacementGolden {
@@ -58,7 +66,7 @@ func TestPlacementGolden(t *testing.T) {
 		cfg  topology.ThreeTierConfig
 	}{{"paper", topology.PaperConfig()}, {"scaled5", topology.PaperConfig().Scaled(5)}}
 	got := map[string]string{}
-	seed := uint64(1)
+	seed, warmSeed := uint64(1), uint64(100)
 	for _, tree := range trees {
 		for _, hetero := range []float64{0.05, 0.5} {
 			for _, fill := range []float64{0.5, 0.95} {
@@ -68,11 +76,22 @@ func TestPlacementGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got[name] = placementStreamHash(t, topo, hetero, fill, seed)
-				if !*updatePlacementGolden && got[name] != want[name] {
-					t.Errorf("%s: state hash %s, want %s", name, got[name], want[name])
-				}
+				got[name] = placementStreamHash(t, topo, stream{fill: fill, seed: seed, steps: 300, fails: 2, draw: populationDraw(hetero)})
 			}
+		}
+		for _, fill := range []float64{0.5, 0.95} {
+			name := fmt.Sprintf("%s/warm/fill%.2f", tree.name, fill)
+			warmSeed++
+			topo, err := topology.NewThreeTier(tree.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[name] = placementStreamHash(t, topo, stream{fill: fill, seed: warmSeed, steps: 1200, fails: 1, draw: catalogueDraw(), churnOnReject: true})
+		}
+	}
+	for name, hash := range got {
+		if !*updatePlacementGolden && hash != want[name] {
+			t.Errorf("%s: state hash %s, want %s", name, hash, want[name])
 		}
 	}
 	if *updatePlacementGolden {
@@ -86,35 +105,80 @@ func TestPlacementGolden(t *testing.T) {
 	}
 }
 
-// placementStreamHash drives one seeded stream (see TestPlacementGolden)
-// and returns the hex sha256 of the manager's ExportState JSON.
-func placementStreamHash(t *testing.T, topo *topology.Topology, heteroShare, fill float64, seed uint64) string {
-	t.Helper()
-	m, err := NewManager(topo, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := stats.NewRand(seed)
+// streamDraw admits one request of a stream on m.
+type streamDraw func(r *stats.Rand, m *Manager) (*Allocation, error)
+
+// stream is one seeded admission stream of TestPlacementGolden: steps
+// admissions through draw, each after releasing a random live job once
+// fill of the slots are used (or, with churnOnReject, after a rejection),
+// then fails machines under live jobs and repairs.
+type stream struct {
+	fill          float64
+	seed          uint64
+	steps, fails  int
+	draw          streamDraw
+	churnOnReject bool
+}
+
+// populationDraw draws from the paper's job population: a share of
+// heteroShare heterogeneous N = 8 requests, the rest homogeneous.
+func populationDraw(heteroShare float64) streamDraw {
 	means := []float64{100, 200, 300, 400, 500}
-	var live []JobID
-	rejected := 0
-	admit := func() {
-		var a *Allocation
-		var err error
+	return func(r *stats.Rand, m *Manager) (*Allocation, error) {
 		if r.Float64() < heteroShare {
 			demands := make([]stats.Normal, 8)
 			for v := range demands {
 				mu := r.Pick(means)
 				demands[v] = stats.Normal{Mu: mu, Sigma: r.Float64() * mu}
 			}
-			a, err = m.AllocateHetero(Heterogeneous{Demands: demands})
-		} else {
-			n := min(max(int(math.Round(r.Exp(49))), 2), 200)
-			mu := r.Pick(means)
-			a, err = m.AllocateHomog(Homogeneous{N: n, Demand: stats.Normal{Mu: mu, Sigma: r.Float64() * mu}})
+			return m.AllocateHetero(Heterogeneous{Demands: demands})
 		}
+		n := min(max(int(math.Round(r.Exp(49))), 2), 200)
+		mu := r.Pick(means)
+		return m.AllocateHomog(Homogeneous{N: n, Demand: stats.Normal{Mu: mu, Sigma: r.Float64() * mu}})
+	}
+}
+
+// catalogueDraw repeats a fixed catalogue (see TestPlacementGolden), so
+// its shapes stay resident in the plan cache.
+func catalogueDraw() streamDraw {
+	var homog []Homogeneous
+	for _, d := range []stats.Normal{{Mu: 100, Sigma: 40}, {Mu: 300, Sigma: 100}} {
+		for _, n := range []int{2, 4, 8, 16} {
+			homog = append(homog, Homogeneous{N: n, Demand: d})
+		}
+	}
+	hetero := make([]Heterogeneous, 2)
+	for i := range hetero {
+		for v := 0; v < 8; v++ {
+			mu := float64(100 * (1 + (v+i)%5))
+			hetero[i].Demands = append(hetero[i].Demands, stats.Normal{Mu: mu, Sigma: mu * float64(1+v) / 10})
+		}
+	}
+	return func(r *stats.Rand, m *Manager) (*Allocation, error) {
+		if r.IntN(10) == 0 {
+			return m.AllocateHetero(hetero[r.IntN(len(hetero))])
+		}
+		return m.AllocateHomog(homog[r.IntN(len(homog))])
+	}
+}
+
+// placementStreamHash drives one stream and returns the hex sha256 of the
+// manager's ExportState JSON.
+func placementStreamHash(t *testing.T, topo *topology.Topology, s stream) string {
+	t.Helper()
+	m, err := NewManager(topo, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRand(s.seed)
+	var live []JobID
+	rejected, lastRejected := 0, false
+	admit := func() {
+		a, err := s.draw(r, m)
+		lastRejected = errors.Is(err, ErrNoCapacity)
 		switch {
-		case errors.Is(err, ErrNoCapacity):
+		case lastRejected:
 			rejected++
 		case err != nil:
 			t.Fatal(err)
@@ -123,8 +187,9 @@ func placementStreamHash(t *testing.T, topo *topology.Topology, heteroShare, fil
 		}
 	}
 	total := topo.TotalSlots()
-	for i := 0; i < 300; i++ {
-		if total-m.FreeSlots() >= int(fill*float64(total)) && len(live) > 0 {
+	for i := 0; i < s.steps; i++ {
+		full := total-m.FreeSlots() >= int(s.fill*float64(total)) || s.churnOnReject && lastRejected
+		if full && len(live) > 0 {
 			k := r.IntN(len(live))
 			if err := m.Release(live[k]); err != nil {
 				t.Fatal(err)
@@ -135,7 +200,7 @@ func placementStreamHash(t *testing.T, topo *topology.Topology, heteroShare, fil
 		admit()
 	}
 	st := m.ExportState()
-	for i := 0; i < 2 && len(st.Jobs) > 0; i++ {
+	for i := 0; i < s.fails && len(st.Jobs) > 0; i++ {
 		job := st.Jobs[r.IntN(len(st.Jobs))]
 		if _, err := m.FailMachine(job.Placement[0].Machine); err != nil {
 			t.Fatal(err)
@@ -145,8 +210,9 @@ func placementStreamHash(t *testing.T, topo *topology.Topology, heteroShare, fil
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("seed %d: %d live jobs, %d rejected, %d repairs, %d free slots of %d",
-		seed, m.Running(), rejected, len(repairs), m.FreeSlots(), total)
+	adm := m.AdmissionStats()
+	t.Logf("seed %d: %d live jobs, %d rejected, %d repairs, %d free slots of %d, %d of %d plans cache hits",
+		s.seed, m.Running(), rejected, len(repairs), m.FreeSlots(), total, adm.PlanCacheHits, adm.PlanCacheHits+adm.PlanCacheMisses)
 	raw, err := json.Marshal(m.ExportState())
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ import (
 // subtree — including every descendant's record — is unchanged. A
 // steady-state commit therefore invalidates only the O(depth) vertices
 // on its touched paths, and the next plan for the same demand shape
-// recomputes just those records instead of the whole tree.
+// recomputes only those its selection reads (dpTable.settle).
 //
 // Fault state is the one input that is NOT subtree-local: FreeSlots
 // depends on reachability through links above the vertex. Tables stamp
@@ -39,7 +39,8 @@ import (
 //
 // A cached plan and a cold one are the same code on the same table type
 // (homogTable, substrTable): the cold plan starts from a table with no
-// record filled, the cached one from whatever is still current. The
+// record filled, the cached one from whatever is still current, which
+// after a machine-level stop is only part of the table. The
 // equivalence suite in plancache_test.go and a sampled -tags invariants
 // cross-check hold the reuse test to bit-identical placements.
 //
@@ -73,7 +74,7 @@ const (
 type planCacheStats struct {
 	Hits          int64 // plans served from an existing entry
 	Misses        int64 // plans of a key with no entry: run cold (first sight) or building one (second)
-	Invalidations int64 // stale vertex records recomputed on existing entries
+	Invalidations int64 // stale records a plan on an existing entry read, and so recomputed
 	Evictions     int64 // entries dropped by the FIFO bound
 }
 

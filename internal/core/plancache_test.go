@@ -11,10 +11,12 @@ import (
 
 // cachedShape is one request shape as the equivalence tests drive it:
 // through a plan cache, and through a table nothing has used before — the
-// reference every cached plan must equal bit for bit.
+// reference every cached plan must equal bit for bit. entry names the
+// shape's resident cache entry, nil when it has none.
 type cachedShape struct {
 	cached func(c *planCache, led *Ledger) (Placement, []Contribution, error)
 	fresh  func(led *Ledger) (Placement, []Contribution, error)
+	entry  func(c *planCache) any
 }
 
 func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
@@ -27,6 +29,9 @@ func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 			t.reset(led.Topology(), scope, req, policy)
 			p, contribs, _, err := t.plan(led, scope)
 			return p, contribs, err
+		},
+		entry: func(c *planCache) any {
+			return c.homog.entries[homogKey{demand: canonDemand(req.Demand), n: req.N, policy: policy}]
 		},
 	}
 }
@@ -42,6 +47,13 @@ func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape
 			t.reset(led.Topology(), scope, sorted, policy)
 			p, contribs, _, err := t.plan(led, scope, req, order)
 			return p, contribs, err
+		},
+		entry: func(c *planCache) any {
+			_, sorted := orderByPercentile(req)
+			for i := range sorted {
+				sorted[i] = canonDemand(sorted[i])
+			}
+			return c.hetero.entries[substrCacheKey(sorted, policy)]
 		},
 	}
 }
@@ -65,6 +77,34 @@ func planBoth(t *testing.T, where string, c *planCache, led *Ledger, s cachedSha
 		}
 	}
 	return p, contribs, err
+}
+
+// partialHits counts the cached hits that land above the machine level on
+// an entry whose previous hit landed on a machine: the machine-level stop
+// leaves such a table partly settled — the machines past the one it chose,
+// and everything above them, as they were — and the later plan must read
+// it as a cold plan would.
+type partialHits struct {
+	onMachine map[any]bool // entries whose last hit landed on a machine
+	count     int
+}
+
+// observe classifies one plan of s whose hit counter read hitsBefore
+// before it ran.
+func (h *partialHits) observe(c *planCache, s cachedShape, hitsBefore int64, p Placement, err error) {
+	e := s.entry(c)
+	if c.stats.Hits == hitsBefore || e == nil || err != nil {
+		return
+	}
+	if h.onMachine == nil {
+		h.onMachine = map[any]bool{}
+	}
+	// No single machine can host a plan that landed above the machines.
+	onMachine := len(p.Entries) == 1
+	if !onMachine && h.onMachine[e] {
+		h.count++
+	}
+	h.onMachine[e] = onMachine
 }
 
 // randomScope returns nil or the plan scope of a random switch.
@@ -184,6 +224,7 @@ func TestPlanCacheEquivalenceHomog(t *testing.T) {
 
 	r := stats.NewRand(4242)
 	var total planCacheStats
+	var partial partialHits
 	for trial := 0; trial < 40; trial++ {
 		tp := randomTopology(r)
 		led, err := NewLedger(tp, 0.05)
@@ -215,7 +256,9 @@ func TestPlanCacheEquivalenceHomog(t *testing.T) {
 			if r.IntN(5) == 0 {
 				shape = randShape() // a one-off: planned cold, never resident
 			}
+			hits := cache.stats.Hits
 			p, contribs, err := planBoth(t, "fuzz", cache, led, shape)
+			partial.observe(cache, shape, hits, p, err)
 			switch r.IntN(6) {
 			case 0: // commit the plan: invalidates the placement's paths
 				if err == nil {
@@ -258,6 +301,10 @@ func TestPlanCacheEquivalenceHomog(t *testing.T) {
 	if total.Hits == 0 || total.Invalidations == 0 || total.Evictions == 0 {
 		t.Fatalf("the interleavings did not exercise reuse, recompute and eviction: %+v", total)
 	}
+	if partial.count == 0 {
+		t.Fatal("no cached hit landed above the machines on a table a machine-level hit left partly settled")
+	}
+	t.Logf("%d hits above the machines on partly settled tables", partial.count)
 }
 
 // TestPlanCacheEquivalenceHetero is the heterogeneous-substring twin of
@@ -277,6 +324,7 @@ func TestPlanCacheEquivalenceHetero(t *testing.T) {
 
 	r := stats.NewRand(5353)
 	var total planCacheStats
+	var partial partialHits
 	for trial := 0; trial < 30; trial++ {
 		tp := randomTopology(r)
 		led, err := NewLedger(tp, 0.05)
@@ -303,7 +351,9 @@ func TestPlanCacheEquivalenceHetero(t *testing.T) {
 			if r.IntN(5) == 0 {
 				shape = randShape()
 			}
+			hits := cache.stats.Hits
 			p, contribs, err := planBoth(t, "fuzz", cache, led, shape)
+			partial.observe(cache, shape, hits, p, err)
 			switch r.IntN(5) {
 			case 0:
 				if err == nil {
@@ -339,6 +389,10 @@ func TestPlanCacheEquivalenceHetero(t *testing.T) {
 	if total.Hits == 0 || total.Invalidations == 0 || total.Evictions == 0 {
 		t.Fatalf("the interleavings did not exercise reuse, recompute and eviction: %+v", total)
 	}
+	if partial.count == 0 {
+		t.Fatal("no cached hit landed above the machines on a table a machine-level hit left partly settled")
+	}
+	t.Logf("%d hits above the machines on partly settled tables", partial.count)
 }
 
 // TestPlanTablesIgnoreStaleCells: layout reuses slabs without clearing
@@ -502,6 +556,117 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 	if plans := int64(4 + 2*maxHomogPlanEntries + 2*(maxHeteroPlanEntries+1)); st.Hits+st.Misses != plans {
 		t.Fatalf("%d plans counted as %d hits + %d misses", plans, st.Hits, st.Misses)
+	}
+}
+
+// TestPlanReadsOnlyWhatItSelects pins which records a cached plan
+// recomputes on the paper tree after churn: only those its selection
+// reads. An N = 2 plan lands on the first machine that fits, so it
+// recomputes the stale machines up to that one and no record above the
+// machines. An N = 16 plan cannot land on a 4-slot machine: it recomputes
+// the stale racks together with the stale machines under them, and no
+// machine under a rack that is current.
+func TestPlanReadsOnlyWhatItSelects(t *testing.T) {
+	topo, err := topology.NewThreeTier(topology.PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := NewLedger(topo, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newPlanCache()
+	demand := stats.Normal{Mu: 100, Sigma: 40}
+	small, wide := Homogeneous{N: 2, Demand: demand}, Homogeneous{N: 16, Demand: demand}
+	plan := func(req Homogeneous) (Placement, int64) {
+		t.Helper()
+		before := c.stats.Invalidations
+		p, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true)
+		if err != nil {
+			t.Fatalf("N = %d: %v", req.N, err)
+		}
+		return p, c.stats.Invalidations - before
+	}
+	table := func(req Homogeneous) *homogTable {
+		return c.homog.entries[homogKey{demand: canonDemand(req.Demand), n: req.N, policy: MinMaxOccupancy}].table
+	}
+	for sight := 0; sight < 2; sight++ {
+		plan(small)
+		plan(wide)
+	}
+
+	// Churn: cold-planned jobs of 1 to 12 VMs come and go, so machines
+	// early and late in topology order, and the racks above them, move.
+	r := stats.NewRand(34)
+	type job struct {
+		p        Placement
+		contribs []Contribution
+	}
+	var jobs []job
+	machines, racks := topo.AtLevel(0), topo.AtLevel(1)
+	var pastFirst, currentRacks int
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 30; i++ {
+			if len(jobs) > 0 && r.IntN(3) == 0 {
+				k := r.IntN(len(jobs))
+				rollback(led, &jobs[k].p, jobs[k].contribs)
+				jobs = append(jobs[:k], jobs[k+1:]...)
+				continue
+			}
+			req := Homogeneous{N: r.UniformInt(1, 12), Demand: stats.Normal{Mu: r.UniformRange(50, 300), Sigma: r.UniformRange(0, 100)}}
+			p, contribs, err := AllocateHomog(led, req, MinMaxOccupancy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commit(led, &p, contribs)
+			jobs = append(jobs, job{p, contribs})
+		}
+
+		tb, want, first := table(small), int64(0), topology.None
+		for _, m := range machines {
+			if !tb.current(led, m) {
+				if first != topology.None {
+					pastFirst++
+					continue
+				}
+				want++
+			}
+			if first == topology.None && led.FreeSlots(m) >= small.N {
+				first = m
+			}
+		}
+		p, got := plan(small)
+		if len(p.Entries) != 1 || p.Entries[0].Machine != first {
+			t.Fatalf("round %d: N = 2 placed %v, want machine %d", round, &p, first)
+		}
+		if got != want {
+			t.Fatalf("round %d: N = 2 recomputed %d records, want the %d stale machines up to machine %d", round, got, want, first)
+		}
+
+		tb, want = table(wide), 0
+		for _, rack := range racks {
+			if tb.current(led, rack) {
+				currentRacks++
+				continue
+			}
+			want++
+			for _, m := range topo.Node(rack).Children {
+				if !tb.current(led, m) {
+					want++
+				}
+			}
+		}
+		p, got = plan(wide)
+		if rack := topo.Node(p.Entries[0].Machine).Parent; topo.Node(p.Entries[len(p.Entries)-1].Machine).Parent != rack {
+			t.Fatalf("round %d: N = 16 placed %v across racks", round, &p)
+		}
+		if got != want {
+			t.Fatalf("round %d: N = 16 recomputed %d records, want %d: the stale racks and the stale machines under them", round, got, want)
+		}
+	}
+	// The churn must leave something for an eager settle to recompute.
+	if pastFirst == 0 || currentRacks == 0 {
+		t.Errorf("weak churn: %d stale machines past the first fit, %d current racks", pastFirst, currentRacks)
 	}
 }
 

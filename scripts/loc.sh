@@ -7,7 +7,7 @@
 # scripts/check.sh and CI's `make loc` step), so raising it is an edit a
 # reviewer sees. Lower it when a PR shrinks the total.
 set -euo pipefail
-budget=9626 # +85 (from 9541): core.Audit (internal/core/audit.go, 85 lines), the one Monte Carlo guarantee estimator, moved out of internal/scenario, which shrank by 90 (measureGuarantee and the liveJob field only it read); core + scenario fell 6930 -> 6925
+budget=9645 # +19 (from 9626): the demand-driven settle (dpTable.settle, ensure and current in internal/core/dptable.go) is 19 lines longer than the two level loops, staleAt and best it replaced
 cd "$(dirname "$0")/.."
 lines() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 total=0
