@@ -16,7 +16,7 @@ func CrossingHomog(demand stats.Normal, m, n int) stats.Normal {
 	if m <= 0 || m >= n {
 		return stats.Normal{}
 	}
-	return stats.MinOfNormals(demand.Sum(m), demand.Sum(n-m))
+	return crossing(demand.Sum(m), demand.Sum(n-m))
 }
 
 // CrossingSets returns the moment-matched distribution of the bandwidth a
@@ -28,7 +28,22 @@ func CrossingSets(inside, outside stats.Normal) stats.Normal {
 	if isZero(inside) || isZero(outside) {
 		return stats.Normal{}
 	}
-	return stats.MinOfNormals(inside, outside)
+	return crossing(inside, outside)
+}
+
+// crossing is the one rule for the bandwidth a split puts on a link
+// (Lemma 1): Clark's moment-matched min of the two sides' aggregates, with
+// its mean clamped at 0. The min is a bandwidth, but the matched mean goes
+// negative once a side's sigma dwarfs its mean (sigma > 1.77 mu at a 1/1
+// split); a negative mean would understate the link's load in every Eq. 4
+// check and, committed, leave a per-link sum NewManagerFromState refuses.
+// Wherever the mean is nonnegative this is MinOfNormals bit for bit.
+func crossing(inside, outside stats.Normal) stats.Normal {
+	d := stats.MinOfNormals(inside, outside)
+	if d.Mu < 0 {
+		d.Mu = 0
+	}
+	return d
 }
 
 func isZero(n stats.Normal) bool { return n.Mu == 0 && n.Sigma == 0 }
@@ -37,12 +52,11 @@ func isZero(n stats.Normal) bool { return n.Mu == 0 && n.Sigma == 0 }
 // moments are clamped to zero and NaNs collapse to the zero demand. The
 // allocators only see requests that passed Validate (which rejects negative
 // and NaN moments), so canonicalization is the identity on every demand
-// that reaches a DP — but memo keys must not trust that: the moment-matched
-// hetero min path clamps negative mu at contribution time (see
-// heteroContributions), and a key built from the raw value would give two
-// equal effective demands distinct cache entries, or worse, let a NaN key
-// shadow a real one. Keys and the DP input use the same canonical value so
-// cached and cold plans stay bit-identical.
+// that reaches a DP — but memo keys must not trust that: a key built from
+// the raw value would give two equal effective demands distinct cache
+// entries, or worse, let a NaN key shadow a real one. Keys and the DP
+// input use the same canonical value so cached and cold plans stay
+// bit-identical.
 func canonDemand(d stats.Normal) stats.Normal {
 	if math.IsNaN(d.Mu) || math.IsNaN(d.Sigma) {
 		return stats.Normal{}
@@ -75,21 +89,24 @@ type demandPrefix struct {
 	all stats.Normal
 }
 
-func newDemandPrefix(demands []stats.Normal) *demandPrefix {
+func newDemandPrefix(demands []stats.Normal, order []int) *demandPrefix {
 	p := new(demandPrefix)
-	p.reset(demands)
+	p.reset(demands, order)
 	return p
 }
 
-// reset rebuilds the aggregates for a new sequence, reusing the slices.
-func (p *demandPrefix) reset(demands []stats.Normal) {
+// reset rebuilds the aggregates, reusing the slices, for the sequence
+// demands[order[0]], demands[order[1]], ..., each canonicalized
+// (canonDemand).
+func (p *demandPrefix) reset(demands []stats.Normal, order []int) {
 	p.mu = append(p.mu[:0], 0)
 	p.vr = append(p.vr[:0], 0)
-	for i, d := range demands {
+	for i, idx := range order {
+		d := canonDemand(demands[idx])
 		p.mu = append(p.mu, p.mu[i]+d.Mu)
 		p.vr = append(p.vr, p.vr[i]+d.Var())
 	}
-	p.all = p.aggregate(0, len(demands))
+	p.all = p.aggregate(0, len(order))
 }
 
 // aggregate returns the distribution of the summed demand of VMs [a, b).

@@ -84,7 +84,7 @@ func TestDemandPrefix(t *testing.T) {
 		{Mu: 200, Sigma: 20},
 		{Mu: 300, Sigma: 30},
 	}
-	p := newDemandPrefix(demands)
+	p := newDemandPrefix(demands, []int{0, 1, 2})
 	agg := p.aggregate(0, 3)
 	if agg.Mu != 600 {
 		t.Errorf("aggregate mean = %v, want 600", agg.Mu)
@@ -109,7 +109,7 @@ func TestDemandPrefixCrossingMatchesDirect(t *testing.T) {
 		{Mu: 150, Sigma: 40}, {Mu: 250, Sigma: 60}, {Mu: 350, Sigma: 10},
 		{Mu: 100, Sigma: 90}, {Mu: 500, Sigma: 5},
 	}
-	p := newDemandPrefix(demands)
+	p := newDemandPrefix(demands, []int{0, 1, 2, 3, 4})
 	for a := 0; a <= len(demands); a++ {
 		for b := a; b <= len(demands); b++ {
 			var inMu, inVar, outMu, outVar float64
@@ -137,11 +137,48 @@ func TestDemandPrefixCrossingMatchesDirect(t *testing.T) {
 // TestCrossingFullAndEmptySubstringIsZero: when the substring holds all or
 // none of the VMs, no traffic crosses the link.
 func TestCrossingFullAndEmptySubstringIsZero(t *testing.T) {
-	p := newDemandPrefix([]stats.Normal{{Mu: 100, Sigma: 10}, {Mu: 50, Sigma: 5}})
+	p := newDemandPrefix([]stats.Normal{{Mu: 100, Sigma: 10}, {Mu: 50, Sigma: 5}}, []int{0, 1})
 	if got := p.crossing(0, 2); !isZero(got) {
 		t.Errorf("full substring crossing = %v, want zero", got)
 	}
 	if got := p.crossing(1, 1); !isZero(got) {
 		t.Errorf("empty substring crossing = %v, want zero", got)
+	}
+}
+
+// TestCrossingMeanNeverNegative: over seeded random demands with sigma up
+// to 10 mu, neither crossing function returns a negative mean, and
+// wherever Clark's moment-matched mean is nonnegative both are
+// MinOfNormals bit for bit. Where it is negative, only the mean moves: to
+// zero.
+func TestCrossingMeanNeverNegative(t *testing.T) {
+	r := stats.NewRand(35)
+	draw := func(k int) stats.Normal {
+		mu := r.UniformRange(0, 100) * float64(k)
+		return stats.Normal{Mu: mu, Sigma: r.UniformRange(0, 10*mu)}
+	}
+	bits := func(d stats.Normal) [2]uint64 { return [2]uint64{math.Float64bits(d.Mu), math.Float64bits(d.Sigma)} }
+	clamped := 0
+	check := func(what string, got, clark stats.Normal) {
+		t.Helper()
+		want := clark
+		if clark.Mu < 0 {
+			want.Mu = 0
+			clamped++
+		}
+		if got.Mu < 0 || bits(got) != bits(want) {
+			t.Fatalf("%s = %+v, want %+v (Clark's min %+v)", what, got, want, clark)
+		}
+	}
+	for trial := 0; trial < 5000; trial++ {
+		d := draw(1)
+		n := r.UniformInt(2, 60)
+		m := r.UniformInt(1, n-1)
+		check("CrossingHomog", CrossingHomog(d, m, n), stats.MinOfNormals(d.Sum(m), d.Sum(n-m)))
+		in, out := draw(r.UniformInt(1, 8)), draw(r.UniformInt(1, 8))
+		check("CrossingSets", CrossingSets(in, out), stats.MinOfNormals(in, out))
+	}
+	if clamped == 0 {
+		t.Fatal("no draw had a negative matched mean: the property went unexercised")
 	}
 }

@@ -18,8 +18,8 @@ func AllocateFirstFit(led *Ledger, req Heterogeneous) (Placement, []Contribution
 		return Placement{}, nil, err
 	}
 	topo := led.Topology()
-	order, sorted := orderByPercentile(req)
-	prefix := newDemandPrefix(sorted)
+	order := orderByPercentile(req)
+	prefix := newDemandPrefix(req.Demands, order)
 	n := req.N()
 
 	ff := &firstFitter{led: led, topo: topo, prefix: prefix, n: n}

@@ -18,21 +18,16 @@ const MaxExactHeteroVMs = 14
 
 // orderByPercentile returns the request's VM indices sorted ascending by
 // the 95th percentile of their demand, the ordering the paper prescribes
-// for the substring heuristic and first fit, together with the demands in
-// that order.
-func orderByPercentile(req Heterogeneous) (order []int, sorted []stats.Normal) {
-	order = make([]int, req.N())
+// for the substring heuristic and first fit.
+func orderByPercentile(req Heterogeneous) []int {
+	order := make([]int, req.N())
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		return req.Demands[order[a]].Quantile(Percentile95) < req.Demands[order[b]].Quantile(Percentile95)
 	})
-	sorted = make([]stats.Normal, len(order))
-	for pos, idx := range order {
-		sorted[pos] = req.Demands[idx]
-	}
-	return order, sorted
+	return order
 }
 
 // substrTable is the DP table of the substring heuristic (paper Section
@@ -40,13 +35,16 @@ func orderByPercentile(req Heterogeneous) (order []int, sorted []stats.Normal) {
 // homogTable restricted to contiguous substrings [a, a+length) of the
 // sequence. A record's rows are indexed by idx(length, a), length up to
 // the record's cap; choice(i)[idx] is the split point k — child i received
-// [k, b). Permutations of one demand multiset share a table: the caller's
-// order slice maps substring positions back to its request's VM indices.
+// [k, b). Permutations of one demand multiset share a table: a plan-cache
+// hit rebinds req and order, which map substring positions back to the
+// request's VM indices, and keeps the records.
 type substrTable struct {
 	dpTable
+	req    Heterogeneous
+	order  []int // order[pos] is req's VM at sorted position pos
 	n      int
 	policy Policy
-	prefix demandPrefix
+	prefix demandPrefix // over the canonicalized (canonDemand) sorted demands
 	// crossing[idx(length, a)] is the demand a link carries with the
 	// substring [a, a+length) below it — the same for every vertex, so it
 	// is computed once per table, a length at a time as vertices need them
@@ -59,11 +57,12 @@ var substrTablePool = sync.Pool{New: func() any { return new(substrTable) }}
 
 func (t *substrTable) idx(length, a int) int { return length*(t.n+1) + a }
 
-// reset binds the table to a sorted demand sequence and lays it out over
-// the scope's vertices; every record is stale afterwards.
-func (t *substrTable) reset(topo *topology.Topology, scope *planScope, sorted []stats.Normal, policy Policy) {
-	t.n, t.policy = len(sorted), policy
-	t.prefix.reset(sorted)
+// reset binds the table to req, whose VMs in percentile order are order,
+// and lays it out over the scope's vertices; every record is stale
+// afterwards.
+func (t *substrTable) reset(topo *topology.Topology, scope *planScope, req Heterogeneous, order []int, policy Policy) {
+	t.req, t.order, t.n, t.policy = req, order, len(order), policy
+	t.prefix.reset(req.Demands, order)
 	t.crossing = grow(t.crossing, (t.n+1)*(t.n+1))
 	t.crossLens = 0
 	t.layout(topo, scope, t.n, t.n+1)
@@ -98,18 +97,10 @@ func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
-	order, sorted := orderByPercentile(req)
-	return substrPlanCold(led, req, order, sorted, policy, scope)
-}
-
-// substrPlanCold plans req, whose VMs in percentile order are order with
-// demands sorted, in a pooled table.
-func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.Normal, policy Policy, scope *planScope) (Placement, []Contribution, error) {
-	t := substrTablePool.Get().(*substrTable)
-	defer substrTablePool.Put(t)
-	t.reset(led.Topology(), scope, sorted, policy)
-	p, contribs, _, err := t.plan(led, scope, req, order)
-	return p, contribs, err
+	order := orderByPercentile(req)
+	return coldPlan(&substrTablePool, led, scope, func(t *substrTable) {
+		t.reset(led.Topology(), scope, req, order, policy)
+	})
 }
 
 // settle is dpTable.settle for the whole sorted sequence, the substring
@@ -117,23 +108,21 @@ func substrPlanCold(led *Ledger, req Heterogeneous, order []int, sorted []stats.
 func (t *substrTable) settle(led *Ledger, scope *planScope) (topology.NodeID, int, error) {
 	best, recomputed := t.dpTable.settle(led, scope, t.n, t.idx(t.n, 0), t.policy, nil, t.compute)
 	if best == topology.None {
-		return best, recomputed, ErrNoCapacity // plan names the request it was for
+		return best, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, t.req)
 	}
 	return best, recomputed, nil
 }
 
-// plan is settle followed by build for req, a request whose sorted
-// demands are the table's; order maps substring positions to req's VM
-// indices.
-func (t *substrTable) plan(led *Ledger, scope *planScope, req Heterogeneous, order []int) (Placement, []Contribution, int, error) {
+// plan is settle followed by build, as homogTable.plan.
+func (t *substrTable) plan(led *Ledger, scope *planScope) (Placement, []Contribution, int, error) {
 	best, recomputed, err := t.settle(led, scope)
 	if err != nil {
-		return Placement{}, nil, recomputed, fmt.Errorf("%w: %v", err, req)
+		return Placement{}, nil, recomputed, err
 	}
 	var p Placement
-	t.build(led.Topology(), order, best, 0, t.n, &p)
+	t.build(led.Topology(), best, 0, t.n, &p)
 	p.normalize()
-	return p, heteroContributions(led.Topology(), req, &p), recomputed, nil
+	return p, heteroContributions(led.Topology(), t.req, &p), recomputed, nil
 }
 
 // compute fills the substring DP record for vertex v. Like
@@ -234,7 +223,7 @@ func (t *substrTable) compute(led *Ledger, topo *topology.Topology, v topology.N
 }
 
 // build reconstructs the substring assignment [a, b) at vertex v.
-func (t *substrTable) build(topo *topology.Topology, order []int, v topology.NodeID, a, b int, p *Placement) {
+func (t *substrTable) build(topo *topology.Topology, v topology.NodeID, a, b int, p *Placement) {
 	if a == b {
 		return
 	}
@@ -242,7 +231,7 @@ func (t *substrTable) build(topo *topology.Topology, order []int, v topology.Nod
 	if node.IsMachine() {
 		vms := make([]int, 0, b-a)
 		for pos := a; pos < b; pos++ {
-			vms = append(vms, order[pos])
+			vms = append(vms, t.order[pos])
 		}
 		p.Entries = append(p.Entries, PlacementEntry{Machine: v, Count: b - a, VMs: vms})
 		return
@@ -253,7 +242,7 @@ func (t *substrTable) build(topo *topology.Topology, order []int, v topology.Nod
 		if k < 0 {
 			panic(fmt.Sprintf("core: no recorded split for child %d of node %d over [%d,%d)", i, v, a, b))
 		}
-		t.build(topo, order, node.Children[i], k, b, p)
+		t.build(topo, node.Children[i], k, b, p)
 		b = k
 	}
 	if b != a {
@@ -296,7 +285,7 @@ func AllocateHeteroExact(led *Ledger, req Heterogeneous) (Placement, []Contribut
 		aggVar[mask] = aggVar[rest] + d.Var()
 	}
 	fullMask := uint32(size - 1)
-	crossing := func(mask uint32) stats.Normal {
+	cross := func(mask uint32) stats.Normal {
 		inside := stats.Normal{Mu: aggMu[mask], Sigma: sqrtNonNeg(aggVar[mask])}
 		out := fullMask &^ mask
 		outside := stats.Normal{Mu: aggMu[out], Sigma: sqrtNonNeg(aggVar[out])}
@@ -310,7 +299,7 @@ func AllocateHeteroExact(led *Ledger, req Heterogeneous) (Placement, []Contribut
 			bestVal                 = infeasible
 		)
 		for _, v := range topo.AtLevel(level) {
-			rec := heteroExactCompute(led, topo, v, n, crossing, records)
+			rec := heteroExactCompute(led, topo, v, n, cross, records)
 			records[v] = rec
 			if st, ok := rec[fullMask]; ok {
 				if st.opt < bestVal || best == topology.None {
@@ -331,7 +320,7 @@ func AllocateHeteroExact(led *Ledger, req Heterogeneous) (Placement, []Contribut
 // heteroExactCompute fills the exact-DP record for vertex v: the map from
 // allocable subsets (including the uplink constraint) to their state.
 func heteroExactCompute(led *Ledger, topo *topology.Topology, v topology.NodeID, n int,
-	crossing func(uint32) stats.Normal, records []map[uint32]heteroMaskState) map[uint32]heteroMaskState {
+	cross func(uint32) stats.Normal, records []map[uint32]heteroMaskState) map[uint32]heteroMaskState {
 
 	node := topo.Node(v)
 	inSubtree := make(map[uint32]heteroMaskState)
@@ -352,7 +341,7 @@ func heteroExactCompute(led *Ledger, topo *topology.Topology, v topology.NodeID,
 			child := records[c]
 			childUp := make(map[uint32]float64, len(child))
 			for mask, st := range child {
-				childUp[mask] = math.Max(st.opt, led.OccupancyWith(c, crossing(mask)))
+				childUp[mask] = math.Max(st.opt, led.OccupancyWith(c, cross(mask)))
 			}
 			next := make(map[uint32]heteroMaskState)
 			for accMask, accSt := range acc {
@@ -382,7 +371,7 @@ func heteroExactCompute(led *Ledger, topo *topology.Topology, v topology.NodeID,
 	}
 	allocable := make(map[uint32]heteroMaskState, len(inSubtree))
 	for mask, st := range inSubtree {
-		if mask == 0 || led.OccupancyWith(v, crossing(mask)) < 1 {
+		if mask == 0 || led.OccupancyWith(v, cross(mask)) < 1 {
 			allocable[mask] = st
 		}
 	}

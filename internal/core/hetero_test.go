@@ -53,12 +53,12 @@ func TestOrderByPercentile(t *testing.T) {
 		{Mu: 100, Sigma: 10},  // p95 ~ 116
 		{Mu: 200, Sigma: 100}, // p95 ~ 364
 	})
-	order, sorted := orderByPercentile(req)
+	order := orderByPercentile(req)
 	if want := []int{1, 0, 2}; !equalInts(order, want) {
 		t.Errorf("order = %v, want %v", order, want)
 	}
-	for pos := 1; pos < len(sorted); pos++ {
-		if sorted[pos-1].Quantile(Percentile95) > sorted[pos].Quantile(Percentile95) {
+	for pos := 1; pos < len(order); pos++ {
+		if req.Demands[order[pos-1]].Quantile(Percentile95) > req.Demands[order[pos]].Quantile(Percentile95) {
 			t.Errorf("sorted demands out of order at %d", pos)
 		}
 	}

@@ -135,11 +135,9 @@ func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *pla
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
-	t := homogTablePool.Get().(*homogTable)
-	defer homogTablePool.Put(t)
-	t.reset(led.Topology(), scope, req, policy)
-	p, contribs, _, err := t.plan(led, scope)
-	return p, contribs, err
+	return coldPlan(&homogTablePool, led, scope, func(t *homogTable) {
+		t.reset(led.Topology(), scope, req, policy)
+	})
 }
 
 // settle is dpTable.settle for this request, with a repair's pins

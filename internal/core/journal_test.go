@@ -211,6 +211,12 @@ func TestExportStateRoundTrip(t *testing.T) {
 	if _, err := m.AllocateHetero(Heterogeneous{Demands: []stats.Normal{{Mu: 3.3, Sigma: 1.1}, {Mu: 0.7, Sigma: 0.2}}}, WithIdemKey("het")); err != nil {
 		t.Fatal(err)
 	}
+	// Four VMs span 3-slot machines, and at sigma = 10 mu the moment-matched
+	// min of every split has a negative mean: the committed crossing
+	// demand must not be, or the export below does not restore.
+	if wide := mustAllocHomog(t, m, Homogeneous{N: 4, Demand: stats.Normal{Mu: 0.5, Sigma: 5}}); len(wide.Placement.Entries) < 2 {
+		t.Fatalf("N = 4 placed on one machine: %v", &wide.Placement)
+	}
 	if _, err := m.FailMachine(a.Placement.Entries[0].Machine, WithIdemKey("boom")); err != nil {
 		t.Fatal(err)
 	}

@@ -224,8 +224,8 @@ func heteroContributions(topo *topology.Topology, req Heterogeneous, p *Placemen
 		// Count the split exactly, like CrossingHomog does: a link with
 		// every VM of the group below it carries no crossing traffic.
 		// Deciding this from the float sums instead (totalMu - a.mu)
-		// leaves a summation-order residue, and the moment-matched min
-		// against that near-degenerate "outside" can even dip below zero.
+		// leaves a summation-order residue, and the min against that
+		// near-degenerate "outside" would charge the link a residue too.
 		if a.n >= len(req.Demands) {
 			continue
 		}
@@ -234,13 +234,6 @@ func heteroContributions(topo *topology.Topology, req Heterogeneous, p *Placemen
 		d := CrossingSets(in, out)
 		if isZero(d) {
 			continue
-		}
-		// min(inside, outside) is a nonnegative bandwidth; clamp the rare
-		// slightly-negative mean the normal approximation of min yields
-		// when one side's mass sits far below the other, so the ledger's
-		// per-link sums (validated nonnegative on restore) stay sound.
-		if d.Mu < 0 {
-			d.Mu = 0
 		}
 		contribs = append(contribs, Contribution{Link: link, Mu: d.Mu, Sigma: d.Sigma})
 	}

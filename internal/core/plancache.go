@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 // This file implements the incremental planning cache: DP tables kept
@@ -37,12 +38,17 @@ import (
 // cold recompute — runs under the manager's mu, so the cache keeps no
 // lock of its own.
 //
-// A cached plan and a cold one are the same code on the same table type
-// (homogTable, substrTable): the cold plan starts from a table with no
-// record filled, the cached one from whatever is still current, which
-// after a machine-level stop is only part of the table. The
-// equivalence suite in plancache_test.go and a sampled -tags invariants
-// cross-check hold the reuse test to bit-identical placements.
+// Both DPs share one plan lifecycle. Their tables (homogTable,
+// substrTable) are planners — settle, and plan = settle + build — and two
+// functions run them: cachedPlan, every plan through the cache, binds the
+// table its DP's shelf hands out to the request and runs it; coldPlan,
+// behind AllocateHomog, AllocateHeteroSubstring and the sampled
+// cross-check, runs the same plan on a pooled table reset for it. A cold
+// plan starts from a table with no record filled, a cached one from
+// whatever is still current, which after a machine-level stop is only
+// part of the table. The equivalence suite in plancache_test.go and a
+// sampled -tags invariants cross-check hold the reuse test to
+// bit-identical placements.
 //
 // Admission is on second sight. A key's first plan runs cold in a pooled
 // table and leaves only the key behind, in a fixed ring of ghosts; a key
@@ -81,16 +87,16 @@ type planCacheStats struct {
 // planCache memoizes per-subtree DP tables across plans. One per Manager,
 // guarded by its mu; not safe for concurrent use.
 type planCache struct {
-	homog      planShelf[homogKey, homogTable]
-	hetero     planShelf[string, substrTable]
+	homog      planShelf[homogKey, *homogTable]
+	hetero     planShelf[string, *substrTable]
 	stats      planCacheStats
 	sampleTick int64
 }
 
 func newPlanCache() *planCache {
 	return &planCache{
-		homog:  newPlanShelf[homogKey, homogTable](maxHomogPlanEntries),
-		hetero: newPlanShelf[string, substrTable](maxHeteroPlanEntries),
+		homog:  newPlanShelf[homogKey, *homogTable](maxHomogPlanEntries, &homogTablePool),
+		hetero: newPlanShelf[string, *substrTable](maxHeteroPlanEntries, &substrTablePool),
 	}
 }
 
@@ -121,59 +127,100 @@ func (r *keyRing[K]) take(k K) bool {
 	return false
 }
 
-// planEntry is one resident key's table, nil until the entry's first plan.
-type planEntry[T any] struct {
-	table *T
+// planner is one DP table bound to one request, as a plan runs it:
+// settle is a dry run's whole plan, plan an admission's (settle, then
+// build). homogTable and substrTable implement it.
+type planner interface {
+	settle(led *Ledger, scope *planScope) (topology.NodeID, int, error)
+	plan(led *Ledger, scope *planScope) (Placement, []Contribution, int, error)
 }
 
-// retire pools an evicted entry's table, so the entry that displaced it —
-// or any cold plan — reuses the slabs.
-func (e *planEntry[T]) retire(pool *sync.Pool) {
-	if e != nil && e.table != nil {
-		pool.Put(e.table)
-	}
-}
-
-// planShelf is one DP's share of the cache: the resident entries, the
-// ring that orders their eviction, and the ghosts of keys seen once.
-type planShelf[K comparable, T any] struct {
-	entries  map[K]*planEntry[T]
+// planShelf is one DP's share of the cache: the resident keys' tables, the
+// ring that orders their eviction, the ghosts of keys seen once, and the
+// pool every table comes from and goes back to.
+type planShelf[K comparable, T planner] struct {
+	entries  map[K]T
 	resident keyRing[K]
 	ghosts   keyRing[K]
+	pool     *sync.Pool
 }
 
-func newPlanShelf[K comparable, T any](size int) planShelf[K, T] {
+func newPlanShelf[K comparable, T planner](size int, pool *sync.Pool) planShelf[K, T] {
 	return planShelf[K, T]{
-		entries:  make(map[K]*planEntry[T], size),
+		entries:  make(map[K]T, size),
 		resident: keyRing[K]{slots: make([]K, size)},
 		ghosts:   keyRing[K]{slots: make([]K, planGhosts)},
+		pool:     pool,
 	}
 }
 
-// admit classifies one plan of key and counts it. A resident key is a hit
-// on its entry. A key seen for the first time only leaves a ghost and gets
-// no entry: the caller plans cold. A key whose ghost is still in the ring
-// is promoted to a new entry, and the oldest resident, if the shelf was
-// full, comes back as the victim for the caller to retire.
-func (s *planShelf[K, T]) admit(key K, st *planCacheStats) (e *planEntry[T], hit bool, victim *planEntry[T]) {
-	if e = s.entries[key]; e != nil {
+// admit classifies one plan of key, counts it, and returns the table to
+// plan on and whether the shelf keeps it. A resident key is a hit on its
+// own table. A key seen for the first time only leaves a ghost: it plans
+// cold on a pooled table the caller hands back. A key whose ghost is still
+// in the ring is promoted to an entry; the oldest resident, if the shelf
+// was full, is evicted and its table pooled first, so the new entry's
+// pooled table reuses the slabs.
+func (s *planShelf[K, T]) admit(key K, st *planCacheStats) (t T, hit, keep bool) {
+	if t, ok := s.entries[key]; ok {
 		st.Hits++
-		return e, true, nil
+		return t, true, true
 	}
 	st.Misses++
 	if !s.ghosts.take(key) {
 		s.ghosts.push(key)
-		return nil, false, nil
+		return s.pool.Get().(T), false, false
 	}
 	var none K
 	if oldest := s.resident.push(key); oldest != none {
-		victim = s.entries[oldest]
+		s.pool.Put(s.entries[oldest])
 		delete(s.entries, oldest)
 		st.Evictions++
 	}
-	e = new(planEntry[T])
-	s.entries[key] = e
-	return e, false, victim
+	t = s.pool.Get().(T)
+	s.entries[key] = t
+	return t, false, true
+}
+
+// cachedPlan is every plan through the cache, for either DP: it plans key
+// on the table admit hands out, after bind has bound it to the request —
+// reset, when the table is a fresh one from the pool; on a hit, only what
+// the key does not pin down. A dry run leaves place unset: the table
+// settles and nothing is built. A hit's recomputed records are
+// invalidations (a commit or fault moved the versions); a new table's
+// fill is already counted as a miss.
+func cachedPlan[K comparable, T planner](c *planCache, s *planShelf[K, T], key K, led *Ledger, scope *planScope, place bool,
+	bind func(t T, fresh bool)) (p Placement, contribs []Contribution, err error) {
+	t, hit, keep := s.admit(key, &c.stats)
+	bind(t, !hit)
+	recomputed := 0
+	if place {
+		p, contribs, recomputed, err = t.plan(led, scope)
+	} else {
+		_, recomputed, err = t.settle(led, scope)
+	}
+	if !keep {
+		s.pool.Put(t)
+		return p, contribs, err
+	}
+	if hit {
+		c.stats.Invalidations += int64(recomputed)
+	}
+	if invariantsEnabled && c.shouldSample() {
+		fp, _, ferr := coldPlan(s.pool, led, scope, func(t T) { bind(t, true) })
+		checkCachedPlan(p, err, fp, ferr)
+	}
+	return p, contribs, err
+}
+
+// coldPlan plans on a pooled table that reset binds to the request: every
+// record it reads is computed from led. It is the cold plan of both DPs.
+func coldPlan[T planner](pool *sync.Pool, led *Ledger, scope *planScope, reset func(T)) (Placement, []Contribution, error) {
+	t := pool.Get().(T)
+	defer pool.Put(t)
+	reset(t)
+	p, contribs, _, err := t.plan(led, scope)
+	return p, contribs, err
 }
 
 // homogKey identifies one homogeneous DP table shape. The demand is
@@ -188,48 +235,26 @@ type homogKey struct {
 // Bit-identical to core's AllocateHomog on the same ledger state. A
 // non-nil scope confines planning to its subtree; entries are per-manager
 // and a manager's scope is immutable, so cached records never mix scopes.
-// A dry run leaves place unset: the table settles and nothing is built.
-func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, scope *planScope, place bool) (p Placement, contribs []Contribution, err error) {
+func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, scope *planScope, place bool) (Placement, []Contribution, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
 	key := homogKey{demand: canonDemand(req.Demand), n: req.N, policy: policy}
-	e, hit, victim := c.homog.admit(key, &c.stats)
-	victim.retire(&homogTablePool)
-	var t *homogTable
-	if e != nil {
-		t = e.table
-	}
-	if t == nil { // first sight, or an entry's first plan
-		t = homogTablePool.Get().(*homogTable)
-		t.reset(led.Topology(), scope, req, policy)
-	}
-	recomputed := 0
-	if place {
-		p, contribs, recomputed, err = t.plan(led, scope)
-	} else {
-		_, recomputed, err = t.settle(led, scope)
-	}
-	if e == nil {
-		homogTablePool.Put(t)
-		return p, contribs, err
-	}
-	e.table = t
-	c.notePlan(hit, recomputed)
-	if invariantsEnabled && c.shouldSample() {
-		fp, _, ferr := allocateHomogScoped(led, req, policy, scope)
-		checkCachedPlan("homog", p, err, fp, ferr)
-	}
-	return p, contribs, err
+	return cachedPlan(c, &c.homog, key, led, scope, place, func(t *homogTable, fresh bool) {
+		if fresh {
+			t.reset(led.Topology(), scope, req, policy)
+		}
+	})
 }
 
-// substrCacheKey renders the sorted canonical demand sequence and policy
-// as an exact-value key (float bits, not formatted decimals).
-func substrCacheKey(sorted []stats.Normal, policy Policy) string {
+// substrCacheKey renders req's canonical demands in percentile order and
+// the policy as an exact-value key (float bits, not formatted decimals).
+func substrCacheKey(req Heterogeneous, order []int, policy Policy) string {
 	var b strings.Builder
-	b.Grow(2 + 34*len(sorted))
+	b.Grow(2 + 34*len(order))
 	b.WriteString(strconv.Itoa(int(policy)))
-	for _, d := range sorted {
+	for _, i := range order {
+		d := canonDemand(req.Demands[i])
 		b.WriteByte(':')
 		b.WriteString(strconv.FormatUint(math.Float64bits(d.Mu), 16))
 		b.WriteByte(',')
@@ -240,55 +265,22 @@ func substrCacheKey(sorted []stats.Normal, policy Policy) string {
 
 // allocateHeteroSubstring plans a heterogeneous request with the cached
 // substring DP, keyed by the percentile-sorted canonical demand sequence.
-// Bit-identical to AllocateHeteroSubstring; place as in allocateHomog.
-func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy, scope *planScope, place bool) (p Placement, contribs []Contribution, err error) {
+// Bit-identical to AllocateHeteroSubstring; place as in cachedPlan. A hit
+// rebinds the table to req: a permutation of the same demands shares it.
+func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy, scope *planScope, place bool) (Placement, []Contribution, error) {
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
-	order, sorted := orderByPercentile(req)
-	for i := range sorted {
-		sorted[i] = canonDemand(sorted[i])
-	}
-	key := substrCacheKey(sorted, policy)
-	e, hit, victim := c.hetero.admit(key, &c.stats)
-	victim.retire(&substrTablePool)
-	var t *substrTable
-	if e != nil {
-		t = e.table
-	}
-	if t == nil {
-		t = substrTablePool.Get().(*substrTable)
-		t.reset(led.Topology(), scope, sorted, policy)
-	}
-	recomputed := 0
-	if place {
-		p, contribs, recomputed, err = t.plan(led, scope, req, order)
-	} else {
-		_, recomputed, err = t.settle(led, scope)
-	}
-	if e == nil {
-		substrTablePool.Put(t)
-		return p, contribs, err
-	}
-	e.table = t
-	c.notePlan(hit, recomputed)
-	if invariantsEnabled && c.shouldSample() {
-		fp, _, ferr := allocateHeteroSubstringScoped(led, req, policy, scope)
-		checkCachedPlan("hetero", p, err, fp, ferr)
-	}
-	return p, contribs, err
+	order := orderByPercentile(req)
+	return cachedPlan(c, &c.hetero, substrCacheKey(req, order, policy), led, scope, place, func(t *substrTable, fresh bool) {
+		if fresh {
+			t.reset(led.Topology(), scope, req, order, policy)
+		}
+		t.req, t.order = req, order
+	})
 }
 
-// --- counters and the sampled equivalence check ---
-
-// notePlan folds one plan's cache effects into the counters: recomputes
-// on a pre-existing entry are invalidations (a commit or fault moved the
-// versions); a new entry's full fill is already accounted as a miss.
-func (c *planCache) notePlan(hit bool, recomputed int) {
-	if hit {
-		c.stats.Invalidations += int64(recomputed)
-	}
-}
+// --- the sampled equivalence check ---
 
 // shouldSample gates the invariants-build cross-check to every
 // planCacheSampleEvery-th cached plan. Counter-based, so sampling stays
@@ -302,14 +294,14 @@ func (c *planCache) shouldSample() bool {
 // the same ledger state — the bit-identical contract, spot-checked at
 // runtime under -tags invariants. A dry run built no placement (an
 // admitted one has entries): only the verdicts are compared.
-func checkCachedPlan(kind string, cached Placement, cachedErr error, cold Placement, coldErr error) {
+func checkCachedPlan(cached Placement, cachedErr error, cold Placement, coldErr error) {
 	if (cachedErr == nil) != (coldErr == nil) {
-		panic(fmt.Sprintf("core: invariant violation: cached %s plan feasibility (err=%v) differs from cold DP (err=%v)", kind, cachedErr, coldErr))
+		panic(fmt.Sprintf("core: invariant violation: cached plan feasibility (err=%v) differs from cold DP (err=%v)", cachedErr, coldErr))
 	}
 	if cachedErr != nil || len(cached.Entries) == 0 {
 		return
 	}
 	if !reflect.DeepEqual(cached.Entries, cold.Entries) {
-		panic(fmt.Sprintf("core: invariant violation: cached %s plan differs from cold DP:\ncached: %v\ncold:   %v", kind, &cached, &cold))
+		panic(fmt.Sprintf("core: invariant violation: cached plan differs from cold DP:\ncached: %v\ncold:   %v", &cached, &cold))
 	}
 }

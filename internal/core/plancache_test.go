@@ -31,7 +31,10 @@ func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 			return p, contribs, err
 		},
 		entry: func(c *planCache) any {
-			return c.homog.entries[homogKey{demand: canonDemand(req.Demand), n: req.N, policy: policy}]
+			if t, ok := c.homog.entries[homogKey{demand: canonDemand(req.Demand), n: req.N, policy: policy}]; ok {
+				return t
+			}
+			return nil
 		},
 	}
 }
@@ -42,18 +45,16 @@ func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape
 			return c.allocateHeteroSubstring(led, req, policy, scope, true)
 		},
 		fresh: func(led *Ledger) (Placement, []Contribution, error) {
-			order, sorted := orderByPercentile(req)
 			t := new(substrTable)
-			t.reset(led.Topology(), scope, sorted, policy)
-			p, contribs, _, err := t.plan(led, scope, req, order)
+			t.reset(led.Topology(), scope, req, orderByPercentile(req), policy)
+			p, contribs, _, err := t.plan(led, scope)
 			return p, contribs, err
 		},
 		entry: func(c *planCache) any {
-			_, sorted := orderByPercentile(req)
-			for i := range sorted {
-				sorted[i] = canonDemand(sorted[i])
+			if t, ok := c.hetero.entries[substrCacheKey(req, orderByPercentile(req), policy)]; ok {
+				return t
 			}
-			return c.hetero.entries[substrCacheKey(sorted, policy)]
+			return nil
 		},
 	}
 }
@@ -459,16 +460,14 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 
 		hbig := randHetero(r, min(8, tp.TotalSlots()), 1, 10)
 		hreq := randHetero(r, r.UniformInt(1, hbig.N()), 1, 10)
-		order, sorted := orderByPercentile(hbig)
 		st := new(substrTable)
-		st.reset(tp, scope, sorted, policy)
+		st.reset(tp, scope, hbig, orderByPercentile(hbig), policy)
 		poison(&st.dpTable)
 		for i := range st.crossing {
 			st.crossing[i] = stats.Normal{Mu: math.NaN(), Sigma: math.NaN()}
 		}
-		order, sorted = orderByPercentile(hreq)
-		st.reset(tp, scope, sorted, policy)
-		p, contribs, _, err = st.plan(led, scope, hreq, order)
+		st.reset(tp, scope, hreq, orderByPercentile(hreq), policy)
+		p, contribs, _, err = st.plan(led, scope)
 		fp, fcontribs, ferr = heteroShape(hreq, policy, scope).fresh(led)
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
 			t.Fatalf("trial %d: hetero plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
@@ -588,7 +587,7 @@ func TestPlanReadsOnlyWhatItSelects(t *testing.T) {
 		return p, c.stats.Invalidations - before
 	}
 	table := func(req Homogeneous) *homogTable {
-		return c.homog.entries[homogKey{demand: canonDemand(req.Demand), n: req.N, policy: MinMaxOccupancy}].table
+		return c.homog.entries[homogKey{demand: canonDemand(req.Demand), n: req.N, policy: MinMaxOccupancy}]
 	}
 	for sight := 0; sight < 2; sight++ {
 		plan(small)

@@ -106,54 +106,15 @@ type Fig10Result struct {
 // across loads. The paper finds them nearly identical — the occupancy
 // optimization does not hurt the ability to accept future requests.
 func Fig10(sc Scale, loads []float64) (*Fig10Result, error) {
-	if len(loads) == 0 {
-		loads = []float64{0.2, 0.4, 0.6, 0.8}
-	}
-	models := AllocatorModels()
-	res := &Fig10Result{Scale: sc.Name, Loads: loads}
-	p := sc.params(-1, false)
-	jobs, err := workload.Generate(p)
+	loads, models, rates, err := rejectionSweep(sc, "fig10", AllocatorModels(), loads)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range models {
-		res.Models = append(res.Models, m.Name)
-		row := make([]float64, 0, len(loads))
-		for _, load := range loads {
-			arrivals, err := sc.arrivalsFor(p, sc.Topo, load, sc.Seed+7)
-			if err != nil {
-				return nil, err
-			}
-			topo, err := sc.buildTopo(0)
-			if err != nil {
-				return nil, err
-			}
-			online, err := sim.RunOnline(m.simConfig(topo), jobs, arrivals)
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %s load %v: %w", m.Name, load, err)
-			}
-			row = append(row, online.RejectionRate)
-		}
-		res.RejectionRate = append(res.RejectionRate, row)
-	}
-	return res, nil
+	return &Fig10Result{Scale: sc.Name, Loads: loads, Models: models, RejectionRate: rates}, nil
 }
 
 // Render formats the result.
 func (r *Fig10Result) Render() string {
-	t := metrics.Table{
-		Title:   fmt.Sprintf("Fig 10 — rejection rate, SVC algorithm vs adapted TIVC, scale=%s", r.Scale),
-		Headers: []string{"allocator"},
-	}
-	for _, l := range r.Loads {
-		t.Headers = append(t.Headers, fmt.Sprintf("load=%.0f%%", 100*l))
-	}
-	for i, m := range r.Models {
-		row := []string{m}
-		for _, v := range r.RejectionRate[i] {
-			row = append(row, metrics.Pct(v))
-		}
-		t.AddRow(row...)
-	}
-	return t.String()
+	return renderRejection(fmt.Sprintf("Fig 10 — rejection rate, SVC algorithm vs adapted TIVC, scale=%s", r.Scale),
+		"allocator", r.Loads, r.Models, r.RejectionRate)
 }

@@ -21,51 +21,68 @@ type Fig7Result struct {
 // job is rejected if it cannot be allocated on arrival; rejection rate vs
 // load.
 func Fig7(sc Scale, loads []float64) (*Fig7Result, error) {
-	if len(loads) == 0 {
-		loads = []float64{0.2, 0.4, 0.6, 0.8}
-	}
-	models := StandardModels()
-	res := &Fig7Result{Scale: sc.Name, Loads: loads}
-	p := sc.params(-1, false)
-	jobs, err := workload.Generate(p)
+	loads, models, rates, err := rejectionSweep(sc, "fig7", StandardModels(), loads)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range models {
-		res.Models = append(res.Models, m.Name)
-		row := make([]float64, 0, len(loads))
-		for _, load := range loads {
-			arrivals, err := sc.arrivalsFor(p, sc.Topo, load, sc.Seed+7)
-			if err != nil {
-				return nil, err
-			}
-			topo, err := sc.buildTopo(0)
-			if err != nil {
-				return nil, err
-			}
-			online, err := sim.RunOnline(m.simConfig(topo), jobs, arrivals)
-			if err != nil {
-				return nil, fmt.Errorf("fig7 %s load %v: %w", m.Name, load, err)
-			}
-			row = append(row, online.RejectionRate)
-		}
-		res.RejectionRate = append(res.RejectionRate, row)
-	}
-	return res, nil
+	return &Fig7Result{Scale: sc.Name, Loads: loads, Models: models, RejectionRate: rates}, nil
 }
 
 // Render formats the result.
 func (r *Fig7Result) Render() string {
-	t := metrics.Table{
-		Title:   fmt.Sprintf("Fig 7 — rejected requests vs datacenter load, scale=%s", r.Scale),
-		Headers: []string{"model"},
+	return renderRejection(fmt.Sprintf("Fig 7 — rejected requests vs datacenter load, scale=%s", r.Scale),
+		"model", r.Loads, r.Models, r.RejectionRate)
+}
+
+// rejectionSweep is the online-rejection sweep behind Fig7 and Fig10: the
+// scale's job population arrives (Poisson) at each load, once per model
+// on a fresh tree, and a job is rejected if it cannot be allocated on
+// arrival. Empty loads mean 20 % to 80 %. It returns the loads, the model
+// names and the rejection rate per model and load; fig prefixes errors.
+func rejectionSweep(sc Scale, fig string, models []Model, loads []float64) ([]float64, []string, [][]float64, error) {
+	if len(loads) == 0 {
+		loads = []float64{0.2, 0.4, 0.6, 0.8}
 	}
-	for _, l := range r.Loads {
+	p := sc.params(-1, false)
+	jobs, err := workload.Generate(p)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var names []string
+	var rates [][]float64
+	for _, m := range models {
+		names = append(names, m.Name)
+		row := make([]float64, 0, len(loads))
+		for _, load := range loads {
+			arrivals, err := sc.arrivalsFor(p, sc.Topo, load, sc.Seed+7)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			topo, err := sc.buildTopo(0)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			online, err := sim.RunOnline(m.simConfig(topo), jobs, arrivals)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("%s %s load %v: %w", fig, m.Name, load, err)
+			}
+			row = append(row, online.RejectionRate)
+		}
+		rates = append(rates, row)
+	}
+	return loads, names, rates, nil
+}
+
+// renderRejection formats a rejection sweep: one row per model, labelled
+// by the first column's header, one column per load.
+func renderRejection(title, label string, loads []float64, models []string, rates [][]float64) string {
+	t := metrics.Table{Title: title, Headers: []string{label}}
+	for _, l := range loads {
 		t.Headers = append(t.Headers, fmt.Sprintf("load=%.0f%%", 100*l))
 	}
-	for i, m := range r.Models {
+	for i, m := range models {
 		row := []string{m}
-		for _, v := range r.RejectionRate[i] {
+		for _, v := range rates[i] {
 			row = append(row, metrics.Pct(v))
 		}
 		t.AddRow(row...)

@@ -145,6 +145,29 @@ func TestRecoverFreshThenRestart(t *testing.T) {
 	if err != nil || a.ID != a1.ID {
 		t.Fatalf("idem replay after recovery: id=%v err=%v, want id=%d", a, err, a1.ID)
 	}
+
+	// A sigma = 10 mu job too wide for one machine: the moment-matched
+	// mean of its crossing demand is negative, and the checkpoint a
+	// graceful stop writes must still recover.
+	wide, err := m2.AllocateHomog(homog(4, 0.5, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wide.Placement.Entries) < 2 {
+		t.Fatalf("N = 4 placed on one machine: %v", &wide.Placement)
+	}
+	if err := m2.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	want = m2.ExportState()
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m3, j3 := mustRecover(t, dir)
+	defer j3.Close()
+	if got := m3.ExportState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("state recovered from the checkpoint differs:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 // TestRecoverTruncatesTornTail: bytes past the last intact record are

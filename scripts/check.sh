@@ -104,7 +104,7 @@ go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/wal/
 go test -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 10s ./internal/wal/
 
 # internal/wal reaches the file system through wal/dir.go and nowhere
-# else, so injecting one (ROADMAP item 4, step 1) is a change to that
+# else, so injecting one (ROADMAP item 3, step 1) is a change to that
 # file: outside it only the os.ErrNotExist sentinel and the *os.File type
 # may be named.
 echo "==> internal/wal: os calls in dir.go only"

@@ -7,7 +7,7 @@
 # scripts/check.sh and CI's `make loc` step), so raising it is an edit a
 # reviewer sees. Lower it when a PR shrinks the total.
 set -euo pipefail
-budget=9645 # +19 (from 9626): the demand-driven settle (dpTable.settle, ensure and current in internal/core/dptable.go) is 19 lines longer than the two level loops, staleAt and best it replaced
+budget=9634 # -11 (from 9645): one crossing rule (crossing in internal/core/demand.go) replaces heteroContributions' private clamp, and one cachedPlan/coldPlan pair in plancache.go serves both DPs in place of two cached-plan bodies, substrPlanCold and notePlan
 cd "$(dirname "$0")/.."
 lines() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 total=0
