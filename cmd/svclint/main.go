@@ -9,8 +9,8 @@
 //	svclint [-format plain|github|json] [packages]
 //
 // Packages default to ./... relative to the current directory. Exit
-// status is 1 when any finding (including a malformed //lint:
-// directive) is reported.
+// status is 1 when any finding (including a malformed //lint:ignore
+// directive, the one escape hatch every analyzer honours) is reported.
 //
 // The binary also speaks enough of the go vet -vettool protocol
 // (-V=full, -flags, unit .cfg files) to run as
@@ -64,7 +64,7 @@ func suiteNames() string {
 // directivesAnalyzer attributes malformed-directive findings.
 var directivesAnalyzer = &analysis.Analyzer{
 	Name: "directives",
-	Doc:  "every //lint: escape hatch needs a justification",
+	Doc:  "every //lint:ignore escape hatch names an analyzer and gives a justification",
 }
 
 // unitOf adapts a loaded package to a callgraph unit.

@@ -5,26 +5,14 @@
 // dependency-free; the API mirrors go/analysis closely enough that the
 // analyzers could be ported to real vet plugins mechanically.
 //
-// Suppression directives, all of which require a written justification:
+// One suppression directive serves every analyzer, and it needs a
+// written justification:
 //
 //	//lint:ignore <analyzer[,analyzer...]> <reason>
-//	    suppresses findings from the named analyzers on the directive's
-//	    line and on the line below it (so it can ride above a statement).
-//	//lint:held <reason>
-//	    lockcheck only: asserts the enclosing function runs with the
-//	    relevant mutex held (used for callbacks invoked under a caller's
-//	    lock, per the documented contract).
-//	//lint:clone-skip <field[,field...]>: <reason>
-//	    snapshotro only: declares Clone deliberately does not copy the
-//	    listed fields.
-//	//lint:lockorder <reason>
-//	    lockorder only: asserts the acquisition on the directive's line
-//	    (or the line below) deliberately departs from the documented
-//	    lock order (e.g. a probe that trylocks out of order).
-//	//lint:ack-unjournaled <reason>
-//	    durabilitycheck only: asserts the success acknowledgement on
-//	    the directive's line is deliberately not backed by a journal
-//	    commit-wait (e.g. a read-only dry run on a mutating route).
+//
+// It suppresses findings from the named analyzers, and only those, on the
+// directive's line and on the line below it (so it can ride above a
+// statement). Pass.Reportf applies it; no analyzer looks for it itself.
 package analysis
 
 import (
@@ -119,19 +107,18 @@ func (p *Pass) Diagnostics() []Diagnostic {
 	return p.diags
 }
 
-// directive is one parsed //lint: comment.
+// directive is one parsed //lint:ignore comment.
 type directive struct {
-	kind   string // "ignore", "held", "clone-skip", "lockorder", "ack-unjournaled"
-	args   string // text between the kind and the reason
-	reason string
-	file   string
-	line   int
-	pos    token.Pos
+	analyzers string // comma-separated analyzer names
+	reason    string
+	file      string
+	line      int
+	pos       token.Pos
 }
 
-var directiveRe = regexp.MustCompile(`^//lint:(ignore|held|clone-skip|lockorder|ack-unjournaled)\b\s*(.*)$`)
+var directiveRe = regexp.MustCompile(`^//lint:ignore\b\s*(.*)$`)
 
-// parseDirectives extracts //lint: directives with their positions.
+// parseDirectives extracts //lint:ignore directives with their positions.
 func parseDirectives(fset *token.FileSet, f *ast.File) []directive {
 	var out []directive
 	for _, cg := range f.Comments {
@@ -141,27 +128,13 @@ func parseDirectives(fset *token.FileSet, f *ast.File) []directive {
 				continue
 			}
 			pos := fset.Position(c.Pos())
-			d := directive{kind: m[1], file: pos.Filename, line: pos.Line, pos: c.Pos()}
-			rest := strings.TrimSpace(m[2])
-			switch d.kind {
-			case "ignore":
-				// first token names the analyzers, the rest is the reason
-				if i := strings.IndexAny(rest, " \t"); i >= 0 {
-					d.args = rest[:i]
-					d.reason = strings.TrimSpace(rest[i+1:])
-				} else {
-					d.args = rest
-				}
-			case "clone-skip":
-				// "<fields>: <reason>"
-				if i := strings.Index(rest, ":"); i >= 0 {
-					d.args = strings.TrimSpace(rest[:i])
-					d.reason = strings.TrimSpace(rest[i+1:])
-				} else {
-					d.args = rest
-				}
-			default: // held, lockorder, ack-unjournaled: the whole rest is the reason
-				d.reason = rest
+			d := directive{file: pos.Filename, line: pos.Line, pos: c.Pos()}
+			// The first token names the analyzers, the rest is the reason.
+			rest := strings.TrimSpace(m[1])
+			if i := strings.IndexAny(rest, " \t"); i >= 0 {
+				d.analyzers, d.reason = rest[:i], strings.TrimSpace(rest[i+1:])
+			} else {
+				d.analyzers = rest
 			}
 			out = append(out, d)
 		}
@@ -173,13 +146,13 @@ func parseDirectives(fset *token.FileSet, f *ast.File) []directive {
 // the position (same line or the line directly above).
 func (p *Pass) ignored(pos token.Position) bool {
 	for _, d := range p.directives {
-		if d.kind != "ignore" || d.file != pos.Filename {
+		if d.file != pos.Filename {
 			continue
 		}
 		if d.line != pos.Line && d.line != pos.Line-1 {
 			continue
 		}
-		for _, name := range strings.Split(d.args, ",") {
+		for _, name := range strings.Split(d.analyzers, ",") {
 			if strings.TrimSpace(name) == p.Analyzer.Name {
 				return true
 			}
@@ -188,20 +161,20 @@ func (p *Pass) ignored(pos token.Position) bool {
 	return false
 }
 
-// MalformedDirectives reports //lint: directives missing their required
-// justification, as findings attributed to the given analyzer. The
-// driver runs it once per package so unexplained escape hatches fail the
-// lint gate like any other finding.
+// MalformedDirectives reports //lint:ignore directives missing their
+// required justification or analyzer list, as findings attributed to the
+// given analyzer. svclint runs it once per package so unexplained
+// escape hatches fail the lint gate like any other finding.
 func MalformedDirectives(p *Pass) {
 	for _, d := range p.directives {
 		if d.reason == "" {
 			p.diags = append(p.diags, Diagnostic{
 				Pos:      p.Fset.Position(d.pos),
-				Message:  fmt.Sprintf("//lint:%s directive needs a justification", d.kind),
+				Message:  "//lint:ignore directive needs a justification",
 				Analyzer: p.Analyzer.Name,
 			})
 		}
-		if d.kind == "ignore" && d.args == "" {
+		if d.analyzers == "" {
 			p.diags = append(p.diags, Diagnostic{
 				Pos:      p.Fset.Position(d.pos),
 				Message:  "//lint:ignore directive names no analyzer",
@@ -209,40 +182,4 @@ func MalformedDirectives(p *Pass) {
 			})
 		}
 	}
-}
-
-// HeldDirective reports whether a //lint:held directive covers the given
-// line span (used by lockcheck for function-level and call-level
-// assertions).
-func (p *Pass) HeldDirective(file string, fromLine, toLine int) bool {
-	return p.DirectiveCovers("held", file, fromLine, toLine)
-}
-
-// DirectiveCovers reports whether a //lint:<kind> directive sits within
-// the given line span of the file — the shared escape-hatch lookup used
-// by lockcheck (held), lockorder, and durabilitycheck (ack-unjournaled).
-func (p *Pass) DirectiveCovers(kind, file string, fromLine, toLine int) bool {
-	for _, d := range p.directives {
-		if d.kind == kind && d.file == file && d.line >= fromLine && d.line <= toLine {
-			return true
-		}
-	}
-	return false
-}
-
-// CloneSkips returns the field names declared by //lint:clone-skip
-// directives within the given line span.
-func (p *Pass) CloneSkips(file string, fromLine, toLine int) map[string]bool {
-	out := make(map[string]bool)
-	for _, d := range p.directives {
-		if d.kind != "clone-skip" || d.file != file || d.line < fromLine || d.line > toLine {
-			continue
-		}
-		for _, f := range strings.Split(d.args, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				out[f] = true
-			}
-		}
-	}
-	return out
 }

@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -13,84 +13,82 @@ import (
 const directiveSrc = `package p
 
 func a() {
-	//lint:lockorder probe path documented to trylock out of order
-	_ = 1
-	//lint:lockorder
-	_ = 2
-	//lint:ack-unjournaled dry run never mutates
-	_ = 3
-	//lint:ack-unjournaled
-	_ = 4
 	//lint:ignore errflow recovery replays the intent
-	_ = 5
+	_ = 1
 	//lint:ignore errflow
-	_ = 6
+	_ = 2
+	//lint:ignore
+	_ = 3
+	//lint:ignore determinism,errflow both hold here
+	_ = 4
 }
 `
 
-// TestMalformedDirectivesCoverNewKinds pins that the v2 escape hatches
-// (//lint:lockorder, //lint:ack-unjournaled) fail the lint gate without
-// a written justification, exactly like the original kinds.
-func TestMalformedDirectivesCoverNewKinds(t *testing.T) {
+func pass(t *testing.T, name string) *analysis.Pass {
+	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", directiveSrc, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &analysis.Analyzer{Name: "directives", Doc: "test"}
-	pass := analysis.NewPass(a, fset, []*ast.File{f}, nil, nil)
-	analysis.MalformedDirectives(pass)
+	return analysis.NewPass(&analysis.Analyzer{Name: name, Doc: "test"}, fset, []*ast.File{f}, nil, nil)
+}
 
+// TestMalformedDirectives pins that an ignore directive without a written
+// justification, or without an analyzer to name, fails the lint gate.
+func TestMalformedDirectives(t *testing.T) {
+	p := pass(t, "directives")
+	analysis.MalformedDirectives(p)
 	var got []string
-	for _, d := range pass.Diagnostics() {
-		got = append(got, d.Message)
+	for _, d := range p.Diagnostics() {
+		got = append(got, d.Pos.String()+": "+d.Message)
 	}
 	want := []string{
-		"//lint:lockorder directive needs a justification",
-		"//lint:ack-unjournaled directive needs a justification",
-		"//lint:ignore directive needs a justification",
+		"p.go:6:2: //lint:ignore directive needs a justification",
+		"p.go:8:2: //lint:ignore directive needs a justification",
+		"p.go:8:2: //lint:ignore directive names no analyzer",
 	}
-	for _, w := range want {
-		found := false
-		for _, g := range got {
-			if g == w {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("missing finding %q in %v", w, got)
-		}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings = %q, want %q", got, want)
 	}
-	if len(got) != len(want) {
-		t.Errorf("findings = %v, want exactly %d (the justified directives must pass)", got, len(want))
-	}
-	for _, g := range got {
-		if strings.Contains(g, "probe path") || strings.Contains(g, "dry run") || strings.Contains(g, "recovery replays") {
-			t.Errorf("justified directive flagged: %q", g)
+}
+
+// TestIgnoreNamesAnalyzer pins the one escape hatch: Reportf drops a
+// finding only when a directive on its line or the line above names the
+// reporting analyzer.
+func TestIgnoreNamesAnalyzer(t *testing.T) {
+	for _, tc := range []struct {
+		analyzer string
+		line     int
+		ignored  bool
+	}{
+		{"errflow", 5, true},      // the directive one line up names it
+		{"errflow", 4, true},      // and so does the one on the line itself
+		{"errflow", 7, true},      // unjustified, but still an ignore (and a finding of its own)
+		{"errflow", 9, false},     // the directive above names no analyzer
+		{"errflow", 3, false},     // no directive on the line or above
+		{"determinism", 5, false}, // a directive for another analyzer
+		{"determinism", 11, true},
+		{"errflow", 11, true},
+		{"lockorder", 11, false},
+	} {
+		p := pass(t, tc.analyzer)
+		p.Reportf(p.Files[0].Pos()+token.Pos(lineOffset(tc.line)), "finding")
+		if got := len(p.Diagnostics()) == 0; got != tc.ignored {
+			t.Errorf("%s at line %d: ignored = %v, want %v", tc.analyzer, tc.line, got, tc.ignored)
 		}
 	}
 }
 
-// TestDirectiveCoversNewKinds pins the shared span lookup for the new
-// directive kinds.
-func TestDirectiveCoversNewKinds(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", directiveSrc, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
+// lineOffset returns the byte offset of the first character of line n
+// (1-based) in directiveSrc.
+func lineOffset(n int) int {
+	off := 0
+	for i := 1; i < n; i++ {
+		for directiveSrc[off] != '\n' {
+			off++
+		}
+		off++
 	}
-	a := &analysis.Analyzer{Name: "directives", Doc: "test"}
-	pass := analysis.NewPass(a, fset, []*ast.File{f}, nil, nil)
-
-	// The justified //lint:lockorder sits on line 4.
-	if !pass.DirectiveCovers("lockorder", "p.go", 4, 5) {
-		t.Error("lockorder directive on line 4 not found in span 4-5")
-	}
-	if pass.DirectiveCovers("lockorder", "p.go", 1, 3) {
-		t.Error("lockorder directive reported outside its span")
-	}
-	// The justified //lint:ack-unjournaled sits on line 8.
-	if !pass.DirectiveCovers("ack-unjournaled", "p.go", 8, 9) {
-		t.Error("ack-unjournaled directive on line 8 not found in span 8-9")
-	}
+	return off
 }

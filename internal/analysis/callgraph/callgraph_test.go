@@ -20,27 +20,47 @@ func loadUnits(t *testing.T) map[string]*callgraph.Unit {
 	return byPath
 }
 
-// TestCrossPackageRestriction drives the declarative restriction table
-// over a multi-package fixture: the declaring package and the
-// allow-listed wal stand-in call the seam freely; the outside consumer's
-// direct call is the violation (the interface call is not a direct one).
+// TestCrossPackageRestriction pins the graph facts journalseam's
+// Replay-outside-internal/wal rule is checked against on the
+// multi-package fixture: the only direct calls of the seam from outside
+// the declaring package come from the wal stand-in and the consumer, so
+// the consumer's is the one outside the allowed package; its interface
+// call is a dynamic edge, not a direct one.
 func TestCrossPackageRestriction(t *testing.T) {
 	units := loadUnits(t)
-	for _, p := range []string{"repro/internal/core", "repro/internal/wal"} {
-		if vs := callgraph.CheckRestrictions(units[p], callgraph.DefaultRestrictions); len(vs) != 0 {
-			t.Errorf("%s: unexpected violations %v", p, vs)
+	g := callgraph.Build([]*callgraph.Unit{
+		units["repro/internal/core"], units["repro/internal/wal"], units["consumer"],
+	})
+	const seam = "repro/internal/core.(*Manager).Replay"
+	var direct, outsideWAL, dynamic []string
+	for _, n := range g.Nodes() {
+		if n.Unit.Path == "repro/internal/core" {
+			continue
+		}
+		for _, e := range n.Out {
+			if e.Callee.String() != seam {
+				continue
+			}
+			if e.Dynamic {
+				dynamic = append(dynamic, n.String())
+				continue
+			}
+			direct = append(direct, n.String())
+			if n.Unit.Path != "repro/internal/wal" {
+				outsideWAL = append(outsideWAL, n.String())
+			}
 		}
 	}
-	vs := callgraph.CheckRestrictions(units["consumer"], callgraph.DefaultRestrictions)
-	want := []string{
-		"Replay outside internal/wal applies a raw journal record outside the one replay loop recovery and the standby share",
-	}
-	if len(vs) != len(want) {
-		t.Fatalf("consumer violations = %d, want %d: %v", len(vs), len(want), vs)
-	}
-	for i, v := range vs {
-		if v.Message != want[i] {
-			t.Errorf("violation %d message = %q, want %q", i, v.Message, want[i])
+	for _, c := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"direct callers", direct, []string{"consumer.Sneak", "repro/internal/wal.Recover"}},
+		{"direct callers outside wal", outsideWAL, []string{"consumer.Sneak"}},
+		{"dynamic callers", dynamic, []string{"consumer.Indirect"}},
+	} {
+		if strings.Join(c.got, ",") != strings.Join(c.want, ",") {
+			t.Errorf("%s of %s = %v, want %v", c.name, seam, c.got, c.want)
 		}
 	}
 }

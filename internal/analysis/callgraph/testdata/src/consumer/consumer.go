@@ -1,15 +1,15 @@
-// A package outside the allow-list: its direct seam call is the
-// cross-package violation; its admission-API call is clean.
+// A package outside core and wal: a direct seam call, an admission-API
+// call, and a call through an interface.
 package consumer
 
 import "repro/internal/core"
 
-// Sneak applies a record outside the replay loop: restricted.
+// Sneak applies a record outside the replay loop: a static edge.
 func Sneak(m *core.Manager) error {
 	return m.Replay(&core.Mutation{})
 }
 
-// Fine goes through the admission API: clean.
+// Fine goes through the admission API.
 func Fine(m *core.Manager) error {
 	return m.Allocate(1)
 }

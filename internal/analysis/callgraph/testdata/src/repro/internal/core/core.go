@@ -1,17 +1,16 @@
 // Stand-in for repro/internal/core: just enough surface for the engine
-// tests — a restricted method, a sibling caller, and an interface for
-// the dynamic-dispatch over-approximation.
+// tests — a seam method, a sibling caller, and an interface for the
+// dynamic-dispatch over-approximation.
 package core
 
 type Mutation struct{}
 
 type Manager struct{}
 
-// Replay is the restricted seam (DefaultRestrictions allows only
-// repro/internal/wal and the declaring package).
+// Replay is the seam the wal stand-in and the consumer call.
 func (m *Manager) Replay(mut *Mutation) error { return nil }
 
-// Allocate calls the seam from inside the declaring package: allowed.
+// Allocate calls the seam from inside the declaring package.
 func (m *Manager) Allocate(n int) error {
 	return m.Replay(&Mutation{})
 }

@@ -11,10 +11,10 @@
 //     so tests and replay control time;
 //   - no package-level math/rand calls: global RNG state is shared and
 //     unseeded; thread a seeded *rand.Rand instead;
-//   - a range over a map that appends to a slice declared outside the
-//     loop (or sends on a channel) must be followed by a sort of that
-//     slice somewhere in the same function, else iteration order — which
-//     Go randomises — reaches the output.
+//   - a range over a map that appends to a slice (or sends on a channel)
+//     must be followed by a sort of that slice somewhere in the same
+//     function, else iteration order — which Go randomises — reaches the
+//     output.
 package determinism
 
 import (
@@ -133,8 +133,8 @@ func checkMapRangeBody(pass *analysis.Pass, rng *ast.RangeStmt, sorted map[types
 		case *ast.SendStmt:
 			pass.Reportf(v.Pos(), "channel send inside map iteration publishes map order; collect and sort first")
 		case *ast.AssignStmt:
-			// x = append(x, ...) where x outlives the loop and is
-			// never sorted in this function.
+			// x = append(x, ...) where x is never sorted in this
+			// function.
 			for i, rhs := range v.Rhs {
 				if i >= len(v.Lhs) {
 					break
@@ -145,9 +145,6 @@ func checkMapRangeBody(pass *analysis.Pass, rng *ast.RangeStmt, sorted map[types
 				}
 				obj := identObject(pass, v.Lhs[i])
 				if obj == nil || sorted[obj] {
-					continue
-				}
-				if declaredWithin(obj, rng) {
 					continue
 				}
 				pass.Reportf(v.Pos(), "append to %s inside map iteration without a later sort leaks map order", obj.Name())
@@ -214,20 +211,10 @@ func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 func identObject(pass *analysis.Pass, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
+	if id, ok := e.(*ast.Ident); ok {
+		return pass.Info.ObjectOf(id)
 	}
-	if obj := pass.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.Info.Uses[id]
-}
-
-// declaredWithin reports whether the object's declaration lies inside
-// the range statement (per-iteration locals do not leak order).
-func declaredWithin(obj types.Object, rng *ast.RangeStmt) bool {
-	return obj.Pos() >= rng.Pos() && obj.Pos() <= rng.End()
+	return nil
 }
 
 func isMap(t types.Type) bool {

@@ -64,18 +64,6 @@ func Pairs(m map[int]int) []int {
 	return ps
 }
 
-// --- map-order: negative when the slice is loop-local ---
-
-func Widths(m map[string][]int) int {
-	total := 0
-	for _, row := range m {
-		tmp := []int{}
-		tmp = append(tmp, row...)
-		total += len(tmp)
-	}
-	return total
-}
-
 // --- map-order: negative when ranging over a slice ---
 
 func Sum(xs []int) []int {

@@ -5,14 +5,12 @@
 //
 // Applied only to the packages in TargetPaths (the HTTP layer). A
 // function is checked when it contains a mutator call — either a method
-// whose name is in MutatorNames, or (with a whole-program graph) any
+// whose name is in mutatorNames, or (with a whole-program graph) any
 // callee that transitively reaches a wal commit-wait. The flow kit then
 // tracks one bit, "committed", per path:
 //
 //   - a mutator call sets the bit (its error path is expected to return
 //     before acking; the bit models the success path);
-//   - a call through a function-typed value (the replication promote
-//     seam) also sets it: the seam's contract is durable promotion;
 //   - branch joins AND the bit, so one uncommitted path through an if
 //     chain poisons the join;
 //   - an ack — WriteHeader or any write*-helper called with a constant
@@ -21,14 +19,13 @@
 // Read-only handlers (no mutator call anywhere in the body) are out of
 // scope: acking a GET without journal traffic is fine.
 //
-// Escape hatch: //lint:ack-unjournaled <reason> on the flagged line or
-// the line above.
+// Escape hatch: //lint:ignore durabilitycheck <reason> on the flagged
+// line or the line above.
 package durabilitycheck
 
 import (
 	"go/ast"
 	"go/constant"
-	"go/types"
 	"strings"
 
 	"repro/internal/analysis"
@@ -49,12 +46,12 @@ var TargetPaths = map[string]bool{
 	"repro/internal/httpapi": true,
 }
 
-// MutatorNames are method names whose success implies the mutation is
-// journaled and the commit wait has returned. They are the unitchecker
-// fallback; with a whole-program graph any callee reaching a wal
+// mutatorNames are the Controller methods the HTTP layer calls whose
+// success implies the mutation is journaled and the commit wait has
+// returned. They are the unitchecker fallback, where the graph holds one
+// package; with a whole-program graph any callee reaching a wal
 // commit-wait counts too.
-var MutatorNames = map[string]bool{
-	"Allocate":       true,
+var mutatorNames = map[string]bool{
 	"AllocateHomog":  true,
 	"AllocateHetero": true,
 	"Release":        true,
@@ -62,23 +59,14 @@ var MutatorNames = map[string]bool{
 	"RestoreMachine": true,
 	"FailLink":       true,
 	"RestoreLink":    true,
-	"SetOffline":     true,
-	"Repair":         true,
 	"RepairJob":      true,
 	"RepairAll":      true,
-	"Promote":        true,
-	"Fence":          true,
-	"AdvanceEpoch":   true,
-	"Commit":         true,
-	"StageCommit":    true,
 }
 
-// commitWaits are the wal-level operations that block until the record
-// is durable; reaching one transitively marks a callee as a mutator.
-var commitWaits = map[string]bool{
-	"Commit":      true,
-	"StageCommit": true,
-}
+// commitWait is the wal operation every durable record passes through
+// (Journal.Commit is StageCommit plus the wait); reaching it transitively
+// marks a callee as a mutator.
+const commitWait = "StageCommit"
 
 func run(pass *analysis.Pass) error {
 	if !TargetPaths[pass.Pkg.Path()] {
@@ -142,11 +130,11 @@ func (c *checker) walker() *flow.Walker {
 			// Check the ack against the state before this call mutates it:
 			// writeJSON(w, 201, ...) after Allocate is fine, before is not.
 			if code, ok := c.ackStatus(call); ok && code {
-				if !st.committed() && !c.suppressed(call) {
+				if !st.committed() {
 					c.pass.Reportf(call.Pos(), "2xx acknowledged without a preceding journal commit-wait on this path (ack-after-durable, INVARIANTS I12)")
 				}
 			}
-			if c.durable(call) {
+			if c.namedDurable(call) {
 				st["committed"] = true
 			}
 			return st
@@ -158,12 +146,6 @@ func (c *checker) walker() *flow.Walker {
 		},
 	}
 	return w
-}
-
-// suppressed honours //lint:ack-unjournaled on the line or line above.
-func (c *checker) suppressed(n ast.Node) bool {
-	p := c.pass.Fset.Position(n.Pos())
-	return c.pass.DirectiveCovers("ack-unjournaled", p.Filename, p.Line-1, p.Line)
 }
 
 // mutates reports whether the body contains any durable mutator call;
@@ -183,17 +165,10 @@ func (c *checker) mutates(body *ast.BlockStmt) bool {
 	return found
 }
 
-// durable reports whether the call marks the path as committed: a named
-// mutator, or a call through a function-typed value (the promote seam —
-// the handler cannot see through it, but its contract is durable).
-func (c *checker) durable(call *ast.CallExpr) bool {
-	return c.namedDurable(call) || c.dynamicCall(call)
-}
-
 // namedDurable recognises mutators by name or, with a graph, by
 // transitive reachability of a wal commit-wait.
 func (c *checker) namedDurable(call *ast.CallExpr) bool {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && MutatorNames[sel.Sel.Name] {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && mutatorNames[sel.Sel.Name] {
 		return true
 	}
 	for _, callee := range c.graph.CalleeOf(c.pass.Unit(), call) {
@@ -212,34 +187,10 @@ func (c *checker) nodeReachesCommit(n *callgraph.Node) bool {
 	}
 	c.reachesCommit[n] = false // cut recursion on cycles
 	v := c.graph.Reaches(n, -1, func(m *callgraph.Node) bool {
-		return commitWaits[m.Obj.Name()] && strings.HasSuffix(m.Unit.Path, "wal")
+		return m.Obj.Name() == commitWait && m.Unit.Path == analysis.WALPath
 	})
 	c.reachesCommit[n] = v
 	return v
-}
-
-// dynamicCall reports a call through a function-typed value: no *types.Func
-// resolves, but the expression has a signature type (rules out
-// conversions and builtins).
-func (c *checker) dynamicCall(call *ast.CallExpr) bool {
-	fun := ast.Unparen(call.Fun)
-	if tv, ok := c.pass.Info.Types[fun]; !ok || tv.IsType() || tv.IsBuiltin() {
-		return false
-	}
-	if _, ok := c.pass.Info.TypeOf(fun).Underlying().(*types.Signature); !ok {
-		return false
-	}
-	switch f := fun.(type) {
-	case *ast.Ident:
-		_, isVar := c.pass.Info.Uses[f].(*types.Var)
-		return isVar
-	case *ast.SelectorExpr:
-		_, isVar := c.pass.Info.Uses[f.Sel].(*types.Var)
-		return isVar
-	case *ast.StarExpr, *ast.CallExpr, *ast.IndexExpr:
-		return true
-	}
-	return false
 }
 
 // ackStatus reports whether the call writes a constant HTTP status —

@@ -8,21 +8,21 @@ func (W) WriteHeader(code int) {}
 
 type Manager struct{}
 
-func (*Manager) Allocate(n int) error { return nil }
-func (*Manager) Status() int          { return 0 }
+func (*Manager) AllocateHomog(n int) error { return nil }
+func (*Manager) Status() int               { return 0 }
 
 func writeJSON(w W, code int, v interface{}) {}
 
 // ackFirst acknowledges before the commit-wait has run.
 func ackFirst(w W, m *Manager) {
 	writeJSON(w, 201, nil) // want `2xx acknowledged without a preceding journal commit-wait`
-	m.Allocate(1)
+	m.AllocateHomog(1)
 }
 
 // branchSkips commits on only one branch; the join poisons the ack.
 func branchSkips(w W, m *Manager, ok bool) {
 	if ok {
-		if err := m.Allocate(1); err != nil {
+		if err := m.AllocateHomog(1); err != nil {
 			return
 		}
 	}
@@ -31,7 +31,7 @@ func branchSkips(w W, m *Manager, ok bool) {
 
 // dominated acks only after the commit-wait returned: clean.
 func dominated(w W, m *Manager) {
-	if err := m.Allocate(1); err != nil {
+	if err := m.AllocateHomog(1); err != nil {
 		writeJSON(w, 500, nil)
 		return
 	}
@@ -43,35 +43,14 @@ func readOnly(w W, m *Manager) {
 	writeJSON(w, 200, m.Status())
 }
 
-// seam acks after a call through a function-typed value on the
-// non-fallback path: the promote seam's contract is durable, so that
-// path counts as committed even though no named mutator runs on it.
-// Clean.
-var promote func() error
-
-func seam(w W, m *Manager, fallback bool) {
-	if fallback {
-		if err := m.Allocate(1); err != nil {
-			return
-		}
-		writeJSON(w, 201, nil)
-		return
-	}
-	if err := promote(); err != nil {
-		writeJSON(w, 500, nil)
-		return
-	}
-	writeJSON(w, 200, nil)
-}
-
 // dryRun acks without journaling behind a written justification.
 func dryRun(w W, m *Manager, dry bool) {
 	if dry {
-		//lint:ack-unjournaled dry-run probes plan feasibility and never mutates state
+		//lint:ignore durabilitycheck dry-run probes plan feasibility and never mutates state
 		writeJSON(w, 200, nil)
 		return
 	}
-	if err := m.Allocate(1); err != nil {
+	if err := m.AllocateHomog(1); err != nil {
 		writeJSON(w, 500, nil)
 		return
 	}

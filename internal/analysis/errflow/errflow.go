@@ -1,8 +1,8 @@
 // Package errflow polices how errors from the durability layer travel.
 // Two rules, applied only to the packages in TargetPaths:
 //
-//  1. The error from a must-check durability call — Commit, StageCommit,
-//     Append (intent log), or (*os.File).Sync — may not be discarded: not
+//  1. The error from a must-check durability call — Commit, StageCommit
+//     or (*os.File).Sync — may not be discarded: not
 //     dropped as a bare statement, not assigned to the blank identifier,
 //     not launched behind go/defer. A dropped commit error silently
 //     converts a durable admission into an unlogged one (INVARIANTS
@@ -48,7 +48,6 @@ var TargetPaths = map[string]bool{
 var mustCheck = map[string]bool{
 	"Commit":      true,
 	"StageCommit": true,
-	"Append":      true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -83,12 +82,6 @@ type checker struct {
 	pass *analysis.Pass
 }
 
-// suppressed honours //lint:ignore errflow on the line or the line above.
-func (c *checker) suppressed(n ast.Node) bool {
-	p := c.pass.Fset.Position(n.Pos())
-	return c.pass.DirectiveCovers("ignore", p.Filename, p.Line-1, p.Line)
-}
-
 // mustCheckName returns the must-check callee name of the call, or "".
 func (c *checker) mustCheckName(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -109,7 +102,7 @@ func (c *checker) mustCheckName(call *ast.CallExpr) string {
 // entirely (bare statement, go, defer).
 func (c *checker) discard(call *ast.CallExpr) {
 	name := c.mustCheckName(call)
-	if name == "" || c.suppressed(call) {
+	if name == "" {
 		return
 	}
 	c.pass.Reportf(call.Pos(), "error from %s discarded; a dropped durability error turns a durable admission into an unlogged one", name)
@@ -131,7 +124,7 @@ func (c *checker) blankAssign(as *ast.AssignStmt) {
 	}
 	// The error is the last result; flag only when its LHS slot is blank.
 	last, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident)
-	if !ok || last.Name != "_" || c.suppressed(as) {
+	if !ok || last.Name != "_" {
 		return
 	}
 	c.pass.Reportf(as.Pos(), "error from %s discarded; a dropped durability error turns a durable admission into an unlogged one", name)
@@ -162,7 +155,7 @@ func (c *checker) errorfVerbs(call *ast.CallExpr) {
 			continue
 		}
 		arg := call.Args[argIdx]
-		if !isErrorType(c.pass.Info.TypeOf(arg)) || c.suppressed(call) {
+		if !isErrorType(c.pass.Info.TypeOf(arg)) {
 			continue
 		}
 		c.pass.Reportf(arg.Pos(), "error formatted with %%%c; use %%w so errors.Is still sees the wrapped chain", verb)

@@ -15,10 +15,6 @@ type Journal struct{}
 func (*Journal) Commit(n int) error                      { return nil }
 func (*Journal) StageCommit(n int) (func() error, error) { return nil, nil }
 
-type IntentLog struct{}
-
-func (*IntentLog) Append(n int) error { return nil }
-
 // drop throws the commit error away as a bare statement.
 func drop(j *Journal) {
 	j.Commit(1) // want `error from Commit discarded`
@@ -65,7 +61,13 @@ func stringArg(name string) error {
 }
 
 // justified discards behind a written justification.
-func justified(l *IntentLog) {
-	//lint:ignore errflow recovery replays the open intent; this append is best-effort cleanup
-	l.Append(1)
+func justified(j *Journal) {
+	//lint:ignore errflow recovery replays the open intent; this commit is best-effort cleanup
+	j.Commit(1)
+}
+
+// wrongHatch's directive names another analyzer, so it covers nothing here.
+func wrongHatch(j *Journal) {
+	//lint:ignore determinism recovery replays the open intent; this commit is best-effort cleanup
+	j.Commit(1) // want `error from Commit discarded`
 }

@@ -4,14 +4,14 @@
 // a latent heisenbug; comparisons must go through an epsilon helper
 // such as stats.AlmostEqual.
 //
-// Two comparisons stay legal without annotation:
+// These comparisons stay legal without annotation:
 //
 //   - comparison against an exact constant zero (x == 0): zero is a
 //     meaningful sentinel (unset demand, Sigma==0 meaning deterministic)
 //     and is preserved exactly by the arithmetic that produces it;
-//   - comparison against an infinity sentinel — math.Inf(...) directly
-//     or a package-level variable initialised to it (the DP tables'
-//     infeasible marker): infinities are exact and only ever assigned;
+//   - comparison against an infinity sentinel, a package-level variable
+//     initialised to math.Inf(...) (the DP tables' infeasible marker):
+//     infinities are exact and only ever assigned;
 //   - comparisons inside an approved helper (AlmostEqual itself).
 //
 // Anything else needs //lint:ignore floatcmp <reason>.
@@ -71,10 +71,10 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, sentinels map[types.Object
 }
 
 // isExact reports whether the operand is an exactly-representable
-// sentinel: a constant zero, math.Inf(...) itself, or a package-level
-// variable initialised to math.Inf(...).
+// sentinel: a constant zero, or a package-level variable initialised to
+// math.Inf(...).
 func isExact(pass *analysis.Pass, e ast.Expr, sentinels map[types.Object]bool) bool {
-	if isExactZero(pass, e) || isInfCall(pass, e) {
+	if isExactZero(pass, e) {
 		return true
 	}
 	if id, ok := e.(*ast.Ident); ok {

@@ -11,8 +11,10 @@ func Feasible(v float64) bool {
 	return v != infeasible
 }
 
+// positive: a math.Inf call compared in place is no registered sentinel.
+
 func Unset(v float64) bool {
-	return v == math.Inf(-1)
+	return v == math.Inf(-1) // want `floating-point == comparison`
 }
 
 // --- negative: comparison against exact constant zero ---

@@ -1,16 +1,14 @@
-// Package goroutinelife checks that every goroutine spawned in the
-// control-plane packages has a reachable shutdown edge. A goroutine
-// whose body — directly, or through up to three levels of callees on
-// the whole-program graph — runs a `for {}` loop with no return, no
-// break out of it, and no goto, can never be stopped: Close() returns
-// while the loop keeps mutating state behind it (the group-commit
-// drain, follower apply loops, and prober loops all exit via a done
-// channel or a fenced-error return for exactly this reason).
+// Package goroutinelife checks that every goroutine the module spawns has
+// a reachable shutdown edge. A goroutine whose body — directly, or
+// through up to three levels of callees on the whole-program graph —
+// runs a `for {}` loop with no return, no break out of it, and no goto,
+// can never be stopped: Close() returns while the loop keeps mutating
+// state behind it (svcd's checkpoint loop and the standby's follow loop
+// exit on a done channel or a context for exactly this reason).
 //
-// Applied only to the packages in TargetPaths. The loop scan ignores
-// nested function literals (their lifetime is their own spawn site) and
-// treats `for range ch` as terminating: closing the channel is the
-// shutdown edge.
+// The loop scan ignores nested function literals (their lifetime is
+// their own spawn site) and treats `for range ch` as terminating:
+// closing the channel is the shutdown edge.
 //
 // Escape hatch: //lint:ignore goroutinelife <reason> on the go
 // statement's line or the line above.
@@ -31,25 +29,11 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// TargetPaths are the packages whose goroutines are audited. Var so the
-// analyzer tests can add fixture packages.
-var TargetPaths = map[string]bool{
-	"repro/internal/core":    true,
-	"repro/internal/wal":     true,
-	"repro/internal/replica": true,
-	"repro/internal/shard":   true,
-	"repro/internal/httpapi": true,
-	"repro/internal/daemon":  true,
-}
-
 // maxDepth bounds the callee search from the spawn site; deeper endless
 // loops exist behind seams the spawner cannot be blamed for.
 const maxDepth = 3
 
 func run(pass *analysis.Pass) error {
-	if !TargetPaths[pass.Pkg.Path()] {
-		return nil
-	}
 	c := &checker{pass: pass, graph: pass.Graph, endless: make(map[*callgraph.Node]int)}
 	if c.graph == nil {
 		c.graph = callgraph.Build([]*callgraph.Unit{pass.Unit()})
@@ -72,10 +56,6 @@ type checker struct {
 }
 
 func (c *checker) goStmt(g *ast.GoStmt) {
-	p := c.pass.Fset.Position(g.Pos())
-	if c.pass.DirectiveCovers("ignore", p.Filename, p.Line-1, p.Line) {
-		return
-	}
 	if fl, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		if c.bodyEndless(fl.Body) || c.callsEndless(fl.Body) {
 			c.pass.Reportf(g.Pos(), "goroutine has no shutdown edge: it reaches an endless for loop with no return, break, or goto; exit on a ctx/done signal instead")

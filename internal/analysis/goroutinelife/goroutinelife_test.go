@@ -8,7 +8,5 @@ import (
 )
 
 func TestGoroutineLife(t *testing.T) {
-	goroutinelife.TargetPaths["goroutinelife"] = true
-	defer delete(goroutinelife.TargetPaths, "goroutinelife")
 	analysistest.Run(t, "testdata", goroutinelife.Analyzer, "goroutinelife")
 }

@@ -90,3 +90,9 @@ func (s *S) justified() {
 	//lint:ignore goroutinelife process-lifetime ticker; the runtime reaps it at exit
 	go s.spin()
 }
+
+// wrongHatch's directive names another analyzer, so it covers nothing here.
+func (s *S) wrongHatch() {
+	//lint:ignore determinism process-lifetime ticker; the runtime reaps it at exit
+	go s.spin() // want `goroutine has no shutdown edge`
+}

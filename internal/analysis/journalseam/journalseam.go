@@ -14,12 +14,13 @@
 //   - commit(m.led, ...)/rollback(m.led, ...) on the live ledger
 //     (scratch clones and snapshots are fine);
 //   - mutator method calls rooted at m.led (UseSlots, AddDet,
-//     SetOffline, Faults().FailMachine, ...).
+//     SetOffline, Faults().FailMachine, ...; the seam list in
+//     internal/analysis/seams.go names them, for snapshotro too).
 //
-// Outside internal/core (and internal/topology itself) it flags any
-// call of a mutating method on *core.Ledger or *topology.Faults: other
-// packages must go through Manager's journaled API, never poke the
-// ledger or fault overlay directly.
+// Outside internal/core it flags any call of a mutating method on
+// *core.Ledger or *topology.Faults: other packages must go through
+// Manager's journaled API, never poke the ledger or fault overlay
+// directly.
 //
 // The sharded control plane gets the same treatment at the router
 // layer. Inside repro/internal/shard, the Router's recovered tables
@@ -30,12 +31,9 @@
 // admitted, released and faulted, each mirroring one settled commit, and
 // rebuildTables.
 //
-// Cross-package seam entry points — Manager.Replay, the raw record
-// applier, called from wal's one replay loop and nowhere else — are
-// policed through the declarative restriction table in
-// internal/analysis/callgraph (DefaultRestrictions): each entry names the
-// function and the packages allowed to call it, and every call site
-// anywhere else is a finding.
+// Outside internal/core it also flags every call of Manager.Replay, the
+// raw record applier, except from internal/wal: wal's replay loop, which
+// recovery and the standby share, is its one caller.
 package journalseam
 
 import (
@@ -44,7 +42,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/callgraph"
 )
 
 // Analyzer is the journalseam analyzer.
@@ -54,15 +51,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// CorePath and TopoPath locate the packages holding the seam and the
-// fault overlay. Vars so the analyzer tests can run on fixture packages
-// loaded under the same paths.
-var (
-	CorePath  = "repro/internal/core"
-	TopoPath  = "repro/internal/topology"
-	ShardPath = "repro/internal/shard"
-)
-
 // journaledFields are the Manager fields whose every change must be a
 // journaled mutation.
 var journaledFields = map[string]bool{
@@ -70,54 +58,25 @@ var journaledFields = map[string]bool{
 	"degraded": true, "idem": true, "counters": true,
 }
 
-// ledgerMutators are the *core.Ledger methods that change reservation or
-// slot state.
-var ledgerMutators = map[string]bool{
-	"AddStochastic": true, "RemoveStochastic": true, "AddDet": true,
-	"RemoveDet": true, "UseSlots": true, "ReleaseSlots": true,
-	"SetOffline": true,
-}
-
-// faultMutators are the *topology.Faults methods that change the overlay.
-var faultMutators = map[string]bool{
-	"FailMachine": true, "RestoreMachine": true, "FailLink": true,
-	"RestoreLink": true,
-}
-
-// seamFuncs are core functions allowed to touch journaled state
-// directly: the apply path itself and constructors building a manager
-// before it has a journal.
+// seamFunc reports whether a core function may touch journaled state
+// directly: the apply path itself, and the New* constructors building a
+// manager before it has a journal.
 func seamFunc(name string) bool {
-	return name == "applyLocked" ||
-		strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new")
+	return name == "applyLocked" || strings.HasPrefix(name, "New")
 }
 
-// routerTables are the Router fields recovery rebuilds from the pod
-// WALs; every live write must mirror a journaled commit, which only the
-// shard seam functions do.
-var routerTables = map[string]bool{
-	"jobPods": true, "idem": true,
-}
-
-// shardSeamFunc lists the Router methods allowed to write the recovered
+// shardSeamFuncs are the Router methods allowed to write the recovered
 // tables: the three that mirror a settled admission, release or fault,
-// and recovery's rebuildTables (plus constructors, as in core; Open is
-// one, and initialises the maps).
-func shardSeamFunc(name string) bool {
-	switch name {
-	case "admitted", "released", "faulted", "rebuildTables", "Open":
-		return true
-	}
-	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new")
+// and recovery's rebuildTables.
+var shardSeamFuncs = map[string]bool{
+	"admitted": true, "released": true, "faulted": true, "rebuildTables": true,
 }
 
 func run(pass *analysis.Pass) error {
 	switch pass.Pkg.Path() {
-	case CorePath:
+	case analysis.CorePath:
 		runCore(pass)
-	case TopoPath:
-		// The overlay's own package implements the mutators.
-	case ShardPath:
+	case analysis.ShardPath:
 		runShard(pass)
 	default:
 		runConsumer(pass)
@@ -184,7 +143,7 @@ func checkCoreCall(pass *analysis.Pass, call *ast.CallExpr) {
 				pass.Reportf(call.Pos(), "Bind on Manager.%s outside applyLocked bypasses the journal seam", field)
 			}
 		}
-		if !ledgerMutators[sel.Sel.Name] && !faultMutators[sel.Sel.Name] {
+		if !analysis.LedgerMutators[sel.Sel.Name] && !analysis.FaultMutators[sel.Sel.Name] {
 			return
 		}
 		if rootsAtLiveLedger(pass, sel.X) {
@@ -219,7 +178,7 @@ func managerFieldWrite(pass *analysis.Pass, e ast.Expr) (string, bool) {
 // ledger field (m.led or a chain ending there), as opposed to a local
 // clone or snapshot.
 func isLiveLedger(pass *analysis.Pass, e ast.Expr) bool {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -230,7 +189,7 @@ func isLiveLedger(pass *analysis.Pass, e ast.Expr) bool {
 // its root and reports whether it passes through the live ledger field.
 func rootsAtLiveLedger(pass *analysis.Pass, e ast.Expr) bool {
 	for {
-		switch v := unparen(e).(type) {
+		switch v := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
 			if isLiveLedger(pass, v) {
 				return true
@@ -248,34 +207,19 @@ func rootsAtLiveLedger(pass *analysis.Pass, e ast.Expr) bool {
 	}
 }
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 // isManager reports whether t is core.Manager or a pointer to it.
 func isManager(t types.Type) bool {
-	return isNamed(t, CorePath, "Manager")
+	return analysis.IsNamed(t, analysis.CorePath, "Manager")
 }
 
-func isNamed(t types.Type, path, name string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
+// isManagerMethod reports whether obj is a method declared on core.Manager.
+func isManagerMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
 	if !ok {
 		return false
 	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == path && obj.Name() == name
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && isManager(recv.Type())
 }
 
 // --- inside internal/shard ---
@@ -284,7 +228,7 @@ func runShard(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || shardSeamFunc(fn.Name.Name) {
+			if !ok || fn.Body == nil || shardSeamFuncs[fn.Name.Name] {
 				continue
 			}
 			checkShardFunc(pass, fn)
@@ -336,7 +280,7 @@ func routerTableWrite(pass *analysis.Pass, e ast.Expr) (string, bool) {
 		case *ast.StarExpr:
 			e = v.X
 		case *ast.SelectorExpr:
-			if isNamed(pass.Info.TypeOf(v.X), ShardPath, "Router") && routerTables[v.Sel.Name] {
+			if analysis.IsNamed(pass.Info.TypeOf(v.X), analysis.ShardPath, "Router") && analysis.RouterTables[v.Sel.Name] {
 				return v.Sel.Name, true
 			}
 			e = v.X
@@ -361,18 +305,14 @@ func runConsumer(pass *analysis.Pass) {
 			}
 			recv := pass.Info.TypeOf(sel.X)
 			switch {
-			case ledgerMutators[sel.Sel.Name] && isNamed(recv, CorePath, "Ledger"):
+			case analysis.LedgerMutators[sel.Sel.Name] && analysis.IsNamed(recv, analysis.CorePath, "Ledger"):
 				pass.Reportf(call.Pos(), "direct Ledger.%s outside internal/core bypasses the journal seam; use the Manager API", sel.Sel.Name)
-			case faultMutators[sel.Sel.Name] && isNamed(recv, TopoPath, "Faults"):
+			case analysis.FaultMutators[sel.Sel.Name] && analysis.IsNamed(recv, analysis.TopoPath, "Faults"):
 				pass.Reportf(call.Pos(), "direct Faults.%s outside internal/core bypasses the journal seam; use the Manager API", sel.Sel.Name)
+			case sel.Sel.Name == "Replay" && pass.Pkg.Path() != analysis.WALPath && isManagerMethod(pass.Info.Uses[sel.Sel]):
+				pass.Reportf(call.Pos(), "Replay outside internal/wal applies a raw journal record outside the one replay loop recovery and the standby share")
 			}
 			return true
 		})
-	}
-	// Cross-package seam entry points come from the declarative table:
-	// the engine reports a call site for every entry whose AllowedFrom
-	// list excludes this package.
-	for _, v := range callgraph.CheckRestrictions(pass.Unit(), callgraph.DefaultRestrictions) {
-		pass.Reportf(v.Pos, "%s", v.Message)
 	}
 }

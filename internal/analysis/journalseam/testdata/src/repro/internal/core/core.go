@@ -65,12 +65,6 @@ func NewManager() *Manager {
 	return &Manager{led: NewLedger(), jobs: map[JobID]int{}}
 }
 
-func newManagerFromState(led *Ledger) *Manager {
-	m := &Manager{led: led, jobs: map[JobID]int{}}
-	m.version = 1
-	return m
-}
-
 // --- negative: applyLocked is the seam ---
 
 func (m *Manager) applyLocked(mut *Mutation) error {

@@ -1,5 +1,5 @@
-// Package wal exercises the other side of the Manager.Replay row: the
-// one package the restriction table lets call it.
+// Package wal exercises the other side of the Manager.Replay rule: the
+// one package outside core that may call it.
 package wal
 
 import "repro/internal/core"

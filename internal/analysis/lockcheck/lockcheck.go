@@ -9,14 +9,12 @@
 // Branches fork the state and re-join on the intersection of the paths
 // that fall through, so a branch that unlocks and returns does not
 // clear the state for the code after it. Calling m.fooLocked(...)
-// requires some mutex rooted at m (m.mu, m.tabMu, ...) to be held; a
-// plain call to fooLocked() requires any mutex. Functions themselves
-// named *Locked inherit the contract from their callers and are exempt
-// inside.
+// requires some mutex rooted at m (m.mu, m.tabMu, ...) to be held.
+// Functions themselves named *Locked inherit the contract from their
+// callers and are exempt inside; a closure starts with no lock held.
 //
-// Escape hatch: //lint:held <reason> on the function's doc comment (or
-// on the flagged line) asserts the function is documented to run under
-// the caller's lock.
+// Escape hatch: //lint:ignore lockcheck <reason> on the flagged line or
+// the line above.
 package lockcheck
 
 import (
@@ -46,18 +44,14 @@ func run(pass *analysis.Pass) error {
 				continue // the name states the contract; callers are checked
 			}
 			c := &checker{pass: pass}
-			entry := lockSet{}
-			if c.fnHeldDirective(fn) {
-				entry["*"] = true
-			}
-			c.walker().Walk(fn.Body, entry)
+			c.walker().Walk(fn.Body, lockSet{})
 		}
 	}
 	return nil
 }
 
 // lockSet is the set of mutex expressions (rendered as source paths)
-// held at a program point. The wildcard "*" satisfies every requirement.
+// held at a program point.
 type lockSet map[string]bool
 
 // Clone implements flow.State.
@@ -98,50 +92,20 @@ func (c *checker) walker() *flow.Walker {
 			// defer x.Unlock() keeps x held to function exit; other
 			// deferred calls (including closures) are not walked as part
 			// of this flow.
-			if _, kind := c.mutexOp(call); kind != opUnlock {
+			if _, kind := c.mutexOp(call); kind != OpRelease {
 				w.FuncLits(call)
 			}
 			return s
 		},
-		FuncLit: c.checkFuncLit,
+		// A closure runs on its own schedule, so it inherits no locks.
+		FuncLit: func(fl *ast.FuncLit) { c.walker().Block(fl.Body, lockSet{}) },
 	}
 	return w
 }
 
-// fnHeldDirective reports whether //lint:held covers the function's doc
-// comment or signature line.
-func (c *checker) fnHeldDirective(fn *ast.FuncDecl) bool {
-	pos := c.pass.Fset.Position(fn.Pos())
-	from := pos.Line
-	if fn.Doc != nil {
-		from = c.pass.Fset.Position(fn.Doc.Pos()).Line
-	}
-	return c.pass.HeldDirective(pos.Filename, from, pos.Line)
-}
-
-// checkFuncLit analyzes a function literal with an empty lock state: a
-// closure runs on its own schedule, so it inherits no locks (a
-// //lint:held directive on its first line overrides).
-func (c *checker) checkFuncLit(fl *ast.FuncLit) {
-	pos := c.pass.Fset.Position(fl.Pos())
-	entry := lockSet{}
-	if c.pass.HeldDirective(pos.Filename, pos.Line-1, pos.Line) {
-		entry["*"] = true
-	}
-	c.walker().Block(fl.Body, entry)
-}
-
-type mutexOp = MutexOpKind
-
-const (
-	opNone   = OpNone
-	opLock   = OpAcquire
-	opUnlock = OpRelease
-)
-
 // mutexOp classifies a call as Lock/Unlock on a sync.Mutex or RWMutex,
 // returning the rendered receiver path.
-func (c *checker) mutexOp(call *ast.CallExpr) (string, mutexOp) {
+func (c *checker) mutexOp(call *ast.CallExpr) (string, MutexOpKind) {
 	recv, op := ClassifyMutexOp(c.pass.Info, call)
 	if op == OpNone {
 		return "", OpNone
@@ -201,59 +165,34 @@ func IsMutexType(t types.Type) bool {
 
 // call updates the state for mutex operations and checks *Locked calls.
 func (c *checker) call(call *ast.CallExpr, held lockSet) {
-	if path, op := c.mutexOp(call); op != opNone {
+	if path, op := c.mutexOp(call); op != OpNone {
 		switch op {
-		case opLock:
+		case OpAcquire:
 			held[path] = true
-		case opUnlock:
+		case OpRelease:
 			delete(held, path)
 		}
 		return
 	}
-	name, base := calleeName(call)
-	if name == "" || !strings.HasSuffix(name, "Locked") {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !strings.HasSuffix(sel.Sel.Name, "Locked") {
 		return
 	}
-	if held["*"] || c.satisfied(held, base) {
-		return
-	}
-	pos := c.pass.Fset.Position(call.Pos())
-	if c.pass.HeldDirective(pos.Filename, pos.Line-1, pos.Line) {
-		return
-	}
-	if base != "" {
-		c.pass.Reportf(call.Pos(), "call to %s without holding a %s.* mutex", name, base)
-	} else {
-		c.pass.Reportf(call.Pos(), "call to %s without holding a mutex", name)
+	if base := ExprPath(sel.X); !satisfied(held, base) {
+		c.pass.Reportf(call.Pos(), "call to %s without holding a %s.* mutex", sel.Sel.Name, base)
 	}
 }
 
 // satisfied reports whether a held mutex guards the callee's receiver:
 // any mutex rooted at the same base path (base "m" matches "m.mu",
-// "m.tabMu", ...); an empty base (plain function call) accepts any
-// held mutex.
-func (c *checker) satisfied(held lockSet, base string) bool {
-	if base == "" {
-		return len(held) > 0
-	}
+// "m.tabMu", ...).
+func satisfied(held lockSet, base string) bool {
 	for path := range held {
 		if strings.HasPrefix(path, base+".") || path == base {
 			return true
 		}
 	}
 	return false
-}
-
-// calleeName returns the called function's name and, for method calls,
-// the rendered receiver path.
-func calleeName(call *ast.CallExpr) (name, base string) {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name, ""
-	case *ast.SelectorExpr:
-		return fun.Sel.Name, ExprPath(fun.X)
-	}
-	return "", ""
 }
 
 // ExprPath renders a selector chain like m.led.Faults() as a stable

@@ -13,8 +13,6 @@ type Manager struct {
 func (m *Manager) commitLocked() { m.n++ }
 func (m *Manager) statsLocked()  {}
 
-func freeLocked() {}
-
 // --- negative: straightforward Lock/defer Unlock ---
 
 func (m *Manager) GoodDefer() {
@@ -90,18 +88,4 @@ func (m *Manager) BadHalfLock(lock bool) {
 		defer m.mu.Unlock()
 	}
 	m.commitLocked() // want `call to commitLocked without holding`
-}
-
-// --- negative: plain function needs any mutex held ---
-
-func UseFree(m *Manager) {
-	m.mu.Lock()
-	freeLocked()
-	m.mu.Unlock()
-}
-
-// --- positive: plain function with nothing held ---
-
-func UseFreeBad() {
-	freeLocked() // want `call to freeLocked without holding a mutex`
 }

@@ -28,8 +28,8 @@
 // in Order violates the documented order; any cycle among the recorded
 // edges (ranked or not) is reported once at its first edge site.
 //
-// Escape hatch: //lint:lockorder <reason> on the flagged line or the
-// line above.
+// Escape hatch: //lint:ignore lockorder <reason> on the flagged line or
+// the line above.
 package lockorder
 
 import (
@@ -105,10 +105,6 @@ func run(pass *analysis.Pass) error {
 	}
 	for _, f := range lastRes.findings {
 		if f.unitPath != pass.Pkg.Path() {
-			continue
-		}
-		p := pass.Fset.Position(f.pos)
-		if pass.DirectiveCovers("lockorder", p.Filename, p.Line-1, p.Line) {
 			continue
 		}
 		pass.Reportf(f.pos, "%s", f.msg)

@@ -1,25 +1,25 @@
 // Package snapshotro protects the read-only snapshot discipline. The
 // manager lends readers its live ledger under m.mu for the length of one
-// call (core's view(m, func(*Ledger) T) accessor; elsewhere a
-// snapshot()/Snapshot() result); callers may read it freely but must
-// Clone() before mutating: a write there would change live state without
-// a journal record, so recovery and every replica would diverge from it.
+// call (core's view(m, func(*Ledger) T) accessor); callers may read it
+// freely but must Clone() before mutating: a write there would change
+// live state without a journal record, so recovery and every replica
+// would diverge from it.
 //
 // Two rules:
 //
-//   - Clone completeness: a method named Clone returning its receiver
-//     type must mention every field of the receiver struct. A field the
-//     body never touches is almost always a forgotten copy — the class
-//     of bug where Faults.Clone dropped the reachability cache and
-//     every admission paid a full rebuild. Deliberate omissions are
-//     declared with //lint:clone-skip <fields>: <reason>.
+//   - Clone completeness: a method named Clone on a struct type must
+//     mention every field of the receiver struct. A field the body never
+//     touches is almost always a forgotten copy — the class of bug where
+//     Faults.Clone dropped the reachability cache and every admission
+//     paid a full rebuild.
 //
 //   - Snapshot mutation: the ledger parameter of a function literal
-//     handed to view, and a variable bound to the result of
-//     snapshot()/Snapshot(), must not be written through (field or
-//     element assignment) or passed to a mutator (UseSlots, SetOffline,
-//     FailMachine, commit, ...). Take a Clone() first — led.Clone()
-//     inside the view is the sanctioned scratch pattern.
+//     handed to view, and a variable bound to a DP table's kept records
+//     (t.cachedRecords(), an element of it, or its address), must not be
+//     written through (field or element assignment) or passed to a
+//     mutator (UseSlots, SetOffline, FailMachine, commit, ...). Take a
+//     Clone() first — led.Clone() inside the view is the sanctioned
+//     scratch pattern.
 //
 // The sharded router's recovered tables (Router.jobPods and idem in
 // repro/internal/shard) get the snapshot treatment too: values read out
@@ -31,6 +31,7 @@ package snapshotro
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
@@ -43,43 +44,21 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// SnapshotFuncs are the functions whose results are shared read-only
-// state. cachedRecords is the read-only view of a DP table's per-vertex
-// records (core's dpTable, which a plan-cache entry keeps between plans):
-// selection and reconstruction read it, but every write must go through
-// the compute kernels so a cached table always equals a cold recompute.
-var SnapshotFuncs = map[string]bool{
-	"snapshot": true, "Snapshot": true,
-	"cachedRecords": true,
-}
+// snapshotFunc is the one accessor whose result is shared read-only
+// state: the read-only view of a DP table's per-vertex records (core's
+// dpTable, which a plan-cache entry keeps between plans). Selection and
+// reconstruction read it, but every write must go through the compute
+// kernels so a cached table always equals a cold recompute.
+const snapshotFunc = "cachedRecords"
 
-// ViewFuncs are the scoped accessors: they run the function literal they
-// are handed on the live ledger, lent read-only, so that literal's
-// parameter is snapshot-bound for its whole body.
-var ViewFuncs = map[string]bool{"view": true}
-
-// mutators are methods that change ledger, overlay, or slot state; a
-// snapshot must never be their receiver or argument.
-var mutators = map[string]bool{
-	"AddStochastic": true, "RemoveStochastic": true, "AddDet": true,
-	"RemoveDet": true, "UseSlots": true, "ReleaseSlots": true,
-	"SetOffline": true, "FailMachine": true, "RestoreMachine": true,
-	"FailLink": true, "RestoreLink": true,
-}
+// viewFunc is the scoped accessor: it runs the function literal it is
+// handed on the live ledger, lent read-only, so that literal's parameter
+// is snapshot-bound for its whole body.
+const viewFunc = "view"
 
 // mutatorFuncs are free functions that mutate their first argument.
 var mutatorFuncs = map[string]bool{
 	"commit": true, "rollback": true,
-}
-
-// ShardPath locates the sharded router package. A var so the analyzer
-// tests can run on fixture packages loaded under the same path.
-var ShardPath = "repro/internal/shard"
-
-// routerTables are the Router fields whose values are shared with the
-// live tables: reading one hands out aliased state, never a copy.
-var routerTables = map[string]bool{
-	"jobPods": true, "idem": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -106,7 +85,7 @@ func checkCloneCompleteness(pass *analysis.Pass, fn *ast.FuncDecl) {
 	}
 	recvType := pass.Info.TypeOf(fn.Recv.List[0].Type)
 	st, named := structOf(recvType)
-	if st == nil || !returnsType(pass, fn, named) {
+	if st == nil {
 		return
 	}
 
@@ -138,18 +117,9 @@ func checkCloneCompleteness(pass *analysis.Pass, fn *ast.FuncDecl) {
 		return true
 	})
 
-	start := fn.Pos()
-	if fn.Doc != nil {
-		start = fn.Doc.Pos()
-	}
-	startPos := pass.Fset.Position(start)
-	endPos := pass.Fset.Position(fn.End())
-	skips := pass.CloneSkips(startPos.Filename, startPos.Line, endPos.Line)
-
 	for i := 0; i < st.NumFields(); i++ {
-		name := st.Field(i).Name()
-		if !mentioned[name] && !skips[name] {
-			pass.Reportf(fn.Name.Pos(), "Clone of %s does not copy field %q; copy it or declare //lint:clone-skip %s: <reason>", named.Obj().Name(), name, name)
+		if name := st.Field(i).Name(); !mentioned[name] {
+			pass.Reportf(fn.Name.Pos(), "Clone of %s does not copy field %q", named.Obj().Name(), name)
 		}
 	}
 }
@@ -177,20 +147,6 @@ func structOf(t types.Type) (*types.Struct, *types.Named) {
 func sameStruct(t types.Type, named *types.Named) bool {
 	_, n := structOf(t)
 	return n != nil && n.Obj() == named.Obj()
-}
-
-// returnsType reports whether any of the function's results is the
-// given named type (possibly behind a pointer).
-func returnsType(pass *analysis.Pass, fn *ast.FuncDecl, named *types.Named) bool {
-	if fn.Type.Results == nil {
-		return false
-	}
-	for _, res := range fn.Type.Results.List {
-		if sameStruct(pass.Info.TypeOf(res.Type), named) {
-			return true
-		}
-	}
-	return false
 }
 
 // --- rule 2: no writes through snapshot results ---
@@ -225,7 +181,7 @@ func checkSnapshotMutation(pass *analysis.Pass, fn *ast.FuncDecl) {
 func snapshotVars(pass *analysis.Pass, fn *ast.FuncDecl) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && ViewFuncs[calleeName(call)] {
+		if call, ok := n.(*ast.CallExpr); ok && calleeName(call) == viewFunc {
 			for _, arg := range call.Args {
 				if lit, ok := arg.(*ast.FuncLit); ok {
 					for _, field := range lit.Type.Params.List {
@@ -242,7 +198,7 @@ func snapshotVars(pass *analysis.Pass, fn *ast.FuncDecl) map[types.Object]bool {
 			return true
 		}
 		if len(assign.Rhs) == 1 && len(assign.Lhs) >= 1 {
-			// snap := m.snapshot()
+			// recs := t.cachedRecords()   or   rec := &t.cachedRecords()[v]
 			// pods, ok := r.jobPods[id]   or   idem := r.idem
 			if isSnapshotCall(assign.Rhs[0]) || isTableRead(pass, assign.Rhs[0]) {
 				if obj := identObject(pass, assign.Lhs[0]); obj != nil {
@@ -271,31 +227,33 @@ func isTableRead(pass *analysis.Pass, e ast.Expr) bool {
 		e = idx.X
 	}
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || !routerTables[sel.Sel.Name] {
+	if !ok || !analysis.RouterTables[sel.Sel.Name] {
 		return false
 	}
-	return isRouter(pass.Info.TypeOf(sel.X))
+	return analysis.IsNamed(pass.Info.TypeOf(sel.X), analysis.ShardPath, "Router")
 }
 
-// isRouter reports whether t is the shard Router or a pointer to it.
-func isRouter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == ShardPath && obj.Name() == "Router"
-}
-
+// isSnapshotCall reports whether the expression is the snapshot
+// accessor's result, an element of it, or that element's address:
+// t.cachedRecords(), t.cachedRecords()[v], &t.cachedRecords()[v].
 func isSnapshotCall(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	return ok && SnapshotFuncs[calleeName(call)]
+	for {
+		switch v := e.(type) {
+		case *ast.UnaryExpr:
+			if v.Op != token.AND {
+				return false
+			}
+			e = v.X
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.ParenExpr:
+			e = v.X
+		case *ast.CallExpr:
+			return calleeName(v) == snapshotFunc
+		default:
+			return false
+		}
+	}
 }
 
 // calleeName returns the bare name of the function or method a call
@@ -326,7 +284,7 @@ func checkSnapshotCall(pass *analysis.Pass, call *ast.CallExpr, snaps map[types.
 	}
 	// snap.UseSlots(...), snap.Faults().FailMachine(...)
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !mutators[sel.Sel.Name] {
+	if !ok || !analysis.LedgerMutators[sel.Sel.Name] && !analysis.FaultMutators[sel.Sel.Name] {
 		return
 	}
 	if obj := rootObject(pass, sel.X); obj != nil && snaps[obj] {
@@ -349,8 +307,7 @@ func writeThrough(pass *analysis.Pass, lhs ast.Expr, snaps map[types.Object]bool
 }
 
 // rootObject walks selector/index/call chains down to the root
-// identifier and returns its object. Chains passing through Clone()
-// are cut: the clone is private.
+// identifier and returns its object.
 func rootObject(pass *analysis.Pass, e ast.Expr) types.Object {
 	for {
 		switch v := e.(type) {
@@ -366,7 +323,7 @@ func rootObject(pass *analysis.Pass, e ast.Expr) types.Object {
 			e = v.X
 		case *ast.CallExpr:
 			sel, ok := v.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name == "Clone" {
+			if !ok {
 				return nil
 			}
 			e = sel.X
@@ -377,12 +334,8 @@ func rootObject(pass *analysis.Pass, e ast.Expr) types.Object {
 }
 
 func identObject(pass *analysis.Pass, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
+	if id, ok := e.(*ast.Ident); ok {
+		return pass.Info.ObjectOf(id)
 	}
-	if obj := pass.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.Info.Uses[id]
+	return nil
 }

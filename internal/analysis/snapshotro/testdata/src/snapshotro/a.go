@@ -50,18 +50,12 @@ type Cached struct {
 	memo map[int]int
 }
 
-// negative: declared, justified omission.
+// negative: a justified omission behind the one escape hatch.
 
-//lint:clone-skip memo: memo is a pure function of vals and is rebuilt lazily
+//lint:ignore snapshotro memo is a pure function of vals and is rebuilt lazily
 func (c *Cached) Clone() *Cached {
 	return &Cached{vals: append([]int(nil), c.vals...)}
 }
-
-// negative: Clone not returning the receiver type is not a state clone.
-
-type Wrapper struct{ inner *Faults }
-
-func (w *Wrapper) Clone() *Faults { return w.inner.Clone() }
 
 // --- read-only snapshots ---
 
@@ -83,56 +77,6 @@ func (l *Ledger) Used(m int) int         { return l.used[m] }
 type Mutation struct{}
 
 func commit(l *Ledger, mut *Mutation) error { return nil }
-
-type Manager struct {
-	snap *Ledger
-}
-
-func (m *Manager) snapshot() *Ledger { return m.snap }
-
-// negative: reading a snapshot is the whole point.
-
-func (m *Manager) Occupied(machine int) int {
-	snap := m.snapshot()
-	return snap.Used(machine)
-}
-
-// negative: Clone() first, then mutate freely.
-
-func (m *Manager) Headroom() bool {
-	scratch := m.snapshot().Clone()
-	return scratch.UseSlots(0, 1)
-}
-
-// negative: clone taken from a tracked snapshot is private.
-
-func (m *Manager) Plan(mut *Mutation) error {
-	snap := m.snapshot()
-	scratch := snap.Clone()
-	scratch.used[0] = 9
-	return commit(scratch, mut)
-}
-
-// positive: writing through the shared snapshot.
-
-func (m *Manager) BadWrite() {
-	snap := m.snapshot()
-	snap.used[0] = 1 // want `write through shared snapshot snap`
-}
-
-// positive: calling a mutator on the shared snapshot.
-
-func (m *Manager) BadUse() {
-	snap := m.snapshot()
-	snap.UseSlots(0, 1) // want `mutator UseSlots called on shared snapshot snap`
-}
-
-// positive: committing onto the shared snapshot.
-
-func (m *Manager) BadCommit(mut *Mutation) error {
-	snap := m.snapshot()
-	return commit(snap, mut) // want `shared snapshot snap passed to commit`
-}
 
 // --- the scoped accessor: view lends fn the live ledger under a lock ---
 
@@ -180,6 +124,24 @@ func (n *Node) BadViewWrite() int {
 func (n *Node) BadViewUse() bool {
 	return view[bool](n, func(led *Ledger) bool {
 		return led.UseSlots(0, 1) // want `mutator UseSlots called on shared snapshot led`
+	})
+}
+
+// negative: a clone taken inside the view is private, commit included.
+
+func (n *Node) Plan(mut *Mutation) error {
+	return view(n, func(led *Ledger) error {
+		scratch := led.Clone()
+		scratch.used[0] = 9
+		return commit(scratch, mut)
+	})
+}
+
+// positive: committing onto the lent ledger.
+
+func (n *Node) BadCommit(mut *Mutation) error {
+	return view(n, func(led *Ledger) error {
+		return commit(led, mut) // want `shared snapshot led passed to commit`
 	})
 }
 
@@ -233,4 +195,19 @@ func (t *table) BadFill(v int) {
 func (t *table) BadMove(v int) {
 	recs := t.cachedRecords()
 	recs[v].off = 0 // want `write through shared snapshot recs`
+}
+
+// positive: a record taken by address out of the cached view is the
+// table's own record, as in core's plan reconstruction.
+
+func (t *table) BadReconstruct(v int) {
+	r := &t.cachedRecords()[v]
+	r.cap = 0 // want `write through shared snapshot r`
+}
+
+// positive: parentheses change nothing.
+
+func (t *table) BadReconstructParen(v int) {
+	r := &(t.cachedRecords()[v])
+	r.off++ // want `write through shared snapshot r`
 }
