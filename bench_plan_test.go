@@ -113,7 +113,7 @@ func BenchmarkPlanOnly(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.AllocateHomog(led, req, core.MinMaxOccupancy); err != nil {
+			if _, err := core.AllocateHomog(led, req, core.MinMaxOccupancy); err != nil {
 				b.Fatal(err)
 			}
 		}

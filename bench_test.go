@@ -149,7 +149,7 @@ func BenchmarkHomogAllocate(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.AllocateHomog(led, req, bc.policy); err != nil {
+				if _, err := core.AllocateHomog(led, req, bc.policy); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -168,7 +168,7 @@ func BenchmarkAllocateHomogSeq(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.AllocateHomog(led, req, core.MinMaxOccupancy); err != nil {
+		if _, err := core.AllocateHomog(led, req, core.MinMaxOccupancy); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func BenchmarkHeteroSubstringSeq(b *testing.B) {
 	req := benchHeteroRequest(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.AllocateHeteroSubstring(led, req, core.MinMaxOccupancy); err != nil {
+		if _, err := core.AllocateHeteroSubstring(led, req, core.MinMaxOccupancy); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func BenchmarkHeteroSubstringAllocate(b *testing.B) {
 			req := benchHeteroRequest(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.AllocateHeteroSubstring(led, req, core.MinMaxOccupancy); err != nil {
+				if _, err := core.AllocateHeteroSubstring(led, req, core.MinMaxOccupancy); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -311,7 +311,7 @@ func BenchmarkHeteroExactAllocate(b *testing.B) {
 			req := benchHeteroRequest(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.AllocateHeteroExact(led, req); err != nil {
+				if _, err := core.AllocateHeteroExact(led, req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -324,7 +324,7 @@ func BenchmarkFirstFitAllocate(b *testing.B) {
 	req := benchHeteroRequest(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.AllocateFirstFit(led, req); err != nil {
+		if _, err := core.AllocateFirstFit(led, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,9 @@ package svc_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -70,25 +72,48 @@ func BenchmarkWALAppend(b *testing.B) {
 // recoverMixes are the record populations BenchmarkRecover's grid
 // replays, on benchWALTopology (2 aggs x 4 ToRs) and up to 10 000
 // records. "basic" is the cheapest record there is: 4-VM jobs that fit
-// one machine, so no contributions. "catalogue" is svcbench's churn
+// one machine, so no link carries them. "catalogue" is svcbench's churn
 // flavours — {2,4,8,16} VMs x {N(100,40), N(300,100)} — on that small
 // datacenter half full; its larger jobs span machines and racks and so
-// carry up to a dozen contributions each. The grid's ns/record does not
-// carry over to svcbench's restart-recover; the L cell is that shape.
+// charge up to a dozen links each. "paper" is the paper's job population
+// (TestPlacementGolden's, seed 1): N exponential around 49 VMs, clipped
+// to 2..200, mu from {100..500}, sigma = rho*mu with rho uniform in
+// (0,1), and 5 % heterogeneous N = 8 requests — so every homogeneous
+// shape is new, and replay's crossing memo never hits; rejected draws are
+// drawn again. The grid's ns/record does not carry over to svcbench's
+// restart-recover; the L cell is that shape.
 var recoverMixes = []struct {
 	name    string
 	prefill bool
-	reqs    []core.Homogeneous
+	draw    func(r *stats.Rand, i int) any // a core.Homogeneous or core.Heterogeneous
 }{
-	{name: "basic", reqs: []core.Homogeneous{{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}}}},
-	{name: "catalogue", prefill: true, reqs: func() (reqs []core.Homogeneous) {
+	{name: "basic", draw: cycle(core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 100, Sigma: 40}})},
+	{name: "catalogue", prefill: true, draw: cycle(func() (reqs []core.Homogeneous) {
 		for _, d := range []stats.Normal{{Mu: 100, Sigma: 40}, {Mu: 300, Sigma: 100}} {
 			for _, n := range []int{2, 4, 8, 16} {
 				reqs = append(reqs, core.Homogeneous{N: n, Demand: d})
 			}
 		}
 		return reqs
-	}()},
+	}()...)},
+	{name: "paper", draw: func(r *stats.Rand, _ int) any {
+		means := []float64{100, 200, 300, 400, 500}
+		if r.Float64() < 0.05 {
+			demands := make([]stats.Normal, 8)
+			for v := range demands {
+				mu := r.Pick(means)
+				demands[v] = stats.Normal{Mu: mu, Sigma: r.Float64() * mu}
+			}
+			return core.Heterogeneous{Demands: demands}
+		}
+		mu := r.Pick(means)
+		return core.Homogeneous{N: min(max(int(math.Round(r.Exp(49))), 2), 200), Demand: stats.Normal{Mu: mu, Sigma: r.Float64() * mu}}
+	}},
+}
+
+// cycle draws the given requests in turn.
+func cycle(reqs ...core.Homogeneous) func(*stats.Rand, int) any {
+	return func(_ *stats.Rand, i int) any { return reqs[i%len(reqs)] }
 }
 
 // Shape of the snapshot cells: svcbench's restart-recover directory S,
@@ -193,7 +218,7 @@ func BenchmarkRecover(b *testing.B) {
 	for _, mix := range recoverMixes {
 		for _, records := range []int{100, 1000, 10000} {
 			b.Run(fmt.Sprintf("mix=%s/records=%d", mix.name, records), func(b *testing.B) {
-				benchRecoverLog(b, benchWALTopology(b), mix.prefill, mix.reqs, records)
+				benchRecoverLog(b, benchWALTopology(b), mix.prefill, mix.draw, records)
 			})
 		}
 	}
@@ -202,24 +227,34 @@ func BenchmarkRecover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchRecoverLog(b, topo, true, recoverMixes[1].reqs, 100000)
+		benchRecoverLog(b, topo, true, recoverMixes[1].draw, 100000)
 	})
 }
 
 // benchRecoverLog is one record cell of BenchmarkRecover: it writes a
 // log of the given record count and times cold starts from it.
-func benchRecoverLog(b *testing.B, topo *topology.Topology, prefill bool, reqs []core.Homogeneous, records int) {
+func benchRecoverLog(b *testing.B, topo *topology.Topology, prefill bool, draw func(*stats.Rand, int) any, records int) {
 	dir := b.TempDir()
 	mgr, j, err := wal.Recover(dir, topo, 0.05, nil, wal.WithNoSync(), wal.WithSnapshotEvery(1<<30))
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Admit the flavours in turn and release oldest-first, so the log
+	// Admit the draws in turn and release oldest-first, so the log
 	// alternates admissions and releases around a steady population (half
 	// the slots with prefill, none without).
 	var live []core.JobID
+	r := stats.NewRand(1)
 	admit := func(i int) {
-		a, err := mgr.AllocateHomog(reqs[i%len(reqs)])
+		var a *core.Allocation
+		err := core.ErrNoCapacity
+		for tries := 0; errors.Is(err, core.ErrNoCapacity) && tries < 100; tries++ {
+			switch req := draw(r, i).(type) {
+			case core.Homogeneous:
+				a, err = mgr.AllocateHomog(req)
+			case core.Heterogeneous:
+				a, err = mgr.AllocateHetero(req)
+			}
+		}
 		if err != nil {
 			b.Fatal(err)
 		}

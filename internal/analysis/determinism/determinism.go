@@ -155,7 +155,7 @@ func checkMapRangeBody(pass *analysis.Pass, rng *ast.RangeStmt, sorted map[types
 }
 
 // sortedObjects collects the objects passed to any sort-like call in the
-// function: sort.Slice(x, ...), slices.Sort(x), sortContribs(x), …
+// function: sort.Slice(x, ...), slices.Sort(x), a local sortJobs(x), …
 // Name matching is by a case-insensitive "sort" substring so that
 // project-local helpers count.
 func sortedObjects(pass *analysis.Pass, fn *ast.FuncDecl) map[types.Object]bool {

@@ -62,27 +62,25 @@ func (m *Manager) AdmissionStats() AdmissionStats {
 }
 
 // planLocked runs the allocation DP for the request mut carries (exactly
-// one of Homog/Hetero) on the live ledger and fills in the placement and
-// the per-link contributions a commit would charge. Nothing is modified;
-// the plan holds until the next mutation, i.e. while the caller keeps
-// m.mu.
+// one of Homog/Hetero) on the live ledger and fills in the placement.
+// Nothing is modified; the plan holds until the next mutation, i.e. while
+// the caller keeps m.mu.
 func (m *Manager) planLocked(mut *Mutation) error {
 	var (
-		p        Placement
-		contribs []Contribution
-		err      error
+		p   Placement
+		err error
 	)
 	start := Now()
 	if mut.Homog != nil {
-		p, contribs, err = m.plans.allocateHomog(m.led, *mut.Homog, m.policy, m.scope, true)
+		p, err = m.plans.allocateHomog(m.led, *mut.Homog, m.policy, m.scope, true)
 	} else {
-		p, contribs, err = m.planHetero(m.led, *mut.Hetero, planAdmit)
+		p, err = m.planHetero(m.led, *mut.Hetero, planAdmit)
 	}
 	m.adm.Plan.Observe(since(start))
 	if err != nil {
 		return err
 	}
-	mut.Placement, mut.Contribs = &p, contribs
+	mut.Placement = &p
 	return nil
 }
 

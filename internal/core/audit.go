@@ -32,8 +32,9 @@ func Audit(topo *topology.Topology, st *ManagerState, samples int, seed uint64) 
 		return 0, nil, fmt.Errorf("core: audit: state has %d link records for a %d-node topology", len(st.Links), topo.Len())
 	}
 	var tenants []Homogeneous
-	var prefix [][]float64                    // prefix[t][v]: tenant t's first v VMs' demand in this round
-	perLink := map[topology.LinkID][][2]int{} // link -> (tenant, VMs inside), in tenant order
+	var prefix [][]float64                  // prefix[t][v]: tenant t's first v VMs' demand in this round
+	perLink := make([][][2]int, topo.Len()) // link -> (tenant, VMs inside), in tenant order
+	var d deriver
 	for _, js := range st.Jobs {
 		if slices.ContainsFunc(js.Hetero, func(d stats.Normal) bool { return d.Sigma > 0 }) {
 			return 0, nil, fmt.Errorf("core: audit: job %d is stochastic and heterogeneous; Audit draws homogeneous tenants only", js.ID)
@@ -44,20 +45,21 @@ func Audit(topo *topology.Topology, st *ManagerState, samples int, seed uint64) 
 		ti, n := len(tenants), js.Homog.N
 		tenants = append(tenants, Homogeneous{N: n, Demand: stats.Normal{Mu: js.Homog.Mu, Sigma: js.Homog.Sigma}})
 		prefix = append(prefix, make([]float64, n+1))
-		// A tenant adds at most one entry to a link's list, so the lists
-		// are in tenant order whatever order the map yields links in.
-		for link, c := range vmsInsideLink(topo, &Placement{Entries: js.Placement}) {
-			if c > 0 && c < n {
-				perLink[link] = append(perLink[link], [2]int{ti, c})
+		// The derivation's walk: each link above the tenant, with its count.
+		d.walk(topo, &Placement{Entries: js.Placement}, nil)
+		for _, l := range d.touched {
+			if c := d.inside[l]; c < n {
+				perLink[l] = append(perLink[l], [2]int{ti, c})
 			}
+			d.inside[l] = 0
+		}
+		d.touched = d.touched[:0]
+	}
+	for l, xs := range perLink {
+		if len(xs) > 0 && !slices.Contains(st.LinksDown, l) {
+			links = append(links, LinkAudit{Link: topology.LinkID(l), Tenants: len(xs)})
 		}
 	}
-	for link, xs := range perLink {
-		if !slices.Contains(st.LinksDown, int(link)) {
-			links = append(links, LinkAudit{Link: link, Tenants: len(xs)})
-		}
-	}
-	slices.SortFunc(links, func(a, b LinkAudit) int { return int(a.Link) - int(b.Link) })
 
 	rng := stats.NewRand(seed)
 	for s := 0; s < samples; s++ {

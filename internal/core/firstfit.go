@@ -13,9 +13,9 @@ import (
 // next sibling subtree is tried; VMs that would violate an ancestor's
 // uplink are handed back to be placed further right. No occupancy
 // optimization is performed. The returned placement is not committed.
-func AllocateFirstFit(led *Ledger, req Heterogeneous) (Placement, []Contribution, error) {
+func AllocateFirstFit(led *Ledger, req Heterogeneous) (Placement, error) {
 	if err := req.Validate(); err != nil {
-		return Placement{}, nil, err
+		return Placement{}, err
 	}
 	topo := led.Topology()
 	order := orderByPercentile(req)
@@ -25,7 +25,7 @@ func AllocateFirstFit(led *Ledger, req Heterogeneous) (Placement, []Contribution
 	ff := &firstFitter{led: led, topo: topo, prefix: prefix, n: n}
 	end := ff.place(topo.Root(), 0)
 	if end != n {
-		return Placement{}, nil, fmt.Errorf("%w: first fit placed %d of %d VMs: %v", ErrNoCapacity, end, n, req)
+		return Placement{}, fmt.Errorf("%w: first fit placed %d of %d VMs: %v", ErrNoCapacity, end, n, req)
 	}
 
 	var p Placement
@@ -33,15 +33,15 @@ func AllocateFirstFit(led *Ledger, req Heterogeneous) (Placement, []Contribution
 		p.Entries = append(p.Entries, PlacementEntry{Machine: m, Count: 1, VMs: []int{order[i]}})
 	}
 	p.normalize()
-	contribs := heteroContributions(topo, req, &p)
 	// First fit's greedy checks are per-subtree-prefix and can, in corner
 	// cases where an inside group outgrows the outside group, admit a
 	// final split a later hand-back invalidated elsewhere. Re-validate the
 	// complete placement so the baseline never violates the guarantee.
-	if err := ValidatePlacement(led, contribs, &p, n); err != nil {
-		return Placement{}, nil, fmt.Errorf("%w: first fit produced no valid placement: %w", ErrNoCapacity, err)
+	var d deriver
+	if err := ValidatePlacement(led, d.contribs(topo, nil, &req, &p), &p, n); err != nil {
+		return Placement{}, fmt.Errorf("%w: first fit produced no valid placement: %w", ErrNoCapacity, err)
 	}
-	return p, contribs, nil
+	return p, nil
 }
 
 // firstFitter tracks the machine assigned to each sorted-VM position while

@@ -85,17 +85,17 @@ func (t *substrTable) needCrossing(topo *topology.Topology, v topology.NodeID) {
 // heuristic: VMs are sorted by 95th-percentile demand and allocable VM sets
 // are restricted to contiguous substrings of the sorted sequence, searched
 // bottom-up with the same lowest-subtree, min-max-occupancy dynamic program
-// as the homogeneous algorithm. It returns the placement and contributions
-// without committing them.
-func AllocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy) (Placement, []Contribution, error) {
+// as the homogeneous algorithm. It returns the placement without
+// committing it.
+func AllocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy) (Placement, error) {
 	return allocateHeteroSubstringScoped(led, req, policy, nil)
 }
 
 // allocateHeteroSubstringScoped is the scope-aware cold plan behind
 // AllocateHeteroSubstring; see allocateHomogScoped.
-func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy, scope *planScope) (Placement, []Contribution, error) {
+func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy, scope *planScope) (Placement, error) {
 	if err := req.Validate(); err != nil {
-		return Placement{}, nil, err
+		return Placement{}, err
 	}
 	order := orderByPercentile(req)
 	return coldPlan(&substrTablePool, led, scope, func(t *substrTable) {
@@ -114,15 +114,15 @@ func (t *substrTable) settle(led *Ledger, scope *planScope) (topology.NodeID, in
 }
 
 // plan is settle followed by build, as homogTable.plan.
-func (t *substrTable) plan(led *Ledger, scope *planScope) (Placement, []Contribution, int, error) {
+func (t *substrTable) plan(led *Ledger, scope *planScope) (Placement, int, error) {
 	best, recomputed, err := t.settle(led, scope)
 	if err != nil {
-		return Placement{}, nil, recomputed, err
+		return Placement{}, recomputed, err
 	}
 	var p Placement
 	t.build(led.Topology(), best, 0, t.n, &p)
 	p.normalize()
-	return p, heteroContributions(led.Topology(), t.req, &p), recomputed, nil
+	return p, recomputed, nil
 }
 
 // compute fills the substring DP record for vertex v. Like
@@ -262,13 +262,13 @@ type heteroMaskState struct {
 // dynamic program, which maintains every allocable VM subset per subtree.
 // It is only practical for small requests (N <= MaxExactHeteroVMs) and
 // exists as the optimality reference for the substring heuristic.
-func AllocateHeteroExact(led *Ledger, req Heterogeneous) (Placement, []Contribution, error) {
+func AllocateHeteroExact(led *Ledger, req Heterogeneous) (Placement, error) {
 	if err := req.Validate(); err != nil {
-		return Placement{}, nil, err
+		return Placement{}, err
 	}
 	n := req.N()
 	if n > MaxExactHeteroVMs {
-		return Placement{}, nil, fmt.Errorf("%w: exact allocator supports at most %d VMs, got %d",
+		return Placement{}, fmt.Errorf("%w: exact allocator supports at most %d VMs, got %d",
 			ErrBadRequest, MaxExactHeteroVMs, n)
 	}
 	topo := led.Topology()
@@ -311,10 +311,10 @@ func AllocateHeteroExact(led *Ledger, req Heterogeneous) (Placement, []Contribut
 			var p Placement
 			heteroExactBuild(topo, records, best, fullMask, &p)
 			p.normalize()
-			return p, heteroContributions(topo, req, &p), nil
+			return p, nil
 		}
 	}
-	return Placement{}, nil, fmt.Errorf("%w: %v", ErrNoCapacity, req)
+	return Placement{}, fmt.Errorf("%w: %v", ErrNoCapacity, req)
 }
 
 // heteroExactCompute fills the exact-DP record for vertex v: the map from

@@ -82,7 +82,8 @@ func TestHeteroSubstringBasic(t *testing.T) {
 		{Mu: 5, Sigma: 1}, {Mu: 10, Sigma: 3}, {Mu: 2, Sigma: 0.5},
 		{Mu: 8, Sigma: 2}, {Mu: 4, Sigma: 1}, {Mu: 6, Sigma: 2},
 	})
-	p, contribs, err := AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+	p, err := AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+	contribs := contribsOf(led.Topology(), req, &p)
 	if err != nil {
 		t.Fatalf("AllocateHeteroSubstring: %v", err)
 	}
@@ -92,7 +93,8 @@ func TestHeteroSubstringBasic(t *testing.T) {
 func TestHeteroSubstringSingleMachine(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	req := randHetero(stats.NewRand(3), 4, 1, 10)
-	p, contribs, err := AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+	p, err := AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+	contribs := contribsOf(led.Topology(), req, &p)
 	if err != nil {
 		t.Fatalf("AllocateHeteroSubstring: %v", err)
 	}
@@ -107,7 +109,7 @@ func TestHeteroSubstringSingleMachine(t *testing.T) {
 func TestHeteroSubstringRejects(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	req := randHetero(stats.NewRand(5), 11, 1, 5) // more VMs than slots
-	if _, _, err := AllocateHeteroSubstring(led, req, MinMaxOccupancy); !errors.Is(err, ErrNoCapacity) {
+	if _, err := AllocateHeteroSubstring(led, req, MinMaxOccupancy); !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("err = %v, want ErrNoCapacity", err)
 	}
 }
@@ -115,7 +117,7 @@ func TestHeteroSubstringRejects(t *testing.T) {
 func TestHeteroExactLimits(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	big := randHetero(stats.NewRand(7), MaxExactHeteroVMs+1, 1, 5)
-	if _, _, err := AllocateHeteroExact(led, big); !errors.Is(err, ErrBadRequest) {
+	if _, err := AllocateHeteroExact(led, big); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("err = %v, want ErrBadRequest", err)
 	}
 }
@@ -185,7 +187,8 @@ func TestHeteroExactMatchesBruteForce(t *testing.T) {
 		n := r.UniformInt(2, 5)
 		req := randHetero(r, n, 1, 12)
 
-		p, contribs, err := AllocateHeteroExact(led, req)
+		p, err := AllocateHeteroExact(led, req)
+		contribs := contribsOf(led.Topology(), req, &p)
 		bfLevel, bfValue, bfFound := bruteForceHetero(led, req)
 		if bfFound != (err == nil) {
 			t.Fatalf("trial %d: exact err=%v, brute force found=%v", trial, err, bfFound)
@@ -224,8 +227,10 @@ func TestHeteroSubstringNeverBeatsExact(t *testing.T) {
 		}
 		req := randHetero(r, r.UniformInt(3, 7), 1, 10)
 
-		pe, ce, errE := AllocateHeteroExact(led, req)
-		ph, ch, errH := AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+		pe, errE := AllocateHeteroExact(led, req)
+		ce := contribsOf(led.Topology(), req, &pe)
+		ph, errH := AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+		ch := contribsOf(led.Topology(), req, &ph)
 		if errH == nil && errE != nil {
 			t.Fatalf("trial %d: heuristic succeeded where exact failed", trial)
 		}
@@ -274,8 +279,10 @@ func TestHeteroSubstringEqualsHomogOnIdenticalVMs(t *testing.T) {
 		}
 		heteroReq := Heterogeneous{Demands: demands}
 
-		ph, ch, errHomog := AllocateHomog(led, homogReq, MinMaxOccupancy)
-		ps, cs, errSub := AllocateHeteroSubstring(led, heteroReq, MinMaxOccupancy)
+		ph, errHomog := AllocateHomog(led, homogReq, MinMaxOccupancy)
+		ch := contribsOf(led.Topology(), homogReq, &ph)
+		ps, errSub := AllocateHeteroSubstring(led, heteroReq, MinMaxOccupancy)
+		cs := contribsOf(led.Topology(), heteroReq, &ps)
 		if (errHomog == nil) != (errSub == nil) {
 			t.Fatalf("trial %d: homog err=%v, substring err=%v", trial, errHomog, errSub)
 		}
@@ -300,7 +307,8 @@ func TestHeteroSubstringEqualsHomogOnIdenticalVMs(t *testing.T) {
 func TestFirstFitBasic(t *testing.T) {
 	led := newTestLedger(t, mustTopo(smallThreeTier()), 0.05)
 	req := randHetero(stats.NewRand(8), 6, 1, 8)
-	p, contribs, err := AllocateFirstFit(led, req)
+	p, err := AllocateFirstFit(led, req)
+	contribs := contribsOf(led.Topology(), req, &p)
 	if err != nil {
 		t.Fatalf("AllocateFirstFit: %v", err)
 	}
@@ -310,7 +318,7 @@ func TestFirstFitBasic(t *testing.T) {
 func TestFirstFitRejectsOversize(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	req := randHetero(stats.NewRand(9), 11, 1, 5)
-	if _, _, err := AllocateFirstFit(led, req); !errors.Is(err, ErrNoCapacity) {
+	if _, err := AllocateFirstFit(led, req); !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("err = %v, want ErrNoCapacity", err)
 	}
 }
@@ -323,7 +331,8 @@ func TestFirstFitAlwaysValid(t *testing.T) {
 	admitted := 0
 	for trial := 0; trial < 60; trial++ {
 		req := randHetero(r, r.UniformInt(1, 6), 1, 10)
-		p, contribs, err := AllocateFirstFit(led, req)
+		p, err := AllocateFirstFit(led, req)
+		contribs := contribsOf(led.Topology(), req, &p)
 		if err != nil {
 			continue
 		}
@@ -354,9 +363,11 @@ func TestHeteroSubstringOccupancyBeatsFirstFitOnAverage(t *testing.T) {
 				err      error
 			)
 			if useFF {
-				p, contribs, err = AllocateFirstFit(led, req)
+				p, err = AllocateFirstFit(led, req)
+				contribs = contribsOf(led.Topology(), req, &p)
 			} else {
-				p, contribs, err = AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+				p, err = AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+				contribs = contribsOf(led.Topology(), req, &p)
 			}
 			if err != nil {
 				continue

@@ -119,10 +119,9 @@ func (t *homogTable) holdingPins(verts []topology.NodeID) []topology.NodeID {
 }
 
 // AllocateHomog runs the paper's homogeneous VM allocation over the current
-// ledger state and returns the placement and its per-link crossing-demand
-// contributions without committing them. It returns ErrNoCapacity when no
-// subtree can host the request.
-func AllocateHomog(led *Ledger, req Homogeneous, policy Policy) (Placement, []Contribution, error) {
+// ledger state and returns the placement without committing it. It returns
+// ErrNoCapacity when no subtree can host the request.
+func AllocateHomog(led *Ledger, req Homogeneous, policy Policy) (Placement, error) {
 	return allocateHomogScoped(led, req, policy, nil)
 }
 
@@ -131,9 +130,9 @@ func AllocateHomog(led *Ledger, req Homogeneous, policy Policy) (Placement, []Co
 // are confined to the scope's subtree (see planScope), so a pod-local
 // manager never places VMs outside its pod. It runs in a pooled table and,
 // once the pool is warm, allocates nothing but the placement it returns.
-func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *planScope) (Placement, []Contribution, error) {
+func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *planScope) (Placement, error) {
 	if err := req.Validate(); err != nil {
-		return Placement{}, nil, err
+		return Placement{}, err
 	}
 	return coldPlan(&homogTablePool, led, scope, func(t *homogTable) {
 		t.reset(led.Topology(), scope, req, policy)
@@ -152,16 +151,16 @@ func (t *homogTable) settle(led *Ledger, scope *planScope) (topology.NodeID, int
 }
 
 // plan is settle followed by build: the placement in the subtree settle
-// chose and the contributions a commit of it would charge.
-func (t *homogTable) plan(led *Ledger, scope *planScope) (Placement, []Contribution, int, error) {
+// chose.
+func (t *homogTable) plan(led *Ledger, scope *planScope) (Placement, int, error) {
 	best, recomputed, err := t.settle(led, scope)
 	if err != nil {
-		return Placement{}, nil, recomputed, err
+		return Placement{}, recomputed, err
 	}
 	var p Placement
 	t.build(led.Topology(), best, t.req.N, &p)
 	p.normalize()
-	return p, homogContributions(led.Topology(), t.req, &p), recomputed, nil
+	return p, recomputed, nil
 }
 
 // compute fills the DP record for vertex v from its children's records,

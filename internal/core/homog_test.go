@@ -109,7 +109,8 @@ func maxOccInSubtree(led *Ledger, sub topology.NodeID, contribs []Contribution) 
 func TestHomogSingleMachineHostsWholeRequest(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	req, _ := NewHomogeneous(4, stats.Normal{Mu: 100, Sigma: 30})
-	p, contribs, err := AllocateHomog(led, req, MinMaxOccupancy)
+	p, err := AllocateHomog(led, req, MinMaxOccupancy)
+	contribs := contribsOf(led.Topology(), req, &p)
 	if err != nil {
 		t.Fatalf("AllocateHomog: %v", err)
 	}
@@ -128,7 +129,8 @@ func TestHomogSingleMachineHostsWholeRequest(t *testing.T) {
 func TestHomogFig3Example(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	req, _ := NewDeterministic(6, 10)
-	p, contribs, err := AllocateHomog(led, req, MinMaxOccupancy)
+	p, err := AllocateHomog(led, req, MinMaxOccupancy)
+	contribs := contribsOf(led.Topology(), req, &p)
 	if err != nil {
 		t.Fatalf("AllocateHomog: %v", err)
 	}
@@ -157,7 +159,8 @@ func TestHomogMinMaxBeatsFirstFeasible(t *testing.T) {
 	run := func(policy Policy) float64 {
 		led := newTestLedger(t, mustTopo(threeMachineSpec()), 0.05)
 		led.AddDet(led.Topology().Machines()[2], 30) // background load on machine C's link
-		p, contribs, err := AllocateHomog(led, req, policy)
+		p, err := AllocateHomog(led, req, policy)
+		contribs := contribsOf(led.Topology(), req, &p)
 		if err != nil {
 			t.Fatalf("AllocateHomog(%v): %v", policy, err)
 		}
@@ -181,7 +184,8 @@ func TestHomogMinMaxBeatsFirstFeasible(t *testing.T) {
 func TestHomogLocality(t *testing.T) {
 	led := newTestLedger(t, mustTopo(smallThreeTier()), 0.05)
 	req, _ := NewHomogeneous(5, stats.Normal{Mu: 10, Sigma: 3})
-	p, contribs, err := AllocateHomog(led, req, MinMaxOccupancy)
+	p, err := AllocateHomog(led, req, MinMaxOccupancy)
+	contribs := contribsOf(led.Topology(), req, &p)
 	if err != nil {
 		t.Fatalf("AllocateHomog: %v", err)
 	}
@@ -200,7 +204,7 @@ func TestHomogLocality(t *testing.T) {
 func TestHomogRejectsWhenNoSlots(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	req, _ := NewHomogeneous(11, stats.Normal{Mu: 1, Sigma: 0.1})
-	if _, _, err := AllocateHomog(led, req, MinMaxOccupancy); !errors.Is(err, ErrNoCapacity) {
+	if _, err := AllocateHomog(led, req, MinMaxOccupancy); !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("err = %v, want ErrNoCapacity", err)
 	}
 }
@@ -213,14 +217,14 @@ func TestHomogRejectsWhenNoBandwidth(t *testing.T) {
 		led.AddDet(m, 10)
 	}
 	req, _ := NewDeterministic(6, 45)
-	if _, _, err := AllocateHomog(led, req, MinMaxOccupancy); !errors.Is(err, ErrNoCapacity) {
+	if _, err := AllocateHomog(led, req, MinMaxOccupancy); !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("err = %v, want ErrNoCapacity", err)
 	}
 }
 
 func TestHomogInvalidRequest(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
-	if _, _, err := AllocateHomog(led, Homogeneous{N: 0}, MinMaxOccupancy); !errors.Is(err, ErrBadRequest) {
+	if _, err := AllocateHomog(led, Homogeneous{N: 0}, MinMaxOccupancy); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("err = %v, want ErrBadRequest", err)
 	}
 }
@@ -306,7 +310,8 @@ func TestHomogMatchesBruteForce(t *testing.T) {
 		}
 		req := Homogeneous{N: n, Demand: demand}
 
-		p, contribs, err := AllocateHomog(led, req, MinMaxOccupancy)
+		p, err := AllocateHomog(led, req, MinMaxOccupancy)
+		contribs := contribsOf(led.Topology(), req, &p)
 		bfLevel, bfValue, bfFound := bruteForceHomog(led, req)
 
 		if bfFound != (err == nil) {
@@ -338,7 +343,8 @@ func TestHomogFirstFeasibleValid(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := r.UniformInt(1, 6)
 		req := Homogeneous{N: n, Demand: stats.Normal{Mu: r.UniformRange(1, 6), Sigma: r.UniformRange(0, 2)}}
-		p, contribs, err := AllocateHomog(led, req, FirstFeasible)
+		p, err := AllocateHomog(led, req, FirstFeasible)
+		contribs := contribsOf(led.Topology(), req, &p)
 		if err != nil {
 			continue
 		}
@@ -401,7 +407,8 @@ func TestStochasticPacksMoreThanPercentile(t *testing.T) {
 func TestGreedyPackMaximizesLocality(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	req, _ := NewDeterministic(6, 1) // bandwidth loose: slots bind
-	p, contribs, err := AllocateHomog(led, req, GreedyPack)
+	p, err := AllocateHomog(led, req, GreedyPack)
+	contribs := contribsOf(led.Topology(), req, &p)
 	if err != nil {
 		t.Fatalf("AllocateHomog: %v", err)
 	}
@@ -436,7 +443,8 @@ func TestGreedyPackValidUnderLoad(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := r.UniformInt(1, 7)
 		req := Homogeneous{N: n, Demand: stats.Normal{Mu: r.UniformRange(1, 7), Sigma: r.UniformRange(0, 3)}}
-		p, contribs, err := AllocateHomog(led, req, GreedyPack)
+		p, err := AllocateHomog(led, req, GreedyPack)
+		contribs := contribsOf(led.Topology(), req, &p)
 		if err != nil {
 			continue
 		}

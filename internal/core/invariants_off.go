@@ -6,4 +6,4 @@ package core
 // production builds; see invariants_on.go.
 const invariantsEnabled = false
 
-func (m *Manager) assertOccupancyLocked(mut *Mutation) {}
+func (m *Manager) assertCommitLocked(mut *Mutation, now, old []Contribution) {}

@@ -76,28 +76,28 @@ func (op MutationOp) String() string {
 }
 
 // Mutation describes one state-changing commit. Which fields are
-// meaningful depends on Op; see the field comments. Placement and Contribs
-// are the planners', the jobs' and the exported state's own types, so a
-// plan reaches the journal and the ledger unconverted — but cloned: a
-// Mutation may be shared (a journal may keep it), so applyLocked hands no
-// job or binding its memory — which lets replay reuse its decode storage.
+// meaningful depends on Op; see the field comments. It records decisions,
+// not arithmetic: applyLocked derives the contributions. Placement is the
+// planners', the jobs' and the exported state's own type, so a plan
+// reaches the journal and the ledger unconverted — but cloned: a Mutation
+// may be shared (a journal may keep it), so applyLocked hands no job or
+// binding its memory — which lets replay reuse its decode storage.
 type Mutation struct {
 	Op  MutationOp
 	Job JobID // alloc, release, repair
 
-	// Alloc: the admitted request (exactly one of Homog/Hetero set), the
-	// committed placement and its per-link contributions.
+	// Alloc: the admitted request (exactly one of Homog/Hetero set) and
+	// the committed placement.
 	Homog     *Homogeneous
 	Hetero    *Heterogeneous
 	Placement *Placement
-	Contribs  []Contribution
 
 	Node    topology.NodeID // machine ops (fail/restore/offline)
 	Link    topology.LinkID // link ops
 	Offline bool            // OpSetOffline
 
-	// Repair: the outcome, the new placement/contribs for moved and
-	// degraded outcomes, and the honest post-repair risk factor.
+	// Repair: the outcome, the new placement for moved and degraded
+	// outcomes, and the honest post-repair risk factor.
 	Outcome      RepairOutcome
 	EffectiveEps float64
 
@@ -251,17 +251,14 @@ func (m *Manager) commitStagedLocked(mut Mutation) (func() error, error) {
 	return wait, nil
 }
 
-// applyLocked executes one mutation against the ledger and bookkeeping.
-// Live callers have already validated their mutation (the DP produced
-// it); replay callers validate with validateMutationLocked first.
+// applyLocked executes one mutation against the ledger and bookkeeping,
+// deriving the contributions of any placement it commits. Live callers
+// have already validated their mutation (the DP produced it); replay
+// callers validate with validateMutationLocked first.
 func (m *Manager) applyLocked(mut Mutation) error {
 	switch mut.Op {
 	case OpAlloc:
-		a := &Allocation{
-			ID:        mut.Job,
-			Placement: mut.Placement.Clone(),
-			contribs:  cloneContribs(mut.Contribs),
-		}
+		a := &Allocation{ID: mut.Job, Placement: mut.Placement.Clone()}
 		if mut.Homog != nil {
 			h := *mut.Homog
 			a.homog = &h
@@ -271,13 +268,14 @@ func (m *Manager) applyLocked(mut Mutation) error {
 			copy(ds, mut.Hetero.Demands)
 			a.hetero = &Heterogeneous{Demands: ds}
 		}
+		a.contribs = m.derive.contribs(m.led.Topology(), a.homog, a.hetero, &a.Placement)
 		commit(m.led, &a.Placement, a.contribs)
 		m.jobs[a.ID] = a
 		if a.ID > m.nextID {
 			m.nextID = a.ID
 		}
 		m.version++
-		m.assertOccupancyLocked(&mut)
+		m.assertCommitLocked(&mut, a.contribs, nil)
 
 	case OpRelease:
 		a, ok := m.jobs[mut.Job]
@@ -288,6 +286,7 @@ func (m *Manager) applyLocked(mut Mutation) error {
 		delete(m.jobs, mut.Job)
 		delete(m.degraded, mut.Job)
 		m.version++
+		m.assertCommitLocked(&mut, a.contribs, nil)
 
 	case OpFailMachine:
 		if m.led.Faults().FailMachine(mut.Node) {
@@ -322,20 +321,20 @@ func (m *Manager) applyLocked(mut Mutation) error {
 		case RepairNoop:
 			m.counters.NoopRepairs++
 		case RepairMoved, RepairDegraded:
-			rollback(m.led, &a.Placement, a.contribs)
-			p := mut.Placement.Clone()
-			contribs := cloneContribs(mut.Contribs)
-			commit(m.led, &p, contribs)
-			a.Placement, a.contribs = p, contribs
+			old := a.contribs
+			rollback(m.led, &a.Placement, old)
+			a.Placement = mut.Placement.Clone()
+			a.contribs = m.derive.contribs(m.led.Topology(), a.homog, a.hetero, &a.Placement)
+			commit(m.led, &a.Placement, a.contribs)
 			if mut.Outcome == RepairDegraded {
 				m.degraded[a.ID] = mut.EffectiveEps
 				m.counters.DegradedRepairs++
 			} else {
 				delete(m.degraded, a.ID)
 				m.counters.MovedRepairs++
-				m.assertOccupancyLocked(&mut)
 			}
 			m.version += 2
+			m.assertCommitLocked(&mut, a.contribs, old)
 		case RepairFailed:
 			rollback(m.led, &a.Placement, a.contribs)
 			delete(m.jobs, a.ID)
@@ -387,23 +386,12 @@ func (m *Manager) validateMutationLocked(mut Mutation) error {
 		}
 		return nil
 	}
-	validContribs := func(cs []Contribution) error {
-		for _, c := range cs {
-			if err := validLink(c.Link); err != nil {
-				return err
-			}
-			if c.Sigma < 0 || math.IsNaN(c.Mu) || math.IsInf(c.Mu, 0) ||
-				math.IsNaN(c.Sigma) || math.IsInf(c.Sigma, 0) {
-				return fmt.Errorf("core: invalid contribution %+v", c)
-			}
-		}
-		return nil
-	}
 	// validPlacement checks slot feasibility exactly as commit's UseSlots
 	// will see it: fault-aware free slots, with the job's old placement
-	// (rolled back first) credited back per machine. The scratch it uses is
-	// the manager's, so validating a record allocates nothing.
-	validPlacement := func(p *Placement, old []PlacementEntry) error {
+	// (rolled back first) credited back per machine, and that the VMs are
+	// named as the derivation reads them. The scratch it uses is the
+	// manager's, so validating a homogeneous record allocates nothing.
+	validPlacement := func(p *Placement, old []PlacementEntry, homog *Homogeneous, hetero *Heterogeneous) error {
 		if p == nil {
 			return errors.New("core: mutation has no placement")
 		}
@@ -438,7 +426,7 @@ func (m *Manager) validateMutationLocked(mut Mutation) error {
 				return fmt.Errorf("core: machine %d needs %d slots, has %d free", e.Machine, e.Count, free)
 			}
 		}
-		return nil
+		return placesRequest(p, homog, hetero)
 	}
 
 	switch mut.Op {
@@ -452,25 +440,14 @@ func (m *Manager) validateMutationLocked(mut Mutation) error {
 		if (mut.Homog == nil) == (mut.Hetero == nil) {
 			return errors.New("core: alloc must carry exactly one request kind")
 		}
-		want := 0
 		if mut.Homog != nil {
 			if err := mut.Homog.Validate(); err != nil {
 				return err
 			}
-			want = mut.Homog.N
-		} else {
-			if err := mut.Hetero.Validate(); err != nil {
-				return err
-			}
-			want = mut.Hetero.N()
-		}
-		if err := validPlacement(mut.Placement, nil); err != nil {
+		} else if err := mut.Hetero.Validate(); err != nil {
 			return err
 		}
-		if got := mut.Placement.TotalVMs(); got != want {
-			return fmt.Errorf("core: placement has %d VMs, want %d", got, want)
-		}
-		return validContribs(mut.Contribs)
+		return validPlacement(mut.Placement, nil, mut.Homog, mut.Hetero)
 
 	case OpRelease:
 		if _, ok := m.jobs[mut.Job]; !ok {
@@ -495,10 +472,7 @@ func (m *Manager) validateMutationLocked(mut Mutation) error {
 			if math.IsNaN(mut.EffectiveEps) || mut.EffectiveEps < 0 || mut.EffectiveEps > 1 {
 				return fmt.Errorf("core: bad effective eps %v", mut.EffectiveEps)
 			}
-			if err := validPlacement(mut.Placement, a.Placement.Entries); err != nil {
-				return err
-			}
-			return validContribs(mut.Contribs)
+			return validPlacement(mut.Placement, a.Placement.Entries, a.homog, a.hetero)
 		default:
 			return fmt.Errorf("core: unknown repair outcome %d", int(mut.Outcome))
 		}

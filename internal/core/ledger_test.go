@@ -264,11 +264,12 @@ func TestAllocatorsAvoidOfflineMachines(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	led.SetOffline(led.Topology().Machines()[0], true)
 	req, _ := NewHomogeneous(6, stats.Normal{Mu: 1, Sigma: 0.1})
-	if _, _, err := AllocateHomog(led, req, MinMaxOccupancy); !errors.Is(err, ErrNoCapacity) {
+	if _, err := AllocateHomog(led, req, MinMaxOccupancy); !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("err = %v, want ErrNoCapacity with only 5 live slots", err)
 	}
 	small, _ := NewHomogeneous(5, stats.Normal{Mu: 1, Sigma: 0.1})
-	p, contribs, err := AllocateHomog(led, small, MinMaxOccupancy)
+	p, err := AllocateHomog(led, small, MinMaxOccupancy)
+	contribs := contribsOf(led.Topology(), small, &p)
 	if err != nil {
 		t.Fatalf("AllocateHomog: %v", err)
 	}

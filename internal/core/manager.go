@@ -34,7 +34,7 @@ type Allocation struct {
 	ID        JobID
 	Placement Placement
 
-	contribs []Contribution
+	contribs []Contribution // derived (deriver.contribs), never stored
 	// The admitted request, kept so failure repair can re-run the
 	// allocation DP for the same demand profile. Exactly one is set.
 	homog  *Homogeneous
@@ -82,6 +82,10 @@ type Manager struct {
 	placedIn []int64
 	freed    []int
 	checks   int64
+
+	// derive derives every committed placement's contributions, its memo
+	// shared by live commits, replay and restore. Guarded by mu.
+	derive deriver
 
 	// adm counts admissions and times their plans (guarded by mu; its
 	// plan-cache fields stay zero, AdmissionStats fills them in). See
@@ -171,7 +175,7 @@ const (
 // planHetero runs the configured heterogeneous allocator against a ledger
 // without committing. Scoped managers always use the substring DP (the
 // only hetero allocator with a scoped variant; see WithPlanSubtree).
-func (m *Manager) planHetero(led *Ledger, req Heterogeneous, mode planMode) (Placement, []Contribution, error) {
+func (m *Manager) planHetero(led *Ledger, req Heterogeneous, mode planMode) (Placement, error) {
 	if m.scope == nil {
 		switch m.hetero {
 		case HeteroExact:
@@ -200,7 +204,7 @@ func view[T any](m *Manager, fn func(*Ledger) T) T {
 // It plans under the manager lock, like the admission it predicts.
 func (m *Manager) CanAllocateHomog(req Homogeneous) bool {
 	return view(m, func(led *Ledger) bool {
-		_, _, err := m.plans.allocateHomog(led, req, m.policy, m.scope, false)
+		_, err := m.plans.allocateHomog(led, req, m.policy, m.scope, false)
 		return err == nil
 	})
 }
@@ -210,7 +214,7 @@ func (m *Manager) CanAllocateHomog(req Homogeneous) bool {
 // lock, like the admission it predicts.
 func (m *Manager) CanAllocateHetero(req Heterogeneous) bool {
 	return view(m, func(led *Ledger) bool {
-		_, _, err := m.planHetero(led, req, planDry)
+		_, err := m.planHetero(led, req, planDry)
 		return err == nil
 	})
 }
@@ -297,16 +301,17 @@ func (m *Manager) Headroom(req Homogeneous, limit int) (int, error) {
 	t := homogTablePool.Get().(*homogTable)
 	defer homogTablePool.Put(t)
 	t.reset(scratch.Topology(), m.scope, req, m.policy)
+	var d deriver
 	count := 0
 	for count < limit {
-		p, contribs, _, err := t.plan(scratch, m.scope)
+		p, _, err := t.plan(scratch, m.scope)
 		if err != nil {
 			if errors.Is(err, ErrNoCapacity) {
 				break
 			}
 			return count, err
 		}
-		commit(scratch, &p, contribs)
+		commit(scratch, &p, d.contribs(scratch.Topology(), &req, nil, &p))
 		count++
 	}
 	return count, nil

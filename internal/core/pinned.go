@@ -31,9 +31,9 @@ import (
 // objective limits (but does not bound) the resulting occupancy — the
 // graceful-degradation path, which the manager reports as a weakened
 // effective eps rather than silently violating the guarantee.
-func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinned map[topology.NodeID]int, relax bool, scope *planScope) (Placement, []Contribution, error) {
+func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinned map[topology.NodeID]int, relax bool, scope *planScope) (Placement, error) {
 	if err := req.Validate(); err != nil {
-		return Placement{}, nil, err
+		return Placement{}, err
 	}
 	topo := led.Topology()
 	t := homogTablePool.Get().(*homogTable)
@@ -45,19 +45,19 @@ func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinn
 			continue
 		}
 		if count < 0 || int(m) < 0 || int(m) >= topo.Len() || !topo.Node(m).IsMachine() {
-			return Placement{}, nil, fmt.Errorf("%w: pinned %d VMs on node %d", ErrBadRequest, count, m)
+			return Placement{}, fmt.Errorf("%w: pinned %d VMs on node %d", ErrBadRequest, count, m)
 		}
 		if !led.Faults().Alive(m) {
-			return Placement{}, nil, fmt.Errorf("%w: pinned machine %d is not alive", ErrBadRequest, m)
+			return Placement{}, fmt.Errorf("%w: pinned machine %d is not alive", ErrBadRequest, m)
 		}
 		if free := led.FreeSlots(m); count > free {
-			return Placement{}, nil, fmt.Errorf("%w: pinned %d VMs on machine %d with %d free slots", ErrBadRequest, count, m, free)
+			return Placement{}, fmt.Errorf("%w: pinned %d VMs on machine %d with %d free slots", ErrBadRequest, count, m, free)
 		}
 		t.pin(topo, m, count)
 	}
 	if t.pinned > req.N {
-		return Placement{}, nil, fmt.Errorf("%w: %d pinned VMs exceed request size %d", ErrBadRequest, t.pinned, req.N)
+		return Placement{}, fmt.Errorf("%w: %d pinned VMs exceed request size %d", ErrBadRequest, t.pinned, req.N)
 	}
-	p, contribs, _, err := t.plan(led, scope)
-	return p, contribs, err
+	p, _, err := t.plan(led, scope)
+	return p, err
 }

@@ -139,7 +139,8 @@ func TestHomogDifferentialRandomTrees(t *testing.T) {
 				}}
 
 				wantLevel, wantVal, wantFound := bruteForceHomog(led, req)
-				p, contribs, err := AllocateHomog(led, req, MinMaxOccupancy)
+				p, err := AllocateHomog(led, req, MinMaxOccupancy)
+				contribs := contribsOf(led.Topology(), req, &p)
 				if (err == nil) != wantFound {
 					t.Fatalf("trial %d: DP err=%v, brute force found=%v (req %v on %d slots)",
 						trial, err, wantFound, req, tp.TotalSlots())
@@ -212,7 +213,7 @@ func TestPinnedDifferentialRandomTrees(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, _, err := AllocateHomog(led, req, MinMaxOccupancy)
+				p, err := AllocateHomog(led, req, MinMaxOccupancy)
 				if err != nil || len(p.Entries) < 2 {
 					continue // need a spread placement to have survivors
 				}
@@ -233,7 +234,8 @@ func TestPinnedDifferentialRandomTrees(t *testing.T) {
 					for _, relax := range []bool{false, true} {
 						where := fmt.Sprintf("trial %d (relax %v, scoped %v, req %v, pinned %v)", trial, relax, scope != nil, req, pinned)
 						wantLevel, wantVal, wantFound := bruteForcePinned(led, req, pinned, relax, scope)
-						rp, contribs, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, pinned, relax, scope)
+						rp, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, pinned, relax, scope)
+						contribs := contribsOf(led.Topology(), req, &rp)
 						if (err == nil) != wantFound {
 							t.Fatalf("%s: pinned DP err=%v, brute force found=%v", where, err, wantFound)
 						}
@@ -306,8 +308,8 @@ func TestPinnedEmptyMatchesPlainDP(t *testing.T) {
 		}
 		n := r.UniformInt(1, min(8, tp.TotalSlots()))
 		req := Homogeneous{N: n, Demand: stats.Normal{Mu: r.UniformRange(1, 10), Sigma: r.UniformRange(0, 4)}}
-		p1, _, err1 := AllocateHomog(led, req, MinMaxOccupancy)
-		p2, _, err2 := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, nil, false, nil)
+		p1, err1 := AllocateHomog(led, req, MinMaxOccupancy)
+		p2, err2 := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, nil, false, nil)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: feasibility differs: %v vs %v", trial, err1, err2)
 		}
@@ -343,7 +345,7 @@ func TestPinnedRejectsBadPins(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(led)
 			}
-			if _, _, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, tc.pinned, false, nil); err == nil {
+			if _, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, tc.pinned, false, nil); err == nil {
 				t.Fatal("expected an error")
 			}
 		})
@@ -364,7 +366,7 @@ func TestRepairPlanAllocBudget(t *testing.T) {
 	led, req, pinned := paperRepair(t)
 	for _, relax := range []bool{false, true} {
 		plan := func() {
-			if _, _, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, pinned, relax, nil); err != nil {
+			if _, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, pinned, relax, nil); err != nil {
 				t.Fatalf("relax %v: %v", relax, err)
 			}
 		}
@@ -402,7 +404,7 @@ func BenchmarkRepairPlan(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, pinned, bc.relax, nil); err != nil {
+				if _, err := allocateHomogPinnedScoped(led, req, MinMaxOccupancy, pinned, bc.relax, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -417,7 +419,7 @@ func paperRepair(tb testing.TB) (*Ledger, Homogeneous, map[topology.NodeID]int) 
 	tb.Helper()
 	led := paperManager(tb).Ledger().Clone()
 	req := Homogeneous{N: 49, Demand: stats.Normal{Mu: 300, Sigma: 150}}
-	p, _, err := AllocateHomog(led, req, MinMaxOccupancy)
+	p, err := AllocateHomog(led, req, MinMaxOccupancy)
 	if err != nil || len(p.Entries) < 2 {
 		tb.Fatalf("no spread placement to repair: %v (err %v)", &p, err)
 	}

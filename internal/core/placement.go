@@ -99,29 +99,18 @@ func (p *Placement) normalize() {
 	p.Entries = entries
 }
 
-// Contribution is one request's crossing-demand contribution to one link,
-// exactly as committed to the ledger. The planners build it, the Mutation
-// carries it, the job keeps it — so that Release can undo exactly what
-// Allocate added — and the state exports it: journaling the committed
-// values (rather than recomputing them on replay) is what makes recovery
-// bit-identical.
+// Contribution is one job's crossing-demand charge on one link, exactly
+// as committed to the ledger. It is derived, never stored (deriver), and
+// the job keeps its list so that Release undoes exactly what Allocate
+// added.
 type Contribution struct {
-	Link  topology.LinkID `json:"link"`
-	Mu    float64         `json:"mu,omitempty"`
-	Sigma float64         `json:"sigma,omitempty"`
-	Det   bool            `json:"det,omitempty"`
+	Link  topology.LinkID
+	Mu    float64
+	Sigma float64
+	Det   bool
 }
 
 func (c Contribution) demand() stats.Normal { return stats.Normal{Mu: c.Mu, Sigma: c.Sigma} }
-
-// cloneContribs gives a job, or an exported state, its own copy of a
-// contribution list — nil for an empty one, which keeps exports canonical:
-// a zero-contribution job (one placed entirely inside a single machine)
-// compares equal before and after a JSON round trip, where omitempty drops
-// the field.
-func cloneContribs(cs []Contribution) []Contribution {
-	return append([]Contribution(nil), cs...)
-}
 
 // commit applies the contributions and slot usage of a placement to the
 // ledger. Det selects deterministic (D_L) versus stochastic bookkeeping.
@@ -152,93 +141,132 @@ func rollback(led *Ledger, p *Placement, contribs []Contribution) {
 	}
 }
 
-// vmsInsideLink returns, for every link, how many of the placement's VMs
-// lie in the subtree below it. Links not on any used machine's root path
-// are absent from the map (zero VMs inside).
-func vmsInsideLink(topo *topology.Topology, p *Placement) map[topology.LinkID]int {
-	inside := make(map[topology.LinkID]int)
-	for _, e := range p.Entries {
-		// The uplinks from the machine to the root, walked in place:
-		// PathToRoot would allocate the path for every entry.
-		for link := e.Machine; topo.Node(link).Parent != topology.None; link = topo.Node(link).Parent {
-			inside[link] += e.Count
-		}
-	}
-	return inside
+// deriver is the one derivation of contributions, (topology, request,
+// placement) -> Lemma 1's crossing demand per split link, for live
+// commits, replay and restore alike: no log or snapshot carries them, so
+// crossing's arithmetic is part of what a log means. It walks uplinks into
+// per-node counts and a touched list (no map, no sort; links in walk
+// order). A homogeneous job reads crossing[m] from a memo keyed by
+// homogKey sans policy, filled at the splits placements cross and reset
+// past 64 shapes; a heterogeneous one sums each link's inside group in
+// placement order. A manager keeps one, guarded by its mu.
+type deriver struct {
+	inside  []int     // per node: the walked VMs below its uplink; 0 between walks
+	mu, vr  []float64 // per node: their summed means and variances (heterogeneous)
+	touched []topology.LinkID
+	memo    map[homogKey][]stats.Normal // entry m is zero until computed
 }
 
-// homogContributions computes the per-link crossing-demand contributions of
-// a homogeneous placement (zero-demand links omitted).
-func homogContributions(topo *topology.Topology, req Homogeneous, p *Placement) []Contribution {
-	var contribs []Contribution
-	det := req.Deterministic()
-	for link, m := range vmsInsideLink(topo, p) {
-		d := CrossingHomog(req.Demand, m, req.N)
-		if isZero(d) {
+// contribs derives the contributions of a job placed at p; exactly one of
+// homog and hetero is set, and p places it (placesRequest).
+func (d *deriver) contribs(topo *topology.Topology, homog *Homogeneous, hetero *Heterogeneous, p *Placement) []Contribution {
+	d.walk(topo, p, hetero)
+	var (
+		key             homogKey
+		cross           []stats.Normal
+		totalMu, totalV float64
+		out             []Contribution
+	)
+	if homog != nil {
+		key = homogKey{demand: canonDemand(homog.Demand), n: homog.N}
+		if cross = d.memo[key]; cross == nil {
+			if len(d.memo) >= 64 || d.memo == nil {
+				d.memo = make(map[homogKey][]stats.Normal)
+			}
+			cross = make([]stats.Normal, key.n+1)
+			d.memo[key] = cross
+		}
+	} else {
+		key.n = len(hetero.Demands)
+		for _, dm := range hetero.Demands {
+			totalMu += dm.Mu
+			totalV += dm.Var()
+		}
+	}
+	for _, l := range d.touched {
+		n, mu, vr := d.inside[l], d.mu[l], d.vr[l]
+		d.inside[l], d.mu[l], d.vr[l] = 0, 0, 0
+		// Count the split exactly: a link with every VM below it carries
+		// no crossing traffic, where the float sums (totalMu - mu) would
+		// leave a summation-order residue the min would charge.
+		if n >= key.n {
 			continue
 		}
-		contribs = append(contribs, Contribution{Link: link, Mu: d.Mu, Sigma: d.Sigma, Det: det})
+		var c stats.Normal
+		if cross != nil {
+			if isZero(cross[n]) {
+				cross[n] = CrossingHomog(key.demand, n, key.n)
+			}
+			c = cross[n]
+		} else {
+			c = CrossingSets(stats.Normal{Mu: mu, Sigma: sqrtNonNeg(vr)},
+				stats.Normal{Mu: totalMu - mu, Sigma: sqrtNonNeg(totalV - vr)})
+		}
+		if isZero(c) {
+			continue
+		}
+		if out == nil {
+			out = make([]Contribution, 0, len(d.touched))
+		}
+		out = append(out, Contribution{Link: l, Mu: c.Mu, Sigma: c.Sigma, Det: homog != nil && key.demand.Sigma == 0})
 	}
-	sortContribs(contribs)
-	return contribs
+	d.touched = d.touched[:0]
+	return out
 }
 
-// sortContribs orders contributions by link ID (each link appears at most
-// once per job). The maps the builders aggregate over iterate in random
-// order; sorting makes the committed mutation — and therefore the journal
-// bytes and every exported state — deterministic for a given placement.
-func sortContribs(cs []Contribution) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Link < cs[j].Link })
-}
-
-// heteroContributions computes the per-link crossing-demand contributions
-// of a heterogeneous placement.
-func heteroContributions(topo *topology.Topology, req Heterogeneous, p *Placement) []Contribution {
-	// Aggregate the inside-group demand per link.
-	type agg struct {
-		mu, vr float64
-		n      int
-	}
-	inside := make(map[topology.LinkID]agg)
-	var totalMu, totalVar float64
-	for _, d := range req.Demands {
-		totalMu += d.Mu
-		totalVar += d.Var()
+// walk adds each entry's VMs — and, with hetero, their summed demands —
+// to every uplink from its machine to the root, and lists each link the
+// first time it is reached. The caller reads d.inside (d.mu, d.vr) at the
+// touched links, zeroes them and empties d.touched.
+func (d *deriver) walk(topo *topology.Topology, p *Placement, hetero *Heterogeneous) {
+	if len(d.inside) < topo.Len() {
+		d.inside = make([]int, topo.Len())
+		d.mu, d.vr = make([]float64, topo.Len()), make([]float64, topo.Len())
 	}
 	for _, e := range p.Entries {
 		var mu, vr float64
+		if hetero != nil {
+			for _, vm := range e.VMs {
+				mu += hetero.Demands[vm].Mu
+				vr += hetero.Demands[vm].Var()
+			}
+		}
+		for l := e.Machine; topo.Node(l).Parent != topology.None; l = topo.Node(l).Parent {
+			if d.inside[l] == 0 {
+				d.touched = append(d.touched, l)
+			}
+			d.inside[l] += e.Count
+			d.mu[l] += mu
+			d.vr[l] += vr
+		}
+	}
+}
+
+// placesRequest checks that p places its request's N VMs, a heterogeneous
+// one's as the derivation reads them: each index once, as many per entry as its count.
+func placesRequest(p *Placement, homog *Homogeneous, hetero *Heterogeneous) error {
+	if homog != nil {
+		if got := p.TotalVMs(); got != homog.N {
+			return fmt.Errorf("core: placement has %d VMs, want %d", got, homog.N)
+		}
+		return nil
+	}
+	seen := make([]bool, hetero.N())
+	for _, e := range p.Entries {
+		if len(e.VMs) != e.Count {
+			return fmt.Errorf("core: machine %d lists %d VMs for count %d", e.Machine, len(e.VMs), e.Count)
+		}
 		for _, vm := range e.VMs {
-			mu += req.Demands[vm].Mu
-			vr += req.Demands[vm].Var()
-		}
-		for link := e.Machine; topo.Node(link).Parent != topology.None; link = topo.Node(link).Parent {
-			a := inside[link]
-			a.mu += mu
-			a.vr += vr
-			a.n += e.Count
-			inside[link] = a
+			if vm < 0 || vm >= len(seen) || seen[vm] {
+				return fmt.Errorf("core: machine %d lists VM %d twice or out of [0, %d)", e.Machine, vm, len(seen))
+			}
+			seen[vm] = true
 		}
 	}
-	var contribs []Contribution
-	for link, a := range inside {
-		// Count the split exactly, like CrossingHomog does: a link with
-		// every VM of the group below it carries no crossing traffic.
-		// Deciding this from the float sums instead (totalMu - a.mu)
-		// leaves a summation-order residue, and the min against that
-		// near-degenerate "outside" would charge the link a residue too.
-		if a.n >= len(req.Demands) {
-			continue
-		}
-		in := stats.Normal{Mu: a.mu, Sigma: sqrtNonNeg(a.vr)}
-		out := stats.Normal{Mu: totalMu - a.mu, Sigma: sqrtNonNeg(totalVar - a.vr)}
-		d := CrossingSets(in, out)
-		if isZero(d) {
-			continue
-		}
-		contribs = append(contribs, Contribution{Link: link, Mu: d.Mu, Sigma: d.Sigma})
+	if slices.Contains(seen, false) {
+		return fmt.Errorf("core: placement has fewer VMs than the request's %d", len(seen))
 	}
-	sortContribs(contribs)
-	return contribs
+	return nil
 }
 
 // ValidatePlacement independently re-checks a placement against the ledger

@@ -48,8 +48,14 @@ var placementGoldenFile = filepath.Join("testdata", "placement_golden.json")
 //
 // The cold hashes in testdata were generated at commit 0ed0684, before the
 // homogeneous combine was reordered and trimmed to its live cells; the
-// warm ones at b0e942d, before settle became demand-driven. Any change to
-// them is a change to placements, not a refactor.
+// warm ones at b0e942d, before settle became demand-driven. All were
+// re-pinned once, when exported jobs stopped carrying contributions: at
+// 646ec90, with every job's Contribs set to nil, ExportState hashes to
+// exactly these. Any other change to them is a change to placements, not
+// a refactor. Since a job's Links are the sums of its derived
+// contributions, the hashes pin crossing's arithmetic too; and every
+// admission and the final state check the derivation against the
+// reference builders (contrib_test.go) bit for bit.
 func TestPlacementGolden(t *testing.T) {
 	want := map[string]string{}
 	if !*updatePlacementGolden {
@@ -184,6 +190,7 @@ func placementStreamHash(t *testing.T, topo *topology.Topology, s stream) string
 			t.Fatal(err)
 		default:
 			live = append(live, a.ID)
+			checkJobDerivation(t, topo, m.jobs[a.ID])
 		}
 	}
 	total := topo.TotalSlots()
@@ -210,6 +217,9 @@ func placementStreamHash(t *testing.T, topo *topology.Topology, s stream) string
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, a := range m.jobs {
+		checkJobDerivation(t, topo, a)
+	}
 	adm := m.AdmissionStats()
 	t.Logf("seed %d: %d live jobs, %d rejected, %d repairs, %d free slots of %d, %d of %d plans cache hits",
 		s.seed, m.Running(), rejected, len(repairs), m.FreeSlots(), total, adm.PlanCacheHits, adm.PlanCacheHits+adm.PlanCacheMisses)
@@ -219,4 +229,15 @@ func placementStreamHash(t *testing.T, topo *topology.Topology, s stream) string
 	}
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
+}
+
+// checkJobDerivation compares a live job's derived contributions with the
+// reference builder's for its request and placement.
+func checkJobDerivation(t *testing.T, topo *topology.Topology, a *Allocation) {
+	t.Helper()
+	if a.homog != nil {
+		checkDerivation(t, a.homog.String(), a.contribs, homogContributions(topo, *a.homog, &a.Placement))
+	} else {
+		checkDerivation(t, "hetero", a.contribs, heteroContributions(topo, *a.hetero, &a.Placement))
+	}
 }

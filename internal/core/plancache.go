@@ -132,7 +132,7 @@ func (r *keyRing[K]) take(k K) bool {
 // build). homogTable and substrTable implement it.
 type planner interface {
 	settle(led *Ledger, scope *planScope) (topology.NodeID, int, error)
-	plan(led *Ledger, scope *planScope) (Placement, []Contribution, int, error)
+	plan(led *Ledger, scope *planScope) (Placement, int, error)
 }
 
 // planShelf is one DP's share of the cache: the resident keys' tables, the
@@ -190,37 +190,37 @@ func (s *planShelf[K, T]) admit(key K, st *planCacheStats) (t T, hit, keep bool)
 // invalidations (a commit or fault moved the versions); a new table's
 // fill is already counted as a miss.
 func cachedPlan[K comparable, T planner](c *planCache, s *planShelf[K, T], key K, led *Ledger, scope *planScope, place bool,
-	bind func(t T, fresh bool)) (p Placement, contribs []Contribution, err error) {
+	bind func(t T, fresh bool)) (p Placement, err error) {
 	t, hit, keep := s.admit(key, &c.stats)
 	bind(t, !hit)
 	recomputed := 0
 	if place {
-		p, contribs, recomputed, err = t.plan(led, scope)
+		p, recomputed, err = t.plan(led, scope)
 	} else {
 		_, recomputed, err = t.settle(led, scope)
 	}
 	if !keep {
 		s.pool.Put(t)
-		return p, contribs, err
+		return p, err
 	}
 	if hit {
 		c.stats.Invalidations += int64(recomputed)
 	}
 	if invariantsEnabled && c.shouldSample() {
-		fp, _, ferr := coldPlan(s.pool, led, scope, func(t T) { bind(t, true) })
+		fp, ferr := coldPlan(s.pool, led, scope, func(t T) { bind(t, true) })
 		checkCachedPlan(p, err, fp, ferr)
 	}
-	return p, contribs, err
+	return p, err
 }
 
 // coldPlan plans on a pooled table that reset binds to the request: every
 // record it reads is computed from led. It is the cold plan of both DPs.
-func coldPlan[T planner](pool *sync.Pool, led *Ledger, scope *planScope, reset func(T)) (Placement, []Contribution, error) {
+func coldPlan[T planner](pool *sync.Pool, led *Ledger, scope *planScope, reset func(T)) (Placement, error) {
 	t := pool.Get().(T)
 	defer pool.Put(t)
 	reset(t)
-	p, contribs, _, err := t.plan(led, scope)
-	return p, contribs, err
+	p, _, err := t.plan(led, scope)
+	return p, err
 }
 
 // homogKey identifies one homogeneous DP table shape. The demand is
@@ -235,9 +235,9 @@ type homogKey struct {
 // Bit-identical to core's AllocateHomog on the same ledger state. A
 // non-nil scope confines planning to its subtree; entries are per-manager
 // and a manager's scope is immutable, so cached records never mix scopes.
-func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, scope *planScope, place bool) (Placement, []Contribution, error) {
+func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, scope *planScope, place bool) (Placement, error) {
 	if err := req.Validate(); err != nil {
-		return Placement{}, nil, err
+		return Placement{}, err
 	}
 	key := homogKey{demand: canonDemand(req.Demand), n: req.N, policy: policy}
 	return cachedPlan(c, &c.homog, key, led, scope, place, func(t *homogTable, fresh bool) {
@@ -267,9 +267,9 @@ func substrCacheKey(req Heterogeneous, order []int, policy Policy) string {
 // substring DP, keyed by the percentile-sorted canonical demand sequence.
 // Bit-identical to AllocateHeteroSubstring; place as in cachedPlan. A hit
 // rebinds the table to req: a permutation of the same demands shares it.
-func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy, scope *planScope, place bool) (Placement, []Contribution, error) {
+func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, policy Policy, scope *planScope, place bool) (Placement, error) {
 	if err := req.Validate(); err != nil {
-		return Placement{}, nil, err
+		return Placement{}, err
 	}
 	order := orderByPercentile(req)
 	return cachedPlan(c, &c.hetero, substrCacheKey(req, order, policy), led, scope, place, func(t *substrTable, fresh bool) {

@@ -14,21 +14,23 @@ import (
 // reference every cached plan must equal bit for bit. entry names the
 // shape's resident cache entry, nil when it has none.
 type cachedShape struct {
-	cached func(c *planCache, led *Ledger) (Placement, []Contribution, error)
-	fresh  func(led *Ledger) (Placement, []Contribution, error)
+	req    any // the Homogeneous or Heterogeneous request
+	cached func(c *planCache, led *Ledger) (Placement, error)
+	fresh  func(led *Ledger) (Placement, error)
 	entry  func(c *planCache) any
 }
 
 func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 	return cachedShape{
-		cached: func(c *planCache, led *Ledger) (Placement, []Contribution, error) {
+		req: req,
+		cached: func(c *planCache, led *Ledger) (Placement, error) {
 			return c.allocateHomog(led, req, policy, scope, true)
 		},
-		fresh: func(led *Ledger) (Placement, []Contribution, error) {
+		fresh: func(led *Ledger) (Placement, error) {
 			t := new(homogTable)
 			t.reset(led.Topology(), scope, req, policy)
-			p, contribs, _, err := t.plan(led, scope)
-			return p, contribs, err
+			p, _, err := t.plan(led, scope)
+			return p, err
 		},
 		entry: func(c *planCache) any {
 			if t, ok := c.homog.entries[homogKey{demand: canonDemand(req.Demand), n: req.N, policy: policy}]; ok {
@@ -41,14 +43,15 @@ func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 
 func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape {
 	return cachedShape{
-		cached: func(c *planCache, led *Ledger) (Placement, []Contribution, error) {
+		req: req,
+		cached: func(c *planCache, led *Ledger) (Placement, error) {
 			return c.allocateHeteroSubstring(led, req, policy, scope, true)
 		},
-		fresh: func(led *Ledger) (Placement, []Contribution, error) {
+		fresh: func(led *Ledger) (Placement, error) {
 			t := new(substrTable)
 			t.reset(led.Topology(), scope, req, orderByPercentile(req), policy)
-			p, contribs, _, err := t.plan(led, scope)
-			return p, contribs, err
+			p, _, err := t.plan(led, scope)
+			return p, err
 		},
 		entry: func(c *planCache) any {
 			if t, ok := c.hetero.entries[substrCacheKey(req, orderByPercentile(req), policy)]; ok {
@@ -60,24 +63,19 @@ func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape
 }
 
 // planBoth plans the shape through the cache and on a fresh table and
-// fails unless the two agree: same feasibility, same placement entries,
-// same link contributions.
+// fails unless the two agree: same feasibility, same placement entries.
+// It returns the plan with the contributions a commit of it charges.
 func planBoth(t *testing.T, where string, c *planCache, led *Ledger, s cachedShape) (Placement, []Contribution, error) {
 	t.Helper()
-	p, contribs, err := s.cached(c, led)
-	fp, fcontribs, ferr := s.fresh(led)
+	p, err := s.cached(c, led)
+	fp, ferr := s.fresh(led)
 	if (err == nil) != (ferr == nil) {
 		t.Fatalf("%s: cached err = %v, fresh-table err = %v", where, err, ferr)
 	}
-	if err == nil {
-		if !reflect.DeepEqual(p.Entries, fp.Entries) {
-			t.Fatalf("%s: cached placement %v != fresh-table %v", where, &p, &fp)
-		}
-		if !reflect.DeepEqual(contribs, fcontribs) {
-			t.Fatalf("%s: cached contribs differ from the fresh table's", where)
-		}
+	if err == nil && !reflect.DeepEqual(p.Entries, fp.Entries) {
+		t.Fatalf("%s: cached placement %v != fresh-table %v", where, &p, &fp)
 	}
-	return p, contribs, err
+	return p, contribsOf(led.Topology(), s.req, &p), err
 }
 
 // partialHits counts the cached hits that land above the machine level on
@@ -439,22 +437,22 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		// on a fresh table; the plain plan that follows on the same table
 		// must then see neither the poison nor the repair's inputs.
 		machines := scopeAtLevel(tp, scope, 0)
-		repairPlan := func(t *homogTable) (Placement, []Contribution, error) {
+		repairPlan := func(t *homogTable) (Placement, error) {
 			t.reset(tp, scope, req, policy)
 			t.relax = true
 			t.pin(tp, machines[len(machines)-1], 1)
-			p, contribs, _, err := t.plan(led, scope)
-			return p, contribs, err
+			p, _, err := t.plan(led, scope)
+			return p, err
 		}
-		p, contribs, err := repairPlan(ht)
-		fp, fcontribs, ferr := repairPlan(new(homogTable))
-		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
+		p, err := repairPlan(ht)
+		fp, ferr := repairPlan(new(homogTable))
+		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) {
 			t.Fatalf("trial %d: pinned plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
 		}
 		ht.reset(tp, scope, req, policy)
-		p, contribs, _, err = ht.plan(led, scope)
-		fp, fcontribs, ferr = homogShape(req, policy, scope).fresh(led)
-		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
+		p, _, err = ht.plan(led, scope)
+		fp, ferr = homogShape(req, policy, scope).fresh(led)
+		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) {
 			t.Fatalf("trial %d: homog plan on poisoned slabs after a pinned one: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
 		}
 
@@ -467,9 +465,9 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 			st.crossing[i] = stats.Normal{Mu: math.NaN(), Sigma: math.NaN()}
 		}
 		st.reset(tp, scope, hreq, orderByPercentile(hreq), policy)
-		p, contribs, _, err = st.plan(led, scope)
-		fp, fcontribs, ferr = heteroShape(hreq, policy, scope).fresh(led)
-		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) || !reflect.DeepEqual(contribs, fcontribs) {
+		p, _, err = st.plan(led, scope)
+		fp, ferr = heteroShape(hreq, policy, scope).fresh(led)
+		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) {
 			t.Fatalf("trial %d: hetero plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
 		}
 	}
@@ -488,21 +486,22 @@ func TestPlanCacheCounters(t *testing.T) {
 	c := newPlanCache()
 	req := Homogeneous{N: 2, Demand: stats.Normal{Mu: 5, Sigma: 2}}
 
-	p1, contribs, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true)
+	p1, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true)
+	contribs := contribsOf(led.Topology(), req, &p1)
 	if err != nil {
 		t.Fatalf("first plan: %v", err)
 	}
 	if st := c.stats; st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("after first plan: %+v, want 1 miss 0 hits", st)
 	}
-	if _, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true); err != nil {
+	if _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true); err != nil {
 		t.Fatalf("second plan: %v", err)
 	}
 	if st := c.stats; st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("after second plan: %+v, want 2 misses 0 hits", st)
 	}
 
-	p2, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true)
+	p2, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true)
 	if err != nil {
 		t.Fatalf("replan: %v", err)
 	}
@@ -514,7 +513,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 
 	commit(led, &p1, contribs)
-	if _, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true); err != nil {
+	if _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true); err != nil {
 		t.Fatalf("post-commit plan: %v", err)
 	}
 	st := c.stats
@@ -532,7 +531,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	for i := 0; i < maxHomogPlanEntries; i++ {
 		r := Homogeneous{N: 1, Demand: stats.Normal{Mu: 1 + float64(i), Sigma: 1}}
 		for sight := 0; sight < 2; sight++ {
-			if _, _, err := c.allocateHomog(led, r, MinMaxOccupancy, nil, true); err != nil {
+			if _, err := c.allocateHomog(led, r, MinMaxOccupancy, nil, true); err != nil {
 				t.Fatalf("fill plan %d: %v", i, err)
 			}
 		}
@@ -544,7 +543,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	for i := 0; i <= maxHeteroPlanEntries; i++ {
 		r := Heterogeneous{Demands: []stats.Normal{{Mu: 1 + float64(i), Sigma: 1}}}
 		for sight := 0; sight < 2; sight++ {
-			if _, _, err := c.allocateHeteroSubstring(led, r, MinMaxOccupancy, nil, true); err != nil {
+			if _, err := c.allocateHeteroSubstring(led, r, MinMaxOccupancy, nil, true); err != nil {
 				t.Fatalf("hetero fill plan %d: %v", i, err)
 			}
 		}
@@ -580,7 +579,7 @@ func TestPlanReadsOnlyWhatItSelects(t *testing.T) {
 	plan := func(req Homogeneous) (Placement, int64) {
 		t.Helper()
 		before := c.stats.Invalidations
-		p, _, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true)
+		p, err := c.allocateHomog(led, req, MinMaxOccupancy, nil, true)
 		if err != nil {
 			t.Fatalf("N = %d: %v", req.N, err)
 		}
@@ -613,7 +612,8 @@ func TestPlanReadsOnlyWhatItSelects(t *testing.T) {
 				continue
 			}
 			req := Homogeneous{N: r.UniformInt(1, 12), Demand: stats.Normal{Mu: r.UniformRange(50, 300), Sigma: r.UniformRange(0, 100)}}
-			p, contribs, err := AllocateHomog(led, req, MinMaxOccupancy)
+			p, err := AllocateHomog(led, req, MinMaxOccupancy)
+			contribs := contribsOf(led.Topology(), req, &p)
 			if err != nil {
 				t.Fatal(err)
 			}

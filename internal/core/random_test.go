@@ -68,7 +68,8 @@ func TestHomogRandomTopologies(t *testing.T) {
 		if trial%2 == 1 {
 			policy = FirstFeasible
 		}
-		p, contribs, err := AllocateHomog(led, req, policy)
+		p, err := AllocateHomog(led, req, policy)
+		contribs := contribsOf(led.Topology(), req, &p)
 		if err != nil {
 			continue
 		}
@@ -115,9 +116,11 @@ func TestHeteroRandomTopologies(t *testing.T) {
 			contribs []Contribution
 		)
 		if trial%2 == 0 {
-			p, contribs, err = AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+			p, err = AllocateHeteroSubstring(led, req, MinMaxOccupancy)
+			contribs = contribsOf(led.Topology(), req, &p)
 		} else {
-			p, contribs, err = AllocateFirstFit(led, req)
+			p, err = AllocateFirstFit(led, req)
+			contribs = contribsOf(led.Topology(), req, &p)
 		}
 		if err != nil {
 			continue
@@ -165,8 +168,8 @@ func TestHomogDeterministicPlacements(t *testing.T) {
 		}
 		n := r.UniformInt(1, min(8, tp.TotalSlots()))
 		req := Homogeneous{N: n, Demand: stats.Normal{Mu: 5, Sigma: 2}}
-		p1, _, err1 := AllocateHomog(led, req, MinMaxOccupancy)
-		p2, _, err2 := AllocateHomog(led, req, MinMaxOccupancy)
+		p1, err1 := AllocateHomog(led, req, MinMaxOccupancy)
+		p2, err2 := AllocateHomog(led, req, MinMaxOccupancy)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: inconsistent feasibility", trial)
 		}

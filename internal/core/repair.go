@@ -65,10 +65,7 @@ type RepairResult struct {
 	// repair: the manager's eps for Noop/Moved, the weakened per-job
 	// bound for Degraded, and 1 for Failed (the job is gone).
 	EffectiveEps float64
-	// Contribs are what a Moved or Degraded placement charges per link:
-	// with Outcome, Placement and EffectiveEps, the journaled record.
-	Contribs []Contribution
-	Elapsed  time.Duration
+	Elapsed      time.Duration
 }
 
 // FailureStats is a point-in-time snapshot of the manager's fault and
@@ -297,8 +294,7 @@ func (m *Manager) repairLocked(a *Allocation) (RepairResult, func() error, error
 	if err != nil {
 		return RepairResult{}, nil, err
 	}
-	res := RepairResult{Job: a.ID, Outcome: mut.Outcome, MovedVMs: displaced,
-		EffectiveEps: mut.EffectiveEps, Contribs: cloneContribs(mut.Contribs)}
+	res := RepairResult{Job: a.ID, Outcome: mut.Outcome, MovedVMs: displaced, EffectiveEps: mut.EffectiveEps}
 	switch {
 	case mut.Outcome == RepairNoop:
 		res.Placement = a.Placement.Clone()
@@ -338,18 +334,17 @@ func (m *Manager) planRepairLocked(a *Allocation) (Mutation, int) {
 				pinned[e.Machine] = e.Count
 			}
 		}
-		if p, contribs, err := allocateHomogPinnedScoped(scratch, *a.homog, m.policy, pinned, false, m.scope); err == nil {
-			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairMoved,
-				Placement: &p, Contribs: contribs, EffectiveEps: m.led.Epsilon()}
-		} else if p, contribs, err := allocateHomogPinnedScoped(scratch, *a.homog, m.policy, pinned, true, m.scope); err == nil {
+		if p, err := allocateHomogPinnedScoped(scratch, *a.homog, m.policy, pinned, false, m.scope); err == nil {
+			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairMoved, Placement: &p, EffectiveEps: m.led.Epsilon()}
+		} else if p, err := allocateHomogPinnedScoped(scratch, *a.homog, m.policy, pinned, true, m.scope); err == nil {
+			contribs := m.derive.contribs(scratch.Topology(), a.homog, nil, &p)
 			commit(scratch, &p, contribs)
 			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairDegraded,
-				Placement: &p, Contribs: contribs, EffectiveEps: effectiveEps(scratch, contribs)}
+				Placement: &p, EffectiveEps: effectiveEps(scratch, contribs)}
 		}
 	} else if a.hetero != nil {
-		if p, contribs, err := m.planHetero(scratch, *a.hetero, planScratch); err == nil {
-			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairMoved,
-				Placement: &p, Contribs: contribs, EffectiveEps: m.led.Epsilon()}
+		if p, err := m.planHetero(scratch, *a.hetero, planScratch); err == nil {
+			mut = Mutation{Op: OpRepair, Job: a.ID, Outcome: RepairMoved, Placement: &p, EffectiveEps: m.led.Epsilon()}
 		}
 	}
 	if mut.Op == 0 {

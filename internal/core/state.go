@@ -12,8 +12,9 @@ import (
 
 // ManagerState is a complete, serializable snapshot of a Manager's
 // mutable state: the ledger's per-link reservations and slot usage, the
-// admitted jobs with their exact committed contributions, the fault
-// overlay, the fault/repair counters, and the idempotency table.
+// admitted jobs with their requests and placements (their contributions
+// are derived, never carried), the fault overlay, the fault/repair
+// counters, and the idempotency table.
 //
 // A state restored with NewManagerFromState reproduces the ledger
 // bit-identically whichever way it travelled: the journal's snapshots
@@ -24,8 +25,8 @@ import (
 // telemetry is deliberately not part of the state — it is timing, not
 // state, and resets on restart.
 //
-// Placement entries, contributions, per-VM demands, bindings and counters
-// are the types the manager itself keeps them in: export and import clone
+// Placement entries, per-VM demands, bindings and counters are the types
+// the manager itself keeps them in: export and import clone
 // (the state is a deep snapshot) and never convert.
 type ManagerState struct {
 	NextID       int64        `json:"next_id"`
@@ -48,16 +49,15 @@ type LinkRecord struct {
 	Stochastic int     `json:"stochastic,omitempty"`
 }
 
-// JobState is one admitted job: its request, committed placement, the
-// exact per-link contributions, and the weakened risk factor if a
-// degraded repair applies — an Allocation flattened for the wire (ID is
-// the int64 external readers index by, the request a spec).
+// JobState is one admitted job: its request, committed placement and the
+// weakened risk factor if a degraded repair applies — an Allocation
+// flattened for the wire (ID is the int64 external readers index by, the
+// request a spec). Its contributions are derived from the first two.
 type JobState struct {
 	ID          int64            `json:"id"`
 	Homog       *HomogSpec       `json:"homog,omitempty"`
 	Hetero      []stats.Normal   `json:"hetero,omitempty"`
 	Placement   []PlacementEntry `json:"placement"`
-	Contribs    []Contribution   `json:"contribs,omitempty"`
 	DegradedEps *float64         `json:"degraded_eps,omitempty"`
 }
 
@@ -217,7 +217,6 @@ func (a JobState) equal(b JobState) bool {
 		samePtr(a.Homog, b.Homog, HomogSpec.equal) &&
 		slices.EqualFunc(a.Hetero, b.Hetero, sameNormal) &&
 		slices.EqualFunc(a.Placement, b.Placement, PlacementEntry.equal) &&
-		slices.EqualFunc(a.Contribs, b.Contribs, Contribution.equal) &&
 		samePtr(a.DegradedEps, b.DegradedEps, sameBits)
 }
 
@@ -227,10 +226,6 @@ func (a HomogSpec) equal(b HomogSpec) bool {
 
 func sameNormal(a, b stats.Normal) bool {
 	return sameBits(a.Mu, b.Mu) && sameBits(a.Sigma, b.Sigma)
-}
-
-func (a Contribution) equal(b Contribution) bool {
-	return a.Link == b.Link && a.Det == b.Det && sameBits(a.Mu, b.Mu) && sameBits(a.Sigma, b.Sigma)
 }
 
 func (a PlacementEntry) equal(b PlacementEntry) bool {
@@ -243,8 +238,8 @@ func (a IdemState) equal(b IdemState) bool {
 
 // ExportState returns a deep snapshot of the manager's full mutable
 // state, suitable for journal checkpoints and for differential
-// comparison in tests. Jobs are sorted by ID and contributions by link,
-// so two managers that executed the same operations export equal states.
+// comparison in tests. Jobs are sorted by ID, so two managers that
+// executed the same operations export equal states.
 func (m *Manager) ExportState() *ManagerState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -270,12 +265,7 @@ func (m *Manager) exportStateLocked() *ManagerState {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		a := m.jobs[id]
-		js := JobState{
-			ID:        int64(id),
-			Placement: a.Placement.Clone().Entries,
-			Contribs:  cloneContribs(a.contribs),
-		}
-		sortContribs(js.Contribs)
+		js := JobState{ID: int64(id), Placement: a.Placement.Clone().Entries}
 		if a.homog != nil {
 			h := HomogSpecOf(*a.homog)
 			js.Homog = &h
@@ -317,9 +307,10 @@ func (m *Manager) exportStateLocked() *ManagerState {
 
 // NewManagerFromState rebuilds a manager over the topology from a
 // state snapshot, restoring the ledger's reservation bookkeeping
-// bit-identically. The snapshot is validated structurally (index ranges,
-// slot bounds, job/slot consistency) so a corrupt snapshot yields an
-// error rather than a manager that panics later.
+// bit-identically and deriving each job's contributions. The snapshot is
+// validated structurally (index ranges, slot bounds, job/slot
+// consistency) so a corrupt snapshot yields an error rather than a
+// manager that panics later.
 func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState, opts ...ManagerOption) (*Manager, error) {
 	m, err := NewManager(topo, eps, opts...)
 	if err != nil {
@@ -376,7 +367,7 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 		if _, ok := m.jobs[id]; ok {
 			return nil, fmt.Errorf("core: duplicate job id %d", js.ID)
 		}
-		a := &Allocation{ID: id, Placement: (&Placement{Entries: js.Placement}).Clone(), contribs: cloneContribs(js.Contribs)}
+		a := &Allocation{ID: id, Placement: (&Placement{Entries: js.Placement}).Clone()}
 		switch {
 		case js.Homog != nil && js.Hetero == nil:
 			req, err := js.Homog.Request()
@@ -399,11 +390,10 @@ func NewManagerFromState(topo *topology.Topology, eps float64, st *ManagerState,
 			}
 			perMachine[e.Machine] += e.Count
 		}
-		for _, c := range a.contribs {
-			if c.Link < 0 || int(c.Link) >= topo.Len() {
-				return nil, fmt.Errorf("core: job %d contribution on invalid link %d", js.ID, c.Link)
-			}
+		if err := placesRequest(&a.Placement, a.homog, a.hetero); err != nil {
+			return nil, fmt.Errorf("core: job %d: %w", js.ID, err)
 		}
+		a.contribs = m.derive.contribs(topo, a.homog, a.hetero, &a.Placement)
 		if js.DegradedEps != nil {
 			m.degraded[id] = *js.DegradedEps
 		}

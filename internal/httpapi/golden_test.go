@@ -125,7 +125,9 @@ func goldenHistory(t *testing.T) (*core.Manager, *httptest.Server) {
 // in internal twins of the exported types and copied between them field by
 // field; svcbench's goldens, `svcwal state`, a standby's promotion check
 // and operators' scripts read these bytes, so they must not be regenerated
-// to follow a change in the code.
+// to follow a change in the code. state.json was re-pinned once, when
+// exported jobs stopped carrying their derived contributions: at 646ec90,
+// with every job's Contribs nil, the body is exactly these bytes.
 func TestStateAndFailuresBodiesGolden(t *testing.T) {
 	_, ts := goldenHistory(t)
 	for _, name := range []string{"state", "failures"} {
@@ -155,19 +157,15 @@ func TestStateAndFailuresBodiesGolden(t *testing.T) {
 	}
 }
 
-// TestStateJSONRoundTrip: the state of goldenHistory — which holds a job
-// with no contributions, a degraded job, alloc and release bindings and
-// non-zero counters — survives ExportState -> JSON -> NewManagerFromState
+// TestStateJSONRoundTrip: the state of goldenHistory — which holds a
+// degraded job, alloc and release bindings and non-zero counters —
+// survives ExportState -> JSON -> NewManagerFromState
 // -> ExportState unchanged, to ManagerState.Equal and to reflect.DeepEqual
 // (so nil-for-empty is kept on both sides of the trip).
 func TestStateJSONRoundTrip(t *testing.T) {
 	mgr, _ := goldenHistory(t)
 	want := mgr.ExportState()
-	noContribs := false
-	for _, js := range want.Jobs {
-		noContribs = noContribs || js.Contribs == nil
-	}
-	if !noContribs || len(want.Idem) < 3 || want.Counters == (core.CounterState{}) {
+	if len(want.Idem) < 3 || want.Counters == (core.CounterState{}) {
 		t.Fatalf("the history lost what this test is about: %+v", want)
 	}
 	body, err := json.Marshal(want)

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,11 +20,16 @@ import (
 
 // TestWALTailWireGolden pins the body of GET /v1/wal, byte for byte: a
 // reset chunk without a snapshot, a continuation chunk, and a reset chunk
-// with one. The files in testdata/waltail were written by commit 294cd30,
-// when the handler still copied wal.TailChunk into a struct of its own,
-// and must not be regenerated from this code: a standby one version
-// behind or ahead reads these bytes. The same three chunks fetched through
-// Client.WALTail must come back as the journal's own Tail returns them.
+// with one. The files in testdata/waltail/stored-contribs were written by
+// commit 294cd30, when the handler still copied wal.TailChunk into a
+// struct of its own and records and snapshots still stored contributions,
+// and must not be regenerated: a standby one version ahead reads these
+// bytes, and a mirror fed the two reset chunks must reach the state this
+// code's own history has at that point. The files in testdata/waltail are
+// the same history as this writer ships it, re-pinned when it stopped
+// storing contributions; only the log and snapshot bytes and the offsets
+// moved. The same three chunks fetched through Client.WALTail must come
+// back as the journal's own Tail returns them.
 func TestWALTailWireGolden(t *testing.T) {
 	ctx := context.Background()
 	mgr, j, err := wal.Recover(t.TempDir(), failoverTopo(t), 0.05, nil, wal.WithNoSync())
@@ -44,6 +50,26 @@ func TestWALTailWireGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		return a.ID
+	}
+	mirrored := func(name string) {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("testdata", "waltail", "stored-contribs", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chunk wal.TailChunk
+		if err := json.Unmarshal(raw, &chunk); err != nil {
+			t.Fatal(err)
+		}
+		mi, err := wal.OpenMirror(t.TempDir(), failoverTopo(t), 0.05, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mi.Close()
+		got, err := mi.Apply(nil, chunk, nil)
+		if err != nil || !got.ExportState().Equal(mgr.ExportState()) {
+			t.Errorf("%s: a mirror fed the stored-contribs chunk holds another state (err %v)", name, err)
+		}
 	}
 	check := func(name string, cur wal.Cursor) {
 		t.Helper()
@@ -79,10 +105,12 @@ func TestWALTailWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("reset", wal.Cursor{})
+	mirrored("reset")
 	check("continuation", mid)
 	if err := mgr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	admit(2, "golden-c")
 	check("reset-snapshot", mid)
+	mirrored("reset-snapshot")
 }

@@ -19,21 +19,24 @@ func FuzzWALDecode(f *testing.F) {
 	// Seed with a real log image so the fuzzer starts from valid framing
 	// (binary records; testdata/fuzz/FuzzWALDecode holds legacy JSON logs).
 	seed := []byte(walMagic)
+	// The admission carries a contribs section, as older writers stored it.
 	muts := []core.Mutation{
 		{Op: core.OpAlloc, Job: 1,
 			Homog:     &core.Homogeneous{N: 2, Demand: stats.Normal{Mu: 5, Sigma: 2}},
 			Placement: &core.Placement{Entries: []core.PlacementEntry{{Machine: 2, Count: 2}}},
-			Contribs:  []core.Contribution{{Link: 2, Mu: 5, Sigma: 2}},
 			IdemKey:   "seed"},
 		{Op: core.OpFailMachine, Node: 2},
 		{Op: core.OpRepair, Job: 1, Outcome: core.RepairFailed, EffectiveEps: 1},
 		{Op: core.OpRestoreMachine, Node: 2},
 		{Op: core.OpSetOffline, Node: 3, Offline: true},
 	}
-	for _, mut := range muts {
+	for i, mut := range muts {
 		payload, err := appendMutation(nil, mut)
 		if err != nil {
 			f.Fatal(err)
+		}
+		if i == 0 {
+			payload = withContribs(f, mut, []core.Contribution{{Link: 2, Mu: 5, Sigma: 2}})
 		}
 		seed = appendFrame(seed, payload)
 	}

@@ -17,14 +17,13 @@ func recordOf(rec Record) record {
 	}
 	mut := rec.Mutation
 	out := record{
-		Op:       mut.Op.String(),
-		Job:      int64(mut.Job),
-		Contribs: mut.Contribs,
-		Node:     int(mut.Node),
-		Link:     int(mut.Link),
-		Offline:  mut.Offline,
-		Eps:      mut.EffectiveEps,
-		IdemKey:  mut.IdemKey,
+		Op:      mut.Op.String(),
+		Job:     int64(mut.Job),
+		Node:    int(mut.Node),
+		Link:    int(mut.Link),
+		Offline: mut.Offline,
+		Eps:     mut.EffectiveEps,
+		IdemKey: mut.IdemKey,
 	}
 	if mut.Homog != nil {
 		h := core.HomogSpecOf(*mut.Homog)

@@ -18,10 +18,11 @@ import (
 // format 1 existed — are still read, frame by frame, so an old state
 // directory recovers and may carry binary frames after its JSON ones.
 //
-// Either way the committed placement and per-link contributions are
-// stored verbatim — replay never re-runs the allocation DP, which is
-// what makes recovery bit-identical even where the DP could tie-break
-// differently.
+// Either way the committed placement is stored verbatim — replay never
+// re-runs the allocation DP, which is what makes recovery bit-identical
+// even where the DP could tie-break differently — and its per-link
+// contributions are derived, not stored: an older writer's contribs
+// section (flag bit 3, or a legacy "contribs" key) is read past.
 
 // ErrUnsupportedFormat marks an intact frame whose format tag this binary
 // does not know: a newer svcd wrote it. It is deliberately not ErrCorrupt
@@ -43,7 +44,7 @@ const (
 // Mutation flags: which optional sections follow the fixed fields. A set
 // flag promises a non-empty section, so the encoder writes every mutation
 // one way only and empty slices come back as nil, the canonical form exported
-// states are compared in.
+// states are compared in. flagContribs is only read (skipContribs).
 const (
 	flagHomog = 1 << iota
 	flagHetero
@@ -116,7 +117,6 @@ type encoder struct {
 func (e *encoder) uvarint(v int)            { e.b = binary.AppendUvarint(e.b, uint64(v)) }
 func (e *encoder) varint(v int64)           { e.b = binary.AppendVarint(e.b, v) }
 func (e *encoder) bytes(v string)           { e.uvarint(len(v)); e.b = append(e.b, v...) }
-func (e *encoder) bool(v bool)              { e.b = append(e.b, b2u(v)) }
 func (e *encoder) normal(mu, sigma float64) { e.float(mu); e.float(sigma) }
 
 // The sections below are shared by records, intents and snapshot bodies.
@@ -140,28 +140,11 @@ func (e *encoder) entries(es []core.PlacementEntry) {
 	}
 }
 
-// contribs writes a counted list of per-link contributions.
-func (e *encoder) contribs(cs []core.Contribution) {
-	e.uvarint(len(cs))
-	for _, c := range cs {
-		e.varint(int64(c.Link))
-		e.bool(c.Det)
-		e.normal(c.Mu, c.Sigma)
-	}
-}
-
 func (e *encoder) float(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		e.nonFinite = true
 	}
 	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
-}
-
-func b2u(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // appendMutation appends mut's format-1 payload to buf. On error buf's
@@ -187,9 +170,6 @@ func appendMutation(buf []byte, mut core.Mutation) ([]byte, error) {
 	}
 	if mut.Placement != nil && len(mut.Placement.Entries) > 0 {
 		flags |= flagPlacement
-	}
-	if len(mut.Contribs) > 0 {
-		flags |= flagContribs
 	}
 	if mut.Offline {
 		flags |= flagOffline
@@ -217,9 +197,6 @@ func appendMutation(buf []byte, mut core.Mutation) ([]byte, error) {
 	}
 	if flags&flagPlacement != 0 {
 		e.entries(mut.Placement.Entries)
-	}
-	if flags&flagContribs != 0 {
-		e.contribs(mut.Contribs)
 	}
 	if flags&flagEps != 0 {
 		e.float(mut.EffectiveEps)
@@ -249,13 +226,12 @@ func appendEpochFrame(buf []byte, epoch uint64) []byte {
 // allocates each section, so the record owns it (DecodeRecord); replay
 // reuses one for a walk, as Manager.Replay copies what it keeps.
 type recordStore struct {
-	homog    []core.Homogeneous
-	hetero   []core.Heterogeneous
-	place    []core.Placement
-	demands  []stats.Normal
-	entries  []core.PlacementEntry
-	vms      []int
-	contribs []core.Contribution
+	homog   []core.Homogeneous
+	hetero  []core.Heterogeneous
+	place   []core.Placement
+	demands []stats.Normal
+	entries []core.PlacementEntry
+	vms     []int
 }
 
 // cut returns the n elements past *slab's length, moving a full slab to one
@@ -280,7 +256,7 @@ func (st *recordStore) decode(payload []byte) (Record, error) {
 	switch payload[0] {
 	case tagBin1:
 		*st = recordStore{homog: st.homog[:0], hetero: st.hetero[:0], place: st.place[:0],
-			demands: st.demands[:0], entries: st.entries[:0], vms: st.vms[:0], contribs: st.contribs[:0]}
+			demands: st.demands[:0], entries: st.entries[:0], vms: st.vms[:0]}
 		return decodeBin1(payload[1:], st)
 	case tagLegacy:
 		return decodeLegacy(payload)
@@ -434,15 +410,15 @@ func (d *decoder) entry(vms *[]int) core.PlacementEntry {
 	return core.PlacementEntry{Machine: topology.NodeID(d.int()), Count: d.int(), VMs: d.ints(vms)}
 }
 
-// contribs fills cs, sized by a count the caller has read.
-func (d *decoder) contribs(cs []core.Contribution) []core.Contribution {
-	for i := range cs {
-		c := &cs[i]
-		c.Link = topology.LinkID(d.int())
-		c.Det = d.bool()
-		c.Mu, c.Sigma = d.float(), d.float()
+// skipContribs reads past the n contributions older writers stored,
+// checking their form (link, det, mu, sigma) and discarding their values.
+func (d *decoder) skipContribs(n int) {
+	for i := 0; i < n; i++ {
+		d.int()
+		d.bool()
+		d.float()
+		d.float()
 	}
-	return cs
 }
 
 // key reads the n bytes of an idempotency key.
@@ -505,7 +481,7 @@ func decodeBin1(b []byte, st *recordStore) (Record, error) {
 		}
 	}
 	if flags&flagContribs != 0 {
-		mut.Contribs = d.contribs(cut(&st.contribs, d.count(minContrib)))
+		d.skipContribs(d.count(minContrib))
 	}
 	if flags&flagEps != 0 {
 		if mut.EffectiveEps = d.float(); mut.EffectiveEps == 0 {
@@ -527,7 +503,6 @@ type record struct {
 	Homog     *core.HomogSpec       `json:"homog,omitempty"`
 	Hetero    []stats.Normal        `json:"hetero,omitempty"`
 	Placement []core.PlacementEntry `json:"placement,omitempty"`
-	Contribs  []core.Contribution   `json:"contribs,omitempty"`
 	Node      int                   `json:"node,omitempty"`
 	Link      int                   `json:"link,omitempty"`
 	Offline   bool                  `json:"offline,omitempty"`
@@ -575,7 +550,6 @@ func decodeLegacy(payload []byte) (Record, error) {
 	mut := core.Mutation{
 		Op:           op,
 		Job:          core.JobID(rec.Job),
-		Contribs:     rec.Contribs,
 		Node:         topology.NodeID(rec.Node),
 		Link:         topology.LinkID(rec.Link),
 		Offline:      rec.Offline,

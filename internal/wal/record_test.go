@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -19,23 +21,20 @@ import (
 )
 
 // opSamples is one representative mutation per op, between them covering
-// every section of format 1: homogeneous and heterogeneous requests, VM
-// lists, stochastic and deterministic contributions, keys, every repair
-// shape. They are FuzzRecordRoundTrip's checked-in seeds (bin1-*), and
-// the golden test pins the first.
+// every section the writer emits: homogeneous and heterogeneous requests,
+// VM lists, keys, every repair shape. FuzzRecordRoundTrip's checked-in
+// seeds (bin1-*) are these samples as the writer before derived
+// contributions encoded them, three with a contribs section (sampleContribs),
+// and the golden test pins the first.
 func opSamples() []core.Mutation {
 	return []core.Mutation{
 		{Op: core.OpAlloc, Job: 1,
 			Homog:     &core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 1.3, Sigma: 0.7}},
 			Placement: &core.Placement{Entries: []core.PlacementEntry{{Machine: 2, Count: 1}, {Machine: 6, Count: 3}}},
-			Contribs: []core.Contribution{
-				{Link: 1, Mu: 1.2827142279626182, Sigma: 0.6897613374075252},
-				{Link: 6, Mu: 2, Det: true}},
-			IdemKey: "tenant-a/42"},
+			IdemKey:   "tenant-a/42"},
 		{Op: core.OpAlloc, Job: 2,
 			Hetero:    &core.Heterogeneous{Demands: []stats.Normal{{Mu: 3, Sigma: 1}, {Mu: 2.7, Sigma: 0.5}, {Mu: 5e-324}}},
-			Placement: &core.Placement{Entries: []core.PlacementEntry{{Machine: 5, Count: 2, VMs: []int{1, 0}}, {Machine: 3, Count: 1, VMs: []int{2}}}},
-			Contribs:  []core.Contribution{{Link: 5, Mu: -0.25, Sigma: 4.9e-320}}},
+			Placement: &core.Placement{Entries: []core.PlacementEntry{{Machine: 5, Count: 2, VMs: []int{1, 0}}, {Machine: 3, Count: 1, VMs: []int{2}}}}},
 		{Op: core.OpRelease, Job: 2, IdemKey: "rel\x00\xff\xfe"},
 		{Op: core.OpFailMachine, Node: 2, IdemKey: "fail"},
 		{Op: core.OpRestoreMachine, Node: 2},
@@ -46,8 +45,75 @@ func opSamples() []core.Mutation {
 		{Op: core.OpRepair, Job: 1, Outcome: core.RepairFailed, EffectiveEps: 1},
 		{Op: core.OpRepair, Job: 1, Outcome: core.RepairNoop, EffectiveEps: 0.05},
 		{Op: core.OpRepair, Job: 3, Outcome: core.RepairDegraded, EffectiveEps: 0.2718281828459045,
-			Placement: &core.Placement{Entries: []core.PlacementEntry{{Machine: 2, Count: 1}}},
-			Contribs:  []core.Contribution{{Link: 1, Mu: 2, Det: true}}},
+			Placement: &core.Placement{Entries: []core.PlacementEntry{{Machine: 2, Count: 1}}}},
+	}
+}
+
+// sampleContribs are the contributions the bin1-* seeds of opSamples
+// carry, by sample index: what the writer stored before contributions
+// were derived.
+var sampleContribs = map[int][]core.Contribution{
+	0:  {{Link: 1, Mu: 1.2827142279626182, Sigma: 0.6897613374075252}, {Link: 6, Mu: 2, Det: true}},
+	1:  {{Link: 5, Mu: -0.25, Sigma: 4.9e-320}},
+	11: {{Link: 1, Mu: 2, Det: true}},
+}
+
+// withContribs is the record the writer before derived contributions made
+// of mut: its format-1 payload with flag bit 3 set and the contribs
+// section — uvarint n, n x (varint link, byte det, f64 mu, f64 sigma) —
+// in its place after the placement, before eps and key.
+func withContribs(t testing.TB, mut core.Mutation, cs []core.Contribution) []byte {
+	t.Helper()
+	payload := mustEncode(t, mut)
+	tail := 0
+	if mut.EffectiveEps != 0 {
+		tail += 8
+	}
+	if mut.IdemKey != "" {
+		tail += len(binary.AppendUvarint(nil, uint64(len(mut.IdemKey)))) + len(mut.IdemKey)
+	}
+	at := len(payload) - tail
+	e := encoder{b: append([]byte(nil), payload[:at]...)}
+	e.b[2] |= flagContribs
+	e.uvarint(len(cs))
+	for _, c := range cs {
+		e.varint(int64(c.Link))
+		e.b = append(e.b, map[bool]byte{true: 1}[c.Det])
+		e.normal(c.Mu, c.Sigma)
+	}
+	return append(e.b, payload[at:]...)
+}
+
+// fuzzBytes reads a one-value fuzz corpus file: "go test fuzz v1\n[]byte(<quoted>)\n".
+func fuzzBytes(data []byte) ([]byte, error) {
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	return []byte(s), err
+}
+
+// TestStoredContribsAreDiscarded: a record an older writer gave a
+// contribs section — the checked-in bin1-* seeds, and one spliced here —
+// decodes to the mutation without it, and re-encodes without it.
+func TestStoredContribsAreDiscarded(t *testing.T) {
+	for i, m := range opSamples() {
+		seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRecordRoundTrip", fmt.Sprintf("bin1-%02d-%v", i, m.Op)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := fuzzBytes(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := withContribs(t, m, sampleContribs[i]); sampleContribs[i] != nil && !bytes.Equal(payload, want) {
+			t.Fatalf("seed %d is not the sample with its contribs section:\n got %x\nwant %x", i, payload, want)
+		}
+		rec, err := DecodeRecord(payload)
+		if err != nil || !reflect.DeepEqual(rec, Record{Mutation: m}) {
+			t.Fatalf("seed %d decodes to (err %v)\n got %+v\nwant %+v", i, err, rec.Mutation, m)
+		}
+		if again := mustEncode(t, rec.Mutation); sampleContribs[i] != nil && again[2]&flagContribs != 0 {
+			t.Fatalf("seed %d: the writer set flag bit 3", i)
+		}
 	}
 }
 
@@ -132,12 +198,6 @@ func (g *mutationBuilder) mutation() core.Mutation {
 			}
 		}
 		m.Placement = &p
-	}
-	if shape&16 != 0 {
-		m.Contribs = make([]core.Contribution, g.byte()%4)
-		for i := range m.Contribs {
-			m.Contribs[i] = core.Contribution{Link: topology.NodeID(g.int()), Det: g.byte()&1 != 0, Mu: g.float(), Sigma: g.float()}
-		}
 	}
 	if shape&32 != 0 {
 		m.EffectiveEps = g.float()
@@ -249,7 +309,6 @@ func TestRecordCanonicalForms(t *testing.T) {
 		Homog:     &core.Homogeneous{N: 1, Demand: stats.Normal{Mu: 1}},
 		Hetero:    &core.Heterogeneous{Demands: []stats.Normal{}},
 		Placement: &core.Placement{Entries: []core.PlacementEntry{}},
-		Contribs:  []core.Contribution{},
 		Outcome:   core.RepairMoved, // meaningless on an alloc: not journaled
 	}
 	checkRoundTrip(t, m)
@@ -262,7 +321,7 @@ func TestRecordCanonicalForms(t *testing.T) {
 		t.Fatalf("decode: kind %d, err %v", rec.Kind, err)
 	}
 	got := rec.Mutation
-	if got.Hetero != nil || got.Placement != nil || got.Contribs != nil || got.Outcome != 0 {
+	if got.Hetero != nil || got.Placement != nil || got.Outcome != 0 {
 		t.Fatalf("empty sections did not decode to nil: %+v", got)
 	}
 	m.Placement = &core.Placement{Entries: []core.PlacementEntry{{Machine: 2, Count: 1, VMs: []int{}}}}
@@ -285,13 +344,10 @@ func TestFormat1Golden(t *testing.T) {
 
 	alloc := opSamples()[0]
 	want := cat(
-		[]byte{0x01, 1, flagHomog | flagPlacement | flagContribs | flagIdem, 0}, // tag, op, flags, outcome
+		[]byte{0x01, 1, flagHomog | flagPlacement | flagIdem, 0}, // tag, op, flags, outcome
 		[]byte{2, 0, 0},               // job 1 (zigzag), node 0, link 0
 		[]byte{8}, f64(1.3), f64(0.7), // homog: N 4, mu, sigma
 		[]byte{2, 4, 2, 0, 12, 6, 0}, // placement: 2 entries (machine, count, no VMs)
-		[]byte{2},                    // 2 contributions
-		[]byte{2, 0}, f64(1.2827142279626182), f64(0.6897613374075252),
-		[]byte{12, 1}, f64(2), f64(0),
 		[]byte{11}, []byte("tenant-a/42"),
 	)
 	got, err := appendMutation(nil, alloc)
@@ -300,6 +356,21 @@ func TestFormat1Golden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("alloc record drifted from format 1:\n got %x\nwant %x", got, want)
+	}
+	// The same record as an older writer stored it: bit 3 and a contribs
+	// section, read past and discarded.
+	stored := cat(
+		[]byte{0x01, 1, flagHomog | flagPlacement | flagContribs | flagIdem, 0},
+		[]byte{2, 0, 0},
+		[]byte{8}, f64(1.3), f64(0.7),
+		[]byte{2, 4, 2, 0, 12, 6, 0},
+		[]byte{2}, // 2 contributions: link, det, mu, sigma
+		[]byte{2, 0}, f64(1.2827142279626182), f64(0.6897613374075252),
+		[]byte{12, 1}, f64(2), f64(0),
+		[]byte{11}, []byte("tenant-a/42"),
+	)
+	if rec, err := DecodeRecord(stored); err != nil || !reflect.DeepEqual(rec, Record{Mutation: alloc}) {
+		t.Fatalf("a stored contribs section is not discarded (err %v): %+v", err, rec.Mutation)
 	}
 
 	hetero := core.Mutation{Op: core.OpRepair, Job: -3, Node: 5, Link: 300, Offline: true,
@@ -333,11 +404,9 @@ func TestEncoderRefusesNonFinite(t *testing.T) {
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	for _, v := range bad {
 		for name, m := range map[string]core.Mutation{
-			"homog mu":      {Op: core.OpAlloc, Homog: &core.Homogeneous{N: 1, Demand: stats.Normal{Mu: v}}},
-			"hetero sigma":  {Op: core.OpAlloc, Hetero: &core.Heterogeneous{Demands: []stats.Normal{{Sigma: v}}}},
-			"contrib mu":    {Op: core.OpAlloc, Contribs: []core.Contribution{{Link: 1, Mu: v}}},
-			"contrib sigma": {Op: core.OpAlloc, Contribs: []core.Contribution{{Link: 1, Sigma: v}}},
-			"eps":           {Op: core.OpRepair, EffectiveEps: v},
+			"homog mu":     {Op: core.OpAlloc, Homog: &core.Homogeneous{N: 1, Demand: stats.Normal{Mu: v}}},
+			"hetero sigma": {Op: core.OpAlloc, Hetero: &core.Heterogeneous{Demands: []stats.Normal{{Sigma: v}}}},
+			"eps":          {Op: core.OpRepair, EffectiveEps: v},
 		} {
 			if _, err := appendMutation(nil, m); err == nil {
 				t.Errorf("%s = %v: encoded", name, v)
@@ -610,10 +679,10 @@ func TestRecoverTruncatesMalformedKnownFormat(t *testing.T) {
 }
 
 // TestReplayKeepsNoDecodeStorage: replay decodes every record of a walk
-// into one recordStore, so no job, request, placement, contribution or
-// binding the manager holds may share memory with it. One log carries
-// every section — homogeneous and heterogeneous admissions with VM lists,
-// contributions, repairs ending moved, degraded and failed, keyed
+// into one recordStore, so no job, request, placement or binding the
+// manager holds may share memory with it. One log carries every section —
+// homogeneous and heterogeneous admissions with VM lists, a contribs
+// section an older writer stored, repairs ending moved, degraded and failed, keyed
 // admissions and a keyed release, an epoch record — and is walked twice:
 // by replay itself, and by hand with the store spoiled after every record,
 // whose state must be, record by record, the one records decoded into
@@ -623,31 +692,30 @@ func TestReplayKeepsNoDecodeStorage(t *testing.T) {
 	muts := []core.Mutation{
 		{Op: core.OpAlloc, Job: 1, Homog: &core.Homogeneous{N: 4, Demand: stats.Normal{Mu: 1.3, Sigma: 0.7}},
 			Placement: entries(core.PlacementEntry{Machine: 2, Count: 1}, core.PlacementEntry{Machine: 6, Count: 3}),
-			Contribs:  []core.Contribution{{Link: 1, Mu: 1.25, Sigma: 0.625}, {Link: 6, Mu: 2, Det: true}},
 			IdemKey:   "tenant-a/42"},
 		{Op: core.OpAlloc, Job: 2, Hetero: &core.Heterogeneous{Demands: []stats.Normal{{Mu: 3, Sigma: 1}, {Mu: 2.7, Sigma: 0.5}, {Mu: 1}}},
-			Placement: entries(core.PlacementEntry{Machine: 5, Count: 2, VMs: []int{1, 0}}, core.PlacementEntry{Machine: 3, Count: 1, VMs: []int{2}}),
-			Contribs:  []core.Contribution{{Link: 4, Mu: 2, Sigma: 1}, {Link: 1, Mu: 1, Sigma: 0.5}}},
+			Placement: entries(core.PlacementEntry{Machine: 5, Count: 2, VMs: []int{1, 0}}, core.PlacementEntry{Machine: 3, Count: 1, VMs: []int{2}})},
 		{Op: core.OpRepair, Job: 1, Outcome: core.RepairMoved, EffectiveEps: 0.05,
-			Placement: entries(core.PlacementEntry{Machine: 2, Count: 2}, core.PlacementEntry{Machine: 3, Count: 2}),
-			Contribs:  []core.Contribution{{Link: 1, Mu: 3, Sigma: 1}}},
+			Placement: entries(core.PlacementEntry{Machine: 2, Count: 2}, core.PlacementEntry{Machine: 3, Count: 2})},
 		{Op: core.OpRepair, Job: 2, Outcome: core.RepairDegraded, EffectiveEps: 0.2718281828459045,
-			Placement: entries(core.PlacementEntry{Machine: 6, Count: 2, VMs: []int{0, 1}}, core.PlacementEntry{Machine: 5, Count: 1, VMs: []int{2}}),
-			Contribs:  []core.Contribution{{Link: 4, Mu: 2.5, Sigma: 1.5}}},
+			Placement: entries(core.PlacementEntry{Machine: 6, Count: 2, VMs: []int{0, 1}}, core.PlacementEntry{Machine: 5, Count: 1, VMs: []int{2}})},
 		{Op: core.OpAlloc, Job: 3, Homog: &core.Homogeneous{N: 1, Demand: stats.Normal{Mu: 50}},
 			Placement: entries(core.PlacementEntry{Machine: 5, Count: 1}), IdemKey: "k3"},
 		{Op: core.OpRepair, Job: 3, Outcome: core.RepairFailed, EffectiveEps: 1},
 		{Op: core.OpRelease, Job: 1, IdemKey: "rel-1"},
 		{Op: core.OpAlloc, Job: 4, Homog: &core.Homogeneous{N: 2, Demand: stats.Normal{Mu: 2, Sigma: 0.8}},
-			Placement: entries(core.PlacementEntry{Machine: 2, Count: 2}),
-			Contribs:  []core.Contribution{{Link: 1, Mu: 2, Sigma: 0.8}}},
+			Placement: entries(core.PlacementEntry{Machine: 2, Count: 2})},
 	}
 	log := []byte(walMagic)
 	for i, mut := range muts {
 		if i == 2 {
 			log = appendEpochFrame(log, 2)
 		}
-		log = appendFrame(log, mustEncode(t, mut))
+		payload := mustEncode(t, mut)
+		if i == 1 { // as an older writer stored it: the section is read past
+			payload = withContribs(t, mut, []core.Contribution{{Link: 4, Mu: 2, Sigma: 1}, {Link: 1, Mu: 1, Sigma: 0.5}})
+		}
+		log = appendFrame(log, payload)
 	}
 	newManager := func() *core.Manager {
 		m, err := core.NewManager(testTopo(t), testEps)
@@ -700,7 +768,6 @@ func spoil(st *recordStore) {
 	fill(st.demands, stats.Normal{Mu: -1, Sigma: -1})
 	fill(st.entries, core.PlacementEntry{Machine: -1, Count: -1, VMs: []int{-1}})
 	fill(st.vms, -1)
-	fill(st.contribs, core.Contribution{Link: -1, Mu: -1, Sigma: -1, Det: true})
 }
 
 func fill[T any](s []T, v T) {
@@ -741,9 +808,6 @@ func TestCodecAllocs(t *testing.T) {
 					fields++ // ...and a VM list per heterogeneous entry
 				}
 			}
-		}
-		if m.Contribs != nil {
-			fields++
 		}
 		if m.IdemKey != "" {
 			fields++
@@ -841,15 +905,12 @@ func TestCodecAllocs(t *testing.T) {
 }
 
 // BenchmarkRecordCodec times the codec alone on the record that dominates
-// svcbench's churn logs: a keyed 16-VM admission with 12 contributions.
+// svcbench's churn logs: a keyed 16-VM admission.
 func BenchmarkRecordCodec(b *testing.B) {
 	m := core.Mutation{Op: core.OpAlloc, Job: 123456,
 		Homog:     &core.Homogeneous{N: 16, Demand: stats.Normal{Mu: 300, Sigma: 100}},
 		Placement: &core.Placement{Entries: []core.PlacementEntry{{Machine: 411, Count: 4}, {Machine: 412, Count: 4}, {Machine: 433, Count: 4}, {Machine: 434, Count: 4}}},
 		IdemKey:   "bench-0000123456"}
-	for i := 0; i < 12; i++ {
-		m.Contribs = append(m.Contribs, core.Contribution{Link: topology.NodeID(400 + i), Mu: 1199.9999999999998 / float64(i+1), Sigma: 346.41016151377545 / float64(i+1)})
-	}
 	payload := mustEncode(b, m)
 	b.Run("encode", func(b *testing.B) {
 		buf := make([]byte, 0, 4096)
@@ -884,4 +945,88 @@ func BenchmarkRecordCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRecoverClampsStoredNegativeMean: a log an older writer left holds
+// the admission that once made svcd's state unrecoverable — N = 8,
+// mu = 5, sigma = 50, one VM per machine — with the contributions it
+// stored then: Clark's min unclamped, -37.68 Mbps on each host link.
+// Replay discards them and derives the clamped ones, so every link's sums
+// are nonnegative and a checkpoint written afterwards restores (I13).
+func TestRecoverClampsStoredNegativeMean(t *testing.T) {
+	rack := func() topology.Spec {
+		r := topology.Spec{UpCap: 1000}
+		for i := 0; i < 4; i++ {
+			r.Children = append(r.Children, topology.Spec{UpCap: 500, Slots: 2})
+		}
+		return r
+	}
+	topo, err := topology.NewFromSpec(topology.Spec{Children: []topology.Spec{rack(), rack()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := core.Homogeneous{N: 8, Demand: stats.Normal{Mu: 5, Sigma: 50}}
+	alloc := core.Mutation{Op: core.OpAlloc, Job: 1, Homog: &req, Placement: &core.Placement{}}
+	inside := map[topology.LinkID]int{}
+	for _, mc := range topo.Machines() {
+		alloc.Placement.Entries = append(alloc.Placement.Entries, core.PlacementEntry{Machine: mc, Count: 1})
+		for l := mc; topo.Node(l).Parent != topology.None; l = topo.Node(l).Parent {
+			inside[l]++
+		}
+	}
+	var stored []core.Contribution
+	for _, l := range topo.Links() {
+		if m := inside[l]; m > 0 && m < req.N {
+			d := stats.MinOfNormals(req.Demand.Sum(m), req.Demand.Sum(req.N-m)) // no clamp: the old arithmetic
+			stored = append(stored, core.Contribution{Link: l, Mu: d.Mu, Sigma: d.Sigma})
+		}
+	}
+	for _, c := range stored {
+		if inside[c.Link] == 1 && math.Abs(c.Mu+37.68) > 0.005 {
+			t.Fatalf("the fixture lost its point: host link %d carries %v Mbps", c.Link, c.Mu)
+		}
+	}
+
+	dir := t.TempDir()
+	f, _, err := (&stateDir{dir: dir, noSync: true}).createWAL(meta{Gen: 1, Eps: testEps, Nodes: topo.Len(), Slots: topo.TotalSlots()}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(appendFrame(nil, withContribs(t, alloc, stored))); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, j, err := Recover(dir, topo, testEps, nil, WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := m.ExportState()
+	for _, c := range stored {
+		want := core.CrossingHomog(req.Demand, inside[c.Link], req.N)
+		if got := st.Links[c.Link]; got.SumMu != want.Mu || got.SumVar != want.Var() || got.Stochastic != 1 {
+			t.Errorf("link %d holds %+v, want the clamped contribution %v", c.Link, got, want)
+		}
+	}
+	for l, rec := range st.Links {
+		if rec.SumMu < 0 || rec.SumVar < 0 || rec.Det < 0 {
+			t.Errorf("link %d holds a negative sum: %+v", l, rec)
+		}
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, j2, err := Recover(dir, topo, testEps, nil, WithNoSync())
+	if err != nil {
+		t.Fatalf("the checkpoint written after the replay does not restore: %v", err)
+	}
+	defer j2.Close()
+	if !m2.ExportState().Equal(st) {
+		t.Fatal("the restored state differs from the replayed one")
+	}
 }

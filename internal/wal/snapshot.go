@@ -85,7 +85,7 @@ func appendSnapshot(buf []byte, st *core.ManagerState) ([]byte, error) {
 			}
 		}
 		e.entries(js.Placement)
-		e.contribs(js.Contribs)
+		e.uvarint(0) // contributions are derived: the list is written empty
 		if js.DegradedEps != nil {
 			e.float(*js.DegradedEps)
 		}
@@ -203,9 +203,7 @@ func decodeSnapshotBin1(b []byte) (*core.ManagerState, error) {
 			}
 		}
 		js.Placement = d.entries()
-		if n := d.length(minContrib); n > 0 {
-			js.Contribs = d.contribs(make([]core.Contribution, n))
-		}
+		d.skipContribs(d.length(minContrib))
 		if flags&jobDegraded != 0 {
 			eps := d.float()
 			js.DegradedEps = &eps

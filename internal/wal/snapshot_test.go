@@ -20,9 +20,9 @@ import (
 )
 
 // goldenState is a small state with every section of a format-1 snapshot
-// body in it: a homogeneous and a heterogeneous job, a VM list, stochastic
-// and deterministic contributions, a degraded job, both fault lists, every
-// counter, and bindings that are not in key order in any map iteration.
+// body in it: a homogeneous and a heterogeneous job, a VM list, a
+// degraded job, both fault lists, every counter, and bindings that are not
+// in key order in any map iteration.
 func goldenState() *core.ManagerState {
 	eps := 0.2
 	return &core.ManagerState{
@@ -31,8 +31,7 @@ func goldenState() *core.ManagerState {
 		Used:   []int{0, 4},
 		Jobs: []core.JobState{
 			{ID: 1, Homog: &core.HomogSpec{N: 4, Mu: 1.3, Sigma: 0.7},
-				Placement: []core.PlacementEntry{{Machine: 2, Count: 1}, {Machine: 6, Count: 3}},
-				Contribs:  []core.Contribution{{Link: 1, Mu: 1.25, Sigma: 0.5}, {Link: 6, Mu: 2, Det: true}}},
+				Placement: []core.PlacementEntry{{Machine: 2, Count: 1}, {Machine: 6, Count: 3}}},
 			{ID: 3, Hetero: []stats.Normal{{Mu: 3, Sigma: 1}},
 				Placement:   []core.PlacementEntry{{Machine: 5, Count: 1, VMs: []int{0}}},
 				DegradedEps: &eps},
@@ -66,25 +65,28 @@ func TestSnapshotFormat1Golden(t *testing.T) {
 		return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))
 	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	want := cat(
-		[]byte{0x01, 6},                                                                       // tag, next id 3 (zigzag)
-		[]byte{2}, f64(0), f64(0), f64(0), []byte{0}, f64(2), f64(1.25), f64(0.25), []byte{2}, // 2 links
-		[]byte{2, 0, 8},                            // used: 0, 4
-		[]byte{2},                                  // 2 jobs
-		[]byte{2, jobHomog, 8}, f64(1.3), f64(0.7), // job 1: N 4, mu, sigma
-		[]byte{2, 4, 2, 0, 12, 6, 0},                                        // 2 entries (machine, count, no VMs)
-		[]byte{2, 2, 0}, f64(1.25), f64(0.5), []byte{12, 1}, f64(2), f64(0), // 2 contributions
-		[]byte{6, jobHetero | jobDegraded, 1}, f64(3), f64(1), // job 3: 1 demand
-		[]byte{1, 10, 2, 1, 0, 0},                                    // 1 entry with VM list [0]; no contributions
-		f64(0.2),                                                     // degraded eps
-		[]byte{1, 8},                                                 // machines down: 4
-		[]byte{2, 12, 0xd8, 0x04},                                    // links down: 6, 300
-		[]byte{1, 2, 3, 4, 5, 6, 7, 0xac, 0x02},                      // counters
-		[]byte{3},                                                    // 3 bindings, ascending by key
-		[]byte{3}, []byte("a/1"), []byte{1, 2, 2, 4, 2, 0, 12, 6, 0}, // alloc, job 1, 2 entries
-		[]byte{1}, []byte("b"), []byte{2, 4, 0}, // release, job 2, no placement
-		[]byte{1}, []byte("c"), []byte{3, 0, 0}, // fail_machine
-	)
+	body := func(contribs ...byte) []byte {
+		return cat(
+			[]byte{0x01, 6},                                                                       // tag, next id 3 (zigzag)
+			[]byte{2}, f64(0), f64(0), f64(0), []byte{0}, f64(2), f64(1.25), f64(0.25), []byte{2}, // 2 links
+			[]byte{2, 0, 8},                            // used: 0, 4
+			[]byte{2},                                  // 2 jobs
+			[]byte{2, jobHomog, 8}, f64(1.3), f64(0.7), // job 1: N 4, mu, sigma
+			[]byte{2, 4, 2, 0, 12, 6, 0},                          // 2 entries (machine, count, no VMs)
+			contribs,                                              // the contribution list
+			[]byte{6, jobHetero | jobDegraded, 1}, f64(3), f64(1), // job 3: 1 demand
+			[]byte{1, 10, 2, 1, 0, 0},                                    // 1 entry with VM list [0]; no contributions
+			f64(0.2),                                                     // degraded eps
+			[]byte{1, 8},                                                 // machines down: 4
+			[]byte{2, 12, 0xd8, 0x04},                                    // links down: 6, 300
+			[]byte{1, 2, 3, 4, 5, 6, 7, 0xac, 0x02},                      // counters
+			[]byte{3},                                                    // 3 bindings, ascending by key
+			[]byte{3}, []byte("a/1"), []byte{1, 2, 2, 4, 2, 0, 12, 6, 0}, // alloc, job 1, 2 entries
+			[]byte{1}, []byte("b"), []byte{2, 4, 0}, // release, job 2, no placement
+			[]byte{1}, []byte("c"), []byte{3, 0, 0}, // fail_machine
+		)
+	}
+	want := body(0) // written empty: contributions are derived
 	got := mustEncodeSnapshot(t, goldenState())
 	if !bytes.Equal(got, want) {
 		t.Fatalf("snapshot body drifted from format 1:\n got %x\nwant %x", got, want)
@@ -92,6 +94,11 @@ func TestSnapshotFormat1Golden(t *testing.T) {
 	st, err := decodeSnapshotBody(want)
 	if err != nil || !reflect.DeepEqual(st, goldenState()) {
 		t.Fatalf("the pinned bytes decode to (err %v)\n got %+v\nwant %+v", err, st, goldenState())
+	}
+	// A list an older writer stored is read past and discarded.
+	stored := body(cat([]byte{2, 2, 0}, f64(1.25), f64(0.5), []byte{12, 1}, f64(2), f64(0))...)
+	if st, err := decodeSnapshotBody(stored); err != nil || !reflect.DeepEqual(st, goldenState()) {
+		t.Fatalf("a stored contribution list is not discarded (err %v): %+v", err, st)
 	}
 	// Equal states give equal bytes, whatever order their maps iterate in.
 	for i := 0; i < 20; i++ {
@@ -221,7 +228,7 @@ func mutateLeaf(v reflect.Value, path string, target int, n *int) string {
 
 // TestSnapshotFieldsComplete reflects over core.ManagerState and everything
 // it holds (LinkRecord, JobState with its HomogSpec, stats.Normal demands,
-// core.PlacementEntry and core.Contribution lists, CounterState, IdemState
+// core.PlacementEntry lists, CounterState, IdemState
 // — the types the manager itself keeps these in, so there is one family to
 // police), sets every field, and then changes one thing at a time. The binary round trip must
 // reproduce each variant exactly and in different bytes, and the typed

@@ -32,7 +32,8 @@
 //	         5 fail_link  6 restore_link  7 set_offline  8 repair
 //	         0x40 epoch marker — followed only by: uvarint epoch
 //	flags    bit 0 homog  1 hetero  2 placement  3 contribs  4 offline
-//	         5 eps  6 idempotency key; bit 7 clear
+//	         5 eps  6 idempotency key; bit 7 clear. Bit 3 is only read:
+//	         replay derives contributions, a stored section is skipped
 //	outcome  0, or for op repair 1 noop  2 moved  3 degraded  4 failed
 //	varint   job, node, link (zigzag, like every signed integer below)
 //	[homog]      varint N, f64 mu, f64 sigma
@@ -52,7 +53,8 @@
 // before it sizes an allocation.
 //
 // A snapshot body (snapshot.go; legacy: {"state":{...}}) holds the whole
-// state; an entry is a [placement] element, a contribution a [contribs] one:
+// state; an entry is a [placement] element, a contribution a [contribs] one
+// (written as an empty list, a stored one skipped):
 //
 //	varint   next job id
 //	links    uvarint n, n x (f64 det, sum_mu, sum_var; varint stochastic)
