@@ -7,11 +7,13 @@
 package svc_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // planBenchManager builds the paper-scale manager with background
@@ -73,6 +75,12 @@ func reportPlanCache(b *testing.B, mgr *core.Manager, before core.AdmissionStats
 //     the request, and the plan walks every level before it rejects.
 //   - homog/miss-N150: homog/miss at N = 150, the population's tail, where
 //     the DP rows are three times as long.
+//   - paper-stream: svcbench's plan-miss stream in process — the paper's
+//     population, 5 % of it heterogeneous N = 8 jobs, on a datacenter
+//     filled to half its slots. Each iteration times one dry run of the
+//     next request, then admits it and releases the oldest job untimed,
+//     so load moves under every plan and no key repeats (the per-plan
+//     cache counters count the admit's plan too).
 func BenchmarkPlanOnly(b *testing.B) {
 	b.Run("homog/warm", func(b *testing.B) {
 		mgr := planBenchManager(b)
@@ -193,6 +201,49 @@ func BenchmarkPlanOnly(b *testing.B) {
 		reportPlanCache(b, mgr, before)
 	})
 
+	b.Run("paper-stream", func(b *testing.B) {
+		topo, err := topology.NewThreeTier(topology.PaperConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		mgr, err := core.NewManager(topo, 0.05)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stream, next := paperStream(b, 4096), 0
+		var held []core.JobID
+		admit := func() *core.Allocation {
+			a, err := stream[next%len(stream)].admit(mgr)
+			next++
+			if err != nil && !errors.Is(err, core.ErrNoCapacity) {
+				b.Fatal(err)
+			}
+			if a != nil {
+				held = append(held, a.ID)
+			}
+			return a
+		}
+		for mgr.FreeSlots() > topo.TotalSlots()/2 {
+			admit()
+		}
+		before := mgr.AdmissionStats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stream[next%len(stream)].fits(mgr)
+			b.StopTimer()
+			if admit() != nil { // a rejected admit skips its release
+				if err := mgr.Release(held[0]); err != nil {
+					b.Fatal(err)
+				}
+				held = held[1:]
+			}
+			b.StartTimer()
+		}
+		b.StopTimer()
+		reportPlanCache(b, mgr, before)
+	})
+
 	b.Run("hetero/miss", func(b *testing.B) {
 		mgr := planBenchManager(b)
 		req := benchHeteroRequest(8)
@@ -208,6 +259,54 @@ func BenchmarkPlanOnly(b *testing.B) {
 		b.StopTimer()
 		reportPlanCache(b, mgr, before)
 	})
+}
+
+// streamReq is one request of the paper-stream benchmark: hetero when it
+// has demands, homog otherwise.
+type streamReq struct {
+	homog  core.Homogeneous
+	hetero core.Heterogeneous
+}
+
+func (r streamReq) fits(mgr *core.Manager) bool {
+	if r.hetero.N() > 0 {
+		return mgr.CanAllocateHetero(r.hetero)
+	}
+	return mgr.CanAllocateHomog(r.homog)
+}
+
+func (r streamReq) admit(mgr *core.Manager) (*core.Allocation, error) {
+	if r.hetero.N() > 0 {
+		return mgr.AllocateHetero(r.hetero)
+	}
+	return mgr.AllocateHomog(r.homog)
+}
+
+// paperStream returns n requests of the paper's population (Section
+// VI-A, internal/workload): every 20th one is a heterogeneous N = 8 job
+// whose VMs draw their mean from {100..500} Mbps and their sigma uniform
+// in (0, mean), as svcbench's plan-miss mix does.
+func paperStream(b *testing.B, n int) []streamReq {
+	b.Helper()
+	jobs, err := workload.Generate(workload.Paper(n, 38))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := stats.NewRand(38)
+	reqs := make([]streamReq, n)
+	for i, j := range jobs {
+		if i%20 != 19 {
+			reqs[i].homog = core.Homogeneous{N: j.N, Demand: j.Profile}
+			continue
+		}
+		demands := make([]stats.Normal, 8)
+		for v := range demands {
+			mu := r.Pick([]float64{100, 200, 300, 400, 500})
+			demands[v] = stats.Normal{Mu: mu, Sigma: r.Float64() * mu}
+		}
+		reqs[i].hetero = core.Heterogeneous{Demands: demands}
+	}
+	return reqs
 }
 
 // benchPlanChurn times cached dry runs of req with an admit+release cycle

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+
 	"repro/internal/topology"
 )
 
@@ -29,6 +33,11 @@ type dpRec struct {
 	cells int // length of each row: (static bound on cap + 1) x stride
 	off   int // alloc row starts at bl[off]; optIn at f64[2*off], upOcc right behind it
 	pick  int // child i's choice row starts at i32[pick+i*cells] (internal vertices)
+	// bound's memo: valid while bounded and bver is SubtreeVersion(v)
+	bounded bool
+	bver    uint64
+	free    int // free slots below v
+	inner   float64
 }
 
 // dpTable is the slab-backed record table.
@@ -39,6 +48,8 @@ type dpTable struct {
 	bl     []bool
 	lowest int    // the lowest level with a vertex whose static bound reaches n
 	epoch  uint64 // Faults().Epoch() the filled records were computed under
+	stale  []int  // settle's scratch: one level's stale candidates
+	audit  bool   // under -tags invariants: the next settle checks every candidate it passed over
 }
 
 // layout sizes the table for a request of n VMs over the scope's vertices
@@ -98,13 +109,15 @@ func (t *dpTable) choice(r *dpRec, i int) []int32 {
 // returned view, so a cached record always equals a cold recompute.
 func (t *dpTable) cachedRecords() []dpRec { return t.recs }
 
-// syncEpoch drops every record when the ledger's fault state is not the
-// one they were computed under: reachability is the one DP input that is
-// not subtree-local, so no subtree version covers it.
+func (t *dpTable) table() *dpTable { return t }
+
+// syncEpoch drops every record and bound when the ledger's fault state is
+// not the one they were computed under: reachability is the one input of
+// both that is not subtree-local, so no subtree version covers it.
 func (t *dpTable) syncEpoch(led *Ledger) {
 	if ep := led.Faults().Epoch(); t.epoch != ep {
 		for i := range t.recs {
-			t.recs[i].filled = false
+			t.recs[i].filled, t.recs[i].bounded = false, false
 		}
 		t.epoch = ep
 	}
@@ -121,46 +134,92 @@ func (t *dpTable) current(led *Ledger, v topology.NodeID) bool {
 
 // settle finds the root of the lowest subtree that hosts a request of need
 // VMs, whose optimum sits at optIn[whole], and returns it (None if no
-// subtree does) with the number of records it recomputed. It brings up to
-// date only the records the selection reads. Level by level, from the
-// lowest one whose static bounds reach need, each candidate — a vertex
-// whose rows hold the whole cell, narrowed by within when it is set — is
-// ensured and read in topology order, and the smallest optimum wins, the
-// first of equal ones. A machine that fits costs exactly 0, so the machine
-// level stops at the first one; FirstFeasible stops at its first feasible
-// vertex on every level.
+// subtree does) with the number of records it recomputed. Level by level,
+// from the lowest one whose static bounds reach need, the candidates (rows
+// that hold the whole cell, narrowed by within) compete: the smallest
+// optimum wins, the first in topology order of equal ones. The machine
+// level stops at its first fit, whose optimum is 0. Above it, settle reads
+// the current records, then ensures the stale candidates with need free
+// slots in (bound, position) order until one cannot beat the pick.
 func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy Policy,
 	within func([]topology.NodeID) []topology.NodeID, compute kernel) (best topology.NodeID, recomputed int) {
 	topo, recs := led.Topology(), t.cachedRecords()
 	t.syncEpoch(led)
+	prune := policy == MinMaxOccupancy && led.RiskConstant() >= 0
 	best = topology.None
-	for level := t.lowest; level <= scopeHeight(topo, scope); level++ {
+	for level := t.lowest; level <= scopeHeight(topo, scope) && best == topology.None; level++ {
 		verts := scopeAtLevel(topo, scope, level)
 		if within != nil {
 			verts = within(verts)
 		}
-		bestVal := infeasible
-		for _, v := range verts {
-			if recs[v].cells <= whole {
-				continue
-			}
-			recomputed += t.ensure(led, topo, v, compute)
-			if recs[v].cap < need {
-				continue
-			}
-			optIn, _, _ := t.rows(&recs[v])
-			if val := optIn[whole]; val != infeasible && (best == topology.None || val < bestVal) {
-				best, bestVal = v, val
-				if level == 0 || policy == FirstFeasible {
-					break
+		at, bestVal := len(verts), infeasible
+		beats := func(val float64, i int) bool { // (val, i) precedes the pick (bestVal, at)
+			//lint:ignore floatcmp a tie goes to topology order, as in a scan that keeps the first of equal optima
+			return val < bestVal || val == bestVal && i < at
+		}
+		take := func(i int) { // reads verts[i]'s current record and picks it if it wins
+			if v := verts[i]; recs[v].cap >= need {
+				if optIn, _, _ := t.rows(&recs[v]); optIn[whole] != infeasible && beats(optIn[whole], i) {
+					best, at, bestVal = v, i, optIn[whole]
 				}
 			}
 		}
-		if best != topology.None {
-			break
+		t.stale = t.stale[:0]
+		for i := 0; i < len(verts) && (level > 0 || best == topology.None); i++ {
+			switch v := verts[i]; {
+			case recs[v].cells <= whole:
+			case level == 0:
+				recomputed += t.ensure(led, topo, v, compute)
+				fallthrough
+			case t.current(led, v):
+				take(i)
+			case t.bound(led, topo, v, prune) >= need && beats(recs[v].inner, i):
+				t.stale = append(t.stale, i)
+			}
+		}
+		slices.SortStableFunc(t.stale, func(a, b int) int { return cmp.Compare(recs[verts[a]].inner, recs[verts[b]].inner) })
+		for _, i := range t.stale {
+			if !beats(recs[verts[i]].inner, i) {
+				break
+			}
+			recomputed += t.ensure(led, topo, verts[i], compute)
+			take(i)
+		}
+		if pick := best; invariantsEnabled && t.audit { // a sampled cold plan: nothing passed over wins
+			for i, v := range verts {
+				if recs[v].cells > whole {
+					t.ensure(led, topo, v, compute)
+					if take(i); best != pick {
+						panic(fmt.Sprintf("invariant violated: settle picked vertex %d, but %d beats it", pick, best))
+					}
+				}
+			}
 		}
 	}
+	t.audit = false
 	return best, recomputed
+}
+
+// bound returns the free slots below internal vertex v and memoizes them,
+// per subtree version and from the children's memos, with inner: no
+// optimum of v is below the largest occupancy of a link inside it if prune,
+// as under MinMaxOccupancy with c >= 0 (ALGORITHMS.md §3); else inner is 0.
+func (t *dpTable) bound(led *Ledger, topo *topology.Topology, v topology.NodeID, prune bool) int {
+	r := &t.recs[v]
+	if ver := led.SubtreeVersion(v); !r.bounded || r.bver != ver {
+		r.free, r.inner = 0, 0
+		for _, c := range topo.Node(v).Children {
+			free, inner := led.FreeSlots(c), 0.0
+			if !topo.Node(c).IsMachine() {
+				free, inner = t.bound(led, topo, c, prune), t.recs[c].inner
+			}
+			if r.free += free; prune {
+				r.inner = max(r.inner, inner, led.Occupancy(c))
+			}
+		}
+		r.bounded, r.bver = true, ver
+	}
+	return r.free
 }
 
 // kernel fills vertex v's record from led and its children's records.

@@ -221,12 +221,13 @@ func diffRecords(topo *topology.Topology, ref, got *homogTable) error {
 	return nil
 }
 
-// randomKernelCase loads tp at random — deterministic and stochastic
-// reservations on links, used slots, failed machines and links — and
+// randomKernelCase loads a ledger over tp at risk factor eps at random —
+// deterministic and stochastic reservations on links, used slots, failed
+// machines and links — and
 // draws a request shape, a policy and, half the time, repair inputs:
 // pins on live machines and, half of those times, the relaxed pass.
-func randomKernelCase(r *stats.Rand, tp *topology.Topology, maxN int, mu float64) kernelCase {
-	led, err := NewLedger(tp, 0.05)
+func randomKernelCase(r *stats.Rand, tp *topology.Topology, maxN int, mu, eps float64) kernelCase {
+	led, err := NewLedger(tp, eps)
 	if err != nil {
 		panic(err)
 	}
@@ -288,7 +289,7 @@ func TestHomogKernelMatchesReference(t *testing.T) {
 		if trial%10 == 0 {
 			tp, maxN, mu = scaled, 160, 500
 		}
-		c := randomKernelCase(r, tp, maxN, mu)
+		c := randomKernelCase(r, tp, maxN, mu, 0.05)
 		ref, got := c.tables()
 		if err := diffRecords(tp, ref, got); err != nil {
 			t.Fatalf("trial %d (req %v, policy %v, pins %v, relax %v): %v", trial, c.req, c.policy, c.pins, c.relax, err)

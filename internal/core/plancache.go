@@ -127,12 +127,13 @@ func (r *keyRing[K]) take(k K) bool {
 	return false
 }
 
-// planner is one DP table bound to one request, as a plan runs it:
-// settle is a dry run's whole plan, plan an admission's (settle, then
-// build). homogTable and substrTable implement it.
+// planner is one DP table bound to one request, as a plan runs it: settle
+// is a dry run's whole plan, plan an admission's (settle, then build),
+// table the dpTable both run on. homogTable and substrTable implement it.
 type planner interface {
 	settle(led *Ledger, scope *planScope) (topology.NodeID, int, error)
 	plan(led *Ledger, scope *planScope) (Placement, int, error)
+	table() *dpTable
 }
 
 // planShelf is one DP's share of the cache: the resident keys' tables, the
@@ -207,7 +208,7 @@ func cachedPlan[K comparable, T planner](c *planCache, s *planShelf[K, T], key K
 		c.stats.Invalidations += int64(recomputed)
 	}
 	if invariantsEnabled && c.shouldSample() {
-		fp, ferr := coldPlan(s.pool, led, scope, func(t T) { bind(t, true) })
+		fp, ferr := coldPlan(s.pool, led, scope, func(t T) { bind(t, true); t.table().audit = true })
 		checkCachedPlan(p, err, fp, ferr)
 	}
 	return p, err

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/stats"
@@ -561,9 +562,14 @@ func TestPlanCacheCounters(t *testing.T) {
 // recomputes on the paper tree after churn: only those its selection
 // reads. An N = 2 plan lands on the first machine that fits, so it
 // recomputes the stale machines up to that one and no record above the
-// machines. An N = 16 plan cannot land on a 4-slot machine: it recomputes
-// the stale racks together with the stale machines under them, and no
-// machine under a rack that is current.
+// machines. An N = 16 plan cannot land on a 4-slot machine, so it selects
+// among the racks by dpTable.settle's visiting rule, which the test
+// replays from each rack's optimum on a cold table and its bound read off
+// the ledger: the current racks are read, the stale ones with 16 free
+// slots are taken in ascending order of their largest host-link
+// occupancy, ties in topology order, until a bound loses to the best
+// optimum so far under (value, position). The plan recomputes exactly the
+// stale racks that rule takes, with the stale machines under them.
 func TestPlanReadsOnlyWhatItSelects(t *testing.T) {
 	topo, err := topology.NewThreeTier(topology.PaperConfig())
 	if err != nil {
@@ -602,7 +608,7 @@ func TestPlanReadsOnlyWhatItSelects(t *testing.T) {
 	}
 	var jobs []job
 	machines, racks := topo.AtLevel(0), topo.AtLevel(1)
-	var pastFirst, currentRacks int
+	var pastFirst, currentRacks, slotSkips, boundSkips int
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 30; i++ {
 			if len(jobs) > 0 && r.IntN(3) == 0 {
@@ -643,30 +649,72 @@ func TestPlanReadsOnlyWhatItSelects(t *testing.T) {
 		}
 
 		tb, want = table(wide), 0
-		for _, rack := range racks {
+		cold := new(homogTable)
+		cold.reset(topo, nil, wide, MinMaxOccupancy)
+		at, bestVal := len(racks), infeasible
+		take := func(i int) { // racks[i]'s optimum, computed cold, against the pick so far
+			rack := racks[i]
+			cold.ensure(led, topo, rack, cold.compute)
+			optIn, _, _ := cold.rows(&cold.recs[rack])
+			if val := optIn[wide.N]; cold.recs[rack].cap >= wide.N && val != infeasible && (val < bestVal || val == bestVal && i < at) {
+				at, bestVal = i, val
+			}
+		}
+		type staleRack struct {
+			occ float64
+			at  int
+		}
+		var stale []staleRack
+		for i, rack := range racks {
 			if tb.current(led, rack) {
 				currentRacks++
+				take(i)
 				continue
 			}
-			want++
+			free, occ := 0, 0.0
 			for _, m := range topo.Node(rack).Children {
+				free += led.FreeSlots(m)
+				occ = max(occ, led.Occupancy(m))
+			}
+			if free < wide.N {
+				slotSkips++
+				continue
+			}
+			stale = append(stale, staleRack{occ, i})
+		}
+		sort.Slice(stale, func(a, b int) bool {
+			return stale[a].occ < stale[b].occ || stale[a].occ == stale[b].occ && stale[a].at < stale[b].at
+		})
+		for k, c := range stale {
+			if c.occ > bestVal || c.occ == bestVal && c.at > at {
+				boundSkips += len(stale) - k
+				break
+			}
+			want++
+			for _, m := range topo.Node(racks[c.at]).Children {
 				if !tb.current(led, m) {
 					want++
 				}
 			}
+			take(c.at)
 		}
 		p, got = plan(wide)
-		if rack := topo.Node(p.Entries[0].Machine).Parent; topo.Node(p.Entries[len(p.Entries)-1].Machine).Parent != rack {
-			t.Fatalf("round %d: N = 16 placed %v across racks", round, &p)
+		for _, e := range p.Entries {
+			if topo.Node(e.Machine).Parent != racks[at] {
+				t.Fatalf("round %d: N = 16 placed %v, want it in rack %d", round, &p, racks[at])
+			}
 		}
 		if got != want {
-			t.Fatalf("round %d: N = 16 recomputed %d records, want %d: the stale racks and the stale machines under them", round, got, want)
+			t.Fatalf("round %d: N = 16 recomputed %d records, want %d: the stale racks the visiting rule takes and the stale machines under them", round, got, want)
 		}
 	}
-	// The churn must leave something for an eager settle to recompute.
-	if pastFirst == 0 || currentRacks == 0 {
-		t.Errorf("weak churn: %d stale machines past the first fit, %d current racks", pastFirst, currentRacks)
+	// The churn must leave something for an eager settle to recompute, and
+	// stale racks that each of the two skips passes over.
+	if pastFirst == 0 || currentRacks == 0 || slotSkips == 0 || boundSkips == 0 {
+		t.Errorf("weak churn: %d stale machines past the first fit, %d current racks, %d stale racks skipped on slots, %d on the bound",
+			pastFirst, currentRacks, slotSkips, boundSkips)
 	}
+	t.Logf("%d current racks, %d stale racks skipped on slots, %d on the bound", currentRacks, slotSkips, boundSkips)
 }
 
 // paperManager returns a manager over the paper's datacenter with a few
