@@ -416,11 +416,12 @@ func TestAdmissionStormInvariants(t *testing.T) {
 // allocated 31 objects (go1.24) while the planner's contributions were
 // converted to the journaled type and back on their way into the job, and
 // 30 while they were built through a map and copied into the job; derived
-// once, into the job's own list, it is 22 (go1.24), and a conversion or
-// copy that creeps back in fails here. Under -tags invariants
-// checkCachedPlan re-runs every planCacheSampleEvery-th cached plan cold,
-// into tables of its own, which adds about one object per admission on
-// average; the bound allows two more there.
+// once, into the job's own list, it was 22 (go1.24), and with normalize
+// merging in place rather than through a map and a sorted key list it is
+// 10: a conversion, copy or map that creeps back in fails here. Under
+// -tags invariants checkCachedPlan re-runs every planCacheSampleEvery-th
+// cached plan cold, into tables of its own, which adds about one object
+// per admission on average; the bound allows two more there.
 func TestAdmissionAllocCount(t *testing.T) {
 	topo, err := topology.NewThreeTier(topology.PaperConfig())
 	if err != nil {
@@ -439,7 +440,7 @@ func TestAdmissionAllocCount(t *testing.T) {
 	for i := 0; i < 4; i++ { // past the plan cache's second-sight admission
 		admit()
 	}
-	bound := 22.0
+	bound := 10.0
 	if invariantsEnabled {
 		bound += 2
 	}

@@ -33,11 +33,6 @@ type dpRec struct {
 	cells int // length of each row: (static bound on cap + 1) x stride
 	off   int // alloc row starts at bl[off]; optIn at f64[2*off], upOcc right behind it
 	pick  int // child i's choice row starts at i32[pick+i*cells] (internal vertices)
-	// bound's memo: valid while bounded and bver is SubtreeVersion(v)
-	bounded bool
-	bver    uint64
-	free    int // free slots below v
-	inner   float64
 }
 
 // dpTable is the slab-backed record table.
@@ -48,8 +43,14 @@ type dpTable struct {
 	bl     []bool
 	lowest int    // the lowest level with a vertex whose static bound reaches n
 	epoch  uint64 // Faults().Epoch() the filled records were computed under
-	stale  []int  // settle's scratch: one level's stale candidates
-	audit  bool   // under -tags invariants: the next settle checks every candidate it passed over
+	stale  []staleCand
+	audit  bool // under -tags invariants: the next settle checks every candidate it passed over
+}
+
+// staleCand is a stale candidate's index in its level and its bound.
+type staleCand struct {
+	i     int
+	inner float64
 }
 
 // layout sizes the table for a request of n VMs over the scope's vertices
@@ -111,13 +112,13 @@ func (t *dpTable) cachedRecords() []dpRec { return t.recs }
 
 func (t *dpTable) table() *dpTable { return t }
 
-// syncEpoch drops every record and bound when the ledger's fault state is
-// not the one they were computed under: reachability is the one input of
-// both that is not subtree-local, so no subtree version covers it.
+// syncEpoch drops every record when the ledger's fault state is not the
+// one they were computed under: reachability is the one input that is not
+// subtree-local, so no subtree version covers it.
 func (t *dpTable) syncEpoch(led *Ledger) {
 	if ep := led.Faults().Epoch(); t.epoch != ep {
 		for i := range t.recs {
-			t.recs[i].filled, t.recs[i].bounded = false, false
+			t.recs[i].filled = false
 		}
 		t.epoch = ep
 	}
@@ -140,7 +141,9 @@ func (t *dpTable) current(led *Ledger, v topology.NodeID) bool {
 // optimum wins, the first in topology order of equal ones. The machine
 // level stops at its first fit, whose optimum is 0. Above it, settle reads
 // the current records, then ensures the stale candidates with need free
-// slots in (bound, position) order until one cannot beat the pick.
+// slots in (bound, position) order until one cannot beat the pick. The
+// bound is Ledger.subtreeBound's inner occupancy under MinMaxOccupancy
+// with c >= 0, where it bounds the optimum (ALGORITHMS.md §3), else 0.
 func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy Policy,
 	within func([]topology.NodeID) []topology.NodeID, compute kernel) (best topology.NodeID, recomputed int) {
 	topo, recs := led.Topology(), t.cachedRecords()
@@ -173,17 +176,23 @@ func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy 
 				fallthrough
 			case t.current(led, v):
 				take(i)
-			case t.bound(led, topo, v, prune) >= need && beats(recs[v].inner, i):
-				t.stale = append(t.stale, i)
+			default:
+				free, inner := led.subtreeBound(v)
+				if !prune {
+					inner = 0
+				}
+				if free >= need && beats(inner, i) {
+					t.stale = append(t.stale, staleCand{i, inner})
+				}
 			}
 		}
-		slices.SortStableFunc(t.stale, func(a, b int) int { return cmp.Compare(recs[verts[a]].inner, recs[verts[b]].inner) })
-		for _, i := range t.stale {
-			if !beats(recs[verts[i]].inner, i) {
+		slices.SortStableFunc(t.stale, func(a, b staleCand) int { return cmp.Compare(a.inner, b.inner) })
+		for _, c := range t.stale {
+			if !beats(c.inner, c.i) {
 				break
 			}
-			recomputed += t.ensure(led, topo, verts[i], compute)
-			take(i)
+			recomputed += t.ensure(led, topo, verts[c.i], compute)
+			take(c.i)
 		}
 		if pick := best; invariantsEnabled && t.audit { // a sampled cold plan: nothing passed over wins
 			for i, v := range verts {
@@ -198,28 +207,6 @@ func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy 
 	}
 	t.audit = false
 	return best, recomputed
-}
-
-// bound returns the free slots below internal vertex v and memoizes them,
-// per subtree version and from the children's memos, with inner: no
-// optimum of v is below the largest occupancy of a link inside it if prune,
-// as under MinMaxOccupancy with c >= 0 (ALGORITHMS.md §3); else inner is 0.
-func (t *dpTable) bound(led *Ledger, topo *topology.Topology, v topology.NodeID, prune bool) int {
-	r := &t.recs[v]
-	if ver := led.SubtreeVersion(v); !r.bounded || r.bver != ver {
-		r.free, r.inner = 0, 0
-		for _, c := range topo.Node(v).Children {
-			free, inner := led.FreeSlots(c), 0.0
-			if !topo.Node(c).IsMachine() {
-				free, inner = t.bound(led, topo, c, prune), t.recs[c].inner
-			}
-			if r.free += free; prune {
-				r.inner = max(r.inner, inner, led.Occupancy(c))
-			}
-		}
-		r.bounded, r.bver = true, ver
-	}
-	return r.free
 }
 
 // kernel fills vertex v's record from led and its children's records.

@@ -15,7 +15,8 @@ import (
 // admission condition (paper Eq. 4) and the bandwidth occupancy ratio
 // (paper Eq. 6) for every link.
 //
-// A Ledger is not safe for concurrent use; Manager provides the
+// A Ledger is not safe for concurrent use, and a plan counts as a write:
+// it fills the ledger's bound memo (subtreeBound). Manager provides the
 // synchronized interface.
 type Ledger struct {
 	topo *topology.Topology
@@ -33,13 +34,24 @@ type Ledger struct {
 	// ledger and its clones — imply bit-identical subtree state. The plan
 	// cache keys DP records on it; see plancache.go.
 	// Fault state is deliberately NOT folded in: reachability depends on
-	// links above v, so caches track Faults().Epoch() separately.
+	// links above v, so caches track Faults().Epoch() separately. NewLedger
+	// stamps every vertex, so no version is 0.
 	subVer []uint64
+	bounds []subtreeBound // subtreeBound's memo, per vertex
+}
+
+// subtreeBound is one entry of the bound memo, current while ver and epoch
+// are its vertex's SubtreeVersion and Faults().Epoch().
+type subtreeBound struct {
+	ver, epoch uint64
+	free       int     // free VM slots below the vertex
+	inner      float64 // the largest occupancy of a link strictly inside it
 }
 
 // subVerTick issues globally unique subtree-version ticks. Monotonic per
 // process; never reset, so clones that diverge can never alias versions.
-var subVerTick atomic.Uint64
+// boundSample samples subtreeBound's -tags invariants check.
+var subVerTick, boundSample atomic.Uint64
 
 // linkState is the reservation bookkeeping of one physical link, following
 // the paper's decomposition: deterministic reservations D_L plus the
@@ -69,9 +81,13 @@ func NewLedger(topo *topology.Topology, eps float64) (*Ledger, error) {
 		used:   make([]int, topo.Len()),
 		faults: topology.NewFaults(topo),
 		subVer: make([]uint64, topo.Len()),
+		bounds: make([]subtreeBound, topo.Len()),
 	}
 	for _, id := range topo.Links() {
 		l.links[id].cap = topo.LinkCap(id)
+	}
+	for v, t := 0, subVerTick.Add(1); v < len(l.subVer); v++ {
+		l.subVer[v] = t
 	}
 	return l, nil
 }
@@ -88,10 +104,12 @@ func (l *Ledger) Clone() *Ledger {
 		used:   make([]int, len(l.used)),
 		faults: l.faults.Clone(),
 		subVer: make([]uint64, len(l.subVer)),
+		bounds: make([]subtreeBound, len(l.bounds)),
 	}
 	copy(c.links, l.links)
 	copy(c.used, l.used)
 	copy(c.subVer, l.subVer)
+	copy(c.bounds, l.bounds)
 	return c
 }
 
@@ -149,6 +167,33 @@ func (l *Ledger) bumpSubtree(v topology.NodeID) {
 // across the ledger's whole clone lineage — certify that no reservation
 // or slot state inside v's subtree changed in between.
 func (l *Ledger) SubtreeVersion(v topology.NodeID) uint64 { return l.subVer[v] }
+
+// subtreeBound returns the free VM slots below internal vertex v and the
+// largest occupancy of a link strictly inside it, the bound dpTable.settle
+// visits stale candidates by (ALGORITHMS.md §3). Every table reads this one
+// memo, each entry built from its children's, so a commit costs the next
+// call only the entries on its paths. Clone copies it: subtree ticks are
+// unique to the process, and each overlay moves its own fault epoch.
+func (l *Ledger) subtreeBound(v topology.NodeID) (free int, inner float64) {
+	b := &l.bounds[v]
+	if b.ver != l.subVer[v] || b.epoch != l.faults.Epoch() {
+		*b = subtreeBound{ver: l.subVer[v], epoch: l.faults.Epoch()}
+		for _, c := range l.topo.Node(v).Children {
+			cFree, cInner := l.FreeSlots(c), 0.0
+			if !l.topo.Node(c).IsMachine() {
+				cFree, cInner = l.subtreeBound(c)
+			}
+			b.free, b.inner = b.free+cFree, max(b.inner, cInner, l.Occupancy(c))
+		}
+	} else if invariantsEnabled && boundSample.Add(1)%64 == 1 { // a sampled hit against a memo built anew
+		fresh := l.Clone()
+		clear(fresh.bounds)
+		if fresh.subtreeBound(v); fresh.bounds[v] != *b {
+			panic(fmt.Sprintf("invariant violated: vertex %d's bound memo holds %+v, a memo built anew %+v", v, *b, fresh.bounds[v]))
+		}
+	}
+	return b.free, b.inner
+}
 
 // AddStochastic records a stochastic crossing demand on the link.
 func (l *Ledger) AddStochastic(id topology.LinkID, d stats.Normal) {

@@ -301,3 +301,126 @@ func TestMaxOccupancyByLevel(t *testing.T) {
 		t.Errorf("rack level max = %v, want 0.25", byLevel[1])
 	}
 }
+
+// boundFromScratch is what Ledger.subtreeBound must return for internal
+// vertex v, read off the ledger without the memo: the free slots of every
+// machine below v, and the largest occupancy of a link whose lower end is
+// a proper descendant of v.
+func boundFromScratch(led *Ledger, v topology.NodeID) (free int, inner float64) {
+	tp := led.Topology()
+	for _, m := range tp.SubtreeMachines(nil, v) {
+		free += led.FreeSlots(m)
+	}
+	for _, link := range tp.Links() {
+		for a := tp.Node(link).Parent; a != topology.None; a = tp.Node(a).Parent {
+			if a == v {
+				inner = max(inner, led.Occupancy(link))
+				break
+			}
+		}
+	}
+	return free, inner
+}
+
+// TestSubtreeBoundMemo drives ledgers over random trees and the paper tree
+// through streams of slot use and release, stochastic and deterministic
+// reservations and their removal, machine and link failures and restores,
+// SetOffline, and clones that then diverge from their source, and after
+// every step requires the memo of every internal vertex — of every ledger
+// in the lineage, the source included — to equal a recompute from
+// scratch. Only some vertices are read after a step, so entries are also
+// read after several steps of staleness.
+func TestSubtreeBoundMemo(t *testing.T) {
+	r := stats.NewRand(3939)
+	paper, err := topology.NewThreeTier(topology.PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits, clones int
+	for trial := 0; trial < 120; trial++ {
+		tp, steps := randomTopology(r), 200
+		if trial%20 == 0 {
+			tp, steps = paper, 60
+		}
+		machines, links := tp.Machines(), tp.Links()
+		var internal []topology.NodeID
+		for v := topology.NodeID(0); int(v) < tp.Len(); v++ {
+			if !tp.Node(v).IsMachine() {
+				internal = append(internal, v)
+			}
+		}
+		type reservation struct {
+			link topology.LinkID
+			d    stats.Normal
+			det  bool
+		}
+		type lineage struct {
+			led  *Ledger
+			held []reservation
+		}
+		ledgers := []*lineage{{led: newTestLedger(t, tp, []float64{0.05, 0.7}[r.IntN(2)])}}
+		for step := 0; step < steps; step++ {
+			l := ledgers[r.IntN(len(ledgers))]
+			led, faults := l.led, l.led.Faults()
+			m, link := machines[r.IntN(len(machines))], links[r.IntN(len(links))]
+			switch op := r.IntN(10); {
+			case op == 0 && len(ledgers) < 4:
+				c := &lineage{led: led.Clone(), held: append([]reservation(nil), l.held...)}
+				ledgers = append(ledgers, c)
+				clones++
+			case op <= 2 && led.FreeSlots(m) > 0:
+				led.UseSlots(m, r.UniformInt(1, led.FreeSlots(m)))
+			case op <= 2 && led.used[m] > 0:
+				led.ReleaseSlots(m, r.UniformInt(1, led.used[m]))
+			case op <= 4:
+				res := reservation{link: link, det: r.IntN(2) == 0}
+				res.d = stats.Normal{Mu: r.UniformRange(0, 0.3*tp.LinkCap(link)), Sigma: r.UniformRange(0, 0.2*tp.LinkCap(link))}
+				if res.det {
+					led.AddDet(link, res.d.Mu)
+				} else {
+					led.AddStochastic(link, res.d)
+				}
+				l.held = append(l.held, res)
+			case op == 5 && len(l.held) > 0:
+				i := r.IntN(len(l.held))
+				if res := l.held[i]; res.det {
+					led.RemoveDet(res.link, res.d.Mu)
+				} else {
+					led.RemoveStochastic(res.link, res.d)
+				}
+				l.held = append(l.held[:i], l.held[i+1:]...)
+			case op == 6:
+				led.SetOffline(m, !led.Offline(m))
+			case op == 7:
+				faults.FailLink(link)
+			case op == 8:
+				faults.RestoreLink(link)
+			default:
+				if !faults.FailMachine(m) {
+					faults.RestoreMachine(m)
+				}
+			}
+			for _, l := range ledgers {
+				check := internal
+				if r.IntN(2) == 0 {
+					check = internal[r.IntN(len(internal)):][:1]
+				}
+				for _, v := range check {
+					b := l.led.bounds[v]
+					if b.ver == l.led.SubtreeVersion(v) && b.epoch == l.led.Faults().Epoch() {
+						hits++
+					}
+					free, inner := l.led.subtreeBound(v)
+					wantFree, wantInner := boundFromScratch(l.led, v)
+					if free != wantFree || math.Float64bits(inner) != math.Float64bits(wantInner) {
+						t.Fatalf("trial %d, step %d: vertex %d's memo is (%d, %v), its subtree has (%d, %v)", trial, step, v, free, inner, wantFree, wantInner)
+					}
+				}
+			}
+		}
+	}
+	if hits < 50000 || clones < 200 {
+		t.Errorf("weak coverage: %d memo hits, %d clones", hits, clones)
+	}
+	t.Logf("%d memo hits, %d clones", hits, clones)
+}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -73,30 +73,23 @@ func (p *Placement) String() string {
 	return s
 }
 
-// normalize merges duplicate machine entries and sorts by machine ID, so
-// that placements compare deterministically.
+// normalize drops empty entries, sorts the rest by machine ID and merges
+// the entries of one machine, its VMs in the order they were emitted, so
+// that placements compare deterministically. It works in place: a stable
+// sort, then one pass that merges neighbours.
 func (p *Placement) normalize() {
-	byMachine := make(map[topology.NodeID]*PlacementEntry, len(p.Entries))
-	var order []topology.NodeID
-	for _, e := range p.Entries {
-		if e.Count == 0 {
+	es := slices.DeleteFunc(p.Entries, func(e PlacementEntry) bool { return e.Count == 0 })
+	slices.SortStableFunc(es, func(a, b PlacementEntry) int { return cmp.Compare(a.Machine, b.Machine) })
+	merged := es[:0]
+	for _, e := range es {
+		if last := len(merged) - 1; last >= 0 && merged[last].Machine == e.Machine {
+			merged[last].Count += e.Count
+			merged[last].VMs = append(merged[last].VMs, e.VMs...)
 			continue
 		}
-		if cur, ok := byMachine[e.Machine]; ok {
-			cur.Count += e.Count
-			cur.VMs = append(cur.VMs, e.VMs...)
-			continue
-		}
-		ec := e
-		byMachine[e.Machine] = &ec
-		order = append(order, e.Machine)
+		merged = append(merged, e)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	entries := make([]PlacementEntry, 0, len(order))
-	for _, m := range order {
-		entries = append(entries, *byMachine[m])
-	}
-	p.Entries = entries
+	p.Entries = merged
 }
 
 // Contribution is one job's crossing-demand charge on one link, exactly

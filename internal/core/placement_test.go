@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -26,6 +29,78 @@ func TestPlacementNormalize(t *testing.T) {
 	}
 	if p.TotalVMs() != 4 {
 		t.Errorf("TotalVMs = %d, want 4", p.TotalVMs())
+	}
+}
+
+// refNormalize is normalize as it stood before it worked in place,
+// verbatim but for its name: entries merged through a map, the machine
+// order sorted apart.
+func (p *Placement) refNormalize() {
+	byMachine := make(map[topology.NodeID]*PlacementEntry, len(p.Entries))
+	var order []topology.NodeID
+	for _, e := range p.Entries {
+		if e.Count == 0 {
+			continue
+		}
+		if cur, ok := byMachine[e.Machine]; ok {
+			cur.Count += e.Count
+			cur.VMs = append(cur.VMs, e.VMs...)
+			continue
+		}
+		ec := e
+		byMachine[e.Machine] = &ec
+		order = append(order, e.Machine)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	entries := make([]PlacementEntry, 0, len(order))
+	for _, m := range order {
+		entries = append(entries, *byMachine[m])
+	}
+	p.Entries = entries
+}
+
+// TestNormalizeMatchesReference runs normalize and refNormalize on random
+// entry lists — machines repeated, zero counts, VM lists nil, empty or
+// long, entries in any order — and requires equal results. The one
+// difference allowed is that an empty list stays nil where the reference
+// made an empty slice; no plan normalizes an empty placement.
+func TestNormalizeMatchesReference(t *testing.T) {
+	r := stats.NewRand(3939)
+	var merged, dropped int
+	for trial := 0; trial < 5000; trial++ {
+		var in []PlacementEntry
+		kept, machines := 0, r.UniformInt(1, 6)
+		for i := r.IntN(24); i > 0; i-- {
+			e := PlacementEntry{Machine: topology.NodeID(r.IntN(machines) * 7), Count: r.IntN(4)}
+			switch r.IntN(3) {
+			case 1:
+				e.VMs = []int{}
+			case 2:
+				for k := r.UniformInt(1, 5); k > 0; k-- {
+					e.VMs = append(e.VMs, r.IntN(100))
+				}
+			}
+			if e.Count == 0 {
+				dropped++
+			} else {
+				kept++
+			}
+			in = append(in, e)
+		}
+		// Each side gets its own copy: both append to VM lists in place.
+		src := Placement{Entries: in}
+		got, want := src.Clone(), src.Clone()
+		got.normalize()
+		want.refNormalize()
+		if len(got.Entries) < kept {
+			merged++
+		}
+		if len(got.Entries)+len(want.Entries) > 0 && !reflect.DeepEqual(got.Entries, want.Entries) {
+			t.Fatalf("trial %d: normalize(%v) = %v, reference %v", trial, in, got.Entries, want.Entries)
+		}
+	}
+	if dropped < 1000 || merged < 1000 {
+		t.Errorf("weak coverage: %d zero-count entries, %d lists with a machine merged", dropped, merged)
 	}
 }
 
