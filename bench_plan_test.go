@@ -71,8 +71,12 @@ func reportPlanCache(b *testing.B, mgr *core.Manager, before core.AdmissionStats
 //     cold in a pooled table; allocs/op is the number to watch (N = 49 and
 //     N = 8, the paper population's mean size and its hetero requests).
 //   - homog/miss-reject: a new key on every iteration whose every VM needs
-//     more than a host link, so no machine takes one, no subtree hosts
-//     the request, and the plan walks every level before it rejects.
+//     more than a host link, so no machine takes one and no subtree hosts
+//     the request. The empty-link refusal turns it away when the table is
+//     bound, before a record is computed.
+//   - hetero/miss-reject: the same for the substring DP — a new N = 8 key
+//     on every iteration with one VM that no empty host link carries in
+//     any substring a machine could hold.
 //   - homog/miss-N150: homog/miss at N = 150, the population's tail, where
 //     the DP rows are three times as long.
 //   - paper-stream: svcbench's plan-miss stream in process — the paper's
@@ -254,6 +258,30 @@ func BenchmarkPlanOnly(b *testing.B) {
 			req.Demands[0].Sigma = 10 + float64(i)/float64(b.N)
 			if !mgr.CanAllocateHetero(req) {
 				b.Fatal("plan rejected on a lightly loaded datacenter")
+			}
+		}
+		b.StopTimer()
+		reportPlanCache(b, mgr, before)
+	})
+
+	b.Run("hetero/miss-reject", func(b *testing.B) {
+		mgr := planBenchManager(b)
+		// Seven VMs of 400 Mbps, any four of which overflow a 1 Gbps host
+		// link, and one of 1.5 Gbps: every substring of at most four VMs
+		// that holds it puts more than 1 Gbps on its machine's link.
+		demands := make([]stats.Normal, 8)
+		for v := range demands {
+			demands[v] = stats.Normal{Mu: 400, Sigma: 40}
+		}
+		demands[7] = stats.Normal{Mu: 1500, Sigma: 100}
+		req := core.Heterogeneous{Demands: demands}
+		before := mgr.AdmissionStats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req.Demands[0].Sigma = 40 + float64(i)/float64(b.N)
+			if mgr.CanAllocateHetero(req) {
+				b.Fatal("plan accepted a VM no host link carries")
 			}
 		}
 		b.StopTimer()

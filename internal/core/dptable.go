@@ -37,14 +37,16 @@ type dpRec struct {
 
 // dpTable is the slab-backed record table.
 type dpTable struct {
-	recs   []dpRec // indexed by NodeID; only in-scope vertices are laid out
-	f64    []float64
-	i32    []int32
-	bl     []bool
-	lowest int    // the lowest level with a vertex whose static bound reaches n
-	epoch  uint64 // Faults().Epoch() the filled records were computed under
-	stale  []staleCand
-	audit  bool // under -tags invariants: the next settle checks every candidate it passed over
+	recs      []dpRec // indexed by NodeID; only in-scope vertices are laid out
+	f64       []float64
+	i32       []int32
+	bl        []bool
+	n, stride int    // the bound request's VM count and cells per VM count (layout)
+	lowest    int    // the lowest level with a vertex whose static bound reaches n
+	epoch     uint64 // Faults().Epoch() the filled records were computed under
+	stale     []staleCand
+	audit     bool // under -tags invariants: the next settle checks every candidate it passed over
+	refused   bool // the empty-link refusal turned the bound request away: nothing is laid out
 }
 
 // staleCand is a stale candidate's index in its level and its bound.
@@ -53,12 +55,13 @@ type staleCand struct {
 	inner float64
 }
 
-// layout sizes the table for a request of n VMs over the scope's vertices
+// layout sizes the table for the bound request over the scope's vertices
 // and marks every record unfilled. stride is the number of cells per VM
 // count: 1 for the homogeneous DP, n+1 substring anchors for the substring
 // DP. Slabs are reused when large enough; their contents are not cleared —
 // the kernels write every cell before anything reads it.
-func (t *dpTable) layout(topo *topology.Topology, scope *planScope, n, stride int) {
+func (t *dpTable) layout(topo *topology.Topology, scope *planScope) {
+	n, stride := t.n, t.stride
 	t.recs = grow(t.recs, topo.Len())
 	cells, picks := 0, 0
 	t.lowest = scopeHeight(topo, scope) + 1
@@ -144,9 +147,22 @@ func (t *dpTable) current(led *Ledger, v topology.NodeID) bool {
 // slots in (bound, position) order until one cannot beat the pick. The
 // bound is Ledger.subtreeBound's inner occupancy under MinMaxOccupancy
 // with c >= 0, where it bounds the optimum (ALGORITHMS.md §3), else 0.
+// A refused table finds nothing; under -tags invariants every 16th refusal
+// lays it out and panics if a settle without the refusal finds a subtree.
 func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy Policy,
 	within func([]topology.NodeID) []topology.NodeID, compute kernel) (best topology.NodeID, recomputed int) {
 	topo, recs := led.Topology(), t.cachedRecords()
+	if t.refused {
+		if t.audit = false; invariantsEnabled && refusalSample.Add(1)%16 == 1 {
+			t.refused = false
+			t.layout(topo, scope)
+			best, _ = t.settle(led, scope, need, whole, policy, within, compute)
+			if t.refused = true; best != topology.None {
+				panic(fmt.Sprintf("invariant violated: the empty-link refusal turned away a request the DP places at vertex %d", best))
+			}
+		}
+		return topology.None, 0
+	}
 	t.syncEpoch(led)
 	prune := policy == MinMaxOccupancy && led.RiskConstant() >= 0
 	best = topology.None

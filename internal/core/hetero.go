@@ -42,7 +42,6 @@ type substrTable struct {
 	dpTable
 	req    Heterogeneous
 	order  []int // order[pos] is req's VM at sorted position pos
-	n      int
 	policy Policy
 	prefix demandPrefix // over the canonicalized (canonDemand) sorted demands
 	// crossing[idx(length, a)] is the demand a link carries with the
@@ -59,22 +58,35 @@ func (t *substrTable) idx(length, a int) int { return length*(t.n+1) + a }
 
 // reset binds the table to req, whose VMs in percentile order are order,
 // and lays it out over the scope's vertices; every record is stale
-// afterwards.
-func (t *substrTable) reset(topo *topology.Topology, scope *planScope, req Heterogeneous, order []int, policy Policy) {
-	t.req, t.order, t.n, t.policy = req, order, len(order), policy
+// afterwards. The empty-link refusal turns the request away instead when
+// some VM lies in no substring of at most MaxMachineSlots VMs whose
+// crossing demand an empty host link carries, so no machine can take it:
+// one sweep, each start trying its longest substring first, with the VMs
+// below reach covered.
+func (t *substrTable) reset(led *Ledger, scope *planScope, req Heterogeneous, order []int, policy Policy) {
+	t.req, t.order, t.policy, t.n, t.stride = req, order, policy, len(order), len(order)+1
 	t.prefix.reset(req.Demands, order)
-	t.crossing = grow(t.crossing, (t.n+1)*(t.n+1))
-	t.crossLens = 0
-	t.layout(topo, scope, t.n, t.n+1)
+	t.crossing = grow(t.crossing, t.stride*t.stride)
+	t.crossLens, t.refused = 0, false
+	if s := led.Topology().MaxMachineSlots(); led.judgesEmptyLinks(t.n) {
+		t.needCrossing(s)
+		for a, reach := 0, 0; a < t.n && !t.refused; a++ {
+			for length := min(s, t.n-a); a+length > reach; length-- {
+				if led.emptyHostCarries(t.crossing[t.idx(length, a)]) {
+					reach = a + length
+				}
+			}
+			t.refused = reach <= a
+		}
+	}
+	if !t.refused {
+		t.layout(led.Topology(), scope)
+	}
 }
 
-// needCrossing extends the crossing table to the substring lengths v's
-// uplink can see: up to its static cap bound. The root has no uplink.
-func (t *substrTable) needCrossing(topo *topology.Topology, v topology.NodeID) {
-	if topo.Node(v).Parent == topology.None {
-		return
-	}
-	for maxLen := t.recs[v].cells/(t.n+1) - 1; t.crossLens <= maxLen; t.crossLens++ {
+// needCrossing extends the crossing table to substring length maxLen.
+func (t *substrTable) needCrossing(maxLen int) {
+	for ; t.crossLens <= maxLen; t.crossLens++ {
 		for a := 0; a+t.crossLens <= t.n; a++ {
 			t.crossing[t.idx(t.crossLens, a)] = t.prefix.crossing(a, a+t.crossLens)
 		}
@@ -99,7 +111,7 @@ func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy
 	}
 	order := orderByPercentile(req)
 	return coldPlan(&substrTablePool, led, scope, func(t *substrTable) {
-		t.reset(led.Topology(), scope, req, order, policy)
+		t.reset(led, scope, req, order, policy)
 	})
 }
 
@@ -128,10 +140,12 @@ func (t *substrTable) plan(led *Ledger, scope *planScope) (Placement, int, error
 // compute fills the substring DP record for vertex v. Like
 // homogTable.compute it reads the ledger and the children's records and
 // writes only v's own cells, after extending the shared crossing table to
-// what v's uplink needs.
+// what v's uplink can see: up to its static cap bound (the root has none).
 func (t *substrTable) compute(led *Ledger, topo *topology.Topology, v topology.NodeID) {
-	t.needCrossing(topo, v)
 	node := topo.Node(v)
+	if node.Parent != topology.None {
+		t.needCrossing(t.recs[v].cells/(t.n+1) - 1)
+	}
 	rec := &t.recs[v]
 	optIn, upOcc, alloc := t.rows(rec)
 	n := t.n

@@ -80,14 +80,23 @@ type homogTable struct {
 var homogTablePool = sync.Pool{New: func() any { return new(homogTable) }}
 
 // reset binds the table to a request shape and lays it out over the
-// scope's vertices; every record is stale afterwards and no repair input
-// survives, so a pooled table carries no lower bound into its next plan.
-func (t *homogTable) reset(topo *topology.Topology, scope *planScope, req Homogeneous, policy Policy) {
+// scope's vertices, unless the empty-link refusal may (a repair that pins
+// VMs or relaxes Eq. 4 passes false) and does turn it away: no empty host
+// link carries any count of its VMs. Every record is stale afterwards and
+// no repair input survives, so a pooled table carries no lower bound into
+// its next plan.
+func (t *homogTable) reset(led *Ledger, scope *planScope, req Homogeneous, policy Policy, mayRefuse bool) {
 	req.Demand = canonDemand(req.Demand)
-	t.req, t.policy = req, policy
+	t.req, t.policy, t.n, t.stride = req, policy, req.N, 1
 	t.pinned, t.relax = 0, false
 	t.crossing = crossingTableHomog(t.crossing[:0], req.Demand, req.N)
-	t.layout(topo, scope, req.N, 1)
+	t.refused = mayRefuse && led.judgesEmptyLinks(req.N)
+	for e := 1; t.refused && e <= led.Topology().MaxMachineSlots(); e++ {
+		t.refused = !led.emptyHostCarries(t.crossing[e])
+	}
+	if !t.refused {
+		t.layout(led.Topology(), scope)
+	}
 }
 
 // pin keeps count of the request's VMs on machine m: every subtree that
@@ -135,7 +144,7 @@ func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *pla
 		return Placement{}, err
 	}
 	return coldPlan(&homogTablePool, led, scope, func(t *homogTable) {
-		t.reset(led.Topology(), scope, req, policy)
+		t.reset(led, scope, req, policy, true)
 	})
 }
 

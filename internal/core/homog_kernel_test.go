@@ -161,7 +161,7 @@ func (c kernelCase) tables() (ref, got *homogTable) {
 	topo := c.led.Topology()
 	ref, got = new(homogTable), new(homogTable)
 	for _, t := range []*homogTable{ref, got} {
-		t.reset(topo, nil, c.req, c.policy)
+		t.reset(c.led, nil, c.req, c.policy, false) // every record laid out, also a refused request's
 		t.relax = c.relax
 		for m, n := range c.pins {
 			t.pin(topo, m, n)

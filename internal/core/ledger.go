@@ -50,8 +50,9 @@ type subtreeBound struct {
 
 // subVerTick issues globally unique subtree-version ticks. Monotonic per
 // process; never reset, so clones that diverge can never alias versions.
-// boundSample samples subtreeBound's -tags invariants check.
-var subVerTick, boundSample atomic.Uint64
+// boundSample and refusalSample sample subtreeBound's and dpTable.settle's
+// -tags invariants checks.
+var subVerTick, boundSample, refusalSample atomic.Uint64
 
 // linkState is the reservation bookkeeping of one physical link, following
 // the paper's decomposition: deterministic reservations D_L plus the
@@ -144,6 +145,20 @@ func (l *Ledger) OccupancyWithDet(id topology.LinkID, b float64) float64 {
 func (l *Ledger) occupancy(id topology.LinkID, addDet, addMu, addVar float64) float64 {
 	s := &l.links[id]
 	return (s.det + addDet + s.sumMu + addMu + l.c*sqrtNonNeg(s.sumVar+addVar)) / s.cap
+}
+
+// judgesEmptyLinks reports whether the empty-link refusal may judge a
+// request of n VMs: c >= 0, some machine has an uplink, and no machine
+// holds all n VMs, which would cross no link (ALGORITHMS.md §3).
+func (l *Ledger) judgesEmptyLinks(n int) bool {
+	return l.c >= 0 && l.topo.MaxHostCap() > 0 && n > l.topo.MaxMachineSlots()
+}
+
+// emptyHostCarries is occupancy's Eq. 4 test on an empty link of the
+// largest host capacity with crossing demand d added: while c >= 0 every
+// host link's best case.
+func (l *Ledger) emptyHostCarries(d stats.Normal) bool {
+	return (d.Mu+l.c*sqrtNonNeg(d.Var()))/l.topo.MaxHostCap() < 1
 }
 
 // bumpSubtree stamps a fresh global tick on node v and every ancestor up

@@ -291,16 +291,19 @@ func (m *Manager) Headroom(req Homogeneous, limit int) (int, error) {
 	if err := req.Validate(); err != nil {
 		return 0, err
 	}
+	// One table for the whole probe: each commit below restamps only the
+	// paths it touched, and the next plan recomputes only those of them
+	// its selection reads. Binding it reads only the topology and c, so a
+	// request the empty-link refusal turns away clones nothing.
+	t := homogTablePool.Get().(*homogTable)
+	defer homogTablePool.Put(t)
+	if t.reset(m.led, m.scope, req, m.policy, true); t.refused {
+		return 0, nil
+	}
 	scratch := view(m, (*Ledger).Clone)
 	if limit <= 0 {
 		limit = scratch.TotalFreeSlots()/req.N + 1
 	}
-	// One table for the whole probe: each commit below restamps only the
-	// paths it touched, and the next plan recomputes only those of them
-	// its selection reads.
-	t := homogTablePool.Get().(*homogTable)
-	defer homogTablePool.Put(t)
-	t.reset(scratch.Topology(), m.scope, req, m.policy)
 	var d deriver
 	count := 0
 	for count < limit {

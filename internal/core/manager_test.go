@@ -251,6 +251,24 @@ func TestHeadroom(t *testing.T) {
 	}
 }
 
+// TestHeadroomRefusedClonesNothing: a demand no empty 30 Mbps host link
+// carries any count of is turned away before Headroom clones the ledger —
+// 0, without allocating — while the same demand at N = 3, which one
+// machine holds whole, still counts a copy per machine.
+func TestHeadroomRefusedClonesNothing(t *testing.T) {
+	m := newTestManager(t, smallThreeTier(), 0.05)
+	hopeless := Homogeneous{N: 4, Demand: stats.Normal{Mu: 40}}
+	if n, err := m.Headroom(hopeless, 0); err != nil || n != 0 || m.CanAllocateHomog(hopeless) {
+		t.Fatalf("Headroom = %d, %v, dry run %v; want 0, nil, false", n, err, m.CanAllocateHomog(hopeless))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Headroom(hopeless, 0) }); allocs != 0 && !raceEnabled {
+		t.Errorf("Headroom of a refused demand allocates %v times, want 0", allocs)
+	}
+	if n, err := m.Headroom(Homogeneous{N: 3, Demand: hopeless.Demand}, 0); err != nil || n != 4 {
+		t.Errorf("Headroom of one machine's worth = %d, %v; want 4", n, err)
+	}
+}
+
 func TestLedgerClone(t *testing.T) {
 	led := newTestLedger(t, fig3Topology(t), 0.05)
 	link := led.Topology().Machines()[0]

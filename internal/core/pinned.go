@@ -38,7 +38,7 @@ func allocateHomogPinnedScoped(led *Ledger, req Homogeneous, policy Policy, pinn
 	topo := led.Topology()
 	t := homogTablePool.Get().(*homogTable)
 	defer homogTablePool.Put(t)
-	t.reset(topo, scope, req, policy)
+	t.reset(led, scope, req, policy, !relax && len(pinned) == 0)
 	t.relax = relax
 	for m, count := range pinned {
 		if count == 0 {

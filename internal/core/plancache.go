@@ -243,7 +243,7 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 	key := homogKey{demand: canonDemand(req.Demand), n: req.N, policy: policy}
 	return cachedPlan(c, &c.homog, key, led, scope, place, func(t *homogTable, fresh bool) {
 		if fresh {
-			t.reset(led.Topology(), scope, req, policy)
+			t.reset(led, scope, req, policy, true)
 		}
 	})
 }
@@ -275,7 +275,7 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 	order := orderByPercentile(req)
 	return cachedPlan(c, &c.hetero, substrCacheKey(req, order, policy), led, scope, place, func(t *substrTable, fresh bool) {
 		if fresh {
-			t.reset(led.Topology(), scope, req, order, policy)
+			t.reset(led, scope, req, order, policy)
 		}
 		t.req, t.order = req, order
 	})

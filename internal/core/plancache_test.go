@@ -29,7 +29,7 @@ func homogShape(req Homogeneous, policy Policy, scope *planScope) cachedShape {
 		},
 		fresh: func(led *Ledger) (Placement, error) {
 			t := new(homogTable)
-			t.reset(led.Topology(), scope, req, policy)
+			t.reset(led, scope, req, policy, true)
 			p, _, err := t.plan(led, scope)
 			return p, err
 		},
@@ -50,7 +50,7 @@ func heteroShape(req Heterogeneous, policy Policy, scope *planScope) cachedShape
 		},
 		fresh: func(led *Ledger) (Placement, error) {
 			t := new(substrTable)
-			t.reset(led.Topology(), scope, req, orderByPercentile(req), policy)
+			t.reset(led, scope, req, orderByPercentile(req), policy)
 			p, _, err := t.plan(led, scope)
 			return p, err
 		},
@@ -428,7 +428,7 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		big := Homogeneous{N: tp.TotalSlots(), Demand: stats.Normal{Mu: 1}}
 		req := Homogeneous{N: r.UniformInt(1, min(8, tp.TotalSlots())), Demand: stats.Normal{Mu: r.UniformRange(1, 12), Sigma: r.UniformRange(0, 5)}}
 		ht := new(homogTable)
-		ht.reset(tp, scope, big, policy)
+		ht.reset(led, scope, big, policy, false)
 		poison(&ht.dpTable)
 		for i := range ht.crossing {
 			ht.crossing[i] = stats.Normal{Mu: math.NaN(), Sigma: math.NaN()}
@@ -439,7 +439,7 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		// must then see neither the poison nor the repair's inputs.
 		machines := scopeAtLevel(tp, scope, 0)
 		repairPlan := func(t *homogTable) (Placement, error) {
-			t.reset(tp, scope, req, policy)
+			t.reset(led, scope, req, policy, false)
 			t.relax = true
 			t.pin(tp, machines[len(machines)-1], 1)
 			p, _, err := t.plan(led, scope)
@@ -450,7 +450,7 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) {
 			t.Fatalf("trial %d: pinned plan on poisoned slabs: %v (err %v), fresh table: %v (err %v)", trial, &p, err, &fp, ferr)
 		}
-		ht.reset(tp, scope, req, policy)
+		ht.reset(led, scope, req, policy, true)
 		p, _, err = ht.plan(led, scope)
 		fp, ferr = homogShape(req, policy, scope).fresh(led)
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) {
@@ -460,12 +460,12 @@ func TestPlanTablesIgnoreStaleCells(t *testing.T) {
 		hbig := randHetero(r, min(8, tp.TotalSlots()), 1, 10)
 		hreq := randHetero(r, r.UniformInt(1, hbig.N()), 1, 10)
 		st := new(substrTable)
-		st.reset(tp, scope, hbig, orderByPercentile(hbig), policy)
+		st.reset(led, scope, hbig, orderByPercentile(hbig), policy)
 		poison(&st.dpTable)
 		for i := range st.crossing {
 			st.crossing[i] = stats.Normal{Mu: math.NaN(), Sigma: math.NaN()}
 		}
-		st.reset(tp, scope, hreq, orderByPercentile(hreq), policy)
+		st.reset(led, scope, hreq, orderByPercentile(hreq), policy)
 		p, _, err = st.plan(led, scope)
 		fp, ferr = heteroShape(hreq, policy, scope).fresh(led)
 		if (err == nil) != (ferr == nil) || !reflect.DeepEqual(p.Entries, fp.Entries) {
@@ -650,7 +650,7 @@ func TestPlanReadsOnlyWhatItSelects(t *testing.T) {
 
 		tb, want = table(wide), 0
 		cold := new(homogTable)
-		cold.reset(topo, nil, wide, MinMaxOccupancy)
+		cold.reset(led, nil, wide, MinMaxOccupancy, false)
 		at, bestVal := len(racks), infeasible
 		take := func(i int) { // racks[i]'s optimum, computed cold, against the pick so far
 			rack := racks[i]

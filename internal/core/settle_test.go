@@ -67,22 +67,30 @@ type settleCase struct {
 	scope  *planScope
 }
 
-// table returns a table bound to the case's request, none of its records
-// filled.
+// table returns a table bound to the case's request as a plan binds it,
+// none of its records filled. A table the empty-link refusal turned away
+// is laid out all the same and stays refused: settle finds nothing on it,
+// and refSettle runs the full DP.
 func (c *settleCase) table() planner {
 	topo := c.led.Topology()
+	var tb planner
 	if len(c.hetero.Demands) > 0 {
 		t := new(substrTable)
-		t.reset(topo, c.scope, c.hetero, orderByPercentile(c.hetero), c.policy)
-		return t
+		t.reset(c.led, c.scope, c.hetero, orderByPercentile(c.hetero), c.policy)
+		tb = t
+	} else {
+		t := new(homogTable)
+		t.reset(c.led, c.scope, c.req, c.policy, !c.relax && len(c.pins) == 0)
+		t.relax = c.relax
+		for m, n := range c.pins {
+			t.pin(topo, m, n)
+		}
+		tb = t
 	}
-	t := new(homogTable)
-	t.reset(topo, c.scope, c.req, c.policy)
-	t.relax = c.relax
-	for m, n := range c.pins {
-		t.pin(topo, m, n)
+	if d := tb.table(); d.refused {
+		d.layout(topo, c.scope)
 	}
-	return t
+	return tb
 }
 
 // settleOn runs settle on table tb for the case's request and builds the

@@ -49,6 +49,8 @@ type Topology struct {
 	links    []LinkID // every node but the root, in ID order
 	slots    int
 	maxDeg   int
+	maxSlots int     // the most slots on one machine
+	hostCap  float64 // the largest machine uplink capacity; 0 when the root is the only machine
 }
 
 // errTopology is the prefix for all construction errors.
@@ -86,6 +88,10 @@ func build(nodes []Node) (*Topology, error) {
 			}
 			t.machines = append(t.machines, n.ID)
 			t.slots += n.Slots
+			t.maxSlots = max(t.maxSlots, n.Slots)
+			if n.Parent != None {
+				t.hostCap = max(t.hostCap, n.UpCap)
+			}
 		} else if n.Slots != 0 {
 			return nil, fmt.Errorf("%w: switch %d has slots", errTopology, n.ID)
 		}
@@ -175,6 +181,13 @@ func (t *Topology) Height() int { return t.nodes[t.root].Level }
 
 // MaxDegree returns the maximum number of children of any node.
 func (t *Topology) MaxDegree() int { return t.maxDeg }
+
+// MaxMachineSlots returns the most VM slots on one machine.
+func (t *Topology) MaxMachineSlots() int { return t.maxSlots }
+
+// MaxHostCap returns the largest machine uplink capacity: 0 when the root
+// is the only machine, which has no uplink.
+func (t *Topology) MaxHostCap() float64 { return t.hostCap }
 
 // Node returns the node with the given ID.
 func (t *Topology) Node(id NodeID) *Node { return &t.nodes[id] }

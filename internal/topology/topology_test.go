@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -298,5 +299,48 @@ func TestLinksIsShared(t *testing.T) {
 	}
 	if len(links) != tp.Len()-1 {
 		t.Errorf("links = %d, want %d", len(links), tp.Len()-1)
+	}
+}
+
+// TestHostBounds holds MaxMachineSlots and MaxHostCap, computed once at
+// build time, to a scan of every machine over random trees with mixed slot
+// counts and host capacities, and pins the root-only topology: its one
+// machine has no uplink, so MaxHostCap is 0.
+func TestHostBounds(t *testing.T) {
+	r := rand.New(rand.NewPCG(40, 4))
+	var grow func(depth int) Spec
+	grow = func(depth int) Spec {
+		if depth == 0 || r.IntN(4) == 0 {
+			return Spec{UpCap: 10 + 990*r.Float64(), Slots: 1 + r.IntN(8)}
+		}
+		s := Spec{UpCap: 100 + 9900*r.Float64()}
+		for i := 1 + r.IntN(4); i > 0; i-- {
+			s.Children = append(s.Children, grow(depth-1))
+		}
+		return s
+	}
+	for trial := 0; trial < 500; trial++ {
+		tp, err := NewFromSpec(grow(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, hostCap := 0, 0.0
+		for _, m := range tp.Machines() {
+			slots = max(slots, tp.Node(m).Slots)
+			if m != tp.Root() {
+				hostCap = max(hostCap, tp.LinkCap(m))
+			}
+		}
+		if tp.MaxMachineSlots() != slots || tp.MaxHostCap() != hostCap {
+			t.Fatalf("trial %d: MaxMachineSlots %d, MaxHostCap %v; a scan finds %d, %v",
+				trial, tp.MaxMachineSlots(), tp.MaxHostCap(), slots, hostCap)
+		}
+	}
+	tp, err := NewFromSpec(Spec{UpCap: 1000, Slots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tp.MaxMachineSlots() != 8 || tp.MaxHostCap() != 0 {
+		t.Errorf("root-only machine: MaxMachineSlots %d, MaxHostCap %v; want 8, 0", tp.MaxMachineSlots(), tp.MaxHostCap())
 	}
 }
