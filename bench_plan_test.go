@@ -79,6 +79,13 @@ func reportPlanCache(b *testing.B, mgr *core.Manager, before core.AdmissionStats
 //     any substring a machine could hold.
 //   - homog/miss-N150: homog/miss at N = 150, the population's tail, where
 //     the DP rows are three times as long.
+//   - homog/miss-upper: a new N = 30 key on every iteration, planned cold
+//     on a half-full tree whose host links each carry one VM of it and no
+//     more (upperLedger): every rack has the free slots but none can host
+//     the request, so the plan settles at the aggregation level. The
+//     capacity bound passes over the racks without computing a record;
+//     homog/miss is the cell it bypasses: its racks are ruled out before
+//     the bound is read, and every aggregation switch's bound reaches N.
 //   - paper-stream: svcbench's plan-miss stream in process — the paper's
 //     population, 5 % of it heterogeneous N = 8 jobs, on a datacenter
 //     filled to half its slots. Each iteration times one dry run of the
@@ -205,6 +212,27 @@ func BenchmarkPlanOnly(b *testing.B) {
 		reportPlanCache(b, mgr, before)
 	})
 
+	b.Run("homog/miss-upper", func(b *testing.B) {
+		led := upperLedger(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req, err := core.NewHomogeneous(30, stats.Normal{Mu: 300, Sigma: 100 + float64(i)/float64(b.N)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := core.AllocateHomog(led, req, core.MinMaxOccupancy)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(p.Entries) != 30 || upperAgg(led, p.Entries[0].Machine) != upperAgg(led, p.Entries[29].Machine) {
+				b.Fatalf("placed %v, want 30 machines under one aggregation switch", &p)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "plans/s")
+	})
+
 	b.Run("paper-stream", func(b *testing.B) {
 		topo, err := topology.NewThreeTier(topology.PaperConfig())
 		if err != nil {
@@ -287,6 +315,42 @@ func BenchmarkPlanOnly(b *testing.B) {
 		b.StopTimer()
 		reportPlanCache(b, mgr, before)
 	})
+}
+
+// upperLedger returns the paper datacenter half full: every machine has
+// two of its four slots used and a host link carrying 200 Mbps, so it
+// takes one VM of homog/miss-upper's requests (a second would cross more
+// than 1 Gbps) and a 20-machine rack at most 20 of the 30. The first
+// machine under every aggregation switch but the first carries 850 Mbps:
+// those switches' occupancy bound loses to the first one's optimum, and a
+// plan ensures the first switch only.
+func upperLedger(b *testing.B) *core.Ledger {
+	b.Helper()
+	topo, err := topology.NewThreeTier(topology.PaperConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	led, err := core.NewLedger(topo, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range topo.Machines() {
+		led.UseSlots(m, 2)
+		led.AddDet(m, 200)
+	}
+	for _, agg := range topo.AtLevel(2)[1:] {
+		m := agg
+		for !topo.Node(m).IsMachine() {
+			m = topo.Node(m).Children[0]
+		}
+		led.AddDet(m, 650)
+	}
+	return led
+}
+
+// upperAgg returns machine m's aggregation switch.
+func upperAgg(led *core.Ledger, m topology.NodeID) topology.NodeID {
+	return led.Topology().Node(led.Topology().Node(m).Parent).Parent
 }
 
 // streamReq is one request of the paper-stream benchmark: hetero when it

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -33,6 +34,14 @@ type dpRec struct {
 	cells int // length of each row: (static bound on cap + 1) x stride
 	off   int // alloc row starts at bl[off]; optIn at f64[2*off], upOcc right behind it
 	pick  int // child i's choice row starts at i32[pick+i*cells] (internal vertices)
+	top   int // cells' static bound with machines' slots capped at hostTop: no count above it is allocable
+}
+
+// capMemo is an internal vertex's capBound, current while ver is its
+// SubtreeVersion and gen its table's.
+type capMemo struct {
+	ver, gen   uint64
+	cap, reach int
 }
 
 // dpTable is the slab-backed record table.
@@ -41,12 +50,19 @@ type dpTable struct {
 	f64       []float64
 	i32       []int32
 	bl        []bool
-	n, stride int    // the bound request's VM count and cells per VM count (layout)
-	lowest    int    // the lowest level with a vertex whose static bound reaches n
-	epoch     uint64 // Faults().Epoch() the filled records were computed under
-	stale     []staleCand
-	audit     bool // under -tags invariants: the next settle checks every candidate it passed over
-	refused   bool // the empty-link refusal turned the bound request away: nothing is laid out
+	n, stride int // the bound request's VM count and cells per VM count (layout)
+	// crossing[l*stride+a]: the demand with l VMs, the substring DP's [a, a+l),
+	// below a link (homogeneous anchor: 0); reset fills it, kernels only read it
+	crossing []stats.Normal
+	relax    bool   // a repair's degraded pass (homogeneous DP): an uplink at O_L >= 1 stays allocable
+	hostTop  int    // no host link carries a larger count (setHostTop); n for a repair
+	lowest   int    // the lowest level with a vertex whose static bound reaches n
+	epoch    uint64 // Faults().Epoch() the filled records were computed under
+	stale    []staleCand
+	bounds   []capMemo // by NodeID, beside recs: a warm plan's scan reads records only
+	gen      uint64    // moved by layout and by a fault-epoch change: every bound goes stale
+	audit    bool      // under -tags invariants: the next settle checks every candidate it passed over
+	refused  bool      // the empty-link refusal turned the bound request away: nothing is laid out
 }
 
 // staleCand is a stale candidate's index in its level and its bound.
@@ -56,13 +72,14 @@ type staleCand struct {
 }
 
 // layout sizes the table for the bound request over the scope's vertices
-// and marks every record unfilled. stride is the number of cells per VM
-// count: 1 for the homogeneous DP, n+1 substring anchors for the substring
-// DP. Slabs are reused when large enough; their contents are not cleared —
-// the kernels write every cell before anything reads it.
+// and marks every record unfilled and every capacity bound stale. stride
+// is the number of cells per VM count: 1 for the homogeneous DP, n+1
+// substring anchors for the substring DP. Slabs are reused when large
+// enough; their contents are not cleared — the kernels write every cell
+// before anything reads it.
 func (t *dpTable) layout(topo *topology.Topology, scope *planScope) {
 	n, stride := t.n, t.stride
-	t.recs = grow(t.recs, topo.Len())
+	t.recs, t.bounds, t.gen = grow(t.recs, topo.Len()), grow(t.bounds, topo.Len()), t.gen+1
 	cells, picks := 0, 0
 	t.lowest = scopeHeight(topo, scope) + 1
 	for level := 0; level <= scopeHeight(topo, scope); level++ {
@@ -70,17 +87,19 @@ func (t *dpTable) layout(topo *topology.Topology, scope *planScope) {
 			node := topo.Node(v)
 			// cap starts at its static bound; compute lowers it to what
 			// the ledger leaves free.
-			bound := node.Slots
+			bound, top := node.Slots, min(node.Slots, t.hostTop)
 			for _, c := range node.Children {
-				bound += t.recs[c].cap
+				bound, top = bound+t.recs[c].cap, top+t.recs[c].top
 			}
 			bound = min(n, bound)
 			if bound == n {
 				t.lowest = min(t.lowest, level)
 			}
-			t.recs[v] = dpRec{cap: bound, cells: (bound + 1) * stride, off: cells, pick: picks}
-			cells += t.recs[v].cells
-			picks += len(node.Children) * t.recs[v].cells
+			// Field by field: a literal is built on the stack and copied.
+			r := &t.recs[v]
+			r.filled, r.cap, r.cells, r.off, r.pick, r.top = false, bound, (bound+1)*stride, cells, picks, min(n, top)
+			cells += r.cells
+			picks += len(node.Children) * r.cells
 		}
 	}
 	t.f64 = grow(t.f64, 2*cells)
@@ -115,15 +134,15 @@ func (t *dpTable) cachedRecords() []dpRec { return t.recs }
 
 func (t *dpTable) table() *dpTable { return t }
 
-// syncEpoch drops every record when the ledger's fault state is not the
-// one they were computed under: reachability is the one input that is not
-// subtree-local, so no subtree version covers it.
+// syncEpoch drops every record and capacity bound when the ledger's fault
+// state is not the one they were computed under: reachability is the one
+// input that is not subtree-local, so no subtree version covers it.
 func (t *dpTable) syncEpoch(led *Ledger) {
 	if ep := led.Faults().Epoch(); t.epoch != ep {
 		for i := range t.recs {
 			t.recs[i].filled = false
 		}
-		t.epoch = ep
+		t.epoch, t.gen = ep, t.gen+1
 	}
 }
 
@@ -139,14 +158,16 @@ func (t *dpTable) current(led *Ledger, v topology.NodeID) bool {
 // settle finds the root of the lowest subtree that hosts a request of need
 // VMs, whose optimum sits at optIn[whole], and returns it (None if no
 // subtree does) with the number of records it recomputed. Level by level,
-// from the lowest one whose static bounds reach need, the candidates (rows
-// that hold the whole cell, narrowed by within) compete: the smallest
-// optimum wins, the first in topology order of equal ones. The machine
-// level stops at its first fit, whose optimum is 0. Above it, settle reads
-// the current records, then ensures the stale candidates with need free
-// slots in (bound, position) order until one cannot beat the pick. The
-// bound is Ledger.subtreeBound's inner occupancy under MinMaxOccupancy
-// with c >= 0, where it bounds the optimum (ALGORITHMS.md §3), else 0.
+// from the lowest one whose static bounds reach need, the candidates (whose
+// top reaches need, narrowed by within) compete: the smallest optimum
+// wins, the first in topology order of equal ones. The machine level stops
+// at its first fit, whose optimum is 0. Above it, settle reads the current
+// records, then ensures the stale candidates with need free slots in
+// (bound, position) order until one cannot beat the pick, passing over
+// each never-filled one whose capacity bound is below need: its record
+// could not hold need either. The bound is Ledger.subtreeBound's inner occupancy under
+// MinMaxOccupancy with c >= 0, where it bounds the optimum (ALGORITHMS.md
+// §3), else 0.
 // A refused table finds nothing; under -tags invariants every 16th refusal
 // lays it out and panics if a settle without the refusal finds a subtree.
 func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy Policy,
@@ -186,7 +207,7 @@ func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy 
 		t.stale = t.stale[:0]
 		for i := 0; i < len(verts) && (level > 0 || best == topology.None); i++ {
 			switch v := verts[i]; {
-			case recs[v].cells <= whole:
+			case recs[v].top < need:
 			case level == 0:
 				recomputed += t.ensure(led, topo, v, compute)
 				fallthrough
@@ -206,6 +227,11 @@ func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy 
 		for _, c := range t.stale {
 			if !beats(c.inner, c.i) {
 				break
+			}
+			if v := verts[c.i]; !recs[v].filled { // a filled record costs ensure only its stale paths
+				if bcap, _ := t.capBound(led, topo, v); bcap < need {
+					continue
+				}
 			}
 			recomputed += t.ensure(led, topo, verts[c.i], compute)
 			take(c.i)
@@ -246,5 +272,81 @@ func (t *dpTable) ensure(led *Ledger, topo *topology.Topology, v topology.NodeID
 		}
 	}
 	compute(led, topo, v)
+	if invariantsEnabled { // a record computed over a memoized capacity bound must not exceed it
+		if b := t.bounds[v]; b.gen == t.gen && b.ver == led.SubtreeVersion(v) {
+			if finite, allocable := t.span(&t.recs[v]); b.cap < finite || b.reach < allocable {
+				panic(fmt.Sprintf("invariant violated: vertex %d's capacity bound (%d, %d) is below its record's (%d, %d)", v, b.cap, b.reach, finite, allocable))
+			}
+		}
+	}
 	return recomputed + 1
+}
+
+// capBound returns v's capacity bound (ALGORITHMS.md §3), which no record
+// of v exceeds: cap, min(n, free slots) on a machine and min(n, the sum of
+// its children's reach) above, and reach, the largest count up to cap that
+// passes compute's Eq. 4 test on v's uplink at some anchor (the root's and
+// a relaxed pass's is cap). Machines are rescanned, not memoized.
+func (t *dpTable) capBound(led *Ledger, topo *topology.Topology, v topology.NodeID) (cap, reach int) {
+	node, b := topo.Node(v), &t.bounds[v]
+	if node.IsMachine() {
+		cap = led.FreeSlots(v)
+	} else if b.gen == t.gen && b.ver == led.SubtreeVersion(v) {
+		return b.cap, b.reach
+	}
+	for _, c := range node.Children {
+		if cap >= t.n {
+			break
+		}
+		_, reach := t.capBound(led, topo, c)
+		cap += reach
+	}
+	cap = min(t.n, cap)
+	reach = cap
+	if node.IsMachine() {
+		reach = min(cap, t.hostTop)
+	}
+scan:
+	for ; reach > 0 && node.Parent != topology.None && !t.relax; reach-- {
+		for a := 0; a < t.stride && a+reach <= t.n; a++ {
+			if led.OccupancyWith(v, t.crossing[reach*t.stride+a]) < 1 {
+				break scan
+			}
+		}
+	}
+	if !node.IsMachine() {
+		*b = capMemo{led.SubtreeVersion(v), t.gen, cap, reach}
+	}
+	return cap, reach
+}
+
+// setHostTop sets hostTop to the largest count up to min(n,
+// MaxMachineSlots) an empty host link carries at some anchor: while c >= 0
+// no host link carries a larger one (ALGORITHMS.md §3).
+func (t *dpTable) setHostTop(led *Ledger) {
+	topo := led.Topology()
+	t.hostTop = min(t.n, topo.MaxMachineSlots())
+	for ; led.RiskConstant() >= 0 && topo.MaxHostCap() > 0 && t.hostTop > 0; t.hostTop-- {
+		for a := 0; a < t.stride && a+t.hostTop <= t.n; a++ {
+			if led.emptyHostCarries(t.crossing[t.hostTop*t.stride+a]) {
+				return
+			}
+		}
+	}
+}
+
+// span returns r's largest counts with a finite optimum and allocable (-1: none).
+func (t *dpTable) span(r *dpRec) (finite, allocable int) {
+	optIn, _, alloc := t.rows(r)
+	finite = -1
+	for l := r.cap; l >= 0; l-- {
+		for a := 0; a < t.stride && a+l <= t.n; a++ {
+			if i := l*t.stride + a; alloc[i] {
+				return max(finite, l), l
+			} else if finite < 0 && optIn[i] != infeasible {
+				finite = l
+			}
+		}
+	}
+	return finite, -1
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -65,16 +64,14 @@ var infeasible = math.Inf(1)
 // disagree.
 type homogTable struct {
 	dpTable
-	req      Homogeneous // demand canonicalized (canonDemand)
-	policy   Policy
-	crossing []stats.Normal // crossing[m]: demand on a link with m of the N VMs below
+	req    Homogeneous // demand canonicalized (canonDemand)
+	policy Policy
 
 	// Repair inputs (allocateHomogPinnedScoped); an admission sets neither.
 	// Surviving VMs are lower bounds: a machine cannot take fewer VMs
 	// than are pinned on it, and the chosen subtree must hold every pin.
 	pins   []int // pins[v]: VMs pinned inside v's subtree; meaningful only while pinned > 0
-	pinned int   // total pinned VMs
-	relax  bool  // degraded pass: an uplink at O_L >= 1 stays allocable
+	pinned int   // total pinned VMs; the degraded pass is dpTable.relax
 }
 
 var homogTablePool = sync.Pool{New: func() any { return new(homogTable) }}
@@ -90,10 +87,11 @@ func (t *homogTable) reset(led *Ledger, scope *planScope, req Homogeneous, polic
 	t.req, t.policy, t.n, t.stride = req, policy, req.N, 1
 	t.pinned, t.relax = 0, false
 	t.crossing = crossingTableHomog(t.crossing[:0], req.Demand, req.N)
-	t.refused = mayRefuse && led.judgesEmptyLinks(req.N)
-	for e := 1; t.refused && e <= led.Topology().MaxMachineSlots(); e++ {
-		t.refused = !led.emptyHostCarries(t.crossing[e])
+	t.hostTop = req.N // a repair's relaxed pass, set after reset, drops Eq. 4
+	if mayRefuse {
+		t.setHostTop(led)
 	}
+	t.refused = mayRefuse && led.judgesEmptyLinks(req.N) && t.hostTop == 0
 	if !t.refused {
 		t.layout(led.Topology(), scope)
 	}

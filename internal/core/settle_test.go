@@ -77,6 +77,10 @@ func (c *settleCase) table() planner {
 	if len(c.hetero.Demands) > 0 {
 		t := new(substrTable)
 		t.reset(c.led, c.scope, c.hetero, orderByPercentile(c.hetero), c.policy)
+		// A refused table's crossing table reaches only the lengths a
+		// machine takes: complete it as -tags invariants does.
+		t.needCrossing(t.n)
+		t.setHostTop(c.led)
 		tb = t
 	} else {
 		t := new(homogTable)
@@ -271,4 +275,137 @@ func TestSettleMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d cold plans that skipped records (%d min-max with c >= 0, %d with c < 0), %d hetero, %d pinned, %d relaxed, %d scoped, %d feasible",
 		fewer, fewerMinMax, fewerNegC, hetero, pinned, relaxed, scoped, feasible)
+}
+
+// refCapBound is dpTable.capBound from its definition, for a request of n
+// VMs whose crossing demand with l of them below a link, at anchor a, is
+// cross(l, a) (anchors: the substring DP's n-l+1, the homogeneous DP's 1):
+// no memo, every child summed, and the uplink's Eq. 4 test written out.
+func refCapBound(led *Ledger, v topology.NodeID, n, anchors int, relax bool, cross func(l, a int) stats.Normal) (cap, reach int) {
+	node := led.Topology().Node(v)
+	if node.IsMachine() {
+		cap = led.FreeSlots(v)
+	}
+	for _, c := range node.Children {
+		_, r := refCapBound(led, c, n, anchors, relax, cross)
+		cap += r
+	}
+	cap = min(cap, n)
+	if node.Parent == topology.None || relax {
+		return cap, cap
+	}
+	for reach = cap; reach > 0; reach-- {
+		for a := 0; a < anchors && a+reach <= n; a++ {
+			if led.OccupancyWith(v, cross(reach, a)) < 1 {
+				return cap, reach
+			}
+		}
+	}
+	return cap, 0
+}
+
+// TestCapacityBoundIsSound holds the capacity bound settle passes stale
+// candidates over by (dpTable.capBound) to its definition and to the
+// records it stands in for. On random trees with mixed host capacities and
+// the paper tree, random load with failed machines and links, pod scopes,
+// both DPs, repair pins and the relaxed pass, and eps in {0.05, 0.5, 0.7},
+// with high-variance load on host links where c < 0 (an empty link is then
+// no host link's best case), every in-scope vertex's bound, bottom-up, must
+// equal refCapBound's, and
+// after its record is computed over it (ensure) the cap must be at least
+// the record's largest count with a finite optimum and the reach at least
+// its largest allocable count (dpTable.span); a relaxed pass reaches its
+// cap. The ledger then churns — slots, link loads, a machine failing or a
+// machine or link coming back — and the same table is checked again, so a
+// memo entry that outlived its subtree version or fault epoch shows.
+func TestCapacityBoundIsSound(t *testing.T) {
+	r := stats.NewRand(4141)
+	paper, err := topology.NewThreeTier(topology.PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var beyondSlots, uplinkBinds, hetero, pinned, relaxed, scoped, vertices int
+	for trial := 0; trial < 2000; trial++ {
+		tp, maxN, maxHetero, mu := randomTopology(r), 24, 6, 40.0
+		if trial%40 == 0 {
+			tp, maxN, maxHetero, mu = paper, 120, 8, 400
+		}
+		eps := []float64{0.05, 0.5, 0.7}[r.IntN(3)]
+		c := randomSettleCase(r, tp, maxN, maxHetero, mu, eps)
+		if c.led.RiskConstant() < 0 { // added variance lowers an occupancy: a loaded host link carries what an empty one cannot
+			for _, m := range tp.Machines() {
+				if r.Float64() < 0.3 {
+					c.led.AddStochastic(m, stats.Normal{Sigma: tp.LinkCap(m)})
+				}
+			}
+		}
+		tb := c.table()
+		var (
+			d       *dpTable
+			compute kernel
+			anchors = 1
+			cross   = func(l, _ int) stats.Normal { return CrossingHomog(canonDemand(c.req.Demand), l, c.req.N) }
+		)
+		switch tt := tb.(type) {
+		case *homogTable:
+			d, compute = &tt.dpTable, tt.compute
+		case *substrTable:
+			prefix := newDemandPrefix(c.hetero.Demands, orderByPercentile(c.hetero))
+			d, compute, anchors = &tt.dpTable, tt.compute, tt.n+1
+			cross = func(l, a int) stats.Normal { return prefix.crossing(a, a+l) }
+		}
+		check := func(stage string) {
+			d.syncEpoch(c.led)
+			for level := 0; level <= scopeHeight(tp, c.scope); level++ {
+				for _, v := range scopeAtLevel(tp, c.scope, level) {
+					vertices++
+					bcap, breach := d.capBound(c.led, tp, v)
+					if wcap, wreach := refCapBound(c.led, v, d.n, anchors, d.relax, cross); bcap != wcap || breach != wreach {
+						t.Fatalf("trial %d, %s: vertex %d's capacity bound is (%d, %d), its definition (%d, %d)", trial, stage, v, bcap, breach, wcap, wreach)
+					}
+					d.ensure(c.led, tp, v, compute)
+					finite, allocable := d.span(&d.recs[v])
+					top := finite // a machine's counts above top are finite but not allocable
+					if tp.Node(v).IsMachine() {
+						top = allocable
+					}
+					if bcap < finite || breach < allocable || d.recs[v].top < top {
+						t.Fatalf("trial %d, %s (req %v, hetero %v, eps %v, pins %v, relax %v): vertex %d's capacity bound (%d, %d) or static bound %d is below its record's largest finite and allocable counts (%d, %d)",
+							trial, stage, c.req, c.hetero, eps, c.pins, c.relax, v, bcap, breach, d.recs[v].top, finite, allocable)
+					}
+					if d.relax && breach != bcap {
+						t.Fatalf("trial %d, %s: relaxed vertex %d reaches %d of its cap %d", trial, stage, v, breach, bcap)
+					}
+					if breach < bcap {
+						uplinkBinds++
+					}
+					if free, _ := c.led.subtreeBound(v); !tp.Node(v).IsMachine() && free >= d.n && bcap < d.n {
+						beyondSlots++
+					}
+				}
+			}
+		}
+		check("cold")
+		c.churn(r)
+		check("after churn")
+		switch {
+		case len(c.hetero.Demands) > 0:
+			hetero++
+		case c.relax:
+			relaxed++
+		case len(c.pins) > 0:
+			pinned++
+		}
+		if c.scope != nil {
+			scoped++
+		}
+	}
+	// The cases must reach the regime the bound adds to the slot bound, and
+	// every input kind.
+	if beyondSlots < 500 || uplinkBinds < 8000 || hetero < 400 || pinned < 150 || relaxed < 200 || scoped < 600 {
+		t.Errorf("weak coverage: %d vertices with the free slots but a capacity bound below n, %d whose uplink binds, %d hetero, %d pinned, %d relaxed, %d scoped trials",
+			beyondSlots, uplinkBinds, hetero, pinned, relaxed, scoped)
+	}
+	t.Logf("%d vertices checked: %d with the free slots but a capacity bound below n, %d whose uplink binds; %d hetero, %d pinned, %d relaxed, %d scoped trials",
+		vertices, beyondSlots, uplinkBinds, hetero, pinned, relaxed, scoped)
 }
