@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -37,10 +36,11 @@ type dpRec struct {
 	top   int // cells' static bound with machines' slots capped at hostTop: no count above it is allocable
 }
 
-// capMemo is an internal vertex's capBound, current while ver is its
-// SubtreeVersion and gen its table's.
+// capMemo is an internal vertex's capacity bound (homogTable.capBound),
+// current while ver is its SubtreeVersion; layout and a fault-epoch change
+// zero ver.
 type capMemo struct {
-	ver, gen   uint64
+	ver        uint64
 	cap, reach int
 }
 
@@ -50,19 +50,14 @@ type dpTable struct {
 	f64       []float64
 	i32       []int32
 	bl        []bool
-	n, stride int // the bound request's VM count and cells per VM count (layout)
-	// crossing[l*stride+a]: the demand with l VMs, the substring DP's [a, a+l),
-	// below a link (homogeneous anchor: 0); reset fills it, kernels only read it
-	crossing []stats.Normal
-	relax    bool   // a repair's degraded pass (homogeneous DP): an uplink at O_L >= 1 stays allocable
-	hostTop  int    // no host link carries a larger count (setHostTop); n for a repair
-	lowest   int    // the lowest level with a vertex whose static bound reaches n
-	epoch    uint64 // Faults().Epoch() the filled records were computed under
-	stale    []staleCand
-	bounds   []capMemo // by NodeID, beside recs: a warm plan's scan reads records only
-	gen      uint64    // moved by layout and by a fault-epoch change: every bound goes stale
-	audit    bool      // under -tags invariants: the next settle checks every candidate it passed over
-	refused  bool      // the empty-link refusal turned the bound request away: nothing is laid out
+	n, stride int    // the bound request's VM count and cells per VM count (layout)
+	hostTop   int    // no host link carries a larger count (homogTable.setHostTop; else n)
+	lowest    int    // the lowest level with a vertex whose static bound reaches n
+	epoch     uint64 // Faults().Epoch() the filled records were computed under
+	stale     []staleCand
+	bounds    []capMemo // by NodeID, beside recs: a warm plan's scan reads records only
+	audit     bool      // under -tags invariants: the next settle checks every candidate it passed over
+	refused   bool      // the empty-link refusal turned the bound request away: nothing is laid out
 }
 
 // staleCand is a stale candidate's index in its level and its bound.
@@ -79,7 +74,7 @@ type staleCand struct {
 // before anything reads it.
 func (t *dpTable) layout(topo *topology.Topology, scope *planScope) {
 	n, stride := t.n, t.stride
-	t.recs, t.bounds, t.gen = grow(t.recs, topo.Len()), grow(t.bounds, topo.Len()), t.gen+1
+	t.recs, t.bounds = grow(t.recs, topo.Len()), grow(t.bounds, topo.Len())
 	cells, picks := 0, 0
 	t.lowest = scopeHeight(topo, scope) + 1
 	for level := 0; level <= scopeHeight(topo, scope); level++ {
@@ -98,6 +93,7 @@ func (t *dpTable) layout(topo *topology.Topology, scope *planScope) {
 			// Field by field: a literal is built on the stack and copied.
 			r := &t.recs[v]
 			r.filled, r.cap, r.cells, r.off, r.pick, r.top = false, bound, (bound+1)*stride, cells, picks, min(n, top)
+			t.bounds[v].ver = 0
 			cells += r.cells
 			picks += len(node.Children) * r.cells
 		}
@@ -140,9 +136,9 @@ func (t *dpTable) table() *dpTable { return t }
 func (t *dpTable) syncEpoch(led *Ledger) {
 	if ep := led.Faults().Epoch(); t.epoch != ep {
 		for i := range t.recs {
-			t.recs[i].filled = false
+			t.recs[i].filled, t.bounds[i].ver = false, 0
 		}
-		t.epoch, t.gen = ep, t.gen+1
+		t.epoch = ep
 	}
 }
 
@@ -164,20 +160,21 @@ func (t *dpTable) current(led *Ledger, v topology.NodeID) bool {
 // at its first fit, whose optimum is 0. Above it, settle reads the current
 // records, then ensures the stale candidates with need free slots in
 // (bound, position) order until one cannot beat the pick, passing over
-// each never-filled one whose capacity bound is below need: its record
-// could not hold need either. The bound is Ledger.subtreeBound's inner occupancy under
-// MinMaxOccupancy with c >= 0, where it bounds the optimum (ALGORITHMS.md
-// §3), else 0.
+// each never-filled one whose capacity bound (when the DP gives one) is
+// below need: its record could not hold need either. The bound is
+// Ledger.subtreeBound's inner occupancy under MinMaxOccupancy with c >= 0,
+// where it bounds the optimum (ALGORITHMS.md §3), else 0.
 // A refused table finds nothing; under -tags invariants every 16th refusal
-// lays it out and panics if a settle without the refusal finds a subtree.
+// lays it out, with no host-link bound on top, and panics if a settle
+// without the refusal finds a subtree.
 func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy Policy,
-	within func([]topology.NodeID) []topology.NodeID, compute kernel) (best topology.NodeID, recomputed int) {
+	within func([]topology.NodeID) []topology.NodeID, compute kernel, bound boundKernel) (best topology.NodeID, recomputed int) {
 	topo, recs := led.Topology(), t.cachedRecords()
 	if t.refused {
 		if t.audit = false; invariantsEnabled && refusalSample.Add(1)%16 == 1 {
-			t.refused = false
+			t.refused, t.hostTop = false, t.n
 			t.layout(topo, scope)
-			best, _ = t.settle(led, scope, need, whole, policy, within, compute)
+			best, _ = t.settle(led, scope, need, whole, policy, within, compute, bound)
 			if t.refused = true; best != topology.None {
 				panic(fmt.Sprintf("invariant violated: the empty-link refusal turned away a request the DP places at vertex %d", best))
 			}
@@ -228,8 +225,8 @@ func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy 
 			if !beats(c.inner, c.i) {
 				break
 			}
-			if v := verts[c.i]; !recs[v].filled { // a filled record costs ensure only its stale paths
-				if bcap, _ := t.capBound(led, topo, v); bcap < need {
+			if v := verts[c.i]; bound != nil && !recs[v].filled { // a filled record costs ensure only its stale paths
+				if bcap, _ := bound(led, topo, v); bcap < need {
 					continue
 				}
 			}
@@ -254,6 +251,11 @@ func (t *dpTable) settle(led *Ledger, scope *planScope, need, whole int, policy 
 // kernel fills vertex v's record from led and its children's records.
 type kernel func(led *Ledger, topo *topology.Topology, v topology.NodeID)
 
+// boundKernel bounds, without computing v's record, the largest count it
+// can hold, cap, and the largest it can pass up its uplink, reach
+// (homogTable.capBound).
+type boundKernel func(led *Ledger, topo *topology.Topology, v topology.NodeID) (cap, reach int)
+
 // ensure brings v's record up to date with led, stale children first, and
 // returns the number of records it recomputed. A current record needs
 // nothing, because everything below it is current too; machine children
@@ -272,81 +274,5 @@ func (t *dpTable) ensure(led *Ledger, topo *topology.Topology, v topology.NodeID
 		}
 	}
 	compute(led, topo, v)
-	if invariantsEnabled { // a record computed over a memoized capacity bound must not exceed it
-		if b := t.bounds[v]; b.gen == t.gen && b.ver == led.SubtreeVersion(v) {
-			if finite, allocable := t.span(&t.recs[v]); b.cap < finite || b.reach < allocable {
-				panic(fmt.Sprintf("invariant violated: vertex %d's capacity bound (%d, %d) is below its record's (%d, %d)", v, b.cap, b.reach, finite, allocable))
-			}
-		}
-	}
 	return recomputed + 1
-}
-
-// capBound returns v's capacity bound (ALGORITHMS.md §3), which no record
-// of v exceeds: cap, min(n, free slots) on a machine and min(n, the sum of
-// its children's reach) above, and reach, the largest count up to cap that
-// passes compute's Eq. 4 test on v's uplink at some anchor (the root's and
-// a relaxed pass's is cap). Machines are rescanned, not memoized.
-func (t *dpTable) capBound(led *Ledger, topo *topology.Topology, v topology.NodeID) (cap, reach int) {
-	node, b := topo.Node(v), &t.bounds[v]
-	if node.IsMachine() {
-		cap = led.FreeSlots(v)
-	} else if b.gen == t.gen && b.ver == led.SubtreeVersion(v) {
-		return b.cap, b.reach
-	}
-	for _, c := range node.Children {
-		if cap >= t.n {
-			break
-		}
-		_, reach := t.capBound(led, topo, c)
-		cap += reach
-	}
-	cap = min(t.n, cap)
-	reach = cap
-	if node.IsMachine() {
-		reach = min(cap, t.hostTop)
-	}
-scan:
-	for ; reach > 0 && node.Parent != topology.None && !t.relax; reach-- {
-		for a := 0; a < t.stride && a+reach <= t.n; a++ {
-			if led.OccupancyWith(v, t.crossing[reach*t.stride+a]) < 1 {
-				break scan
-			}
-		}
-	}
-	if !node.IsMachine() {
-		*b = capMemo{led.SubtreeVersion(v), t.gen, cap, reach}
-	}
-	return cap, reach
-}
-
-// setHostTop sets hostTop to the largest count up to min(n,
-// MaxMachineSlots) an empty host link carries at some anchor: while c >= 0
-// no host link carries a larger one (ALGORITHMS.md §3).
-func (t *dpTable) setHostTop(led *Ledger) {
-	topo := led.Topology()
-	t.hostTop = min(t.n, topo.MaxMachineSlots())
-	for ; led.RiskConstant() >= 0 && topo.MaxHostCap() > 0 && t.hostTop > 0; t.hostTop-- {
-		for a := 0; a < t.stride && a+t.hostTop <= t.n; a++ {
-			if led.emptyHostCarries(t.crossing[t.hostTop*t.stride+a]) {
-				return
-			}
-		}
-	}
-}
-
-// span returns r's largest counts with a finite optimum and allocable (-1: none).
-func (t *dpTable) span(r *dpRec) (finite, allocable int) {
-	optIn, _, alloc := t.rows(r)
-	finite = -1
-	for l := r.cap; l >= 0; l-- {
-		for a := 0; a < t.stride && a+l <= t.n; a++ {
-			if i := l*t.stride + a; alloc[i] {
-				return max(finite, l), l
-			} else if finite < 0 && optIn[i] != infeasible {
-				finite = l
-			}
-		}
-	}
-	return finite, -1
 }

@@ -44,9 +44,11 @@ type substrTable struct {
 	order  []int // order[pos] is req's VM at sorted position pos
 	policy Policy
 	prefix demandPrefix // over the canonicalized (canonDemand) sorted demands
-	// crossLens is the number of lengths dpTable.crossing holds, at
-	// idx(length, a): the refusal needs the lengths a machine can take,
-	// a plan every length up to n (needCrossing).
+	// crossing[idx(length, a)] is the demand a link carries with the
+	// substring [a, a+length) below it — the same for every vertex, so it
+	// is computed once per table, a length at a time as vertices need them
+	// (needCrossing); lengths below crossLens are filled.
+	crossing  []stats.Normal
 	crossLens int
 }
 
@@ -55,15 +57,15 @@ var substrTablePool = sync.Pool{New: func() any { return new(substrTable) }}
 func (t *substrTable) idx(length, a int) int { return length*(t.n+1) + a }
 
 // reset binds the table to req, whose VMs in percentile order are order,
-// fills dpTable.crossing for every substring and lays the table out over
-// the scope's vertices: every record is stale afterwards, and compute only
-// reads the crossing table. The empty-link refusal turns the request away
-// instead when some VM lies in no substring of at most MaxMachineSlots VMs
-// whose crossing demand an empty host link carries, so no machine can take
-// it: one sweep over those short substrings only, each start trying its
-// longest substring first, with the VMs below reach covered.
+// and lays it out over the scope's vertices; every record is stale
+// afterwards. The empty-link refusal turns the request away instead when
+// some VM lies in no substring of at most MaxMachineSlots VMs whose
+// crossing demand an empty host link carries, so no machine can take it:
+// one sweep, each start trying its longest substring first, with the VMs
+// below reach covered.
 func (t *substrTable) reset(led *Ledger, scope *planScope, req Heterogeneous, order []int, policy Policy) {
 	t.req, t.order, t.policy, t.n, t.stride = req, order, policy, len(order), len(order)+1
+	t.hostTop = t.n // no host-link bound: dpRec.top is the static bound on cap
 	t.prefix.reset(req.Demands, order)
 	t.crossing = grow(t.crossing, t.stride*t.stride)
 	t.crossLens, t.refused = 0, false
@@ -78,16 +80,15 @@ func (t *substrTable) reset(led *Ledger, scope *planScope, req Heterogeneous, or
 			t.refused = reach <= a
 		}
 	}
-	if !t.refused || invariantsEnabled { // the sampled re-run of a refusal lays the table out (dpTable.settle)
-		t.needCrossing(t.n)
-		t.setHostTop(led)
-	}
 	if !t.refused {
 		t.layout(led.Topology(), scope)
 	}
 }
 
 // needCrossing extends the crossing table to substring length maxLen.
+// compute calls it, so kernels on one table run one at a time: a settle
+// that computed records on several goroutines would call needCrossing(n)
+// before it split the work.
 func (t *substrTable) needCrossing(maxLen int) {
 	for ; t.crossLens <= maxLen; t.crossLens++ {
 		for a := 0; a+t.crossLens <= t.n; a++ {
@@ -121,7 +122,7 @@ func allocateHeteroSubstringScoped(led *Ledger, req Heterogeneous, policy Policy
 // settle is dpTable.settle for the whole sorted sequence, the substring
 // [0, n).
 func (t *substrTable) settle(led *Ledger, scope *planScope) (topology.NodeID, int, error) {
-	best, recomputed := t.dpTable.settle(led, scope, t.n, t.idx(t.n, 0), t.policy, nil, t.compute)
+	best, recomputed := t.dpTable.settle(led, scope, t.n, t.idx(t.n, 0), t.policy, nil, t.compute, nil)
 	if best == topology.None {
 		return best, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, t.req)
 	}
@@ -141,10 +142,14 @@ func (t *substrTable) plan(led *Ledger, scope *planScope) (Placement, int, error
 }
 
 // compute fills the substring DP record for vertex v. Like
-// homogTable.compute it reads the ledger, the children's records and the
-// crossing table reset filled, and writes only v's own cells.
+// homogTable.compute it reads the ledger and the children's records and
+// writes only v's own cells, after extending the shared crossing table to
+// what v's uplink can see: up to its static cap bound (the root has none).
 func (t *substrTable) compute(led *Ledger, topo *topology.Topology, v topology.NodeID) {
 	node := topo.Node(v)
+	if node.Parent != topology.None {
+		t.needCrossing(t.recs[v].cells/(t.n+1) - 1)
+	}
 	rec := &t.recs[v]
 	optIn, upOcc, alloc := t.rows(rec)
 	n := t.n

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -64,14 +65,16 @@ var infeasible = math.Inf(1)
 // disagree.
 type homogTable struct {
 	dpTable
-	req    Homogeneous // demand canonicalized (canonDemand)
-	policy Policy
+	req      Homogeneous // demand canonicalized (canonDemand)
+	policy   Policy
+	crossing []stats.Normal // crossing[m]: demand on a link with m of the N VMs below
 
 	// Repair inputs (allocateHomogPinnedScoped); an admission sets neither.
 	// Surviving VMs are lower bounds: a machine cannot take fewer VMs
 	// than are pinned on it, and the chosen subtree must hold every pin.
 	pins   []int // pins[v]: VMs pinned inside v's subtree; meaningful only while pinned > 0
-	pinned int   // total pinned VMs; the degraded pass is dpTable.relax
+	pinned int   // total pinned VMs
+	relax  bool  // degraded pass: an uplink at O_L >= 1 stays allocable
 }
 
 var homogTablePool = sync.Pool{New: func() any { return new(homogTable) }}
@@ -150,7 +153,7 @@ func allocateHomogScoped(led *Ledger, req Homogeneous, policy Policy, scope *pla
 // narrowing each level's candidates. A dry run is settle and nothing else:
 // it shares every DP line with an admission.
 func (t *homogTable) settle(led *Ledger, scope *planScope) (topology.NodeID, int, error) {
-	best, recomputed := t.dpTable.settle(led, scope, t.req.N, t.req.N, t.policy, t.holdingPins, t.compute)
+	best, recomputed := t.dpTable.settle(led, scope, t.req.N, t.req.N, t.policy, t.holdingPins, t.compute, t.capBound)
 	if best == topology.None {
 		return best, recomputed, fmt.Errorf("%w: %v", ErrNoCapacity, t.req)
 	}
@@ -255,6 +258,68 @@ func (t *homogTable) compute(led *Ledger, topo *topology.Topology, v topology.No
 		}
 	}
 	rec.ver, rec.filled = led.SubtreeVersion(v), true
+	if invariantsEnabled && t.bounds[v].ver == rec.ver { // computed over a memoized capacity bound
+		if b, top := t.bounds[v], t.allocTop(rec); b.cap < rec.cap || b.reach < top {
+			panic(fmt.Sprintf("invariant violated: vertex %d's capacity bound (%d, %d) is below its record's (%d, %d)", v, b.cap, b.reach, rec.cap, top))
+		}
+	}
+}
+
+// capBound returns v's capacity bound (ALGORITHMS.md §3), which no record
+// of v exceeds: cap, min(N, free slots) on a machine and min(N, the sum of
+// its children's reach) above, and reach, the largest count up to cap (up
+// to hostTop on a machine) that passes compute's Eq. 4 test on v's uplink;
+// the root's and a relaxed pass's reach is cap. Internal vertices are
+// memoized; machines are rescanned.
+func (t *homogTable) capBound(led *Ledger, topo *topology.Topology, v topology.NodeID) (cap, reach int) {
+	node, b := topo.Node(v), &t.bounds[v]
+	switch {
+	case node.IsMachine():
+		cap = min(t.n, led.FreeSlots(v))
+		reach = min(cap, t.hostTop)
+	case b.ver == led.SubtreeVersion(v):
+		return b.cap, b.reach
+	default:
+		for _, c := range node.Children {
+			if cap >= t.n {
+				break
+			}
+			_, r := t.capBound(led, topo, c)
+			cap += r
+		}
+		cap = min(t.n, cap)
+		reach = cap
+	}
+	for ; reach > 0 && node.Parent != topology.None && !t.relax; reach-- {
+		if led.OccupancyWith(v, t.crossing[reach]) < 1 {
+			break
+		}
+	}
+	if !node.IsMachine() {
+		*b = capMemo{led.SubtreeVersion(v), cap, reach}
+	}
+	return cap, reach
+}
+
+// setHostTop sets hostTop to the largest count up to min(N,
+// MaxMachineSlots) an empty host link carries: while c >= 0 no host link
+// carries a larger one (ALGORITHMS.md §3).
+func (t *homogTable) setHostTop(led *Ledger) {
+	topo := led.Topology()
+	t.hostTop = min(t.n, topo.MaxMachineSlots())
+	for led.RiskConstant() >= 0 && topo.MaxHostCap() > 0 && t.hostTop > 0 && !led.emptyHostCarries(t.crossing[t.hostTop]) {
+		t.hostTop--
+	}
+}
+
+// allocTop returns the largest allocable count of r (-1: none).
+func (t *homogTable) allocTop(r *dpRec) int {
+	_, _, alloc := t.rows(r)
+	top := r.cap
+	for top >= 0 && !alloc[top] {
+		top--
+	}
+	return top
 }
 
 // homogCombine folds one child into the running combine of its parent:

@@ -10,11 +10,11 @@ import (
 )
 
 // refSettle is dpTable.settle as it stood before candidates were bounded,
-// verbatim but for its name: every candidate of a level is ensured and
-// read in topology order. TestSettleMatchesReference holds the bounded
-// settle to the same picks.
+// verbatim but for its name and the capacity bound it takes and ignores:
+// every candidate of a level is ensured and read in topology order.
+// TestSettleMatchesReference holds the bounded settle to the same picks.
 func (t *dpTable) refSettle(led *Ledger, scope *planScope, need, whole int, policy Policy,
-	within func([]topology.NodeID) []topology.NodeID, compute kernel) (best topology.NodeID, recomputed int) {
+	within func([]topology.NodeID) []topology.NodeID, compute kernel, _ boundKernel) (best topology.NodeID, recomputed int) {
 	topo, recs := led.Topology(), t.cachedRecords()
 	t.syncEpoch(led)
 	best = topology.None
@@ -48,7 +48,7 @@ func (t *dpTable) refSettle(led *Ledger, scope *planScope, need, whole int, poli
 }
 
 type settleFunc func(t *dpTable, led *Ledger, scope *planScope, need, whole int, policy Policy,
-	within func([]topology.NodeID) []topology.NodeID, compute kernel) (topology.NodeID, int)
+	within func([]topology.NodeID) []topology.NodeID, compute kernel, bound boundKernel) (topology.NodeID, int)
 
 // settled is what one settle decided: its pick and the placement built
 // there (none when the pick is None, the ErrNoCapacity case).
@@ -69,18 +69,15 @@ type settleCase struct {
 
 // table returns a table bound to the case's request as a plan binds it,
 // none of its records filled. A table the empty-link refusal turned away
-// is laid out all the same and stays refused: settle finds nothing on it,
-// and refSettle runs the full DP.
+// is laid out all the same, with no host-link bound on dpRec.top, as the
+// -tags invariants re-run lays it out, and stays refused: settle finds
+// nothing on it, and refSettle runs the full DP.
 func (c *settleCase) table() planner {
 	topo := c.led.Topology()
 	var tb planner
 	if len(c.hetero.Demands) > 0 {
 		t := new(substrTable)
 		t.reset(c.led, c.scope, c.hetero, orderByPercentile(c.hetero), c.policy)
-		// A refused table's crossing table reaches only the lengths a
-		// machine takes: complete it as -tags invariants does.
-		t.needCrossing(t.n)
-		t.setHostTop(c.led)
 		tb = t
 	} else {
 		t := new(homogTable)
@@ -92,6 +89,7 @@ func (c *settleCase) table() planner {
 		tb = t
 	}
 	if d := tb.table(); d.refused {
+		d.hostTop = d.n
 		d.layout(topo, c.scope)
 	}
 	return tb
@@ -104,12 +102,12 @@ func (c *settleCase) settleOn(tb planner, settle settleFunc) settled {
 	var out settled
 	switch t := tb.(type) {
 	case *homogTable:
-		out.best, out.recomputed = settle(&t.dpTable, c.led, c.scope, t.req.N, t.req.N, t.policy, t.holdingPins, t.compute)
+		out.best, out.recomputed = settle(&t.dpTable, c.led, c.scope, t.req.N, t.req.N, t.policy, t.holdingPins, t.compute, t.capBound)
 		if out.best != topology.None {
 			t.build(topo, out.best, t.req.N, &out.p)
 		}
 	case *substrTable:
-		out.best, out.recomputed = settle(&t.dpTable, c.led, c.scope, t.n, t.idx(t.n, 0), t.policy, nil, t.compute)
+		out.best, out.recomputed = settle(&t.dpTable, c.led, c.scope, t.n, t.idx(t.n, 0), t.policy, nil, t.compute, nil)
 		if out.best != topology.None {
 			t.build(topo, out.best, 0, t.n, &out.p)
 		}
@@ -277,17 +275,16 @@ func TestSettleMatchesReference(t *testing.T) {
 		fewer, fewerMinMax, fewerNegC, hetero, pinned, relaxed, scoped, feasible)
 }
 
-// refCapBound is dpTable.capBound from its definition, for a request of n
-// VMs whose crossing demand with l of them below a link, at anchor a, is
-// cross(l, a) (anchors: the substring DP's n-l+1, the homogeneous DP's 1):
+// refCapBound is homogTable.capBound from its definition, for a request
+// of n VMs whose crossing demand with l of them below a link is cross(l):
 // no memo, every child summed, and the uplink's Eq. 4 test written out.
-func refCapBound(led *Ledger, v topology.NodeID, n, anchors int, relax bool, cross func(l, a int) stats.Normal) (cap, reach int) {
+func refCapBound(led *Ledger, v topology.NodeID, n int, relax bool, cross func(l int) stats.Normal) (cap, reach int) {
 	node := led.Topology().Node(v)
 	if node.IsMachine() {
 		cap = led.FreeSlots(v)
 	}
 	for _, c := range node.Children {
-		_, r := refCapBound(led, c, n, anchors, relax, cross)
+		_, r := refCapBound(led, c, n, relax, cross)
 		cap += r
 	}
 	cap = min(cap, n)
@@ -295,43 +292,44 @@ func refCapBound(led *Ledger, v topology.NodeID, n, anchors int, relax bool, cro
 		return cap, cap
 	}
 	for reach = cap; reach > 0; reach-- {
-		for a := 0; a < anchors && a+reach <= n; a++ {
-			if led.OccupancyWith(v, cross(reach, a)) < 1 {
-				return cap, reach
-			}
+		if led.OccupancyWith(v, cross(reach)) < 1 {
+			return cap, reach
 		}
 	}
 	return cap, 0
 }
 
 // TestCapacityBoundIsSound holds the capacity bound settle passes stale
-// candidates over by (dpTable.capBound) to its definition and to the
+// candidates over by (homogTable.capBound) to its definition and to the
 // records it stands in for. On random trees with mixed host capacities and
 // the paper tree, random load with failed machines and links, pod scopes,
-// both DPs, repair pins and the relaxed pass, and eps in {0.05, 0.5, 0.7},
-// with high-variance load on host links where c < 0 (an empty link is then
-// no host link's best case), every in-scope vertex's bound, bottom-up, must
-// equal refCapBound's, and
-// after its record is computed over it (ensure) the cap must be at least
-// the record's largest count with a finite optimum and the reach at least
-// its largest allocable count (dpTable.span); a relaxed pass reaches its
-// cap. The ledger then churns — slots, link loads, a machine failing or a
-// machine or link coming back — and the same table is checked again, so a
-// memo entry that outlived its subtree version or fault epoch shows.
+// repair pins and the relaxed pass, and eps in {0.05, 0.5, 0.7}, with
+// high-variance load on host links where c < 0 (an empty link is then no
+// host link's best case), every in-scope vertex's bound, bottom-up, must
+// equal refCapBound's, and after its record is computed over it (ensure)
+// the cap must be at least the record's cap, its largest count with a
+// finite optimum, and the reach at least its largest allocable count
+// (allocTop); dpRec.top must be at least the cap, or on a machine the
+// largest allocable count; a relaxed pass reaches its cap. The ledger then
+// churns — slots, link loads, a machine failing or a machine or link
+// coming back — and the same table is checked again, and once more after
+// it is bound to another request size, so a memo entry that outlived its
+// subtree version, fault epoch or binding shows.
 func TestCapacityBoundIsSound(t *testing.T) {
 	r := stats.NewRand(4141)
 	paper, err := topology.NewThreeTier(topology.PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var beyondSlots, uplinkBinds, hetero, pinned, relaxed, scoped, vertices int
+	var beyondSlots, uplinkBinds, pinned, relaxed, scoped, vertices int
 	for trial := 0; trial < 2000; trial++ {
-		tp, maxN, maxHetero, mu := randomTopology(r), 24, 6, 40.0
+		tp, maxN, mu := randomTopology(r), 24, 40.0
 		if trial%40 == 0 {
-			tp, maxN, maxHetero, mu = paper, 120, 8, 400
+			tp, maxN, mu = paper, 120, 400
 		}
 		eps := []float64{0.05, 0.5, 0.7}[r.IntN(3)]
-		c := randomSettleCase(r, tp, maxN, maxHetero, mu, eps)
+		c := randomSettleCase(r, tp, maxN, 6, mu, eps)
+		c.hetero = Heterogeneous{}    // the bound is the homogeneous DP's: plan the case's homogeneous request
 		if c.led.RiskConstant() < 0 { // added variance lowers an occupancy: a loaded host link carries what an empty one cannot
 			for _, m := range tp.Machines() {
 				if r.Float64() < 0.3 {
@@ -339,47 +337,35 @@ func TestCapacityBoundIsSound(t *testing.T) {
 				}
 			}
 		}
-		tb := c.table()
-		var (
-			d       *dpTable
-			compute kernel
-			anchors = 1
-			cross   = func(l, _ int) stats.Normal { return CrossingHomog(canonDemand(c.req.Demand), l, c.req.N) }
-		)
-		switch tt := tb.(type) {
-		case *homogTable:
-			d, compute = &tt.dpTable, tt.compute
-		case *substrTable:
-			prefix := newDemandPrefix(c.hetero.Demands, orderByPercentile(c.hetero))
-			d, compute, anchors = &tt.dpTable, tt.compute, tt.n+1
-			cross = func(l, a int) stats.Normal { return prefix.crossing(a, a+l) }
-		}
+		ht := c.table().(*homogTable)
+		cross := func(l int) stats.Normal { return CrossingHomog(canonDemand(c.req.Demand), l, ht.req.N) }
 		check := func(stage string) {
-			d.syncEpoch(c.led)
+			ht.syncEpoch(c.led)
 			for level := 0; level <= scopeHeight(tp, c.scope); level++ {
 				for _, v := range scopeAtLevel(tp, c.scope, level) {
 					vertices++
-					bcap, breach := d.capBound(c.led, tp, v)
-					if wcap, wreach := refCapBound(c.led, v, d.n, anchors, d.relax, cross); bcap != wcap || breach != wreach {
+					bcap, breach := ht.capBound(c.led, tp, v)
+					if wcap, wreach := refCapBound(c.led, v, ht.n, ht.relax, cross); bcap != wcap || breach != wreach {
 						t.Fatalf("trial %d, %s: vertex %d's capacity bound is (%d, %d), its definition (%d, %d)", trial, stage, v, bcap, breach, wcap, wreach)
 					}
-					d.ensure(c.led, tp, v, compute)
-					finite, allocable := d.span(&d.recs[v])
-					top := finite // a machine's counts above top are finite but not allocable
+					ht.ensure(c.led, tp, v, ht.compute)
+					rec := &ht.recs[v]
+					allocable := ht.allocTop(rec)
+					top := rec.cap // a machine's counts above top are finite but not allocable
 					if tp.Node(v).IsMachine() {
 						top = allocable
 					}
-					if bcap < finite || breach < allocable || d.recs[v].top < top {
-						t.Fatalf("trial %d, %s (req %v, hetero %v, eps %v, pins %v, relax %v): vertex %d's capacity bound (%d, %d) or static bound %d is below its record's largest finite and allocable counts (%d, %d)",
-							trial, stage, c.req, c.hetero, eps, c.pins, c.relax, v, bcap, breach, d.recs[v].top, finite, allocable)
+					if bcap < rec.cap || breach < allocable || rec.top < top {
+						t.Fatalf("trial %d, %s (req %v, eps %v, pins %v, relax %v): vertex %d's capacity bound (%d, %d) or static bound %d is below its record's cap and largest allocable count (%d, %d)",
+							trial, stage, c.req, eps, c.pins, c.relax, v, bcap, breach, rec.top, rec.cap, allocable)
 					}
-					if d.relax && breach != bcap {
+					if ht.relax && breach != bcap {
 						t.Fatalf("trial %d, %s: relaxed vertex %d reaches %d of its cap %d", trial, stage, v, breach, bcap)
 					}
 					if breach < bcap {
 						uplinkBinds++
 					}
-					if free, _ := c.led.subtreeBound(v); !tp.Node(v).IsMachine() && free >= d.n && bcap < d.n {
+					if free, _ := c.led.subtreeBound(v); !tp.Node(v).IsMachine() && free >= ht.n && bcap < ht.n {
 						beyondSlots++
 					}
 				}
@@ -388,9 +374,13 @@ func TestCapacityBoundIsSound(t *testing.T) {
 		check("cold")
 		c.churn(r)
 		check("after churn")
+		// A pooled table is bound to the next request over the same
+		// ledger: no bound of the last binding may read as current.
+		next := c.req
+		next.N = r.UniformInt(1, maxN)
+		ht.reset(c.led, c.scope, next, c.policy, false)
+		check("rebound")
 		switch {
-		case len(c.hetero.Demands) > 0:
-			hetero++
 		case c.relax:
 			relaxed++
 		case len(c.pins) > 0:
@@ -402,10 +392,10 @@ func TestCapacityBoundIsSound(t *testing.T) {
 	}
 	// The cases must reach the regime the bound adds to the slot bound, and
 	// every input kind.
-	if beyondSlots < 500 || uplinkBinds < 8000 || hetero < 400 || pinned < 150 || relaxed < 200 || scoped < 600 {
-		t.Errorf("weak coverage: %d vertices with the free slots but a capacity bound below n, %d whose uplink binds, %d hetero, %d pinned, %d relaxed, %d scoped trials",
-			beyondSlots, uplinkBinds, hetero, pinned, relaxed, scoped)
+	if beyondSlots < 500 || uplinkBinds < 8000 || pinned < 150 || relaxed < 200 || scoped < 600 {
+		t.Errorf("weak coverage: %d vertices with the free slots but a capacity bound below n, %d whose uplink binds, %d pinned, %d relaxed, %d scoped trials",
+			beyondSlots, uplinkBinds, pinned, relaxed, scoped)
 	}
-	t.Logf("%d vertices checked: %d with the free slots but a capacity bound below n, %d whose uplink binds; %d hetero, %d pinned, %d relaxed, %d scoped trials",
-		vertices, beyondSlots, uplinkBinds, hetero, pinned, relaxed, scoped)
+	t.Logf("%d vertices checked: %d with the free slots but a capacity bound below n, %d whose uplink binds; %d pinned, %d relaxed, %d scoped trials",
+		vertices, beyondSlots, uplinkBinds, pinned, relaxed, scoped)
 }

@@ -9,7 +9,7 @@
 # scripts/check.sh and CI's `make loc` step), so raising it is an edit a
 # reviewer sees. Lower it when a PR shrinks the total.
 set -euo pipefail
-budget=9864 # +99 (from 9765): the per-request capacity bound (dpTable.capBound with its capMemo table and generation, setHostTop and the static dpRec.top that layout sums, the skip in settle, the sampled -tags invariants check in ensure with dpTable.span), the crossing table and relax flag moved onto dpTable so one bound serves both DPs, and the substring DP filling its crossing table in reset
+budget=9860 # +95 (from 9765): the homogeneous DP's per-request capacity bound (homogTable.capBound with its capMemo table, setHostTop and the static dpRec.top that layout sums, the skip in settle and its boundKernel parameter, the sampled -tags invariants check in compute with allocTop), and the memo cleared in the loops layout and syncEpoch already run
 cd "$(dirname "$0")/.."
 lines() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 total=0
