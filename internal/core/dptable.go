@@ -38,7 +38,7 @@ type dpRec struct {
 
 // capMemo is an internal vertex's capacity bound (homogTable.capBound),
 // current while ver is its SubtreeVersion; layout and a fault-epoch change
-// zero ver.
+// zero ver. Only homogeneous tables keep them.
 type capMemo struct {
 	ver        uint64
 	cap, reach int
@@ -55,7 +55,7 @@ type dpTable struct {
 	lowest    int    // the lowest level with a vertex whose static bound reaches n
 	epoch     uint64 // Faults().Epoch() the filled records were computed under
 	stale     []staleCand
-	bounds    []capMemo // by NodeID, beside recs: a warm plan's scan reads records only
+	bounds    []capMemo // by NodeID, beside recs: a warm plan's scan reads records only; nil in a substring table
 	audit     bool      // under -tags invariants: the next settle checks every candidate it passed over
 	refused   bool      // the empty-link refusal turned the bound request away: nothing is laid out
 }
@@ -74,7 +74,7 @@ type staleCand struct {
 // before anything reads it.
 func (t *dpTable) layout(topo *topology.Topology, scope *planScope) {
 	n, stride := t.n, t.stride
-	t.recs, t.bounds = grow(t.recs, topo.Len()), grow(t.bounds, topo.Len())
+	t.recs = grow(t.recs, topo.Len())
 	cells, picks := 0, 0
 	t.lowest = scopeHeight(topo, scope) + 1
 	for level := 0; level <= scopeHeight(topo, scope); level++ {
@@ -93,7 +93,9 @@ func (t *dpTable) layout(topo *topology.Topology, scope *planScope) {
 			// Field by field: a literal is built on the stack and copied.
 			r := &t.recs[v]
 			r.filled, r.cap, r.cells, r.off, r.pick, r.top = false, bound, (bound+1)*stride, cells, picks, min(n, top)
-			t.bounds[v].ver = 0
+			if t.bounds != nil {
+				t.bounds[v].ver = 0
+			}
 			cells += r.cells
 			picks += len(node.Children) * r.cells
 		}
@@ -136,7 +138,10 @@ func (t *dpTable) table() *dpTable { return t }
 func (t *dpTable) syncEpoch(led *Ledger) {
 	if ep := led.Faults().Epoch(); t.epoch != ep {
 		for i := range t.recs {
-			t.recs[i].filled, t.bounds[i].ver = false, 0
+			t.recs[i].filled = false
+		}
+		for i := range t.bounds {
+			t.bounds[i].ver = 0
 		}
 		t.epoch = ep
 	}

@@ -90,7 +90,8 @@ func (t *homogTable) reset(led *Ledger, scope *planScope, req Homogeneous, polic
 	t.req, t.policy, t.n, t.stride = req, policy, req.N, 1
 	t.pinned, t.relax = 0, false
 	t.crossing = crossingTableHomog(t.crossing[:0], req.Demand, req.N)
-	t.hostTop = req.N // a repair's relaxed pass, set after reset, drops Eq. 4
+	t.bounds = grow(t.bounds, led.Topology().Len()) // capBound's memo, which layout marks stale
+	t.hostTop = req.N                               // a repair's relaxed pass, set after reset, drops Eq. 4
 	if mayRefuse {
 		t.setHostTop(led)
 	}

@@ -15,9 +15,9 @@ import (
 // admission condition (paper Eq. 4) and the bandwidth occupancy ratio
 // (paper Eq. 6) for every link.
 //
-// A Ledger is not safe for concurrent use, and a plan counts as a write:
-// it fills the ledger's bound memo (subtreeBound). Manager provides the
-// synchronized interface.
+// A Ledger is not safe for concurrent use, and a plan or a status read
+// (MaxOccupancy, TotalFreeSlots) counts as a write: it fills the ledger's
+// bound memo (subtreeBound). Manager provides the synchronized interface.
 type Ledger struct {
 	topo *topology.Topology
 	eps  float64
@@ -46,13 +46,14 @@ type subtreeBound struct {
 	ver, epoch uint64
 	free       int     // free VM slots below the vertex
 	inner      float64 // the largest occupancy of a link strictly inside it
+	live       float64 // the same over the in-service links only (MaxOccupancy)
 }
 
 // subVerTick issues globally unique subtree-version ticks. Monotonic per
 // process; never reset, so clones that diverge can never alias versions.
-// boundSample and refusalSample sample subtreeBound's and dpTable.settle's
-// -tags invariants checks.
-var subVerTick, boundSample, refusalSample atomic.Uint64
+// boundSample, refusalSample and faultCountSample sample subtreeBound's,
+// dpTable.settle's and FailureStats' -tags invariants checks.
+var subVerTick, boundSample, refusalSample, faultCountSample atomic.Uint64
 
 // linkState is the reservation bookkeeping of one physical link, following
 // the paper's decomposition: deterministic reservations D_L plus the
@@ -185,29 +186,47 @@ func (l *Ledger) SubtreeVersion(v topology.NodeID) uint64 { return l.subVer[v] }
 
 // subtreeBound returns the free VM slots below internal vertex v and the
 // largest occupancy of a link strictly inside it, the bound dpTable.settle
-// visits stale candidates by (ALGORITHMS.md §3). Every table reads this one
-// memo, each entry built from its children's, so a commit costs the next
-// call only the entries on its paths. Clone copies it: subtree ticks are
-// unique to the process, and each overlay moves its own fault epoch.
+// visits stale candidates by (ALGORITHMS.md §3). Every table, and every
+// status read (MaxOccupancy, Manager.FreeSlots), reads this one memo, each
+// entry built from its children's, so a commit costs the next call only
+// the entries on its paths. Clone copies it: subtree ticks are unique to
+// the process, and each overlay moves its own fault epoch.
 func (l *Ledger) subtreeBound(v topology.NodeID) (free int, inner float64) {
+	b := l.bound(v)
+	return b.free, b.inner
+}
+
+// bound returns internal vertex v's memo entry, current.
+func (l *Ledger) bound(v topology.NodeID) *subtreeBound {
 	b := &l.bounds[v]
 	if b.ver != l.subVer[v] || b.epoch != l.faults.Epoch() {
 		*b = subtreeBound{ver: l.subVer[v], epoch: l.faults.Epoch()}
+		faulty := l.faults.AnyDown()
 		for _, c := range l.topo.Node(v).Children {
-			cFree, cInner := l.FreeSlots(c), 0.0
-			if !l.topo.Node(c).IsMachine() {
-				cFree, cInner = l.subtreeBound(c)
+			free, inner, live := 0, 0.0, 0.0
+			if l.topo.Node(c).IsMachine() {
+				free = l.FreeSlots(c)
+			} else {
+				cb := l.bound(c)
+				free, inner, live = cb.free, cb.inner, cb.live
 			}
-			b.free, b.inner = b.free+cFree, max(b.inner, cInner, l.Occupancy(c))
+			occ := l.Occupancy(c)
+			b.free, b.inner = b.free+free, max(b.inner, inner, occ)
+			if faulty && l.faults.Reachable(c) { // a link out of service strands everything below it
+				b.live = max(b.live, live, occ)
+			}
+		}
+		if !faulty { // every link is in service
+			b.live = b.inner
 		}
 	} else if invariantsEnabled && boundSample.Add(1)%64 == 1 { // a sampled hit against a memo built anew
 		fresh := l.Clone()
 		clear(fresh.bounds)
-		if fresh.subtreeBound(v); fresh.bounds[v] != *b {
+		if fresh.bound(v); fresh.bounds[v] != *b {
 			panic(fmt.Sprintf("invariant violated: vertex %d's bound memo holds %+v, a memo built anew %+v", v, *b, fresh.bounds[v]))
 		}
 	}
-	return b.free, b.inner
+	return b
 }
 
 // AddStochastic records a stochastic crossing demand on the link.
@@ -296,18 +315,14 @@ func (l *Ledger) EffectiveStochastic(id topology.LinkID) float64 {
 // the statistic the paper samples for Fig. 9. Links that are failed or
 // stranded behind a failed link are skipped: their reservations are
 // bookkeeping for jobs awaiting repair, not load the network carries. A
-// topology without links (a single machine) returns 0.
+// topology without links (a single machine) returns 0. It reads the root's
+// bound memo entry, so it costs the entries on the paths changed since the
+// last read.
 func (l *Ledger) MaxOccupancy() float64 {
-	maxOcc := 0.0
-	for _, id := range l.topo.Links() {
-		if !l.faults.Reachable(id) {
-			continue
-		}
-		if o := l.Occupancy(id); o > maxOcc {
-			maxOcc = o
-		}
+	if root := l.topo.Root(); !l.topo.Node(root).IsMachine() {
+		return l.bound(root).live
 	}
-	return maxOcc
+	return 0
 }
 
 // MaxOccupancyByLevel returns, for every link level of the tree, the
@@ -384,12 +399,15 @@ func (l *Ledger) ReleaseSlots(m topology.NodeID, k int) {
 }
 
 // TotalFreeSlots returns the number of empty VM slots in the datacenter.
-func (l *Ledger) TotalFreeSlots() int {
-	total := 0
-	for _, m := range l.topo.Machines() {
-		total += l.FreeSlots(m)
+func (l *Ledger) TotalFreeSlots() int { return l.freeBelow(l.topo.Root()) }
+
+// freeBelow returns the free VM slots of the machines in v's subtree: a
+// machine's own, else v's bound memo entry's.
+func (l *Ledger) freeBelow(v topology.NodeID) int {
+	if l.topo.Node(v).IsMachine() {
+		return l.FreeSlots(v)
 	}
-	return total
+	return l.bound(v).free
 }
 
 func sqrtNonNeg(x float64) float64 {

@@ -302,11 +302,12 @@ func TestMaxOccupancyByLevel(t *testing.T) {
 	}
 }
 
-// boundFromScratch is what Ledger.subtreeBound must return for internal
+// boundFromScratch is what Ledger.subtreeBound must hold for internal
 // vertex v, read off the ledger without the memo: the free slots of every
 // machine below v, and the largest occupancy of a link whose lower end is
-// a proper descendant of v.
-func boundFromScratch(led *Ledger, v topology.NodeID) (free int, inner float64) {
+// a proper descendant of v, over every such link (inner) and over those in
+// service (live).
+func boundFromScratch(led *Ledger, v topology.NodeID) (free int, inner, live float64) {
 	tp := led.Topology()
 	for _, m := range tp.SubtreeMachines(nil, v) {
 		free += led.FreeSlots(m)
@@ -315,11 +316,81 @@ func boundFromScratch(led *Ledger, v topology.NodeID) (free int, inner float64) 
 		for a := tp.Node(link).Parent; a != topology.None; a = tp.Node(a).Parent {
 			if a == v {
 				inner = max(inner, led.Occupancy(link))
+				if led.Faults().Reachable(link) {
+					live = max(live, led.Occupancy(link))
+				}
 				break
 			}
 		}
 	}
-	return free, inner
+	return free, inner, live
+}
+
+// heldReservation is a reservation a test ledger holds, kept so a random
+// stream can remove it again.
+type heldReservation struct {
+	link topology.LinkID
+	d    stats.Normal
+	det  bool
+}
+
+// ledgerLineage is one ledger of a clone lineage a random stream drives,
+// with the reservations it holds.
+type ledgerLineage struct {
+	led  *Ledger
+	held []heldReservation
+}
+
+// stepLineage applies one random step to a random ledger of ls: a clone
+// (while there are fewer than four), slot use or release, a stochastic or
+// deterministic reservation or the removal of one, SetOffline, a link
+// failure or restore, or a machine failure toggled. With ties, a
+// deterministic reservation fills a quarter or a half of its link, so
+// occupancies repeat across links. It returns ls, grown by a clone step.
+func stepLineage(r *stats.Rand, tp *topology.Topology, ls []*ledgerLineage, ties bool) []*ledgerLineage {
+	machines, links := tp.Machines(), tp.Links()
+	l := ls[r.IntN(len(ls))]
+	led, faults := l.led, l.led.Faults()
+	m, link := machines[r.IntN(len(machines))], links[r.IntN(len(links))]
+	switch op := r.IntN(10); {
+	case op == 0 && len(ls) < 4:
+		ls = append(ls, &ledgerLineage{led: led.Clone(), held: append([]heldReservation(nil), l.held...)})
+	case op <= 2 && led.FreeSlots(m) > 0:
+		led.UseSlots(m, r.UniformInt(1, led.FreeSlots(m)))
+	case op <= 2 && led.used[m] > 0:
+		led.ReleaseSlots(m, r.UniformInt(1, led.used[m]))
+	case op <= 4:
+		res := heldReservation{link: link, det: r.IntN(2) == 0}
+		res.d = stats.Normal{Mu: r.UniformRange(0, 0.3*tp.LinkCap(link)), Sigma: r.UniformRange(0, 0.2*tp.LinkCap(link))}
+		if ties && res.det {
+			res.d.Mu = float64(1+r.IntN(2)) / 4 * tp.LinkCap(link)
+		}
+		if res.det {
+			led.AddDet(link, res.d.Mu)
+		} else {
+			led.AddStochastic(link, res.d)
+		}
+		l.held = append(l.held, res)
+	case op == 5 && len(l.held) > 0:
+		i := r.IntN(len(l.held))
+		if res := l.held[i]; res.det {
+			led.RemoveDet(res.link, res.d.Mu)
+		} else {
+			led.RemoveStochastic(res.link, res.d)
+		}
+		l.held = append(l.held[:i], l.held[i+1:]...)
+	case op == 6:
+		led.SetOffline(m, !led.Offline(m))
+	case op == 7:
+		faults.FailLink(link)
+	case op == 8:
+		faults.RestoreLink(link)
+	default:
+		if !faults.FailMachine(m) {
+			faults.RestoreMachine(m)
+		}
+	}
+	return ls
 }
 
 // TestSubtreeBoundMemo drives ledgers over random trees and the paper tree
@@ -342,63 +413,17 @@ func TestSubtreeBoundMemo(t *testing.T) {
 		if trial%20 == 0 {
 			tp, steps = paper, 60
 		}
-		machines, links := tp.Machines(), tp.Links()
 		var internal []topology.NodeID
 		for v := topology.NodeID(0); int(v) < tp.Len(); v++ {
 			if !tp.Node(v).IsMachine() {
 				internal = append(internal, v)
 			}
 		}
-		type reservation struct {
-			link topology.LinkID
-			d    stats.Normal
-			det  bool
-		}
-		type lineage struct {
-			led  *Ledger
-			held []reservation
-		}
-		ledgers := []*lineage{{led: newTestLedger(t, tp, []float64{0.05, 0.7}[r.IntN(2)])}}
+		ledgers := []*ledgerLineage{{led: newTestLedger(t, tp, []float64{0.05, 0.7}[r.IntN(2)])}}
 		for step := 0; step < steps; step++ {
-			l := ledgers[r.IntN(len(ledgers))]
-			led, faults := l.led, l.led.Faults()
-			m, link := machines[r.IntN(len(machines))], links[r.IntN(len(links))]
-			switch op := r.IntN(10); {
-			case op == 0 && len(ledgers) < 4:
-				c := &lineage{led: led.Clone(), held: append([]reservation(nil), l.held...)}
-				ledgers = append(ledgers, c)
+			n := len(ledgers)
+			if ledgers = stepLineage(r, tp, ledgers, false); len(ledgers) > n {
 				clones++
-			case op <= 2 && led.FreeSlots(m) > 0:
-				led.UseSlots(m, r.UniformInt(1, led.FreeSlots(m)))
-			case op <= 2 && led.used[m] > 0:
-				led.ReleaseSlots(m, r.UniformInt(1, led.used[m]))
-			case op <= 4:
-				res := reservation{link: link, det: r.IntN(2) == 0}
-				res.d = stats.Normal{Mu: r.UniformRange(0, 0.3*tp.LinkCap(link)), Sigma: r.UniformRange(0, 0.2*tp.LinkCap(link))}
-				if res.det {
-					led.AddDet(link, res.d.Mu)
-				} else {
-					led.AddStochastic(link, res.d)
-				}
-				l.held = append(l.held, res)
-			case op == 5 && len(l.held) > 0:
-				i := r.IntN(len(l.held))
-				if res := l.held[i]; res.det {
-					led.RemoveDet(res.link, res.d.Mu)
-				} else {
-					led.RemoveStochastic(res.link, res.d)
-				}
-				l.held = append(l.held[:i], l.held[i+1:]...)
-			case op == 6:
-				led.SetOffline(m, !led.Offline(m))
-			case op == 7:
-				faults.FailLink(link)
-			case op == 8:
-				faults.RestoreLink(link)
-			default:
-				if !faults.FailMachine(m) {
-					faults.RestoreMachine(m)
-				}
 			}
 			for _, l := range ledgers {
 				check := internal
@@ -411,9 +436,11 @@ func TestSubtreeBoundMemo(t *testing.T) {
 						hits++
 					}
 					free, inner := l.led.subtreeBound(v)
-					wantFree, wantInner := boundFromScratch(l.led, v)
-					if free != wantFree || math.Float64bits(inner) != math.Float64bits(wantInner) {
-						t.Fatalf("trial %d, step %d: vertex %d's memo is (%d, %v), its subtree has (%d, %v)", trial, step, v, free, inner, wantFree, wantInner)
+					live := l.led.bounds[v].live
+					wantFree, wantInner, wantLive := boundFromScratch(l.led, v)
+					if free != wantFree || math.Float64bits(inner) != math.Float64bits(wantInner) || math.Float64bits(live) != math.Float64bits(wantLive) {
+						t.Fatalf("trial %d, step %d: vertex %d's memo is (%d, %v, live %v), its subtree has (%d, %v, live %v)",
+							trial, step, v, free, inner, live, wantFree, wantInner, wantLive)
 					}
 				}
 			}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -193,6 +195,8 @@ func (m *Manager) planHetero(led *Ledger, req Heterogeneous, mode planMode) (Pla
 // view runs fn on the live ledger under m.mu, so it sees every mutation
 // applied before the call; fn must neither mutate the ledger (mutating
 // probes Clone it; a write here would bypass the journal) nor keep it.
+// Filling the ledger's memos, as plans and status reads do, changes no
+// state: the lock is what makes it safe.
 func view[T any](m *Manager, fn func(*Ledger) T) T {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -251,15 +255,14 @@ func (m *Manager) Running() int {
 // FreeSlots returns the number of unoccupied VM slots on the machines the
 // manager plans over: every machine, or a WithPlanSubtree manager's
 // subtree — a pod of a sharded control plane answers for its own
-// machines. Like every metric below it reads the live ledger in view.
+// machines. Like every metric below it reads the live ledger in view; it
+// reads the scope root's bound memo entry.
 func (m *Manager) FreeSlots() int {
-	machines := scopeAtLevel(m.led.Topology(), m.scope, 0)
-	return view(m, func(led *Ledger) (total int) {
-		for _, mc := range machines {
-			total += led.FreeSlots(mc)
-		}
-		return total
-	})
+	root := m.led.Topology().Root()
+	if m.scope != nil {
+		root = m.scope.root
+	}
+	return view(m, func(led *Ledger) int { return led.freeBelow(root) })
 }
 
 // Version returns the count of applied mutations since construction —
@@ -349,17 +352,65 @@ type LinkLoad struct {
 // slice the caller owns and may reorder (httpapi's /v1/links does).
 func (m *Manager) LinkLoads() []LinkLoad {
 	return view(m, func(led *Ledger) []LinkLoad {
-		topo := led.Topology()
-		out := make([]LinkLoad, 0, len(topo.Links()))
-		for _, l := range topo.Links() {
-			out = append(out, LinkLoad{
-				Link:       l,
-				Capacity:   topo.LinkCap(l),
-				Occupancy:  led.Occupancy(l),
-				DetLoad:    led.DetReserved(l),
-				Stochastic: led.StochasticCount(l),
-			})
+		out := make([]LinkLoad, 0, len(led.Topology().Links()))
+		for _, l := range led.Topology().Links() {
+			out = append(out, led.linkLoad(l))
 		}
 		return out
 	})
+}
+
+// TopLinkLoads returns the k first links under MoreLoaded, in that order:
+// the prefix of LinkLoads sorted by MoreLoaded, all of it when k >= 0 is
+// at least the link count. One pass under the lock selects them by the
+// two fields the order reads; only the k it keeps are filled in.
+func (m *Manager) TopLinkLoads(k int) []LinkLoad {
+	return view(m, func(led *Ledger) []LinkLoad {
+		links := led.Topology().Links()
+		top := make([]LinkLoad, 0, min(k, len(links)))
+		for _, l := range links {
+			occ := led.Occupancy(l)
+			if len(top) == k && k > 0 && occ < top[k-1].Occupancy { // keepTop would pass it over
+				continue
+			}
+			top = keepTop(top, k, LinkLoad{Link: l, Occupancy: occ})
+		}
+		for i := range top {
+			top[i] = led.linkLoad(top[i].Link)
+		}
+		return top
+	})
+}
+
+func (l *Ledger) linkLoad(id topology.LinkID) LinkLoad {
+	s := &l.links[id]
+	return LinkLoad{Link: id, Capacity: s.cap, Occupancy: l.Occupancy(id), DetLoad: s.det, Stochastic: s.stochastic}
+}
+
+// MoreLoaded is the order of /v1/links: occupancy descending, equal
+// occupancies by ascending link id — total, so one state has one answer.
+func MoreLoaded(a, b LinkLoad) int {
+	return cmp.Or(cmp.Compare(b.Occupancy, a.Occupancy), cmp.Compare(a.Link, b.Link))
+}
+
+// TopLoads moves the k first loads under MoreLoaded to the front, in
+// order, and returns them: one pass that keeps the sorted best of the
+// loads seen in the slice's own prefix (it overwrites only those), so
+// nothing is allocated.
+func TopLoads(loads []LinkLoad, k int) []LinkLoad {
+	top := loads[:0]
+	for _, ll := range loads {
+		top = keepTop(top, k, ll)
+	}
+	return top
+}
+
+// keepTop adds ll to top, the sorted k first loads seen so far: a load
+// outside them costs one compare.
+func keepTop(top []LinkLoad, k int, ll LinkLoad) []LinkLoad {
+	if k == 0 || len(top) == k && MoreLoaded(ll, top[k-1]) >= 0 {
+		return top
+	}
+	i, _ := slices.BinarySearchFunc(top, ll, MoreLoaded)
+	return slices.Insert(top[:min(len(top), k-1)], i, ll)
 }

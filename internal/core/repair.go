@@ -382,6 +382,22 @@ func (m *Manager) FailureStats() FailureStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f := m.led.Faults()
+	if invariantsEnabled && faultCountSample.Add(1)%16 == 1 { // the O(1) counts against a scan
+		var machines, links int
+		for _, mc := range f.Topology().Machines() {
+			if f.MachineDown(mc) {
+				machines++
+			}
+		}
+		for _, l := range f.Topology().Links() {
+			if f.LinkDown(l) {
+				links++
+			}
+		}
+		if machines != f.MachinesDown() || links != f.LinksDown() {
+			panic(fmt.Sprintf("invariant violated: the fault overlay counts %d machines and %d links down, a scan %d and %d", f.MachinesDown(), f.LinksDown(), machines, links))
+		}
+	}
 	return FailureStats{
 		CounterState:  m.counters,
 		MachinesDown:  f.MachinesDown(),

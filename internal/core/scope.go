@@ -16,6 +16,7 @@ import (
 // the tree root), which is exactly the paper's Eq. 4 condition on the
 // pod's core uplink.
 type planScope struct {
+	root   topology.NodeID
 	height int // level of the scope root; the level loop stops here
 	// levels[l] is the subset of topo.AtLevel(l) inside the subtree, in
 	// the same relative order, so scoped selection breaks ties exactly
@@ -30,6 +31,7 @@ func newPlanScope(topo *topology.Topology, root topology.NodeID) (*planScope, er
 		return nil, fmt.Errorf("core: plan subtree root %d out of range", root)
 	}
 	s := &planScope{
+		root:   root,
 		height: topo.Node(root).Level,
 		levels: make([][]topology.NodeID, topo.Node(root).Level+1),
 	}

@@ -11,7 +11,8 @@ import (
 	"repro/internal/topology"
 )
 
-// fakeLinks is a Controller that answers LinkLoads and nothing else: its
+// fakeLinks is a Controller that answers LinkLoads, and TopLinkLoads
+// through core's selection over it, and nothing else: its
 // embedded interface is nil, so any other method the handler reached would
 // panic. It hands out one reused slice, so what a request allocates is the
 // handler's own.
@@ -26,6 +27,8 @@ func (f *fakeLinks) LinkLoads() []core.LinkLoad {
 	f.scratch = append(f.scratch[:0], f.loads...)
 	return f.scratch
 }
+
+func (f *fakeLinks) TopLinkLoads(k int) []core.LinkLoad { return core.TopLoads(f.LinkLoads(), k) }
 
 // newFakeLinks has n links in four occupancy classes, so every class is a
 // long run of ties.

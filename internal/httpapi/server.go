@@ -32,7 +32,6 @@
 package httpapi
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -246,7 +245,8 @@ type Controller interface {
 	MaxOccupancy() float64
 	AdmissionStats() core.AdmissionStats
 	FailureStats() core.FailureStats
-	LinkLoads() []core.LinkLoad // a fresh slice: the caller owns it and may reorder it
+	LinkLoads() []core.LinkLoad         // a fresh slice: the caller owns it and may reorder it
+	TopLinkLoads(k int) []core.LinkLoad // the k first links under core.MoreLoaded, in order
 	ExportState() *core.ManagerState
 
 	FailMachine(id topology.NodeID, opts ...core.CallOption) ([]core.JobID, error)
@@ -631,11 +631,12 @@ func (s *Server) handleLinks(w http.ResponseWriter, req *http.Request) {
 		}
 		limit = n
 	}
-	loads := s.manager().LinkLoads()
-	if limit < 0 || limit >= len(loads) {
-		slices.SortFunc(loads, moreLoaded)
+	var loads []core.LinkLoad
+	if limit < 0 {
+		loads = s.manager().LinkLoads()
+		slices.SortFunc(loads, core.MoreLoaded)
 	} else {
-		loads = topLoads(loads, limit)
+		loads = s.manager().TopLinkLoads(limit)
 	}
 	out := make([]LinkStatus, 0, len(loads))
 	for _, ll := range loads {
@@ -648,31 +649,6 @@ func (s *Server) handleLinks(w http.ResponseWriter, req *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// moreLoaded is the order of /v1/links: occupancy descending, equal
-// occupancies by ascending link id — total, so one state has one answer.
-func moreLoaded(a, b core.LinkLoad) int {
-	return cmp.Or(cmp.Compare(b.Occupancy, a.Occupancy), cmp.Compare(a.Link, b.Link))
-}
-
-// topLoads moves the k first loads under moreLoaded to the front, in
-// order, and returns them: one pass that keeps top the sorted best of the
-// loads seen (it overwrites only those), so nothing is allocated and a
-// load outside the top costs one compare.
-func topLoads(loads []core.LinkLoad, k int) []core.LinkLoad {
-	top := loads[:0]
-	if k == 0 {
-		return top
-	}
-	for _, ll := range loads {
-		if len(top) == k && moreLoaded(ll, top[k-1]) >= 0 {
-			continue
-		}
-		i, _ := slices.BinarySearchFunc(top, ll, moreLoaded)
-		top = slices.Insert(top[:min(len(top), k-1)], i, ll)
-	}
-	return top
 }
 
 func decodeJSON(req *http.Request, v any) error {

@@ -112,6 +112,10 @@ func (r *Router) LinkLoads() []core.LinkLoad {
 	return out
 }
 
+// TopLinkLoads returns the k first links under core.MoreLoaded, in order,
+// selected from the merged LinkLoads.
+func (r *Router) TopLinkLoads(k int) []core.LinkLoad { return core.TopLoads(r.LinkLoads(), k) }
+
 // AdmissionStats returns the admission counters summed over the pods,
 // each of which plans its own admissions.
 func (r *Router) AdmissionStats() core.AdmissionStats {

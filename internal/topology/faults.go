@@ -20,6 +20,8 @@ type Faults struct {
 	topo        *Topology
 	machineDown []bool // indexed by NodeID (machines only)
 	linkDown    []bool // indexed by LinkID (non-root nodes only)
+	// The number of true entries in machineDown and linkDown.
+	machinesDown, linksDown int
 
 	epoch uint64 // bumped on every mutation
 
@@ -58,6 +60,7 @@ func (f *Faults) Clone() *Faults {
 		cached:      true,
 		cacheEpoch:  f.cacheEpoch,
 	}
+	c.machinesDown, c.linksDown = f.machinesDown, f.linksDown
 	copy(c.machineDown, f.machineDown)
 	copy(c.linkDown, f.linkDown)
 	copy(c.reachable, f.reachable)
@@ -92,6 +95,7 @@ func (f *Faults) FailMachine(m NodeID) bool {
 		return false
 	}
 	f.machineDown[m] = true
+	f.machinesDown++
 	f.epoch++
 	return true
 }
@@ -104,6 +108,7 @@ func (f *Faults) RestoreMachine(m NodeID) bool {
 		return false
 	}
 	f.machineDown[m] = false
+	f.machinesDown--
 	f.epoch++
 	return true
 }
@@ -116,6 +121,7 @@ func (f *Faults) FailLink(l LinkID) bool {
 		return false
 	}
 	f.linkDown[l] = true
+	f.linksDown++
 	f.epoch++
 	return true
 }
@@ -128,6 +134,7 @@ func (f *Faults) RestoreLink(l LinkID) bool {
 		return false
 	}
 	f.linkDown[l] = false
+	f.linksDown--
 	f.epoch++
 	return true
 }
@@ -198,38 +205,10 @@ func (f *Faults) AliveSlots() int {
 
 // MachinesDown returns the number of failed machines (counting only the
 // machine fault bit, not link-induced unreachability).
-func (f *Faults) MachinesDown() int {
-	n := 0
-	for _, m := range f.topo.Machines() {
-		if f.machineDown[m] {
-			n++
-		}
-	}
-	return n
-}
+func (f *Faults) MachinesDown() int { return f.machinesDown }
 
 // LinksDown returns the number of failed links.
-func (f *Faults) LinksDown() int {
-	n := 0
-	for _, down := range f.linkDown {
-		if down {
-			n++
-		}
-	}
-	return n
-}
+func (f *Faults) LinksDown() int { return f.linksDown }
 
 // AnyDown reports whether any machine or link is currently failed.
-func (f *Faults) AnyDown() bool {
-	for _, d := range f.machineDown {
-		if d {
-			return true
-		}
-	}
-	for _, d := range f.linkDown {
-		if d {
-			return true
-		}
-	}
-	return false
-}
+func (f *Faults) AnyDown() bool { return f.machinesDown+f.linksDown > 0 }

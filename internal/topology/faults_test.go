@@ -136,3 +136,52 @@ func TestFaultsPanicsOnBadTargets(t *testing.T) {
 	mustPanic("FailLink(root)", func() { f.FailLink(tp.Root()) })
 	mustPanic("FailLink(-1)", func() { f.FailLink(-1) })
 }
+
+// TestFaultCountsFollowEveryChange: MachinesDown and LinksDown are kept as
+// counts, so every fail, restore, no-op and clone must leave them equal
+// to a count of the fault bits, on the source and on a diverging clone.
+func TestFaultCountsFollowEveryChange(t *testing.T) {
+	tp := faultTestTopo(t)
+	count := func(f *Faults) (machines, links int) {
+		for _, m := range tp.Machines() {
+			if f.MachineDown(m) {
+				machines++
+			}
+		}
+		for _, l := range tp.Links() {
+			if f.LinkDown(l) {
+				links++
+			}
+		}
+		return machines, links
+	}
+	f := NewFaults(tp)
+	overlays := []*Faults{f}
+	for step := 0; step < 200; step++ {
+		g := overlays[step%len(overlays)]
+		m, l := tp.Machines()[step*7%len(tp.Machines())], tp.Links()[step*5%len(tp.Links())]
+		switch step % 5 {
+		case 0:
+			g.FailMachine(m)
+		case 1:
+			g.RestoreMachine(m)
+		case 2:
+			g.FailLink(l)
+		case 3:
+			g.RestoreLink(l)
+		default:
+			if len(overlays) < 3 {
+				overlays = append(overlays, g.Clone())
+			} else {
+				g.FailMachine(m)
+			}
+		}
+		for i, o := range overlays {
+			machines, links := count(o)
+			if o.MachinesDown() != machines || o.LinksDown() != links || o.AnyDown() != (machines+links > 0) {
+				t.Fatalf("step %d, overlay %d: counts (%d, %d, any %v), bits (%d, %d)",
+					step, i, o.MachinesDown(), o.LinksDown(), o.AnyDown(), machines, links)
+			}
+		}
+	}
+}
